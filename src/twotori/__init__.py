@@ -56,7 +56,6 @@ from .genus2 import (
     ModulePair,
     OperatorEpsSeries,
     degeneration_sum,
-    extract_H,
     taylor_shift,
     verify_detHi,
     verify_heisenberg_degeneration,

@@ -28,6 +28,7 @@ from .series import (
     SeriesError,
     eisenstein,
     eta_normalized,
+    parenthesize,
     qd,
     rat_str,
     to_quasimodular,
@@ -45,6 +46,8 @@ from .zhu import one_point, structure_check, to_theta_basis
 USAGE_ERROR, VERIFY_ERROR = 2, 1
 
 THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
+
+FORMATS = ("table", "json")
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,9 @@ def _read_config(path: str) -> dict:
                     out[key.replace("-", "_")] = allowed[key](value)
                 except ValueError:
                     raise UsageError(f"{path}:{lineno}: bad value for {key}")
+                if key == "format" and value not in FORMATS:
+                    raise UsageError(f"{path}:{lineno}: format must be one of "
+                                     f"{', '.join(FORMATS)}, not {value!r}")
     except OSError as err:
         raise UsageError(f"cannot read config file: {err}")
     return out
@@ -118,7 +124,7 @@ def _add_global_options(p, in_subparser: bool) -> None:
                    help="maximum descendant weight (default 8)")
     p.add_argument("--matrix-size", type=int, default=d,
                    help="moment-matrix truncation size (default: eps order)")
-    p.add_argument("--format", choices=("table", "json"), default=d,
+    p.add_argument("--format", choices=FORMATS, default=d,
                    help="output format (default table)")
     p.add_argument("--config", default=d,
                    help="flat key=value file with the same option names")
@@ -279,11 +285,8 @@ def cmd_compute(args, cfg: RunConfig) -> int:
 def _render_eps_quasimodular(series, weight_of) -> str:
     """eps-series display with quasi-modular symbols where recognition works."""
     parts = []
-    for j in sorted(series.coeffs):
-        if j % 2:
-            raise SeriesError("odd half-integer power at output boundary")
-        n = j // 2
-        c = series.coeffs[j]
+    for n in sorted(series.coeffs):
+        c = series.coeffs[n]
         if isinstance(c, (int, Fraction)):
             text = rat_str(c)
         else:
@@ -291,13 +294,12 @@ def _render_eps_quasimodular(series, weight_of) -> str:
                 text = str(to_quasimodular(c, weight_of(n)))
             except (NotQuasiModular, SeriesError):
                 text = str(c)
-        if " + " in text or " - " in text or text.startswith("-"):
-            text = f"({text})"
+        text = parenthesize(text)
         parts.append(text if n == 0 else
                      (f"{text}*eps" if n == 1 else f"{text}*eps^{n}"))
     if not parts:
         parts = ["0"]
-    return " + ".join(parts + [f"O(eps^{series.eps_trunc + 1})"])
+    return " + ".join(parts + [f"O(eps^{series.trunc + 1})"])
 
 
 def _modular_identities_report(q_order: int) -> Report:

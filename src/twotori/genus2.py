@@ -85,7 +85,7 @@ def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
     det = (log_det_I_minus(A1, A2, eps_trunc) * Fraction(-1, 2)).exp()
     pre = (BiSeries.from_qseries(eta_normalized(q1_trunc, "q1").inv(), 0, "q2", q2_trunc)
            * BiSeries.from_qseries(eta_normalized(q2_trunc, "q2").inv(), 1, "q1", q1_trunc))
-    return (det * pre).assert_even()
+    return det * pre
 
 
 def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
@@ -103,7 +103,7 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
            + pd.d12 * p.alpha_dot_beta)
     mono = BiSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
                     offsets=(p.alpha_sq / 2, p.beta_sq / 2))
-    return (zh * arg.exp() * mono).assert_even()
+    return zh * arg.exp() * mono
 
 
 def _degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
@@ -117,7 +117,7 @@ def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
     eta(q1)^-1 det(I - A1 A2(0))^(-1/2)."""
     N = eps_trunc if N is None else N
     det = (_degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
-    return (det * eta_normalized(q1_trunc, "q1").inv()).assert_even()
+    return det * eta_normalized(q1_trunc, "q1").inv()
 
 
 def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
@@ -132,7 +132,7 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
     shift = (delta * (p.alpha_sq / 2)).exp()
     pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
            * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
-    return (det * shift * pre).assert_even()
+    return det * shift * pre
 
 
 # -- the operator-valued degeneration sum -------------------------------------------
@@ -150,10 +150,13 @@ class OperatorEpsSeries:
         return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc, "q1"))
 
     def specialize(self, base: BasePartition) -> EpsSeries:
-        coeffs = {2 * n: specialize(op, base) for n, op in self.terms.items()}
-        return EpsSeries(coeffs, 2 * self.eps_trunc + 1)
+        coeffs = {n: specialize(op, base) for n, op in self.terms.items()}
+        return EpsSeries(coeffs, self.eps_trunc)
 
     def extract_H(self, l: int) -> "CPolySeries":
+        """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps)."""
+        if l < 0:
+            raise ValueError("derivative order must be >= 0")
         terms = {}
         for n, op in self.terms.items():
             for (i, j), s in op.terms.items():
@@ -246,18 +249,11 @@ class CPolySeries:
                           for (n, j) in sorted(self.terms)]}
 
 
-def extract_H(l: int, ds: OperatorEpsSeries) -> CPolySeries:
-    """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps)."""
-    if l < 0:
-        raise ValueError("derivative order must be >= 0")
-    return ds.extract_H(l)
-
-
 # -- verification suites -------------------------------------------------------------
 
 
 def _fmt_eps(series: EpsSeries, eps_trunc: int) -> str:
-    return str(series.truncate_eps(min(eps_trunc, series.eps_trunc)))
+    return str(series.truncate(min(eps_trunc, series.trunc)))
 
 
 def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,

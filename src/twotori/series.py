@@ -49,6 +49,50 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def join_terms(terms) -> str:
+    """Render (coefficient, monomial) pairs as one signed sum.
+
+    A bare monomial stands for coefficient 1 and "-monomial" for -1; an
+    empty monomial renders the bare coefficient.  Negative terms after the
+    first fold into " - ".  No terms renders "0".
+    """
+    out = ""
+    for c, body in terms:
+        if not body:
+            term = rat_str(c)
+        elif c == 1:
+            term = body
+        elif c == -1:
+            term = f"-{body}"
+        else:
+            term = f"{rat_str(c)}*{body}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
+
+
+def parenthesize(text: str) -> str:
+    """Wrap a rendered sum or negative term in parentheses for use as a factor."""
+    if " + " in text or " - " in text or text.startswith("-"):
+        return f"({text})"
+    return text
+
+
+def _power(base, n: int, one):
+    # base**n for integer n >= 0 by repeated squaring, starting from ``one``.
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def _int_parts(coeffs):
     # Common-denominator integer form of a coefficient dict; lets products
     # run in int arithmetic with a single Fraction normalization per key.
@@ -245,14 +289,7 @@ class QSeries:
             raise SeriesError("use pow_rational for non-integer exponents")
         if n < 0:
             return self.inv() ** (-n)
-        result = QSeries.one(self.var, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QSeries.one(self.var, self.trunc))
 
     def _unit_mantissa(self) -> "QSeries":
         # Pull the lowest power into the offset so the mantissa is a unit.
@@ -395,26 +432,10 @@ class QSeries:
         return f"{self.var}^({rat_str(self.offset)})*({mant})"
 
     def _mantissa_str(self):
-        parts = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            if n == 0:
-                term = rat_str(c)
-            else:
-                power = self.var if n == 1 else f"{self.var}^{n}"
-                if c == 1:
-                    term = power
-                elif c == -1:
-                    term = f"-{power}"
-                else:
-                    term = f"{rat_str(c)}*{power}"
-            parts.append(term)
-        if not parts:
-            parts = ["0"]
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return f"{out} + O({self.var}^{self.trunc + 1})"
+        v = self.var
+        out = join_terms((self.coeffs[n], "" if n == 0 else v if n == 1 else f"{v}^{n}")
+                         for n in sorted(self.coeffs))
+        return f"{out} + O({v}^{self.trunc + 1})"
 
     def __repr__(self):
         return f"QSeries({self})"
@@ -558,14 +579,7 @@ class BiSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = BiSeries.one(self.vars, self.truncs)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiSeries.one(self.vars, self.truncs))
 
     def inv(self) -> "BiSeries":
         """Inverse of a series whose (0,0) mantissa coefficient is a unit.
@@ -632,28 +646,16 @@ class BiSeries:
 
     def __str__(self):
         v1, v2 = self.vars
-        parts = []
-        for (m, n) in sorted(self.coeffs):
-            c = self.coeffs[(m, n)]
+
+        def body(m, n):
             factors = []
             if m:
                 factors.append(v1 if m == 1 else f"{v1}^{m}")
             if n:
                 factors.append(v2 if n == 1 else f"{v2}^{n}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(rat_str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{rat_str(c)}*{body}")
-        if not parts:
-            parts = ["0"]
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+            return "*".join(factors)
+
+        out = join_terms((self.coeffs[k], body(*k)) for k in sorted(self.coeffs))
         out += f" + O({v1}^{self.truncs[0] + 1}) + O({v2}^{self.truncs[1] + 1})"
         pre = []
         if self.offsets[0] != 0:
@@ -714,13 +716,12 @@ def coeff_inv(c):
 
 
 class EpsSeries:
-    """Truncated series in the sewing parameter, over nested coefficients.
+    """Truncated series in the sewing parameter eps, over nested coefficients.
 
-    Internally indexed by integer powers of t with eps = t^2, because the
-    sewing-moment entries carry eps^((k+l)/2).  Everything returned at a
-    public boundary must contain even t powers only; `assert_even` checks it.
-    Coefficients are Fraction, QSeries or BiSeries and are combined by duck
-    typing, so one series can mix plain rationals with q-expansions.
+    Keys are integer powers of eps; the series is known through
+    eps^trunc.  Coefficients are Fraction, QSeries or BiSeries and are
+    combined by duck typing, so one series can mix plain rationals with
+    q-expansions.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -730,25 +731,21 @@ class EpsSeries:
             raise SeriesError("truncation order must be >= 0")
         object.__setattr__(self, "trunc", int(trunc))
         clean = {}
-        for j, c in (coeffs or {}).items():
+        for n, c in (coeffs or {}).items():
+            if int(n) != n:
+                raise SeriesError(f"eps power {n} is not an integer")
             if isinstance(c, int):
                 c = Fraction(c)
             if coeff_is_zero(c):
                 continue
-            j = int(j)
-            if j < 0 or j > trunc:
-                raise SeriesError(f"t-power {j} outside [0, {trunc}]")
-            clean[j] = c
+            n = int(n)
+            if n < 0 or n > trunc:
+                raise SeriesError(f"eps power {n} outside [0, {trunc}]")
+            clean[n] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("EpsSeries is immutable")
-
-    @classmethod
-    def for_eps_order(cls, eps_trunc: int, coeffs=None) -> "EpsSeries":
-        """Series known through eps^eps_trunc; keys of ``coeffs`` are eps powers."""
-        t_trunc = 2 * eps_trunc + 1
-        return cls({2 * n: c for n, c in (coeffs or {}).items()}, t_trunc)
 
     @classmethod
     def zero(cls, trunc: int) -> "EpsSeries":
@@ -761,29 +758,17 @@ class EpsSeries:
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def eps_trunc(self) -> int:
-        return (self.trunc - 1) // 2 if self.trunc % 2 else self.trunc // 2
-
-    def coeff_t(self, j: int):
-        if j < 0 or j > self.trunc:
-            raise SeriesError(f"t-power {j} not known (trunc {self.trunc})")
-        return self.coeffs.get(j, Fraction(0))
-
     def coeff_eps(self, n: int):
-        return self.coeff_t(2 * n)
+        if n < 0 or n > self.trunc:
+            raise SeriesError(f"eps^{n} not known (trunc {self.trunc})")
+        return self.coeffs.get(n, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_even(self) -> bool:
-        return all(j % 2 == 0 for j in self.coeffs)
-
-    def assert_even(self) -> "EpsSeries":
-        if not self.is_even():
-            odd = sorted(j for j in self.coeffs if j % 2)
-            raise SeriesError(f"odd half-integer eps powers at public boundary: t^{odd}")
-        return self
+        """True when every nonzero coefficient sits at an even power of eps."""
+        return all(n % 2 == 0 for n in self.coeffs)
 
     def _ord_bound(self) -> int:
         return min(self.coeffs) if self.coeffs else self.trunc + 1
@@ -800,14 +785,14 @@ class EpsSeries:
         if not isinstance(other, EpsSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        out = {j: c for j, c in self.coeffs.items() if j <= trunc}
-        for j, c in other.coeffs.items():
-            if j <= trunc:
-                out[j] = out[j] + c if j in out else c
+        out = {n: c for n, c in self.coeffs.items() if n <= trunc}
+        for n, c in other.coeffs.items():
+            if n <= trunc:
+                out[n] = out[n] + c if n in out else c
         return EpsSeries(out, trunc)
 
     def __neg__(self):
-        return EpsSeries({j: -c for j, c in self.coeffs.items()}, self.trunc)
+        return EpsSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, EpsSeries):
@@ -820,39 +805,29 @@ class EpsSeries:
             # matrix-algebra result independent of the matrix size.
             trunc = min(self.trunc, other.trunc)
             out = {}
-            for j1, c1 in self.coeffs.items():
-                for j2, c2 in other.coeffs.items():
-                    j = j1 + j2
-                    if j <= trunc:
+            for n1, c1 in self.coeffs.items():
+                for n2, c2 in other.coeffs.items():
+                    n = n1 + n2
+                    if n <= trunc:
                         p = c1 * c2
-                        out[j] = out[j] + p if j in out else p
+                        out[n] = out[n] + p if n in out else p
             return EpsSeries(out, trunc)
         # anything else scales every coefficient
-        return EpsSeries({j: c * other for j, c in self.coeffs.items()}, self.trunc)
+        return EpsSeries({n: c * other for n, c in self.coeffs.items()}, self.trunc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = EpsSeries.one(self.trunc, like=self._sample())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift_t(self, k: int) -> "EpsSeries":
-        """Multiply by the exact monomial t^k."""
-        return EpsSeries({j + k: c for j, c in self.coeffs.items()}, self.trunc + k)
+        return _power(self, n, EpsSeries.one(self.trunc, like=self._sample()))
 
     def times_eps(self) -> "EpsSeries":
-        return self.shift_t(2)
+        """Multiply by the exact monomial eps."""
+        return EpsSeries({n + 1: c for n, c in self.coeffs.items()}, self.trunc + 1)
 
     def exp(self) -> "EpsSeries":
-        """exp of a series with no t^0 term."""
+        """exp of a series with no eps^0 term."""
         if 0 in self.coeffs:
             raise SeriesError("exp requires zero constant term in eps")
         one = EpsSeries.one(self.trunc, like=self._sample())
@@ -869,12 +844,12 @@ class EpsSeries:
         return result
 
     def inv(self) -> "EpsSeries":
-        """Inverse when the t^0 coefficient is a unit of its ring."""
+        """Inverse when the eps^0 coefficient is a unit of its ring."""
         c0 = self.coeffs.get(0)
         if c0 is None:
             raise SeriesError("non-unit constant term in eps series")
         c0_inv = coeff_inv(c0)
-        x = EpsSeries({j: c * c0_inv for j, c in self.coeffs.items() if j != 0},
+        x = EpsSeries({n: c * c0_inv for n, c in self.coeffs.items() if n != 0},
                       self.trunc)
         result = EpsSeries.one(self.trunc, like=self._sample())
         term = result
@@ -889,17 +864,14 @@ class EpsSeries:
                 result = result + term * sign
         return result * c0_inv
 
-    def truncate_t(self, new_trunc: int) -> "EpsSeries":
+    def truncate(self, new_trunc: int) -> "EpsSeries":
         if new_trunc > self.trunc:
             raise SeriesError("cannot raise truncation order")
-        return EpsSeries({j: c for j, c in self.coeffs.items() if j <= new_trunc},
+        return EpsSeries({n: c for n, c in self.coeffs.items() if n <= new_trunc},
                          new_trunc)
 
-    def truncate_eps(self, eps_order: int) -> "EpsSeries":
-        return self.truncate_t(2 * eps_order + 1)
-
     def map_coeffs(self, fn) -> "EpsSeries":
-        return EpsSeries({j: fn(c) for j, c in self.coeffs.items()}, self.trunc)
+        return EpsSeries({n: fn(c) for n, c in self.coeffs.items()}, self.trunc)
 
     # -- comparison / rendering --------------------------------------------------
 
@@ -917,13 +889,13 @@ class EpsSeries:
         """
         upto = min(self.trunc, other.trunc)
         if through_eps is not None:
-            if upto < 2 * through_eps:
-                raise SeriesError(f"eps series only known to t^{upto}, "
+            if upto < through_eps:
+                raise SeriesError(f"eps series only known to eps^{upto}, "
                                   f"need eps^{through_eps}")
-            upto = 2 * through_eps
-        for j in range(upto + 1):
-            a = self.coeffs.get(j)
-            b = other.coeffs.get(j)
+            upto = through_eps
+        for n in range(upto + 1):
+            a = self.coeffs.get(n)
+            b = other.coeffs.get(n)
             if a is None and b is None:
                 continue
             if a is None or b is None:
@@ -950,37 +922,29 @@ class EpsSeries:
         return True
 
     def __str__(self):
-        self_even = self.is_even()
         parts = []
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
+        for n in sorted(self.coeffs):
+            c = self.coeffs[n]
             cs = rat_str(c) if isinstance(c, (int, Fraction)) else str(c)
-            if j == 0:
+            if n == 0:
                 parts.append(f"({cs})")
             else:
-                if self_even:
-                    n = j // 2
-                    power = "eps" if n == 1 else f"eps^{n}"
-                else:
-                    power = f"t^{j}"
+                power = "eps" if n == 1 else f"eps^{n}"
                 parts.append(f"({cs})*{power}")
         if not parts:
             parts = ["0"]
-        tail = f"O(eps^{self.eps_trunc + 1})" if self_even else f"O(t^{self.trunc + 1})"
-        return " + ".join(parts + [tail])
+        return " + ".join(parts + [f"O(eps^{self.trunc + 1})"])
 
     def __repr__(self):
         return f"EpsSeries({self})"
 
     def to_json(self) -> dict:
-        """Nested-series JSON with variable tag "eps"; even powers only."""
-        self.assert_even()
+        """Nested-series JSON with variable tag "eps"."""
         coeffs = {}
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
-            coeffs[str(j // 2)] = rat_str(c) if isinstance(c, (int, Fraction)) \
-                else c.to_json()
-        return {"variable": "eps", "trunc": self.eps_trunc, "coeffs": coeffs}
+        for n in sorted(self.coeffs):
+            c = self.coeffs[n]
+            coeffs[str(n)] = rat_str(c) if isinstance(c, (int, Fraction)) else c.to_json()
+        return {"variable": "eps", "trunc": self.trunc, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EpsSeries":
@@ -992,8 +956,8 @@ class EpsSeries:
                 val = BiSeries.from_json(c)
             else:
                 val = QSeries.from_json(c)
-            coeffs[2 * int(n)] = val
-        return cls(coeffs, 2 * int(obj["trunc"]) + 1)
+            coeffs[int(n)] = val
+        return cls(coeffs, int(obj["trunc"]))
 
 
 # -- Bernoulli numbers and classical expansions -------------------------------
@@ -1113,30 +1077,12 @@ class QuasiModularPoly:
         return hash((self.weight, tuple(sorted(self.coeffs.items()))))
 
     def __str__(self):
-        parts = []
-        for (a, b, c) in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[(a, b, c)]
-            factors = []
-            for name, e in (("E2", a), ("E4", b), ("E6", c)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(rat_str(v))
-            elif v == 1:
-                parts.append(body)
-            elif v == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{rat_str(v)}*{body}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        def body(exps):
+            return "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(("E2", "E4", "E6"), exps) if e)
+
+        return join_terms((self.coeffs[k], body(k))
+                          for k in sorted(self.coeffs, reverse=True))
 
     def __repr__(self):
         return f"QuasiModularPoly(weight={self.weight}, {self})"

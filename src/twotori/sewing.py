@@ -8,9 +8,8 @@ The raw moment matrix has entries
 whose sqrt(kl) factors are removed here by conjugating with diag(sqrt(k)).
 Determinants, traces and (1,1) entries are unchanged, and every stored entry
 becomes rational.  Entries with k+l odd vanish identically (odd Eisenstein
-series and odd Bernoulli numbers), so all surviving powers of eps are
-integral even though (k+l)/2 is half-integral entrywise; powers are tracked
-in t = eps^(1/2) regardless, and public results assert even t-powers.
+series and odd Bernoulli numbers), so every surviving power of eps is an
+integer and the matrices are built from the even k+l entries only.
 """
 
 from __future__ import annotations
@@ -29,130 +28,89 @@ from .series import (
     eisenstein,
 )
 
-RATIONAL, Q1, Q2, BI = "rational", "q1", "q2", "bi"
-
 
 @dataclass(frozen=True)
 class AMatrix:
-    """Truncated sewing-moment matrix in conjugated (rational) form."""
+    """Truncated sewing-moment matrix with rational entries (sqrt(k) factors removed)."""
     size: int
     entries: tuple            # tuple of tuples of EpsSeries
-    ring: str                 # coefficient ring tag: rational | q1 | q2 | bi
+    var: str | None           # q-variable of series coefficients; None if rational
     q_trunc: int              # q-order of series coefficients (0 for rational)
-    t_trunc: int
-    conjugated: bool = True
+    eps_trunc: int
 
     def entry(self, k: int, l: int) -> EpsSeries:
         """1-based (k, l) entry."""
         return self.entries[k - 1][l - 1]
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "ring": self.ring, "conjugated": self.conjugated,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
 
-
-def _t_trunc(eps_trunc: int) -> int:
-    return 2 * eps_trunc + 1
+def _moment_matrix(N: int, eps_trunc: int, coeff, var: str | None,
+                   q_trunc: int) -> AMatrix:
+    # Entry (k, l) is coeff(k, l) eps^((k+l)/2) for even k+l <= 2 eps_trunc.
+    if N < 1:
+        raise ValueError("matrix size must be >= 1")
+    zero = EpsSeries.zero(eps_trunc)
+    rows = tuple(
+        tuple(EpsSeries({(k + l) // 2: coeff(k, l)}, eps_trunc)
+              if (k + l) % 2 == 0 and k + l <= 2 * eps_trunc else zero
+              for l in range(1, N + 1))
+        for k in range(1, N + 1))
+    return AMatrix(N, rows, var, q_trunc, eps_trunc)
 
 
 def a_matrix(torus: int, N: int, eps_trunc: int, q_trunc: int) -> AMatrix:
     """Conjugated moment matrix of torus 1 or 2 (series in q1 resp. q2)."""
     if torus not in (1, 2):
         raise ValueError("torus must be 1 or 2")
-    if N < 1:
-        raise ValueError("matrix size must be >= 1")
-    var = Q1 if torus == 1 else Q2
-    tt = _t_trunc(eps_trunc)
-    rows = []
-    for k in range(1, N + 1):
-        row = []
-        for l in range(1, N + 1):
-            if k + l > tt or (k + l) % 2:
-                row.append(EpsSeries.zero(tt))
-                continue
-            c = Fraction((-1) ** (l + 1) * factorial(k + l - 1),
-                         l * factorial(k - 1) * factorial(l - 1))
-            row.append(EpsSeries({k + l: eisenstein(k + l, q_trunc, var) * c}, tt))
-        rows.append(tuple(row))
-    return AMatrix(N, tuple(rows), var, q_trunc, tt)
+    var = f"q{torus}"
+
+    def coeff(k, l):
+        c = Fraction((-1) ** (l + 1) * factorial(k + l - 1),
+                     l * factorial(k - 1) * factorial(l - 1))
+        return eisenstein(k + l, q_trunc, var) * c
+
+    return _moment_matrix(N, eps_trunc, coeff, var, q_trunc)
 
 
 def a2_degenerate(N: int, eps_trunc: int) -> AMatrix:
     """Pinched-torus limit of the second moment matrix: Bernoulli entries."""
-    if N < 1:
-        raise ValueError("matrix size must be >= 1")
-    tt = _t_trunc(eps_trunc)
-    rows = []
-    for k in range(1, N + 1):
-        row = []
-        for l in range(1, N + 1):
-            if k + l > tt or (k + l) % 2:
-                row.append(EpsSeries.zero(tt))
-                continue
-            c = Fraction((-1) ** l, l * (k + l) * factorial(k - 1) * factorial(l - 1)) \
-                * bernoulli(k + l)
-            row.append(EpsSeries({k + l: c}, tt))
-        rows.append(tuple(row))
-    return AMatrix(N, tuple(rows), RATIONAL, 0, tt)
+    def coeff(k, l):
+        return Fraction((-1) ** l, l * (k + l) * factorial(k - 1) * factorial(l - 1)) \
+            * bernoulli(k + l)
+
+    return _moment_matrix(N, eps_trunc, coeff, None, 0)
 
 
-# -- coefficient-ring lifting ----------------------------------------------------
+def _embed(*mats: AMatrix) -> list:
+    """Entry tuples of the matrices, over one coefficient ring.
 
+    When a q1 matrix meets a q2 matrix, every q-series coefficient is
+    embedded in the joint (q1, q2) ring.  Rational coefficients need no
+    embedding: they multiply and add with any series.
+    """
+    q_truncs = {m.var: m.q_trunc for m in mats if m.var is not None}
+    if len(q_truncs) < 2:
+        return [m.entries for m in mats]
 
-def _join_ring(ra: str, rb: str) -> str:
-    if ra == rb:
-        return ra
-    if RATIONAL in (ra, rb):
-        return rb if ra == RATIONAL else ra
-    return BI
-
-
-def _lift_coeff(c, ring: str, q1_trunc: int, q2_trunc: int):
-    if ring == RATIONAL:
-        return c
-    if isinstance(c, (int, Fraction)):
-        if ring == Q1:
-            return QSeries.const(Q1, c, q1_trunc)
-        if ring == Q2:
-            return QSeries.const(Q2, c, q2_trunc)
-        return BiSeries((Q1, Q2), {(0, 0): c}, (q1_trunc, q2_trunc))
-    if isinstance(c, QSeries):
-        if ring == c.var:
+    def lift(c):
+        if not isinstance(c, QSeries):
             return c
-        if ring == BI:
-            slot = 0 if c.var == Q1 else 1
-            other = Q2 if slot == 0 else Q1
-            other_trunc = q2_trunc if slot == 0 else q1_trunc
-            return BiSeries.from_qseries(c, slot, other, other_trunc)
-    raise SeriesError(f"cannot lift coefficient of type {type(c).__name__} to ring {ring}")
+        slot = 0 if c.var == "q1" else 1
+        other = "q2" if slot == 0 else "q1"
+        return BiSeries.from_qseries(c, slot, other, q_truncs[other])
 
-
-def lift_matrix(A: AMatrix, ring: str, q1_trunc: int, q2_trunc: int) -> AMatrix:
-    if A.ring == ring:
-        return A
-    rows = tuple(
-        tuple(e.map_coeffs(lambda c: _lift_coeff(c, ring, q1_trunc, q2_trunc))
-              for e in row)
-        for row in A.entries)
-    return AMatrix(A.size, rows, ring, max(q1_trunc, q2_trunc), A.t_trunc, A.conjugated)
-
-
-def _common_ring(A: AMatrix, B: AMatrix):
-    ring = _join_ring(A.ring, B.ring)
-    q1_trunc = max((m.q_trunc for m in (A, B) if m.ring in (Q1, BI)), default=0)
-    q2_trunc = max((m.q_trunc for m in (A, B) if m.ring in (Q2, BI)), default=0)
-    return lift_matrix(A, ring, q1_trunc, q2_trunc), lift_matrix(B, ring, q1_trunc, q2_trunc)
+    return [tuple(tuple(e.map_coeffs(lift) for e in row) for row in m.entries)
+            for m in mats]
 
 
 # -- matrix algebra over EpsSeries ------------------------------------------------
 
 
-def _mat_mul(A, B, size: int, t_trunc: int):
+def _mat_mul(A, B, size: int, eps_trunc: int):
     out = []
     for k in range(size):
         row = []
         for l in range(size):
-            acc = EpsSeries.zero(t_trunc)
+            acc = EpsSeries.zero(eps_trunc)
             for m in range(size):
                 if A[k][m].is_zero() or B[m][l].is_zero():
                     continue
@@ -162,10 +120,10 @@ def _mat_mul(A, B, size: int, t_trunc: int):
     return tuple(out)
 
 
-def _mat_vec(A, v, size: int, t_trunc: int):
+def _mat_vec(A, v, size: int, eps_trunc: int):
     out = []
     for k in range(size):
-        acc = EpsSeries.zero(t_trunc)
+        acc = EpsSeries.zero(eps_trunc)
         for m in range(size):
             if A[k][m].is_zero() or v[m].is_zero():
                 continue
@@ -187,45 +145,45 @@ def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
     The n-sum is finite: Tr((A B)^n) = O(eps^(2n)).
     """
     _check_sizes(A, B, eps_trunc)
-    A, B = _common_ring(A, B)
-    tt = min(A.t_trunc, B.t_trunc)
-    P = _mat_mul(A.entries, B.entries, A.size, tt)
+    a, b = _embed(A, B)
+    et = min(A.eps_trunc, B.eps_trunc)
+    P = _mat_mul(a, b, A.size, et)
     power = P
-    out = EpsSeries.zero(tt)
+    out = EpsSeries.zero(et)
     n = 1
     while 2 * n <= eps_trunc:
         if n > 1:
-            power = _mat_mul(power, P, A.size, tt)
-        tr = EpsSeries.zero(tt)
+            power = _mat_mul(power, P, A.size, et)
+        tr = EpsSeries.zero(et)
         for k in range(A.size):
             tr = tr + power[k][k]
         out = out + tr * Fraction(-1, n)
         n += 1
-    return out.assert_even()
+    return out
 
 
-def _resolvent_vector_sum(A: AMatrix, B: AMatrix, eps_trunc: int):
-    # sum_{n>=0} (A B)^n e_1, computed by matrix-vector chains
-    tt = min(A.t_trunc, B.t_trunc)
-    sample = next((c for row in A.entries for e in row for c in e.coeffs.values()), Fraction(1))
-    e1 = [EpsSeries.one(tt, like=sample) if k == 0 else EpsSeries.zero(tt)
-          for k in range(A.size)]
+def _resolvent_vector_sum(a, b, eps_trunc: int, et: int):
+    # sum_{n>=0} (a b)^n e_1, computed by matrix-vector chains
+    size = len(a)
+    sample = next((c for row in a for e in row for c in e.coeffs.values()), Fraction(1))
+    e1 = [EpsSeries.one(et, like=sample) if k == 0 else EpsSeries.zero(et)
+          for k in range(size)]
     total = list(e1)
     v = e1
     n = 1
     while 2 * n <= eps_trunc:
-        v = _mat_vec(A.entries, _mat_vec(B.entries, v, A.size, tt), A.size, tt)
+        v = _mat_vec(a, _mat_vec(b, v, size, et), size, et)
         total = [t + x for t, x in zip(total, v)]
         n += 1
-    return total, tt
+    return total
 
 
 def resolvent_11(A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
     """(I - A B)^(-1) (1,1) by the geometric series."""
     _check_sizes(A, B, eps_trunc)
-    A, B = _common_ring(A, B)
-    total, _ = _resolvent_vector_sum(A, B, eps_trunc)
-    return total[0].assert_even()
+    a, b = _embed(A, B)
+    et = min(A.eps_trunc, B.eps_trunc)
+    return _resolvent_vector_sum(a, b, eps_trunc, et)[0]
 
 
 def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
@@ -233,15 +191,10 @@ def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) ->
     _check_sizes(A, B, eps_trunc)
     if W.size != A.size:
         raise SeriesError("matrix sizes differ")
-    ring = _join_ring(W.ring, _join_ring(A.ring, B.ring))
-    q1 = max((m.q_trunc for m in (W, A, B) if m.ring in (Q1, BI)), default=0)
-    q2 = max((m.q_trunc for m in (W, A, B) if m.ring in (Q2, BI)), default=0)
-    W = lift_matrix(W, ring, q1, q2)
-    A = lift_matrix(A, ring, q1, q2)
-    B = lift_matrix(B, ring, q1, q2)
-    total, tt = _resolvent_vector_sum(A, B, eps_trunc)
-    w_total = _mat_vec(W.entries, total, W.size, tt)
-    return w_total[0]
+    w, a, b = _embed(W, A, B)
+    et = min(A.eps_trunc, B.eps_trunc)
+    total = _resolvent_vector_sum(a, b, eps_trunc, et)
+    return _mat_vec(w, total, W.size, et)[0]
 
 
 @dataclass(frozen=True)
@@ -264,14 +217,14 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
     d11 = weighted_resolvent_11(A2, A1, A2, eps_trunc).times_eps()
     d22 = weighted_resolvent_11(A1, A2, A1, eps_trunc).times_eps()
     d12 = -resolvent_11(A1, A2, eps_trunc).times_eps()
-    return PeriodData(d11.assert_even(), d22.assert_even(), d12.assert_even())
+    return PeriodData(d11, d22, d12)
 
 
 def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
     """2pi i (tau - tau1) on the pinched surface, as a rational eps-series."""
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A20 = a2_degenerate(N, eps_trunc)
-    return weighted_resolvent_11(A20, A1, A20, eps_trunc).times_eps().assert_even()
+    return weighted_resolvent_11(A20, A1, A20, eps_trunc).times_eps()
 
 
 # -- advisory numeric domain check -------------------------------------------------

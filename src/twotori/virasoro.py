@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .series import QSeries, rat, rat_str
+from .series import QSeries, join_terms, rat
 
 
 def check_partition(parts) -> tuple:
@@ -125,25 +125,8 @@ class CPoly:
         return sum((v * c_value ** j for j, v in self.coeffs.items()), Fraction(0))
 
     def __str__(self):
-        parts = []
-        for j in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[j]
-            if j == 0:
-                parts.append(rat_str(v))
-            else:
-                power = "C" if j == 1 else f"C^{j}"
-                if v == 1:
-                    parts.append(power)
-                elif v == -1:
-                    parts.append(f"-{power}")
-                else:
-                    parts.append(f"{rat_str(v)}*{power}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return join_terms((self.coeffs[j], "" if j == 0 else "C" if j == 1 else f"C^{j}")
+                          for j in sorted(self.coeffs, reverse=True))
 
     def __repr__(self):
         return f"CPoly({self})"
@@ -363,7 +346,8 @@ def alpha_coefficients(max_i: int) -> tuple:
     for i in range(1, max_i + 1):
         got = _exp_derivation(known, trunc) if known else QSeries.gen("z", trunc)
         known[i] = target.coeff(i + 1) - got.coeff(i + 1)
-    assert _exp_derivation(known, trunc) == target
+    if _exp_derivation(known, trunc) != target:
+        raise ArithmeticError("generator coefficients do not reproduce e^z - 1")
     return tuple(known[i] for i in range(1, max_i + 1))
 
 
@@ -388,7 +372,8 @@ def beta_coefficients(max_k: int) -> tuple:
     trunc = max_k + 1
     phi = exp_minus_one(trunc)
     beta1 = phi.coeff(2)
-    assert beta1 == Fraction(1, 2)
+    if beta1 != Fraction(1, 2):
+        raise ArithmeticError(f"map coefficient beta_1 = {beta1} != 1/2")
     g = _w_map(1, beta1, trunc, inverse=True).compose(phi)
     out = []
     for k in range(2, max_k + 1):
@@ -400,12 +385,6 @@ def beta_coefficients(max_k: int) -> tuple:
         out.append((k, bk))
         g = _w_map(k, bk, trunc, inverse=True).compose(g)
     return tuple(out)
-
-
-def intermediate_odd_map(trunc: int) -> QSeries:
-    """g_1 = w_1^{-1} o phi, the odd map whose coefficients seed the peeling."""
-    phi = exp_minus_one(trunc)
-    return _w_map(1, Fraction(1, 2), trunc, inverse=True).compose(phi)
 
 
 def lambda_vector(max_weight: int) -> list:

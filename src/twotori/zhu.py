@@ -26,6 +26,7 @@ from .series import (
     SeriesError,
     eisenstein,
     eta_normalized,
+    parenthesize,
     rat,
     to_quasimodular,
 )
@@ -197,8 +198,7 @@ class DiffOp:
                 sym = str(to_quasimodular(s, weight - 2 * i))
             except (NotQuasiModular, SeriesError):
                 sym = f"({s})"
-            if " + " in sym or " - " in sym or sym.startswith("-"):
-                sym = f"({sym})"
+            sym = parenthesize(sym)
             factors = [] if sym == "1" and (i or j) else [sym]
             if j:
                 factors.append("C" if j == 1 else f"C^{j}")

@@ -157,6 +157,12 @@ class TestConfigAndDeterminism:
         code, _, err = run(capsys, "--config", str(cfg), "compute", "eta")
         assert code == 2 and "unknown key" in err
 
+    def test_bad_config_format(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        code, out, err = run(capsys, "--config", str(cfg), "compute", "eta")
+        assert code == 2 and out == "" and "format must be one of table, json" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ("compute", "tau-degen", "--eps-order", "6", "--q-order", "4")
         _, first, _ = run(capsys, *argv)

@@ -10,7 +10,6 @@ from twotori.genus2 import (
     ModulePair,
     OperatorEpsSeries,
     degeneration_sum,
-    extract_H,
     taylor_shift,
     verify_detHi,
     verify_heisenberg_degeneration,
@@ -153,16 +152,18 @@ class TestDegenerationSum:
 
     def test_extract_H_values(self):
         ds = degeneration_sum(4, 6)
-        H0, H1 = extract_H(0, ds), extract_H(1, ds)
+        H0, H1 = ds.extract_H(0), ds.extract_H(1)
         assert H0.coeff(0, 0) == QSeries.one("q1", 6)
         assert H1.coeff(2, 0) == QSeries.const("q1", F(-1, 12), 6)
         assert H0.coeff(2, 1) == eisenstein(2, 6, "q1") * F(-1, 24)
+        with pytest.raises(ValueError):
+            ds.extract_H(-1)
 
     def test_json_shapes(self):
         ds = degeneration_sum(2, 4)
         js = ds.to_json()
         assert js["variable"] == "eps" and "0" in js["coeffs"]
-        assert extract_H(0, ds).to_json()["terms"]
+        assert ds.extract_H(0).to_json()["terms"]
 
 
 class TestVerifiers:

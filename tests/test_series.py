@@ -327,42 +327,45 @@ class TestBiSeries:
 
 class TestEpsSeries:
     def test_arithmetic(self):
-        a = EpsSeries({2: F(1, 2)}, 9)          # (1/2) eps
-        b = EpsSeries({0: 1, 2: 1}, 9)          # 1 + eps
-        assert (a * b).coeffs == {2: F(1, 2), 4: F(1, 2)}
-        assert (a + b).coeffs == {0: F(1), 2: F(3, 2)}
+        a = EpsSeries({1: F(1, 2)}, 4)          # (1/2) eps
+        b = EpsSeries({0: 1, 1: 1}, 4)          # 1 + eps
+        assert (a * b).coeffs == {1: F(1, 2), 2: F(1, 2)}
+        assert (a + b).coeffs == {0: F(1), 1: F(3, 2)}
 
     def test_exp_inv(self):
-        x = EpsSeries({2: 1}, 9)                 # eps
+        x = EpsSeries({1: 1}, 4)                 # eps
         e = x.exp()
         assert e.coeff_eps(0) == 1 and e.coeff_eps(2) == F(1, 2) and e.coeff_eps(3) == F(1, 6)
         assert (e * e.inv()).coeffs == {0: F(1)}
 
     def test_exp_requires_no_constant(self):
         with pytest.raises(SeriesError):
-            EpsSeries({0: 1}, 5).exp()
+            EpsSeries({0: 1}, 2).exp()
 
     def test_series_coefficients(self):
         e2 = eisenstein(2, 4, "q1")
-        s = EpsSeries({2: e2}, 9)
+        s = EpsSeries({1: e2}, 4)
         sq = s * s
         assert sq.coeff_eps(2) == e2 * e2
-        inv = (EpsSeries({0: QSeries.one("q1", 4)}, 9) + s).inv()
+        inv = (EpsSeries({0: QSeries.one("q1", 4)}, 4) + s).inv()
         assert inv.coeff_eps(1) == -e2
         assert inv.coeff_eps(2) == e2 * e2
 
-    def test_evenness_guard(self):
+    def test_non_integer_eps_power_rejected(self):
         with pytest.raises(SeriesError):
-            EpsSeries({1: 1}, 5).assert_even()
-        EpsSeries({2: 1}, 5).assert_even()
+            EpsSeries({F(1, 2): 1}, 2)
+
+    def test_is_even_means_even_eps_powers(self):
+        assert not EpsSeries({1: 1}, 2).is_even()
+        assert EpsSeries({0: 1, 2: 1}, 2).is_even()
 
     def test_json_roundtrip(self):
-        s = EpsSeries({0: 1, 2: eisenstein(2, 4, "q1"), 4: F(-1, 12)}, 9)
+        s = EpsSeries({0: 1, 1: eisenstein(2, 4, "q1"), 2: F(-1, 12)}, 4)
         assert EpsSeries.from_json(s.to_json()) == s
 
     def test_mixed_scalar_and_series_coefficients(self):
-        s = EpsSeries({0: F(1), 2: eisenstein(2, 4, "q1")}, 9)
-        t = EpsSeries({0: QSeries.one("q1", 4), 2: F(-1, 12)}, 9)
+        s = EpsSeries({0: F(1), 1: eisenstein(2, 4, "q1")}, 4)
+        t = EpsSeries({0: QSeries.one("q1", 4), 1: F(-1, 12)}, 4)
         p = s * t
         assert p.coeff_eps(1) == eisenstein(2, 4, "q1") - F(1, 12)
 

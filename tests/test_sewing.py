@@ -26,19 +26,19 @@ def const_q1(c, q_trunc):
 class TestMomentMatrix:
     def test_entry_11(self):
         A = a_matrix(1, 3, 4, 4)
-        assert A.entry(1, 1) == EpsSeries({2: eisenstein(2, 4, "q1")}, 9)
+        assert A.entry(1, 1) == EpsSeries({1: eisenstein(2, 4, "q1")}, 4)
 
     def test_entry_12_vanishes(self):
         assert a_matrix(1, 3, 4, 4).entry(1, 2).is_zero()
 
     def test_entry_22(self):
         A = a_matrix(2, 3, 4, 4)
-        assert A.entry(2, 2) == EpsSeries({4: eisenstein(4, 4, "q2") * -3}, 9)
+        assert A.entry(2, 2) == EpsSeries({2: eisenstein(4, 4, "q2") * -3}, 4)
 
     def test_entry_13(self):
         # (k,l)=(1,3): (-1)^4 * 3!/(3*0!*2!) = 1, so entry is eps^2 E4
         A = a_matrix(1, 3, 4, 4)
-        assert A.entry(1, 3) == EpsSeries({4: eisenstein(4, 4, "q1")}, 9)
+        assert A.entry(1, 3) == EpsSeries({2: eisenstein(4, 4, "q1")}, 4)
 
     def test_odd_sum_entries_zero(self):
         A = a_matrix(1, 5, 6, 3)
@@ -50,12 +50,12 @@ class TestMomentMatrix:
 
 class TestDegenerateMatrix:
     def test_entry_11(self):
-        assert a2_degenerate(3, 4).entry(1, 1) == EpsSeries({2: F(-1, 12)}, 9)
+        assert a2_degenerate(3, 4).entry(1, 1) == EpsSeries({1: F(-1, 12)}, 4)
 
     def test_entry_13_from_b4(self):
         # (-1)^3 B_4 / (3*4*0!*2!) = (1/30)/24 = 1/720
         assert bernoulli(4) == F(-1, 30)
-        assert a2_degenerate(3, 4).entry(1, 3) == EpsSeries({4: F(1, 720)}, 9)
+        assert a2_degenerate(3, 4).entry(1, 3) == EpsSeries({2: F(1, 720)}, 4)
 
     def test_matches_q_to_zero_limit(self):
         # E_k(0) = -B_k/k! makes the two entry formulas coincide
@@ -96,21 +96,21 @@ class TestLogDet:
         # x; sqrt factors pair up, giving 1/m weights inside products and 1/k
         # weights on the trace diagonal.
         eps_trunc, q_trunc, N = 6, 5, 6
-        tt = 2 * eps_trunc + 1
+        tt = eps_trunc
 
         def x1(k, l):
-            if (k + l) % 2 or k + l > tt:
+            if (k + l) % 2 or k + l > 2 * eps_trunc:
                 return EpsSeries.zero(tt)
             c = F((-1) ** (l + 1) * math.factorial(k + l - 1),
                   math.factorial(k - 1) * math.factorial(l - 1))
-            return EpsSeries({k + l: eisenstein(k + l, q_trunc, "q1") * c}, tt)
+            return EpsSeries({(k + l) // 2: eisenstein(k + l, q_trunc, "q1") * c}, tt)
 
         def x20(k, l):
-            if (k + l) % 2 or k + l > tt:
+            if (k + l) % 2 or k + l > 2 * eps_trunc:
                 return EpsSeries.zero(tt)
             c = F((-1) ** l, (k + l) * math.factorial(k - 1) * math.factorial(l - 1)) \
                 * bernoulli(k + l)
-            return EpsSeries({k + l: QSeries.const("q1", c, q_trunc)}, tt)
+            return EpsSeries({(k + l) // 2: QSeries.const("q1", c, q_trunc)}, tt)
 
         # P = A1 A2(0) in paired form: p(k,l)/sqrt(kl) with
         # p(k,l) = sum_m x1(k,m) x20(m,l) / m
@@ -150,8 +150,8 @@ class TestResolvent:
         # (A2(0) (I - A1 A2(0))^-1)(1,1) = -eps/12 + O(eps^3)
         w = weighted_resolvent_11(a2_degenerate(4, 4), a_matrix(1, 4, 4, 4),
                                   a2_degenerate(4, 4), 4)
-        assert w.coeff_t(2) == const_q1(F(-1, 12), 4)
-        assert w.coeff_t(4) == 0
+        assert w.coeff_eps(1) == const_q1(F(-1, 12), 4)
+        assert w.coeff_eps(2) == 0
 
 
 class TestDegenerateTau:
@@ -215,16 +215,17 @@ class TestZeroMatrixResolvent:
     def test_identity_resolvent(self):
         # (I - 0*B)^(-1)(1,1) = 1
         from twotori.sewing import AMatrix
-        tt = 9
+        tt = 4
         zero = AMatrix(4, tuple(tuple(EpsSeries.zero(tt) for _ in range(4))
-                                for _ in range(4)), "rational", 0, tt)
+                                for _ in range(4)), None, 0, tt)
         r = resolvent_11(zero, a2_degenerate(4, 4), 4)
         assert r == EpsSeries({0: F(1)}, tt)
 
 
 class TestDegenerateTauHigherOrder:
     def test_eps6_by_chain_enumeration(self):
-        # oracle: eps^6 receives exactly three index chains of total t-power 10:
+        # oracle: eps^6 receives exactly three index chains of total
+        # eps-power 5, raised by the final factor eps:
         #   A20(1,1) A1(1,3) A20(3,1) and A20(1,3) A1(3,1) A20(1,1),
         #   each contributing -E4/2880, and the all-ones five-matrix chain
         #   A20(1,1) (A1(1,1) A20(1,1))^2 contributing -E2^2/1728.
@@ -254,11 +255,11 @@ class TestDeterminantAgainstLeibniz:
         # fully independent: det(I - A1 A2(0)) by the Leibniz permutation sum
         # versus exp of the trace-log expansion
         from itertools import permutations
-        from twotori.sewing import _common_ring, _mat_mul
+        from twotori.sewing import _mat_mul
 
         N, eps, q = 5, 4, 4
-        A, B = _common_ring(a_matrix(1, N, eps, q), a2_degenerate(N, eps))
-        tt = min(A.t_trunc, B.t_trunc)
+        A, B = a_matrix(1, N, eps, q), a2_degenerate(N, eps)
+        tt = min(A.eps_trunc, B.eps_trunc)
         P = _mat_mul(A.entries, B.entries, N, tt)
         one = EpsSeries({0: QSeries.one("q1", q)}, tt)
         M = [[(one - P[i][j]) if i == j else -P[i][j] for j in range(N)]

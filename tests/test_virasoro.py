@@ -5,20 +5,27 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twotori import virasoro
 from twotori.series import QSeries
 from twotori.virasoro import (
     CPoly,
     VirState,
+    _w_map,
     alpha_coefficients,
     apply_mode,
     beta_coefficients,
     check_partition,
-    intermediate_odd_map,
+    exp_minus_one,
     lambda_vector,
     lambda_vector_direct,
     partition_weight,
     partitions_of_weight,
 )
+
+def intermediate_odd_map(trunc: int) -> QSeries:
+    """g_1 = w_1^{-1} o phi, the odd map whose coefficients seed the peeling."""
+    return _w_map(1, F(1, 2), trunc, inverse=True).compose(exp_minus_one(trunc))
+
 
 # All seven table values for the factored-map coefficients.
 BETA_TABLE = {
@@ -123,6 +130,21 @@ class TestConformalMapData:
     def test_intermediate_map_is_odd(self):
         g1 = intermediate_odd_map(11)
         assert all(n % 2 for n in g1.coeffs)
+
+    def test_consistency_failures_raise(self, monkeypatch):
+        # A wrong target map must raise even under python -O.
+        monkeypatch.setattr(virasoro, "exp_minus_one",
+                            lambda trunc: QSeries("z", {1: 2}, trunc))
+        alpha_coefficients.cache_clear()
+        beta_coefficients.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                alpha_coefficients(3)
+            with pytest.raises(ArithmeticError):
+                beta_coefficients(4)
+        finally:
+            alpha_coefficients.cache_clear()
+            beta_coefficients.cache_clear()
 
 
 class TestLambdaVector:
