@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .reports import Report
@@ -106,6 +107,7 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
     return zh * arg.exp() * mono
 
 
+@lru_cache(maxsize=None)
 def _degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
     return log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
                            a2_degenerate(N, eps_trunc), eps_trunc)

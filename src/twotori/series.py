@@ -978,10 +978,12 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_table(max(k, 4))[k]
 
 
+@lru_cache(maxsize=None)
 def eisenstein(k: int, trunc: int, var: str = "q") -> QSeries:
     """Normalized weight-k Eisenstein series -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n.
 
-    Odd k gives the zero series; k < 2 is rejected.
+    Odd k gives the zero series; k < 2 is rejected.  Memoized: the result
+    is immutable, so callers share one instance per argument tuple.
     """
     if k < 2:
         raise ValueError("eisenstein needs k >= 2")
@@ -1088,41 +1090,49 @@ class QuasiModularPoly:
         return f"QuasiModularPoly(weight={self.weight}, {self})"
 
 
-def _solve_exact(rows, rhs):
-    """Solve an (overdetermined) exact linear system by Gaussian elimination.
+@lru_cache(maxsize=None)
+def _quasimodular_solver(weight: int, trunc: int):
+    """Row-reduce the weight-``weight`` basis expansions to q^trunc once.
 
-    Returns the unique solution vector, or None if the system is
-    inconsistent.  Raises on rank deficiency (cannot happen for the
-    algebraically independent generator monomials).
+    Gauss-Jordan on [B | I], where B[n][j] is the q^n coefficient of the
+    j-th monomial, yields row operations E with E B = [I; 0].  Hence
+    B x = s exactly when x = E[:k] s and E[k:] s = 0.  Returns the k
+    solution rows and the trunc+1-k consistency rows of E, each as a tuple
+    of integer numerators indexed by q-power and their common denominator.
+    The rows do not depend on the variable name.
     """
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+    monos = quasimodular_monomials(weight)
+    k, size = len(monos), trunc + 1
+    expansions = [QuasiModularPoly(weight, {m: 1}).to_qseries(trunc) for m in monos]
+    m = [[e.coeff(n) for e in expansions] + [Fraction(int(i == n)) for i in range(size)]
+         for n in range(size)]
+    for col in range(k):
+        piv = next((i for i in range(col, size) if m[i][col] != 0), None)
         if piv is None:
-            raise SeriesError("rank-deficient quasi-modular basis (internal error)")
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
+            raise ArithmeticError("rank-deficient quasi-modular basis (internal error)")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(size):
+            if i != col and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    return [m[i][ncols] for i in range(ncols)]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    rows = []
+    for row in m:
+        nums, den = _int_parts(dict(enumerate(row[k:])))
+        rows.append((tuple(nums.values()), den))
+    return tuple(rows[:k]), tuple(rows[k:])
 
 
 def to_quasimodular(s: QSeries, weight: int) -> QuasiModularPoly:
     """Express a series exactly in the weight-graded basis {E2^a E4^b E6^c}.
 
-    Solves the linear system against q-expansions and fails loudly when no
-    exact solution exists within the supplied truncation.
+    Applies the elimination cached per (weight, q-order) by
+    ``_quasimodular_solver`` and fails loudly when no exact solution exists
+    within the supplied truncation.  With k monomials of this weight the
+    series must carry at least k+1 coefficients, so that at least one
+    equation checks the solution: a square system would "recognize" any
+    series.
     """
     monos = quasimodular_monomials(weight)
     if s.offset != 0:
@@ -1135,16 +1145,18 @@ def to_quasimodular(s: QSeries, weight: int) -> QuasiModularPoly:
             return QuasiModularPoly(weight)
         raise NotQuasiModular(
             f"not quasi-modular of weight {weight} within truncation: empty basis")
-    if s.trunc + 1 < len(monos):
+    if s.trunc + 1 <= len(monos):
         raise SeriesError(
-            f"insufficient q-order: need at least {len(monos)} coefficients "
+            f"insufficient q-order: need at least {len(monos) + 1} coefficients "
             f"for weight {weight}, have {s.trunc + 1}")
-    expansions = [QuasiModularPoly(weight, {m: 1}).to_qseries(s.trunc, s.var)
-                  for m in monos]
-    rows = [[e.coeff(n) for e in expansions] for n in range(s.trunc + 1)]
-    rhs = [s.coeff(n) for n in range(s.trunc + 1)]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
+    solution, consistency = _quasimodular_solver(weight, s.trunc)
+    nums, den = _int_parts(s.coeffs)
+
+    def dot(row):
+        return sum(row[0][n] * c for n, c in nums.items())
+
+    if any(dot(row) for row in consistency):
         raise NotQuasiModular(
             f"not quasi-modular of weight {weight} within truncation")
-    return QuasiModularPoly(weight, dict(zip(monos, sol)))
+    return QuasiModularPoly(weight, {mono: Fraction(dot(row), row[1] * den)
+                                     for mono, row in zip(monos, solution)})

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .series import (
@@ -220,8 +221,12 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
     return PeriodData(d11, d22, d12)
 
 
+@lru_cache(maxsize=None)
 def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
-    """2pi i (tau - tau1) on the pinched surface, as a rational eps-series."""
+    """2pi i (tau - tau1) on the pinched surface, as a rational eps-series.
+
+    Memoized: the result is immutable and a pure function of the orders.
+    """
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A20 = a2_degenerate(N, eps_trunc)
     return weighted_resolvent_11(A20, A1, A20, eps_trunc).times_eps()

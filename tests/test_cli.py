@@ -3,8 +3,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from twotori import series
 from twotori.cli import main
-from twotori.series import EpsSeries
+from twotori.series import EpsSeries, _quasimodular_solver
+from twotori.zhu import structure_check
 
 
 def run(capsys, *argv):
@@ -130,6 +134,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "detHi", "--eps-order", "6",
                            "--matrix-size", "4")
         assert code == 2 and "matrix size" in err
+
+    def test_structure_needs_a_spare_equation(self, capsys):
+        # q-order 3 gives weight 8 (4 monomials) a square system, which
+        # would "recognize" any series: the check must fail, not pass.
+        code, out, _ = run(capsys, "verify", "structure", "--max-weight", "8",
+                           "--q-order", "3")
+        assert code == 1
+        assert "insufficient q-order" in out and out.rstrip().endswith("FAILED: 47/60 checks passed")
+
+    def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch):
+        # A singular quasi-modular basis is a program fault: it must escape
+        # the usage-error mapping (exit 2) and the "not quasi-modular" FAIL.
+        monkeypatch.setattr(series, "quasimodular_monomials",
+                            lambda weight: [(weight // 2, 0, 0)] * 2)
+        _quasimodular_solver.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="rank-deficient"):
+                structure_check((2, 2), 6)
+            with pytest.raises(ArithmeticError, match="rank-deficient"):
+                main(["verify", "structure", "--max-weight", "4", "--q-order", "6"])
+        finally:
+            _quasimodular_solver.cache_clear()
 
     def test_unknown_suite_usage(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twotori import series
 from twotori.series import (
     BiSeries,
     EpsSeries,
@@ -13,6 +14,7 @@ from twotori.series import (
     QSeries,
     QuasiModularPoly,
     SeriesError,
+    _quasimodular_solver,
     bernoulli,
     eisenstein,
     eta_normalized,
@@ -277,6 +279,117 @@ class TestQuasiModular:
     def test_render(self):
         p = QuasiModularPoly(4, {(2, 0, 0): -1, (0, 1, 0): 5})
         assert str(p) == "-E2^2 + 5*E4"
+
+    def test_square_system_is_not_recognition(self):
+        # 2 coefficients against the 2 weight-4 monomials leave no equation
+        # to check: the junk series 7 + 13q must not be "recognized".
+        junk = QSeries("q", {0: 7, 1: 13}, 1)
+        with pytest.raises(SeriesError, match="insufficient q-order"):
+            to_quasimodular(junk, 4)
+        with pytest.raises(SeriesError, match="insufficient q-order"):
+            to_quasimodular(eisenstein(4, 1), 4)
+        assert to_quasimodular(eisenstein(4, 2), 4) == QuasiModularPoly(4, {(0, 1, 0): 1})
+
+    def test_rank_deficiency_is_internal_error(self, monkeypatch):
+        # A repeated monomial makes the basis singular: a fault of the
+        # program, not of the input, so it is no SeriesError/ValueError.
+        monkeypatch.setattr(series, "quasimodular_monomials",
+                            lambda weight: [(weight // 2, 0, 0)] * 2)
+        _quasimodular_solver.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="rank-deficient") as info:
+                to_quasimodular(eisenstein(4, 6), 4)
+            assert not isinstance(info.value, ValueError)
+        finally:
+            _quasimodular_solver.cache_clear()
+
+
+# -- quasi-modular recognition against the per-call elimination ------------------
+
+
+def _solve_exact(rows, rhs):
+    """Gauss-Jordan on one augmented system; None when it is inconsistent."""
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    nrows, ncols = len(m), len(rows[0])
+    for col in range(ncols):
+        piv = next(i for i in range(col, nrows) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = F(1) / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(nrows):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    if any(m[i][ncols] != 0 for i in range(ncols, nrows)):
+        return None
+    return [m[i][ncols] for i in range(ncols)]
+
+
+def oracle_quasimodular(s: QSeries, weight: int):
+    """Fresh basis expansions and a fresh elimination for every call."""
+    monos = quasimodular_monomials(weight)
+    expansions = [QuasiModularPoly(weight, {m: 1}).to_qseries(s.trunc, s.var) for m in monos]
+    rows = [[e.coeff(n) for e in expansions] for n in range(s.trunc + 1)]
+    sol = _solve_exact(rows, [s.coeff(n) for n in range(s.trunc + 1)])
+    return None if sol is None else QuasiModularPoly(weight, dict(zip(monos, sol)))
+
+
+def cached_quasimodular(s: QSeries, weight: int):
+    try:
+        return to_quasimodular(s, weight)
+    except NotQuasiModular:
+        return None
+
+
+@st.composite
+def graded_series(draw):
+    """(series, weight): a random weight-w polynomial with k monomials,
+    expanded to q^T for T in [k, k+6] (at least one equation to spare),
+    optionally with one coefficient perturbed."""
+    weight = draw(st.sampled_from(range(0, 13, 2)))
+    monos = quasimodular_monomials(weight)
+    k = len(monos)
+    trunc = draw(st.integers(k, k + 6))
+    var = draw(st.sampled_from(["q", "q1"]))
+    frac = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    poly = QuasiModularPoly(weight, {m: draw(frac) for m in monos})
+    s = poly.to_qseries(trunc, var)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, trunc))
+        bump = draw(frac.filter(lambda x: x != 0))
+        s = s + QSeries(var, {n: bump}, trunc)
+    return s, weight
+
+
+class TestQuasiModularSolver:
+    @given(graded_series())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_call_elimination(self, case):
+        s, weight = case
+        assert cached_quasimodular(s, weight) == oracle_quasimodular(s, weight)
+
+    @pytest.mark.parametrize("weight", range(0, 15, 2))
+    def test_raising_the_order_keeps_the_polynomial(self, weight):
+        monos = quasimodular_monomials(weight)
+        poly = QuasiModularPoly(weight, {m: F(i + 1, 3) for i, m in enumerate(monos)})
+        k = len(monos)
+        assert to_quasimodular(poly.to_qseries(k, "q"), weight) == poly
+        assert to_quasimodular(poly.to_qseries(k + 3, "q"), weight) == poly
+
+    def test_interleaved_keys_never_stale(self):
+        # Cycle through (weight, q-order, variable) keys, forwards and back,
+        # with a wrong-weight call after each one: no call reuses the
+        # cached solver of the call before it.
+        polys = {w: QuasiModularPoly(w, {m: F(j - 2, j + 1) for j, m in
+                                         enumerate(quasimodular_monomials(w))})
+                 for w in (4, 6, 8, 10)}
+        keys = [(w, t, v) for t in (6, 9) for w in polys for v in ("q", "q1")]
+        for _ in range(2):
+            for w, t, v in keys + keys[::-1]:
+                assert to_quasimodular(polys[w].to_qseries(t, v), w) == polys[w]
+                wrong = (w + 2) if w < 10 else 4
+                with pytest.raises(NotQuasiModular):
+                    to_quasimodular(polys[w].to_qseries(t, v), wrong)
 
 
 class TestRendering:
