@@ -102,6 +102,56 @@ def _int_parts(coeffs):
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
+def _kronecker_pack(ints, S: int, rows: int, nbytes: int) -> int:
+    # One signed int holding numerator (m, n) in the nbytes-wide slot m*S + n.
+    zero = bytes(nbytes)
+    pos, neg = [zero] * (rows * S), [zero] * (rows * S)
+    for (m, n), v in ints.items():
+        if v > 0:
+            pos[m * S + n] = v.to_bytes(nbytes, "little")
+        else:
+            neg[m * S + n] = (-v).to_bytes(nbytes, "little")
+    return (int.from_bytes(b"".join(pos), "little")
+            - int.from_bytes(b"".join(neg), "little"))
+
+
+def _kronecker_mul(na, nb, truncs):
+    """Product of two (m, n) -> int numerator dicts, cut to the box ``truncs``.
+
+    Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009): each factor
+    becomes one bigint with numerator (m, n) in a W-bit slot at m*S + n
+    (W = 8 * nbytes), so a single bigint product does the convolution.  S exceeds the largest n of
+    the product, so no row wraps into the next; 2^(W-1) exceeds every
+    product coefficient in absolute value, so adding 2^(W-1) to every slot
+    makes all slots non-negative and lets them be read without borrows.
+    """
+    if not na or not nb:
+        return {}
+    ma, sa = map(max, zip(*na))
+    mb, sb = map(max, zip(*nb))
+    S = sa + sb + 1
+    bound = (max(map(abs, na.values())) * max(map(abs, nb.values()))
+             * min(len(na), len(nb)))
+    nbytes = bound.bit_length() // 8 + 1
+    product = (_kronecker_pack(na, S, ma + 1, nbytes)
+               * _kronecker_pack(nb, S, mb + 1, nbytes))
+    rows = min(truncs[0], ma + mb) + 1
+    cols = min(truncs[1], S - 1) + 1
+    nslots = (rows - 1) * S + cols
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
+    buf = ((product + bias) & ((1 << (8 * nbytes * nslots)) - 1)).to_bytes(
+        nbytes * nslots, "little")
+    acc = {}
+    for m in range(rows):
+        for n in range(cols):
+            j = (m * S + n) * nbytes
+            v = int.from_bytes(buf[j:j + nbytes], "little") - half
+            if v:
+                acc[(m, n)] = v
+    return acc
+
+
 class QSeries:
     """q^offset * (c_0 + c_1 q + ... + c_T q^T), known modulo q^(offset+T+1).
 
@@ -463,7 +513,10 @@ class BiSeries:
     def __init__(self, vars=("q1", "q2"), coeffs=None, truncs=(0, 0), offsets=(0, 0)):
         object.__setattr__(self, "vars", (str(vars[0]), str(vars[1])))
         object.__setattr__(self, "offsets", (rat(offsets[0]), rat(offsets[1])))
-        object.__setattr__(self, "truncs", (int(truncs[0]), int(truncs[1])))
+        truncs = (int(truncs[0]), int(truncs[1]))
+        if truncs[0] < 0 or truncs[1] < 0:
+            raise SeriesError("truncation orders must be >= 0")
+        object.__setattr__(self, "truncs", truncs)
         clean = {}
         for (m, n), c in (coeffs or {}).items():
             c = rat(c)
@@ -563,12 +616,7 @@ class BiSeries:
                   min(self.truncs[1] + ob[1], other.truncs[1] + oa[1]))
         na, da = _int_parts(self.coeffs)
         nb, db = _int_parts(other.coeffs)
-        acc = {}
-        for (m1, n1), x in na.items():
-            for (m2, n2), y in nb.items():
-                k = (m1 + m2, n1 + n2)
-                if k[0] <= truncs[0] and k[1] <= truncs[1]:
-                    acc[k] = acc.get(k, 0) + x * y
+        acc = _kronecker_mul(na, nb, truncs)
         den = da * db
         return BiSeries(self.vars, {k: Fraction(v, den) for k, v in acc.items()},
                         truncs, (self.offsets[0] + other.offsets[0],
@@ -577,6 +625,8 @@ class BiSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise SeriesError("bivariate series take integer exponents only")
         if n < 0:
             return self.inv() ** (-n)
         return _power(self, n, BiSeries.one(self.vars, self.truncs))

@@ -47,6 +47,9 @@ CASES = {
                          "--eps-order", "4", "--q-order", "3"], 0),
     "z2_module_json": (["compute", "z2-module", "--alpha-sq", "1/2", "--eps-order", "2",
                         "--q-order", "2", "--format", "json"], 0),
+    "z2_module_wide": (["compute", "z2-module", "--alpha-sq", "3", "--beta-sq", "2",
+                        "--alpha-dot-beta", "-1", "--rank", "2",
+                        "--eps-order", "8", "--q-order", "6"], 0),
     "onepoint_z": (["compute", "onepoint", "--partition", "2,2", "--q-order", "6"], 0),
     "onepoint_theta": (["compute", "onepoint", "--partition", "4,2", "--basis", "theta",
                         "--q-order", "6"], 0),

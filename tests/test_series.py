@@ -14,6 +14,7 @@ from twotori.series import (
     QSeries,
     QuasiModularPoly,
     SeriesError,
+    _kronecker_mul,
     _quasimodular_solver,
     bernoulli,
     eisenstein,
@@ -436,6 +437,125 @@ class TestBiSeries:
         s = BiSeries(("q1", "q2"), {(0, 1): F(2, 3), (2, 2): -5}, (3, 2),
                      offsets=(F(-1, 24), F(1, 8)))
         assert BiSeries.from_json(s.to_json()) == s
+
+    def test_negative_trunc_rejected(self):
+        for truncs in ((-1, 0), (0, -1), (-2, -2)):
+            with pytest.raises(SeriesError):
+                BiSeries(("q1", "q2"), {}, truncs)
+
+    def test_non_integer_power_rejected(self):
+        u = BiSeries(("q1", "q2"), {(0, 0): 1, (1, 0): 1}, (3, 3))
+        for n in (F(1, 2), F(2), 0.5):
+            with pytest.raises(SeriesError):
+                u ** n
+        assert u ** 2 == u * u
+
+
+# -- bivariate products against the schoolbook double loop ---------------------
+
+
+def schoolbook_conv(xa, xb, truncs):
+    """Every pair of terms multiplied in a double loop, kept if in the box."""
+    acc = {}
+    for (m1, n1), x in xa.items():
+        for (m2, n2), y in xb.items():
+            k = (m1 + m2, n1 + n2)
+            if k[0] <= truncs[0] and k[1] <= truncs[1]:
+                acc[k] = acc.get(k, 0) + x * y
+    return {k: v for k, v in acc.items() if v}
+
+
+def schoolbook_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
+    oa, ob = a._ord_bounds(), b._ord_bounds()
+    truncs = (min(a.truncs[0] + ob[0], b.truncs[0] + oa[0]),
+              min(a.truncs[1] + ob[1], b.truncs[1] + oa[1]))
+    return BiSeries(a.vars, schoolbook_conv(a.coeffs, b.coeffs, truncs), truncs,
+                    (a.offsets[0] + b.offsets[0], a.offsets[1] + b.offsets[1]))
+
+
+# Magnitudes at and just below powers of two, around the byte boundaries
+# the packed slots are cut at.
+edge_ints = st.builds(lambda k, minus_one, sign: sign * (2 ** k - minus_one),
+                      st.integers(0, 80), st.integers(0, 1), st.sampled_from([1, -1]))
+bi_coeffs = st.one_of(
+    small_fracs,
+    edge_ints,
+    st.builds(F, edge_ints, st.integers(1, 2 ** 20)),
+)
+
+
+@st.composite
+def biseries(draw, truncs=None):
+    """A (q1, q2) series: empty, one term, q1-only, q2-only, sparse or dense,
+    with rational offsets."""
+    t0, t1 = truncs or (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    box = [(m, n) for m in range(t0 + 1) for n in range(t1 + 1)]
+    shape = draw(st.sampled_from(["zero", "one", "q1", "q2", "sparse", "dense"]))
+    if shape == "zero":
+        keys = []
+    elif shape == "one":
+        keys = [draw(st.sampled_from(box))]
+    elif shape == "q1":
+        keys = [(m, 0) for m in range(t0 + 1)]
+    elif shape == "q2":
+        keys = [(0, n) for n in range(t1 + 1)]
+    elif shape == "sparse":
+        keys = draw(st.lists(st.sampled_from(box), max_size=4, unique=True))
+    else:
+        keys = box
+    same = draw(st.one_of(st.none(), bi_coeffs))
+    coeffs = {k: (same if same is not None else draw(bi_coeffs)) for k in keys}
+    offsets = draw(st.tuples(*[st.sampled_from([0, F(1, 24), F(-5, 8), 2]) for _ in "01"]))
+    return BiSeries(("q1", "q2"), coeffs, (t0, t1), offsets)
+
+
+class TestBiSeriesProduct:
+    @given(biseries(), biseries())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_schoolbook(self, a, b):
+        p = a * b
+        want = schoolbook_bimul(a, b)
+        assert (p.coeffs, p.truncs, p.offsets) == (want.coeffs, want.truncs, want.offsets)
+
+    @given(st.integers(0, 12), st.integers(0, 12), biseries(truncs=(2, 2)),
+           biseries(truncs=(1, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_box_wider_than_supports(self, t0, t1, a, b):
+        # Lifting the truncs past the product's support leaves cells in the
+        # box that no pair of terms reaches; they must read as zero.
+        a = BiSeries(a.vars, a.coeffs, (a.truncs[0] + t0, a.truncs[1] + t1), a.offsets)
+        b = BiSeries(b.vars, b.coeffs, (b.truncs[0] + t1, b.truncs[1] + t0), b.offsets)
+        assert a * b == schoolbook_bimul(a, b)
+
+    def test_q1_only_times_q2_only(self):
+        a = BiSeries(("q1", "q2"), {(m, 0): m - 3 for m in range(6)}, (5, 5))
+        b = BiSeries(("q1", "q2"), {(0, n): 2 ** (8 * n) for n in range(6)}, (5, 5))
+        p = a * b
+        assert p.coeffs == {(m, n): F((m - 3) * 2 ** (8 * n))
+                            for m in range(6) for n in range(6) if m != 3}
+        assert p == b * a
+
+    def test_one_term_in_a_wide_box(self):
+        a = BiSeries(("q1", "q2"), {(0, 0): -1}, (9, 9), (F(1, 3), 0))
+        b = BiSeries(("q1", "q2"), {(1, 2): F(-7, 3)}, (9, 9))
+        assert (a * b).coeffs == {(1, 2): F(7, 3)}
+        assert (a * b).offsets == (F(1, 3), 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65])
+    @pytest.mark.parametrize("minus_one", [0, 1])
+    def test_slot_width_at_the_bound(self, k, minus_one):
+        # Every term equal and of one sign: the middle coefficient of the
+        # product reaches the slot-width bound max|a|*max|b|*min(#a, #b).
+        for sign in (1, -1):
+            c = sign * (2 ** k - minus_one)
+            for rows, cols in ((1, 1), (1, 4), (2, 2), (4, 4)):
+                na = {(m, n): c for m in range(rows) for n in range(cols)}
+                nb = {(m, n): -c for m in range(rows) for n in range(cols)}
+                truncs = (2 * rows - 2, 2 * cols - 2)
+                got = _kronecker_mul(na, nb, truncs)
+                assert got == schoolbook_conv(na, nb, truncs)
+                if c:
+                    assert got[(rows - 1, cols - 1)] == -c * c * rows * cols
 
 
 class TestEpsSeries:
