@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .reports import Report
-from .series import BiSeries, EpsSeries, QSeries, eisenstein, eta_normalized, rat, rat_str
+from .series import EpsSeries, QSeries, eisenstein, eta_normalized, rat, rat_str
 from .sewing import (
     a2_degenerate,
     a_matrix,
@@ -84,8 +84,9 @@ def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A2 = a_matrix(2, N, eps_trunc, q2_trunc)
     det = (log_det_I_minus(A1, A2, eps_trunc) * Fraction(-1, 2)).exp()
-    pre = (BiSeries.from_qseries(eta_normalized(q1_trunc, "q1").inv(), 0, "q2", q2_trunc)
-           * BiSeries.from_qseries(eta_normalized(q2_trunc, "q2").inv(), 1, "q1", q1_trunc))
+    vars, truncs = ("q1", "q2"), (q1_trunc, q2_trunc)
+    pre = (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
+           * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
     return det * pre
 
 
@@ -102,8 +103,8 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
     pd = period_matrix(q1_trunc, q2_trunc, eps_trunc, N)
     arg = (pd.d11 * (p.alpha_sq / 2) + pd.d22 * (p.beta_sq / 2)
            + pd.d12 * p.alpha_dot_beta)
-    mono = BiSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
-                    offsets=(p.alpha_sq / 2, p.beta_sq / 2))
+    mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
+                   offsets=(p.alpha_sq / 2, p.beta_sq / 2))
     return zh * arg.exp() * mono
 
 
@@ -211,9 +212,6 @@ class CPolySeries:
 
     def min_eps_order(self):
         return min((n for n, _ in self.terms), default=None)
-
-    def max_c_degree(self, n: int) -> int:
-        return max((j for (m, j) in self.terms if m == n), default=-1)
 
     def agrees_with(self, other: "CPolySeries", through_eps: int,
                     q_through: int) -> bool:

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import factorial
 
 from .series import (
-    BiSeries,
     EpsSeries,
     QSeries,
     SeriesError,
@@ -91,13 +90,11 @@ def _embed(*mats: AMatrix) -> list:
     q_truncs = {m.var: m.q_trunc for m in mats if m.var is not None}
     if len(q_truncs) < 2:
         return [m.entries for m in mats]
+    vars = ("q1", "q2")
+    truncs = (q_truncs["q1"], q_truncs["q2"])
 
     def lift(c):
-        if not isinstance(c, QSeries):
-            return c
-        slot = 0 if c.var == "q1" else 1
-        other = "q2" if slot == 0 else "q1"
-        return BiSeries.from_qseries(c, slot, other, q_truncs[other])
+        return c.embed(vars, truncs) if isinstance(c, QSeries) else c
 
     return [tuple(tuple(e.map_coeffs(lift) for e in row) for row in m.entries)
             for m in mats]

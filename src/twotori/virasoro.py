@@ -188,11 +188,6 @@ class VirState:
     def coeff(self, parts) -> CPoly:
         return self.terms.get(tuple(parts), CPoly())
 
-    def homogeneous_weight(self):
-        """The common weight of all monomials, or None if mixed/zero."""
-        weights = {partition_weight(p) for p in self.terms}
-        return weights.pop() if len(weights) == 1 else None
-
     def weight_component(self, n: int) -> "VirState":
         return VirState({p: c for p, c in self.terms.items()
                          if partition_weight(p) == n})
@@ -308,7 +303,7 @@ def _exp_derivation(coeffs: dict, trunc: int) -> QSeries:
 
     def derive(f: QSeries) -> QSeries:
         # d/dz loses one known order; the z^(i+1) factors (i >= 1) regain it
-        df = QSeries("z", {n - 1: n * c for n, c in f.coeffs.items() if n >= 1},
+        df = QSeries("z", {n - 1: n * c for (n,), c in f.coeffs.items() if n >= 1},
                      max(f.trunc - 1, 0))
         out = QSeries.zero("z", trunc)
         for i, a in coeffs.items():

@@ -345,7 +345,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     derivs = [theta]
     for _ in range(op.max_derivative()):
         derivs.append(derivs[-1].qd())
-    out = QSeries.zero(op.var, op.q_trunc, offset=theta.offset)
+    out = QSeries.zero(op.var, op.q_trunc, theta.offset)
     for (i, j), s in op.terms.items():
         out = out + s * derivs[i] * base.c_value ** j
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.series import BiSeries, QSeries, eisenstein, eta_normalized
+from twotori.series import QSeries, eisenstein, eta_normalized
 from twotori.genus2 import (
     CPolySeries,
     ModulePair,
@@ -19,7 +19,7 @@ from twotori.genus2 import (
     z2_module_degenerate,
     z2_module_pair,
 )
-from twotori.sewing import degenerate_tau
+from twotori.sewing import degenerate_tau, period_matrix
 from twotori.zhu import BasePartition, DiffOp
 
 
@@ -105,8 +105,8 @@ class TestClosedForms:
             if isinstance(got, (int, F)):
                 assert got == want
                 continue
-            sliced = (got * BiSeries(("q1", "q2"), {(0, 0): 1}, (6, 0),
-                                     offsets=(0, F(1, 24)))).set_second_to_zero()
+            sliced = (got * QSeries(("q1", "q2"), {(0, 0): 1}, (6, 0),
+                                    offsets=(0, F(1, 24)))).set_second_to_zero()
             if isinstance(want, (int, F)):
                 want = QSeries.const("q1", want, 6)
             assert sliced.agrees_with(want)
@@ -121,8 +121,8 @@ class TestClosedForms:
             if isinstance(got, (int, F)):
                 assert got == want
                 continue
-            sliced = (got * BiSeries(("q1", "q2"), {(0, 0): 1}, (5, 0),
-                                     offsets=(0, F(1, 24)))).set_second_to_zero()
+            sliced = (got * QSeries(("q1", "q2"), {(0, 0): 1}, (5, 0),
+                                    offsets=(0, F(1, 24)))).set_second_to_zero()
             if isinstance(want, (int, F)):
                 want = QSeries.const("q1", want, 5)
             assert sliced.agrees_with(want)
@@ -209,9 +209,8 @@ class TestModulePairLeadingValue:
         lead = z2_module_pair(p, 4, 4, 4).coeff_eps(0)
         eta1 = eta_normalized(4, "q1").inv() ** 2
         eta2 = eta_normalized(4, "q2").inv() ** 2
-        want = (BiSeries.from_qseries(QSeries.monomial("q1", F(1, 2), 4) * eta1,
-                                      0, "q2", 4)
-                * BiSeries.from_qseries(eta2, 1, "q1", 4))
+        want = ((QSeries.monomial("q1", F(1, 2), 4) * eta1).embed(("q1", "q2"), (4, 4))
+                * eta2.embed(("q1", "q2"), (4, 4)))
         assert lead == want
 
 
@@ -226,3 +225,34 @@ class TestTorusSwapSymmetry:
             assert c.offsets[0] == c.offsets[1]
             for (m, k), v in c.coeffs.items():
                 assert c.coeff(k, m) == v, (n, m, k)
+
+
+# -- raising the orders keeps every known coefficient ---------------------------
+
+PAIR = ModulePair(2, alpha_sq=F(1), beta_sq=F(2), alpha_dot_beta=F(1))
+PINCHED = ModulePair(1, alpha_sq=F(1, 4))
+
+
+def _period_parts(e, q):
+    pd = period_matrix(q, q, e, e)
+    return [pd.d11, pd.d22, pd.d12]
+
+
+TRUNCATED = {
+    "degenerate_tau": lambda e, q: [degenerate_tau(q, e, e)],
+    "period_matrix": _period_parts,
+    "z2_module_pair": lambda e, q: [z2_module_pair(PAIR, q, q, e)],
+    "z2_module_degenerate": lambda e, q: [z2_module_degenerate(PINCHED, q, e)],
+}
+
+
+class TestTruncationMetamorphic:
+    @pytest.mark.parametrize("e, q", [(2, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("name", sorted(TRUNCATED))
+    def test_higher_orders_agree_with_lower(self, name, e, q):
+        # Every coefficient a result claims at (e, q) must survive at
+        # (e+2, q+3): a truncation order that claims too much shows here.
+        low, high = TRUNCATED[name](e, q), TRUNCATED[name](e + 2, q + 3)
+        for a, b in zip(low, high):
+            assert a.trunc >= e
+            assert a.agrees_with(b, through_eps=e, q_through=q)

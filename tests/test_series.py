@@ -1,6 +1,7 @@
 """Series-ring tests: frozen values from independent oracles plus properties."""
 
 from fractions import Fraction as F
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from twotori import series
 from twotori.series import (
-    BiSeries,
     EpsSeries,
     NotQuasiModular,
     QSeries,
@@ -109,11 +109,11 @@ class TestEta:
     def test_euler_product_vs_pentagonal(self):
         eta = eta_normalized(20)
         assert eta.offset == F(1, 24)
-        assert eta.coeffs == eta_pentagonal(20)
+        assert eta.coeffs == {(n,): c for n, c in eta_pentagonal(20).items()}
 
     def test_trunc_zero(self):
         eta = eta_normalized(0)
-        assert eta.coeffs == {0: F(1)}
+        assert eta.coeffs == {(0,): F(1)}
         assert eta.offset == F(1, 24)
 
     def test_deleta_identity(self):
@@ -150,12 +150,12 @@ class TestRingOps:
     def test_inv_moves_order_to_offset(self):
         # (q (1 - q))^-1 = q^-1 (1 + q + q^2 + ...)
         s = QSeries("q", {1: 1, 2: -1}, 3)
-        assert s.inv() == QSeries("q", {0: 1, 1: 1, 2: 1}, 2, offset=-1)
+        assert s.inv() == QSeries("q", {0: 1, 1: 1, 2: 1}, 2, -1)
 
     def test_inv_with_offset(self):
         eta = eta_normalized(8)
         one = eta * eta.inv()
-        assert one.offset == 0 and one.coeffs == {0: F(1)}
+        assert one.offset == 0 and one.coeffs == {(0,): F(1)}
 
     def test_non_unit_errors(self):
         with pytest.raises(SeriesError):
@@ -166,12 +166,12 @@ class TestRingOps:
             QSeries("q", {0: 1, 1: 1}, 3).exp()
 
     def test_offset_addition_alignment(self):
-        a = QSeries("q", {0: 1}, 2, offset=1)        # q
-        b = QSeries("q", {0: 1}, 3, offset=0)        # 1
+        a = QSeries("q", {0: 1}, 2, 1)        # q
+        b = QSeries("q", {0: 1}, 3, 0)        # 1
         assert a + b == QSeries("q", {0: 1, 1: 1}, 3)
 
     def test_incompatible_offsets(self):
-        a = QSeries("q", {0: 1}, 2, offset=F(1, 2))
+        a = QSeries("q", {0: 1}, 2, F(1, 2))
         with pytest.raises(SeriesError):
             a + QSeries.one("q", 2)
 
@@ -406,45 +406,45 @@ class TestRendering:
 
     def test_json_roundtrip_exact(self):
         for s in (eta_normalized(9), eisenstein(2, 7),
-                  QSeries("q", {0: F(3, 7), 5: F(-22, 9)}, 6, offset=F(-5, 8))):
+                  QSeries("q", {0: F(3, 7), 5: F(-22, 9)}, 6, F(-5, 8))):
             assert QSeries.from_json(s.to_json()) == s
 
 
 class TestBiSeries:
     def test_embed_and_multiply(self):
-        a = BiSeries.from_qseries(eisenstein(2, 3, "q1"), 0, "q2", 3)
-        b = BiSeries.from_qseries(eisenstein(2, 3, "q2"), 1, "q1", 3)
+        a = eisenstein(2, 3, "q1").embed(("q1", "q2"), (3, 3))
+        b = eisenstein(2, 3, "q2").embed(("q1", "q2"), (3, 3))
         p = a * b
         assert p.coeff(0, 0) == F(1, 144)
         assert p.coeff(1, 1) == 4
         assert p.coeff(2, 1) == 12
 
     def test_inverse(self):
-        u = BiSeries(("q1", "q2"), {(0, 0): 1, (1, 0): -1, (0, 1): -1}, (4, 4))
+        u = QSeries(("q1", "q2"), {(0, 0): 1, (1, 0): -1, (0, 1): -1}, (4, 4))
         one = u * u.inv()
         assert one.coeffs == {(0, 0): F(1)}
 
     def test_offsets_multiply(self):
-        a = BiSeries(("q1", "q2"), {(0, 0): 1}, (2, 2), offsets=(F(1, 24), 0))
-        b = BiSeries(("q1", "q2"), {(0, 0): 1}, (2, 2), offsets=(0, F(1, 2)))
+        a = QSeries(("q1", "q2"), {(0, 0): 1}, (2, 2), offsets=(F(1, 24), 0))
+        b = QSeries(("q1", "q2"), {(0, 0): 1}, (2, 2), offsets=(0, F(1, 2)))
         assert (a * b).offsets == (F(1, 24), F(1, 2))
 
     def test_q2_to_zero_slice(self):
-        s = BiSeries(("q1", "q2"), {(0, 0): 2, (1, 0): 3, (1, 1): 7}, (2, 2))
+        s = QSeries(("q1", "q2"), {(0, 0): 2, (1, 0): 3, (1, 1): 7}, (2, 2))
         assert s.set_second_to_zero() == QSeries("q1", {0: 2, 1: 3}, 2)
 
     def test_json_roundtrip(self):
-        s = BiSeries(("q1", "q2"), {(0, 1): F(2, 3), (2, 2): -5}, (3, 2),
-                     offsets=(F(-1, 24), F(1, 8)))
-        assert BiSeries.from_json(s.to_json()) == s
+        s = QSeries(("q1", "q2"), {(0, 1): F(2, 3), (2, 2): -5}, (3, 2),
+                    offsets=(F(-1, 24), F(1, 8)))
+        assert QSeries.from_json(s.to_json()) == s
 
     def test_negative_trunc_rejected(self):
         for truncs in ((-1, 0), (0, -1), (-2, -2)):
             with pytest.raises(SeriesError):
-                BiSeries(("q1", "q2"), {}, truncs)
+                QSeries(("q1", "q2"), {}, truncs)
 
     def test_non_integer_power_rejected(self):
-        u = BiSeries(("q1", "q2"), {(0, 0): 1, (1, 0): 1}, (3, 3))
+        u = QSeries(("q1", "q2"), {(0, 0): 1, (1, 0): 1}, (3, 3))
         for n in (F(1, 2), F(2), 0.5):
             with pytest.raises(SeriesError):
                 u ** n
@@ -465,12 +465,12 @@ def schoolbook_conv(xa, xb, truncs):
     return {k: v for k, v in acc.items() if v}
 
 
-def schoolbook_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
+def schoolbook_bimul(a: QSeries, b: QSeries) -> QSeries:
     oa, ob = a._ord_bounds(), b._ord_bounds()
     truncs = (min(a.truncs[0] + ob[0], b.truncs[0] + oa[0]),
               min(a.truncs[1] + ob[1], b.truncs[1] + oa[1]))
-    return BiSeries(a.vars, schoolbook_conv(a.coeffs, b.coeffs, truncs), truncs,
-                    (a.offsets[0] + b.offsets[0], a.offsets[1] + b.offsets[1]))
+    return QSeries(a.vars, schoolbook_conv(a.coeffs, b.coeffs, truncs), truncs,
+                   (a.offsets[0] + b.offsets[0], a.offsets[1] + b.offsets[1]))
 
 
 # Magnitudes at and just below powers of two, around the byte boundaries
@@ -506,7 +506,7 @@ def biseries(draw, truncs=None):
     same = draw(st.one_of(st.none(), bi_coeffs))
     coeffs = {k: (same if same is not None else draw(bi_coeffs)) for k in keys}
     offsets = draw(st.tuples(*[st.sampled_from([0, F(1, 24), F(-5, 8), 2]) for _ in "01"]))
-    return BiSeries(("q1", "q2"), coeffs, (t0, t1), offsets)
+    return QSeries(("q1", "q2"), coeffs, (t0, t1), offsets)
 
 
 class TestBiSeriesProduct:
@@ -523,21 +523,21 @@ class TestBiSeriesProduct:
     def test_box_wider_than_supports(self, t0, t1, a, b):
         # Lifting the truncs past the product's support leaves cells in the
         # box that no pair of terms reaches; they must read as zero.
-        a = BiSeries(a.vars, a.coeffs, (a.truncs[0] + t0, a.truncs[1] + t1), a.offsets)
-        b = BiSeries(b.vars, b.coeffs, (b.truncs[0] + t1, b.truncs[1] + t0), b.offsets)
+        a = QSeries(a.vars, a.coeffs, (a.truncs[0] + t0, a.truncs[1] + t1), a.offsets)
+        b = QSeries(b.vars, b.coeffs, (b.truncs[0] + t1, b.truncs[1] + t0), b.offsets)
         assert a * b == schoolbook_bimul(a, b)
 
     def test_q1_only_times_q2_only(self):
-        a = BiSeries(("q1", "q2"), {(m, 0): m - 3 for m in range(6)}, (5, 5))
-        b = BiSeries(("q1", "q2"), {(0, n): 2 ** (8 * n) for n in range(6)}, (5, 5))
+        a = QSeries(("q1", "q2"), {(m, 0): m - 3 for m in range(6)}, (5, 5))
+        b = QSeries(("q1", "q2"), {(0, n): 2 ** (8 * n) for n in range(6)}, (5, 5))
         p = a * b
         assert p.coeffs == {(m, n): F((m - 3) * 2 ** (8 * n))
                             for m in range(6) for n in range(6) if m != 3}
         assert p == b * a
 
     def test_one_term_in_a_wide_box(self):
-        a = BiSeries(("q1", "q2"), {(0, 0): -1}, (9, 9), (F(1, 3), 0))
-        b = BiSeries(("q1", "q2"), {(1, 2): F(-7, 3)}, (9, 9))
+        a = QSeries(("q1", "q2"), {(0, 0): -1}, (9, 9), (F(1, 3), 0))
+        b = QSeries(("q1", "q2"), {(1, 2): F(-7, 3)}, (9, 9))
         assert (a * b).coeffs == {(1, 2): F(7, 3)}
         assert (a * b).offsets == (F(1, 3), 0)
 
@@ -556,6 +556,122 @@ class TestBiSeriesProduct:
                 assert got == schoolbook_conv(na, nb, truncs)
                 if c:
                     assert got[(rows - 1, cols - 1)] == -c * c * rows * cols
+
+
+@st.composite
+def q1_series(draw):
+    """A nonzero q1 series with an offset and coefficients of any size."""
+    trunc = draw(st.integers(0, 6))
+    coeffs = draw(st.dictionaries(st.integers(0, trunc), bi_coeffs.filter(bool),
+                                  min_size=1, max_size=trunc + 1))
+    return QSeries("q1", coeffs, trunc, draw(st.sampled_from([0, F(1, 24), F(-5, 8), 2])))
+
+
+class TestKernelChoice:
+    @given(q1_series(), q1_series(), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_one_variable_kernel_matches_embedded_product(self, a, b, t2):
+        # The schoolbook kernel (one variable) and the Kronecker kernel (two
+        # variables) must give the same product once it is embedded.
+        V = ("q1", "q2")
+        p = a * b
+        want = p.embed(V, (p.trunc, t2))
+        got = a.embed(V, (a.trunc, t2)) * b.embed(V, (b.trunc, t2))
+        assert (got.coeffs, got.truncs, got.offsets) == (want.coeffs, want.truncs, want.offsets)
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2),
+                              edge_ints), max_size=6),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3),
+                              edge_ints), max_size=6),
+           st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_three_variables_match_the_loop(self, a, b, truncs):
+        na = {(m, n, k): v for m, n, k, v in a if v}
+        nb = {(m, n, k): v for m, n, k, v in b if v}
+        want = {}
+        for e, x in na.items():
+            for f, y in nb.items():
+                g = tuple(i + j for i, j in zip(e, f))
+                if all(i <= t for i, t in zip(g, truncs)):
+                    want[g] = want.get(g, 0) + x * y
+        assert _kronecker_mul(na, nb, truncs) == {g: v for g, v in want.items() if v}
+
+    def test_embed_keeps_own_orders(self):
+        s = eisenstein(2, 3, "q2")
+        with pytest.raises(SeriesError):
+            s.embed(("q1", "q2"), (3, 4))
+        with pytest.raises(SeriesError):
+            s.embed(("q1", "q3"), (3, 3))
+        assert s.embed(("q2", "q1"), (3, 5)).set_second_to_zero() == s
+
+
+# -- the inverse against the geometric series ---------------------------------
+
+
+def geometric_inv(s: QSeries) -> QSeries:
+    """1/(c0 (1 + x)) as c0^-1 sum_j (-x)^j, after pulling the lowest power of
+    each variable into the offsets; the sum ends inside the truncation box."""
+    if not s.coeffs:
+        raise SeriesError("non-unit constant term (series is zero)")
+    d = s._ord_bounds()
+    u = QSeries(s.vars, {tuple(x - y for x, y in zip(e, d)): c for e, c in s.coeffs.items()},
+                tuple(t - y for t, y in zip(s.truncs, d)),
+                tuple(o + y for o, y in zip(s.offsets, d)))
+    origin = (0,) * len(s.vars)
+    if origin not in u.coeffs:
+        raise SeriesError("non-unit constant term in inverse")
+    c0 = u.coeffs[origin]
+    x = QSeries(u.vars, {k: c for k, c in u.coeffs.items() if k != origin},
+                u.truncs) * (F(1) / c0)
+    result = QSeries.one(u.vars, u.truncs)
+    term = QSeries.one(u.vars, u.truncs)
+    sign = 1
+    for _ in range(sum(u.truncs)):
+        term = term * x
+        sign = -sign
+        if term.is_zero():
+            break
+        result = result + term * sign
+    return QSeries(u.vars, (result * (F(1) / c0)).coeffs, result.truncs,
+                   tuple(-o for o in u.offsets))
+
+
+@st.composite
+def units(draw):
+    """A one- or two-variable unit times a leading monomial, with offsets."""
+    nvars = draw(st.integers(1, 2))
+    vars = ("q1", "q2")[:nvars]
+    base = [draw(st.integers(0, 5)) for _ in vars]
+    lead = [draw(st.integers(0, 2)) for _ in vars]
+    box = list(product(*(range(t + 1) for t in base)))
+    tail = draw(st.dictionaries(st.sampled_from(box), small_fracs, max_size=5))
+    tail[(0,) * nvars] = draw(small_fracs.filter(bool))
+    coeffs = {tuple(x + y for x, y in zip(e, lead)): c for e, c in tail.items()}
+    truncs = tuple(t + y for t, y in zip(base, lead))
+    offsets = tuple(draw(st.sampled_from([0, F(1, 24), F(-5, 8)])) for _ in vars)
+    return QSeries(vars, coeffs, truncs, offsets)
+
+
+class TestInverse:
+    @given(units())
+    @settings(max_examples=100, deadline=None)
+    def test_recurrence_matches_geometric_series(self, u):
+        got, want = u.inv(), geometric_inv(u)
+        assert (got.coeffs, got.truncs, got.offsets) == (want.coeffs, want.truncs, want.offsets)
+        assert (u * got).agrees_with(QSeries.one(u.vars, got.truncs))
+
+    def test_leading_monomial_moves_into_offsets(self):
+        s = QSeries(("q1", "q2"), {(1, 2): 2, (2, 2): 2, (1, 3): -4}, (3, 4), (F(1, 24), 0))
+        got = s.inv()
+        assert got.offsets == (F(-25, 24), -2) and got.truncs == (2, 2)
+        assert got == geometric_inv(s)
+
+    def test_non_units_rejected(self):
+        for s in (QSeries(("q1", "q2"), {(1, 0): 1, (0, 1): 1}, (3, 3)),
+                  QSeries.zero(("q1", "q2"), (2, 2)), QSeries.zero("q", 2)):
+            for inv in (QSeries.inv, geometric_inv):
+                with pytest.raises(SeriesError):
+                    inv(s)
 
 
 class TestEpsSeries:
@@ -587,6 +703,13 @@ class TestEpsSeries:
     def test_non_integer_eps_power_rejected(self):
         with pytest.raises(SeriesError):
             EpsSeries({F(1, 2): 1}, 2)
+
+    def test_non_integer_power_rejected(self):
+        u = EpsSeries({0: 1, 1: 1}, 4)
+        for n in (F(1, 2), F(2), 0.5):
+            with pytest.raises(SeriesError):
+                u ** n
+        assert u ** 2 == u * u
 
     def test_is_even_means_even_eps_powers(self):
         assert not EpsSeries({1: 1}, 2).is_even()

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.series import BiSeries, EpsSeries, QSeries, SeriesError, bernoulli, eisenstein
+from twotori.series import EpsSeries, QSeries, SeriesError, bernoulli, eisenstein
 from twotori.sewing import (
     a2_degenerate,
     a_matrix,
@@ -144,7 +144,7 @@ class TestLogDet:
 class TestResolvent:
     def test_identity_at_leading_order(self):
         r = resolvent_11(a_matrix(1, 4, 4, 3), a_matrix(2, 4, 4, 3), 4)
-        assert r.coeff_eps(0) == BiSeries.one(("q1", "q2"), (3, 3))
+        assert r.coeff_eps(0) == QSeries.one(("q1", "q2"), (3, 3))
 
     def test_weighted_leading_entry(self):
         # (A2(0) (I - A1 A2(0))^-1)(1,1) = -eps/12 + O(eps^3)
@@ -175,11 +175,11 @@ class TestPeriodMatrix:
     def test_leading_orders(self):
         pd = period_matrix(3, 3, 4, 4)
         assert pd.d11.coeff_eps(0) == 0 and pd.d22.coeff_eps(0) == 0
-        assert pd.d12.coeff_eps(1) == -BiSeries.one(("q1", "q2"), (3, 3))
+        assert pd.d12.coeff_eps(1) == -QSeries.one(("q1", "q2"), (3, 3))
 
     def test_d11_leading_is_e2_of_q2(self):
         pd = period_matrix(3, 3, 4, 4)
-        e2 = BiSeries.from_qseries(eisenstein(2, 3, "q2"), 1, "q1", 3)
+        e2 = eisenstein(2, 3, "q2").embed(("q1", "q2"), (3, 3))
         assert pd.d11.coeff_eps(2) == e2
 
     def test_swap_symmetry(self):

@@ -129,7 +129,7 @@ class TestConformalMapData:
 
     def test_intermediate_map_is_odd(self):
         g1 = intermediate_odd_map(11)
-        assert all(n % 2 for n in g1.coeffs)
+        assert all(n % 2 for (n,) in g1.coeffs)
 
     def test_consistency_failures_raise(self, monkeypatch):
         # A wrong target map must raise even under python -O.

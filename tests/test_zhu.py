@@ -31,7 +31,7 @@ def scalar_one_point(word, base: QSeries, c_val: F, q_trunc: int) -> QSeries:
     if not word:
         return base
     k, tail = word[0], word[1:]
-    out = QSeries.zero("q", q_trunc, offset=base.offset)
+    out = QSeries.zero("q", q_trunc, base.offset)
     if k == 2:
         out = out + qd(scalar_one_point(tail, base, c_val, q_trunc))
     state = VirState.vacuum()
