@@ -44,14 +44,12 @@ from .sewing import (
     a2_degenerate,
     a_matrix,
     degenerate_tau,
-    domain_check,
     log_det_I_minus,
     period_matrix,
     resolvent_11,
     weighted_resolvent_11,
 )
 from .genus2 import (
-    CPolySeries,
     ModulePair,
     OperatorEpsSeries,
     degeneration_sum,

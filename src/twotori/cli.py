@@ -284,22 +284,16 @@ def cmd_compute(args, cfg: RunConfig) -> int:
 
 def _render_eps_quasimodular(series, weight_of) -> str:
     """eps-series display with quasi-modular symbols where recognition works."""
-    parts = []
-    for n in sorted(series.coeffs):
-        c = series.coeffs[n]
-        if isinstance(c, (int, Fraction)):
-            text = rat_str(c)
-        else:
-            try:
-                text = str(to_quasimodular(c, weight_of(n)))
-            except (NotQuasiModular, SeriesError):
-                text = str(c)
-        text = parenthesize(text)
-        parts.append(text if n == 0 else
-                     (f"{text}*eps" if n == 1 else f"{text}*eps^{n}"))
-    if not parts:
-        parts = ["0"]
-    return " + ".join(parts + [f"O(eps^{series.trunc + 1})"])
+    def symbol(n, c):
+        if isinstance(c, Fraction):
+            return parenthesize(rat_str(c))
+        try:
+            text = str(to_quasimodular(c, weight_of(n)))
+        except (NotQuasiModular, SeriesError):
+            text = str(c)
+        return parenthesize(text)
+
+    return series.render(symbol)
 
 
 def _modular_identities_report(q_order: int) -> Report:
@@ -336,6 +330,9 @@ def _structure_report(max_weight: int, q_order: int) -> Report:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     suite = args.suite
+    if suite in ("heisenberg-degen", "all") and cfg.eps_order < 4:
+        raise UsageError(f"verify {suite} needs --eps-order >= 4 "
+                         "(the free-boson checks read eps^4)")
     reports = []
     if suite in ("modular-identities", "all"):
         reports.append(_modular_identities_report(max(cfg.q_order, 20)

@@ -53,10 +53,6 @@ class ModulePair:
         object.__setattr__(self, "beta_sq", rat(self.beta_sq))
         object.__setattr__(self, "alpha_dot_beta", rat(self.alpha_dot_beta))
 
-    def gram_ok(self) -> bool:
-        """Advisory Cauchy-Schwarz sanity bound |a.b|^2 <= a^2 b^2."""
-        return self.alpha_dot_beta ** 2 <= self.alpha_sq * self.beta_sq
-
 
 def taylor_shift(f: QSeries, delta: EpsSeries) -> EpsSeries:
     """sum_l (delta^l / l!) qd^l f: f at the shifted modulus, order by order."""
@@ -140,6 +136,9 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
 
 # -- the operator-valued degeneration sum -------------------------------------------
 
+# Variables of the eps coefficients of H_l: the base modulus and the central charge.
+H_VARS = ("q1", "C")
+
 
 @dataclass(frozen=True)
 class OperatorEpsSeries:
@@ -156,16 +155,22 @@ class OperatorEpsSeries:
         coeffs = {n: specialize(op, base) for n, op in self.terms.items()}
         return EpsSeries(coeffs, self.eps_trunc)
 
-    def extract_H(self, l: int) -> "CPolySeries":
-        """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps)."""
+    def extract_H(self, l: int) -> EpsSeries:
+        """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps).
+
+        The eps^n coefficient is a (q1, C)-series holding the C^j q1^m
+        coefficients of the weight-n operator's qd^l part.  C is known
+        through C^eps_trunc, which covers every degree the Theta basis
+        allows (j <= n/2).
+        """
         if l < 0:
             raise ValueError("derivative order must be >= 0")
-        terms = {}
+        truncs = (self.q_trunc, self.eps_trunc)
+        coeffs = {}
         for n, op in self.terms.items():
-            for (i, j), s in op.terms.items():
-                if i == l:
-                    terms[(n, j)] = s
-        return CPolySeries(terms, self.eps_trunc, self.q_trunc)
+            coeffs[n] = QSeries(H_VARS, {(m, j): c for (i, j), s in op.terms.items() if i == l
+                                         for (m,), c in s.coeffs.items()}, truncs)
+        return EpsSeries(coeffs, self.eps_trunc)
 
     def to_json(self) -> dict:
         return {"variable": "eps", "trunc": self.eps_trunc,
@@ -187,68 +192,6 @@ def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
     return OperatorEpsSeries(terms, max_weight, q_trunc)
 
 
-class CPolySeries:
-    """eps-series whose coefficients are polynomials in C with q-series entries:
-    sum_{n,j} H^n_j(q1) eps^n C^j."""
-
-    __slots__ = ("terms", "eps_trunc", "q_trunc")
-
-    def __init__(self, terms=None, eps_trunc: int = 0, q_trunc: int = 0):
-        clean = {}
-        for (n, j), s in (terms or {}).items():
-            if isinstance(s, (int, Fraction)):
-                s = QSeries.const("q1", s, q_trunc)
-            if not s.is_zero():
-                clean[(int(n), int(j))] = s
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "eps_trunc", int(eps_trunc))
-        object.__setattr__(self, "q_trunc", int(q_trunc))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CPolySeries is immutable")
-
-    def coeff(self, n: int, j: int) -> QSeries:
-        return self.terms.get((n, j), QSeries.zero("q1", self.q_trunc))
-
-    def min_eps_order(self):
-        return min((n for n, _ in self.terms), default=None)
-
-    def agrees_with(self, other: "CPolySeries", through_eps: int,
-                    q_through: int) -> bool:
-        for key in set(self.terms) | set(other.terms):
-            if key[0] > through_eps:
-                continue
-            a = self.terms.get(key)
-            b = other.terms.get(key)
-            if a is None or b is None:
-                s = a if b is None else b
-                if not s.is_zero():
-                    return False
-            elif not a.agrees_with(b, q_through):
-                return False
-        return True
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (n, j) in sorted(self.terms):
-            s = self.terms[(n, j)]
-            factors = [f"({s})"]
-            if j:
-                factors.append("C" if j == 1 else f"C^{j}")
-            if n:
-                factors.append("eps" if n == 1 else f"eps^{n}")
-            parts.append("*".join(factors))
-        return " + ".join(parts) + f" + O(eps^{self.eps_trunc + 1})"
-
-    def to_json(self) -> dict:
-        return {"variable": "eps", "trunc": self.eps_trunc,
-                "terms": [{"eps_power": n, "c_degree": j,
-                           "series": self.terms[(n, j)].to_json()}
-                          for (n, j) in sorted(self.terms)]}
-
-
 # -- verification suites -------------------------------------------------------------
 
 
@@ -260,8 +203,9 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
                  N: int | None = None) -> Report:
     """Check H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! identically in C.
 
-    The left side comes from the Zhu-recursion operators of the vacuum
-    descendants; the right side from the Bernoulli moment matrix.  One
+    Both sides are eps-series over (q1, C)-series.  The left side comes from
+    the Zhu-recursion operators of the vacuum descendants; the right side
+    from the Bernoulli moment matrix.  One
     equality per l, plus the structural bounds n >= 2l and j <= n/2 - l.
     """
     if 2 * l_max > eps_trunc:
@@ -270,33 +214,26 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
     report = Report(title="determinant form of the degeneration coefficients",
                     notes=[PREFACTOR_NOTE])
     ds = degeneration_sum(eps_trunc, q_trunc)
-    delta = degenerate_tau(q_trunc, eps_trunc, N)
-    logdet = _degenerate_logdet(q_trunc, eps_trunc, N)
-    log_powers = [EpsSeries.one(logdet.trunc, like=logdet._sample())]
-    for _ in range(eps_trunc // 2):
-        log_powers.append(log_powers[-1] * logdet)
+    truncs = (q_trunc, eps_trunc)
+
+    def lift(c):
+        return c.embed(H_VARS, truncs) if isinstance(c, QSeries) else c
+
+    delta = degenerate_tau(q_trunc, eps_trunc, N).map_coeffs(lift)
+    logdet = _degenerate_logdet(q_trunc, eps_trunc, N).map_coeffs(lift)
+    det = (logdet * QSeries(H_VARS, {(0, 1): Fraction(-1, 2)}, truncs)).exp()
     for l in range(l_max + 1):
         lhs = ds.extract_H(l)
-        dl = delta ** l
-        rhs_terms = {}
-        for j, lp in enumerate(log_powers):
-            piece = lp * dl * Fraction((-1) ** j, 2 ** j * factorial(j) * factorial(l))
-            for n in range(eps_trunc + 1):
-                c = piece.coeff_eps(n)
-                if isinstance(c, (int, Fraction)):
-                    c = QSeries.const("q1", c, q_trunc)
-                if not c.is_zero():
-                    rhs_terms[(n, j)] = c
-        rhs = CPolySeries(rhs_terms, eps_trunc, q_trunc)
-        ok = lhs.agrees_with(rhs, eps_trunc, q_trunc)
+        rhs = det * delta ** l * Fraction(1, factorial(l))
+        ok = lhs.agrees_with(rhs, eps_trunc, truncs)
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
                    expected=str(rhs) if not ok else "",
                    computed=str(lhs) if not ok else "")
-        min_n = lhs.min_eps_order()
-        report.add(f"H_{l} = O(eps^{2 * l})", min_n is None or min_n >= 2 * l,
+        report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bound() >= 2 * l,
                    order=f"eps<={eps_trunc}")
-        bound_ok = all(j <= Fraction(n, 2) - l for (n, j) in lhs.terms)
+        bound_ok = all(j <= Fraction(n, 2) - l
+                       for n, c in lhs.coeffs.items() for _, j in c.coeffs)
         report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
                    order=f"eps<={eps_trunc}")
     return report
@@ -306,6 +243,8 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                                    N: int | None = None) -> Report:
     """Free-boson pinching: lim q2^(1/24) Z^(2) against the shifted genus-one
     function, including the intermediate expansions from the proof."""
+    if eps_trunc < 4:
+        raise ValueError("the free-boson degeneration checks need eps_trunc >= 4")
     N = eps_trunc if N is None else N
     report = Report(title="free-boson torus degeneration", notes=[PREFACTOR_NOTE])
     e2 = eisenstein(2, q_trunc, "q1")

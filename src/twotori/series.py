@@ -78,6 +78,12 @@ def join_terms(terms) -> str:
     return out or "0"
 
 
+def monomial_str(*powers) -> str:
+    """Render (variable, exponent) pairs as a "*"-joined monomial: "v" for
+    exponent 1, "v^n" above, nothing for exponent 0."""
+    return "*".join(v if n == 1 else f"{v}^{n}" for v, n in powers if n)
+
+
 def parenthesize(text: str) -> str:
     """Wrap a rendered sum or negative term in parentheses for use as a factor."""
     if " + " in text or " - " in text or text.startswith("-"):
@@ -504,23 +510,6 @@ class QSeries:
                 result = result + c
         return result.truncate(trunc)
 
-    def revert(self) -> "QSeries":
-        """Compositional inverse of f = z + O(z^2).
-
-        Solves f(g) = z coefficient by coefficient; changing the z^n
-        coefficient of g only affects f(g) at orders >= n, so a single
-        upward sweep determines g.
-        """
-        if self.offset != 0 or self.constant_term() != 0 or self.coeff(min(1, self.trunc)) != 1:
-            raise SeriesError("leading coefficient must be 1 at degree 1")
-        T = self.trunc
-        g = QSeries.gen(self.var, T)
-        for n in range(2, T + 1):
-            c = self.compose(g).coeff(n)
-            if c != 0:
-                g = g + QSeries(self.var, {n: -c}, T)
-        return g
-
     # -- changing the variables ------------------------------------------------
 
     def embed(self, vars, truncs) -> "QSeries":
@@ -545,14 +534,6 @@ class QSeries:
 
         return QSeries._made(vars, {place(e, 0): c for e, c in self.coeffs.items()},
                              truncs, place(self.offsets, Fraction(0)))
-
-    def set_second_to_zero(self) -> "QSeries":
-        """Constant-term slice in the second of two variables (its offset must be 0)."""
-        if len(self.vars) != 2 or self.offsets[1] != 0:
-            raise SeriesError("q2 -> 0 needs a two-variable series with zero q2 offset")
-        return QSeries._made(self.vars[:1],
-                             {e[:1]: c for e, c in self.coeffs.items() if e[1] == 0},
-                             self.truncs[:1], self.offsets[:1])
 
     # -- comparison / rendering ----------------------------------------------
 
@@ -588,10 +569,8 @@ class QSeries:
                    for e in a.coeffs.keys() | b.coeffs.keys() if all(map(le, e, box)))
 
     def __str__(self):
-        def body(e):
-            return "*".join(v if n == 1 else f"{v}^{n}" for v, n in zip(self.vars, e) if n)
-
-        out = join_terms((self.coeffs[e], body(e)) for e in sorted(self.coeffs))
+        out = join_terms((self.coeffs[e], monomial_str(*zip(self.vars, e)))
+                         for e in sorted(self.coeffs))
         out += "".join(f" + O({v}^{t + 1})" for v, t in zip(self.vars, self.truncs))
         pre = "*".join(f"{v}^({rat_str(o)})" for v, o in zip(self.vars, self.offsets) if o)
         return f"{pre}*({out})" if pre else out
@@ -838,19 +817,16 @@ class EpsSeries:
                 return False
         return True
 
+    def render(self, coeff_text) -> str:
+        """The series as text, with ``coeff_text(n, c)`` as the factor that
+        renders the eps^n coefficient c."""
+        parts = ["*".join(filter(None, (coeff_text(n, self.coeffs[n]),
+                                        monomial_str(("eps", n)))))
+                 for n in sorted(self.coeffs)]
+        return " + ".join((parts or ["0"]) + [f"O(eps^{self.trunc + 1})"])
+
     def __str__(self):
-        parts = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            cs = rat_str(c) if isinstance(c, (int, Fraction)) else str(c)
-            if n == 0:
-                parts.append(f"({cs})")
-            else:
-                power = "eps" if n == 1 else f"eps^{n}"
-                parts.append(f"({cs})*{power}")
-        if not parts:
-            parts = ["0"]
-        return " + ".join(parts + [f"O(eps^{self.trunc + 1})"])
+        return self.render(lambda n, c: f"({c})")
 
     def __repr__(self):
         return f"EpsSeries({self})"
@@ -988,11 +964,7 @@ class QuasiModularPoly:
         return hash((self.weight, tuple(sorted(self.coeffs.items()))))
 
     def __str__(self):
-        def body(exps):
-            return "*".join(name if e == 1 else f"{name}^{e}"
-                            for name, e in zip(("E2", "E4", "E6"), exps) if e)
-
-        return join_terms((self.coeffs[k], body(k))
+        return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
                           for k in sorted(self.coeffs, reverse=True))
 
     def __repr__(self):

@@ -14,7 +14,6 @@ integer and the matrices are built from the even k+l entries only.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -227,33 +226,3 @@ def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A20 = a2_degenerate(N, eps_trunc)
     return weighted_resolvent_11(A20, A1, A20, eps_trunc).times_eps()
-
-
-# -- advisory numeric domain check -------------------------------------------------
-
-
-def min_lattice_distance(q: complex, bound: int = 40) -> float:
-    """min |2 pi i (m + n tau)| over nonzero lattice points, by brute scan."""
-    q = complex(q)
-    if not 0 < abs(q) < 1:
-        raise ValueError("need 0 < |q| < 1")
-    tau = cmath.log(q) / (2j * cmath.pi)
-    best = None
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            if m == 0 and n == 0:
-                continue
-            d = abs(2j * cmath.pi * (m + n * tau))
-            if best is None or d < best:
-                best = d
-    return best
-
-
-def domain_check(q1: complex, q2: complex, eps: complex) -> bool:
-    """Numeric test of the sewing domain |eps| < D(q1) D(q2) / 4.
-
-    Advisory only; never gates the exact-series computations.
-    """
-    if eps == 0:
-        return True
-    return abs(complex(eps)) < min_lattice_distance(q1) * min_lattice_distance(q2) / 4

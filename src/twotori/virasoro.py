@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .series import QSeries, join_terms, rat
+from .series import QSeries, join_terms, monomial_str, rat
 
 
 def check_partition(parts) -> tuple:
@@ -125,7 +125,7 @@ class CPoly:
         return sum((v * c_value ** j for j, v in self.coeffs.items()), Fraction(0))
 
     def __str__(self):
-        return join_terms((self.coeffs[j], "" if j == 0 else "C" if j == 1 else f"C^{j}")
+        return join_terms((self.coeffs[j], monomial_str(("C", j)))
                           for j in sorted(self.coeffs, reverse=True))
 
     def __repr__(self):

@@ -26,6 +26,7 @@ from .series import (
     SeriesError,
     eisenstein,
     eta_normalized,
+    monomial_str,
     parenthesize,
     rat,
     to_quasimodular,
@@ -138,33 +139,18 @@ class DiffOp:
         return hash((self.basis, self.var, tuple(sorted(self.terms.items(),
                                                         key=lambda kv: kv[0]))))
 
-    def agrees_with(self, other: "DiffOp", through: int | None = None) -> bool:
-        if self.basis != other.basis:
-            return False
-        for key in set(self.terms) | set(other.terms):
-            a = self.terms.get(key)
-            b = other.terms.get(key)
-            if a is None or b is None:
-                s = a if b is None else b
-                if not s.is_zero():
-                    return False
-            elif not a.agrees_with(b, through):
-                return False
-        return True
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _render(self, coeff_text) -> str:
+        # Terms by falling derivative order, each as coeff_text(i, s)*C^j*D^i;
+        # a coefficient that renders as "1" is left out before C or D.
         parts = []
         for (i, j) in sorted(self.terms, key=lambda k: (-k[0], k[1])):
-            s = self.terms[(i, j)]
-            factors = [f"({s})"]
-            if j:
-                factors.append("C" if j == 1 else f"C^{j}")
-            if i:
-                factors.append("D" if i == 1 else f"D^{i}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+            sym = coeff_text(i, self.terms[(i, j)])
+            mono = monomial_str(("C", j), ("D", i))
+            parts.append(mono if sym == "1" and mono else "*".join(filter(None, (sym, mono))))
+        return " + ".join(parts) or "0"
+
+    def __str__(self):
+        return self._render(lambda i, s: f"({s})")
 
     def __repr__(self):
         return f"DiffOp[{self.basis}]({self})"
@@ -189,23 +175,14 @@ class DiffOp:
     def render_symbolic(self, weight: int) -> str:
         """Operator string with quasi-modular coefficient symbols where the
         weight-(n-2i) graded-ring solve recognizes them; raw series otherwise."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (-k[0], k[1])):
-            s = self.terms[(i, j)]
+        def symbol(i, s):
             try:
-                sym = str(to_quasimodular(s, weight - 2 * i))
+                text = str(to_quasimodular(s, weight - 2 * i))
             except (NotQuasiModular, SeriesError):
-                sym = f"({s})"
-            sym = parenthesize(sym)
-            factors = [] if sym == "1" and (i or j) else [sym]
-            if j:
-                factors.append("C" if j == 1 else f"C^{j}")
-            if i:
-                factors.append("D" if i == 1 else f"D^{i}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+                text = f"({s})"
+            return parenthesize(text)
+
+        return self._render(symbol)
 
 
 @dataclass(frozen=True)

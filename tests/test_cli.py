@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import series
+from twotori import cli, series
 from twotori.cli import main
 from twotori.series import EpsSeries, _quasimodular_solver
 from twotori.zhu import structure_check
@@ -156,6 +156,18 @@ class TestVerify:
                 main(["verify", "structure", "--max-weight", "4", "--q-order", "6"])
         finally:
             _quasimodular_solver.cache_clear()
+
+    @pytest.mark.parametrize("suite, eps", [("heisenberg-degen", "3"), ("all", "2")])
+    def test_heisenberg_degen_needs_eps_order_4(self, capsys, monkeypatch, suite, eps):
+        # Refused before any suite runs, as a usage error that names the flag.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the order check")
+
+        for name in ("verify_detHi", "verify_heisenberg_degeneration", "_modular_identities_report"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(capsys, "verify", suite, "--eps-order", eps)
+        assert code == 2 and out == ""
+        assert "--eps-order" in err and "4" in err
 
     def test_unknown_suite_usage(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

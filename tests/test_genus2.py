@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.series import QSeries, eisenstein, eta_normalized
+from twotori.series import EpsSeries, QSeries, eisenstein, eta_normalized
 from twotori.genus2 import (
-    CPolySeries,
+    H_VARS,
     ModulePair,
     OperatorEpsSeries,
     degeneration_sum,
@@ -21,6 +21,8 @@ from twotori.genus2 import (
 )
 from twotori.sewing import degenerate_tau, period_matrix
 from twotori.zhu import BasePartition, DiffOp
+
+from test_series import set_second_to_zero
 
 
 def partition_numbers(trunc):
@@ -48,8 +50,7 @@ class TestModulePair:
         with pytest.raises(ValueError):
             ModulePair(0)
         p = ModulePair(2, F(1, 4), F(1), F(1, 3))
-        assert p.gram_ok()
-        assert not ModulePair(1, F(1, 4), F(1), F(2)).gram_ok()
+        assert (p.alpha_sq, p.beta_sq, p.alpha_dot_beta) == (F(1, 4), F(1), F(1, 3))
 
 
 class TestTaylorShift:
@@ -105,8 +106,8 @@ class TestClosedForms:
             if isinstance(got, (int, F)):
                 assert got == want
                 continue
-            sliced = (got * QSeries(("q1", "q2"), {(0, 0): 1}, (6, 0),
-                                    offsets=(0, F(1, 24)))).set_second_to_zero()
+            sliced = set_second_to_zero(got * QSeries(("q1", "q2"), {(0, 0): 1}, (6, 0),
+                                                      offsets=(0, F(1, 24))))
             if isinstance(want, (int, F)):
                 want = QSeries.const("q1", want, 6)
             assert sliced.agrees_with(want)
@@ -121,8 +122,8 @@ class TestClosedForms:
             if isinstance(got, (int, F)):
                 assert got == want
                 continue
-            sliced = (got * QSeries(("q1", "q2"), {(0, 0): 1}, (5, 0),
-                                    offsets=(0, F(1, 24)))).set_second_to_zero()
+            sliced = set_second_to_zero(got * QSeries(("q1", "q2"), {(0, 0): 1}, (5, 0),
+                                                      offsets=(0, F(1, 24))))
             if isinstance(want, (int, F)):
                 want = QSeries.const("q1", want, 5)
             assert sliced.agrees_with(want)
@@ -153,9 +154,11 @@ class TestDegenerationSum:
     def test_extract_H_values(self):
         ds = degeneration_sum(4, 6)
         H0, H1 = ds.extract_H(0), ds.extract_H(1)
-        assert H0.coeff(0, 0) == QSeries.one("q1", 6)
-        assert H1.coeff(2, 0) == QSeries.const("q1", F(-1, 12), 6)
-        assert H0.coeff(2, 1) == eisenstein(2, 6, "q1") * F(-1, 24)
+        truncs = (6, 4)
+        assert H0.coeff_eps(0) == QSeries.one(H_VARS, truncs)
+        assert H1.coeff_eps(2) == QSeries.const(H_VARS, F(-1, 12), truncs)
+        assert H0.coeff_eps(2) == (eisenstein(2, 6, "q1").embed(H_VARS, truncs)
+                                   * QSeries(H_VARS, {(0, 1): F(-1, 24)}, truncs))
         with pytest.raises(ValueError):
             ds.extract_H(-1)
 
@@ -163,7 +166,8 @@ class TestDegenerationSum:
         ds = degeneration_sum(2, 4)
         js = ds.to_json()
         assert js["variable"] == "eps" and "0" in js["coeffs"]
-        assert ds.extract_H(0).to_json()["terms"]
+        H0 = ds.extract_H(0).to_json()
+        assert H0["variable"] == "eps" and H0["coeffs"]["0"]["variables"] == list(H_VARS)
 
 
 class TestVerifiers:
@@ -172,6 +176,28 @@ class TestVerifiers:
         assert rep.passed
         assert len(rep.checks) == 12
 
+    @pytest.mark.parametrize("n, l_over", [(2, 1), (4, 2)])
+    def test_detHi_identity_fails_on_a_perturbed_H(self, monkeypatch, n, l_over):
+        # The identity and the C-degree bound must be able to FAIL: add
+        # C*q1^3*eps^n (q1^3 is the top known q-order, eps^4 the top eps
+        # order) to every H_l; both checks have to notice it, and the
+        # C-degree bound must fail for H_l_over, where 1 > n/2 - l_over.
+        extract_H = OperatorEpsSeries.extract_H
+
+        def perturbed(self, l):
+            bump = QSeries(H_VARS, {(self.q_trunc, 1): 1}, (self.q_trunc, self.eps_trunc))
+            return extract_H(self, l) + EpsSeries({n: bump}, self.eps_trunc)
+
+        monkeypatch.setattr(OperatorEpsSeries, "extract_H", perturbed)
+        rep = verify_detHi(eps_trunc=4, q_trunc=3, l_max=2)
+        identity = [c for c in rep.checks if " == det(I-A1*A2(0))" in c.name]
+        assert len(identity) == 3
+        for c in identity:
+            assert not c.passed and c.expected and c.computed
+        name = f"C-degree of H_{l_over} bounded by n/2 - {l_over}"
+        bound = [c for c in rep.checks if c.name == name]
+        assert len(bound) == 1 and not bound[0].passed
+
     def test_detHi_rejects_large_l(self):
         with pytest.raises(ValueError):
             verify_detHi(eps_trunc=4, q_trunc=4, l_max=3)
@@ -179,6 +205,10 @@ class TestVerifiers:
     def test_heisenberg_degeneration(self):
         rep = verify_heisenberg_degeneration(eps_trunc=6, q_trunc=6)
         assert rep.passed
+
+    def test_heisenberg_degeneration_needs_eps_order_4(self):
+        with pytest.raises(ValueError, match="eps_trunc >= 4"):
+            verify_heisenberg_degeneration(eps_trunc=3, q_trunc=4)
 
     @pytest.mark.parametrize("alpha_sq,rank", [(F(0), 1), (F(1), 1), (F(1, 4), 2)])
     def test_theta_degeneration(self, alpha_sq, rank):
@@ -256,3 +286,12 @@ class TestTruncationMetamorphic:
         for a, b in zip(low, high):
             assert a.trunc >= e
             assert a.agrees_with(b, through_eps=e, q_through=q)
+
+    @pytest.mark.parametrize("e, q", [(4, 2), (4, 3)])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_extract_H_agrees_with_higher_orders(self, l, e, q):
+        low = degeneration_sum(e, q).extract_H(l)
+        high = degeneration_sum(e + 2, q + 3).extract_H(l)
+        assert low.trunc >= e
+        assert all(c.vars == H_VARS and c.truncs == (q, e) for c in low.coeffs.values())
+        assert low.agrees_with(high, through_eps=e, q_through=(q, e))

@@ -10,13 +10,13 @@ from twotori.sewing import (
     a2_degenerate,
     a_matrix,
     degenerate_tau,
-    domain_check,
     log_det_I_minus,
-    min_lattice_distance,
     period_matrix,
     resolvent_11,
     weighted_resolvent_11,
 )
+
+from test_series import set_second_to_zero
 
 
 def const_q1(c, q_trunc):
@@ -195,22 +195,6 @@ class TestPeriodMatrix:
         assert a.d12.to_json() == b.d12.to_json()
 
 
-class TestDomainCheck:
-    def test_square_lattice(self):
-        q = math.exp(-2 * math.pi)  # tau = i
-        assert abs(min_lattice_distance(q) - 2 * math.pi) < 1e-9
-        assert domain_check(q, q, 1e-6)
-        assert not domain_check(q, q, 100.0)
-
-    def test_eps_zero_always_inside(self):
-        q = math.exp(-2 * math.pi)
-        assert domain_check(q, q, 0)
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            min_lattice_distance(1.5)
-
-
 class TestZeroMatrixResolvent:
     def test_identity_resolvent(self):
         # (I - 0*B)^(-1)(1,1) = 1
@@ -244,7 +228,7 @@ class TestDegenerateTauHigherOrder:
             if isinstance(got, (int, F)):
                 assert got == want
                 continue
-            sliced = got.set_second_to_zero()
+            sliced = set_second_to_zero(got)
             if isinstance(want, (int, F)):
                 want = QSeries.const("q1", want, 6)
             assert sliced.agrees_with(want)
