@@ -49,6 +49,20 @@ THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
 
 FORMATS = ("table", "json")
 
+# Smallest --eps-order of each command that builds moment matrices, and why.
+_MATRICES = (1, "the moment matrices start at eps^1")
+_FREE_BOSON = (4, "the free-boson checks read eps^4")
+MIN_EPS_ORDER = {
+    ("compute", "tau-degen"): _MATRICES,
+    ("compute", "period"): _MATRICES,
+    ("compute", "z2-heisenberg"): _MATRICES,
+    ("compute", "z2-module"): _MATRICES,
+    ("verify", "detHi"): _MATRICES,
+    ("verify", "theta-degen"): _MATRICES,
+    ("verify", "heisenberg-degen"): _FREE_BOSON,
+    ("verify", "all"): _FREE_BOSON,
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -191,6 +205,10 @@ def resolve_config(args) -> RunConfig:
         raise UsageError("orders must be non-negative")
     if cfg.matrix_size < cfg.eps_order:
         raise UsageError("matrix size must be at least the eps order")
+    target = getattr(args, "object", None) or getattr(args, "suite", None)
+    minimum, why = MIN_EPS_ORDER.get((args.command, target), (0, ""))
+    if cfg.eps_order < minimum:
+        raise UsageError(f"{args.command} {target} needs --eps-order >= {minimum} ({why})")
     return cfg
 
 
@@ -330,9 +348,6 @@ def _structure_report(max_weight: int, q_order: int) -> Report:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     suite = args.suite
-    if suite in ("heisenberg-degen", "all") and cfg.eps_order < 4:
-        raise UsageError(f"verify {suite} needs --eps-order >= 4 "
-                         "(the free-boson checks read eps^4)")
     reports = []
     if suite in ("modular-identities", "all"):
         reports.append(_modular_identities_report(max(cfg.q_order, 20)

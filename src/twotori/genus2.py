@@ -233,7 +233,7 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
         report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bound() >= 2 * l,
                    order=f"eps<={eps_trunc}")
         bound_ok = all(j <= Fraction(n, 2) - l
-                       for n, c in lhs.coeffs.items() for _, j in c.coeffs)
+                       for n, c in lhs.coeffs.items() for _, j in c.nums)
         report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
                    order=f"eps<={eps_trunc}")
     return report

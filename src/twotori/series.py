@@ -10,7 +10,8 @@ series in the sewing parameter:
 * ``EpsSeries`` -- series in the sewing parameter eps, whose coefficients
   are ``QSeries`` or plain rationals.
 
-No floating point anywhere: coefficients are ``fractions.Fraction``.
+No floating point anywhere: a ``QSeries`` holds integer numerators over one
+denominator, and reads them back as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, gt, le, lt, mul, sub
+from types import MappingProxyType
 
 
 class SeriesError(ValueError):
@@ -102,15 +104,6 @@ def _power(base, n: int, one):
     return result
 
 
-def _int_parts(coeffs):
-    # Common-denominator integer form of a coefficient dict; lets products
-    # run in int arithmetic with a single Fraction normalization per key.
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
-
-
 def _kronecker_pack(ints, strides, nslots: int, nbytes: int) -> int:
     # One signed int holding numerator e in the nbytes-wide slot sum_i e_i*strides_i.
     zero = bytes(nbytes)
@@ -182,6 +175,34 @@ def _schoolbook_mul(na, nb, truncs):
     return {(k,): v for k, v in acc.items() if v}
 
 
+class _Numerators:
+    """Rationals computed one at a time by a recurrence, held as integer
+    numerators ``nums`` over one denominator ``den``, the lcm of the reduced
+    denominators stored so far: a new value with a new factor in its
+    denominator rescales the numerators stored before it."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, size: int):
+        self.nums, self.den = [0] * size, 1
+
+    def put(self, i: int, num: int, den: int) -> None:
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den = num // g, den // g
+        m = den // gcd(self.den, den)
+        if m != 1:
+            self.nums = [v * m for v in self.nums]
+            self.den *= m
+        self.nums[i] = num * (self.den // den)
+
+    def series(self, vars, truncs, offsets) -> "QSeries":
+        """The one-variable series with these coefficients."""
+        return QSeries._reduced(vars, {(n,): v for n, v in enumerate(self.nums) if v},
+                                self.den, truncs, offsets)
+
+
 def _origin(vars):
     # Exponent of the constant term, in the form the constructor takes.
     return 0 if isinstance(vars, str) else (0,) * len(vars)
@@ -199,9 +220,16 @@ class QSeries:
     ``trunc`` and ``offset`` read that case back.  Immutable after
     construction.  Addition aligns offsets when they differ by integers and
     refuses otherwise; multiplication adds offsets.
+
+    The coefficients are stored as integer numerators ``nums`` over one
+    denominator ``den`` (the layout of FLINT's fmpq_poly), in canonical form:
+    den > 0, gcd(den, *nums) == 1 and no zero numerator.  Equal series are
+    therefore equal objects, and every ring operation runs in int arithmetic
+    with one content gcd per result.  ``coeffs`` is a read-only ``Fraction``
+    view, built on first use.
     """
 
-    __slots__ = ("vars", "truncs", "offsets", "coeffs")
+    __slots__ = ("vars", "truncs", "offsets", "nums", "den", "_view")
 
     def __init__(self, vars, coeffs=None, truncs=0, offsets=None):
         coeffs = coeffs or {}
@@ -223,25 +251,50 @@ class QSeries:
             if len(e) != len(truncs) or not all(0 <= x <= t for x, t in zip(e, truncs)):
                 raise SeriesError(f"exponent {e} outside the truncation box {truncs}")
             clean[e] = c
-        self._init(vars, clean, truncs, offsets)
+        # Reduced fractions over their lcm are already canonical.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._init(vars, {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+                   den, truncs, offsets)
 
-    def _init(self, vars, coeffs, truncs, offsets):
+    def _init(self, vars, nums, den, truncs, offsets):
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "truncs", truncs)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_view", None)
 
     @classmethod
-    def _made(cls, vars, coeffs, truncs, offsets) -> "QSeries":
-        # Results of products, sums and scalar multiples: their coefficients
-        # are nonzero Fractions inside the box by construction, so the
-        # per-coefficient checks of __init__ are skipped.
+    def _made(cls, vars, nums, den, truncs, offsets) -> "QSeries":
+        # A result already in canonical form, with every exponent inside the
+        # box, so the checks of __init__ are skipped.
         s = object.__new__(cls)
-        s._init(vars, coeffs, truncs, offsets)
+        s._init(vars, nums, den, truncs, offsets)
         return s
+
+    @classmethod
+    def _reduced(cls, vars, nums, den, truncs, offsets) -> "QSeries":
+        # A result with nonzero numerators inside the box: divide out the
+        # content gcd(den, *nums), signed so that den > 0.
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: v // g for e, v in nums.items()}
+            den //= g
+        return cls._made(vars, nums, den, truncs, offsets)
 
     def __setattr__(self, *a):
         raise AttributeError("QSeries is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only view {exponent tuple: Fraction} of the coefficients."""
+        if self._view is None:
+            den = self.den
+            object.__setattr__(self, "_view", MappingProxyType(
+                {e: Fraction(v, den) for e, v in self.nums.items()}))
+        return self._view
 
     def _only(self, values):
         if len(values) != 1:
@@ -288,23 +341,30 @@ class QSeries:
         to the offset prefactor)."""
         if len(e) != len(self.vars) or not all(0 <= x <= t for x, t in zip(e, self.truncs)):
             raise SeriesError(f"coefficient {e} not known (truncs {self.truncs})")
-        return self.coeffs.get(e, Fraction(0))
+        return Fraction(self.nums.get(e, 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.nums.get((0,) * len(self.vars), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def _ord_bounds(self):
         # Lowest exponent of each variable; a zero mantissa is O(v^(trunc+1)).
-        if not self.coeffs:
+        if not self.nums:
             return tuple(t + 1 for t in self.truncs)
-        return tuple(map(min, zip(*self.coeffs)))
+        return tuple(map(min, zip(*self.nums)))
 
     def _box(self, orders):
         # An int order stands for the same order in every variable.
         return (orders,) * len(self.vars) if isinstance(orders, int) else tuple(orders)
+
+    def _dense(self) -> list:
+        # Numerators of a one-variable series as a list indexed by exponent.
+        out = [0] * (self.trunc + 1)
+        for (n,), v in self.nums.items():
+            out[n] = v
+        return out
 
     # -- representation hygiene --------------------------------------------
 
@@ -312,21 +372,22 @@ class QSeries:
         new_truncs = self._box(new_truncs)
         if any(map(gt, new_truncs, self.truncs)):
             raise SeriesError("cannot raise truncation order")
-        return QSeries._made(self.vars, self._within(new_truncs), new_truncs, self.offsets)
+        return QSeries._reduced(self.vars, self._within(new_truncs), self.den, new_truncs,
+                                self.offsets)
 
     def _within(self, truncs) -> dict:
-        # The coefficients inside the box ``truncs``.
+        # The numerators inside the box ``truncs``.
         if truncs == self.truncs:
-            return self.coeffs
-        return {e: c for e, c in self.coeffs.items() if all(map(le, e, truncs))}
+            return self.nums
+        return {e: v for e, v in self.nums.items() if all(map(le, e, truncs))}
 
     def _shift(self, d) -> "QSeries":
         # Lower the offsets by integers d_i >= 0, absorbing them into the mantissa.
         if not any(d):
             return self
-        return QSeries._made(self.vars,
-                             {tuple(map(add, e, d)): c for e, c in self.coeffs.items()},
-                             tuple(map(add, self.truncs, d)), tuple(map(sub, self.offsets, d)))
+        return QSeries._made(self.vars, {tuple(map(add, e, d)): v for e, v in self.nums.items()},
+                             self.den, tuple(map(add, self.truncs, d)),
+                             tuple(map(sub, self.offsets, d)))
 
     def _aligned(self, other: "QSeries"):
         if self.offsets == other.offsets:
@@ -352,20 +413,23 @@ class QSeries:
         self._check_var(other)
         a, b = self._aligned(other)
         truncs = tuple(map(min, a.truncs, b.truncs))
-        out = dict(a._within(truncs))
-        for e, c in b._within(truncs).items():
-            if e in out:
-                c += out[e]
-                if not c:
-                    del out[e]
-                    continue
-            out[e] = c
-        return QSeries._made(a.vars, out, truncs, a.offsets)
+        # Both sides over den = lcm(den_a, den_b).
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        na = a._within(truncs)
+        out = dict(na) if sa == 1 else {e: v * sa for e, v in na.items()}
+        for e, v in b._within(truncs).items():
+            v = v * sb + out.get(e, 0)
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        return QSeries._reduced(a.vars, out, den, truncs, a.offsets)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._made(self.vars, {e: -c for e, c in self.coeffs.items()},
+        return QSeries._made(self.vars, {e: -v for e, v in self.nums.items()}, self.den,
                              self.truncs, self.offsets)
 
     def __sub__(self, other):
@@ -378,9 +442,17 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = rat(other)
-            coeffs = {e: c * r for e, c in self.coeffs.items()} if r else {}
-            return QSeries._made(self.vars, coeffs, self.truncs, self.offsets)
+            if not other:
+                return QSeries._made(self.vars, {}, 1, self.truncs, self.offsets)
+            # Canonical without a pass over the product: with p/r in lowest
+            # terms, gcd(den, p) and gcd(r, *nums) are all that can cancel.
+            p, r = other.numerator, other.denominator
+            gp, gr = gcd(self.den, p), gcd(r, *self.nums.values())
+            p //= gp
+            nums = ({e: v * p for e, v in self.nums.items()} if gr == 1
+                    else {e: v // gr * p for e, v in self.nums.items()})
+            return QSeries._made(self.vars, nums, self.den // gp * (r // gr),
+                                 self.truncs, self.offsets)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_var(other)
@@ -388,13 +460,10 @@ class QSeries:
         # only above the other factor's lowest-order term, variable by variable.
         truncs = tuple(min(ta + ob, tb + oa) for ta, tb, oa, ob in
                        zip(self.truncs, other.truncs, self._ord_bounds(), other._ord_bounds()))
-        na, da = _int_parts(self.coeffs)
-        nb, db = _int_parts(other.coeffs)
         kernel = _schoolbook_mul if len(self.vars) == 1 else _kronecker_mul
-        den = da * db
-        return QSeries._made(self.vars,
-                             {e: Fraction(v, den) for e, v in kernel(na, nb, truncs).items()},
-                             truncs, tuple(map(add, self.offsets, other.offsets)))
+        return QSeries._reduced(self.vars, kernel(self.nums, other.nums, truncs),
+                                self.den * other.den, truncs,
+                                tuple(map(add, self.offsets, other.offsets)))
 
     __rmul__ = __mul__
 
@@ -407,90 +476,112 @@ class QSeries:
 
     def _unit_mantissa(self) -> "QSeries":
         # Pull the lowest power of each variable into the offsets.
-        if not self.coeffs:
+        if not self.nums:
             raise SeriesError("non-unit constant term (series is zero)")
         d = self._ord_bounds()
         if not any(d):
             return self
-        return QSeries._made(self.vars,
-                             {tuple(map(sub, e, d)): c for e, c in self.coeffs.items()},
-                             tuple(map(sub, self.truncs, d)), tuple(map(add, self.offsets, d)))
+        return QSeries._made(self.vars, {tuple(map(sub, e, d)): v for e, v in self.nums.items()},
+                             self.den, tuple(map(sub, self.truncs, d)),
+                             tuple(map(add, self.offsets, d)))
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse; the lowest power of each variable moves into
         the offsets, and what is left needs a nonzero constant term.
 
-        b_e = -(1/a_0) sum_{0 != f <= e} a_f b_(e-f), over the box in
-        lexicographic order, in which every e-f comes before e.
+        With numerators A over den the inverse is den * B, B = 1/A:
+        B_e = -(1/A_0) sum_{0 != f <= e} A_f B_(e-f), over the box in
+        lexicographic order.  The box is laid out flat with every variable
+        after the first padded to 2 t_i + 1 slots, so e - f lands on a slot
+        outside the box (holding 0) unless f <= e, and each sum is one dot
+        product over the flat index.
         """
         u = self._unit_mantissa()
         origin = (0,) * len(u.vars)
-        a0 = u.coeffs.get(origin)
+        a0 = u.nums.get(origin)
         if a0 is None:
             raise SeriesError("non-unit constant term in inverse")
-        inv0 = 1 / a0
-        tail = [(f, c) for f, c in u.coeffs.items() if f != origin]
-        b = {origin: inv0}
+        strides = [1] * len(u.truncs)
+        for i in range(len(u.truncs) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (2 * u.truncs[i + 1] + 1)
+        a = [0] * (sum(map(mul, u.truncs, strides)) + 1)
+        for f, v in u.nums.items():
+            a[sum(map(mul, f, strides))] = v
+        b = _Numerators(len(a))
+        b.put(0, 1, a0)
+        slots = [(origin, 0)]
         box = product(*(range(t + 1) for t in u.truncs))
         next(box)                               # the origin, done above
         for e in box:
-            s = 0
-            for f, af in tail:
-                if all(map(le, f, e)):
-                    be = b.get(tuple(map(sub, e, f)))
-                    if be is not None:
-                        s += af * be
+            i = sum(map(mul, e, strides))
+            s = sum(map(mul, a[1:i + 1], b.nums[i - 1::-1]))
             if s:
-                b[e] = -s * inv0
-        return QSeries._made(u.vars, b, u.truncs, tuple(-o for o in u.offsets))
+                b.put(i, -s, a0 * b.den)
+                slots.append((e, i))
+        return QSeries._reduced(u.vars, {e: b.nums[i] * u.den for e, i in slots}, b.den,
+                                u.truncs, tuple(-o for o in u.offsets))
 
     def exp(self) -> "QSeries":
-        """exp of a one-variable series with zero constant term and zero offset."""
+        """exp of a one-variable series with zero constant term and zero offset:
+        g = exp(f) solves n g_n = sum_{k=1}^n k f_k g_(n-k)."""
         if self.offset != 0:
             raise SeriesError("exp requires zero offset")
         if self.constant_term() != 0:
             raise SeriesError("exp requires zero constant term")
-        result = QSeries.one(self.var, self.trunc)
-        term = QSeries.one(self.var, self.trunc)
-        for j in range(1, self.trunc + 1):
-            term = term * self * Fraction(1, j)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        kf = [k * v for k, v in enumerate(self._dense())]
+        g = _Numerators(len(kf))
+        g.put(0, 1, 1)
+        for n in range(1, len(kf)):
+            g.put(n, sum(map(mul, kf[1:n + 1], g.nums[n - 1::-1])), n * self.den * g.den)
+        return g.series(self.vars, self.truncs, self.offsets)
 
     def log(self) -> "QSeries":
-        """log of a one-variable series with constant term exactly 1 and zero offset."""
+        """log of a one-variable series with constant term exactly 1 and zero offset:
+        g = log(u) solves n g_n = n u_n - sum_{j=1}^{n-1} (n-j) u_j g_(n-j)."""
         if self.offset != 0 or self.constant_term() != 1:
             raise SeriesError("non-unit constant term: log requires constant term 1")
-        x = self - 1
-        result = QSeries.zero(self.var, self.trunc)
-        term = QSeries.one(self.var, self.trunc)
-        for j in range(1, self.trunc + 1):
-            term = term * x
-            if term.is_zero():
-                break
-            result = result + term * Fraction((-1) ** (j + 1), j)
-        return result
+        u = self._dense()
+        ku = [k * v for k, v in enumerate(u)]
+        g = _Numerators(len(u))
+        for n in range(1, len(u)):
+            rev = g.nums[n - 1:0:-1]
+            s = n * sum(map(mul, u[1:n], rev)) - sum(map(mul, ku[1:n], rev))
+            g.put(n, n * u[n] * g.den - s, n * self.den * g.den)
+        return g.series(self.vars, self.truncs, self.offsets)
 
     def pow_rational(self, r) -> "QSeries":
-        """Rational power via exp(r*log); mantissa constant term must be 1."""
+        """Rational power of a one-variable series whose mantissa has constant
+        term 1; the offset is multiplied by r.
+
+        g = u^r solves n g_n = sum_{k=1}^n (k (r+1) - n) u_k g_(n-k), the
+        power recurrence of J. C. P. Miller (Knuth, TAOCP vol. 2, 4.7).
+        """
         r = rat(r)
         if r.denominator == 1:
             return self ** int(r)
-        u = self._unit_mantissa()
-        if u.constant_term() != 1:
+        m = self._unit_mantissa()
+        offset = m.offset
+        if m.constant_term() != 1:
             raise SeriesError("non-unit constant term: rational power needs constant term 1")
-        mant = (QSeries._made(u.vars, u.coeffs, u.truncs, (Fraction(0),)).log() * r).exp()
-        return QSeries._made(u.vars, mant.coeffs, mant.truncs, (u.offset * r,))
+        p, q = r.numerator, r.denominator
+        u = m._dense()
+        ku = [k * v for k, v in enumerate(u)]
+        g = _Numerators(len(u))
+        g.put(0, 1, 1)
+        for n in range(1, len(u)):
+            rev = g.nums[n - 1::-1]
+            g.put(n, (p + q) * sum(map(mul, ku[1:n + 1], rev))
+                  - n * q * sum(map(mul, u[1:n + 1], rev)), n * q * m.den * g.den)
+        return g.series(m.vars, m.truncs, (offset * r,))
 
     def qd(self) -> "QSeries":
         """q d/dq of a one-variable series, acting on the offset too:
         q^a c_n q^n -> (n+a) q^a c_n q^n."""
         a = self.offset
-        return QSeries._made(self.vars, {e: v for e, c in self.coeffs.items()
-                                         if (v := (e[0] + a) * c)},
-                             self.truncs, self.offsets)
+        p, s = a.numerator, a.denominator
+        return QSeries._reduced(self.vars, {e: w for e, v in self.nums.items()
+                                            if (w := (e[0] * s + p) * v)},
+                                self.den * s, self.truncs, self.offsets)
 
     # -- composition ---------------------------------------------------------
 
@@ -502,13 +593,14 @@ class QSeries:
         if g.offset != 0 or g.constant_term() != 0:
             raise SeriesError("composition requires g(0)=0")
         trunc = min(self.trunc, g.trunc)
+        # Horner on the numerators, then one division by den.
         result = QSeries.zero(self.var, trunc)
         for n in range(self.trunc, -1, -1):
             result = result * g
-            c = self.coeffs.get((n,))
+            c = self.nums.get((n,))
             if c is not None:
                 result = result + c
-        return result.truncate(trunc)
+        return result.truncate(trunc) * Fraction(1, self.den)
 
     # -- changing the variables ------------------------------------------------
 
@@ -532,7 +624,7 @@ class QSeries:
                 out[i] = x
             return tuple(out)
 
-        return QSeries._made(vars, {place(e, 0): c for e, c in self.coeffs.items()},
+        return QSeries._made(vars, {place(e, 0): v for e, v in self.nums.items()}, self.den,
                              truncs, place(self.offsets, Fraction(0)))
 
     # -- comparison / rendering ----------------------------------------------
@@ -541,11 +633,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.vars == other.vars and self.offsets == other.offsets
-                and self.truncs == other.truncs and self.coeffs == other.coeffs)
+                and self.truncs == other.truncs and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.vars, self.offsets, self.truncs,
-                     tuple(sorted(self.coeffs.items()))))
+        return hash((self.vars, self.offsets, self.truncs, self.den,
+                     tuple(sorted(self.nums.items()))))
 
     def agrees_with(self, other: "QSeries", through=None) -> bool:
         """Exact agreement of the known parts (offset-aligned).
@@ -565,12 +658,12 @@ class QSeries:
             if any(map(lt, box, need)):
                 raise SeriesError(f"series only known to order {box}, need {need}")
             box = need
-        return all(a.coeffs.get(e, 0) == b.coeffs.get(e, 0)
-                   for e in a.coeffs.keys() | b.coeffs.keys() if all(map(le, e, box)))
+        return all(a.nums.get(e, 0) * b.den == b.nums.get(e, 0) * a.den
+                   for e in a.nums.keys() | b.nums.keys() if all(map(le, e, box)))
 
     def __str__(self):
-        out = join_terms((self.coeffs[e], monomial_str(*zip(self.vars, e)))
-                         for e in sorted(self.coeffs))
+        coeffs = self.coeffs
+        out = join_terms((coeffs[e], monomial_str(*zip(self.vars, e))) for e in sorted(coeffs))
         out += "".join(f" + O({v}^{t + 1})" for v, t in zip(self.vars, self.truncs))
         pre = "*".join(f"{v}^({rat_str(o)})" for v, o in zip(self.vars, self.offsets) if o)
         return f"{pre}*({out})" if pre else out
@@ -581,7 +674,7 @@ class QSeries:
     def to_json(self) -> dict:
         """README schema: the univariate keys for one variable, else the
         multivariate keys with "m,n,..." exponents."""
-        coeffs = {",".join(map(str, e)): rat_str(self.coeffs[e]) for e in sorted(self.coeffs)}
+        coeffs = {",".join(map(str, e)): rat_str(c) for e, c in sorted(self.coeffs.items())}
         if len(self.vars) == 1:
             return {"variable": self.var, "offset": rat_str(self.offset),
                     "trunc": self.trunc, "coeffs": coeffs}
@@ -894,7 +987,7 @@ def eta_normalized(trunc: int, var: str = "q") -> QSeries:
     prod = QSeries.one(var, trunc)
     for n in range(1, trunc + 1):
         prod = prod * QSeries(var, {0: 1, n: -1}, trunc)
-    return QSeries._made(prod.vars, prod.coeffs, prod.truncs, (Fraction(1, 24),))
+    return QSeries._made(prod.vars, prod.nums, prod.den, prod.truncs, (Fraction(1, 24),))
 
 
 def qd(s: QSeries) -> QSeries:
@@ -1000,8 +1093,8 @@ def _quasimodular_solver(weight: int, trunc: int):
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     rows = []
     for row in m:
-        nums, den = _int_parts(dict(enumerate(row[k:])))
-        rows.append((tuple(nums.values()), den))
+        r = QSeries("q", dict(enumerate(row[k:])), trunc)
+        rows.append((tuple(r.nums.get((n,), 0) for n in range(size)), r.den))
     return tuple(rows[:k]), tuple(rows[k:])
 
 
@@ -1031,13 +1124,12 @@ def to_quasimodular(s: QSeries, weight: int) -> QuasiModularPoly:
             f"insufficient q-order: need at least {len(monos) + 1} coefficients "
             f"for weight {weight}, have {s.trunc + 1}")
     solution, consistency = _quasimodular_solver(weight, s.trunc)
-    nums, den = _int_parts(s.coeffs)
 
     def dot(row):
-        return sum(row[0][n] * c for (n,), c in nums.items())
+        return sum(row[0][n] * v for (n,), v in s.nums.items())
 
     if any(dot(row) for row in consistency):
         raise NotQuasiModular(
             f"not quasi-modular of weight {weight} within truncation")
-    return QuasiModularPoly(weight, {mono: Fraction(dot(row), row[1] * den)
+    return QuasiModularPoly(weight, {mono: Fraction(dot(row), row[1] * s.den)
                                      for mono, row in zip(monos, solution)})

@@ -211,9 +211,15 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
     """Genus-two period matrix from the sewing expansion, in normalized form."""
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A2 = a_matrix(2, N, eps_trunc, q2_trunc)
-    d11 = weighted_resolvent_11(A2, A1, A2, eps_trunc).times_eps()
+    # d11 and d12 share the chain sum_n (A1 A2)^n e_1: the (1,1) entries of
+    # A2 (I - A1 A2)^(-1) and (I - A1 A2)^(-1).
+    _check_sizes(A1, A2, eps_trunc)
+    a1, a2 = _embed(A1, A2)
+    et = min(A1.eps_trunc, A2.eps_trunc)
+    total = _resolvent_vector_sum(a1, a2, eps_trunc, et)
+    d11 = _mat_vec(a2, total, N, et)[0].times_eps()
     d22 = weighted_resolvent_11(A1, A2, A1, eps_trunc).times_eps()
-    d12 = -resolvent_11(A1, A2, eps_trunc).times_eps()
+    d12 = -total[0].times_eps()
     return PeriodData(d11, d22, d12)
 
 

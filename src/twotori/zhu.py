@@ -179,7 +179,7 @@ class DiffOp:
             try:
                 text = str(to_quasimodular(s, weight - 2 * i))
             except (NotQuasiModular, SeriesError):
-                text = f"({s})"
+                text = str(s)
             return parenthesize(text)
 
         return self._render(symbol)

@@ -169,6 +169,22 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--eps-order" in err and "4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "detHi"), ("verify", "theta-degen"), ("compute", "tau-degen"),
+        ("compute", "period"), ("compute", "z2-heisenberg"), ("compute", "z2-module")])
+    def test_moment_matrices_need_eps_order_1(self, capsys, monkeypatch, argv):
+        # Refused before any matrix is built, naming --eps-order rather than
+        # the matrix size the user never gave.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the order check")
+
+        for name in ("verify_detHi", "verify_theta_degeneration", "degenerate_tau",
+                     "period_matrix", "z2_heisenberg", "z2_module_pair"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(capsys, *argv, "--eps-order", "0")
+        assert code == 2 and out == ""
+        assert "--eps-order >= 1" in err and "matrix size" not in err
+
     def test_unknown_suite_usage(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2

@@ -19,7 +19,14 @@ from twotori.genus2 import (
     z2_module_degenerate,
     z2_module_pair,
 )
-from twotori.sewing import degenerate_tau, period_matrix
+from twotori.sewing import (
+    a_matrix,
+    degenerate_tau,
+    log_det_I_minus,
+    period_matrix,
+    resolvent_11,
+    weighted_resolvent_11,
+)
 from twotori.zhu import BasePartition, DiffOp
 
 from test_series import set_second_to_zero
@@ -268,11 +275,29 @@ def _period_parts(e, q):
     return [pd.d11, pd.d22, pd.d12]
 
 
+def _sewing_pair(e, q):
+    return a_matrix(1, e, e, q), a_matrix(2, e, e, q)
+
+
+def _resolvents(e, q):
+    A1, A2 = _sewing_pair(e, q)
+    return [resolvent_11(A1, A2, e), resolvent_11(A2, A1, e)]
+
+
+def _weighted_resolvents(e, q):
+    A1, A2 = _sewing_pair(e, q)
+    return [weighted_resolvent_11(A2, A1, A2, e), weighted_resolvent_11(A1, A2, A1, e)]
+
+
 TRUNCATED = {
     "degenerate_tau": lambda e, q: [degenerate_tau(q, e, e)],
     "period_matrix": _period_parts,
     "z2_module_pair": lambda e, q: [z2_module_pair(PAIR, q, q, e)],
     "z2_module_degenerate": lambda e, q: [z2_module_degenerate(PINCHED, q, e)],
+    "z2_heisenberg": lambda e, q: [z2_heisenberg(q, q, e)],
+    "log_det_I_minus": lambda e, q: [log_det_I_minus(*_sewing_pair(e, q), e)],
+    "resolvent_11": _resolvents,
+    "weighted_resolvent_11": _weighted_resolvents,
 }
 
 

@@ -55,6 +55,8 @@ CASES = {
                         "--q-order", "6"], 0),
     "onepoint_json": (["compute", "onepoint", "--partition", "3", "--q-order", "4",
                        "--format", "json"], 0),
+    # q-order 0 leaves no equation to recognize E2 by: the raw-series fallback.
+    "onepoint_fallback": (["compute", "onepoint", "--partition", "2", "--q-order", "0"], 0),
     "verify_modular_table": (["verify", "modular-identities", "--q-order", "10"], 0),
     "verify_modular_json": (["verify", "modular-identities", "--format", "json"], 0),
     "verify_detHi_table": (["verify", "detHi", "--eps-order", "6", "--q-order", "4"], 0),
@@ -80,6 +82,7 @@ CASES = {
     "usage_theta_beta": (["verify", "theta-degen", "--beta-sq", "1"], 2),
     "usage_matrix_size": (["compute", "period", "--eps-order", "6",
                            "--matrix-size", "4"], 2),
+    "usage_eps_order_zero": (["verify", "detHi", "--eps-order", "0"], 2),
 }
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -751,3 +751,253 @@ class TestComposeAssociativity:
         g = QSeries("z", g_tail, 6)
         h = QSeries("z", h_tail, 6)
         assert f.compose(g).compose(h).agrees_with(f.compose(g.compose(h)))
+
+
+# -- the Fraction kernels that integer numerators replaced, as oracles ----------
+#
+# Each takes and returns QSeries but reads only the Fraction view ``coeffs``
+# and builds its result through the validating constructor, so none of the
+# integer paths of QSeries runs inside an oracle except the kernels
+# ``_schoolbook_mul``/``_kronecker_mul``, which are checked against plain
+# loops above.
+
+
+def _int_parts(coeffs):
+    # Common-denominator integer form of a coefficient dict.
+    den = 1
+    for c in coeffs.values():
+        den = lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def _shifted(s, d):
+    return QSeries(s.vars, {tuple(x + y for x, y in zip(e, d)): c for e, c in s.coeffs.items()},
+                   tuple(t + y for t, y in zip(s.truncs, d)),
+                   tuple(o - y for o, y in zip(s.offsets, d)))
+
+
+def oracle_add(a, b):
+    ds = [x - y for x, y in zip(a.offsets, b.offsets)]
+    if any(d.denominator != 1 for d in ds):
+        raise SeriesError("offsets differ by a non-integer")
+    a = _shifted(a, [max(int(d), 0) for d in ds])
+    b = _shifted(b, [max(-int(d), 0) for d in ds])
+    truncs = tuple(map(min, a.truncs, b.truncs))
+    out = {}
+    for s in (a, b):
+        for e, c in s.coeffs.items():
+            if all(x <= t for x, t in zip(e, truncs)):
+                out[e] = out.get(e, 0) + c
+    return QSeries(a.vars, out, truncs, a.offsets)
+
+
+def oracle_scale(a, r):
+    return QSeries(a.vars, {e: c * r for e, c in a.coeffs.items()}, a.truncs, a.offsets)
+
+
+def oracle_mul(a, b):
+    oa, ob = a._ord_bounds(), b._ord_bounds()
+    truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in zip(a.truncs, b.truncs, oa, ob))
+    na, da = _int_parts(a.coeffs)
+    nb, db = _int_parts(b.coeffs)
+    kernel = series._schoolbook_mul if len(a.vars) == 1 else _kronecker_mul
+    return QSeries(a.vars, {e: F(v, da * db) for e, v in kernel(na, nb, truncs).items()},
+                   truncs, tuple(x + y for x, y in zip(a.offsets, b.offsets)))
+
+
+def oracle_inv(s):
+    if not s.coeffs:
+        raise SeriesError("non-unit constant term (series is zero)")
+    d = s._ord_bounds()
+    u = _shifted(s, [-x for x in d])
+    origin = (0,) * len(u.vars)
+    if origin not in u.coeffs:
+        raise SeriesError("non-unit constant term in inverse")
+    inv0 = 1 / u.coeffs[origin]
+    tail = [(f, c) for f, c in u.coeffs.items() if f != origin]
+    b = {origin: inv0}
+    for e in list(product(*(range(t + 1) for t in u.truncs)))[1:]:
+        acc = 0
+        for f, af in tail:
+            if all(x <= y for x, y in zip(f, e)):
+                be = b.get(tuple(y - x for x, y in zip(f, e)))
+                if be is not None:
+                    acc += af * be
+        if acc:
+            b[e] = -acc * inv0
+    return QSeries(u.vars, b, u.truncs, tuple(-o for o in u.offsets))
+
+
+def oracle_exp(s):
+    if s.offset != 0 or s.constant_term() != 0:
+        raise SeriesError("exp needs zero offset and zero constant term")
+    result = term = QSeries.one(s.var, s.trunc)
+    for j in range(1, s.trunc + 1):
+        term = oracle_scale(oracle_mul(term, s), F(1, j))
+        if not term.coeffs:
+            break
+        result = oracle_add(result, term)
+    return result
+
+
+def oracle_log(s):
+    if s.offset != 0 or s.constant_term() != 1:
+        raise SeriesError("log needs zero offset and constant term 1")
+    x = oracle_add(s, QSeries.const(s.var, -1, s.trunc))
+    result, term = QSeries.zero(s.var, s.trunc), QSeries.one(s.var, s.trunc)
+    for j in range(1, s.trunc + 1):
+        term = oracle_mul(term, x)
+        if not term.coeffs:
+            break
+        result = oracle_add(result, oracle_scale(term, F((-1) ** (j + 1), j)))
+    return result
+
+
+def oracle_pow_rational(s, r):
+    d = s._ord_bounds()
+    u = _shifted(s, [-x for x in d])
+    mant = oracle_exp(oracle_scale(oracle_log(QSeries(u.vars, u.coeffs, u.truncs)), r))
+    return QSeries(u.vars, mant.coeffs, mant.truncs, (u.offset * r,))
+
+
+def assert_canonical(s):
+    assert s.den > 0 and all(type(v) is int and v for v in s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1
+
+
+def assert_same(got, want):
+    """Equal as series, canonical, equal hashes, and the same Fraction view."""
+    assert_canonical(got)
+    assert (got.vars, got.truncs, got.offsets) == (want.vars, want.truncs, want.offsets)
+    assert dict(got.coeffs) == dict(want.coeffs)
+    assert got == want and hash(got) == hash(want)
+    assert all(type(c) is F for c in got.coeffs.values())
+
+
+# Rationals of every size: small, near powers of two, and over large
+# denominators, so that lcm rescaling and content gcds both have work to do.
+big_dens = st.one_of(st.integers(1, 12), st.builds(lambda k: 2 ** k - 1, st.integers(20, 90)),
+                     st.integers(10 ** 12, 10 ** 30))
+any_fracs = st.one_of(small_fracs, st.builds(F, edge_ints, big_dens))
+OFFSETS = [0, F(1, 24), F(-5, 8), 2]
+
+
+@st.composite
+def multi_series(draw, nvars=None, truncs=None, offsets=None):
+    """A series in one, two or three variables with offsets, sparse or dense."""
+    nvars = nvars or draw(st.integers(1, 3))
+    vars = ("q1", "q2", "q3")[:nvars]
+    truncs = truncs or tuple(draw(st.integers(0, 4 if nvars < 3 else 2)) for _ in vars)
+    box = list(product(*(range(t + 1) for t in truncs)))
+    keys = draw(st.one_of(st.just(box), st.lists(st.sampled_from(box), max_size=5, unique=True)))
+    coeffs = {e: draw(any_fracs) for e in keys}
+    offsets = offsets or tuple(draw(st.sampled_from(OFFSETS)) for _ in vars)
+    return QSeries(vars, coeffs, truncs, offsets)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series in the same variables; offsets equal or an integer apart,
+    and the second one sometimes cancelling part or all of the first."""
+    a = draw(multi_series())
+    shift = tuple(draw(st.sampled_from([0, 0, 1, -1])) for _ in a.vars)
+    offsets = tuple(o + d for o, d in zip(a.offsets, shift))
+    same_box = draw(st.booleans())
+    b = draw(multi_series(nvars=len(a.vars), truncs=a.truncs if same_box else None,
+                          offsets=offsets))
+    if same_box and not any(shift):
+        how = draw(st.sampled_from(["free", "negate", "cancel_some"]))
+        if how == "negate":
+            b = -a
+        elif how == "cancel_some":
+            odd = {e: -c for e, c in a.coeffs.items() if sum(e) % 2}
+            b = QSeries(a.vars, dict(b.coeffs) | odd, a.truncs, a.offsets)
+    return a, b
+
+
+@st.composite
+def shifted_units(draw, nvars=None, constant=None):
+    """A mantissa with constant term ``constant`` (drawn, possibly 0, when
+    None) times a leading monomial, with offsets."""
+    a = draw(multi_series(nvars=nvars))
+    origin = (0,) * len(a.vars)
+    coeffs = dict(a.coeffs)
+    coeffs[origin] = draw(any_fracs) if constant is None else constant
+    lead = tuple(draw(st.integers(0, 2)) for _ in a.vars)
+    return QSeries(a.vars, {tuple(x + y for x, y in zip(e, lead)): c for e, c in coeffs.items()},
+                   tuple(t + y for t, y in zip(a.truncs, lead)), a.offsets)
+
+
+class TestIntegerKernelsAgainstFractionOracles:
+    @given(series_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_add_and_sub(self, pair):
+        a, b = pair
+        assert_same(a + b, oracle_add(a, b))
+        assert_same(b + a, oracle_add(b, a))
+        assert_same(a - b, oracle_add(a, oracle_scale(b, -1)))
+
+    def test_sum_cancelling_to_zero(self):
+        a = QSeries(("q1", "q2"), {(0, 1): F(7, 10 ** 20 + 39), (2, 0): F(-3, 4)}, (2, 2))
+        z = a + (-a)
+        assert_same(z, QSeries.zero(a.vars, a.truncs))
+        assert z.nums == {} and z.den == 1
+
+    @given(multi_series(), st.one_of(st.just(0), st.just(F(0)), any_fracs, st.integers(-9, 9)))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar(self, a, r):
+        assert_same(a * r, oracle_scale(a, F(r)))
+        assert_same(r * a, oracle_scale(a, F(r)))
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_product(self, data):
+        a = data.draw(multi_series())
+        b = data.draw(multi_series(nvars=len(a.vars)))
+        assert_same(a * b, oracle_mul(a, b))
+
+    @given(shifted_units())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse(self, a):
+        try:
+            want = oracle_inv(a)
+        except SeriesError:
+            with pytest.raises(SeriesError):
+                a.inv()
+            return
+        assert_same(a.inv(), want)
+
+    @given(multi_series(nvars=1, offsets=(0,)))
+    @settings(max_examples=100, deadline=None)
+    def test_exp_log_pow(self, a):
+        f = QSeries(a.vars, {e: c for e, c in a.coeffs.items() if e != (0,)}, a.truncs)
+        assert_same(f.exp(), oracle_exp(f))
+        u = f + 1
+        assert_same(u.log(), oracle_log(u))
+        for r in (F(1, 2), F(-1, 3), F(7, 5)):
+            assert_same(u.pow_rational(r), oracle_pow_rational(u, r))
+
+    @given(shifted_units(nvars=1, constant=1), st.sampled_from([F(1, 2), F(-2, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_pow_rational_moves_the_leading_power(self, u, r):
+        assert_same(u.pow_rational(r), oracle_pow_rational(u, r))
+
+    @given(multi_series(), any_fracs.filter(bool), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_values_give_equal_objects(self, a, r, data):
+        # Different routes to one value must give one representation.
+        routes = [(a * r) * (1 / r), (a + a) * F(1, 2), -(-a),
+                  a + QSeries.zero(a.vars, a.truncs, a.offsets),
+                  QSeries(a.vars, dict(a.coeffs), a.truncs, a.offsets)]
+        b = data.draw(multi_series(nvars=len(a.vars), truncs=a.truncs, offsets=a.offsets))
+        routes.append((a + b) - b)
+        for x in routes:
+            assert_same(x, a)
+        assert len({a, *routes}) == 1
+
+    def test_views_are_read_only(self):
+        s = QSeries("q", {0: F(1, 3), 2: 5}, 3)
+        with pytest.raises(TypeError):
+            s.coeffs[(1,)] = F(1)
+        assert s.coeffs is s.coeffs and s.coeffs == {(0,): F(1, 3), (2,): F(5)}
+        assert (s.nums, s.den) == ({(0,): 1, (2,): 15}, 3)

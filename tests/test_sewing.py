@@ -188,6 +188,16 @@ class TestPeriodMatrix:
         swapped = {(n, m): c for (m, n), c in pd.d11.coeff_eps(2).coeffs.items()}
         assert swapped == pd.d22.coeff_eps(2).coeffs
 
+    @pytest.mark.parametrize("q1, q2, e, N", [(3, 2, 4, 4), (2, 3, 6, 7), (1, 1, 2, 2)])
+    def test_shared_chain_equals_separate_resolvents(self, q1, q2, e, N):
+        # d11 and d12 come from one resolvent chain; each must equal its own
+        # public resolvent call.
+        A1, A2 = a_matrix(1, N, e, q1), a_matrix(2, N, e, q2)
+        pd = period_matrix(q1, q2, e, N)
+        assert pd.d11 == weighted_resolvent_11(A2, A1, A2, e).times_eps()
+        assert pd.d22 == weighted_resolvent_11(A1, A2, A1, e).times_eps()
+        assert pd.d12 == -resolvent_11(A1, A2, e).times_eps()
+
     def test_even_and_size_stable(self):
         a = period_matrix(2, 2, 4, 4)
         b = period_matrix(2, 2, 4, 7)
