@@ -8,7 +8,6 @@ the torus-degeneration identities relating them to any finite order.
 """
 
 from .series import (
-    EpsSeries,
     NotQuasiModular,
     QSeries,
     QuasiModularPoly,

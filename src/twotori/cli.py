@@ -24,7 +24,6 @@ from .genus2 import (
 from .reports import Report
 from .series import (
     NotQuasiModular,
-    QSeries,
     SeriesError,
     eisenstein,
     eta_normalized,
@@ -49,18 +48,21 @@ THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
 
 FORMATS = ("table", "json")
 
-# Smallest --eps-order of each command that builds moment matrices, and why.
-_MATRICES = (1, "the moment matrices start at eps^1")
-_FREE_BOSON = (4, "the free-boson checks read eps^4")
-MIN_EPS_ORDER = {
-    ("compute", "tau-degen"): _MATRICES,
-    ("compute", "period"): _MATRICES,
-    ("compute", "z2-heisenberg"): _MATRICES,
-    ("compute", "z2-module"): _MATRICES,
-    ("verify", "detHi"): _MATRICES,
-    ("verify", "theta-degen"): _MATRICES,
-    ("verify", "heisenberg-degen"): _FREE_BOSON,
-    ("verify", "all"): _FREE_BOSON,
+# Smallest value of an order flag that each command accepts, and why: a
+# smaller one would build nothing to check, or fail deep inside the work.
+_MATRICES = ("eps_order", 1, "the moment matrices start at eps^1")
+_FREE_BOSON = ("eps_order", 4, "the free-boson checks read eps^4")
+_STRUCTURE = ("max_weight", 2, "the structure checks start at weight 2")
+MIN_ORDERS = {
+    ("compute", "tau-degen"): (_MATRICES,),
+    ("compute", "period"): (_MATRICES,),
+    ("compute", "z2-heisenberg"): (_MATRICES,),
+    ("compute", "z2-module"): (_MATRICES,),
+    ("verify", "detHi"): (_MATRICES,),
+    ("verify", "theta-degen"): (_MATRICES,),
+    ("verify", "heisenberg-degen"): (_FREE_BOSON,),
+    ("verify", "structure"): (_STRUCTURE,),
+    ("verify", "all"): (_FREE_BOSON, _STRUCTURE),
 }
 
 
@@ -206,9 +208,10 @@ def resolve_config(args) -> RunConfig:
     if cfg.matrix_size < cfg.eps_order:
         raise UsageError("matrix size must be at least the eps order")
     target = getattr(args, "object", None) or getattr(args, "suite", None)
-    minimum, why = MIN_EPS_ORDER.get((args.command, target), (0, ""))
-    if cfg.eps_order < minimum:
-        raise UsageError(f"{args.command} {target} needs --eps-order >= {minimum} ({why})")
+    for key, minimum, why in MIN_ORDERS.get((args.command, target), ()):
+        if getattr(cfg, key) < minimum:
+            flag = key.replace("_", "-")
+            raise UsageError(f"{args.command} {target} needs --{flag} >= {minimum} ({why})")
     return cfg
 
 
@@ -303,8 +306,6 @@ def cmd_compute(args, cfg: RunConfig) -> int:
 def _render_eps_quasimodular(series, weight_of) -> str:
     """eps-series display with quasi-modular symbols where recognition works."""
     def symbol(n, c):
-        if isinstance(c, Fraction):
-            return parenthesize(rat_str(c))
         try:
             text = str(to_quasimodular(c, weight_of(n)))
         except (NotQuasiModular, SeriesError):

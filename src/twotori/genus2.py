@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .reports import Report
-from .series import EpsSeries, QSeries, eisenstein, eta_normalized, rat, rat_str
+from .series import QSeries, eisenstein, eta_normalized, rat, rat_str
 from .sewing import (
     a2_degenerate,
     a_matrix,
@@ -54,73 +54,86 @@ class ModulePair:
         object.__setattr__(self, "alpha_dot_beta", rat(self.alpha_dot_beta))
 
 
-def taylor_shift(f: QSeries, delta: EpsSeries) -> EpsSeries:
-    """sum_l (delta^l / l!) qd^l f: f at the shifted modulus, order by order."""
-    out = EpsSeries({0: f}, delta.trunc)
-    dpow = EpsSeries.one(delta.trunc)
+def _times_q(s: QSeries, f: QSeries) -> QSeries:
+    """The eps-series s times f, a series in the other variables of s."""
+    return s * f.embed(s.vars, (s.truncs[0], *f.truncs))
+
+
+def taylor_shift(f: QSeries, delta: QSeries) -> QSeries:
+    """sum_l (delta^l / l!) qd^l f: f at the shifted modulus, order by order,
+    for an eps-series delta over the variable of f."""
+    dpow = QSeries.one(delta.vars, delta.truncs)
+    out = _times_q(dpow, f)
     df = f
-    ord_ = max(delta._ord_bound(), 1)
-    for l in range(1, delta.trunc // ord_ + 1):
+    ord_ = max(delta._ord_bounds()[0], 1)
+    for l in range(1, delta.truncs[0] // ord_ + 1):
         dpow = dpow * delta * Fraction(1, l)
         if dpow.is_zero():
             break
         df = df.qd()
-        out = out + dpow * df
+        out = out + _times_q(dpow, df)
     return out
 
 
 # -- closed forms -----------------------------------------------------------------
 
 
-def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
-                  N: int | None = None) -> EpsSeries:
-    """Rank-1 free-boson genus-two partition function,
-    (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), with both eta^-1 offsets carried."""
-    N = eps_trunc if N is None else N
+def _free_boson(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int):
+    # The two factors of the rank-1 free boson: log det(I - A1 A2) and
+    # (eta(q1) eta(q2))^-1.
     A1 = a_matrix(1, N, eps_trunc, q1_trunc)
     A2 = a_matrix(2, N, eps_trunc, q2_trunc)
-    det = (log_det_I_minus(A1, A2, eps_trunc) * Fraction(-1, 2)).exp()
     vars, truncs = ("q1", "q2"), (q1_trunc, q2_trunc)
     pre = (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
            * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
-    return det * pre
+    return log_det_I_minus(A1, A2, eps_trunc), pre
+
+
+def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
+                  N: int | None = None) -> QSeries:
+    """Rank-1 free-boson genus-two partition function,
+    (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), with both eta^-1 offsets carried."""
+    N = eps_trunc if N is None else N
+    logdet, pre = _free_boson(q1_trunc, q2_trunc, eps_trunc, N)
+    return _times_q((logdet * Fraction(-1, 2)).exp(), pre)
 
 
 def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
-                   N: int | None = None) -> EpsSeries:
-    """Module-pair partition function over the rank-r free boson.
+                   N: int | None = None) -> QSeries:
+    """Module-pair partition function over the rank-r free boson,
+    exp(-(r/2) log det(I - A1 A2) + arg) (eta(q1) eta(q2))^-r q1^(a.a/2) q2^(b.b/2).
 
     The exponential period factor is exact here: e^{i pi a.a O11} equals
     q1^(a.a/2) e^{a.a d11/2} in the normalized period data, so no
     transcendental constants enter.
     """
     N = eps_trunc if N is None else N
-    zh = z2_heisenberg(q1_trunc, q2_trunc, eps_trunc, N) ** p.rank
+    logdet, pre = _free_boson(q1_trunc, q2_trunc, eps_trunc, N)
     pd = period_matrix(q1_trunc, q2_trunc, eps_trunc, N)
-    arg = (pd.d11 * (p.alpha_sq / 2) + pd.d22 * (p.beta_sq / 2)
-           + pd.d12 * p.alpha_dot_beta)
+    arg = (logdet * Fraction(-p.rank, 2) + pd.d11 * (p.alpha_sq / 2)
+           + pd.d22 * (p.beta_sq / 2) + pd.d12 * p.alpha_dot_beta)
     mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
                    offsets=(p.alpha_sq / 2, p.beta_sq / 2))
-    return zh * arg.exp() * mono
+    return _times_q(arg.exp(), pre ** p.rank * mono)
 
 
 @lru_cache(maxsize=None)
-def _degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
+def _degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
     return log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
                            a2_degenerate(N, eps_trunc), eps_trunc)
 
 
 def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
-                             N: int | None = None) -> EpsSeries:
+                             N: int | None = None) -> QSeries:
     """lim q2^(1/24) Z^(2) for the rank-1 free boson:
     eta(q1)^-1 det(I - A1 A2(0))^(-1/2)."""
     N = eps_trunc if N is None else N
     det = (_degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
-    return det * eta_normalized(q1_trunc, "q1").inv()
+    return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
 
 
 def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
-                         N: int | None = None) -> EpsSeries:
+                         N: int | None = None) -> QSeries:
     """lim q2^(r/24) Z^(2)_{alpha,0}: the pinched closed form (beta must be 0)."""
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("degenerate module limit needs beta = 0")
@@ -131,7 +144,7 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
     shift = (delta * (p.alpha_sq / 2)).exp()
     pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
            * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
-    return det * shift * pre
+    return _times_q(det * shift, pre)
 
 
 # -- the operator-valued degeneration sum -------------------------------------------
@@ -151,26 +164,25 @@ class OperatorEpsSeries:
     def op(self, n: int) -> DiffOp:
         return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc, "q1"))
 
-    def specialize(self, base: BasePartition) -> EpsSeries:
-        coeffs = {n: specialize(op, base) for n, op in self.terms.items()}
-        return EpsSeries(coeffs, self.eps_trunc)
+    def specialize(self, base: BasePartition) -> QSeries:
+        return QSeries.from_blocks("eps", {n: specialize(op, base)
+                                           for n, op in self.terms.items()}, self.eps_trunc)
 
-    def extract_H(self, l: int) -> EpsSeries:
+    def extract_H(self, l: int) -> QSeries:
         """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps).
 
-        The eps^n coefficient is a (q1, C)-series holding the C^j q1^m
+        A series in ("eps",) + H_VARS: the eps^n block holds the C^j q1^m
         coefficients of the weight-n operator's qd^l part.  C is known
         through C^eps_trunc, which covers every degree the Theta basis
         allows (j <= n/2).
         """
         if l < 0:
             raise ValueError("derivative order must be >= 0")
-        truncs = (self.q_trunc, self.eps_trunc)
-        coeffs = {}
-        for n, op in self.terms.items():
-            coeffs[n] = QSeries(H_VARS, {(m, j): c for (i, j), s in op.terms.items() if i == l
-                                         for (m,), c in s.coeffs.items()}, truncs)
-        return EpsSeries(coeffs, self.eps_trunc)
+        return QSeries(("eps", *H_VARS),
+                       {(n, m, j): c for n, op in self.terms.items()
+                        for (i, j), s in op.terms.items() if i == l
+                        for (m,), c in s.coeffs.items()},
+                       (self.eps_trunc, self.q_trunc, self.eps_trunc))
 
     def to_json(self) -> dict:
         return {"variable": "eps", "trunc": self.eps_trunc,
@@ -195,8 +207,8 @@ def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
 # -- verification suites -------------------------------------------------------------
 
 
-def _fmt_eps(series: EpsSeries, eps_trunc: int) -> str:
-    return str(series.truncate(min(eps_trunc, series.trunc)))
+def _fmt_eps(series: QSeries, eps_trunc: int) -> str:
+    return str(series.truncate((min(eps_trunc, series.truncs[0]), *series.truncs[1:])))
 
 
 def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
@@ -214,26 +226,26 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
     report = Report(title="determinant form of the degeneration coefficients",
                     notes=[PREFACTOR_NOTE])
     ds = degeneration_sum(eps_trunc, q_trunc)
-    truncs = (q_trunc, eps_trunc)
+    vars, truncs = ("eps", *H_VARS), (eps_trunc, q_trunc, eps_trunc)
 
-    def lift(c):
-        return c.embed(H_VARS, truncs) if isinstance(c, QSeries) else c
+    def lift(s):
+        # An eps-series over q1 as a series in (eps, q1, C), constant in C.
+        return s.embed(vars, (*s.truncs, eps_trunc))
 
-    delta = degenerate_tau(q_trunc, eps_trunc, N).map_coeffs(lift)
-    logdet = _degenerate_logdet(q_trunc, eps_trunc, N).map_coeffs(lift)
-    det = (logdet * QSeries(H_VARS, {(0, 1): Fraction(-1, 2)}, truncs)).exp()
+    delta = lift(degenerate_tau(q_trunc, eps_trunc, N))
+    logdet = lift(_degenerate_logdet(q_trunc, eps_trunc, N))
+    det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
     for l in range(l_max + 1):
         lhs = ds.extract_H(l)
         rhs = det * delta ** l * Fraction(1, factorial(l))
-        ok = lhs.agrees_with(rhs, eps_trunc, truncs)
+        ok = lhs.agrees_with(rhs, truncs)
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
                    expected=str(rhs) if not ok else "",
                    computed=str(lhs) if not ok else "")
-        report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bound() >= 2 * l,
+        report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bounds()[0] >= 2 * l,
                    order=f"eps<={eps_trunc}")
-        bound_ok = all(j <= Fraction(n, 2) - l
-                       for n, c in lhs.coeffs.items() for _, j in c.nums)
+        bound_ok = all(j <= Fraction(n, 2) - l for n, _, j in lhs.nums)
         report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
                    order=f"eps<={eps_trunc}")
     return report
@@ -254,23 +266,21 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
     eta1_inv = eta1.inv()
 
     def check_coeff(name, series, n, expected):
-        got = series.coeff_eps(n)
-        if isinstance(got, (int, Fraction)):
-            got = QSeries.const("q1", got, q_trunc)
+        got = series.block(n)
         ok = got.agrees_with(expected, through=min(q_trunc, got.trunc, expected.trunc))
         report.add(name, ok, order=f"q<={q_trunc}",
                    expected=str(expected) if not ok else "",
                    computed=str(got) if not ok else "")
 
     # eta(q) = eta(q1) [1 + E2/24 eps^2 - (E2^2/1152 + 5 E4/576) eps^4 + ...]
-    eta_ratio = taylor_shift(eta1, delta) * eta1_inv
+    eta_ratio = _times_q(taylor_shift(eta1, delta), eta1_inv)
     check_coeff("eta(q)/eta(q1) at eps^2", eta_ratio, 2, e2 * Fraction(1, 24))
     check_coeff("eta(q)/eta(q1) at eps^4", eta_ratio, 4,
                 -(e2 * e2 * Fraction(1, 1152) + e4 * Fraction(5, 576)))
 
     # 1/eta(q) = (1/eta(q1)) [1 - E2/24 eps^2 + (E2^2/384 + 5 E4/576) eps^4 + ...]
     z1 = taylor_shift(eta1_inv, delta)
-    z1_ratio = z1 * eta1
+    z1_ratio = _times_q(z1, eta1)
     check_coeff("eta(q)^-1 ratio at eps^2", z1_ratio, 2, e2 * Fraction(-1, 24))
     check_coeff("eta(q)^-1 ratio at eps^4", z1_ratio, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
@@ -324,16 +334,15 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     ds = degeneration_sum(max_weight, q_trunc)
     zhu_side = ds.specialize(BasePartition(theta1, Fraction(r)))  # (c)
 
-    ok_ab = theta_lim.agrees_with(theta_taylor, through_eps=eps_trunc,
-                                  q_through=q_trunc)
+    through = (eps_trunc, q_trunc)
+    ok_ab = theta_lim.agrees_with(theta_taylor, through)
     report.add("lim Theta^(2) == Theta^(1)(q) (closed form vs Taylor shift)",
                ok_ab, order=f"eps<={eps_trunc}, q<={q_trunc}",
                expected="" if ok_ab else _fmt_eps(theta_taylor, eps_trunc),
                computed="" if ok_ab else _fmt_eps(theta_lim, eps_trunc))
 
-    unnormalized = zm_deg * (eta1 ** r)
-    ok_c = zhu_side.agrees_with(unnormalized, through_eps=eps_trunc,
-                                q_through=q_trunc)
+    unnormalized = _times_q(zm_deg, eta1 ** r)
+    ok_c = zhu_side.agrees_with(unnormalized, through)
     report.add("Zhu-recursion degeneration sum == closed-form limit "
                "(eta^r reattached)", ok_c,
                order=f"eps<={eps_trunc}, q<={q_trunc}",
@@ -341,8 +350,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
 
     det_r = (_degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
-    ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through_eps=eps_trunc,
-                                    q_through=q_trunc)
+    ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)", ok_cross,
                order=f"eps<={eps_trunc}, q<={q_trunc}")
 

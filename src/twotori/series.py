@@ -1,14 +1,15 @@
 """Truncated formal power series over exact rationals.
 
 Everything downstream (Eisenstein series, Virasoro descendants, sewing
-matrices) reduces to arithmetic in one truncated series type plus the
-series in the sewing parameter:
+matrices) reduces to arithmetic in one truncated series type, ``QSeries``:
+a series in one or more variables (q; q1 and q2 jointly), with one
+truncation order and one rational exponent offset per variable, so
+prefactors like q^(1/24) or q1^(alpha^2/2) stay exact monomials.
 
-* ``QSeries``  -- a series in one or more variables (q; q1 and q2 jointly),
-  with one truncation order and one rational exponent offset per variable,
-  so prefactors like q^(1/24) or q1^(alpha^2/2) stay exact monomials;
-* ``EpsSeries`` -- series in the sewing parameter eps, whose coefficients
-  are ``QSeries`` or plain rationals.
+A series in the sewing parameter eps is a ``QSeries`` whose first variable
+is "eps": ("eps",) for rational coefficients, ("eps", "q1") or
+("eps", "q1", "q2") for q-series coefficients.  Its eps^n coefficient is
+``block(n)``, and it renders and serializes in the nested eps form.
 
 No floating point anywhere: a ``QSeries`` holds integer numerators over one
 denominator, and reads them back as ``fractions.Fraction``.
@@ -104,12 +105,41 @@ def _power(base, n: int, one):
     return result
 
 
-def _kronecker_pack(ints, strides, nslots: int, nbytes: int) -> int:
-    # One signed int holding numerator e in the nbytes-wide slot sum_i e_i*strides_i.
+def _kronecker_layout(cols_a, cols_b, bound: int, truncs):
+    """Slots for a product by Kronecker substitution, cut to the box ``truncs``.
+
+    ``cols_a`` and ``cols_b`` are the exponent columns of the two factors'
+    supports, and ``bound`` exceeds every product coefficient in absolute
+    value.  Returns (low_a, low_b, lo, strides, nbytes, lims), or None when
+    the whole product lies outside the box.  Exponents are packed relative
+    to each factor's lowest ones (lo = low_a + low_b), so an empty margin
+    below the supports costs no slots.  The stride of each variable is the
+    product of the sizes S_j of the variables after it, where S_j exceeds
+    the largest relative e_j of the product, so no exponent wraps into the
+    variable before it.  Slots are W = 8 * nbytes bits wide with
+    2^(W-1) > bound, and ``lims`` are the relative orders to read back.
+    """
+    la, lb = tuple(map(min, cols_a)), tuple(map(min, cols_b))
+    lo = tuple(map(add, la, lb))
+    if any(map(gt, lo, truncs)):
+        return None
+    sizes = [max(x) - y + max(u) - w + 1 for x, y, u, w in zip(cols_a, la, cols_b, lb)]
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    lims = [min(t - x, s - 1) for t, x, s in zip(truncs, lo, sizes)]
+    return la, lb, lo, strides, bound.bit_length() // 8 + 1, lims
+
+
+def _kronecker_pack(keys, values, low, strides, nbytes: int) -> int:
+    # One signed int holding the numerator of exponent e in the nbytes-wide
+    # slot sum_i (e_i - low_i)*strides_i.
+    base = sum(map(mul, low, strides))
+    slots = [sum(map(mul, e, strides)) - base for e in keys]
     zero = bytes(nbytes)
-    pos, neg = [zero] * nslots, [zero] * nslots
-    for e, v in ints.items():
-        j = sum(map(mul, e, strides))
+    pos = [zero] * (max(slots) + 1)
+    neg = pos.copy()
+    for j, v in zip(slots, values):
         if v > 0:
             pos[j] = v.to_bytes(nbytes, "little")
         else:
@@ -118,47 +148,66 @@ def _kronecker_pack(ints, strides, nslots: int, nbytes: int) -> int:
             - int.from_bytes(b"".join(neg), "little"))
 
 
-def _kronecker_mul(na, nb, truncs):
-    """Product of two exponent-tuple -> int numerator dicts, cut to the box ``truncs``.
+@lru_cache(maxsize=1024)
+def _unpack_order(lo, lims, strides):
+    # The exponents lo + k, 0 <= k <= lims, in lexicographic order, and the
+    # slot of each; products in one layout share them.
+    slots = [0]
+    for t, stride in zip(lims, strides):
+        slots = [j + i * stride for j in slots for i in range(t + 1)]
+    return tuple(product(*(range(x, x + t + 1) for x, t in zip(lo, lims)))), tuple(slots)
 
-    Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009): each factor
-    becomes one bigint with numerator e in a W-bit slot at sum_i e_i*stride_i
-    (W = 8 * nbytes), so a single bigint product does the convolution.  The
-    stride of each variable is the product of the sizes S_j of the variables
-    after it, where S_j exceeds the largest e_j of the product, so no
-    exponent wraps into the variable before it; 2^(W-1) exceeds every
-    product coefficient in absolute value, so adding 2^(W-1) to every slot
-    makes all slots non-negative and lets them be read without borrows.
-    """
-    if not na or not nb:
-        return {}
-    ma, mb = tuple(map(max, zip(*na))), tuple(map(max, zip(*nb)))
-    sizes = [x + y + 1 for x, y in zip(ma, mb)]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    bound = (max(map(abs, na.values())) * max(map(abs, nb.values()))
-             * min(len(na), len(nb)))
-    nbytes = bound.bit_length() // 8 + 1
-    packed = (_kronecker_pack(na, strides, (ma[0] + 1) * strides[0], nbytes)
-              * _kronecker_pack(nb, strides, (mb[0] + 1) * strides[0], nbytes))
-    lims = [min(t, s - 1) for t, s in zip(truncs, sizes)]
+
+def _kronecker_unpack(packed: int, lo, strides, nbytes: int, lims) -> dict:
+    # The nonzero slots of ``packed`` up to ``lims``, keyed by exponent.
+    # Adding 2^(W-1) to every slot makes all slots non-negative, so they read
+    # back without borrows.
     nslots = sum(map(mul, lims, strides)) + 1
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
     buf = ((packed + bias) & ((1 << (8 * nbytes * nslots)) - 1)).to_bytes(
         nbytes * nslots, "little")
-    inner = list(product(*(range(t + 1) for t in lims[1:])))
-    inner_slots = [sum(map(mul, k, strides[1:])) for k in inner]
     acc = {}
-    for m in range(lims[0] + 1):
-        row = m * strides[0]
-        for k, slot in zip(inner, inner_slots):
-            j = (row + slot) * nbytes
-            v = int.from_bytes(buf[j:j + nbytes], "little") - half
-            if v:
-                acc[(m, *k)] = v
+    for e, j in zip(*_unpack_order(lo, tuple(lims), tuple(strides))):
+        j *= nbytes
+        v = int.from_bytes(buf[j:j + nbytes], "little") - half
+        if v:
+            acc[e] = v
     return acc
+
+
+def _kronecker(ka, va, kb, vb, truncs) -> dict:
+    # The product of two numerator lists, exponents ``ka``/``kb`` and values
+    # ``va``/``vb``, cut to the box ``truncs``; see ``_kronecker_mul``.
+    if len(ka) == 1 or len(kb) == 1:
+        # A one-term factor shifts and scales the other: no packing.
+        if len(ka) != 1:
+            ka, va, kb, vb = kb, vb, ka, va
+        f, x = ka[0], va[0]
+        return {g: x * y for e, y in zip(kb, vb)
+                if x and y and all(map(le, g := tuple(map(add, e, f)), truncs))}
+    # Every coefficient of the product is a sum of at most min(#a, #b) terms.
+    bound = max(map(abs, va)) * max(map(abs, vb)) * min(len(va), len(vb))
+    layout = _kronecker_layout(list(zip(*ka)), list(zip(*kb)), bound, truncs)
+    if layout is None:
+        return {}
+    la, lb, lo, strides, nbytes, lims = layout
+    packed = (_kronecker_pack(ka, va, la, strides, nbytes)
+              * _kronecker_pack(kb, vb, lb, strides, nbytes))
+    return _kronecker_unpack(packed, lo, strides, nbytes, lims)
+
+
+def _kronecker_mul(na, nb, truncs):
+    """Product of two exponent-tuple -> int numerator dicts, cut to the box ``truncs``.
+
+    Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009): each factor
+    becomes one bigint with numerator e in a W-bit slot at sum_i e_i*stride_i
+    (see ``_kronecker_layout``), so a single bigint product does the
+    convolution.  A one-term factor just shifts and scales the other.
+    """
+    if not na or not nb:
+        return {}
+    return _kronecker(list(na), list(na.values()), list(nb), list(nb.values()), truncs)
 
 
 def _schoolbook_mul(na, nb, truncs):
@@ -173,6 +222,31 @@ def _schoolbook_mul(na, nb, truncs):
             if k <= trunc:
                 acc[k] = acc.get(k, 0) + x * y
     return {(k,): v for k, v in acc.items() if v}
+
+
+def _blockwise_mul(a: "QSeries", b: "QSeries", truncs):
+    # An outer loop over the first exponent, and Kronecker substitution on
+    # each pair of blocks (``QSeries._split``), each taken without its
+    # content.  A block keeps its full exponents; its one first exponent
+    # packs as a single row.
+    t0, blocks_b = truncs[0], b._split().items()
+    parts = {}
+    for i, (ga, ka, va) in a._split().items():
+        for j, (gb, kb, vb) in blocks_b:
+            if i + j <= t0:
+                parts.setdefault(i + j, []).append((ga * gb, _kronecker(ka, va, kb, vb, truncs)))
+    acc = {}
+    for terms in parts.values():
+        if len(terms) == 1:
+            (g, x), = terms
+            acc.update({e: v * g for e, v in x.items()} if g != 1 else x)
+            continue
+        block = {}
+        for g, x in terms:
+            for e, v in x.items():
+                block[e] = block.get(e, 0) + v * g
+        acc.update({e: v for e, v in block.items() if v})
+    return acc
 
 
 class _Numerators:
@@ -227,9 +301,14 @@ class QSeries:
     therefore equal objects, and every ring operation runs in int arithmetic
     with one content gcd per result.  ``coeffs`` is a read-only ``Fraction``
     view, built on first use.
+
+    A series whose first variable is "eps" is a series in the sewing
+    parameter: it has no eps offset, a product is cut at the smaller eps
+    order of its factors, its inverse needs an eps^0 block, and it renders
+    and serializes in the nested eps form, one block per power of eps.
     """
 
-    __slots__ = ("vars", "truncs", "offsets", "nums", "den", "_view")
+    __slots__ = ("vars", "truncs", "offsets", "nums", "den", "_view", "_parts", "_ords")
 
     def __init__(self, vars, coeffs=None, truncs=0, offsets=None):
         coeffs = coeffs or {}
@@ -243,11 +322,15 @@ class QSeries:
             raise SeriesError("need one truncation order and one offset per variable")
         if min(truncs) < 0:
             raise SeriesError("truncation order must be >= 0")
+        if vars[0] == "eps" and offsets[0]:
+            raise SeriesError("an eps-series carries no eps offset")
         clean = {}
         for e, c in coeffs.items():
             c = rat(c)
             if c == 0:
                 continue
+            if not all(isinstance(x, int) for x in e):
+                raise SeriesError(f"exponent {e} is not integral")
             if len(e) != len(truncs) or not all(0 <= x <= t for x, t in zip(e, truncs)):
                 raise SeriesError(f"exponent {e} outside the truncation box {truncs}")
             clean[e] = c
@@ -263,6 +346,8 @@ class QSeries:
         object.__setattr__(self, "truncs", truncs)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "_view", None)
+        object.__setattr__(self, "_parts", None)
+        object.__setattr__(self, "_ords", None)
 
     @classmethod
     def _made(cls, vars, nums, den, truncs, offsets) -> "QSeries":
@@ -350,10 +435,12 @@ class QSeries:
         return not self.nums
 
     def _ord_bounds(self):
-        # Lowest exponent of each variable; a zero mantissa is O(v^(trunc+1)).
-        if not self.nums:
-            return tuple(t + 1 for t in self.truncs)
-        return tuple(map(min, zip(*self.nums)))
+        # Lowest exponent of each variable, found on first use; a zero
+        # mantissa is O(v^(trunc+1)).
+        if self._ords is None:
+            object.__setattr__(self, "_ords", tuple(map(min, zip(*self.nums))) if self.nums
+                               else tuple(t + 1 for t in self.truncs))
+        return self._ords
 
     def _box(self, orders):
         # An int order stands for the same order in every variable.
@@ -365,6 +452,78 @@ class QSeries:
         for (n,), v in self.nums.items():
             out[n] = v
         return out
+
+    # -- blocks: coefficients of the powers of the first variable -------------
+
+    def _split(self) -> dict:
+        # {first exponent n: (g, exponents, numerators / g)} over the terms of
+        # the v^n block, g its content; built on first use, since a matrix
+        # entry enters many products.  Over the one denominator of the series
+        # the low blocks carry a large factor that only the high blocks need,
+        # and products of blocks go without it.
+        if self._parts is None:
+            keys = {}
+            for e in self.nums:
+                keys.setdefault(e[0], []).append(e)
+            parts = {}
+            for n, ks in keys.items():
+                vals = [self.nums[e] for e in ks]
+                g = gcd(*vals)
+                parts[n] = (g, ks, [v // g for v in vals] if g != 1 else vals)
+            object.__setattr__(self, "_parts", parts)
+        return self._parts
+
+    def _block(self, keys):
+        if len(self.vars) == 1:
+            return Fraction(sum(self.nums[e] for e in keys), self.den)
+        return QSeries._reduced(self.vars[1:], {e[1:]: self.nums[e] for e in keys}, self.den,
+                                self.truncs[1:], self.offsets[1:])
+
+    def block(self, n: int):
+        """The coefficient of v^n, v the first variable (eps^n of an
+        eps-series): a Fraction for a one-variable series, else a series in
+        the other variables."""
+        if not 0 <= n <= self.truncs[0]:
+            raise SeriesError(f"{self.vars[0]}^{n} not known (trunc {self.truncs[0]})")
+        return self._block(self._split().get(n, (1, [], []))[1])
+
+    def blocks(self) -> dict:
+        """{n: block(n)} for every nonzero block, in increasing n."""
+        split = self._split()
+        return {n: self._block(split[n][1]) for n in sorted(split)}
+
+    @classmethod
+    def from_blocks(cls, var: str, blocks, trunc: int) -> "QSeries":
+        """sum_n blocks[n] var^n + O(var^(trunc+1)), the inverse of ``block``.
+
+        All-rational blocks give a series in ``var`` alone.  Otherwise the
+        blocks are series in one tuple of variables, which follow ``var``,
+        and a rational block stands for a constant.
+        """
+        first = next((b for b in blocks.values() if isinstance(b, QSeries)), None)
+        if first is None:
+            return cls(var, blocks, trunc)
+        vars, truncs = (var, *first.vars), (trunc, *first.truncs)
+        out = cls.zero(vars, truncs, (0, *first.offsets))
+        for n, b in blocks.items():
+            if not isinstance(n, int) or not 0 <= n <= trunc:
+                raise SeriesError(f"{var}^{n} outside [0, {trunc}]")
+            if not isinstance(b, QSeries):
+                b = cls.const(first.vars, b, first.truncs)
+            out = out + cls._made((var, *b.vars), {(n, *e): v for e, v in b.nums.items()},
+                                  b.den, (trunc, *b.truncs), (Fraction(0), *b.offsets))
+        return out
+
+    def times_eps(self) -> "QSeries":
+        """The series times its first variable (eps for an eps-series): exact,
+        so that order rises by one."""
+        return QSeries._made(self.vars, {(e[0] + 1, *e[1:]): v for e, v in self.nums.items()},
+                             self.den, (self.truncs[0] + 1, *self.truncs[1:]), self.offsets)
+
+    def is_even(self) -> bool:
+        """True when every nonzero coefficient sits at an even power of the
+        first variable."""
+        return all(e[0] % 2 == 0 for e in self.nums)
 
     # -- representation hygiene --------------------------------------------
 
@@ -413,12 +572,17 @@ class QSeries:
         self._check_var(other)
         a, b = self._aligned(other)
         truncs = tuple(map(min, a.truncs, b.truncs))
+        for x, y in ((a, b), (b, a)):
+            if not y.nums and x.truncs == truncs:
+                return x
         # Both sides over den = lcm(den_a, den_b).
         den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        na = a._within(truncs)
+        na, sa, nb, sb = a._within(truncs), den // a.den, b._within(truncs), den // b.den
+        if len(nb) > len(na):
+            # Copy the larger side and loop over the smaller one.
+            na, sa, nb, sb = nb, sb, na, sa
         out = dict(na) if sa == 1 else {e: v * sa for e, v in na.items()}
-        for e, v in b._within(truncs).items():
+        for e, v in nb.items():
             v = v * sb + out.get(e, 0)
             if v:
                 out[e] = v
@@ -458,12 +622,34 @@ class QSeries:
         self._check_var(other)
         # Tightest sound truncation: the unknown tail of each factor enters
         # only above the other factor's lowest-order term, variable by variable.
-        truncs = tuple(min(ta + ob, tb + oa) for ta, tb, oa, ob in
-                       zip(self.truncs, other.truncs, self._ord_bounds(), other._ord_bounds()))
-        kernel = _schoolbook_mul if len(self.vars) == 1 else _kronecker_mul
-        return QSeries._reduced(self.vars, kernel(self.nums, other.nums, truncs),
-                                self.den * other.den, truncs,
-                                tuple(map(add, self.offsets, other.offsets)))
+        oa, ob = self._ord_bounds(), other._ord_bounds()
+        truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in
+                       zip(self.truncs, other.truncs, oa, ob))
+        if self.vars[0] == "eps":
+            # eps is cut at the smaller order of the factors: each eps-series
+            # result is wanted at one working order, and blocks above it
+            # would be computed only for the next sum to drop them.
+            truncs = (min(self.truncs[0], other.truncs[0]), *truncs[1:])
+        offsets = (self.offsets if not any(other.offsets) else
+                   tuple(map(add, self.offsets, other.offsets)))
+        if any(x + y > t for x, y, t in zip(oa, ob, truncs)):
+            # Every term of the product lies outside the box.
+            return QSeries._made(self.vars, {}, 1, truncs, offsets)
+        # The kernel: a one-term factor shifts and scales the other; else the
+        # double loop for one variable, Kronecker substitution for two.  For
+        # three or more, and for an eps-series over further variables, an
+        # outer loop over the first variable's exponent: the eps axis holds
+        # few, sparse blocks and is cut at the smaller order of the factors,
+        # so as a Kronecker slot it would pack and multiply rows that are
+        # then thrown away.
+        one_term = len(self.nums) == 1 or len(other.nums) == 1
+        if one_term or (len(self.vars) == 2 and self.vars[0] != "eps"):
+            nums = _kronecker_mul(self.nums, other.nums, truncs)
+        elif len(self.vars) == 1:
+            nums = _schoolbook_mul(self.nums, other.nums, truncs)
+        else:
+            nums = _blockwise_mul(self, other, truncs)
+        return QSeries._reduced(self.vars, nums, self.den * other.den, truncs, offsets)
 
     __rmul__ = __mul__
 
@@ -481,6 +667,8 @@ class QSeries:
         d = self._ord_bounds()
         if not any(d):
             return self
+        if self.vars[0] == "eps" and d[0]:
+            raise SeriesError("non-unit constant term in eps series")
         return QSeries._made(self.vars, {tuple(map(sub, e, d)): v for e, v in self.nums.items()},
                              self.den, tuple(map(sub, self.truncs, d)),
                              tuple(map(add, self.offsets, d)))
@@ -522,12 +710,25 @@ class QSeries:
                                 u.truncs, tuple(-o for o in u.offsets))
 
     def exp(self) -> "QSeries":
-        """exp of a one-variable series with zero constant term and zero offset:
-        g = exp(f) solves n g_n = sum_{k=1}^n k f_k g_(n-k)."""
-        if self.offset != 0:
+        """exp of a series with zero offsets and no term at v^0, v the first
+        variable: g = exp(f) solves n g_n = sum_{k=1}^n k f_k g_(n-k) in v,
+        where f_k and g_n are rationals for one variable and series in the
+        other variables otherwise."""
+        if any(self.offsets):
             raise SeriesError("exp requires zero offset")
-        if self.constant_term() != 0:
+        if any(e[0] == 0 for e in self.nums):
             raise SeriesError("exp requires zero constant term")
+        if len(self.vars) > 1:
+            kf = {k: f * k for k, f in self.blocks().items()}
+            zero = QSeries.zero(self.vars[1:], self.truncs[1:])
+            g = [QSeries.one(self.vars[1:], self.truncs[1:])]
+            for n in range(1, self.truncs[0] + 1):
+                acc = zero
+                for k, f in kf.items():
+                    if k <= n:
+                        acc = acc + f * g[n - k]
+                g.append(acc * Fraction(1, n))
+            return QSeries.from_blocks(self.vars[0], dict(enumerate(g)), self.truncs[0])
         kf = [k * v for k, v in enumerate(self._dense())]
         g = _Numerators(len(kf))
         g.put(0, 1, 1)
@@ -612,6 +813,8 @@ class QSeries:
         variables must equal their orders.
         """
         vars, truncs = tuple(vars), tuple(truncs)
+        if (vars, truncs) == (self.vars, self.truncs):
+            return self
         if not set(self.vars) <= set(vars) or len(truncs) != len(vars):
             raise SeriesError(f"cannot embed series in {self.vars} into {vars}")
         where = [vars.index(v) for v in self.vars]
@@ -661,7 +864,18 @@ class QSeries:
         return all(a.nums.get(e, 0) * b.den == b.nums.get(e, 0) * a.den
                    for e in a.nums.keys() | b.nums.keys() if all(map(le, e, box)))
 
+    def render(self, coeff_text) -> str:
+        """The series as "(block)*v^n + ... + O(v^(trunc+1))" in its first
+        variable v, with ``coeff_text(n, block)`` as the factor that renders
+        the v^n block."""
+        v = self.vars[0]
+        parts = ["*".join(filter(None, (coeff_text(n, c), monomial_str((v, n)))))
+                 for n, c in self.blocks().items()]
+        return " + ".join((parts or ["0"]) + [f"O({v}^{self.truncs[0] + 1})"])
+
     def __str__(self):
+        if self.vars[0] == "eps":
+            return self.render(lambda n, c: f"({c})")
         coeffs = self.coeffs
         out = join_terms((coeffs[e], monomial_str(*zip(self.vars, e))) for e in sorted(coeffs))
         out += "".join(f" + O({v}^{t + 1})" for v, t in zip(self.vars, self.truncs))
@@ -672,8 +886,13 @@ class QSeries:
         return f"QSeries({self})"
 
     def to_json(self) -> dict:
-        """README schema: the univariate keys for one variable, else the
-        multivariate keys with "m,n,..." exponents."""
+        """README schema: the nested eps form for an eps-series, the
+        univariate keys for one variable, else the multivariate keys with
+        "m,n,..." exponents."""
+        if self.vars[0] == "eps":
+            return {"variable": "eps", "trunc": self.truncs[0],
+                    "coeffs": {str(n): rat_str(c) if isinstance(c, Fraction) else c.to_json()
+                               for n, c in self.blocks().items()}}
         coeffs = {",".join(map(str, e)): rat_str(c) for e, c in sorted(self.coeffs.items())}
         if len(self.vars) == 1:
             return {"variable": self.var, "offset": rat_str(self.offset),
@@ -683,259 +902,21 @@ class QSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QSeries":
+        if obj.get("variable") == "eps":
+            return cls.from_blocks("eps", {int(n): Fraction(c) if isinstance(c, str)
+                                           else cls.from_json(c)
+                                           for n, c in obj["coeffs"].items()}, int(obj["trunc"]))
         coeffs = {tuple(map(int, k.split(","))): Fraction(c) for k, c in obj["coeffs"].items()}
         if "variables" in obj:
             return cls(obj["variables"], coeffs, obj["truncs"], map(Fraction, obj["offsets"]))
         return cls((obj["variable"],), coeffs, (obj["trunc"],), (Fraction(obj["offset"]),))
 
 
-# ``perfbench/tracer.py`` resolves ``series.BiSeries.<method>`` by name when it
-# instruments the package; the two-variable series is a QSeries now.
+# ``perfbench/tracer.py`` resolves ``series.BiSeries.<method>`` and
+# ``series.EpsSeries.<method>`` by name when it instruments the package; the
+# two-variable series and the eps-series are QSeries now.
 BiSeries = QSeries
-
-
-# -- coefficient-ring helpers for EpsSeries ------------------------------------
-
-def coeff_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
-def coeff_one_like(c):
-    """Multiplicative identity of the ring a sample coefficient lives in."""
-    return QSeries.one(c.vars, c.truncs) if isinstance(c, QSeries) else Fraction(1)
-
-
-def coeff_inv(c):
-    if isinstance(c, (int, Fraction)):
-        if c == 0:
-            raise SeriesError("non-unit constant term")
-        return Fraction(1) / Fraction(c)
-    return c.inv()
-
-
-class EpsSeries:
-    """Truncated series in the sewing parameter eps, over nested coefficients.
-
-    Keys are integer powers of eps; the series is known through
-    eps^trunc.  Coefficients are Fraction or QSeries and are
-    combined by duck typing, so one series can mix plain rationals with
-    q-expansions.
-    """
-
-    __slots__ = ("coeffs", "trunc")
-
-    def __init__(self, coeffs=None, trunc: int = 0):
-        if trunc < 0:
-            raise SeriesError("truncation order must be >= 0")
-        object.__setattr__(self, "trunc", int(trunc))
-        clean = {}
-        for n, c in (coeffs or {}).items():
-            if int(n) != n:
-                raise SeriesError(f"eps power {n} is not an integer")
-            if isinstance(c, int):
-                c = Fraction(c)
-            if coeff_is_zero(c):
-                continue
-            n = int(n)
-            if n < 0 or n > trunc:
-                raise SeriesError(f"eps power {n} outside [0, {trunc}]")
-            clean[n] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EpsSeries is immutable")
-
-    @classmethod
-    def zero(cls, trunc: int) -> "EpsSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int, like=None) -> "EpsSeries":
-        c = Fraction(1) if like is None else coeff_one_like(like)
-        return cls({0: c}, trunc)
-
-    # -- queries -------------------------------------------------------------
-
-    def coeff_eps(self, n: int):
-        if n < 0 or n > self.trunc:
-            raise SeriesError(f"eps^{n} not known (trunc {self.trunc})")
-        return self.coeffs.get(n, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_even(self) -> bool:
-        """True when every nonzero coefficient sits at an even power of eps."""
-        return all(n % 2 == 0 for n in self.coeffs)
-
-    def _ord_bound(self) -> int:
-        return min(self.coeffs) if self.coeffs else self.trunc + 1
-
-    def _sample(self):
-        for c in self.coeffs.values():
-            if not isinstance(c, (int, Fraction)):
-                return c
-        return Fraction(1)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        out = {n: c for n, c in self.coeffs.items() if n <= trunc}
-        for n, c in other.coeffs.items():
-            if n <= trunc:
-                out[n] = out[n] + c if n in out else c
-        return EpsSeries(out, trunc)
-
-    def __neg__(self):
-        return EpsSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, EpsSeries):
-            # Simple min-trunc rule on purpose: keeps the truncation of every
-            # matrix-algebra result independent of the matrix size.
-            trunc = min(self.trunc, other.trunc)
-            out = {}
-            for n1, c1 in self.coeffs.items():
-                for n2, c2 in other.coeffs.items():
-                    n = n1 + n2
-                    if n <= trunc:
-                        p = c1 * c2
-                        out[n] = out[n] + p if n in out else p
-            return EpsSeries(out, trunc)
-        # anything else scales every coefficient
-        return EpsSeries({n: c * other for n, c in self.coeffs.items()}, self.trunc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise SeriesError("eps series take integer exponents only")
-        if n < 0:
-            return self.inv() ** (-n)
-        return _power(self, n, EpsSeries.one(self.trunc, like=self._sample()))
-
-    def times_eps(self) -> "EpsSeries":
-        """Multiply by the exact monomial eps."""
-        return EpsSeries({n + 1: c for n, c in self.coeffs.items()}, self.trunc + 1)
-
-    def exp(self) -> "EpsSeries":
-        """exp of a series with no eps^0 term."""
-        if 0 in self.coeffs:
-            raise SeriesError("exp requires zero constant term in eps")
-        one = EpsSeries.one(self.trunc, like=self._sample())
-        result = one
-        term = one
-        ord_ = self._ord_bound()
-        if ord_ > self.trunc:
-            return result
-        for j in range(1, self.trunc // ord_ + 1):
-            term = term * self * Fraction(1, j)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
-
-    def inv(self) -> "EpsSeries":
-        """Inverse when the eps^0 coefficient is a unit of its ring."""
-        c0 = self.coeffs.get(0)
-        if c0 is None:
-            raise SeriesError("non-unit constant term in eps series")
-        c0_inv = coeff_inv(c0)
-        x = EpsSeries({n: c * c0_inv for n, c in self.coeffs.items() if n != 0},
-                      self.trunc)
-        result = EpsSeries.one(self.trunc, like=self._sample())
-        term = result
-        sign = 1
-        ord_ = x._ord_bound()
-        if ord_ <= self.trunc:
-            for _ in range(self.trunc // ord_):
-                term = term * x
-                sign = -sign
-                if term.is_zero():
-                    break
-                result = result + term * sign
-        return result * c0_inv
-
-    def truncate(self, new_trunc: int) -> "EpsSeries":
-        if new_trunc > self.trunc:
-            raise SeriesError("cannot raise truncation order")
-        return EpsSeries({n: c for n, c in self.coeffs.items() if n <= new_trunc},
-                         new_trunc)
-
-    def map_coeffs(self, fn) -> "EpsSeries":
-        return EpsSeries({n: fn(c) for n, c in self.coeffs.items()}, self.trunc)
-
-    # -- comparison / rendering --------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def agrees_with(self, other: "EpsSeries", through_eps: int | None = None,
-                    q_through: int | None = None) -> bool:
-        """Exact agreement of coefficients through the given eps order.
-
-        ``q_through`` forwards an agreement order to series-valued
-        coefficients.  Raises when either side is not known far enough.
-        """
-        upto = min(self.trunc, other.trunc)
-        if through_eps is not None:
-            if upto < through_eps:
-                raise SeriesError(f"eps series only known to eps^{upto}, "
-                                  f"need eps^{through_eps}")
-            upto = through_eps
-        for n in range(upto + 1):
-            a = self.coeffs.get(n, Fraction(0))
-            b = other.coeffs.get(n, Fraction(0))
-            if not isinstance(a, QSeries) and not isinstance(b, QSeries):
-                if a != b:
-                    return False
-                continue
-            # A rational (or absent) coefficient is a constant of the other side's ring.
-            s = a if isinstance(a, QSeries) else b
-            a, b = (c if isinstance(c, QSeries) else QSeries.const(s.vars, c, s.truncs)
-                    for c in (a, b))
-            if not a.agrees_with(b, q_through):
-                return False
-        return True
-
-    def render(self, coeff_text) -> str:
-        """The series as text, with ``coeff_text(n, c)`` as the factor that
-        renders the eps^n coefficient c."""
-        parts = ["*".join(filter(None, (coeff_text(n, self.coeffs[n]),
-                                        monomial_str(("eps", n)))))
-                 for n in sorted(self.coeffs)]
-        return " + ".join((parts or ["0"]) + [f"O(eps^{self.trunc + 1})"])
-
-    def __str__(self):
-        return self.render(lambda n, c: f"({c})")
-
-    def __repr__(self):
-        return f"EpsSeries({self})"
-
-    def to_json(self) -> dict:
-        """Nested-series JSON with variable tag "eps"."""
-        coeffs = {}
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            coeffs[str(n)] = rat_str(c) if isinstance(c, (int, Fraction)) else c.to_json()
-        return {"variable": "eps", "trunc": self.trunc, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EpsSeries":
-        return cls({int(n): Fraction(c) if isinstance(c, str) else QSeries.from_json(c)
-                    for n, c in obj["coeffs"].items()}, int(obj["trunc"]))
+EpsSeries = QSeries
 
 
 # -- Bernoulli numbers and classical expansions -------------------------------

@@ -20,7 +20,6 @@ from functools import lru_cache
 from math import factorial
 
 from .series import (
-    EpsSeries,
     QSeries,
     SeriesError,
     bernoulli,
@@ -32,28 +31,24 @@ from .series import (
 class AMatrix:
     """Truncated sewing-moment matrix with rational entries (sqrt(k) factors removed)."""
     size: int
-    entries: tuple            # tuple of tuples of EpsSeries
-    var: str | None           # q-variable of series coefficients; None if rational
-    q_trunc: int              # q-order of series coefficients (0 for rational)
+    entries: tuple            # tuple of tuples of eps-series, all in one variable tuple
     eps_trunc: int
 
-    def entry(self, k: int, l: int) -> EpsSeries:
+    def entry(self, k: int, l: int) -> QSeries:
         """1-based (k, l) entry."""
         return self.entries[k - 1][l - 1]
 
 
-def _moment_matrix(N: int, eps_trunc: int, coeff, var: str | None,
-                   q_trunc: int) -> AMatrix:
+def _moment_matrix(N: int, eps_trunc: int, coeff, zero: QSeries) -> AMatrix:
     # Entry (k, l) is coeff(k, l) eps^((k+l)/2) for even k+l <= 2 eps_trunc.
     if N < 1:
         raise ValueError("matrix size must be >= 1")
-    zero = EpsSeries.zero(eps_trunc)
     rows = tuple(
-        tuple(EpsSeries({(k + l) // 2: coeff(k, l)}, eps_trunc)
+        tuple(QSeries.from_blocks("eps", {(k + l) // 2: coeff(k, l)}, eps_trunc)
               if (k + l) % 2 == 0 and k + l <= 2 * eps_trunc else zero
               for l in range(1, N + 1))
         for k in range(1, N + 1))
-    return AMatrix(N, rows, var, q_trunc, eps_trunc)
+    return AMatrix(N, rows, eps_trunc)
 
 
 def a_matrix(torus: int, N: int, eps_trunc: int, q_trunc: int) -> AMatrix:
@@ -67,7 +62,8 @@ def a_matrix(torus: int, N: int, eps_trunc: int, q_trunc: int) -> AMatrix:
                      l * factorial(k - 1) * factorial(l - 1))
         return eisenstein(k + l, q_trunc, var) * c
 
-    return _moment_matrix(N, eps_trunc, coeff, var, q_trunc)
+    return _moment_matrix(N, eps_trunc, coeff,
+                          QSeries.zero(("eps", var), (eps_trunc, q_trunc)))
 
 
 def a2_degenerate(N: int, eps_trunc: int) -> AMatrix:
@@ -76,38 +72,42 @@ def a2_degenerate(N: int, eps_trunc: int) -> AMatrix:
         return Fraction((-1) ** l, l * (k + l) * factorial(k - 1) * factorial(l - 1)) \
             * bernoulli(k + l)
 
-    return _moment_matrix(N, eps_trunc, coeff, None, 0)
+    return _moment_matrix(N, eps_trunc, coeff, QSeries.zero("eps", eps_trunc))
 
 
-def _embed(*mats: AMatrix) -> list:
-    """Entry tuples of the matrices, over one coefficient ring.
+def _embed(*mats: AMatrix):
+    """Entry tuples of the matrices as series in one tuple of variables, eps
+    followed by every q-variable of any of them, and the zero of that tuple
+    at the smallest eps order among them.
 
-    When a q1 matrix meets a q2 matrix, every q-series coefficient is
-    embedded in the joint (q1, q2) ring.  Rational coefficients need no
-    embedding: they multiply and add with any series.
+    Each entry keeps its own orders; a q-variable it lacks enters with the
+    order the other matrices give it.
     """
-    q_truncs = {m.var: m.q_trunc for m in mats if m.var is not None}
-    if len(q_truncs) < 2:
-        return [m.entries for m in mats]
-    vars = ("q1", "q2")
-    truncs = (q_truncs["q1"], q_truncs["q2"])
+    orders = {}
+    for m in mats:
+        orders.update(zip(m.entries[0][0].vars, m.entries[0][0].truncs))
+    vars = tuple(sorted(orders))            # "eps" sorts before "q1", "q2"
 
-    def lift(c):
-        return c.embed(vars, truncs) if isinstance(c, QSeries) else c
+    def lift(e):
+        return e.embed(vars, (e.truncs[0], *(orders[v] for v in vars[1:])))
 
-    return [tuple(tuple(e.map_coeffs(lift) for e in row) for row in m.entries)
-            for m in mats]
-
-
-# -- matrix algebra over EpsSeries ------------------------------------------------
+    zero = QSeries.zero(vars, (min(m.eps_trunc for m in mats),
+                               *(orders[v] for v in vars[1:])))
+    return [tuple(tuple(map(lift, row)) for row in m.entries) for m in mats], zero
 
 
-def _mat_mul(A, B, size: int, eps_trunc: int):
+# -- matrix algebra over eps-series -------------------------------------------------
+
+
+def _mat_mul(A, B, zero: QSeries):
+    # Sums start from ``zero``, so every entry is cut to its eps order
+    # whatever the matrix size.
+    size = len(A)
     out = []
     for k in range(size):
         row = []
         for l in range(size):
-            acc = EpsSeries.zero(eps_trunc)
+            acc = zero
             for m in range(size):
                 if A[k][m].is_zero() or B[m][l].is_zero():
                     continue
@@ -117,14 +117,14 @@ def _mat_mul(A, B, size: int, eps_trunc: int):
     return tuple(out)
 
 
-def _mat_vec(A, v, size: int, eps_trunc: int):
+def _mat_vec(A, v, zero: QSeries):
     out = []
-    for k in range(size):
-        acc = EpsSeries.zero(eps_trunc)
-        for m in range(size):
-            if A[k][m].is_zero() or v[m].is_zero():
+    for row in A:
+        acc = zero
+        for m in range(len(v)):
+            if row[m].is_zero() or v[m].is_zero():
                 continue
-            acc = acc + A[k][m] * v[m]
+            acc = acc + row[m] * v[m]
         out.append(acc)
     return out
 
@@ -136,22 +136,21 @@ def _check_sizes(A: AMatrix, B: AMatrix, eps_trunc: int):
         raise SeriesError("matrix size too small for requested eps order")
 
 
-def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
+def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
     """log det(I - A B) = -sum_{n>=1} Tr((A B)^n)/n, truncated at eps^eps_trunc.
 
     The n-sum is finite: Tr((A B)^n) = O(eps^(2n)).
     """
     _check_sizes(A, B, eps_trunc)
-    a, b = _embed(A, B)
-    et = min(A.eps_trunc, B.eps_trunc)
-    P = _mat_mul(a, b, A.size, et)
+    (a, b), zero = _embed(A, B)
+    P = _mat_mul(a, b, zero)
     power = P
-    out = EpsSeries.zero(et)
+    out = zero
     n = 1
     while 2 * n <= eps_trunc:
         if n > 1:
-            power = _mat_mul(power, P, A.size, et)
-        tr = EpsSeries.zero(et)
+            power = _mat_mul(power, P, zero)
+        tr = zero
         for k in range(A.size):
             tr = tr + power[k][k]
         out = out + tr * Fraction(-1, n)
@@ -159,48 +158,43 @@ def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
     return out
 
 
-def _resolvent_vector_sum(a, b, eps_trunc: int, et: int):
+def _resolvent_vector_sum(a, b, eps_trunc: int, zero: QSeries):
     # sum_{n>=0} (a b)^n e_1, computed by matrix-vector chains
-    size = len(a)
-    sample = next((c for row in a for e in row for c in e.coeffs.values()), Fraction(1))
-    e1 = [EpsSeries.one(et, like=sample) if k == 0 else EpsSeries.zero(et)
-          for k in range(size)]
+    e1 = [zero + 1] + [zero] * (len(a) - 1)
     total = list(e1)
     v = e1
     n = 1
     while 2 * n <= eps_trunc:
-        v = _mat_vec(a, _mat_vec(b, v, size, et), size, et)
+        v = _mat_vec(a, _mat_vec(b, v, zero), zero)
         total = [t + x for t, x in zip(total, v)]
         n += 1
     return total
 
 
-def resolvent_11(A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
+def resolvent_11(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
     """(I - A B)^(-1) (1,1) by the geometric series."""
     _check_sizes(A, B, eps_trunc)
-    a, b = _embed(A, B)
-    et = min(A.eps_trunc, B.eps_trunc)
-    return _resolvent_vector_sum(a, b, eps_trunc, et)[0]
+    (a, b), zero = _embed(A, B)
+    return _resolvent_vector_sum(a, b, eps_trunc, zero)[0]
 
 
-def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) -> EpsSeries:
+def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
     """(W (I - A B)^(-1)) (1,1), the variant the period matrix needs."""
     _check_sizes(A, B, eps_trunc)
     if W.size != A.size:
         raise SeriesError("matrix sizes differ")
-    w, a, b = _embed(W, A, B)
-    et = min(A.eps_trunc, B.eps_trunc)
-    total = _resolvent_vector_sum(a, b, eps_trunc, et)
-    return _mat_vec(w, total, W.size, et)[0]
+    (w, a, b), zero = _embed(W, A, B)
+    total = _resolvent_vector_sum(a, b, eps_trunc, zero)
+    return _mat_vec(w, total, zero)[0]
 
 
 @dataclass(frozen=True)
 class PeriodData:
     """2*pi*i-normalized period data: d11 = 2pi i (O11 - tau1), d22 likewise,
     d12 = 2pi i O12."""
-    d11: EpsSeries
-    d22: EpsSeries
-    d12: EpsSeries
+    d11: QSeries
+    d22: QSeries
+    d12: QSeries
 
     def to_json(self) -> dict:
         return {"d11": self.d11.to_json(), "d22": self.d22.to_json(),
@@ -214,18 +208,17 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
     # d11 and d12 share the chain sum_n (A1 A2)^n e_1: the (1,1) entries of
     # A2 (I - A1 A2)^(-1) and (I - A1 A2)^(-1).
     _check_sizes(A1, A2, eps_trunc)
-    a1, a2 = _embed(A1, A2)
-    et = min(A1.eps_trunc, A2.eps_trunc)
-    total = _resolvent_vector_sum(a1, a2, eps_trunc, et)
-    d11 = _mat_vec(a2, total, N, et)[0].times_eps()
+    (a1, a2), zero = _embed(A1, A2)
+    total = _resolvent_vector_sum(a1, a2, eps_trunc, zero)
+    d11 = _mat_vec(a2, total, zero)[0].times_eps()
     d22 = weighted_resolvent_11(A1, A2, A1, eps_trunc).times_eps()
     d12 = -total[0].times_eps()
     return PeriodData(d11, d22, d12)
 
 
 @lru_cache(maxsize=None)
-def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> EpsSeries:
-    """2pi i (tau - tau1) on the pinched surface, as a rational eps-series.
+def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+    """2pi i (tau - tau1) on the pinched surface, as an eps-series over q1.
 
     Memoized: the result is immutable and a pure function of the orders.
     """

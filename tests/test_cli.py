@@ -7,7 +7,7 @@ import pytest
 
 from twotori import cli, series
 from twotori.cli import main
-from twotori.series import EpsSeries, _quasimodular_solver
+from twotori.series import QSeries, _quasimodular_solver
 from twotori.zhu import structure_check
 
 
@@ -94,8 +94,8 @@ class TestCompute:
                            "--q-order", "2", "compute", "z2-module",
                            "--alpha-sq", "1/4", "--rank", "2")
         assert code == 0
-        series = EpsSeries.from_json(json.loads(out))
-        lead = series.coeff_eps(0)
+        series = QSeries.from_json(json.loads(out))
+        lead = series.block(0)
         # q1 offset: alpha^2/2 - rank/24 = 1/8 - 1/12
         assert lead.offsets[0] == Fraction(1, 8) - Fraction(1, 12)
 
@@ -184,6 +184,20 @@ class TestVerify:
         code, out, err = run(capsys, *argv, "--eps-order", "0")
         assert code == 2 and out == ""
         assert "--eps-order >= 1" in err and "matrix size" not in err
+
+    @pytest.mark.parametrize("suite, weight", [("structure", "0"), ("structure", "1"),
+                                               ("all", "0"), ("all", "1")])
+    def test_structure_needs_max_weight_2(self, capsys, monkeypatch, suite, weight):
+        # Below weight 2 there is no structure check: refused up front rather
+        # than reported as "OK: 0/0 checks passed".
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the order check")
+
+        for name in ("_structure_report", "verify_detHi", "_modular_identities_report"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(capsys, "verify", suite, "--max-weight", weight)
+        assert code == 2 and out == ""
+        assert "--max-weight >= 2" in err
 
     def test_unknown_suite_usage(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

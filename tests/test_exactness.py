@@ -2,7 +2,9 @@
 
 README promises no floating point in the core.  This test reads every
 module of the package and fails on a ``cmath`` import, a ``float(`` or
-``complex(`` call, or a float or complex literal.
+``complex(`` call, or a float or complex literal.  It also fails on an
+``assert`` statement: ``python -O`` strips asserts, so no invariant of the
+package may rest on one.
 """
 
 import ast
@@ -24,6 +26,8 @@ def inexact_nodes(tree):
             yield node, f"{node.func.id}() call"
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield node, f"literal {node.value!r}"
+        elif isinstance(node, ast.Assert):
+            yield node, "assert statement"
 
 
 def test_sources_found():
@@ -38,7 +42,8 @@ def test_no_floating_point(path):
 
 
 def test_detector_sees_each_kind():
-    src = "import cmath\nfrom cmath import pi\nx = float(1)\ny = complex(1)\nz = 0.5\nw = 2j\n"
+    src = ("import cmath\nfrom cmath import pi\nassert pi\nx = float(1)\ny = complex(1)\n"
+           "z = 0.5\nw = 2j\n")
     kinds = [what for _, what in inexact_nodes(ast.parse(src))]
-    assert kinds == ["import cmath", "from cmath import", "float() call", "complex() call",
-                     "literal 0.5", "literal 2j"]
+    assert kinds == ["import cmath", "from cmath import", "assert statement", "float() call",
+                     "complex() call", "literal 0.5", "literal 2j"]

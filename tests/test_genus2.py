@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.series import EpsSeries, QSeries, eisenstein, eta_normalized
+from twotori.series import QSeries, eisenstein, eta_normalized
 from twotori.genus2 import (
     H_VARS,
     ModulePair,
@@ -27,7 +27,8 @@ from twotori.sewing import (
     resolvent_11,
     weighted_resolvent_11,
 )
-from twotori.zhu import BasePartition, DiffOp
+from twotori.virasoro import VirState
+from twotori.zhu import BasePartition, DiffOp, one_point
 
 from test_series import set_second_to_zero
 
@@ -64,7 +65,7 @@ class TestTaylorShift:
     def test_constant_is_fixed(self):
         delta = degenerate_tau(4, 4, 4)
         s = taylor_shift(QSeries.one("q1", 4), delta)
-        assert s.coeffs == {0: QSeries.one("q1", 4)}
+        assert s.blocks() == {0: QSeries.one("q1", 4)}
 
     def test_monomial_exponentiates(self):
         # sum_l (d^l/l!) a^l q^a = e^(a d) q^a
@@ -72,14 +73,15 @@ class TestTaylorShift:
         a = F(3, 2)
         mono = QSeries.monomial("q1", a, 5)
         lhs = taylor_shift(mono, delta)
-        rhs = (delta * a).exp() * mono
-        assert lhs.agrees_with(rhs, through_eps=6, q_through=5)
+        shift = (delta * a).exp()
+        rhs = shift * mono.embed(shift.vars, (shift.truncs[0], 5))
+        assert lhs.agrees_with(rhs, (6, 5))
 
 
 class TestClosedForms:
     def test_heisenberg_leading_term_counts_partitions(self):
         z = z2_heisenberg(5, 5, 4)
-        lead = z.coeff_eps(0)
+        lead = z.block(0)
         p = partition_numbers(5)
         assert lead.offsets == (F(-1, 24), F(-1, 24))
         for m in range(6):
@@ -99,7 +101,7 @@ class TestClosedForms:
     def test_module_pair_leading_term(self):
         p = ModulePair(2, alpha_sq=F(1))
         z = z2_module_pair(p, 3, 3, 4)
-        lead = z.coeff_eps(0)
+        lead = z.block(0)
         assert lead.offsets == (F(1, 2) - F(2, 24), F(-2, 24))
 
     def test_full_z2_pinches_to_degenerate_form(self):
@@ -108,32 +110,18 @@ class TestClosedForms:
         full = z2_heisenberg(6, 0, 6)
         deg = z2_heisenberg_degenerate(6, 6)
         for n in range(7):
-            got = full.coeff_eps(n)
-            want = deg.coeff_eps(n)
-            if isinstance(got, (int, F)):
-                assert got == want
-                continue
-            sliced = set_second_to_zero(got * QSeries(("q1", "q2"), {(0, 0): 1}, (6, 0),
-                                                      offsets=(0, F(1, 24))))
-            if isinstance(want, (int, F)):
-                want = QSeries.const("q1", want, 6)
-            assert sliced.agrees_with(want)
+            sliced = set_second_to_zero(full.block(n) * QSeries(("q1", "q2"), {(0, 0): 1},
+                                                                (6, 0), offsets=(0, F(1, 24))))
+            assert sliced.agrees_with(deg.block(n))
 
     def test_module_degenerate_pinches_consistently(self):
         p = ModulePair(1, alpha_sq=F(1))
         full = z2_module_pair(p, 5, 0, 4)
         deg = z2_module_degenerate(p, 5, 4)
         for n in range(5):
-            got = full.coeff_eps(n)
-            want = deg.coeff_eps(n)
-            if isinstance(got, (int, F)):
-                assert got == want
-                continue
-            sliced = set_second_to_zero(got * QSeries(("q1", "q2"), {(0, 0): 1}, (5, 0),
-                                                      offsets=(0, F(1, 24))))
-            if isinstance(want, (int, F)):
-                want = QSeries.const("q1", want, 5)
-            assert sliced.agrees_with(want)
+            sliced = set_second_to_zero(full.block(n) * QSeries(("q1", "q2"), {(0, 0): 1},
+                                                                (5, 0), offsets=(0, F(1, 24))))
+            assert sliced.agrees_with(deg.block(n))
 
     def test_degenerate_module_requires_beta_zero(self):
         with pytest.raises(ValueError):
@@ -155,16 +143,16 @@ class TestDegenerationSum:
     def test_specialized_to_heisenberg(self):
         ds = degeneration_sum(2, 8)
         sp = ds.specialize(BasePartition.heisenberg(1, 8, "q1"))
-        assert sp.coeff_eps(0) == QSeries.one("q1", 8)
-        assert sp.coeff_eps(2) == eisenstein(2, 8, "q1") * F(-1, 24)
+        assert sp.block(0) == QSeries.one("q1", 8)
+        assert sp.block(2) == eisenstein(2, 8, "q1") * F(-1, 24)
 
     def test_extract_H_values(self):
         ds = degeneration_sum(4, 6)
         H0, H1 = ds.extract_H(0), ds.extract_H(1)
         truncs = (6, 4)
-        assert H0.coeff_eps(0) == QSeries.one(H_VARS, truncs)
-        assert H1.coeff_eps(2) == QSeries.const(H_VARS, F(-1, 12), truncs)
-        assert H0.coeff_eps(2) == (eisenstein(2, 6, "q1").embed(H_VARS, truncs)
+        assert H0.block(0) == QSeries.one(H_VARS, truncs)
+        assert H1.block(2) == QSeries.const(H_VARS, F(-1, 12), truncs)
+        assert H0.block(2) == (eisenstein(2, 6, "q1").embed(H_VARS, truncs)
                                    * QSeries(H_VARS, {(0, 1): F(-1, 24)}, truncs))
         with pytest.raises(ValueError):
             ds.extract_H(-1)
@@ -193,7 +181,7 @@ class TestVerifiers:
 
         def perturbed(self, l):
             bump = QSeries(H_VARS, {(self.q_trunc, 1): 1}, (self.q_trunc, self.eps_trunc))
-            return extract_H(self, l) + EpsSeries({n: bump}, self.eps_trunc)
+            return extract_H(self, l) + QSeries.from_blocks("eps", {n: bump}, self.eps_trunc)
 
         monkeypatch.setattr(OperatorEpsSeries, "extract_H", perturbed)
         rep = verify_detHi(eps_trunc=4, q_trunc=3, l_max=2)
@@ -243,7 +231,7 @@ class TestModulePairLeadingValue:
     def test_eps0_coefficient_value(self):
         # beta = 0: leading term is q1^(a^2/2) / (eta(q1) eta(q2))^r exactly
         p = ModulePair(2, alpha_sq=F(1))
-        lead = z2_module_pair(p, 4, 4, 4).coeff_eps(0)
+        lead = z2_module_pair(p, 4, 4, 4).block(0)
         eta1 = eta_normalized(4, "q1").inv() ** 2
         eta2 = eta_normalized(4, "q2").inv() ** 2
         want = ((QSeries.monomial("q1", F(1, 2), 4) * eta1).embed(("q1", "q2"), (4, 4))
@@ -256,9 +244,7 @@ class TestTorusSwapSymmetry:
         # gluing is symmetric: every eps coefficient is a symmetric array
         z = z2_heisenberg(4, 4, 6)
         for n in range(7):
-            c = z.coeff_eps(n)
-            if isinstance(c, (int, F)):
-                continue
+            c = z.block(n)
             assert c.offsets[0] == c.offsets[1]
             for (m, k), v in c.coeffs.items():
                 assert c.coeff(k, m) == v, (n, m, k)
@@ -301,6 +287,24 @@ TRUNCATED = {
 }
 
 
+def _one_point_terms(q):
+    # The series of every (qd^i, C^j) term, i, j <= weight, of the 1-point
+    # operators of a few descendants; an absent term is the zero series.
+    out = []
+    for parts in [(2,), (2, 2), (3, 3), (4, 2)]:
+        op, w = one_point(VirState.monomial(parts), q, var="q1"), sum(parts)
+        out += [op.coeff(i, j) for i in range(w + 1) for j in range(w + 1)]
+    return out
+
+
+# q-series results, which take only the q-order.
+Q_TRUNCATED = {
+    "one_point": _one_point_terms,
+    "eisenstein": lambda q: [eisenstein(k, q) for k in (2, 4, 6, 10)],
+    "eta_normalized": lambda q: [eta_normalized(q)],
+}
+
+
 class TestTruncationMetamorphic:
     @pytest.mark.parametrize("e, q", [(2, 1), (4, 2), (4, 3)])
     @pytest.mark.parametrize("name", sorted(TRUNCATED))
@@ -309,14 +313,24 @@ class TestTruncationMetamorphic:
         # (e+2, q+3): a truncation order that claims too much shows here.
         low, high = TRUNCATED[name](e, q), TRUNCATED[name](e + 2, q + 3)
         for a, b in zip(low, high):
-            assert a.trunc >= e
-            assert a.agrees_with(b, through_eps=e, q_through=q)
+            assert a.truncs[0] >= e
+            assert a.agrees_with(b, (e,) + (q,) * (len(a.vars) - 1))
+
+    @pytest.mark.parametrize("e, q", [(2, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("name", sorted(Q_TRUNCATED))
+    def test_q_series_agree_with_higher_orders(self, name, e, q):
+        # The same check for the q-series builders: every coefficient they
+        # claim at q must survive at q+3 (e only names the shared grid).
+        low, high = Q_TRUNCATED[name](q), Q_TRUNCATED[name](q + 3)
+        for a, b in zip(low, high, strict=True):
+            assert a.trunc >= q
+            assert a.agrees_with(b, a.trunc)
 
     @pytest.mark.parametrize("e, q", [(4, 2), (4, 3)])
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_extract_H_agrees_with_higher_orders(self, l, e, q):
         low = degeneration_sum(e, q).extract_H(l)
         high = degeneration_sum(e + 2, q + 3).extract_H(l)
-        assert low.trunc >= e
-        assert all(c.vars == H_VARS and c.truncs == (q, e) for c in low.coeffs.values())
-        assert low.agrees_with(high, through_eps=e, q_through=(q, e))
+        assert low.truncs[0] >= e
+        assert low.vars == ("eps", *H_VARS) and low.truncs[1:] == (q, e)
+        assert low.agrees_with(high, (e, q, e))

@@ -83,6 +83,7 @@ CASES = {
     "usage_matrix_size": (["compute", "period", "--eps-order", "6",
                            "--matrix-size", "4"], 2),
     "usage_eps_order_zero": (["verify", "detHi", "--eps-order", "0"], 2),
+    "usage_max_weight_one": (["verify", "structure", "--max-weight", "1"], 2),
 }
 
 
