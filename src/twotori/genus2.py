@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .reports import Report
 from .series import QSeries, eisenstein, eta_normalized, rat, rat_str
 from .sewing import (
-    a2_degenerate,
     a_matrix,
+    degenerate_logdet,
     degenerate_tau,
     log_det_I_minus,
-    period_matrix,
+    sewing_data,
 )
 from .virasoro import lambda_vector
 from .zhu import THETA_BASIS, BasePartition, DiffOp, one_point, specialize, to_theta_basis
@@ -78,15 +79,11 @@ def taylor_shift(f: QSeries, delta: QSeries) -> QSeries:
 # -- closed forms -----------------------------------------------------------------
 
 
-def _free_boson(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int):
-    # The two factors of the rank-1 free boson: log det(I - A1 A2) and
-    # (eta(q1) eta(q2))^-1.
-    A1 = a_matrix(1, N, eps_trunc, q1_trunc)
-    A2 = a_matrix(2, N, eps_trunc, q2_trunc)
+def _eta_prefactor(q1_trunc: int, q2_trunc: int) -> QSeries:
+    # (eta(q1) eta(q2))^-1, the eta factor of the rank-1 free boson.
     vars, truncs = ("q1", "q2"), (q1_trunc, q2_trunc)
-    pre = (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
-           * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
-    return log_det_I_minus(A1, A2, eps_trunc), pre
+    return (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
+            * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
 
 
 def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
@@ -94,8 +91,9 @@ def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
     """Rank-1 free-boson genus-two partition function,
     (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), with both eta^-1 offsets carried."""
     N = eps_trunc if N is None else N
-    logdet, pre = _free_boson(q1_trunc, q2_trunc, eps_trunc, N)
-    return _times_q((logdet * Fraction(-1, 2)).exp(), pre)
+    logdet = log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
+                             a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
+    return _times_q((logdet * Fraction(-1, 2)).exp(), _eta_prefactor(q1_trunc, q2_trunc))
 
 
 def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
@@ -108,19 +106,12 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
     transcendental constants enter.
     """
     N = eps_trunc if N is None else N
-    logdet, pre = _free_boson(q1_trunc, q2_trunc, eps_trunc, N)
-    pd = period_matrix(q1_trunc, q2_trunc, eps_trunc, N)
+    logdet, pd = sewing_data(q1_trunc, q2_trunc, eps_trunc, N)
     arg = (logdet * Fraction(-p.rank, 2) + pd.d11 * (p.alpha_sq / 2)
            + pd.d22 * (p.beta_sq / 2) + pd.d12 * p.alpha_dot_beta)
     mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
                    offsets=(p.alpha_sq / 2, p.beta_sq / 2))
-    return _times_q(arg.exp(), pre ** p.rank * mono)
-
-
-@lru_cache(maxsize=None)
-def _degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
-    return log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
-                           a2_degenerate(N, eps_trunc), eps_trunc)
+    return _times_q(arg.exp(), _eta_prefactor(q1_trunc, q2_trunc) ** p.rank * mono)
 
 
 def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
@@ -128,7 +119,7 @@ def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
     """lim q2^(1/24) Z^(2) for the rank-1 free boson:
     eta(q1)^-1 det(I - A1 A2(0))^(-1/2)."""
     N = eps_trunc if N is None else N
-    det = (_degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
+    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
     return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
 
 
@@ -138,7 +129,7 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("degenerate module limit needs beta = 0")
     N = eps_trunc if N is None else N
-    det = (_degenerate_logdet(q1_trunc, eps_trunc, N)
+    det = (degenerate_logdet(q1_trunc, eps_trunc, N)
            * Fraction(-p.rank, 2)).exp()
     delta = degenerate_tau(q1_trunc, eps_trunc, N)
     shift = (delta * (p.alpha_sq / 2)).exp()
@@ -157,9 +148,13 @@ H_VARS = ("q1", "C")
 class OperatorEpsSeries:
     """sum_n eps^n (Theta-basis 1-point operator of the weight-n descendant):
     the q2 -> 0 limit of q2^(C/24) Z^(2) as an operator on the base."""
-    terms: dict                 # eps power -> DiffOp (Theta basis)
+    terms: MappingProxyType     # eps power -> DiffOp (Theta basis), read-only
     eps_trunc: int
     q_trunc: int
+
+    def __post_init__(self):
+        # degeneration_sum shares one instance between callers.
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     def op(self, n: int) -> DiffOp:
         return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc, "q1"))
@@ -189,8 +184,12 @@ class OperatorEpsSeries:
                 "coeffs": {str(n): self.terms[n].to_json() for n in sorted(self.terms)}}
 
 
+@lru_cache(maxsize=None)
 def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
-    """Assemble the operator-valued eps-series from the vacuum descendants."""
+    """Assemble the operator-valued eps-series from the vacuum descendants.
+
+    Memoized: the result is read-only and a pure function of the orders.
+    """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     lam = lambda_vector(max_weight)
@@ -233,7 +232,7 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
         return s.embed(vars, (*s.truncs, eps_trunc))
 
     delta = lift(degenerate_tau(q_trunc, eps_trunc, N))
-    logdet = lift(_degenerate_logdet(q_trunc, eps_trunc, N))
+    logdet = lift(degenerate_logdet(q_trunc, eps_trunc, N))
     det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
     for l in range(l_max + 1):
         lhs = ds.extract_H(l)
@@ -286,7 +285,7 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
 
     # det(I - A1 A2(0))^(-1/2) = 1 - E2/24 eps^2 + (E2^2/384 + E4/96) eps^4 + ...
-    det = (_degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
+    det = (degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
     check_coeff("det^(-1/2) at eps^2", det, 2, e2 * Fraction(-1, 24))
     check_coeff("det^(-1/2) at eps^4", det, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))
@@ -349,7 +348,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
 
-    det_r = (_degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
+    det_r = (degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
     ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)", ok_cross,
                order=f"eps<={eps_trunc}, q<={q_trunc}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, floor, gcd, lcm
 from operator import add, gt, le, lt, mul, sub
 from types import MappingProxyType
 
@@ -851,16 +851,26 @@ class QSeries:
         side is not known that far.
         """
         self._check_var(other)
-        try:
-            a, b = self._aligned(other)
-        except SeriesError:
-            return False
-        box = tuple(map(min, a.truncs, b.truncs))
+        # Orders count from the lower offset of each variable, as after
+        # _aligned; the box is what both sides know.
+        base = tuple(map(min, self.offsets, other.offsets))
+        box = tuple(floor(min(oa + ta, ob + tb) - m) for oa, ta, ob, tb, m in zip(
+            self.offsets, self.truncs, other.offsets, other.truncs, base))
         if through is not None:
             need = self._box(through)
             if any(map(lt, box, need)):
                 raise SeriesError(f"series only known to order {box}, need {need}")
             box = need
+        try:
+            a, b = self._aligned(other)
+        except SeriesError:
+            # Offsets a non-integer apart: no exponent lies in both supports,
+            # so the sides agree when neither has a term inside the box.
+            for s in (self, other):
+                upto = tuple(floor(t + m - o) for t, m, o in zip(box, base, s.offsets))
+                if any(all(map(le, e, upto)) for e in s.nums):
+                    return False
+            return True
         return all(a.nums.get(e, 0) * b.den == b.nums.get(e, 0) * a.den
                    for e in a.nums.keys() | b.nums.keys() if all(map(le, e, box)))
 

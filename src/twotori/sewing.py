@@ -10,6 +10,12 @@ Determinants, traces and (1,1) entries are unchanged, and every stored entry
 becomes rational.  Entries with k+l odd vanish identically (odd Eisenstein
 series and odd Bernoulli numbers), so every surviving power of eps is an
 integer and the matrices are built from the even k+l entries only.
+
+Every sewing quantity is read off one set of powers P^n of P = A1 A2 (A2(0)
+on the pinched surface): the log-det from their traces, and the period data and the pinched modulus from
+the first row and column of sum_n P^n.  The matrix-vector resolvent chains
+(``resolvent_11``, ``weighted_resolvent_11``) compute the same entries
+another way.
 """
 
 from __future__ import annotations
@@ -117,16 +123,17 @@ def _mat_mul(A, B, zero: QSeries):
     return tuple(out)
 
 
+def _dot(u, v, zero: QSeries) -> QSeries:
+    acc = zero
+    for x, y in zip(u, v):
+        if x.is_zero() or y.is_zero():
+            continue
+        acc = acc + x * y
+    return acc
+
+
 def _mat_vec(A, v, zero: QSeries):
-    out = []
-    for row in A:
-        acc = zero
-        for m in range(len(v)):
-            if row[m].is_zero() or v[m].is_zero():
-                continue
-            acc = acc + row[m] * v[m]
-        out.append(acc)
-    return out
+    return [_dot(row, v, zero) for row in A]
 
 
 def _check_sizes(A: AMatrix, B: AMatrix, eps_trunc: int):
@@ -136,16 +143,28 @@ def _check_sizes(A: AMatrix, B: AMatrix, eps_trunc: int):
         raise SeriesError("matrix size too small for requested eps order")
 
 
-def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
-    """log det(I - A B) = -sum_{n>=1} Tr((A B)^n)/n, truncated at eps^eps_trunc.
+@dataclass(frozen=True)
+class _PowerSums:
+    """What the sewing quantities need from the powers of P = a b, for a and b
+    embedded in one variable tuple with ``zero`` the zero of that tuple."""
+    a: tuple
+    b: tuple
+    zero: QSeries
+    logdet: QSeries         # -sum_{n>=1} Tr(P^n)/n = log det(I - P)
+    row: list               # first row of sum_{n>=0} P^n = (I - P)^(-1)
+    col: list               # its first column
 
-    The n-sum is finite: Tr((A B)^n) = O(eps^(2n)).
-    """
+
+def _power_sums(A: AMatrix, B: AMatrix, eps_trunc: int) -> _PowerSums:
+    # One pass over P^n, 2n <= eps_trunc: every entry of P^n is O(eps^(2n)),
+    # so the n-sums are exact at eps^eps_trunc.
     _check_sizes(A, B, eps_trunc)
     (a, b), zero = _embed(A, B)
     P = _mat_mul(a, b, zero)
+    row = [zero + 1] + [zero] * (A.size - 1)
+    col = list(row)
+    logdet = zero
     power = P
-    out = zero
     n = 1
     while 2 * n <= eps_trunc:
         if n > 1:
@@ -153,9 +172,19 @@ def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
         tr = zero
         for k in range(A.size):
             tr = tr + power[k][k]
-        out = out + tr * Fraction(-1, n)
+        logdet = logdet + tr * Fraction(-1, n)
+        row = [r + x for r, x in zip(row, power[0])]
+        col = [c + p[0] for c, p in zip(col, power)]
         n += 1
-    return out
+    return _PowerSums(a, b, zero, logdet, row, col)
+
+
+def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
+    """log det(I - A B) = -sum_{n>=1} Tr((A B)^n)/n, truncated at eps^eps_trunc.
+
+    The n-sum is finite: Tr((A B)^n) = O(eps^(2n)).
+    """
+    return _power_sums(A, B, eps_trunc).logdet
 
 
 def _resolvent_vector_sum(a, b, eps_trunc: int, zero: QSeries):
@@ -201,27 +230,41 @@ class PeriodData:
                 "d12": self.d12.to_json()}
 
 
+def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int,
+                N: int) -> tuple[QSeries, PeriodData]:
+    """log det(I - A1 A2) and the period data, from one set of powers of A1 A2.
+
+    With R = (I - A1 A2)^(-1): d12 is -eps R(1,1), d11 is eps (A2 R)(1,1),
+    and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
+    push-through identity.
+    """
+    s = _power_sums(a_matrix(1, N, eps_trunc, q1_trunc),
+                    a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
+    d11 = _dot(s.b[0], s.col, s.zero).times_eps()
+    d22 = _dot(s.row, [r[0] for r in s.a], s.zero).times_eps()
+    d12 = -s.col[0].times_eps()
+    return s.logdet, PeriodData(d11, d22, d12)
+
+
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> PeriodData:
     """Genus-two period matrix from the sewing expansion, in normalized form."""
-    A1 = a_matrix(1, N, eps_trunc, q1_trunc)
-    A2 = a_matrix(2, N, eps_trunc, q2_trunc)
-    # d11 and d12 share the chain sum_n (A1 A2)^n e_1: the (1,1) entries of
-    # A2 (I - A1 A2)^(-1) and (I - A1 A2)^(-1).
-    _check_sizes(A1, A2, eps_trunc)
-    (a1, a2), zero = _embed(A1, A2)
-    total = _resolvent_vector_sum(a1, a2, eps_trunc, zero)
-    d11 = _mat_vec(a2, total, zero)[0].times_eps()
-    d22 = weighted_resolvent_11(A1, A2, A1, eps_trunc).times_eps()
-    d12 = -total[0].times_eps()
-    return PeriodData(d11, d22, d12)
+    return sewing_data(q1_trunc, q2_trunc, eps_trunc, N)[1]
 
 
 @lru_cache(maxsize=None)
-def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
-    """2pi i (tau - tau1) on the pinched surface, as an eps-series over q1.
+def _degenerate_sewing(q1_trunc: int, eps_trunc: int, N: int) -> tuple[QSeries, QSeries]:
+    # Memoized: both results are immutable and pure functions of the orders.
+    s = _power_sums(a_matrix(1, N, eps_trunc, q1_trunc), a2_degenerate(N, eps_trunc),
+                    eps_trunc)
+    return s.logdet, _dot(s.b[0], s.col, s.zero).times_eps()
 
-    Memoized: the result is immutable and a pure function of the orders.
-    """
-    A1 = a_matrix(1, N, eps_trunc, q1_trunc)
-    A20 = a2_degenerate(N, eps_trunc)
-    return weighted_resolvent_11(A20, A1, A20, eps_trunc).times_eps()
+
+def degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+    """log det(I - A1 A2(0)) on the pinched surface, as an eps-series over q1."""
+    return _degenerate_sewing(q1_trunc, eps_trunc, N)[0]
+
+
+def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+    """2pi i (tau - tau1) on the pinched surface, as an eps-series over q1:
+    eps (A2(0) (I - A1 A2(0))^(-1))(1,1), memoized with the log-det."""
+    return _degenerate_sewing(q1_trunc, eps_trunc, N)[1]

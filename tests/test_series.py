@@ -175,6 +175,22 @@ class TestRingOps:
         with pytest.raises(SeriesError):
             a + QSeries.one("q", 2)
 
+    def test_agreement_across_incompatible_offsets(self):
+        # Offsets a non-integer apart share no exponent: the sides agree
+        # exactly when neither has a term in the box both of them know.
+        assert QSeries.zero("q1", 0, F(1, 24)).agrees_with(QSeries.zero("q1", 0))
+        zero = QSeries.zero("q1", 3)
+        assert not QSeries("q1", {2: 1}, 6, F(1, 24)).agrees_with(zero)
+        assert not zero.agrees_with(QSeries("q1", {2: 1}, 6, F(1, 24)))
+        assert QSeries("q1", {3: 1}, 6, F(1, 24)).agrees_with(zero)
+        assert not QSeries("q1", {3: 1}, 6, F(-1, 24)).agrees_with(zero, 3)
+        with pytest.raises(SeriesError):
+            QSeries("q1", {5: 1}, 6, F(1, 24)).agrees_with(zero, 4)
+        vars = ("q1", "q2")
+        half = QSeries.zero(vars, (2, 2), (0, F(1, 2)))
+        assert half.agrees_with(QSeries(vars, {(1, 3): 1}, (2, 3)))
+        assert not half.agrees_with(QSeries(vars, {(1, 1): 1}, (2, 3)))
+
     def test_variable_mismatch(self):
         with pytest.raises(SeriesError):
             QSeries.one("q1", 2) + QSeries.one("q2", 2)

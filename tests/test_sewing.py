@@ -169,6 +169,14 @@ class TestDegenerateTau:
         assert d.block(0).is_zero() and d.block(1).is_zero() and d.block(3).is_zero()
         assert d.is_even()
 
+    @pytest.mark.parametrize("q, e, N", [(3, 4, 4), (2, 6, 7), (1, 2, 2)])
+    def test_fused_pass_equals_weighted_resolvent(self, q, e, N):
+        # delta is read off the first column of sum_n (A1 A2(0))^n formed for
+        # the log-det; the matrix-vector chain is the oracle.
+        A20 = a2_degenerate(N, e)
+        want = weighted_resolvent_11(A20, a_matrix(1, N, e, q), A20, e).times_eps()
+        assert degenerate_tau(q, e, N) == want
+
     def test_matrix_size_stability(self):
         a = degenerate_tau(6, 6, 6)
         b = degenerate_tau(6, 6, 9)
@@ -194,8 +202,9 @@ class TestPeriodMatrix:
 
     @pytest.mark.parametrize("q1, q2, e, N", [(3, 2, 4, 4), (2, 3, 6, 7), (1, 1, 2, 2)])
     def test_shared_chain_equals_separate_resolvents(self, q1, q2, e, N):
-        # d11 and d12 come from one resolvent chain; each must equal its own
-        # public resolvent call.
+        # d11, d22 and d12 are read off the powers of A1 A2 formed for the
+        # log-det (d22 by push-through); each must equal its own
+        # matrix-vector resolvent chain, the oracle.
         A1, A2 = a_matrix(1, N, e, q1), a_matrix(2, N, e, q2)
         pd = period_matrix(q1, q2, e, N)
         assert pd.d11 == weighted_resolvent_11(A2, A1, A2, e).times_eps()
