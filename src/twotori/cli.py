@@ -22,16 +22,7 @@ from .genus2 import (
     z2_module_pair,
 )
 from .reports import Report
-from .series import (
-    NotQuasiModular,
-    SeriesError,
-    eisenstein,
-    eta_normalized,
-    parenthesize,
-    qd,
-    rat_str,
-    to_quasimodular,
-)
+from .series import SeriesError, eisenstein, eta_normalized, qd, quasimodular_factor, rat_str
 from .sewing import degenerate_tau, period_matrix
 from .virasoro import (
     VirState,
@@ -305,14 +296,7 @@ def cmd_compute(args, cfg: RunConfig) -> int:
 
 def _render_eps_quasimodular(series, weight_of) -> str:
     """eps-series display with quasi-modular symbols where recognition works."""
-    def symbol(n, c):
-        try:
-            text = str(to_quasimodular(c, weight_of(n)))
-        except (NotQuasiModular, SeriesError):
-            text = str(c)
-        return parenthesize(text)
-
-    return series.render(symbol)
+    return series.render(lambda n, c: quasimodular_factor(c, weight_of(n)))
 
 
 def _modular_identities_report(q_order: int) -> Report:
@@ -354,20 +338,18 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         reports.append(_modular_identities_report(max(cfg.q_order, 20)
                                                   if suite == "all" else cfg.q_order))
     if suite in ("detHi", "all"):
-        reports.append(verify_detHi(cfg.eps_order, cfg.q_order,
-                                    l_max=cfg.eps_order // 2, N=cfg.matrix_size))
+        reports.append(verify_detHi(cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
     if suite in ("heisenberg-degen", "all"):
         reports.append(verify_heisenberg_degeneration(cfg.eps_order, cfg.q_order,
                                                       N=cfg.matrix_size))
     if suite == "theta-degen":
         reports.append(verify_theta_degeneration(
-            _module_pair(args), cfg.eps_order, cfg.q_order,
-            max_weight=max(cfg.max_weight, cfg.eps_order), N=cfg.matrix_size))
+            _module_pair(args), cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
     if suite == "all":
         for alpha_sq, rank in THETA_SUITE_PAIRS:
             reports.append(verify_theta_degeneration(
                 ModulePair(rank, Fraction(alpha_sq)), cfg.eps_order, cfg.q_order,
-                max_weight=max(cfg.max_weight, cfg.eps_order), N=cfg.matrix_size))
+                N=cfg.matrix_size))
     if suite in ("structure", "all"):
         reports.append(_structure_report(cfg.max_weight, cfg.q_order))
     if not reports:

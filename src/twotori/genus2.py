@@ -157,7 +157,7 @@ class OperatorEpsSeries:
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     def op(self, n: int) -> DiffOp:
-        return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc, "q1"))
+        return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc))
 
     def specialize(self, base: BasePartition) -> QSeries:
         return QSeries.from_blocks("eps", {n: specialize(op, base)
@@ -197,7 +197,7 @@ def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
     for n in range(0, max_weight + 1, 2):
         if lam[n].is_zero():
             continue
-        op = to_theta_basis(one_point(lam[n], q_trunc, var="q1"))
+        op = to_theta_basis(one_point(lam[n], q_trunc))
         if not op.is_zero():
             terms[n] = op
     return OperatorEpsSeries(terms, max_weight, q_trunc)
@@ -210,17 +210,15 @@ def _fmt_eps(series: QSeries, eps_trunc: int) -> str:
     return str(series.truncate((min(eps_trunc, series.truncs[0]), *series.truncs[1:])))
 
 
-def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
-                 N: int | None = None) -> Report:
+def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> Report:
     """Check H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! identically in C.
 
     Both sides are eps-series over (q1, C)-series.  The left side comes from
     the Zhu-recursion operators of the vacuum descendants; the right side
-    from the Bernoulli moment matrix.  One
-    equality per l, plus the structural bounds n >= 2l and j <= n/2 - l.
+    from the Bernoulli moment matrix.  One equality per l <= eps_trunc/2
+    (H_l = O(eps^(2l)) vanishes beyond), plus the structural bounds n >= 2l
+    and j <= n/2 - l.
     """
-    if 2 * l_max > eps_trunc:
-        raise ValueError("l_max must satisfy 2*l_max <= eps_trunc")
     N = eps_trunc if N is None else N
     report = Report(title="determinant form of the degeneration coefficients",
                     notes=[PREFACTOR_NOTE])
@@ -234,7 +232,7 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, l_max: int = 4,
     delta = lift(degenerate_tau(q_trunc, eps_trunc, N))
     logdet = lift(degenerate_logdet(q_trunc, eps_trunc, N))
     det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
-    for l in range(l_max + 1):
+    for l in range(eps_trunc // 2 + 1):
         lhs = ds.extract_H(l)
         rhs = det * delta ** l * Fraction(1, factorial(l))
         ok = lhs.agrees_with(rhs, truncs)
@@ -302,7 +300,6 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
 
 
 def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 6,
-                              max_weight: int | None = None,
                               N: int | None = None) -> Report:
     """Main degeneration statement for a beta = 0 module pair at C = rank.
 
@@ -312,9 +309,6 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("theta degeneration check needs beta = 0")
-    max_weight = eps_trunc if max_weight is None else max_weight
-    if max_weight < eps_trunc:
-        raise ValueError("max_weight must be at least eps_trunc")
     N = eps_trunc if N is None else N
     r = p.rank
     report = Report(
@@ -330,7 +324,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     zh_deg = z2_heisenberg_degenerate(q_trunc, eps_trunc, N)
     theta_lim = zm_deg * (zh_deg ** r).inv()          # (a)
     theta_taylor = taylor_shift(theta1, delta)        # (b)
-    ds = degeneration_sum(max_weight, q_trunc)
+    ds = degeneration_sum(eps_trunc, q_trunc)
     zhu_side = ds.specialize(BasePartition(theta1, Fraction(r)))  # (c)
 
     through = (eps_trunc, q_trunc)

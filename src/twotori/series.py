@@ -830,6 +830,12 @@ class QSeries:
         return QSeries._made(vars, {place(e, 0): v for e, v in self.nums.items()}, self.den,
                              truncs, place(self.offsets, Fraction(0)))
 
+    def renamed(self, *vars: str) -> "QSeries":
+        """The same series with its variables renamed to ``vars``, in order."""
+        if len(vars) != len(self.vars) or (vars[0] == "eps" and self.offsets[0]):
+            raise SeriesError(f"cannot rename the variables {self.vars} to {vars}")
+        return QSeries._made(vars, self.nums, self.den, self.truncs, self.offsets)
+
     # -- comparison / rendering ----------------------------------------------
 
     def __eq__(self, other):
@@ -1124,3 +1130,13 @@ def to_quasimodular(s: QSeries, weight: int) -> QuasiModularPoly:
             f"not quasi-modular of weight {weight} within truncation")
     return QuasiModularPoly(weight, {mono: Fraction(dot(row), row[1] * s.den)
                                      for mono, row in zip(monos, solution)})
+
+
+def quasimodular_factor(s: QSeries, weight: int) -> str:
+    """s as a factor in rendered output: its quasi-modular symbol of the given
+    weight where recognition works, the raw series otherwise, parenthesized."""
+    try:
+        text = str(to_quasimodular(s, weight))
+    except (NotQuasiModular, SeriesError):
+        text = str(s)
+    return parenthesize(text)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .reports import Report
 from .series import (
@@ -25,9 +26,8 @@ from .series import (
     QSeries,
     SeriesError,
     eisenstein,
-    eta_normalized,
     monomial_str,
-    parenthesize,
+    quasimodular_factor,
     rat,
     to_quasimodular,
 )
@@ -40,43 +40,45 @@ THETA_BASIS = "Theta"
 class DiffOp:
     """sum_{i,j} c_ij(q) C^j qd^i applied to an abstract base function.
 
-    In the Theta basis an overall eta(q)^(-C) prefactor is implicit and the
-    base is the normalized partition function.
+    The coefficients are series in "q", the base modulus; ``specialize``
+    evaluates at a base in any one variable.  In the Theta basis an overall
+    eta(q)^(-C) prefactor is implicit and the base is the normalized
+    partition function.  ``terms`` is read-only, since the recursion's cache
+    shares one instance between callers.
     """
 
-    __slots__ = ("basis", "terms", "q_trunc", "var")
+    __slots__ = ("basis", "terms", "q_trunc")
 
-    def __init__(self, basis: str, terms=None, q_trunc: int = 0, var: str = "q"):
+    def __init__(self, basis: str, terms=None, q_trunc: int = 0):
         if basis not in (Z_BASIS, THETA_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "q_trunc", int(q_trunc))
-        object.__setattr__(self, "var", var)
         clean = {}
         for (i, j), s in (terms or {}).items():
             if isinstance(s, (int, Fraction)):
-                s = QSeries.const(var, s, q_trunc)
+                s = QSeries.const("q", s, q_trunc)
             if s.is_zero():
                 continue
             clean[(int(i), int(j))] = s
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, *a):
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
-    def identity(cls, basis: str, q_trunc: int, var: str = "q") -> "DiffOp":
-        return cls(basis, {(0, 0): QSeries.one(var, q_trunc)}, q_trunc, var)
+    def identity(cls, basis: str, q_trunc: int) -> "DiffOp":
+        return cls(basis, {(0, 0): QSeries.one("q", q_trunc)}, q_trunc)
 
     @classmethod
-    def zero(cls, basis: str, q_trunc: int, var: str = "q") -> "DiffOp":
-        return cls(basis, {}, q_trunc, var)
+    def zero(cls, basis: str, q_trunc: int) -> "DiffOp":
+        return cls(basis, {}, q_trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, i: int, j: int) -> QSeries:
-        return self.terms.get((i, j), QSeries.zero(self.var, self.q_trunc))
+        return self.terms.get((i, j), QSeries.zero("q", self.q_trunc))
 
     def max_derivative(self) -> int:
         return max((i for i, _ in self.terms), default=0)
@@ -86,7 +88,7 @@ class DiffOp:
         return max((j for (a, j) in self.terms if a == i), default=-1)
 
     def _check_compat(self, other: "DiffOp"):
-        if self.basis != other.basis or self.var != other.var:
+        if self.basis != other.basis:
             raise SeriesError("cannot combine operators in different bases")
 
     def __add__(self, other):
@@ -94,11 +96,10 @@ class DiffOp:
         out = dict(self.terms)
         for key, s in other.terms.items():
             out[key] = out[key] + s if key in out else s
-        return DiffOp(self.basis, out, min(self.q_trunc, other.q_trunc), self.var)
+        return DiffOp(self.basis, out, min(self.q_trunc, other.q_trunc))
 
     def __neg__(self):
-        return DiffOp(self.basis, {k: -s for k, s in self.terms.items()},
-                      self.q_trunc, self.var)
+        return DiffOp(self.basis, {k: -s for k, s in self.terms.items()}, self.q_trunc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -106,7 +107,7 @@ class DiffOp:
     def scale(self, factor) -> "DiffOp":
         """Multiply by a rational or a q-series (no C, no derivative)."""
         return DiffOp(self.basis, {k: s * factor for k, s in self.terms.items()},
-                      self.q_trunc, self.var)
+                      self.q_trunc)
 
     def scale_cpoly(self, p: CPoly) -> "DiffOp":
         out = {}
@@ -115,7 +116,7 @@ class DiffOp:
                 key = (i, j + dj)
                 t = s * c
                 out[key] = out[key] + t if key in out else t
-        return DiffOp(self.basis, out, self.q_trunc, self.var)
+        return DiffOp(self.basis, out, self.q_trunc)
 
     def qd_compose(self) -> "DiffOp":
         """qd o self, by the Leibniz rule on the coefficients."""
@@ -127,17 +128,15 @@ class DiffOp:
         for (i, j), s in self.terms.items():
             add((i, j), s.qd())
             add((i + 1, j), s)
-        return DiffOp(self.basis, out, self.q_trunc, self.var)
+        return DiffOp(self.basis, out, self.q_trunc)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return (self.basis == other.basis and self.var == other.var
-                and self.terms == other.terms)
+        return self.basis == other.basis and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.basis, self.var, tuple(sorted(self.terms.items(),
-                                                        key=lambda kv: kv[0]))))
+        return hash((self.basis, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def _render(self, coeff_text) -> str:
         # Terms by falling derivative order, each as coeff_text(i, s)*C^j*D^i;
@@ -164,30 +163,22 @@ class DiffOp:
     def from_json(cls, obj: dict) -> "DiffOp":
         terms = {}
         trunc = 0
-        var = "q"
         for e in obj["terms"]:
-            s = QSeries.from_json(e["series"])
+            s = QSeries.from_json(e["series"]).renamed("q")
             terms[(e["d_order"], e["c_degree"])] = s
             trunc = max(trunc, s.trunc)
-            var = s.var
-        return cls(obj["basis"], terms, trunc, var)
+        return cls(obj["basis"], terms, trunc)
 
     def render_symbolic(self, weight: int) -> str:
         """Operator string with quasi-modular coefficient symbols where the
         weight-(n-2i) graded-ring solve recognizes them; raw series otherwise."""
-        def symbol(i, s):
-            try:
-                text = str(to_quasimodular(s, weight - 2 * i))
-            except (NotQuasiModular, SeriesError):
-                text = str(s)
-            return parenthesize(text)
-
-        return self._render(symbol)
+        return self._render(lambda i, s: quasimodular_factor(s, weight - 2 * i))
 
 
 @dataclass(frozen=True)
 class BasePartition:
-    """An abstract normalized base: Theta series plus a rational central charge."""
+    """An abstract normalized base: Theta series in one variable plus a
+    rational central charge."""
     theta: QSeries
     c_value: Fraction
 
@@ -204,19 +195,19 @@ class BasePartition:
 
 
 @lru_cache(maxsize=None)
-def _op_for_word(word: tuple, q_trunc: int, var: str) -> DiffOp:
+def _op_for_word(word: tuple, q_trunc: int) -> DiffOp:
     """Z-basis operator for the word L[-k_1]...L[-k_m]|0>.
 
     The word need not be PBW-ordered; the reduction handles any k_i >= 1,
     which is what makes the recursion-order invariance testable.
     """
     if not word:
-        return DiffOp.identity(Z_BASIS, q_trunc, var)
+        return DiffOp.identity(Z_BASIS, q_trunc)
     k, tail = word[0], word[1:]
     tail_weight = sum(tail)
-    out = DiffOp.zero(Z_BASIS, q_trunc, var)
+    out = DiffOp.zero(Z_BASIS, q_trunc)
     if k == 2:
-        out = out + _op_for_word(tail, q_trunc, var).qd_compose()
+        out = out + _op_for_word(tail, q_trunc).qd_compose()
     for r in range(tail_weight + 1):
         if (k + r) % 2:
             continue  # odd Eisenstein series vanish
@@ -226,8 +217,8 @@ def _op_for_word(word: tuple, q_trunc: int, var: str) -> DiffOp:
         reduced = _reduced_state(tail, r)
         if reduced.is_zero():
             continue
-        factor = eisenstein(k + r, q_trunc, var) * Fraction((-1) ** r * weight)
-        out = out + _op_for_state(reduced, q_trunc, var).scale(factor)
+        factor = eisenstein(k + r, q_trunc) * Fraction((-1) ** r * weight)
+        out = out + _op_for_state(reduced, q_trunc).scale(factor)
     return out
 
 
@@ -248,26 +239,26 @@ def _state_for_word(word: tuple) -> VirState:
     return state
 
 
-def _op_for_state(v: VirState, q_trunc: int, var: str) -> DiffOp:
-    out = DiffOp.zero(Z_BASIS, q_trunc, var)
+def _op_for_state(v: VirState, q_trunc: int) -> DiffOp:
+    out = DiffOp.zero(Z_BASIS, q_trunc)
     for parts, coeff in v.terms.items():
-        out = out + _op_for_word(parts, q_trunc, var).scale_cpoly(coeff)
+        out = out + _op_for_word(parts, q_trunc).scale_cpoly(coeff)
     return out
 
 
-def one_point(v: VirState, q_trunc: int, var: str = "q") -> DiffOp:
+def one_point(v: VirState, q_trunc: int) -> DiffOp:
     """Z-basis 1-point operator of a square-bracket vacuum descendant."""
     for parts in v.terms:
         check_partition(parts)
-    return _op_for_state(v, q_trunc, var)
+    return _op_for_state(v, q_trunc)
 
 
-def one_point_word(word, q_trunc: int, var: str = "q") -> DiffOp:
+def one_point_word(word, q_trunc: int) -> DiffOp:
     """Head-first reduction of an arbitrary (not necessarily PBW) mode word."""
     word = tuple(int(k) for k in word)
     if any(k < 1 for k in word):
         raise ValueError("mode word entries must be >= 1")
-    return _op_for_word(word, q_trunc, var)
+    return _op_for_word(word, q_trunc)
 
 
 # -- basis change ----------------------------------------------------------------
@@ -275,14 +266,14 @@ def one_point_word(word, q_trunc: int, var: str = "q") -> DiffOp:
 
 def _eta_rewrite(op: DiffOp, sign: int) -> DiffOp:
     # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative.
-    e2_half = eisenstein(2, op.q_trunc, op.var) * Fraction(sign, 2)
+    e2_half = eisenstein(2, op.q_trunc) * Fraction(sign, 2)
     target = THETA_BASIS if sign > 0 else Z_BASIS
-    powers = [DiffOp.identity(target, op.q_trunc, op.var)]
+    powers = [DiffOp.identity(target, op.q_trunc)]
     for _ in range(op.max_derivative()):
         prev = powers[-1]
         nxt = prev.qd_compose() + prev.scale(e2_half).scale_cpoly(CPoly.c_power(1))
         powers.append(nxt)
-    out = DiffOp.zero(target, op.q_trunc, op.var)
+    out = DiffOp.zero(target, op.q_trunc)
     for (i, j), s in op.terms.items():
         out = out + powers[i].scale(s).scale_cpoly(CPoly.c_power(j))
     return out
@@ -309,8 +300,9 @@ def to_z_basis(op: DiffOp) -> DiffOp:
 def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     """Evaluate a Theta-basis operator at a concrete base.
 
-    Returns the Theta-level series; the implicit eta^(-C) prefactor is
-    reattached by callers that need the raw partition function.
+    Returns the Theta-level series in the variable of the base; the implicit
+    eta^(-C) prefactor is reattached by callers that need the raw partition
+    function.
     """
     if op.basis != THETA_BASIS:
         raise SeriesError("specialize needs a Theta-basis operator")
@@ -322,9 +314,9 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     derivs = [theta]
     for _ in range(op.max_derivative()):
         derivs.append(derivs[-1].qd())
-    out = QSeries.zero(op.var, op.q_trunc, theta.offset)
+    out = QSeries.zero(theta.var, op.q_trunc, theta.offset)
     for (i, j), s in op.terms.items():
-        out = out + s * derivs[i] * base.c_value ** j
+        out = out + s.renamed(theta.var) * derivs[i] * base.c_value ** j
     return out
 
 
@@ -360,7 +352,3 @@ def structure_check(parts, q_trunc: int = 8, op: DiffOp | None = None) -> Report
                        computed=f"{s} ({err})")
     return report
 
-
-def eta_power(c_value, q_trunc: int, var: str = "q") -> QSeries:
-    """eta(q)^(-c) for rational c, used to reattach the implicit prefactor."""
-    return eta_normalized(q_trunc, var).pow_rational(-rat(c_value))

@@ -148,7 +148,7 @@ def test_criterion_5_heisenberg_degeneration():
 def test_criterion_6_central_identity():
     """H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! in symbolic C, l <= 4."""
     with Stopwatch(300.0) as sw:
-        report = verify_detHi(eps_trunc=8, q_trunc=6, l_max=4, N=8)
+        report = verify_detHi(eps_trunc=8, q_trunc=6, N=8)
         for check in report.checks:
             assert check.passed, check.name
     sw.report(6, "determinant identity holds identically in C for l <= 4, "

@@ -244,6 +244,15 @@ class TestConfigAndDeterminism:
         _, large, _ = run(capsys, *base, "--matrix-size", "9")
         assert small == large
 
+    def test_theta_degen_ignores_max_weight(self, capsys):
+        # The degeneration sum runs to the eps order, whatever --max-weight
+        # says; only lambda and the structure suite read that flag.
+        base = ("verify", "theta-degen", "--alpha-sq", "1",
+                "--eps-order", "6", "--q-order", "6")
+        _, plain, _ = run(capsys, *base)
+        _, heavy, _ = run(capsys, *base, "--max-weight", "12")
+        assert plain == heavy
+
 
 class TestVerifyAll:
     def test_full_gate(self, capsys):

@@ -131,14 +131,24 @@ class TestClosedForms:
 class TestDegenerationSum:
     def test_leading_operator_is_identity(self):
         ds = degeneration_sum(4, 6)
-        assert ds.op(0) == DiffOp.identity("Theta", 6, "q1")
+        assert ds.op(0) == DiffOp.identity("Theta", 6)
 
     def test_weight_two_operator(self):
         ds = degeneration_sum(2, 6)
-        e2 = eisenstein(2, 6, "q1")
-        expected = DiffOp("Theta", {(1, 0): QSeries.const("q1", F(-1, 12), 6),
-                                    (0, 1): e2 * F(-1, 24)}, 6, "q1")
+        e2 = eisenstein(2, 6)
+        expected = DiffOp("Theta", {(1, 0): QSeries.const("q", F(-1, 12), 6),
+                                    (0, 1): e2 * F(-1, 24)}, 6)
         assert ds.op(2) == expected
+
+    def test_shared_operators_are_read_only(self):
+        # degeneration_sum and the recursion's cache hand the same DiffOp
+        # to every caller, so no caller may change it.
+        op = degeneration_sum(4, 4).op(2)
+        with pytest.raises(AttributeError):
+            op.terms.clear()
+        with pytest.raises(TypeError):
+            op.terms[(0, 0)] = QSeries.one("q", 4)
+        assert degeneration_sum(4, 4).op(2).terms == op.terms and not op.is_zero()
 
     def test_specialized_to_heisenberg(self):
         ds = degeneration_sum(2, 8)
@@ -167,7 +177,7 @@ class TestDegenerationSum:
 
 class TestVerifiers:
     def test_detHi_small(self):
-        rep = verify_detHi(eps_trunc=6, q_trunc=4, l_max=3)
+        rep = verify_detHi(eps_trunc=6, q_trunc=4)
         assert rep.passed
         assert len(rep.checks) == 12
 
@@ -184,7 +194,7 @@ class TestVerifiers:
             return extract_H(self, l) + QSeries.from_blocks("eps", {n: bump}, self.eps_trunc)
 
         monkeypatch.setattr(OperatorEpsSeries, "extract_H", perturbed)
-        rep = verify_detHi(eps_trunc=4, q_trunc=3, l_max=2)
+        rep = verify_detHi(eps_trunc=4, q_trunc=3)
         identity = [c for c in rep.checks if " == det(I-A1*A2(0))" in c.name]
         assert len(identity) == 3
         for c in identity:
@@ -192,10 +202,6 @@ class TestVerifiers:
         name = f"C-degree of H_{l_over} bounded by n/2 - {l_over}"
         bound = [c for c in rep.checks if c.name == name]
         assert len(bound) == 1 and not bound[0].passed
-
-    def test_detHi_rejects_large_l(self):
-        with pytest.raises(ValueError):
-            verify_detHi(eps_trunc=4, q_trunc=4, l_max=3)
 
     def test_heisenberg_degeneration(self):
         rep = verify_heisenberg_degeneration(eps_trunc=6, q_trunc=6)
@@ -216,7 +222,7 @@ class TestVerifiers:
             verify_theta_degeneration(ModulePair(1, F(1), F(1)), 4, 4)
 
     def test_reports_record_prefactor_note(self):
-        rep = verify_detHi(eps_trunc=4, q_trunc=4, l_max=2)
+        rep = verify_detHi(eps_trunc=4, q_trunc=4)
         assert any("q2^(r/24)" in n for n in rep.notes)
 
     def test_report_json_schema(self):
@@ -292,7 +298,7 @@ def _one_point_terms(q):
     # operators of a few descendants; an absent term is the zero series.
     out = []
     for parts in [(2,), (2, 2), (3, 3), (4, 2)]:
-        op, w = one_point(VirState.monomial(parts), q, var="q1"), sum(parts)
+        op, w = one_point(VirState.monomial(parts), q), sum(parts)
         out += [op.coeff(i, j) for i in range(w + 1) for j in range(w + 1)]
     return out
 

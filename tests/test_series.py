@@ -613,6 +613,16 @@ class TestKernelChoice:
             s.embed(("q1", "q3"), (3, 3))
         assert set_second_to_zero(s.embed(("q2", "q1"), (3, 5))) == s
 
+    def test_renamed_keeps_coefficients_and_offsets(self):
+        s = QSeries(("q1", "q2"), {(0, 1): F(1, 3), (2, 0): 5}, (3, 2), (F(1, 24), 0))
+        t = s.renamed("x", "y")
+        assert t.vars == ("x", "y") and t.renamed("q1", "q2") == s
+        assert (t.coeffs, t.truncs, t.offsets) == (s.coeffs, s.truncs, s.offsets)
+        with pytest.raises(SeriesError):
+            s.renamed("x")
+        with pytest.raises(SeriesError):
+            s.renamed("eps", "q2")
+
 
 # -- the inverse against the geometric series ---------------------------------
 

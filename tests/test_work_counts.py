@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, sewing
+from twotori import cli, genus2, sewing, zhu
 from twotori.genus2 import ModulePair, z2_module_pair
 
 
@@ -28,7 +28,8 @@ def counting(monkeypatch, module, name) -> list:
 @pytest.fixture
 def cold_caches():
     # A CLI run starts with empty caches; so does each counted run here.
-    caches = (genus2.degeneration_sum, sewing._degenerate_sewing)
+    caches = (genus2.degeneration_sum, sewing._degenerate_sewing,
+              zhu._op_for_word, zhu._state_for_word)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -55,3 +56,28 @@ def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     capsys.readouterr()
     assert code == 0
     assert (len(sums), len(passes)) == (1, 1)
+
+
+def test_verify_all_shares_the_structure_suite_operators(capsys, cold_caches):
+    # The degeneration sum reads the same 1-point operators that the
+    # structure suite builds, so verify all adds no recursion work of its own.
+    def word_misses(*argv) -> int:
+        zhu._op_for_word.cache_clear()
+        assert cli.main(["verify", *argv, "--q-order", "8", "--max-weight", "8"]) == 0
+        capsys.readouterr()
+        return zhu._op_for_word.cache_info().misses
+
+    alone = word_misses("structure")
+    assert alone > 0
+    assert word_misses("all", "--eps-order", "8") == alone
+
+
+def test_verify_all_sums_descendants_once(monkeypatch, capsys, cold_caches):
+    # A --max-weight above the eps order changes no degeneration check, so
+    # detHi and the theta pairs still share one degeneration sum.
+    sums = counting(monkeypatch, genus2, "lambda_vector")
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "10"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(sums) == 1

@@ -6,12 +6,11 @@ from math import comb
 
 import pytest
 
-from twotori.series import QSeries, SeriesError, eisenstein, eta_normalized, qd
+from twotori.series import QSeries, SeriesError, eisenstein, eta_normalized, qd, rat
 from twotori.virasoro import VirState, apply_mode, partitions_of_weight
 from twotori.zhu import (
     BasePartition,
     DiffOp,
-    eta_power,
     one_point,
     one_point_word,
     specialize,
@@ -19,6 +18,11 @@ from twotori.zhu import (
     to_theta_basis,
     to_z_basis,
 )
+
+
+def eta_power(c_value, q_trunc: int) -> QSeries:
+    """eta(q)^(-c) for rational c, to reattach the implicit prefactor."""
+    return eta_normalized(q_trunc).pow_rational(-rat(c_value))
 
 
 def scalar_one_point(word, base: QSeries, c_val: F, q_trunc: int) -> QSeries:
@@ -157,6 +161,15 @@ class TestSpecialize:
         th = to_theta_basis(one_point(VirState.monomial((2,)), 8))
         got = specialize(th, BasePartition.heisenberg(1, 8)) * eta_power(1, 8)
         assert got == qd(eta_normalized(8).inv())
+
+    def test_base_variable_names_the_result(self):
+        # The operator's coefficients are q-series; a base in q1 only
+        # renames the result.
+        op = to_theta_basis(one_point(VirState.monomial((2, 2)), 6))
+        base = QSeries.monomial("q", F(1, 2), 6)
+        got = specialize(op, BasePartition(base.renamed("q1"), F(2)))
+        assert got.vars == ("q1",)
+        assert got == specialize(op, BasePartition(base, F(2))).renamed("q1")
 
     def test_truncation_mismatch(self):
         op = DiffOp.identity("Theta", 8)
