@@ -22,7 +22,15 @@ from .genus2 import (
     z2_module_pair,
 )
 from .reports import Report
-from .series import SeriesError, eisenstein, eta_normalized, qd, quasimodular_factor, rat_str
+from .series import (
+    SeriesError,
+    eisenstein,
+    eta_normalized,
+    qd,
+    quasimodular_factor,
+    quasimodular_monomials,
+    rat_str,
+)
 from .sewing import degenerate_tau, period_matrix
 from .virasoro import (
     VirState,
@@ -39,11 +47,23 @@ THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
 
 FORMATS = ("table", "json")
 
-# Smallest value of an order flag that each command accepts, and why: a
-# smaller one would build nothing to check, or fail deep inside the work.
+
+def _recognition_q_order(cfg) -> int:
+    # Recognition at the top even weight w <= --max-weight fits one
+    # coefficient per monomial E2^a E4^b E6^c of weight w and checks the fit
+    # with one more, so it needs q^0..q^k with k the number of monomials.
+    return len(quasimodular_monomials(cfg.max_weight - cfg.max_weight % 2))
+
+
+# Smallest value of an order flag that each command accepts (a number, or
+# a function of the resolved config), and why: a smaller one would build
+# nothing to check, check nothing, or fail deep inside the work.
 _MATRICES = ("eps_order", 1, "the moment matrices start at eps^1")
 _FREE_BOSON = ("eps_order", 4, "the free-boson checks read eps^4")
 _STRUCTURE = ("max_weight", 2, "the structure checks start at weight 2")
+_RECOGNITION = ("q_order", _recognition_q_order,
+                "one q-coefficient per monomial E2^a E4^b E6^c of the top weight, "
+                "plus one to check the fit")
 MIN_ORDERS = {
     ("compute", "tau-degen"): (_MATRICES,),
     ("compute", "period"): (_MATRICES,),
@@ -52,8 +72,8 @@ MIN_ORDERS = {
     ("verify", "detHi"): (_MATRICES,),
     ("verify", "theta-degen"): (_MATRICES,),
     ("verify", "heisenberg-degen"): (_FREE_BOSON,),
-    ("verify", "structure"): (_STRUCTURE,),
-    ("verify", "all"): (_FREE_BOSON, _STRUCTURE),
+    ("verify", "structure"): (_STRUCTURE, _RECOGNITION),
+    ("verify", "all"): (_FREE_BOSON, _STRUCTURE, _RECOGNITION),
 }
 
 
@@ -200,6 +220,8 @@ def resolve_config(args) -> RunConfig:
         raise UsageError("matrix size must be at least the eps order")
     target = getattr(args, "object", None) or getattr(args, "suite", None)
     for key, minimum, why in MIN_ORDERS.get((args.command, target), ()):
+        if callable(minimum):
+            minimum = minimum(cfg)
         if getattr(cfg, key) < minimum:
             flag = key.replace("_", "-")
             raise UsageError(f"{args.command} {target} needs --{flag} >= {minimum} ({why})")

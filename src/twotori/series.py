@@ -737,10 +737,27 @@ class QSeries:
         return g.series(self.vars, self.truncs, self.offsets)
 
     def log(self) -> "QSeries":
-        """log of a one-variable series with constant term exactly 1 and zero offset:
-        g = log(u) solves n g_n = n u_n - sum_{j=1}^{n-1} (n-j) u_j g_(n-j)."""
-        if self.offset != 0 or self.constant_term() != 1:
+        """log of a series with zero offsets whose v^0 coefficient is exactly 1,
+        v the first variable: g = log(u) solves
+        n g_n = n u_n - sum_{k=1}^{n-1} k g_k u_(n-k) in v, where u_n and g_n
+        are rationals for one variable and series in the other variables
+        otherwise."""
+        first = {e: v for e, v in self.nums.items() if e[0] == 0}
+        if any(self.offsets) or first != {(0,) * len(self.vars): self.den}:
             raise SeriesError("non-unit constant term: log requires constant term 1")
+        if len(self.vars) > 1:
+            u = self.blocks()
+            zero = QSeries.zero(self.vars[1:], self.truncs[1:])
+            g, kg = {0: zero}, {}
+            for n in range(1, self.truncs[0] + 1):
+                acc = zero
+                for k, f in kg.items():
+                    if n - k in u:
+                        acc = acc + f * u[n - k]
+                g_n = u.get(n, zero) - acc * Fraction(1, n)
+                if not g_n.is_zero():
+                    g[n], kg[n] = g_n, g_n * n
+            return QSeries.from_blocks(self.vars[0], g, self.truncs[0])
         u = self._dense()
         ku = [k * v for k, v in enumerate(u)]
         g = _Numerators(len(u))
@@ -832,6 +849,8 @@ class QSeries:
 
     def renamed(self, *vars: str) -> "QSeries":
         """The same series with its variables renamed to ``vars``, in order."""
+        if vars == self.vars:
+            return self
         if len(vars) != len(self.vars) or (vars[0] == "eps" and self.offsets[0]):
             raise SeriesError(f"cannot rename the variables {self.vars} to {vars}")
         return QSeries._made(vars, self.nums, self.den, self.truncs, self.offsets)
@@ -953,19 +972,24 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_table(max(k, 4))[k]
 
 
-@lru_cache(maxsize=None)
 def eisenstein(k: int, trunc: int, var: str = "q") -> QSeries:
     """Normalized weight-k Eisenstein series -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n.
 
-    Odd k gives the zero series; k < 2 is rejected.  Memoized: the result
-    is immutable, so callers share one instance per argument tuple.
+    Odd k gives the zero series; k < 2 is rejected.  One table per (k,
+    trunc) is built and memoized; each variable name reads it through
+    ``QSeries.renamed``, which shares its numerators.
     """
+    return _eisenstein_table(k, trunc).renamed(var)
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_table(k: int, trunc: int) -> QSeries:
     if k < 2:
         raise ValueError("eisenstein needs k >= 2")
     if trunc < 0:
         raise SeriesError("truncation order must be >= 0")
     if k % 2 == 1:
-        return QSeries.zero(var, trunc)
+        return QSeries.zero("q", trunc)
     coeffs = {0: -bernoulli(k) / factorial(k)}
     scale = Fraction(2, factorial(k - 1))
     for n in range(1, trunc + 1):
@@ -974,7 +998,7 @@ def eisenstein(k: int, trunc: int, var: str = "q") -> QSeries:
         while m <= trunc:
             coeffs[m] = coeffs.get(m, Fraction(0)) + scale * power
             m += n
-    return QSeries(var, {n: c for n, c in coeffs.items() if c != 0}, trunc)
+    return QSeries("q", {n: c for n, c in coeffs.items() if c != 0}, trunc)
 
 
 def eta_normalized(trunc: int, var: str = "q") -> QSeries:

@@ -11,11 +11,19 @@ becomes rational.  Entries with k+l odd vanish identically (odd Eisenstein
 series and odd Bernoulli numbers), so every surviving power of eps is an
 integer and the matrices are built from the even k+l entries only.
 
-Every sewing quantity is read off one set of powers P^n of P = A1 A2 (A2(0)
-on the pinched surface): the log-det from their traces, and the period data and the pinched modulus from
-the first row and column of sum_n P^n.  The matrix-vector resolvent chains
-(``resolvent_11``, ``weighted_resolvent_11``) compute the same entries
-another way.
+Every sewing quantity is read off the minors of A1 and A2 (A2(0) on the
+pinched surface) taken separately.  A minor det A_a[S, U] is
+eps^((sum S + sum U)/2) times a series in q_a alone, and nonzero only when
+S and U hold equally many odd indices, so the few (S, U) with
+sum S + sum U <= eps order are all that enter.  Cauchy-Binet gives
+
+    det(I - A1 A2) = sum_{|S|=|U|} (-1)^|S| det A1[S,U] det A2[U,S],
+
+and the matrix determinant lemma gives the (1,1) data of (I - A1 A2)^(-1)
+from the same minors; the log-det is the log of that sum.  The only
+bivariate products are one q1-series times one q2-series per (S, U).  The
+matrix-vector resolvent chains (``resolvent_11``,
+``weighted_resolvent_11``) compute the (1,1) data another way.
 """
 
 from __future__ import annotations
@@ -81,6 +89,15 @@ def a2_degenerate(N: int, eps_trunc: int) -> AMatrix:
     return _moment_matrix(N, eps_trunc, coeff, QSeries.zero("eps", eps_trunc))
 
 
+def _q_layout(*mats: AMatrix):
+    """The q-variables of the matrices' entries, sorted, and their orders."""
+    orders = {}
+    for m in mats:
+        orders.update(zip(m.entries[0][0].vars[1:], m.entries[0][0].truncs[1:]))
+    qvars = tuple(sorted(orders))
+    return qvars, tuple(orders[v] for v in qvars)
+
+
 def _embed(*mats: AMatrix):
     """Entry tuples of the matrices as series in one tuple of variables, eps
     followed by every q-variable of any of them, and the zero of that tuple
@@ -89,38 +106,151 @@ def _embed(*mats: AMatrix):
     Each entry keeps its own orders; a q-variable it lacks enters with the
     order the other matrices give it.
     """
-    orders = {}
-    for m in mats:
-        orders.update(zip(m.entries[0][0].vars, m.entries[0][0].truncs))
-    vars = tuple(sorted(orders))            # "eps" sorts before "q1", "q2"
+    qvars, qtruncs = _q_layout(*mats)
+    vars = ("eps", *qvars)
 
     def lift(e):
-        return e.embed(vars, (e.truncs[0], *(orders[v] for v in vars[1:])))
+        return e.embed(vars, (e.truncs[0], *qtruncs))
 
-    zero = QSeries.zero(vars, (min(m.eps_trunc for m in mats),
-                               *(orders[v] for v in vars[1:])))
+    zero = QSeries.zero(vars, (min(m.eps_trunc for m in mats), *qtruncs))
     return [tuple(tuple(map(lift, row)) for row in m.entries) for m in mats], zero
 
 
-# -- matrix algebra over eps-series -------------------------------------------------
+# -- minors of the moment matrices ------------------------------------------------
 
 
-def _mat_mul(A, B, zero: QSeries):
-    # Sums start from ``zero``, so every entry is cut to its eps order
-    # whatever the matrix size.
-    size = len(A)
-    out = []
-    for k in range(size):
-        row = []
-        for l in range(size):
-            acc = zero
-            for m in range(size):
-                if A[k][m].is_zero() or B[m][l].is_zero():
-                    continue
-                acc = acc + A[k][m] * B[m][l]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _check_sizes(A: AMatrix, B: AMatrix, eps_trunc: int):
+    if A.size != B.size:
+        raise SeriesError("matrix sizes differ")
+    if A.size < eps_trunc:
+        raise SeriesError("matrix size too small for requested eps order")
+
+
+def _is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, QSeries) else x == 0
+
+
+@lru_cache(maxsize=None)
+def _index_pairs(limit: int, size: int) -> tuple:
+    """(S, U, sum(S) + sum(U)) for the increasing index tuples S, U in
+    1..size with |S| = |U|, equally many odd indices and sum(S) + sum(U) <=
+    limit: the (S, U) whose products det A[S, U] det B[U, S], of order
+    eps^(sum(S) + sum(U)), can be nonzero through eps^limit."""
+    subsets = [()]
+    for S in subsets:                       # grows while it is read
+        subsets.extend(S + (x,) for x in range(S[-1] + 1 if S else 1,
+                                                min(size, limit - sum(S)) + 1))
+    groups = {}
+    for S in subsets:
+        groups.setdefault((len(S), sum(x % 2 for x in S)), []).append((S, sum(S)))
+    return tuple((S, U, s + u) for group in groups.values()
+                 for S, s in group for U, u in group if s + u <= limit)
+
+
+class _Minors(dict):
+    """det c[S, U] for a moment matrix with entries A(k, l) = c(k, l)
+    eps^((k+l)/2), keyed on (S, U) and computed on first use by Laplace
+    expansion along the first row, so each minor is computed once.
+
+    c(k, l) is a series in the matrix's own q-variable (a rational for
+    the pinched matrix), and so is every minor; ``lifted`` gives a minor in
+    the variables ``qvars`` of the product it enters.
+    """
+
+    def __init__(self, A: AMatrix, qvars, qtruncs):
+        for k, row in enumerate(A.entries, 1):
+            for l, entry in enumerate(row, 1):
+                if any(2 * e[0] != k + l for e in entry.nums):
+                    raise SeriesError(f"moment-matrix entry ({k}, {l}) is not one eps block "
+                                      f"at eps^({k + l}/2)")
+        super().__init__({((), ()): 1})
+        e11 = A.entries[0][0]
+        self.entry = A.entry
+        self.zero = (QSeries.zero(e11.vars[1:], e11.truncs[1:]) if len(e11.vars) > 1
+                     else Fraction(0))
+        self.qvars, self.qtruncs = qvars, qtruncs
+        self._lifted = {}
+
+    def __missing__(self, key):
+        S, U = key
+        s, rows = S[0], S[1:]
+        acc = self.zero
+        for j, u in enumerate(U):
+            if (s + u) % 2:
+                continue
+            sub = self[rows, U[:j] + U[j + 1:]]
+            if _is_zero(sub):
+                continue
+            term = self.entry(s, u).block((s + u) // 2) * sub
+            acc = acc - term if j % 2 else acc + term
+        self[key] = acc
+        return acc
+
+    def lifted(self, S, U):
+        x = self._lifted.get((S, U))
+        if x is None:
+            x = self[S, U]
+            if isinstance(x, QSeries):
+                x = x.embed(self.qvars, self.qtruncs)
+            self._lifted[S, U] = x
+        return x
+
+
+def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
+    """log det(I - A B) and {name: value} for each name in ``wanted``, with
+    R = (I - A B)^(-1): "d11" = eps (B R)(1,1), "d22" = eps (R A)(1,1) and
+    "d12" = -eps R(1,1), each -eps N/det(I - A B) for its numerator N.
+
+    Cauchy-Binet on the principal minors of A B gives
+        det(I - A B) = sum_{|S|=|U|} (-1)^|S| det A[S,U] det B[U,S],
+    a term of order eps^(sum S + sum U); N of "d12" (the (1,1) cofactor) is
+    the same sum over S without 1.  The N of "d11" and "d22" are
+    d/dt det(I - A B) at A + t E11 and at B + t E11 (matrix determinant
+    lemma), with terms det A[S-1,U-1] det B[U,S] and det A[S,U]
+    det B[U-1,S-1] for 1 in S and U, of order eps^(sum S + sum U - 1).
+    """
+    _check_sizes(A, B, eps_trunc)
+    T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
+    qvars, qtruncs = _q_layout(A, B)
+    block_zero = QSeries.zero(qvars, qtruncs) if qvars else Fraction(0)
+    a, b = _Minors(A, qvars, qtruncs), _Minors(B, qvars, qtruncs)
+    sums = {name: {} for name in ("det", *wanted)}
+
+    def product(x, y):
+        return None if _is_zero(x) or _is_zero(y) else x * y
+
+    def add(name, n, sign, term):
+        if term is not None and name in sums:
+            acc = sums[name].get(n, block_zero)
+            sums[name][n] = acc + term if sign > 0 else acc - term
+
+    for S, U, n in _index_pairs(T + 1, A.size):
+        sign = -1 if len(S) % 2 else 1
+        if n <= T:
+            term = product(a.lifted(S, U), b.lifted(U, S))
+            add("det", n, sign, term)
+            if 1 not in S:
+                add("d12", n, sign, term)
+        if S[:1] == U[:1] == (1,):
+            if "d11" in sums:
+                add("d11", n - 1, sign, product(a.lifted(S[1:], U[1:]), b.lifted(U, S)))
+            if "d22" in sums:
+                add("d22", n - 1, sign, product(a.lifted(S, U), b.lifted(U[1:], S[1:])))
+    zero = QSeries.zero(("eps", *qvars), (T, *qtruncs))
+    series = {name: QSeries.from_blocks("eps", blocks, T) if blocks else zero
+              for name, blocks in sums.items()}
+    logdet = series.pop("det").log()
+    inv_det = (-logdet).exp() if wanted else None
+    return logdet, {name: -(N * inv_det).times_eps() for name, N in series.items()}
+
+
+def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
+    """log det(I - A B), truncated at eps^eps_trunc (and at the matrices' own
+    eps order), from the minors of A and B (Cauchy-Binet)."""
+    return _minor_sums(A, B, eps_trunc)[0]
+
+
+# -- resolvent chains (matrix-vector products) ---------------------------------------
 
 
 def _dot(u, v, zero: QSeries) -> QSeries:
@@ -136,55 +266,9 @@ def _mat_vec(A, v, zero: QSeries):
     return [_dot(row, v, zero) for row in A]
 
 
-def _check_sizes(A: AMatrix, B: AMatrix, eps_trunc: int):
-    if A.size != B.size:
-        raise SeriesError("matrix sizes differ")
-    if A.size < eps_trunc:
-        raise SeriesError("matrix size too small for requested eps order")
-
-
-@dataclass(frozen=True)
-class _PowerSums:
-    """What the sewing quantities need from the powers of P = a b, for a and b
-    embedded in one variable tuple with ``zero`` the zero of that tuple."""
-    a: tuple
-    b: tuple
-    zero: QSeries
-    logdet: QSeries         # -sum_{n>=1} Tr(P^n)/n = log det(I - P)
-    row: list               # first row of sum_{n>=0} P^n = (I - P)^(-1)
-    col: list               # its first column
-
-
-def _power_sums(A: AMatrix, B: AMatrix, eps_trunc: int) -> _PowerSums:
-    # One pass over P^n, 2n <= eps_trunc: every entry of P^n is O(eps^(2n)),
-    # so the n-sums are exact at eps^eps_trunc.
-    _check_sizes(A, B, eps_trunc)
-    (a, b), zero = _embed(A, B)
-    P = _mat_mul(a, b, zero)
-    row = [zero + 1] + [zero] * (A.size - 1)
-    col = list(row)
-    logdet = zero
-    power = P
-    n = 1
-    while 2 * n <= eps_trunc:
-        if n > 1:
-            power = _mat_mul(power, P, zero)
-        tr = zero
-        for k in range(A.size):
-            tr = tr + power[k][k]
-        logdet = logdet + tr * Fraction(-1, n)
-        row = [r + x for r, x in zip(row, power[0])]
-        col = [c + p[0] for c, p in zip(col, power)]
-        n += 1
-    return _PowerSums(a, b, zero, logdet, row, col)
-
-
-def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
-    """log det(I - A B) = -sum_{n>=1} Tr((A B)^n)/n, truncated at eps^eps_trunc.
-
-    The n-sum is finite: Tr((A B)^n) = O(eps^(2n)).
-    """
-    return _power_sums(A, B, eps_trunc).logdet
+def _cut(s: QSeries, eps_trunc: int) -> QSeries:
+    # The geometric sums below are exact through eps^eps_trunc only.
+    return s.truncate((min(eps_trunc, s.truncs[0]), *s.truncs[1:]))
 
 
 def _resolvent_vector_sum(a, b, eps_trunc: int, zero: QSeries):
@@ -204,7 +288,7 @@ def resolvent_11(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
     """(I - A B)^(-1) (1,1) by the geometric series."""
     _check_sizes(A, B, eps_trunc)
     (a, b), zero = _embed(A, B)
-    return _resolvent_vector_sum(a, b, eps_trunc, zero)[0]
+    return _cut(_resolvent_vector_sum(a, b, eps_trunc, zero)[0], eps_trunc)
 
 
 def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
@@ -214,7 +298,7 @@ def weighted_resolvent_11(W: AMatrix, A: AMatrix, B: AMatrix, eps_trunc: int) ->
         raise SeriesError("matrix sizes differ")
     (w, a, b), zero = _embed(W, A, B)
     total = _resolvent_vector_sum(a, b, eps_trunc, zero)
-    return _mat_vec(w, total, zero)[0]
+    return _cut(_mat_vec(w, total, zero)[0], eps_trunc)
 
 
 @dataclass(frozen=True)
@@ -232,18 +316,17 @@ class PeriodData:
 
 def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int,
                 N: int) -> tuple[QSeries, PeriodData]:
-    """log det(I - A1 A2) and the period data, from one set of powers of A1 A2.
+    """log det(I - A1 A2) and the period data, from one set of minors of A1
+    and A2.
 
     With R = (I - A1 A2)^(-1): d12 is -eps R(1,1), d11 is eps (A2 R)(1,1),
     and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
     push-through identity.
     """
-    s = _power_sums(a_matrix(1, N, eps_trunc, q1_trunc),
-                    a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
-    d11 = _dot(s.b[0], s.col, s.zero).times_eps()
-    d22 = _dot(s.row, [r[0] for r in s.a], s.zero).times_eps()
-    d12 = -s.col[0].times_eps()
-    return s.logdet, PeriodData(d11, d22, d12)
+    logdet, d = _minor_sums(a_matrix(1, N, eps_trunc, q1_trunc),
+                            a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc,
+                            ("d11", "d22", "d12"))
+    return logdet, PeriodData(d["d11"], d["d22"], d["d12"])
 
 
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> PeriodData:
@@ -254,9 +337,9 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
 @lru_cache(maxsize=None)
 def _degenerate_sewing(q1_trunc: int, eps_trunc: int, N: int) -> tuple[QSeries, QSeries]:
     # Memoized: both results are immutable and pure functions of the orders.
-    s = _power_sums(a_matrix(1, N, eps_trunc, q1_trunc), a2_degenerate(N, eps_trunc),
-                    eps_trunc)
-    return s.logdet, _dot(s.b[0], s.col, s.zero).times_eps()
+    logdet, d = _minor_sums(a_matrix(1, N, eps_trunc, q1_trunc), a2_degenerate(N, eps_trunc),
+                            eps_trunc, ("d11",))
+    return logdet, d["d11"]
 
 
 def degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:

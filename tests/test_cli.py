@@ -137,11 +137,40 @@ class TestVerify:
 
     def test_structure_needs_a_spare_equation(self, capsys):
         # q-order 3 gives weight 8 (4 monomials) a square system, which
-        # would "recognize" any series: the check must fail, not pass.
-        code, out, _ = run(capsys, "verify", "structure", "--max-weight", "8",
-                           "--q-order", "3")
-        assert code == 1
-        assert "insufficient q-order" in out and out.rstrip().endswith("FAILED: 47/60 checks passed")
+        # would "recognize" any series: the check fails rather than passes,
+        # and the CLI refuses that order up front.
+        sub = structure_check((2, 2, 2, 2), 3)
+        assert not sub.passed
+        assert any("insufficient q-order" in c.expected + c.computed for c in sub.checks)
+        code, out, err = run(capsys, "verify", "structure", "--max-weight", "8",
+                             "--q-order", "3")
+        assert code == 2 and out == ""
+        assert "--q-order >= 4" in err
+
+    @pytest.mark.parametrize("argv, need", [
+        (("structure", "--max-weight", "8", "--q-order", "3"), 4),
+        (("structure", "--max-weight", "9", "--q-order", "3"), 4),
+        (("structure", "--max-weight", "14", "--q-order", "7"), 8),
+        (("all", "--eps-order", "4", "--max-weight", "4", "--q-order", "0"), 2)])
+    def test_recognition_needs_a_q_order(self, capsys, monkeypatch, argv, need):
+        # The q-order must reach the number of quasi-modular monomials of the
+        # top weight; below it every structure check is refused before any
+        # suite runs (at q-order 0 the identity checks compare q^0 alone).
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the order check")
+
+        for name in ("_structure_report", "verify_detHi", "_modular_identities_report"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"--q-order >= {need}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("structure", "--max-weight", "8", "--q-order", "4"),
+        ("all", "--eps-order", "4", "--max-weight", "4", "--q-order", "2")])
+    def test_recognition_passes_at_its_minimum_q_order(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and "FAIL" not in out
 
     def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch):
         # A singular quasi-modular basis is a program fault: it must escape

@@ -84,6 +84,10 @@ CASES = {
                            "--matrix-size", "4"], 2),
     "usage_eps_order_zero": (["verify", "detHi", "--eps-order", "0"], 2),
     "usage_max_weight_one": (["verify", "structure", "--max-weight", "1"], 2),
+    "usage_structure_q_order": (["verify", "structure", "--max-weight", "8",
+                                 "--q-order", "3"], 2),
+    "usage_all_q_order_zero": (["verify", "all", "--eps-order", "4", "--max-weight", "4",
+                                "--q-order", "0"], 2),
 }
 
 

@@ -1452,3 +1452,48 @@ class TestEpsSeriesAgainstOracle:
         if a.nums or len(a.vars) == 1:
             assert QSeries.from_json(a.to_json()) == a
 
+
+
+class TestEpsSeriesLog:
+    # log of an eps-series over further variables runs as a block recurrence
+    # in eps, like exp; each undoes the other exactly, orders included.
+    @staticmethod
+    def draw_log(data, rest):
+        """An eps-series over ``rest`` with zero offsets and no eps^0 block."""
+        T = data.draw(st.integers(1, 5))
+        powers = data.draw(st.lists(st.integers(1, T), unique=True, max_size=4))
+        f = data.draw(eps_series_strategy(nrest=len(rest), eps_trunc=T, powers=powers,
+                                          offset_choices=[0]))
+        return f.renamed("eps", *rest)
+
+    @pytest.mark.parametrize("rest", [("q1", "q2"), ("q1", "C")])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_log_inverts_exp(self, rest, data):
+        f = self.draw_log(data, rest)
+        assert f.exp().log() == f
+
+    @pytest.mark.parametrize("rest", [("q1", "q2"), ("q1", "C")])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exp_inverts_log(self, rest, data):
+        g = self.draw_log(data, rest) + 1
+        assert g.log().exp() == g
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_variable_log_equals_the_block_route(self, data):
+        # The one-variable recurrence is unchanged; the block recurrence
+        # over a q-variable of order 0 gives the same series.
+        u = self.draw_log(data, ()) + 1
+        layout = (("eps", "q1"), (u.truncs[0], 0))
+        assert u.log() == oracle_log(u)
+        assert u.embed(*layout).log() == u.log().embed(*layout)
+
+    @pytest.mark.parametrize("blocks", [
+        {0: F(2), 2: F(1)},
+        {0: QSeries("q1", {0: 1, 1: 1}, 3), 2: QSeries.one("q1", 3)},
+        {0: QSeries("q1", {0: 1}, 3, F(1, 24)), 2: QSeries("q1", {1: 1}, 3, F(1, 24))}])
+    def test_needs_eps0_block_exactly_one(self, blocks):
+        with pytest.raises(SeriesError):
+            QSeries.from_blocks("eps", blocks, 4).log()

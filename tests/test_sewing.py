@@ -1,22 +1,144 @@
 """Sewing-matrix tests: entries, determinant/resolvent expansions, period data."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from twotori.series import QSeries, SeriesError, bernoulli, eisenstein
 from twotori.sewing import (
+    _check_sizes,
+    _dot,
+    _embed,
+    _minor_sums,
     a2_degenerate,
     a_matrix,
+    degenerate_logdet,
     degenerate_tau,
     log_det_I_minus,
     period_matrix,
     resolvent_11,
+    sewing_data,
     weighted_resolvent_11,
 )
 
 from test_series import set_second_to_zero
+
+
+# -- the powers route, kept as the oracle of the minors route -----------------------
+
+
+def _mat_mul(A, B, zero: QSeries):
+    # Sums start from ``zero``, so every entry is cut to its eps order
+    # whatever the matrix size.
+    size = len(A)
+    out = []
+    for k in range(size):
+        row = []
+        for l in range(size):
+            acc = zero
+            for m in range(size):
+                if A[k][m].is_zero() or B[m][l].is_zero():
+                    continue
+                acc = acc + A[k][m] * B[m][l]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _power_sums(A, B, eps_trunc: int):
+    """log det(I - A B) = -sum_{n>=1} Tr(P^n)/n with P = A B, and the period
+    data read off the first row and column of sum_n P^n = (I - P)^(-1):
+    d11 = eps (B R)(1,1), d22 = eps (R A)(1,1), d12 = -eps R(1,1).
+
+    One pass over P^n, 2n <= eps_trunc: every entry of P^n is O(eps^(2n)),
+    so the n-sums are exact at eps^eps_trunc.
+    """
+    _check_sizes(A, B, eps_trunc)
+    (a, b), zero = _embed(A, B)
+    P = _mat_mul(a, b, zero)
+    row = [zero + 1] + [zero] * (A.size - 1)
+    col = list(row)
+    logdet = zero
+    power = P
+    n = 1
+    while 2 * n <= eps_trunc:
+        if n > 1:
+            power = _mat_mul(power, P, zero)
+        tr = zero
+        for k in range(A.size):
+            tr = tr + power[k][k]
+        logdet = logdet + tr * F(-1, n)
+        row = [r + x for r, x in zip(row, power[0])]
+        col = [c + p[0] for c, p in zip(col, power)]
+        n += 1
+    d11 = _dot(b[0], col, zero).times_eps()
+    d22 = _dot(row, [r[0] for r in a], zero).times_eps()
+    d12 = -col[0].times_eps()
+    return logdet, d11, d22, d12
+
+
+class TestMinorsAgainstPowers:
+    # The minors route must equal the powers route as QSeries objects,
+    # truncation orders included.
+    @pytest.mark.parametrize("T", range(2, 13))
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_bivariate(self, T, extra):
+        q1, q2 = ((3, 1), (0, 2), (2, 4))[T % 3]
+        N = T + extra
+        A1, A2 = a_matrix(1, N, T, q1), a_matrix(2, N, T, q2)
+        logdet, d11, d22, d12 = _power_sums(A1, A2, T)
+        got_logdet, pd = sewing_data(q1, q2, T, N)
+        assert got_logdet == logdet
+        assert (pd.d11, pd.d22, pd.d12) == (d11, d22, d12)
+
+    @pytest.mark.parametrize("T", range(1, 17))
+    def test_degenerate(self, T):
+        q = min(T, 8)
+        logdet, d11, _, _ = _power_sums(a_matrix(1, T, T, q), a2_degenerate(T, T), T)
+        assert degenerate_logdet(q, T, T) == logdet
+        assert degenerate_tau(q, T, T) == d11
+
+    def test_all_numerators_of_the_degenerate_pass(self):
+        T, q = 9, 3
+        A1, A20 = a_matrix(1, T + 2, T, q), a2_degenerate(T + 2, T)
+        logdet, d = _minor_sums(A1, A20, T, ("d11", "d22", "d12"))
+        assert (logdet, d["d11"], d["d22"], d["d12"]) == _power_sums(A1, A20, T)
+
+
+class TestEpsTruncation:
+    # Asked for a lower eps order than the matrices carry, each result is
+    # cut to that order and agrees there with the full-order result.
+    A1, A20 = a_matrix(1, 8, 8, 4), a2_degenerate(8, 8)
+
+    def check(self, route):
+        low, full = route(4), route(8)
+        assert low.truncs[0] == 4
+        assert low == full.truncate((4, *full.truncs[1:]))
+
+    def test_log_det(self):
+        self.check(lambda e: log_det_I_minus(self.A1, self.A20, e))
+
+    def test_resolvent(self):
+        self.check(lambda e: resolvent_11(self.A1, self.A20, e))
+
+    def test_weighted_resolvent(self):
+        self.check(lambda e: weighted_resolvent_11(self.A20, self.A1, self.A20, e))
+
+
+class TestEntryShape:
+    # The minors route reads entry (k, l) as one block at eps^((k+l)/2) and
+    # refuses a matrix that breaks that shape.
+    @pytest.mark.parametrize("k, l, power", [(1, 1, 2), (1, 2, 1), (2, 3, 3)])
+    def test_misplaced_block_raises(self, k, l, power):
+        A = a_matrix(1, 4, 4, 2)
+        rows = [list(r) for r in A.entries]
+        rows[k - 1][l - 1] = rows[k - 1][l - 1] + QSeries.from_blocks(
+            "eps", {power: QSeries.one("q1", 2)}, 4)
+        bad = replace(A, entries=tuple(map(tuple, rows)))
+        with pytest.raises(SeriesError):
+            log_det_I_minus(bad, a2_degenerate(4, 4), 4)
 
 
 def const_q1(c, q_trunc):
@@ -254,7 +376,6 @@ class TestDeterminantAgainstLeibniz:
         # fully independent: det(I - A1 A2(0)) by the Leibniz permutation sum
         # versus exp of the trace-log expansion
         from itertools import permutations
-        from twotori.sewing import _embed, _mat_mul
 
         N, eps, q = 5, 4, 4
         A, B = a_matrix(1, N, eps, q), a2_degenerate(N, eps)

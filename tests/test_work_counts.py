@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, sewing, zhu
+from twotori import cli, genus2, series, sewing, zhu
 from twotori.genus2 import ModulePair, z2_module_pair
 
 
@@ -37,20 +37,27 @@ def cold_caches():
         cached.cache_clear()
 
 
-def test_module_pair_forms_each_power_once(monkeypatch):
-    # P = A1 A2 and P^2..P^5 at eps order 10, and no matrix-vector chain:
-    # the log-det and the period data come from the same powers.
-    products = counting(monkeypatch, sewing, "_mat_mul")
+def test_module_pair_expands_each_minor_once(monkeypatch):
+    # One pass over the minors of A1 and A2 at eps order 10, and no
+    # matrix-vector chain: the log-det and the period data come from the
+    # same minors.  Each matrix has 43 nonempty index pairs (S, U) with
+    # sum S + sum U <= 10 and equally many odd indices, and each minor is
+    # expanded once.
+    passes = counting(monkeypatch, sewing, "_minor_sums")
     chains = counting(monkeypatch, sewing, "_resolvent_vector_sum")
+    minors = counting(monkeypatch, sewing._Minors, "__missing__")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 10)
-    assert (len(products), len(chains)) == (5, 0)
+    assert (len(passes), len(chains)) == (1, 0)
+    keys = [(id(m), key) for m, key in minors]
+    assert len(set(keys)) == len(keys) == 2 * 43
+    assert len({m for m, _ in keys}) == 2
 
 
 def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     # detHi and the four theta pairs share one degeneration sum, and every
     # suite shares one degenerate sewing pass (log-det and delta together).
     sums = counting(monkeypatch, genus2, "lambda_vector")
-    passes = counting(monkeypatch, sewing, "_power_sums")
+    passes = counting(monkeypatch, sewing, "_minor_sums")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
@@ -81,3 +88,21 @@ def test_verify_all_sums_descendants_once(monkeypatch, capsys, cold_caches):
     capsys.readouterr()
     assert code == 0
     assert len(sums) == 1
+
+
+def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_caches):
+    # The Zhu operators read E_k over "q", the moment matrices and the
+    # free-boson checks over "q1"; one table per (k, q-order) serves every
+    # variable.  A table of even weight calls series.bernoulli once.
+    for cached in vars(series).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    builds = counting(monkeypatch, series, "bernoulli")
+    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, zhu, genus2, cli)]
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    tables = {args[:2] for calls in requests for args in calls if args[0] % 2 == 0}
+    assert {(k, 8) for k in (2, 4, 6)} <= tables
+    assert len(builds) == len(tables)
