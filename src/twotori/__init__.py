@@ -8,12 +8,14 @@ the torus-degeneration identities relating them to any finite order.
 """
 
 from .series import (
+    EisensteinPoly,
     NotQuasiModular,
     QSeries,
     QuasiModularPoly,
     SeriesError,
     bernoulli,
     eisenstein,
+    eisenstein_poly,
     eta_normalized,
     qd,
     to_quasimodular,

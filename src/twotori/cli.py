@@ -61,6 +61,7 @@ def _recognition_q_order(cfg) -> int:
 _MATRICES = ("eps_order", 1, "the moment matrices start at eps^1")
 _FREE_BOSON = ("eps_order", 4, "the free-boson checks read eps^4")
 _STRUCTURE = ("max_weight", 2, "the structure checks start at weight 2")
+_Q_SERIES = ("q_order", 1, "the checks compare q-series, and q^0 alone shows no q-dependence")
 _RECOGNITION = ("q_order", _recognition_q_order,
                 "one q-coefficient per monomial E2^a E4^b E6^c of the top weight, "
                 "plus one to check the fit")
@@ -69,9 +70,9 @@ MIN_ORDERS = {
     ("compute", "period"): (_MATRICES,),
     ("compute", "z2-heisenberg"): (_MATRICES,),
     ("compute", "z2-module"): (_MATRICES,),
-    ("verify", "detHi"): (_MATRICES,),
-    ("verify", "theta-degen"): (_MATRICES,),
-    ("verify", "heisenberg-degen"): (_FREE_BOSON,),
+    ("verify", "detHi"): (_MATRICES, _Q_SERIES),
+    ("verify", "theta-degen"): (_MATRICES, _Q_SERIES),
+    ("verify", "heisenberg-degen"): (_FREE_BOSON, _Q_SERIES),
     ("verify", "structure"): (_STRUCTURE, _RECOGNITION),
     ("verify", "all"): (_FREE_BOSON, _STRUCTURE, _RECOGNITION),
 }

@@ -175,7 +175,7 @@ class OperatorEpsSeries:
             raise ValueError("derivative order must be >= 0")
         return QSeries(("eps", *H_VARS),
                        {(n, m, j): c for n, op in self.terms.items()
-                        for (i, j), s in op.terms.items() if i == l
+                        for (i, j), s in op.series().items() if i == l
                         for (m,), c in s.coeffs.items()},
                        (self.eps_trunc, self.q_trunc, self.eps_trunc))
 

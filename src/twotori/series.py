@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import factorial, floor, gcd, lcm
 from operator import add, gt, le, lt, mul, sub
 from types import MappingProxyType
@@ -1033,53 +1033,150 @@ def quasimodular_monomials(weight: int):
     return out
 
 
-class QuasiModularPoly:
-    """A fixed-weight polynomial in the graded-ring generators E2, E4, E6."""
+class EisensteinPoly:
+    """An exact polynomial in the graded-ring generators E2, E4, E6.
 
-    __slots__ = ("weight", "coeffs")
+    ``coeffs`` maps exponent triples (a, b, c) to the rational coefficient
+    of E2^a E4^b E6^c.  Monomials of different weights may mix: the Zhu
+    recursion builds these polynomials, and the structure suite checks
+    their weights rather than assuming them.  ``qd`` applies Ramanujan's
+    derivatives, so the ring is closed under q d/dq.
+    """
 
-    def __init__(self, weight: int, coeffs=None):
-        object.__setattr__(self, "weight", int(weight))
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
         clean = {}
-        for (a, b, c), v in (coeffs or {}).items():
+        for mono, v in (coeffs or {}).items():
             v = rat(v)
-            if v == 0:
-                continue
-            if 2 * a + 4 * b + 6 * c != weight:
-                raise SeriesError(f"monomial (E2^{a} E4^{b} E6^{c}) is not weight {weight}")
-            clean[(a, b, c)] = v
+            if v:
+                clean[mono] = v
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *a):
-        raise AttributeError("QuasiModularPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def to_qseries(self, trunc: int, var: str = "q") -> QSeries:
-        out = QSeries.zero(var, trunc)
-        for (a, b, c), v in self.coeffs.items():
-            term = QSeries.const(var, v, trunc)
-            if a:
-                term = term * eisenstein(2, trunc, var) ** a
-            if b:
-                term = term * eisenstein(4, trunc, var) ** b
-            if c:
-                term = term * eisenstein(6, trunc, var) ** c
-            out = out + term
-        return out
+    @classmethod
+    def const(cls, c) -> "EisensteinPoly":
+        return cls({(0, 0, 0): c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def weights(self) -> set:
+        """The weights 2a + 4b + 6c of the monomials present."""
+        return {2 * a + 4 * b + 6 * c for a, b, c in self.coeffs}
+
+    @staticmethod
+    def _collect(terms) -> "EisensteinPoly":
+        # Sum (monomial, coefficient) pairs that may repeat a monomial.
+        out = {}
+        for mono, v in terms:
+            out[mono] = out[mono] + v if mono in out else v
+        return EisensteinPoly(out)
+
+    def __add__(self, other):
+        return self._collect(chain(self.coeffs.items(), other.coeffs.items()))
+
+    def __mul__(self, other):
+        if not isinstance(other, EisensteinPoly):
+            c = rat(other)
+            return EisensteinPoly({m: v * c for m, v in self.coeffs.items()})
+        return self._collect(((a + x, b + y, c + z), v * w)
+                             for (a, b, c), v in self.coeffs.items()
+                             for (x, y, z), w in other.coeffs.items())
+
+    def qd(self) -> "EisensteinPoly":
+        """q d/dq by qd E2 = 5E4 - E2^2, qd E4 = -4E2E4 + 14E6 and
+        qd E6 = -6E2E6 + (60/7)E4^2 (this module's normalization of E_k)."""
+        terms = []
+        for (a, b, c), v in self.coeffs.items():
+            terms.append(((a + 1, b, c), -(a + 4 * b + 6 * c) * v))
+            if a:
+                terms.append(((a - 1, b + 1, c), 5 * a * v))
+            if b:
+                terms.append(((a, b - 1, c + 1), 14 * b * v))
+            if c:
+                terms.append(((a, b + 2, c - 1), Fraction(60, 7) * c * v))
+        return self._collect(terms)
+
+    def to_qseries(self, trunc: int, var: str = "q") -> QSeries:
+        """The q-expansion through q^trunc, summed from the shared table of
+        monomial expansions."""
+        out = QSeries.zero("q", trunc)
+        for mono, v in self.coeffs.items():
+            out = out + _monomial_qseries(mono, trunc) * v
+        return out.renamed(var)
+
+    def __eq__(self, other):
+        if not isinstance(other, EisensteinPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def __str__(self):
+        return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
+                          for k in sorted(self.coeffs, reverse=True))
+
+    def __repr__(self):
+        return f"EisensteinPoly({self})"
+
+
+@lru_cache(maxsize=None)
+def _monomial_qseries(mono: tuple, trunc: int) -> QSeries:
+    # E2^a E4^b E6^c through q^trunc, one product per generator peeled off.
+    a, b, c = mono
+    if c:
+        return _monomial_qseries((a, b, c - 1), trunc) * eisenstein(6, trunc)
+    if b:
+        return _monomial_qseries((a, b - 1, c), trunc) * eisenstein(4, trunc)
+    if a:
+        return _monomial_qseries((a - 1, b, c), trunc) * eisenstein(2, trunc)
+    return QSeries.one("q", trunc)
+
+
+@lru_cache(maxsize=None)
+def eisenstein_poly(k: int) -> EisensteinPoly:
+    """E_k as a polynomial in E4 and E6 (E2 itself for k = 2; zero for odd k).
+
+    For k = 2n >= 8 the recurrence
+    (2n+1)(n-3)(2n-1) E_2n = 3 sum_{p+q=n; p,q>=2} (2p-1)(2q-1) E_2p E_2q
+    holds in this module's normalization of E_k.
+    """
+    if k < 2:
+        raise ValueError("eisenstein needs k >= 2")
+    if k % 2:
+        return EisensteinPoly()
+    if k <= 6:
+        return EisensteinPoly({{2: (1, 0, 0), 4: (0, 1, 0), 6: (0, 0, 1)}[k]: 1})
+    n = k // 2
+    total = EisensteinPoly()
+    for p in range(2, n - 1):
+        q = n - p
+        total = total + eisenstein_poly(2 * p) * eisenstein_poly(2 * q) * ((2 * p - 1) * (2 * q - 1))
+    return total * Fraction(3, (2 * n + 1) * (n - 3) * (2 * n - 1))
+
+
+class QuasiModularPoly(EisensteinPoly):
+    """A fixed-weight polynomial in the graded-ring generators E2, E4, E6."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: int, coeffs=None):
+        super().__init__(coeffs)
+        object.__setattr__(self, "weight", int(weight))
+        for a, b, c in self.coeffs:
+            if 2 * a + 4 * b + 6 * c != weight:
+                raise SeriesError(f"monomial (E2^{a} E4^{b} E6^{c}) is not weight {weight}")
 
     def __eq__(self, other):
         if not isinstance(other, QuasiModularPoly):
             return NotImplemented
         return self.weight == other.weight and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.weight, tuple(sorted(self.coeffs.items()))))
-
-    def __str__(self):
-        return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
-                          for k in sorted(self.coeffs, reverse=True))
+    __hash__ = EisensteinPoly.__hash__
 
     def __repr__(self):
         return f"QuasiModularPoly(weight={self.weight}, {self})"
@@ -1098,7 +1195,7 @@ def _quasimodular_solver(weight: int, trunc: int):
     """
     monos = quasimodular_monomials(weight)
     k, size = len(monos), trunc + 1
-    expansions = [QuasiModularPoly(weight, {m: 1}).to_qseries(trunc) for m in monos]
+    expansions = [_monomial_qseries(m, trunc) for m in monos]
     m = [[e.coeff(n) for e in expansions] + [Fraction(int(i == n)) for i in range(size)]
          for n in range(size)]
     for col in range(k):

@@ -7,9 +7,17 @@ reduction
                + sum_{r >= 0} (-1)^r C(k+r-1, r+1) E_{k+r}(q) Z(L[r] u),
 
 which terminates because L[r] u = 0 beyond the weight of u.  Results are
-kept symbolic: an operator  sum_{i,j} c_ij(q) C^j qd^i  applied to an
-abstract base partition function, either in the raw Z basis or rewritten
-onto the eta^C-normalized base (Theta basis).
+kept symbolic: an operator  sum_{i,j} c_ij C^j qd^i  applied to an abstract
+base partition function, either in the raw Z basis or rewritten onto the
+eta^C-normalized base (Theta basis).
+
+Each coefficient c_ij is an exact polynomial in E2, E4 and E6, so the
+recursion runs in the quasi-modular ring and no q-order enters it.  Two ring
+facts close it: E_k for k >= 8 is a polynomial in E4 and E6 (a quadratic
+recurrence, ``series.eisenstein_poly``), and qd acts on E2, E4 and E6 by
+Ramanujan's derivatives (``EisensteinPoly.qd``).  An operator is read as
+q-series only at its consumers (specialization, rendering, JSON), through
+one cached table of the monomials E2^a E4^b E6^c.
 """
 
 from __future__ import annotations
@@ -22,14 +30,14 @@ from types import MappingProxyType
 
 from .reports import Report
 from .series import (
-    NotQuasiModular,
+    EisensteinPoly,
     QSeries,
     SeriesError,
-    eisenstein,
+    eisenstein_poly,
     monomial_str,
-    quasimodular_factor,
+    parenthesize,
+    quasimodular_monomials,
     rat,
-    to_quasimodular,
 )
 from .virasoro import CPoly, VirState, apply_mode, check_partition, partition_weight
 
@@ -38,26 +46,29 @@ THETA_BASIS = "Theta"
 
 
 class DiffOp:
-    """sum_{i,j} c_ij(q) C^j qd^i applied to an abstract base function.
+    """sum_{i,j} c_ij C^j qd^i applied to an abstract base function.
 
-    The coefficients are series in "q", the base modulus; ``specialize``
-    evaluates at a base in any one variable.  In the Theta basis an overall
-    eta(q)^(-C) prefactor is implicit and the base is the normalized
-    partition function.  ``terms`` is read-only, since the recursion's cache
-    shares one instance between callers.
+    Each coefficient c_ij is an exact ``EisensteinPoly`` in E2, E4, E6.
+    ``q_trunc`` is the q-order at which consumers read the coefficients as
+    q-series (``series``, ``specialize``, rendering and JSON); it is None
+    for an operator not yet read at any order, as the recursion's cache
+    holds them.  In the Theta basis an overall eta(q)^(-C) prefactor is
+    implicit and the base is the normalized partition function.  ``terms``
+    is read-only, since the recursion's cache shares one instance between
+    callers.
     """
 
-    __slots__ = ("basis", "terms", "q_trunc")
+    __slots__ = ("basis", "terms", "q_trunc", "_series")
 
-    def __init__(self, basis: str, terms=None, q_trunc: int = 0):
+    def __init__(self, basis: str, terms=None, q_trunc: int | None = None):
         if basis not in (Z_BASIS, THETA_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "q_trunc", int(q_trunc))
+        object.__setattr__(self, "q_trunc", None if q_trunc is None else int(q_trunc))
         clean = {}
         for (i, j), s in (terms or {}).items():
-            if isinstance(s, (int, Fraction)):
-                s = QSeries.const("q", s, q_trunc)
+            if not isinstance(s, EisensteinPoly):
+                s = EisensteinPoly.const(s)
             if s.is_zero():
                 continue
             clean[(int(i), int(j))] = s
@@ -67,18 +78,22 @@ class DiffOp:
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
-    def identity(cls, basis: str, q_trunc: int) -> "DiffOp":
-        return cls(basis, {(0, 0): QSeries.one("q", q_trunc)}, q_trunc)
+    def identity(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
+        return cls(basis, {(0, 0): 1}, q_trunc)
 
     @classmethod
-    def zero(cls, basis: str, q_trunc: int) -> "DiffOp":
+    def zero(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
         return cls(basis, {}, q_trunc)
+
+    def read_at(self, q_trunc: int) -> "DiffOp":
+        """The same operator, read as q-series through q^q_trunc."""
+        return DiffOp(self.basis, self.terms, q_trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, i: int, j: int) -> QSeries:
-        return self.terms.get((i, j), QSeries.zero("q", self.q_trunc))
+    def coeff(self, i: int, j: int) -> EisensteinPoly:
+        return self.terms.get((i, j), EisensteinPoly())
 
     def max_derivative(self) -> int:
         return max((i for i, _ in self.terms), default=0)
@@ -86,6 +101,18 @@ class DiffOp:
     def c_degree(self, i: int) -> int:
         """Highest C power among the qd^i coefficients (-1 if absent)."""
         return max((j for (a, j) in self.terms if a == i), default=-1)
+
+    def series(self) -> MappingProxyType:
+        """(i, j) -> q-expansion of c_ij through q^q_trunc, for the
+        coefficients that do not vanish to that order.  Expanded once per
+        operator and read-only, as the memoized degeneration sum shares it."""
+        if self.q_trunc is None:
+            raise SeriesError("operator has no q-order to read its coefficients at")
+        if not hasattr(self, "_series"):
+            expanded = {key: poly.to_qseries(self.q_trunc) for key, poly in self.terms.items()}
+            object.__setattr__(self, "_series", MappingProxyType(
+                {key: s for key, s in expanded.items() if not s.is_zero()}))
+        return self._series
 
     def _check_compat(self, other: "DiffOp"):
         if self.basis != other.basis:
@@ -96,16 +123,11 @@ class DiffOp:
         out = dict(self.terms)
         for key, s in other.terms.items():
             out[key] = out[key] + s if key in out else s
-        return DiffOp(self.basis, out, min(self.q_trunc, other.q_trunc))
-
-    def __neg__(self):
-        return DiffOp(self.basis, {k: -s for k, s in self.terms.items()}, self.q_trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
+        orders = [t for t in (self.q_trunc, other.q_trunc) if t is not None]
+        return DiffOp(self.basis, out, min(orders, default=None))
 
     def scale(self, factor) -> "DiffOp":
-        """Multiply by a rational or a q-series (no C, no derivative)."""
+        """Multiply by a rational or an E2/E4/E6 polynomial (no C, no derivative)."""
         return DiffOp(self.basis, {k: s * factor for k, s in self.terms.items()},
                       self.q_trunc)
 
@@ -139,40 +161,39 @@ class DiffOp:
         return hash((self.basis, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def _render(self, coeff_text) -> str:
-        # Terms by falling derivative order, each as coeff_text(i, s)*C^j*D^i;
-        # a coefficient that renders as "1" is left out before C or D.
+        # Terms by falling derivative order, each as coeff_text(i, poly, s)*C^j*D^i
+        # with s the q-expansion; a coefficient that renders as "1" is left
+        # out before C or D.
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (-k[0], k[1])):
-            sym = coeff_text(i, self.terms[(i, j)])
+        expanded = self.series()
+        for (i, j) in sorted(expanded, key=lambda k: (-k[0], k[1])):
+            sym = coeff_text(i, self.terms[(i, j)], expanded[(i, j)])
             mono = monomial_str(("C", j), ("D", i))
             parts.append(mono if sym == "1" and mono else "*".join(filter(None, (sym, mono))))
         return " + ".join(parts) or "0"
 
     def __str__(self):
-        return self._render(lambda i, s: f"({s})")
+        return self._render(lambda i, poly, s: f"({s})")
 
     def __repr__(self):
         return f"DiffOp[{self.basis}]({self})"
 
     def to_json(self) -> dict:
-        entries = [{"d_order": i, "c_degree": j, "series": self.terms[(i, j)].to_json()}
-                   for (i, j) in sorted(self.terms)]
+        expanded = self.series()
+        entries = [{"d_order": i, "c_degree": j, "series": expanded[(i, j)].to_json()}
+                   for (i, j) in sorted(expanded)]
         return {"basis": self.basis, "terms": entries}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiffOp":
-        terms = {}
-        trunc = 0
-        for e in obj["terms"]:
-            s = QSeries.from_json(e["series"]).renamed("q")
-            terms[(e["d_order"], e["c_degree"])] = s
-            trunc = max(trunc, s.trunc)
-        return cls(obj["basis"], terms, trunc)
-
     def render_symbolic(self, weight: int) -> str:
-        """Operator string with quasi-modular coefficient symbols where the
-        weight-(n-2i) graded-ring solve recognizes them; raw series otherwise."""
-        return self._render(lambda i, s: quasimodular_factor(s, weight - 2 * i))
+        """Operator string with E2/E4/E6 symbols for each weight-(n-2i)
+        coefficient whose q-expansion has a coefficient to spare over the
+        weight's monomials (as recognition would need); raw series otherwise."""
+        def text(i, poly, s):
+            w = weight - 2 * i
+            legible = poly.weights() == {w} and s.trunc >= len(quasimodular_monomials(w))
+            return parenthesize(str(poly) if legible else str(s))
+
+        return self._render(text)
 
 
 @dataclass(frozen=True)
@@ -195,19 +216,20 @@ class BasePartition:
 
 
 @lru_cache(maxsize=None)
-def _op_for_word(word: tuple, q_trunc: int) -> DiffOp:
-    """Z-basis operator for the word L[-k_1]...L[-k_m]|0>.
+def _op_for_word(word: tuple) -> DiffOp:
+    """Exact Z-basis operator for the word L[-k_1]...L[-k_m]|0>.
 
     The word need not be PBW-ordered; the reduction handles any k_i >= 1,
-    which is what makes the recursion-order invariance testable.
+    which is what makes the recursion-order invariance testable.  No q-order
+    enters, so one cache entry serves every order it is read at.
     """
     if not word:
-        return DiffOp.identity(Z_BASIS, q_trunc)
+        return DiffOp.identity(Z_BASIS)
     k, tail = word[0], word[1:]
     tail_weight = sum(tail)
-    out = DiffOp.zero(Z_BASIS, q_trunc)
+    out = DiffOp.zero(Z_BASIS)
     if k == 2:
-        out = out + _op_for_word(tail, q_trunc).qd_compose()
+        out = out + _op_for_word(tail).qd_compose()
     for r in range(tail_weight + 1):
         if (k + r) % 2:
             continue  # odd Eisenstein series vanish
@@ -217,8 +239,8 @@ def _op_for_word(word: tuple, q_trunc: int) -> DiffOp:
         reduced = _reduced_state(tail, r)
         if reduced.is_zero():
             continue
-        factor = eisenstein(k + r, q_trunc) * Fraction((-1) ** r * weight)
-        out = out + _op_for_state(reduced, q_trunc).scale(factor)
+        factor = eisenstein_poly(k + r) * ((-1) ** r * weight)
+        out = out + _op_for_state(reduced).scale(factor)
     return out
 
 
@@ -239,18 +261,19 @@ def _state_for_word(word: tuple) -> VirState:
     return state
 
 
-def _op_for_state(v: VirState, q_trunc: int) -> DiffOp:
-    out = DiffOp.zero(Z_BASIS, q_trunc)
+def _op_for_state(v: VirState) -> DiffOp:
+    out = DiffOp.zero(Z_BASIS)
     for parts, coeff in v.terms.items():
-        out = out + _op_for_word(parts, q_trunc).scale_cpoly(coeff)
+        out = out + _op_for_word(parts).scale_cpoly(coeff)
     return out
 
 
 def one_point(v: VirState, q_trunc: int) -> DiffOp:
-    """Z-basis 1-point operator of a square-bracket vacuum descendant."""
+    """Z-basis 1-point operator of a square-bracket vacuum descendant, read
+    at q-order q_trunc."""
     for parts in v.terms:
         check_partition(parts)
-    return _op_for_state(v, q_trunc)
+    return _op_for_state(v).read_at(q_trunc)
 
 
 def one_point_word(word, q_trunc: int) -> DiffOp:
@@ -258,7 +281,7 @@ def one_point_word(word, q_trunc: int) -> DiffOp:
     word = tuple(int(k) for k in word)
     if any(k < 1 for k in word):
         raise ValueError("mode word entries must be >= 1")
-    return _op_for_word(word, q_trunc)
+    return _op_for_word(word).read_at(q_trunc)
 
 
 # -- basis change ----------------------------------------------------------------
@@ -266,7 +289,7 @@ def one_point_word(word, q_trunc: int) -> DiffOp:
 
 def _eta_rewrite(op: DiffOp, sign: int) -> DiffOp:
     # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative.
-    e2_half = eisenstein(2, op.q_trunc) * Fraction(sign, 2)
+    e2_half = eisenstein_poly(2) * Fraction(sign, 2)
     target = THETA_BASIS if sign > 0 else Z_BASIS
     powers = [DiffOp.identity(target, op.q_trunc)]
     for _ in range(op.max_derivative()):
@@ -306,6 +329,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     """
     if op.basis != THETA_BASIS:
         raise SeriesError("specialize needs a Theta-basis operator")
+    expanded = op.series()
     if base.theta.trunc < op.q_trunc:
         raise SeriesError(
             f"truncation mismatch: base known to q^{base.theta.trunc}, "
@@ -315,7 +339,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     for _ in range(op.max_derivative()):
         derivs.append(derivs[-1].qd())
     out = QSeries.zero(theta.var, op.q_trunc, theta.offset)
-    for (i, j), s in op.terms.items():
+    for (i, j), s in expanded.items():
         out = out + s.renamed(theta.var) * derivs[i] * base.c_value ** j
     return out
 
@@ -328,27 +352,30 @@ def structure_check(parts, q_trunc: int = 8, op: DiffOp | None = None) -> Report
 
     For a PBW monomial with m modes and weight n: in the Z basis the qd^i
     coefficient has C-degree <= floor((m-i)/2) (<= m-i after the Theta
-    rewrite), and every C^j qd^i coefficient is quasi-modular of weight n-2i.
+    rewrite), and every C^j qd^i coefficient is a polynomial in E2, E4, E6
+    homogeneous of weight n-2i.  The weights are read off the exact
+    coefficients, so the check holds at every q-order; ``q_trunc`` is the
+    order the operator is read at, and labels the checks.
     """
     parts = check_partition(parts)
     m, n = len(parts), partition_weight(parts)
     if op is None:
         op = one_point(VirState.monomial(parts), q_trunc)
     report = Report(title=f"structure of 1-point operator for {list(parts)}")
+    order = f"q<={op.q_trunc}"
     bound = (lambda i: (m - i) // 2) if op.basis == Z_BASIS else (lambda i: m - i)
     for i in range(op.max_derivative() + 1):
         deg = op.c_degree(i)
         report.add(f"C-degree of qd^{i} coefficient <= {bound(i)} ({op.basis} basis)",
-                   deg <= bound(i), order=f"q<={op.q_trunc}",
+                   deg <= bound(i), order=order,
                    expected=f"<= {bound(i)}", computed=str(deg))
-    for (i, j), s in sorted(op.terms.items()):
-        try:
-            poly = to_quasimodular(s, n - 2 * i)
-            report.add(f"coefficient of C^{j} qd^{i} is quasi-modular of weight {n - 2 * i}",
-                       True, order=f"q<={op.q_trunc}", computed=str(poly))
-        except (NotQuasiModular, SeriesError) as err:
-            report.add(f"coefficient of C^{j} qd^{i} is quasi-modular of weight {n - 2 * i}",
-                       False, order=f"q<={op.q_trunc}", expected="exact graded-ring member",
-                       computed=f"{s} ({err})")
+    for (i, j), poly in sorted(op.terms.items()):
+        w = n - 2 * i
+        name = f"coefficient of C^{j} qd^{i} is quasi-modular of weight {w}"
+        stray = sorted(poly.weights() - {w})
+        if not stray:
+            report.add(name, True, order=order, computed=str(poly))
+        else:
+            report.add(name, False, order=order, expected=f"only monomials of weight {w}",
+                       computed=f"{poly} (monomials of weight {', '.join(map(str, stray))})")
     return report
-

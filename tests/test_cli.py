@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, series
+from twotori import cli, series, zhu
 from twotori.cli import main
 from twotori.series import QSeries, _quasimodular_solver
 from twotori.zhu import structure_check
@@ -136,12 +136,11 @@ class TestVerify:
         assert code == 2 and "matrix size" in err
 
     def test_structure_needs_a_spare_equation(self, capsys):
-        # q-order 3 gives weight 8 (4 monomials) a square system, which
-        # would "recognize" any series: the check fails rather than passes,
-        # and the CLI refuses that order up front.
-        sub = structure_check((2, 2, 2, 2), 3)
-        assert not sub.passed
-        assert any("insufficient q-order" in c.expected + c.computed for c in sub.checks)
+        # q-order 3 gives weight 8 (4 monomials) a square system, from which
+        # no coefficient could be recognized: the CLI refuses that order up
+        # front.  The library check reads the exact E2/E4/E6 polynomials, so
+        # it needs no q-coefficients and holds at any order.
+        assert structure_check((2, 2, 2, 2), 3).passed
         code, out, err = run(capsys, "verify", "structure", "--max-weight", "8",
                              "--q-order", "3")
         assert code == 2 and out == ""
@@ -174,17 +173,45 @@ class TestVerify:
 
     def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch):
         # A singular quasi-modular basis is a program fault: it must escape
-        # the usage-error mapping (exit 2) and the "not quasi-modular" FAIL.
+        # the usage-error mapping (exit 2) and the raw-series fallback of
+        # the eps-series display.
         monkeypatch.setattr(series, "quasimodular_monomials",
                             lambda weight: [(weight // 2, 0, 0)] * 2)
         _quasimodular_solver.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="rank-deficient"):
-                structure_check((2, 2), 6)
-            with pytest.raises(ArithmeticError, match="rank-deficient"):
-                main(["verify", "structure", "--max-weight", "4", "--q-order", "6"])
+                main(["compute", "tau-degen", "--eps-order", "4", "--q-order", "4"])
         finally:
             _quasimodular_solver.cache_clear()
+
+    @pytest.mark.parametrize("suite", ["detHi", "heisenberg-degen", "theta-degen"])
+    def test_degeneration_suites_need_q_order_1(self, capsys, monkeypatch, suite):
+        # At q-order 0 these suites would compare the q^0 coefficient alone
+        # and print OK; the order is refused before any suite runs.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the order check")
+
+        for name in ("verify_detHi", "verify_heisenberg_degeneration",
+                     "verify_theta_degeneration"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(capsys, "verify", suite, "--eps-order", "4", "--q-order", "0")
+        assert code == 2 and out == ""
+        assert "--q-order >= 1" in err
+
+    def test_structure_fails_on_a_weight_breaking_recursion(self, capsys, monkeypatch):
+        # A recursion that reads E_{k+r+2} where E_{k+r} belongs mixes
+        # weights: the structure suite must report FAIL lines and exit 1,
+        # not crash or exit as a usage error.
+        monkeypatch.setattr(zhu, "eisenstein_poly", lambda k: series.eisenstein_poly(k + 2))
+        zhu._op_for_word.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify", "structure", "--max-weight", "6",
+                               "--q-order", "8")
+        finally:
+            zhu._op_for_word.cache_clear()
+        assert code == 1
+        assert "FAIL  coefficient of C^0 qd^1 is quasi-modular of weight 2" in out
+        assert "only monomials of weight 2" in out
 
     @pytest.mark.parametrize("suite, eps", [("heisenberg-degen", "3"), ("all", "2")])
     def test_heisenberg_degen_needs_eps_order_4(self, capsys, monkeypatch, suite, eps):

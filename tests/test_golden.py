@@ -88,6 +88,11 @@ CASES = {
                                  "--q-order", "3"], 2),
     "usage_all_q_order_zero": (["verify", "all", "--eps-order", "4", "--max-weight", "4",
                                 "--q-order", "0"], 2),
+    "usage_detHi_q_order_zero": (["verify", "detHi", "--eps-order", "4", "--q-order", "0"], 2),
+    "usage_heisenberg_q_order_zero": (["verify", "heisenberg-degen", "--eps-order", "4",
+                                       "--q-order", "0"], 2),
+    "usage_theta_q_order_zero": (["verify", "theta-degen", "--eps-order", "4",
+                                  "--q-order", "0"], 2),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from twotori import series
 from twotori.series import (
+    EisensteinPoly,
     NotQuasiModular,
     QSeries,
     QuasiModularPoly,
@@ -18,6 +19,7 @@ from twotori.series import (
     _quasimodular_solver,
     bernoulli,
     eisenstein,
+    eisenstein_poly,
     eta_normalized,
     qd,
     quasimodular_monomials,
@@ -303,6 +305,47 @@ class TestQuasiModular:
             assert not isinstance(info.value, ValueError)
         finally:
             _quasimodular_solver.cache_clear()
+
+
+class TestEisensteinPoly:
+    # The ring facts the Zhu recursion runs on, each against the q-series
+    # E_k of ``eisenstein`` and the derivative of ``QSeries.qd`` to q^20.
+    T = 20
+
+    @pytest.mark.parametrize("k, expected", [
+        (2, {(2, 0, 0): -1, (0, 1, 0): 5}),
+        (4, {(1, 1, 0): -4, (0, 0, 1): 14}),
+        (6, {(1, 0, 1): -6, (0, 2, 0): F(60, 7)})])
+    def test_ramanujan_derivatives(self, k, expected):
+        d = eisenstein_poly(k).qd()
+        assert d == EisensteinPoly(expected)
+        assert d.to_qseries(self.T) == eisenstein(k, self.T).qd()
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_eisenstein_recurrence(self, k):
+        p = eisenstein_poly(k)
+        assert p.to_qseries(self.T) == eisenstein(k, self.T)
+        assert p.weights() == ({k} if k % 2 == 0 else set())
+        if k >= 8:
+            assert all(a == 0 for a, _, _ in p.coeffs)
+
+    def test_qd_of_a_product_is_leibniz(self):
+        p = EisensteinPoly({(2, 1, 1): F(3, 5), (0, 3, 0): -2, (1, 0, 0): 7})
+        assert p.qd().to_qseries(self.T) == p.to_qseries(self.T).qd()
+
+    def test_quasimodular_poly_reads_the_shared_monomial_table(self, monkeypatch):
+        # to_qseries sums cached monomial expansions: a second expansion of
+        # the same monomials multiplies no series.
+        p = QuasiModularPoly(12, {(6, 0, 0): 1, (0, 3, 0): F(1, 3), (1, 1, 1): -2})
+        want = sum((eisenstein(2, 9) ** a * eisenstein(4, 9) ** b * eisenstein(6, 9) ** c * v
+                    for (a, b, c), v in p.coeffs.items()), QSeries.zero("q", 9))
+        assert p.to_qseries(9) == want
+        calls = []
+        original = QSeries.__mul__
+        monkeypatch.setattr(QSeries, "__mul__",
+                            lambda a, b: calls.append(b) or original(a, b))
+        assert p.to_qseries(9, "q1") == want.renamed("q1")
+        assert all(not isinstance(b, QSeries) for b in calls)
 
 
 # -- quasi-modular recognition against the per-call elimination ------------------

@@ -10,6 +10,7 @@ import pytest
 
 from twotori import cli, genus2, series, sewing, zhu
 from twotori.genus2 import ModulePair, z2_module_pair
+from twotori.virasoro import VirState
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -91,14 +92,15 @@ def test_verify_all_sums_descendants_once(monkeypatch, capsys, cold_caches):
 
 
 def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_caches):
-    # The Zhu operators read E_k over "q", the moment matrices and the
-    # free-boson checks over "q1"; one table per (k, q-order) serves every
-    # variable.  A table of even weight calls series.bernoulli once.
+    # The Zhu operators' monomial table reads E_k over "q", the moment
+    # matrices and the free-boson checks over "q1"; one table per (k,
+    # q-order) serves every variable.  A table of even weight calls
+    # series.bernoulli once.
     for cached in vars(series).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     builds = counting(monkeypatch, series, "bernoulli")
-    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, zhu, genus2, cli)]
+    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, genus2, cli)]
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
@@ -106,3 +108,14 @@ def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_
     tables = {args[:2] for calls in requests for args in calls if args[0] % 2 == 0}
     assert {(k, 8) for k in (2, 4, 6)} <= tables
     assert len(builds) == len(tables)
+
+
+def test_one_point_reads_one_operator_at_every_q_order(cold_caches):
+    # The word cache is keyed by the word alone: reading the same state at
+    # a higher q-order runs no recursion step again.
+    state = VirState.monomial((4, 3, 3, 2))
+    zhu.one_point(state, 8)
+    misses = zhu._op_for_word.cache_info().misses
+    assert misses > 0
+    zhu.one_point(state, 12)
+    assert zhu._op_for_word.cache_info().misses == misses

@@ -1,12 +1,24 @@
-"""1-point operator tests, cross-checked by a scalar recursion at numeric C."""
+"""1-point operator tests, cross-checked by a scalar recursion at numeric C
+and by the operator recursion run on q-series."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
 import pytest
 
-from twotori.series import QSeries, SeriesError, eisenstein, eta_normalized, qd, rat
+from twotori import zhu
+from twotori.series import (
+    QSeries,
+    QuasiModularPoly,
+    SeriesError,
+    eisenstein,
+    eisenstein_poly,
+    eta_normalized,
+    qd,
+    rat,
+)
 from twotori.virasoro import VirState, apply_mode, partitions_of_weight
 from twotori.zhu import (
     BasePartition,
@@ -18,6 +30,8 @@ from twotori.zhu import (
     to_theta_basis,
     to_z_basis,
 )
+
+E2, E4, E6 = (eisenstein_poly(k) for k in (2, 4, 6))
 
 
 def eta_power(c_value, q_trunc: int) -> QSeries:
@@ -52,6 +66,43 @@ def scalar_one_point(word, base: QSeries, c_val: F, q_trunc: int) -> QSeries:
     return out
 
 
+@lru_cache(maxsize=None)
+def series_op_for_word(word: tuple, q_trunc: int) -> dict:
+    """Oracle: the mode reduction with every coefficient a q-series.
+
+    The same head-first reduction as ``zhu._op_for_word``, run on truncated
+    q-series in place of E2/E4/E6 polynomials: (i, j) -> the q-expansion
+    through q^q_trunc of the C^j qd^i coefficient, with E_k read from
+    ``eisenstein`` and qd from ``QSeries.qd``.  Terms that vanish to that
+    order are left out.
+    """
+    if not word:
+        return {(0, 0): QSeries.one("q", q_trunc)}
+    k, tail = word[0], word[1:]
+    out = {}
+
+    def add(key, s):
+        out[key] = out[key] + s if key in out else s
+
+    if k == 2:
+        for (i, j), s in series_op_for_word(tail, q_trunc).items():
+            add((i, j), s.qd())
+            add((i + 1, j), s)
+    state = VirState.vacuum()
+    for w in reversed(tail):
+        state = apply_mode(-w, state)
+    for r in range(sum(tail) + 1):
+        if (k + r) % 2 or comb(k + r - 1, r + 1) == 0:
+            continue
+        factor = eisenstein(k + r, q_trunc) * F((-1) ** r * comb(k + r - 1, r + 1))
+        for parts, cpoly in apply_mode(r, state).terms.items():
+            for (i, j), s in series_op_for_word(parts, q_trunc).items():
+                term = s * factor
+                for dj, c in cpoly.coeffs.items():
+                    add((i, j + dj), term * c)
+    return {key: s for key, s in out.items() if not s.is_zero()}
+
+
 def operator_route(word, c_val: F, alpha_sq: F, q_trunc: int) -> QSeries:
     """One-point value through the full symbolic pipeline, eta factor reattached."""
     op = to_theta_basis(one_point_word(word, q_trunc))
@@ -63,7 +114,7 @@ def operator_route(word, c_val: F, alpha_sq: F, q_trunc: int) -> QSeries:
 class TestBaseCases:
     def test_stress_tensor_gives_derivative(self):
         op = one_point(VirState.monomial((2,)), 6)
-        assert op == DiffOp("Z", {(1, 0): QSeries.one("q", 6)}, 6)
+        assert op == DiffOp("Z", {(1, 0): 1}, 6)
 
     def test_higher_single_modes_vanish(self):
         for k in (1, 3, 4, 5, 6, 7):
@@ -71,16 +122,13 @@ class TestBaseCases:
 
     def test_l2_squared_operator(self):
         op = one_point(VirState.monomial((2, 2)), 8)
-        expected = DiffOp("Z", {(2, 0): QSeries.one("q", 8),
-                                (1, 0): eisenstein(2, 8) * 2,
-                                (0, 1): eisenstein(4, 8) * F(1, 2)}, 8)
+        expected = DiffOp("Z", {(2, 0): 1, (1, 0): E2 * 2, (0, 1): E4 * F(1, 2)}, 8)
         assert op == expected
 
     def test_l4_l2_operator(self):
         # head-first reduction of L[-4]L[-2]|0>: 6 E4 D + 5 C E6
         op = one_point(VirState.monomial((4, 2)), 8)
-        expected = DiffOp("Z", {(1, 0): eisenstein(4, 8) * 6,
-                                (0, 1): eisenstein(6, 8) * 5}, 8)
+        expected = DiffOp("Z", {(1, 0): E4 * 6, (0, 1): E6 * 5}, 8)
         assert op == expected
 
 
@@ -104,6 +152,47 @@ class TestRecursionOrderInvariance:
             want = scalar_one_point(perm, base, F(1), 8)
             assert got.agrees_with(want)
 
+    WORDS = [(2, 3, 3), (2, 2, 3), (3, 2, 2, 3), (5, 2, 3), (4, 3, 2), (2, 2, 2, 2), (2, 4)]
+
+    @staticmethod
+    def reorderings_that_disagree() -> list:
+        # Head-first reduction of each reordering against normal ordering by
+        # the Virasoro relations and reduction of the PBW words, compared as
+        # exact polynomials: no q-order enters.
+        perms = sorted({p for w in TestRecursionOrderInvariance.WORDS for p in permutations(w)})
+        assert len(perms) == 27
+        return [p for p in perms
+                if zhu._op_for_word(p) != zhu._op_for_state(zhu._state_for_word(p))]
+
+    def test_reorderings_agree_exactly(self):
+        assert self.reorderings_that_disagree() == []
+
+    def test_reorderings_catch_a_wrong_binomial(self, monkeypatch):
+        # The r = 1 binomial C(k, 2) off by one keeps every weight, so only
+        # the reordering comparison sees it.
+        monkeypatch.setattr(zhu, "comb", lambda n, k: comb(n, k) + (k == 2))
+        zhu._op_for_word.cache_clear()
+        try:
+            assert self.reorderings_that_disagree()
+        finally:
+            zhu._op_for_word.cache_clear()
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("q_trunc", [8, 12])
+    def test_polynomial_operators_expand_to_the_series_recursion(self, q_trunc):
+        for w in range(11):
+            for parts in partitions_of_weight(w):
+                op = one_point(VirState.monomial(parts), q_trunc)
+                assert op.series() == series_op_for_word(parts, q_trunc), parts
+
+    def test_operators_do_not_depend_on_the_q_order(self):
+        # One exact operator serves every order; only its reading differs.
+        low, high = one_point_word((3, 2, 3), 4), one_point_word((3, 2, 3), 9)
+        assert low == high and not low.is_zero()
+        assert (low.q_trunc, high.q_trunc) == (4, 9)
+        assert all(s.agrees_with(high.series()[key], 4) for key, s in low.series().items())
+
 
 class TestNumericOracle:
     @pytest.mark.parametrize("c_val,alpha_sq", [(F(1), F(0)), (F(2), F(1)),
@@ -125,8 +214,7 @@ class TestThetaBasis:
 
     def test_derivative_rewrite(self):
         th = to_theta_basis(one_point(VirState.monomial((2,)), 8))
-        expected = DiffOp("Theta", {(1, 0): QSeries.one("q", 8),
-                                    (0, 1): eisenstein(2, 8) * F(1, 2)}, 8)
+        expected = DiffOp("Theta", {(1, 0): 1, (0, 1): E2 * F(1, 2)}, 8)
         assert th == expected
 
     def test_roundtrip(self):
@@ -137,11 +225,8 @@ class TestThetaBasis:
     def test_c_degree_bound_l2_squared(self):
         th = to_theta_basis(one_point(VirState.monomial((2, 2)), 8))
         assert th.c_degree(0) <= 2
-        from twotori.series import to_quasimodular
         for j in range(th.c_degree(0) + 1):
-            s = th.coeff(0, j)
-            if not s.is_zero():
-                to_quasimodular(s, 4)  # raises if not weight-4 graded
+            QuasiModularPoly(4, th.coeff(0, j).coeffs)  # raises if not weight-4 graded
 
 
 class TestSpecialize:
@@ -150,8 +235,7 @@ class TestSpecialize:
         assert specialize(op, BasePartition.heisenberg(1, 5)) == QSeries.one("q", 5)
 
     def test_monomial_theta(self):
-        th = DiffOp("Theta", {(1, 0): QSeries.one("q", 5),
-                              (0, 1): eisenstein(2, 5) * F(1, 2)}, 5)
+        th = DiffOp("Theta", {(1, 0): 1, (0, 1): E2 * F(1, 2)}, 5)
         base = BasePartition(QSeries.monomial("q", F(1, 2), 5), F(1))
         got = specialize(th, base)
         mono = QSeries.monomial("q", F(1, 2), 5)
@@ -192,14 +276,6 @@ class TestStructure:
 
     def test_zero_operator_trivially_passes(self):
         assert structure_check((4,), 8).passed
-
-
-class TestJson:
-    def test_roundtrip(self):
-        op = to_theta_basis(one_point(VirState.monomial((2, 2)), 6))
-        back = DiffOp.from_json(op.to_json())
-        assert back == op
-        assert back.basis == "Theta"
 
 
 class TestWeightTwelveInvariant:
