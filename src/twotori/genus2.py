@@ -232,9 +232,12 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> 
     delta = lift(degenerate_tau(q_trunc, eps_trunc, N))
     logdet = lift(degenerate_logdet(q_trunc, eps_trunc, N))
     det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
+    det_delta_l = det
     for l in range(eps_trunc // 2 + 1):
+        if l:
+            det_delta_l = det_delta_l * delta
         lhs = ds.extract_H(l)
-        rhs = det * delta ** l * Fraction(1, factorial(l))
+        rhs = det_delta_l * Fraction(1, factorial(l))
         ok = lhs.agrees_with(rhs, truncs)
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
@@ -242,7 +245,7 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> 
                    computed=str(lhs) if not ok else "")
         report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bounds()[0] >= 2 * l,
                    order=f"eps<={eps_trunc}")
-        bound_ok = all(j <= Fraction(n, 2) - l for n, _, j in lhs.nums)
+        bound_ok = all(2 * j <= n - 2 * l for n, _, j in lhs.nums)
         report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
                    order=f"eps<={eps_trunc}")
     return report

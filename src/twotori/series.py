@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import factorial, floor, gcd, lcm
 from operator import add, gt, le, lt, mul, sub
 from types import MappingProxyType
@@ -958,18 +958,25 @@ EpsSeries = QSeries
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_table(kmax: int):
-    # Invert (e^z - 1)/z = sum z^j/(j+1)! exactly; B_k = k! [z^k].
-    g = QSeries("z", {j: Fraction(1, factorial(j + 1)) for j in range(kmax + 1)}, kmax)
-    inv = g.inv()
-    return tuple(inv.coeff(k) * factorial(k) for k in range(kmax + 1))
+def _bernoulli_coefficient(n: int) -> Fraction:
+    # [z^n] z/(e^z - 1) = B_n/n!, from the inverse's recurrence for
+    # (e^z - 1)/z = sum z^j/(j+1)! over the cached coefficients below n.
+    if n == 0:
+        return Fraction(1)
+    return -sum(_bernoulli_coefficient(n - j) / factorial(j + 1) for j in range(1, n + 1))
 
 
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number from the generating function z/(e^z - 1)."""
+    """k-th Bernoulli number from the generating function z/(e^z - 1).
+
+    Every k reads one cached table of coefficients, filled in rising order
+    (so the recursion stays one level deep) only as far as k.
+    """
     if k < 0:
         raise ValueError("bernoulli needs k >= 0")
-    return _bernoulli_table(max(k, 4))[k]
+    for n in range(k + 1):
+        c = _bernoulli_coefficient(n)
+    return c * factorial(k)
 
 
 def eisenstein(k: int, trunc: int, var: str = "q") -> QSeries:
@@ -1033,7 +1040,117 @@ def quasimodular_monomials(weight: int):
     return out
 
 
-class EisensteinPoly:
+_new, _setattr = object.__new__, object.__setattr__
+
+
+class RationalPoly:
+    """A sparse polynomial over the rationals, stored like ``QSeries``.
+
+    Integer numerators ``nums`` (monomial -> int) over one denominator
+    ``den``, in canonical form: den > 0, gcd(den, *nums) == 1 and no zero
+    numerator, so equal polynomials are equal objects.  Sums, products and
+    rational scalars run in int arithmetic with one content gcd per result,
+    made by ``_made`` without the checks of the public constructor (which
+    rejects floats).  ``coeffs`` is a read-only ``Fraction`` view, built on
+    first use.  Subclasses multiply and render monomials (``_mul_nums``,
+    ``_monomial_str``).
+    """
+
+    __slots__ = ("nums", "den", "_view")
+
+    def __init__(self, coeffs=None):
+        values = {k: v if isinstance(v, int) else rat(v) for k, v in (coeffs or {}).items()}
+        values = {k: v for k, v in values.items() if v}
+        # Reduced fractions over their lcm are already canonical.
+        den = lcm(*(v.denominator for v in values.values()))
+        _setattr(self, "nums", {k: v.numerator * (den // v.denominator) for k, v in values.items()})
+        _setattr(self, "den", den)
+
+    @classmethod
+    def _made(cls, nums, den):
+        # Canonical numerators over den, so the checks of __init__ are skipped.
+        p = _new(cls)
+        _setattr(p, "nums", nums)
+        _setattr(p, "den", den)
+        return p
+
+    def _reduced(self, nums, den):
+        # Nonzero numerators over den > 0: divide out the content.
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        return self._made(nums, den)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only view {monomial: Fraction} of the coefficients."""
+        try:
+            return self._view
+        except AttributeError:
+            den = self.den
+            _setattr(self, "_view", MappingProxyType(
+                {k: Fraction(v, den) for k, v in self.nums.items()}))
+            return self._view
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __add__(self, other):
+        na, nb, den = self.nums, other.nums, self.den
+        if den == other.den:
+            out = dict(na)
+        else:
+            den = lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            out = {k: v * sa for k, v in na.items()}
+            nb = {k: v * sb for k, v in nb.items()}
+        for k, v in nb.items():
+            v += out.get(k, 0)
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return self._reduced(out, den)
+
+    def _scaled(self, p: int, r: int = 1):
+        # Times p/r for coprime ints with r > 0.  Canonical without a pass
+        # over the result: gcd(den, p) and gcd(r, *nums) are all that cancel.
+        if not p:
+            return self._made({}, 1)
+        gp = gcd(self.den, p)
+        gr = gcd(r, *self.nums.values()) if r != 1 else 1
+        p //= gp
+        nums = ({k: v * p for k, v in self.nums.items()} if gr == 1
+                else {k: v // gr * p for k, v in self.nums.items()})
+        return self._made(nums, self.den // gp * (r // gr))
+
+    def __mul__(self, other):
+        if isinstance(other, RationalPoly):
+            return self._reduced(self._mul_nums(self.nums, other.nums), self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            other = rat(other)
+        return self._scaled(other.numerator, other.denominator)
+
+    def _same(self, other) -> bool:
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+    def __str__(self):
+        coeffs = self.coeffs
+        return join_terms((coeffs[k], self._monomial_str(k)) for k in sorted(coeffs, reverse=True))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class EisensteinPoly(RationalPoly):
     """An exact polynomial in the graded-ring generators E2, E4, E6.
 
     ``coeffs`` maps exponent triples (a, b, c) to the rational coefficient
@@ -1043,62 +1160,49 @@ class EisensteinPoly:
     derivatives, so the ring is closed under q d/dq.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for mono, v in (coeffs or {}).items():
-            v = rat(v)
-            if v:
-                clean[mono] = v
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __slots__ = ()
 
     @classmethod
     def const(cls, c) -> "EisensteinPoly":
         return cls({(0, 0, 0): c})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def weights(self) -> set:
         """The weights 2a + 4b + 6c of the monomials present."""
-        return {2 * a + 4 * b + 6 * c for a, b, c in self.coeffs}
+        return {2 * a + 4 * b + 6 * c for a, b, c in self.nums}
 
     @staticmethod
-    def _collect(terms) -> "EisensteinPoly":
-        # Sum (monomial, coefficient) pairs that may repeat a monomial.
+    def _mul_nums(na, nb) -> dict:
         out = {}
-        for mono, v in terms:
-            out[mono] = out[mono] + v if mono in out else v
-        return EisensteinPoly(out)
+        for (a, b, c), v in na.items():
+            for (x, y, z), w in nb.items():
+                key = (a + x, b + y, c + z)
+                out[key] = out.get(key, 0) + v * w
+        return {k: v for k, v in out.items() if v}
 
-    def __add__(self, other):
-        return self._collect(chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __mul__(self, other):
+    def __eq__(self, other):
         if not isinstance(other, EisensteinPoly):
-            c = rat(other)
-            return EisensteinPoly({m: v * c for m, v in self.coeffs.items()})
-        return self._collect(((a + x, b + y, c + z), v * w)
-                             for (a, b, c), v in self.coeffs.items()
-                             for (x, y, z), w in other.coeffs.items())
+            return NotImplemented
+        return self._same(other)
+
+    __hash__ = RationalPoly.__hash__
 
     def qd(self) -> "EisensteinPoly":
         """q d/dq by qd E2 = 5E4 - E2^2, qd E4 = -4E2E4 + 14E6 and
         qd E6 = -6E2E6 + (60/7)E4^2 (this module's normalization of E_k)."""
-        terms = []
-        for (a, b, c), v in self.coeffs.items():
-            terms.append(((a + 1, b, c), -(a + 4 * b + 6 * c) * v))
+        # Over 7 * den when an E6 is present, so that 60/7 is an integer.
+        seven = 7 if any(c for _, _, c in self.nums) else 1
+        out = {}
+        for (a, b, c), v in self.nums.items():
+            terms = [((a + 1, b, c), -(a + 4 * b + 6 * c) * seven * v)]
             if a:
-                terms.append(((a - 1, b + 1, c), 5 * a * v))
+                terms.append(((a - 1, b + 1, c), 5 * a * seven * v))
             if b:
-                terms.append(((a, b - 1, c + 1), 14 * b * v))
+                terms.append(((a, b - 1, c + 1), 14 * b * seven * v))
             if c:
-                terms.append(((a, b + 2, c - 1), Fraction(60, 7) * c * v))
-        return self._collect(terms)
+                terms.append(((a, b + 2, c - 1), 60 * c * v))
+            for key, t in terms:
+                out[key] = out.get(key, 0) + t
+        return self._reduced({k: v for k, v in out.items() if v}, self.den * seven)
 
     def to_qseries(self, trunc: int, var: str = "q") -> QSeries:
         """The q-expansion through q^trunc, summed from the shared table of
@@ -1108,20 +1212,9 @@ class EisensteinPoly:
             out = out + _monomial_qseries(mono, trunc) * v
         return out.renamed(var)
 
-    def __eq__(self, other):
-        if not isinstance(other, EisensteinPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __str__(self):
-        return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
-                          for k in sorted(self.coeffs, reverse=True))
-
-    def __repr__(self):
-        return f"EisensteinPoly({self})"
+    @staticmethod
+    def _monomial_str(k) -> str:
+        return monomial_str(*zip(("E2", "E4", "E6"), k))
 
 
 @lru_cache(maxsize=None)
@@ -1156,27 +1249,30 @@ def eisenstein_poly(k: int) -> EisensteinPoly:
     for p in range(2, n - 1):
         q = n - p
         total = total + eisenstein_poly(2 * p) * eisenstein_poly(2 * q) * ((2 * p - 1) * (2 * q - 1))
-    return total * Fraction(3, (2 * n + 1) * (n - 3) * (2 * n - 1))
+    d = (2 * n + 1) * (n - 3) * (2 * n - 1)
+    return total._scaled(3 // gcd(3, d), d // gcd(3, d))
 
 
 class QuasiModularPoly(EisensteinPoly):
     """A fixed-weight polynomial in the graded-ring generators E2, E4, E6."""
 
     __slots__ = ("weight",)
+    # Ring operations leave the fixed weight: their results are EisensteinPolys.
+    _made = EisensteinPoly._made
 
     def __init__(self, weight: int, coeffs=None):
         super().__init__(coeffs)
         object.__setattr__(self, "weight", int(weight))
-        for a, b, c in self.coeffs:
+        for a, b, c in self.nums:
             if 2 * a + 4 * b + 6 * c != weight:
                 raise SeriesError(f"monomial (E2^{a} E4^{b} E6^{c}) is not weight {weight}")
 
     def __eq__(self, other):
         if not isinstance(other, QuasiModularPoly):
             return NotImplemented
-        return self.weight == other.weight and self.coeffs == other.coeffs
+        return self.weight == other.weight and self._same(other)
 
-    __hash__ = EisensteinPoly.__hash__
+    __hash__ = RationalPoly.__hash__
 
     def __repr__(self):
         return f"QuasiModularPoly(weight={self.weight}, {self})"

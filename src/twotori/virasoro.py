@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
-from .series import QSeries, join_terms, monomial_str, rat
+from .series import QSeries, RationalPoly, monomial_str, rat
 
 
 def check_partition(parts) -> tuple:
@@ -49,87 +49,65 @@ def partitions_of_weight(n: int):
     return list(gen(n, n)) if n >= 0 else []
 
 
-class CPoly:
-    """Polynomial in the central charge with exact rational coefficients."""
+class CPoly(RationalPoly):
+    """Polynomial in the central charge with exact rational coefficients,
+    keyed by the power of C."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        if isinstance(coeffs, (int, Fraction, str)):
-            coeffs = {0: rat(coeffs)}
-        clean = {}
-        for j, c in (coeffs or {}).items():
-            c = rat(c)
-            if c != 0:
-                if j < 0:
-                    raise ValueError("negative C-degree")
-                clean[int(j)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CPoly is immutable")
+        if coeffs is not None and not hasattr(coeffs, "items"):
+            coeffs = {0: coeffs}
+        if any(j < 0 for j in coeffs or ()):
+            raise ValueError("negative C-degree")
+        super().__init__({int(j): c for j, c in (coeffs or {}).items()})
 
     @classmethod
     def c_power(cls, j: int, coefficient=1) -> "CPoly":
         return cls({j: coefficient})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
+        return max(self.nums) if self.nums else -1
+
+    @staticmethod
+    def _mul_nums(na, nb) -> dict:
+        out = {}
+        for j1, v1 in na.items():
+            for j2, v2 in nb.items():
+                out[j1 + j2] = out.get(j1 + j2, 0) + v1 * v2
+        return {j: v for j, v in out.items() if v}
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CPoly(other)
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, Fraction(0)) + c
-        return CPoly(out)
+        return super().__add__(other if isinstance(other, CPoly) else CPoly(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CPoly({j: -c for j, c in self.coeffs.items()})
+        return self._made({j: -v for j, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CPoly(other)
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = rat(other)
-            return CPoly({j: c * r for j, c in self.coeffs.items()})
-        out = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in other.coeffs.items():
-                j = j1 + j2
-                out[j] = out.get(j, Fraction(0)) + c1 * c2
-        return CPoly(out)
-
-    __rmul__ = __mul__
+    __rmul__ = RationalPoly.__mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CPoly(other)
         if not isinstance(other, CPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._same(other)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+    __hash__ = RationalPoly.__hash__
 
     def eval_at(self, c_value) -> Fraction:
-        c_value = rat(c_value)
-        return sum((v * c_value ** j for j, v in self.coeffs.items()), Fraction(0))
+        p, r = rat(c_value).as_integer_ratio()
+        d = max(self.degree(), 0)
+        return Fraction(sum(v * p ** j * r ** (d - j) for j, v in self.nums.items()),
+                        self.den * r ** d)
 
-    def __str__(self):
-        return join_terms((self.coeffs[j], monomial_str(("C", j)))
-                          for j in sorted(self.coeffs, reverse=True))
-
-    def __repr__(self):
-        return f"CPoly({self})"
+    @staticmethod
+    def _monomial_str(j) -> str:
+        return monomial_str(("C", j))
 
     @classmethod
     def from_string(cls, text: str) -> "CPoly":
@@ -156,6 +134,9 @@ class CPoly:
         return cls(coeffs)
 
 
+_ONE = CPoly._made({0: 1}, 1)
+
+
 class VirState:
     """A finite C-polynomial combination of PBW vacuum monomials."""
 
@@ -171,12 +152,19 @@ class VirState:
             clean[check_partition(parts)] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _made(cls, terms) -> "VirState":
+        # PBW partitions to nonzero CPolys, so the checks of __init__ are skipped.
+        v = object.__new__(cls)
+        object.__setattr__(v, "terms", terms)
+        return v
+
     def __setattr__(self, *a):
         raise AttributeError("VirState is immutable")
 
     @classmethod
     def vacuum(cls) -> "VirState":
-        return cls({(): 1})
+        return cls._made({(): _ONE})
 
     @classmethod
     def monomial(cls, parts, coeff=1) -> "VirState":
@@ -189,30 +177,30 @@ class VirState:
         return self.terms.get(tuple(parts), CPoly())
 
     def weight_component(self, n: int) -> "VirState":
-        return VirState({p: c for p, c in self.terms.items()
-                         if partition_weight(p) == n})
+        return VirState._made({p: c for p, c in self.terms.items()
+                               if partition_weight(p) == n})
 
     def max_weight(self) -> int:
         return max((partition_weight(p) for p in self.terms), default=0)
 
     def truncate_weight(self, max_weight: int) -> "VirState":
-        return VirState({p: c for p, c in self.terms.items()
-                         if partition_weight(p) <= max_weight})
+        return VirState._made({p: c for p, c in self.terms.items()
+                               if partition_weight(p) <= max_weight})
 
     def __add__(self, other):
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out[p] + c if p in out else c
-        return VirState(out)
+        _merge_into(out, other.terms.items())
+        return VirState._made(out)
 
     def __neg__(self):
-        return VirState({p: -c for p, c in self.terms.items()})
+        return VirState._made({p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return VirState({p: c * scalar for p, c in self.terms.items()})
+        return VirState._made({p: t for p, c in self.terms.items()
+                               if not (t := c * scalar).is_zero()})
 
     __rmul__ = __mul__
 
@@ -249,6 +237,17 @@ class VirState:
 # -- normal ordering -----------------------------------------------------------
 
 
+def _merge_into(acc: dict, items) -> None:
+    # Add (key, ring element) pairs into acc, dropping keys whose sum vanishes.
+    for key, c in items:
+        if key in acc:
+            c = acc[key] + c
+        if c.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+
+
 @lru_cache(maxsize=None)
 def _normal_order_word(word: tuple) -> tuple:
     """PBW-order a word of Virasoro modes applied to the vacuum.
@@ -259,28 +258,24 @@ def _normal_order_word(word: tuple) -> tuple:
     recursion strictly shrinks (shorter words or fewer inversions).
     """
     if not word:
-        return (((), CPoly(1)),)
+        return (((), _ONE),)
     if word[-1] >= -1:
         return ()
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if a > b:
             acc = {}
-
-            def merge(result, factor):
-                for parts, coeff in result:
-                    coeff = coeff * factor
-                    acc[parts] = acc[parts] + coeff if parts in acc else coeff
-
-            merge(_normal_order_word(word[:i] + (b, a) + word[i + 2:]), CPoly(1))
-            merge(_normal_order_word(word[:i] + (a + b,) + word[i + 2:]),
-                  CPoly(a - b))
-            if a + b == 0:
-                merge(_normal_order_word(word[:i] + word[i + 2:]),
-                      CPoly.c_power(1, Fraction(a ** 3 - a, 12)))
-            return tuple(sorted((p, c) for p, c in acc.items() if not c.is_zero()))
+            _merge_into(acc, _normal_order_word(word[:i] + (b, a) + word[i + 2:]))
+            _merge_into(acc, ((p, c._scaled(a - b)) for p, c in
+                              _normal_order_word(word[:i] + (a + b,) + word[i + 2:])))
+            if a + b == 0 and a > 1:
+                g = gcd(a ** 3 - a, 12)
+                central = CPoly._made({1: (a ** 3 - a) // g}, 12 // g)
+                _merge_into(acc, ((p, c * central) for p, c in
+                                  _normal_order_word(word[:i] + word[i + 2:])))
+            return tuple(sorted(acc.items()))
     # non-decreasing and ending <= -2 means every mode is <= -2: PBW form
-    return ((tuple(-m for m in word), CPoly(1)),)
+    return ((tuple(-m for m in word), _ONE),)
 
 
 def apply_mode(n: int, v: VirState) -> VirState:
@@ -288,10 +283,8 @@ def apply_mode(n: int, v: VirState) -> VirState:
     acc = {}
     for parts, coeff in v.terms.items():
         word = (n,) + tuple(-k for k in parts)
-        for parts2, c2 in _normal_order_word(word):
-            c = coeff * c2
-            acc[parts2] = acc[parts2] + c if parts2 in acc else c
-    return VirState(acc)
+        _merge_into(acc, ((parts2, coeff * c2) for parts2, c2 in _normal_order_word(word)))
+    return VirState._made(acc)
 
 
 # -- the exponential conformal map ----------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from types import MappingProxyType
 
@@ -39,10 +39,19 @@ from .series import (
     quasimodular_monomials,
     rat,
 )
-from .virasoro import CPoly, VirState, apply_mode, check_partition, partition_weight
+from .virasoro import (
+    _ONE,
+    CPoly,
+    VirState,
+    _merge_into,
+    apply_mode,
+    check_partition,
+    partition_weight,
+)
 
 Z_BASIS = "Z"
 THETA_BASIS = "Theta"
+_UNIT = EisensteinPoly.const(1)
 
 
 class DiffOp:
@@ -63,8 +72,6 @@ class DiffOp:
     def __init__(self, basis: str, terms=None, q_trunc: int | None = None):
         if basis not in (Z_BASIS, THETA_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "q_trunc", None if q_trunc is None else int(q_trunc))
         clean = {}
         for (i, j), s in (terms or {}).items():
             if not isinstance(s, EisensteinPoly):
@@ -72,22 +79,35 @@ class DiffOp:
             if s.is_zero():
                 continue
             clean[(int(i), int(j))] = s
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self._init(basis, clean, None if q_trunc is None else int(q_trunc))
+
+    def _init(self, basis, terms, q_trunc):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", terms if type(terms) is MappingProxyType
+                           else MappingProxyType(terms))
+        object.__setattr__(self, "q_trunc", q_trunc)
+
+    @classmethod
+    def _made(cls, basis, terms, q_trunc) -> "DiffOp":
+        # (i, j) -> nonzero EisensteinPoly, so the checks of __init__ are skipped.
+        op = object.__new__(cls)
+        op._init(basis, terms, q_trunc)
+        return op
 
     def __setattr__(self, *a):
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
     def identity(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls(basis, {(0, 0): 1}, q_trunc)
+        return cls._made(basis, {(0, 0): _UNIT}, q_trunc)
 
     @classmethod
     def zero(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls(basis, {}, q_trunc)
+        return cls._made(basis, {}, q_trunc)
 
     def read_at(self, q_trunc: int) -> "DiffOp":
         """The same operator, read as q-series through q^q_trunc."""
-        return DiffOp(self.basis, self.terms, q_trunc)
+        return DiffOp._made(self.basis, self.terms, int(q_trunc))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,36 +141,30 @@ class DiffOp:
     def __add__(self, other):
         self._check_compat(other)
         out = dict(self.terms)
-        for key, s in other.terms.items():
-            out[key] = out[key] + s if key in out else s
+        _merge_into(out, other.terms.items())
         orders = [t for t in (self.q_trunc, other.q_trunc) if t is not None]
-        return DiffOp(self.basis, out, min(orders, default=None))
+        return DiffOp._made(self.basis, out, min(orders, default=None))
 
     def scale(self, factor) -> "DiffOp":
         """Multiply by a rational or an E2/E4/E6 polynomial (no C, no derivative)."""
-        return DiffOp(self.basis, {k: s * factor for k, s in self.terms.items()},
-                      self.q_trunc)
+        return DiffOp._made(self.basis, {k: t for k, s in self.terms.items()
+                                         if not (t := s * factor).is_zero()}, self.q_trunc)
 
     def scale_cpoly(self, p: CPoly) -> "DiffOp":
+        # Integer numerators of p first, its one denominator last.
         out = {}
         for (i, j), s in self.terms.items():
-            for dj, c in p.coeffs.items():
-                key = (i, j + dj)
-                t = s * c
-                out[key] = out[key] + t if key in out else t
-        return DiffOp(self.basis, out, self.q_trunc)
+            _merge_into(out, (((i, j + dj), s._scaled(c)) for dj, c in p.nums.items()))
+        if p.den != 1:
+            out = {k: s._scaled(1, p.den) for k, s in out.items()}
+        return DiffOp._made(self.basis, out, self.q_trunc)
 
     def qd_compose(self) -> "DiffOp":
         """qd o self, by the Leibniz rule on the coefficients."""
         out = {}
-
-        def add(key, s):
-            out[key] = out[key] + s if key in out else s
-
         for (i, j), s in self.terms.items():
-            add((i, j), s.qd())
-            add((i + 1, j), s)
-        return DiffOp(self.basis, out, self.q_trunc)
+            _merge_into(out, (((i, j), s.qd()), ((i + 1, j), s)))
+        return DiffOp._made(self.basis, out, self.q_trunc)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
@@ -239,7 +253,7 @@ def _op_for_word(word: tuple) -> DiffOp:
         reduced = _reduced_state(tail, r)
         if reduced.is_zero():
             continue
-        factor = eisenstein_poly(k + r) * ((-1) ** r * weight)
+        factor = eisenstein_poly(k + r)._scaled((-1) ** r * weight)
         out = out + _op_for_state(reduced).scale(factor)
     return out
 
@@ -262,10 +276,10 @@ def _state_for_word(word: tuple) -> VirState:
 
 
 def _op_for_state(v: VirState) -> DiffOp:
-    out = DiffOp.zero(Z_BASIS)
-    for parts, coeff in v.terms.items():
-        out = out + _op_for_word(parts).scale_cpoly(coeff)
-    return out
+    # A PBW monomial with coefficient 1 is its cached operator itself.
+    ops = [_op_for_word(parts) if coeff == _ONE else _op_for_word(parts).scale_cpoly(coeff)
+           for parts, coeff in v.terms.items()]
+    return reduce(DiffOp.__add__, ops) if ops else DiffOp.zero(Z_BASIS)
 
 
 def one_point(v: VirState, q_trunc: int) -> DiffOp:
@@ -289,7 +303,7 @@ def one_point_word(word, q_trunc: int) -> DiffOp:
 
 def _eta_rewrite(op: DiffOp, sign: int) -> DiffOp:
     # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative.
-    e2_half = eisenstein_poly(2) * Fraction(sign, 2)
+    e2_half = eisenstein_poly(2)._scaled(sign, 2)
     target = THETA_BASIS if sign > 0 else Z_BASIS
     powers = [DiffOp.identity(target, op.q_trunc)]
     for _ in range(op.max_derivative()):

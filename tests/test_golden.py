@@ -55,6 +55,12 @@ CASES = {
                         "--q-order", "6"], 0),
     "onepoint_json": (["compute", "onepoint", "--partition", "3", "--q-order", "4",
                        "--format", "json"], 0),
+    # Exact Zhu coefficients past weight 6, with non-integral values and odd parts.
+    "onepoint_theta_w12": (["compute", "onepoint", "--partition", "6,4,2", "--basis", "theta",
+                            "--q-order", "12"], 0),
+    "onepoint_odd_w12": (["compute", "onepoint", "--partition", "5,3,2,2", "--q-order", "10"], 0),
+    "onepoint_odd_theta_json": (["compute", "onepoint", "--partition", "5,3,2,2", "--basis",
+                                 "theta", "--q-order", "8", "--format", "json"], 0),
     # q-order 0 leaves no equation to recognize E2 by: the raw-series fallback.
     "onepoint_fallback": (["compute", "onepoint", "--partition", "2", "--q-order", "0"], 0),
     "verify_modular_table": (["verify", "modular-identities", "--q-order", "10"], 0),

@@ -4,13 +4,15 @@ Counts, not timings: each test wraps a function in the namespace of the
 module that calls it and asserts how many calls one fixed input makes.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, series, sewing, zhu
+from twotori import cli, genus2, series, sewing, virasoro, zhu
 from twotori.genus2 import ModulePair, z2_module_pair
-from twotori.virasoro import VirState
+from twotori.series import QSeries
+from twotori.virasoro import VirState, partitions_of_weight
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -119,3 +121,54 @@ def test_one_point_reads_one_operator_at_every_q_order(cold_caches):
     assert misses > 0
     zhu.one_point(state, 12)
     assert zhu._op_for_word.cache_info().misses == misses
+
+
+def test_recursion_constructs_no_fraction(cold_caches):
+    # The Zhu recursion and the normal ordering run on integer numerators: a
+    # cold pass over every PBW monomial of weight <= 12 builds no Fraction,
+    # and the same operators and states as before fill the word caches.
+    for cached in (virasoro._normal_order_word, series.eisenstein_poly):
+        cached.cache_clear()
+    new = Fraction.__new__.__code__
+    made = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            made.append(frame.f_back.f_code.co_qualname)
+
+    parts = [p for w in range(2, 13) for p in partitions_of_weight(w)]
+    sys.setprofile(profile)
+    try:
+        for p in parts:
+            zhu.one_point(VirState.monomial(p), 12)
+    finally:
+        sys.setprofile(None)
+    assert made == []
+    assert len(parts) == 76
+    assert (zhu._op_for_word.cache_info().currsize,
+            zhu._state_for_word.cache_info().currsize,
+            virasoro._normal_order_word.cache_info().currsize) == (77, 20, 466)
+
+
+def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches):
+    # One table serves every k and grows only when a larger k is asked for:
+    # a verify all run inverts no z-series for it, where a table per k
+    # inverted (e^z - 1)/z once for each distinct k.
+    for cached in vars(series).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    inverted = []
+    inv = QSeries.inv
+    monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append(s.vars) or inv(s))
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert ("z",) not in inverted
+    table = series._bernoulli_coefficient.cache_info
+    top = table().currsize
+    series.bernoulli(top - 1)
+    series.bernoulli(2)
+    assert (table().currsize, table().misses) == (top, top)
+    series.bernoulli(top + 3)
+    assert (table().currsize, table().misses) == (top + 4, top + 4)
