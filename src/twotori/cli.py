@@ -63,8 +63,8 @@ _FREE_BOSON = ("eps_order", 4, "the free-boson checks read eps^4")
 _STRUCTURE = ("max_weight", 2, "the structure checks start at weight 2")
 _Q_SERIES = ("q_order", 1, "the checks compare q-series, and q^0 alone shows no q-dependence")
 _RECOGNITION = ("q_order", _recognition_q_order,
-                "one q-coefficient per monomial E2^a E4^b E6^c of the top weight, "
-                "plus one to check the fit")
+                "a top-weight coefficient could be recognized at the labelled order: "
+                "one q-coefficient per monomial E2^a E4^b E6^c, plus one to check the fit")
 MIN_ORDERS = {
     ("compute", "tau-degen"): (_MATRICES,),
     ("compute", "period"): (_MATRICES,),

@@ -20,13 +20,7 @@ from types import MappingProxyType
 
 from .reports import Report
 from .series import QSeries, eisenstein, eta_normalized, rat, rat_str
-from .sewing import (
-    a_matrix,
-    degenerate_logdet,
-    degenerate_tau,
-    log_det_I_minus,
-    sewing_data,
-)
+from .sewing import degenerate_logdet, degenerate_tau, sewing_data
 from .virasoro import lambda_vector
 from .zhu import THETA_BASIS, BasePartition, DiffOp, one_point, specialize, to_theta_basis
 
@@ -89,11 +83,8 @@ def _eta_prefactor(q1_trunc: int, q2_trunc: int) -> QSeries:
 def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
                   N: int | None = None) -> QSeries:
     """Rank-1 free-boson genus-two partition function,
-    (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), with both eta^-1 offsets carried."""
-    N = eps_trunc if N is None else N
-    logdet = log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
-                             a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
-    return _times_q((logdet * Fraction(-1, 2)).exp(), _eta_prefactor(q1_trunc, q2_trunc))
+    (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2): the module pair of zero pairing."""
+    return z2_module_pair(ModulePair(), q1_trunc, q2_trunc, eps_trunc, N)
 
 
 def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
@@ -103,12 +94,16 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
 
     The exponential period factor is exact here: e^{i pi a.a O11} equals
     q1^(a.a/2) e^{a.a d11/2} in the normalized period data, so no
-    transcendental constants enter.
+    transcendental constants enter.  The sewing pass sums only the period
+    entries of nonzero pairing.
     """
     N = eps_trunc if N is None else N
-    logdet, pd = sewing_data(q1_trunc, q2_trunc, eps_trunc, N)
-    arg = (logdet * Fraction(-p.rank, 2) + pd.d11 * (p.alpha_sq / 2)
-           + pd.d22 * (p.beta_sq / 2) + pd.d12 * p.alpha_dot_beta)
+    pairing = {"d11": p.alpha_sq / 2, "d22": p.beta_sq / 2, "d12": p.alpha_dot_beta}
+    pairing = {name: c for name, c in pairing.items() if c}
+    logdet, d = sewing_data(q1_trunc, q2_trunc, eps_trunc, N, tuple(pairing))
+    arg = logdet * Fraction(-p.rank, 2)
+    for name, c in pairing.items():
+        arg = arg + d[name] * c
     mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
                    offsets=(p.alpha_sq / 2, p.beta_sq / 2))
     return _times_q(arg.exp(), _eta_prefactor(q1_trunc, q2_trunc) ** p.rank * mono)
@@ -117,10 +112,8 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
 def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
                              N: int | None = None) -> QSeries:
     """lim q2^(1/24) Z^(2) for the rank-1 free boson:
-    eta(q1)^-1 det(I - A1 A2(0))^(-1/2)."""
-    N = eps_trunc if N is None else N
-    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
-    return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
+    eta(q1)^-1 det(I - A1 A2(0))^(-1/2), the module limit of zero pairing."""
+    return z2_module_degenerate(ModulePair(), q1_trunc, eps_trunc, N)
 
 
 def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
@@ -131,11 +124,11 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
     N = eps_trunc if N is None else N
     det = (degenerate_logdet(q1_trunc, eps_trunc, N)
            * Fraction(-p.rank, 2)).exp()
-    delta = degenerate_tau(q1_trunc, eps_trunc, N)
-    shift = (delta * (p.alpha_sq / 2)).exp()
+    if p.alpha_sq:
+        det = det * (degenerate_tau(q1_trunc, eps_trunc, N) * (p.alpha_sq / 2)).exp()
     pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
            * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
-    return _times_q(det * shift, pre)
+    return _times_q(det, pre)
 
 
 # -- the operator-valued degeneration sum -------------------------------------------

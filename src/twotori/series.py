@@ -95,13 +95,15 @@ def parenthesize(text: str) -> str:
 
 
 def _power(base, n: int, one):
-    # base**n for integer n >= 0 by repeated squaring, starting from ``one``.
+    # base**n for integer n >= 0 by repeated squaring, starting from ``one``;
+    # no square beyond the top bit of n.
     result = one
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -271,10 +273,89 @@ class _Numerators:
             self.den *= m
         self.nums[i] = num * (self.den // den)
 
-    def series(self, vars, truncs, offsets) -> "QSeries":
-        """The one-variable series with these coefficients."""
-        return QSeries._reduced(vars, {(n,): v for n, v in enumerate(self.nums) if v},
-                                self.den, truncs, offsets)
+
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _lowest_terms(nums: dict, den: int):
+    # Nonzero numerators over den != 0 divided by their content
+    # gcd(den, *nums), signed so that den > 0.
+    if den == 1:
+        return nums, den
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = {k: v // g for k, v in nums.items()}
+        den //= g
+    return nums, den
+
+
+def _over_lcm(values: dict):
+    # Nonzero reduced fractions (or ints) over the lcm of their denominators,
+    # which is already canonical.
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def _sum_nums(na: dict, da: int, nb: dict, db: int):
+    # na/da + nb/db over lcm(da, db), in lowest terms.
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    if len(nb) > len(na):
+        # Copy the larger side and loop over the smaller one.
+        na, sa, nb, sb = nb, sb, na, sa
+    out = dict(na) if sa == 1 else {k: v * sa for k, v in na.items()}
+    for k, v in nb.items():
+        v = v * sb + out.get(k, 0)
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _lowest_terms(out, den)
+
+
+def _scaled_nums(nums: dict, den: int, p: int, r: int):
+    # nums/den times p/r, for coprime ints with r > 0.  Canonical without a
+    # pass over the result: gcd(den, p) and gcd(r, *nums) are all that cancel.
+    if not p:
+        return {}, 1
+    gp = gcd(den, p)
+    gr = gcd(r, *nums.values()) if r != 1 else 1
+    p //= gp
+    nums = ({k: v * p for k, v in nums.items()} if gr == 1
+            else {k: v // gr * p for k, v in nums.items()})
+    return nums, den // gp * (r // gr)
+
+
+class _Canonical:
+    """Exact rational coefficients as integer numerators ``nums`` (key ->
+    int) over one denominator ``den`` (the layout of FLINT's fmpq_poly), in
+    canonical form: den > 0, gcd(den, *nums) == 1 and no zero numerator, so
+    equal values are equal objects.  Immutable; ``coeffs`` is a read-only
+    ``Fraction`` view, built on first use.  The base of ``QSeries`` and
+    ``RationalPoly``, whose ring operations keep the form with
+    ``_lowest_terms``, ``_sum_nums`` and ``_scaled_nums``.
+    """
+
+    __slots__ = ("nums", "den", "_view")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only view {key: Fraction} of the coefficients."""
+        try:
+            return self._view
+        except AttributeError:
+            den = self.den
+            _setattr(self, "_view", MappingProxyType(
+                {k: Fraction(v, den) for k, v in self.nums.items()}))
+            return self._view
+
+    def is_zero(self) -> bool:
+        return not self.nums
 
 
 def _origin(vars):
@@ -282,7 +363,7 @@ def _origin(vars):
     return 0 if isinstance(vars, str) else (0,) * len(vars)
 
 
-class QSeries:
+class QSeries(_Canonical):
     """prod_i v_i^offset_i * sum_e c_e prod_i v_i^e_i, known for e_i <= trunc_i.
 
     A truncated series in one or more variables ``vars`` (tags such as "q",
@@ -295,12 +376,9 @@ class QSeries:
     construction.  Addition aligns offsets when they differ by integers and
     refuses otherwise; multiplication adds offsets.
 
-    The coefficients are stored as integer numerators ``nums`` over one
-    denominator ``den`` (the layout of FLINT's fmpq_poly), in canonical form:
-    den > 0, gcd(den, *nums) == 1 and no zero numerator.  Equal series are
-    therefore equal objects, and every ring operation runs in int arithmetic
-    with one content gcd per result.  ``coeffs`` is a read-only ``Fraction``
-    view, built on first use.
+    The coefficients are canonical integer numerators over one denominator
+    (see ``_Canonical``), so equal series are equal objects, and every ring
+    operation runs in int arithmetic with one content gcd per result.
 
     A series whose first variable is "eps" is a series in the sewing
     parameter: it has no eps offset, a product is cut at the smaller eps
@@ -308,7 +386,7 @@ class QSeries:
     and serializes in the nested eps form, one block per power of eps.
     """
 
-    __slots__ = ("vars", "truncs", "offsets", "nums", "den", "_view", "_parts", "_ords")
+    __slots__ = ("vars", "truncs", "offsets", "_parts", "_ords")
 
     def __init__(self, vars, coeffs=None, truncs=0, offsets=None):
         coeffs = coeffs or {}
@@ -334,52 +412,29 @@ class QSeries:
             if len(e) != len(truncs) or not all(0 <= x <= t for x, t in zip(e, truncs)):
                 raise SeriesError(f"exponent {e} outside the truncation box {truncs}")
             clean[e] = c
-        # Reduced fractions over their lcm are already canonical.
-        den = lcm(*(c.denominator for c in clean.values()))
-        self._init(vars, {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
-                   den, truncs, offsets)
+        self._init(vars, *_over_lcm(clean), truncs, offsets)
 
     def _init(self, vars, nums, den, truncs, offsets):
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "truncs", truncs)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_view", None)
-        object.__setattr__(self, "_parts", None)
-        object.__setattr__(self, "_ords", None)
+        _setattr(self, "vars", vars)
+        _setattr(self, "nums", nums)
+        _setattr(self, "den", den)
+        _setattr(self, "truncs", truncs)
+        _setattr(self, "offsets", offsets)
+        _setattr(self, "_parts", None)
+        _setattr(self, "_ords", None)
 
     @classmethod
     def _made(cls, vars, nums, den, truncs, offsets) -> "QSeries":
         # A result already in canonical form, with every exponent inside the
         # box, so the checks of __init__ are skipped.
-        s = object.__new__(cls)
+        s = _new(cls)
         s._init(vars, nums, den, truncs, offsets)
         return s
 
     @classmethod
     def _reduced(cls, vars, nums, den, truncs, offsets) -> "QSeries":
-        # A result with nonzero numerators inside the box: divide out the
-        # content gcd(den, *nums), signed so that den > 0.
-        g = gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = {e: v // g for e, v in nums.items()}
-            den //= g
-        return cls._made(vars, nums, den, truncs, offsets)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QSeries is immutable")
-
-    @property
-    def coeffs(self):
-        """Read-only view {exponent tuple: Fraction} of the coefficients."""
-        if self._view is None:
-            den = self.den
-            object.__setattr__(self, "_view", MappingProxyType(
-                {e: Fraction(v, den) for e, v in self.nums.items()}))
-        return self._view
+        # A result with nonzero numerators inside the box, in lowest terms.
+        return cls._made(vars, *_lowest_terms(nums, den), truncs, offsets)
 
     def _only(self, values):
         if len(values) != 1:
@@ -431,9 +486,6 @@ class QSeries:
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get((0,) * len(self.vars), 0), self.den)
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def _ord_bounds(self):
         # Lowest exponent of each variable, found on first use; a zero
         # mantissa is O(v^(trunc+1)).
@@ -445,13 +497,6 @@ class QSeries:
     def _box(self, orders):
         # An int order stands for the same order in every variable.
         return (orders,) * len(self.vars) if isinstance(orders, int) else tuple(orders)
-
-    def _dense(self) -> list:
-        # Numerators of a one-variable series as a list indexed by exponent.
-        out = [0] * (self.trunc + 1)
-        for (n,), v in self.nums.items():
-            out[n] = v
-        return out
 
     # -- blocks: coefficients of the powers of the first variable -------------
 
@@ -486,6 +531,11 @@ class QSeries:
         if not 0 <= n <= self.truncs[0]:
             raise SeriesError(f"{self.vars[0]}^{n} not known (trunc {self.truncs[0]})")
         return self._block(self._split().get(n, (1, [], []))[1])
+
+    def block_zero(self):
+        """The zero of the ring ``block`` maps to: Fraction 0 for a
+        one-variable series, else the zero series in the other variables."""
+        return self._block(())
 
     def blocks(self) -> dict:
         """{n: block(n)} for every nonzero block, in increasing n."""
@@ -575,20 +625,8 @@ class QSeries:
         for x, y in ((a, b), (b, a)):
             if not y.nums and x.truncs == truncs:
                 return x
-        # Both sides over den = lcm(den_a, den_b).
-        den = lcm(a.den, b.den)
-        na, sa, nb, sb = a._within(truncs), den // a.den, b._within(truncs), den // b.den
-        if len(nb) > len(na):
-            # Copy the larger side and loop over the smaller one.
-            na, sa, nb, sb = nb, sb, na, sa
-        out = dict(na) if sa == 1 else {e: v * sa for e, v in na.items()}
-        for e, v in nb.items():
-            v = v * sb + out.get(e, 0)
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        return QSeries._reduced(a.vars, out, den, truncs, a.offsets)
+        return QSeries._made(a.vars, *_sum_nums(a._within(truncs), a.den,
+                                                b._within(truncs), b.den), truncs, a.offsets)
 
     __radd__ = __add__
 
@@ -606,16 +644,8 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return QSeries._made(self.vars, {}, 1, self.truncs, self.offsets)
-            # Canonical without a pass over the product: with p/r in lowest
-            # terms, gcd(den, p) and gcd(r, *nums) are all that can cancel.
-            p, r = other.numerator, other.denominator
-            gp, gr = gcd(self.den, p), gcd(r, *self.nums.values())
-            p //= gp
-            nums = ({e: v * p for e, v in self.nums.items()} if gr == 1
-                    else {e: v // gr * p for e, v in self.nums.items()})
-            return QSeries._made(self.vars, nums, self.den // gp * (r // gr),
+            return QSeries._made(self.vars, *_scaled_nums(self.nums, self.den, other.numerator,
+                                                          other.denominator),
                                  self.truncs, self.offsets)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -711,61 +741,43 @@ class QSeries:
 
     def exp(self) -> "QSeries":
         """exp of a series with zero offsets and no term at v^0, v the first
-        variable: g = exp(f) solves n g_n = sum_{k=1}^n k f_k g_(n-k) in v,
-        where f_k and g_n are rationals for one variable and series in the
-        other variables otherwise."""
+        variable: g = exp(f) solves n g_n = sum_{k=1}^n k f_k g_(n-k) over
+        the v-blocks (see ``block``)."""
         if any(self.offsets):
             raise SeriesError("exp requires zero offset")
         if any(e[0] == 0 for e in self.nums):
             raise SeriesError("exp requires zero constant term")
-        if len(self.vars) > 1:
-            kf = {k: f * k for k, f in self.blocks().items()}
-            zero = QSeries.zero(self.vars[1:], self.truncs[1:])
-            g = [QSeries.one(self.vars[1:], self.truncs[1:])]
-            for n in range(1, self.truncs[0] + 1):
-                acc = zero
-                for k, f in kf.items():
-                    if k <= n:
-                        acc = acc + f * g[n - k]
-                g.append(acc * Fraction(1, n))
-            return QSeries.from_blocks(self.vars[0], dict(enumerate(g)), self.truncs[0])
-        kf = [k * v for k, v in enumerate(self._dense())]
-        g = _Numerators(len(kf))
-        g.put(0, 1, 1)
-        for n in range(1, len(kf)):
-            g.put(n, sum(map(mul, kf[1:n + 1], g.nums[n - 1::-1])), n * self.den * g.den)
-        return g.series(self.vars, self.truncs, self.offsets)
+        kf = {k: f * k for k, f in self.blocks().items()}
+        zero = self.block_zero()
+        g = [zero + 1]
+        for n in range(1, self.truncs[0] + 1):
+            acc = zero
+            for k, f in kf.items():
+                if k <= n:
+                    acc = acc + f * g[n - k]
+            g.append(acc * Fraction(1, n))
+        return QSeries.from_blocks(self.vars[0], dict(enumerate(g)), self.truncs[0])
 
     def log(self) -> "QSeries":
         """log of a series with zero offsets whose v^0 coefficient is exactly 1,
         v the first variable: g = log(u) solves
-        n g_n = n u_n - sum_{k=1}^{n-1} k g_k u_(n-k) in v, where u_n and g_n
-        are rationals for one variable and series in the other variables
-        otherwise."""
+        n g_n = n u_n - sum_{k=1}^{n-1} k g_k u_(n-k) over the v-blocks (see
+        ``block``)."""
         first = {e: v for e, v in self.nums.items() if e[0] == 0}
         if any(self.offsets) or first != {(0,) * len(self.vars): self.den}:
             raise SeriesError("non-unit constant term: log requires constant term 1")
-        if len(self.vars) > 1:
-            u = self.blocks()
-            zero = QSeries.zero(self.vars[1:], self.truncs[1:])
-            g, kg = {0: zero}, {}
-            for n in range(1, self.truncs[0] + 1):
-                acc = zero
-                for k, f in kg.items():
-                    if n - k in u:
-                        acc = acc + f * u[n - k]
-                g_n = u.get(n, zero) - acc * Fraction(1, n)
-                if not g_n.is_zero():
-                    g[n], kg[n] = g_n, g_n * n
-            return QSeries.from_blocks(self.vars[0], g, self.truncs[0])
-        u = self._dense()
-        ku = [k * v for k, v in enumerate(u)]
-        g = _Numerators(len(u))
-        for n in range(1, len(u)):
-            rev = g.nums[n - 1:0:-1]
-            s = n * sum(map(mul, u[1:n], rev)) - sum(map(mul, ku[1:n], rev))
-            g.put(n, n * u[n] * g.den - s, n * self.den * g.den)
-        return g.series(self.vars, self.truncs, self.offsets)
+        u = self.blocks()
+        zero = self.block_zero()
+        g, kg = {0: zero}, {}
+        for n in range(1, self.truncs[0] + 1):
+            acc = zero
+            for k, f in kg.items():
+                if n - k in u:
+                    acc = acc + f * u[n - k]
+            g_n = u.get(n, zero) - acc * Fraction(1, n)
+            if g_n != zero:
+                g[n], kg[n] = g_n, g_n * n
+        return QSeries.from_blocks(self.vars[0], g, self.truncs[0])
 
     def pow_rational(self, r) -> "QSeries":
         """Rational power of a one-variable series whose mantissa has constant
@@ -782,7 +794,7 @@ class QSeries:
         if m.constant_term() != 1:
             raise SeriesError("non-unit constant term: rational power needs constant term 1")
         p, q = r.numerator, r.denominator
-        u = m._dense()
+        u = [m.nums.get((n,), 0) for n in range(m.trunc + 1)]
         ku = [k * v for k, v in enumerate(u)]
         g = _Numerators(len(u))
         g.put(0, 1, 1)
@@ -790,7 +802,8 @@ class QSeries:
             rev = g.nums[n - 1::-1]
             g.put(n, (p + q) * sum(map(mul, ku[1:n + 1], rev))
                   - n * q * sum(map(mul, u[1:n + 1], rev)), n * q * m.den * g.den)
-        return g.series(m.vars, m.truncs, (offset * r,))
+        return QSeries._reduced(m.vars, {(n,): v for n, v in enumerate(g.nums) if v}, g.den,
+                                m.truncs, (offset * r,))
 
     def qd(self) -> "QSeries":
         """q d/dq of a one-variable series, acting on the offset too:
@@ -1040,30 +1053,28 @@ def quasimodular_monomials(weight: int):
     return out
 
 
-_new, _setattr = object.__new__, object.__setattr__
+class RationalPoly(_Canonical):
+    """A sparse polynomial over the rationals, stored like ``QSeries``
+    (see ``_Canonical``).
 
-
-class RationalPoly:
-    """A sparse polynomial over the rationals, stored like ``QSeries``.
-
-    Integer numerators ``nums`` (monomial -> int) over one denominator
-    ``den``, in canonical form: den > 0, gcd(den, *nums) == 1 and no zero
-    numerator, so equal polynomials are equal objects.  Sums, products and
-    rational scalars run in int arithmetic with one content gcd per result,
-    made by ``_made`` without the checks of the public constructor (which
-    rejects floats).  ``coeffs`` is a read-only ``Fraction`` view, built on
-    first use.  Subclasses multiply and render monomials (``_mul_nums``,
-    ``_monomial_str``).
+    Sums, products and rational scalars run in int arithmetic with one
+    content gcd per result, made by ``_made`` without the checks of the
+    public constructor (which rejects floats).  Each direct subclass is a
+    ring of its own: it multiplies and renders monomials (``_mul_nums``,
+    ``_monomial_str``), and its elements mix with no other ring's.
     """
 
-    __slots__ = ("nums", "den", "_view")
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if RationalPoly in cls.__bases__:
+            cls._ring = cls
 
     def __init__(self, coeffs=None):
         values = {k: v if isinstance(v, int) else rat(v) for k, v in (coeffs or {}).items()}
-        values = {k: v for k, v in values.items() if v}
-        # Reduced fractions over their lcm are already canonical.
-        den = lcm(*(v.denominator for v in values.values()))
-        _setattr(self, "nums", {k: v.numerator * (den // v.denominator) for k, v in values.items()})
+        nums, den = _over_lcm({k: v for k, v in values.items() if v})
+        _setattr(self, "nums", nums)
         _setattr(self, "den", den)
 
     @classmethod
@@ -1075,65 +1086,22 @@ class RationalPoly:
         return p
 
     def _reduced(self, nums, den):
-        # Nonzero numerators over den > 0: divide out the content.
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                nums = {k: v // g for k, v in nums.items()}
-                den //= g
-        return self._made(nums, den)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def coeffs(self):
-        """Read-only view {monomial: Fraction} of the coefficients."""
-        try:
-            return self._view
-        except AttributeError:
-            den = self.den
-            _setattr(self, "_view", MappingProxyType(
-                {k: Fraction(v, den) for k, v in self.nums.items()}))
-            return self._view
-
-    def is_zero(self) -> bool:
-        return not self.nums
+        return self._made(*_lowest_terms(nums, den))
 
     def __add__(self, other):
-        na, nb, den = self.nums, other.nums, self.den
-        if den == other.den:
-            out = dict(na)
-        else:
-            den = lcm(den, other.den)
-            sa, sb = den // self.den, den // other.den
-            out = {k: v * sa for k, v in na.items()}
-            nb = {k: v * sb for k, v in nb.items()}
-        for k, v in nb.items():
-            v += out.get(k, 0)
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return self._reduced(out, den)
+        if not isinstance(other, self._ring):
+            return NotImplemented
+        return self._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
 
     def _scaled(self, p: int, r: int = 1):
-        # Times p/r for coprime ints with r > 0.  Canonical without a pass
-        # over the result: gcd(den, p) and gcd(r, *nums) are all that cancel.
-        if not p:
-            return self._made({}, 1)
-        gp = gcd(self.den, p)
-        gr = gcd(r, *self.nums.values()) if r != 1 else 1
-        p //= gp
-        nums = ({k: v * p for k, v in self.nums.items()} if gr == 1
-                else {k: v // gr * p for k, v in self.nums.items()})
-        return self._made(nums, self.den // gp * (r // gr))
+        # Times p/r for coprime ints with r > 0.
+        return self._made(*_scaled_nums(self.nums, self.den, p, r))
 
     def __mul__(self, other):
-        if isinstance(other, RationalPoly):
+        if isinstance(other, self._ring):
             return self._reduced(self._mul_nums(self.nums, other.nums), self.den * other.den)
         if not isinstance(other, (int, Fraction)):
-            other = rat(other)
+            return NotImplemented
         return self._scaled(other.numerator, other.denominator)
 
     def _same(self, other) -> bool:

@@ -164,10 +164,8 @@ class _Minors(dict):
                     raise SeriesError(f"moment-matrix entry ({k}, {l}) is not one eps block "
                                       f"at eps^({k + l}/2)")
         super().__init__({((), ()): 1})
-        e11 = A.entries[0][0]
         self.entry = A.entry
-        self.zero = (QSeries.zero(e11.vars[1:], e11.truncs[1:]) if len(e11.vars) > 1
-                     else Fraction(0))
+        self.zero = A.entries[0][0].block_zero()
         self.qvars, self.qtruncs = qvars, qtruncs
         self._lifted = {}
 
@@ -212,7 +210,8 @@ def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
     _check_sizes(A, B, eps_trunc)
     T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
     qvars, qtruncs = _q_layout(A, B)
-    block_zero = QSeries.zero(qvars, qtruncs) if qvars else Fraction(0)
+    zero = QSeries.zero(("eps", *qvars), (T, *qtruncs))
+    block_zero = zero.block_zero()
     a, b = _Minors(A, qvars, qtruncs), _Minors(B, qvars, qtruncs)
     sums = {name: {} for name in ("det", *wanted)}
 
@@ -236,7 +235,6 @@ def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
                 add("d11", n - 1, sign, product(a.lifted(S[1:], U[1:]), b.lifted(U, S)))
             if "d22" in sums:
                 add("d22", n - 1, sign, product(a.lifted(S, U), b.lifted(U[1:], S[1:])))
-    zero = QSeries.zero(("eps", *qvars), (T, *qtruncs))
     series = {name: QSeries.from_blocks("eps", blocks, T) if blocks else zero
               for name, blocks in sums.items()}
     logdet = series.pop("det").log()
@@ -314,24 +312,22 @@ class PeriodData:
                 "d12": self.d12.to_json()}
 
 
-def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int,
-                N: int) -> tuple[QSeries, PeriodData]:
-    """log det(I - A1 A2) and the period data, from one set of minors of A1
-    and A2.
+def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int,
+                wanted=()) -> tuple[QSeries, dict]:
+    """log det(I - A1 A2) and {name: entry} for each period entry named in
+    ``wanted`` ("d11", "d22", "d12"), from one set of minors of A1 and A2.
 
     With R = (I - A1 A2)^(-1): d12 is -eps R(1,1), d11 is eps (A2 R)(1,1),
     and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
-    push-through identity.
+    push-through identity.  An entry not asked for costs nothing.
     """
-    logdet, d = _minor_sums(a_matrix(1, N, eps_trunc, q1_trunc),
-                            a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc,
-                            ("d11", "d22", "d12"))
-    return logdet, PeriodData(d["d11"], d["d22"], d["d12"])
+    return _minor_sums(a_matrix(1, N, eps_trunc, q1_trunc),
+                       a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc, wanted)
 
 
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> PeriodData:
     """Genus-two period matrix from the sewing expansion, in normalized form."""
-    return sewing_data(q1_trunc, q2_trunc, eps_trunc, N)[1]
+    return PeriodData(**sewing_data(q1_trunc, q2_trunc, eps_trunc, N, ("d11", "d22", "d12"))[1])
 
 
 @lru_cache(maxsize=None)

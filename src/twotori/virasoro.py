@@ -339,10 +339,10 @@ def alpha_coefficients(max_i: int) -> tuple:
     return tuple(known[i] for i in range(1, max_i + 1))
 
 
-def _w_map(k: int, beta, trunc: int, inverse: bool = False) -> QSeries:
-    """The single-generator conformal map z (1 -+ k b z^k)^(-1/k)."""
-    sign = 1 if inverse else -1
-    body = QSeries("z", {0: 1, k: sign * k * rat(beta)}, trunc)
+def _w_map(k: int, beta, trunc: int) -> QSeries:
+    """z (1 + k b z^k)^(-1/k), the inverse of the single-generator conformal
+    map exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k)."""
+    body = QSeries("z", {0: 1, k: k * rat(beta)}, trunc)
     return QSeries.gen("z", trunc) * body.pow_rational(Fraction(-1, k))
 
 
@@ -362,7 +362,7 @@ def beta_coefficients(max_k: int) -> tuple:
     beta1 = phi.coeff(2)
     if beta1 != Fraction(1, 2):
         raise ArithmeticError(f"map coefficient beta_1 = {beta1} != 1/2")
-    g = _w_map(1, beta1, trunc, inverse=True).compose(phi)
+    g = _w_map(1, beta1, trunc).compose(phi)
     out = []
     for k in range(2, max_k + 1):
         bk = g.coeff(k + 1)
@@ -371,7 +371,7 @@ def beta_coefficients(max_k: int) -> tuple:
                 raise ArithmeticError(f"odd map coefficient beta_{k} = {bk} != 0")
             continue
         out.append((k, bk))
-        g = _w_map(k, bk, trunc, inverse=True).compose(g)
+        g = _w_map(k, bk, trunc).compose(g)
     return tuple(out)
 
 

@@ -9,6 +9,8 @@ from twotori.genus2 import (
     H_VARS,
     ModulePair,
     OperatorEpsSeries,
+    _eta_prefactor,
+    _times_q,
     degeneration_sum,
     taylor_shift,
     verify_detHi,
@@ -21,6 +23,7 @@ from twotori.genus2 import (
 )
 from twotori.sewing import (
     a_matrix,
+    degenerate_logdet,
     degenerate_tau,
     log_det_I_minus,
     period_matrix,
@@ -51,6 +54,45 @@ def partition_numbers(trunc):
             k += 1
         p.append(total)
     return p
+
+
+# -- the free-boson closed forms as they were computed on their own ----------------
+
+
+def oracle_z2_heisenberg(q1_trunc, q2_trunc, eps_trunc, N=None):
+    # (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), from the log-det alone.
+    N = eps_trunc if N is None else N
+    logdet = log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
+                             a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
+    return _times_q((logdet * F(-1, 2)).exp(), _eta_prefactor(q1_trunc, q2_trunc))
+
+
+def oracle_z2_heisenberg_degenerate(q1_trunc, eps_trunc, N=None):
+    # eta(q1)^-1 det(I - A1 A2(0))^(-1/2), with no delta factor.
+    N = eps_trunc if N is None else N
+    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * F(-1, 2)).exp()
+    return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
+
+
+# (q1, q2, eps, N)
+FREE_BOSON_ORDERS = [(0, 0, 1, 1), (3, 2, 4, 4), (2, 3, 4, 6), (4, 4, 6, 6), (6, 5, 8, 9),
+                     (1, 0, 2, 2)]
+
+
+class TestFreeBosonIsZeroPairing:
+    # The free-boson forms are the module forms at zero pairing; they must
+    # equal the standalone closed forms as objects, as text and as JSON.
+    @pytest.mark.parametrize("q1, q2, e, N", FREE_BOSON_ORDERS)
+    def test_full(self, q1, q2, e, N):
+        got, want = z2_heisenberg(q1, q2, e, N), oracle_z2_heisenberg(q1, q2, e, N)
+        assert got == want
+        assert str(got) == str(want) and got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("q1, q2, e, N", FREE_BOSON_ORDERS)
+    def test_degenerate(self, q1, q2, e, N):
+        got, want = z2_heisenberg_degenerate(q1, e, N), oracle_z2_heisenberg_degenerate(q1, e, N)
+        assert got == want
+        assert str(got) == str(want) and got.to_json() == want.to_json()
 
 
 class TestModulePair:

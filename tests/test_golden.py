@@ -50,6 +50,15 @@ CASES = {
     "z2_module_wide": (["compute", "z2-module", "--alpha-sq", "3", "--beta-sq", "2",
                         "--alpha-dot-beta", "-1", "--rank", "2",
                         "--eps-order", "8", "--q-order", "6"], 0),
+    # One case per subset of nonzero pairings the sewing pass selects entries by.
+    "z2_module_beta_only": (["compute", "z2-module", "--beta-sq", "2", "--rank", "2",
+                             "--eps-order", "4", "--q-order", "3"], 0),
+    "z2_module_cross_only": (["compute", "z2-module", "--alpha-dot-beta", "-1",
+                              "--eps-order", "4", "--q-order", "3"], 0),
+    "z2_module_zero_pairing": (["compute", "z2-module", "--rank", "3",
+                                "--eps-order", "4", "--q-order", "3"], 0),
+    "z2_heisenberg_wide": (["compute", "z2-heisenberg", "--eps-order", "6",
+                            "--q-order", "4", "--matrix-size", "8"], 0),
     "onepoint_z": (["compute", "onepoint", "--partition", "2,2", "--q-order", "6"], 0),
     "onepoint_theta": (["compute", "onepoint", "--partition", "4,2", "--basis", "theta",
                         "--q-order", "6"], 0),

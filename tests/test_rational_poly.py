@@ -15,7 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotori.series import EisensteinPoly, QuasiModularPoly, join_terms, monomial_str
+from twotori.series import EisensteinPoly, QSeries, QuasiModularPoly, join_terms, monomial_str
 from twotori.virasoro import CPoly
 
 
@@ -179,6 +179,19 @@ class TestEisensteinPolyAgainstOracle:
             EisensteinPoly({(1, 0, 0): 0.5})
         with pytest.raises(TypeError):
             EisensteinPoly.const(1) * 0.5
+
+
+def test_rings_do_not_mix():
+    # A polynomial adds and multiplies only with its own ring (and CPoly
+    # with scalars); a mixed sum must not read the other side's numerators.
+    e2, c, q = EisensteinPoly({(1, 0, 0): 1}), CPoly({1: 1}), QSeries.one("q", 3)
+    mixed = [lambda: e2 + q, lambda: q + e2, lambda: e2 + c, lambda: c + e2,
+             lambda: e2 * q, lambda: q * e2, lambda: e2 * c, lambda: c * e2,
+             lambda: QuasiModularPoly(2, {(1, 0, 0): 1}) + q, lambda: e2 + 1]
+    for op in mixed:
+        with pytest.raises(TypeError):
+            op()
+    assert QuasiModularPoly(2, {(1, 0, 0): 1}) + e2 == EisensteinPoly({(1, 0, 0): 2})
 
 
 class TestCPolyAgainstOracle:

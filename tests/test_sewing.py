@@ -89,9 +89,17 @@ class TestMinorsAgainstPowers:
         N = T + extra
         A1, A2 = a_matrix(1, N, T, q1), a_matrix(2, N, T, q2)
         logdet, d11, d22, d12 = _power_sums(A1, A2, T)
-        got_logdet, pd = sewing_data(q1, q2, T, N)
+        got_logdet, d = sewing_data(q1, q2, T, N, ("d11", "d22", "d12"))
         assert got_logdet == logdet
-        assert (pd.d11, pd.d22, pd.d12) == (d11, d22, d12)
+        assert (d["d11"], d["d22"], d["d12"]) == (d11, d22, d12)
+
+    def test_only_the_entries_asked_for(self):
+        # Each entry is the same whatever else the pass sums alongside it.
+        full = sewing_data(2, 3, 6, 6, ("d11", "d22", "d12"))
+        for wanted in [(), ("d11",), ("d22",), ("d12", "d11")]:
+            logdet, d = sewing_data(2, 3, 6, 6, wanted)
+            assert logdet == full[0]
+            assert d == {name: full[1][name] for name in wanted}
 
     @pytest.mark.parametrize("T", range(1, 17))
     def test_degenerate(self, T):

@@ -56,6 +56,26 @@ def test_module_pair_expands_each_minor_once(monkeypatch):
     assert len({m for m, _ in keys}) == 2
 
 
+def test_sewing_pass_sums_only_paired_entries(monkeypatch):
+    # A period entry enters the module form only through its pairing, so
+    # the pass sums d11 alone for alpha^2 != 0 = beta^2 = alpha.beta, and no
+    # entry at all for the free boson.
+    passes = counting(monkeypatch, sewing, "_minor_sums")
+    z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 4)
+    genus2.z2_heisenberg(1, 1, 4)
+    assert [tuple(args[3]) for args in passes] == [("d11",), ()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_power_squares_only_below_the_top_bit(monkeypatch, n):
+    # base**n takes one product per set bit of n and one square per bit
+    # below the top one; the free-boson forms raise the eta factor to ** 1.
+    base = QSeries(("q1", "q2"), {(0, 0): 1, (1, 0): 2, (0, 1): -1}, (3, 3))
+    products = counting(monkeypatch, QSeries, "__mul__")
+    base ** n
+    assert len(products) == bin(n).count("1") + n.bit_length() - 1
+
+
 def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     # detHi and the four theta pairs share one degeneration sum, and every
     # suite shares one degenerate sewing pass (log-det and delta together).
