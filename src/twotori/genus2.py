@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .reports import Report
@@ -57,17 +57,32 @@ def _times_q(s: QSeries, f: QSeries) -> QSeries:
 def taylor_shift(f: QSeries, delta: QSeries) -> QSeries:
     """sum_l (delta^l / l!) qd^l f: f at the shifted modulus, order by order,
     for an eps-series delta over the variable of f."""
-    dpow = QSeries.one(delta.vars, delta.truncs)
-    out = _times_q(dpow, f)
+    powers = _taylor_weights(delta)
+    out = _times_q(powers[0], f)
     df = f
+    for dpow in powers[1:]:
+        df = df.qd()
+        out = out + _times_q(dpow, df)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _taylor_weights(delta: QSeries) -> tuple:
+    """(delta^l / l!) for l = 0, 1, ..., up to the last power that is
+    nonzero to the eps order of delta.
+
+    Memoized per delta: every shift to one modulus reads one table, and the
+    powers are immutable.
+    """
+    dpow = QSeries.one(delta.vars, delta.truncs)
+    powers = [dpow]
     ord_ = max(delta._ord_bounds()[0], 1)
     for l in range(1, delta.truncs[0] // ord_ + 1):
         dpow = dpow * delta * Fraction(1, l)
         if dpow.is_zero():
             break
-        df = df.qd()
-        out = out + _times_q(dpow, df)
-    return out
+        powers.append(dpow)
+    return tuple(powers)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -118,17 +133,42 @@ def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
 
 def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
                          N: int | None = None) -> QSeries:
-    """lim q2^(r/24) Z^(2)_{alpha,0}: the pinched closed form (beta must be 0)."""
+    """lim q2^(r/24) Z^(2)_{alpha,0}: the pinched closed form (beta must be 0).
+
+    Memoized per pair and orders, with N resolved first, so the free boson
+    and the pair of zero pairing share one result.
+    """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("degenerate module limit needs beta = 0")
-    N = eps_trunc if N is None else N
-    det = (degenerate_logdet(q1_trunc, eps_trunc, N)
-           * Fraction(-p.rank, 2)).exp()
+    return _z2_module_degenerate(p, q1_trunc, eps_trunc, eps_trunc if N is None else N)
+
+
+@lru_cache(maxsize=None)
+def _z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+    det = _degenerate_det(q1_trunc, eps_trunc, N, p.rank)
     if p.alpha_sq:
         det = det * (degenerate_tau(q1_trunc, eps_trunc, N) * (p.alpha_sq / 2)).exp()
-    pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
-           * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
+    pre = QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc) * _eta_inverse(q1_trunc) ** p.rank
     return _times_q(det, pre)
+
+
+@lru_cache(maxsize=None)
+def _eta_inverse(q1_trunc: int) -> QSeries:
+    # eta(q1)^-1, the genus-one factor of every pinched closed form; memoized
+    # and immutable like the forms themselves.
+    return eta_normalized(q1_trunc, "q1").inv()
+
+
+@lru_cache(maxsize=None)
+def _degenerate_det(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
+    """det(I - A1 A2(0))^(-r/2) = exp(-(r/2) log det(I - A1 A2(0))), as an
+    eps-series over q1.
+
+    Memoized: the result is immutable and a pure function of the orders and
+    r.  It reads ``degenerate_logdet`` through this module's namespace, so a
+    patched log-det reaches it once the caches are cleared.
+    """
+    return (degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
 
 
 # -- the operator-valued degeneration sum -------------------------------------------
@@ -166,11 +206,26 @@ class OperatorEpsSeries:
         """
         if l < 0:
             raise ValueError("derivative order must be >= 0")
-        return QSeries(("eps", *H_VARS),
-                       {(n, m, j): c for n, op in self.terms.items()
-                        for (i, j), s in op.series().items() if i == l
-                        for (m,), c in s.coeffs.items()},
-                       (self.eps_trunc, self.q_trunc, self.eps_trunc))
+        if l not in self._H:
+            return QSeries.zero(("eps", *H_VARS), (self.eps_trunc, self.q_trunc, self.eps_trunc))
+        return self._H[l]
+
+    @cached_property
+    def _H(self) -> dict:
+        # l -> H_l for every l that occurs, from one pass over the integer
+        # numerators of every operator's q-expansions.
+        parts = {}
+        for n, op in self.terms.items():
+            for (l, j), s in op.series().items():
+                parts.setdefault(l, []).append((n, j, s))
+        truncs = (self.eps_trunc, self.q_trunc, self.eps_trunc)
+        H = {}
+        for l, group in parts.items():
+            den = lcm(*(s.den for _, _, s in group))
+            nums = {(n, m, j): v * (den // s.den)
+                    for n, j, s in group for (m,), v in s.nums.items()}
+            H[l] = QSeries._reduced(("eps", *H_VARS), nums, den, truncs, (Fraction(0),) * 3)
+        return H
 
     def to_json(self) -> dict:
         return {"variable": "eps", "trunc": self.eps_trunc,
@@ -256,7 +311,7 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
     e4 = eisenstein(4, q_trunc, "q1")
     delta = degenerate_tau(q_trunc, eps_trunc, N)
     eta1 = eta_normalized(q_trunc, "q1")
-    eta1_inv = eta1.inv()
+    eta1_inv = _eta_inverse(q_trunc)
 
     def check_coeff(name, series, n, expected):
         got = series.block(n)
@@ -279,7 +334,7 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
 
     # det(I - A1 A2(0))^(-1/2) = 1 - E2/24 eps^2 + (E2^2/384 + E4/96) eps^4 + ...
-    det = (degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-1, 2)).exp()
+    det = _degenerate_det(q_trunc, eps_trunc, N, 1)
     check_coeff("det^(-1/2) at eps^2", det, 2, e2 * Fraction(-1, 24))
     check_coeff("det^(-1/2) at eps^4", det, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))
@@ -338,7 +393,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
 
-    det_r = (degenerate_logdet(q_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
+    det_r = _degenerate_det(q_trunc, eps_trunc, N, r)
     ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)", ok_cross,
                order=f"eps<={eps_trunc}, q<={q_trunc}")

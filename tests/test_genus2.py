@@ -21,6 +21,7 @@ from twotori.genus2 import (
     z2_module_degenerate,
     z2_module_pair,
 )
+from twotori import genus2
 from twotori.sewing import (
     a_matrix,
     degenerate_logdet,
@@ -72,6 +73,100 @@ def oracle_z2_heisenberg_degenerate(q1_trunc, eps_trunc, N=None):
     N = eps_trunc if N is None else N
     det = (degenerate_logdet(q1_trunc, eps_trunc, N) * F(-1, 2)).exp()
     return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
+
+
+# -- the pinched-surface quantities as they were computed before memoization -------
+
+
+def oracle_z2_module_degenerate(p, q1_trunc, eps_trunc, N=None):
+    # lim q2^(r/24) Z^(2)_{alpha,0}, every factor built afresh on each call.
+    N = eps_trunc if N is None else N
+    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * F(-p.rank, 2)).exp()
+    if p.alpha_sq:
+        det = det * (degenerate_tau(q1_trunc, eps_trunc, N) * (p.alpha_sq / 2)).exp()
+    pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
+           * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
+    return _times_q(det, pre)
+
+
+def oracle_taylor_shift(f, delta):
+    # sum_l (delta^l / l!) qd^l f, the powers of delta built in the loop.
+    dpow = QSeries.one(delta.vars, delta.truncs)
+    out = _times_q(dpow, f)
+    df = f
+    ord_ = max(delta._ord_bounds()[0], 1)
+    for l in range(1, delta.truncs[0] // ord_ + 1):
+        dpow = dpow * delta * F(1, l)
+        if dpow.is_zero():
+            break
+        df = df.qd()
+        out = out + _times_q(dpow, df)
+    return out
+
+
+def oracle_extract_H(ds, l):
+    # H_l by a scan over every operator's Fraction coefficients, per l.
+    return QSeries(("eps", *H_VARS),
+                   {(n, m, j): c for n, op in ds.terms.items()
+                    for (i, j), s in op.series().items() if i == l
+                    for (m,), c in s.coeffs.items()},
+                   (ds.eps_trunc, ds.q_trunc, ds.eps_trunc))
+
+
+# (q1, eps, N)
+PINCHED_ORDERS = [(0, 1, 1), (3, 4, 4), (4, 4, 7), (5, 6, 6), (6, 8, 8), (2, 8, 11)]
+PINCHED_PAIRS = [ModulePair(), ModulePair(1, F(1)), ModulePair(2, F(1, 4)), ModulePair(1, F(2)),
+                 ModulePair(3, F(-2, 3))]
+
+
+class TestPinchedMemos:
+    # Memoized pinched quantities must equal the uncached computation.
+    @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
+    @pytest.mark.parametrize("p", PINCHED_PAIRS)
+    def test_module_degenerate_equals_oracle(self, p, q1, e, N):
+        assert z2_module_degenerate(p, q1, e, N) == oracle_z2_module_degenerate(p, q1, e, N)
+
+    @pytest.mark.parametrize("q1, e", [(3, 4), (5, 6), (6, 8)])
+    def test_default_N_shares_one_entry(self, q1, e):
+        # N=None resolves to the eps order before the key is built: one
+        # cache entry, one result object, equal to the oracle.
+        genus2._z2_module_degenerate.cache_clear()
+        p = ModulePair(1, F(1))
+        got = z2_module_degenerate(p, q1, e)
+        assert z2_module_degenerate(p, q1, e, e) is got
+        assert genus2._z2_module_degenerate.cache_info().currsize == 1
+        assert got == oracle_z2_module_degenerate(p, q1, e)
+        # N above the eps order is its own entry, with the same known part.
+        above = z2_module_degenerate(p, q1, e, e + 3)
+        assert above == oracle_z2_module_degenerate(p, q1, e, e + 3)
+        assert genus2._z2_module_degenerate.cache_info().currsize == 2
+
+    def test_free_boson_is_the_zero_pair_entry(self):
+        genus2._z2_module_degenerate.cache_clear()
+        assert z2_heisenberg_degenerate(4, 6) is z2_module_degenerate(ModulePair(1, F(0)), 4, 6, 6)
+        assert genus2._z2_module_degenerate.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
+    def test_taylor_shift_equals_oracle(self, q1, e, N):
+        delta = degenerate_tau(q1, e, N)
+        eta = eta_normalized(q1, "q1")
+        for f in (eta, eta.inv(), QSeries.monomial("q1", F(3, 2), q1),
+                  eisenstein(2, q1, "q1") * eisenstein(4, q1, "q1") + QSeries.one("q1", q1)):
+            assert taylor_shift(f, delta) == oracle_taylor_shift(f, delta)
+
+    def test_taylor_shift_by_a_non_pinched_delta(self):
+        # A delta with an eps^1 term and one that is zero: the table stops
+        # at the first zero power, as the loop did.
+        delta = QSeries(("eps", "q1"), {(1, 0): F(1, 3), (2, 1): -2, (5, 2): F(7, 5)}, (6, 4))
+        f = QSeries("q1", {0: 2, 1: F(-1, 2), 3: 5}, 4, offsets=F(1, 24))
+        for d in (delta, delta.times_eps(), QSeries.zero(("eps", "q1"), (6, 4))):
+            assert taylor_shift(f, d) == oracle_taylor_shift(f, d)
+
+    @pytest.mark.parametrize("e, q", [(2, 3), (4, 4), (6, 5), (8, 8)])
+    def test_extract_H_equals_oracle(self, e, q):
+        ds = degeneration_sum(e, q)
+        for l in range(e // 2 + 2):
+            assert ds.extract_H(l) == oracle_extract_H(ds, l)
 
 
 # (q1, q2, eps, N)

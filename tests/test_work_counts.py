@@ -28,16 +28,21 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def clear_caches() -> None:
+    """Empty every lru_cache of genus2, sewing and zhu, as a new CLI run
+    finds them; a memo added later is found without naming it here."""
+    for module in (genus2, sewing, zhu):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+
+
 @pytest.fixture
 def cold_caches():
     # A CLI run starts with empty caches; so does each counted run here.
-    caches = (genus2.degeneration_sum, sewing._degenerate_sewing,
-              zhu._op_for_word, zhu._state_for_word)
-    for cached in caches:
-        cached.cache_clear()
+    clear_caches()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    clear_caches()
 
 
 def test_module_pair_expands_each_minor_once(monkeypatch):
@@ -86,6 +91,59 @@ def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     capsys.readouterr()
     assert code == 0
     assert (len(sums), len(passes)) == (1, 1)
+
+
+def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, cold_caches):
+    # det(I - A1 A2(0))^(-r/2), eta(q1)^-1 and the pinched closed forms are
+    # memoized per orders, and the Taylor weights delta^l/l! per delta: the
+    # free-boson suite and the four theta pairs evaluate each pinched form
+    # once per distinct module pair and share one table of delta powers.
+    # Without these memos the run made 19 exps and 16 inverses.
+    exps = counting(monkeypatch, QSeries, "exp")
+    invs = counting(monkeypatch, QSeries, "inv")
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(exps) <= 7 and len(invs) <= 8
+    pairs = {ModulePair()} | {ModulePair(rank, Fraction(a)) for a, rank in cli.THETA_SUITE_PAIRS}
+    forms = genus2._z2_module_degenerate.cache_info()
+    assert forms.misses == forms.currsize == len(pairs) == 4
+    assert genus2._taylor_weights.cache_info().misses == 1
+
+
+def test_degeneration_coefficients_come_from_one_pass(monkeypatch):
+    # Every H_l reads the operators' q-expansions in one pass: asking for
+    # H_0 .. H_5 reads each operator once, not once per l.
+    ds = genus2.degeneration_sum(8, 8)
+    fresh = genus2.OperatorEpsSeries(ds.terms, ds.eps_trunc, ds.q_trunc)
+    reads = counting(monkeypatch, zhu.DiffOp, "series")
+    Hs = [fresh.extract_H(l) for l in range(6)]
+    assert len(reads) == len(ds.terms) > 1
+    assert Hs == [ds.extract_H(l) for l in range(6)] and Hs[5].is_zero()
+
+
+def test_perturbed_logdet_fails_after_the_caches_are_cleared(monkeypatch, capsys, cold_caches):
+    # A warm run fills the pinched-surface memos.  Once they are cleared, a
+    # log-det perturbed at eps^6 q1 (a perturbation of the closed-form side
+    # only) must reach the closed form: the Zhu-recursion line turns FAIL.
+    argv = ["verify", "theta-degen", "--alpha-sq", "1", "--eps-order", "8", "--q-order", "6"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    logdet = genus2.degenerate_logdet
+
+    def perturbed(q1_trunc, eps_trunc, N):
+        s = logdet(q1_trunc, eps_trunc, N)
+        return s + QSeries(s.vars, {(6, 1): Fraction(1, 7)}, s.truncs)
+
+    clear_caches()
+    monkeypatch.setattr(genus2, "degenerate_logdet", perturbed)
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    line = next(l for l in out.splitlines()
+                if "Zhu-recursion degeneration sum == closed-form limit" in l)
+    assert "FAIL" in line
 
 
 def test_verify_all_shares_the_structure_suite_operators(capsys, cold_caches):
