@@ -23,7 +23,6 @@ from .genus2 import (
 )
 from .reports import Report
 from .series import (
-    SeriesError,
     eisenstein,
     eta_normalized,
     qd,
@@ -356,6 +355,10 @@ def _structure_report(max_weight: int, q_order: int) -> Report:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     suite = args.suite
+    if suite == "theta-degen":
+        pair = _module_pair(args)
+        if pair.beta_sq or pair.alpha_dot_beta:
+            raise UsageError("theta degeneration check needs beta = 0")
     reports = []
     if suite in ("modular-identities", "all"):
         reports.append(_modular_identities_report(max(cfg.q_order, 20)
@@ -367,7 +370,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                                                       N=cfg.matrix_size))
     if suite == "theta-degen":
         reports.append(verify_theta_degeneration(
-            _module_pair(args), cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
+            pair, cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
     if suite == "all":
         for alpha_sq, rank in THETA_SUITE_PAIRS:
             reports.append(verify_theta_degeneration(
@@ -405,9 +408,6 @@ def main(argv=None) -> int:
             return cmd_verify(args, cfg)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except (SeriesError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

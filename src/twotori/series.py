@@ -315,6 +315,21 @@ def _sum_nums(na: dict, da: int, nb: dict, db: int):
     return _lowest_terms(out, den)
 
 
+def _sum_terms(pieces):
+    # The sum of pieces (den, p, items): the int p times the (key, int
+    # numerator) items over den.  One pass over the lcm of the dens and one
+    # content gcd; the items are read once that lcm is known, so may be lazy.
+    pieces = list(pieces)
+    den = lcm(*(d for d, _, _ in pieces))
+    out = {}
+    get = out.get
+    for d, p, items in pieces:
+        m = p * (den // d)
+        for k, v in items:
+            out[k] = get(k, 0) + v * m
+    return _lowest_terms({k: v for k, v in out.items() if v}, den)
+
+
 def _scaled_nums(nums: dict, den: int, p: int, r: int):
     # nums/den times p/r, for coprime ints with r > 0.  Canonical without a
     # pass over the result: gcd(den, p) and gcd(r, *nums) are all that cancel.
@@ -356,6 +371,12 @@ class _Canonical:
 
     def is_zero(self) -> bool:
         return not self.nums
+
+    def _same(self, other) -> bool:
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
 
 
 def _origin(vars):
@@ -1085,9 +1106,6 @@ class RationalPoly(_Canonical):
         _setattr(p, "den", den)
         return p
 
-    def _reduced(self, nums, den):
-        return self._made(*_lowest_terms(nums, den))
-
     def __add__(self, other):
         if not isinstance(other, self._ring):
             return NotImplemented
@@ -1099,16 +1117,11 @@ class RationalPoly(_Canonical):
 
     def __mul__(self, other):
         if isinstance(other, self._ring):
-            return self._reduced(self._mul_nums(self.nums, other.nums), self.den * other.den)
+            return self._made(*_lowest_terms(self._mul_nums(self.nums, other.nums),
+                                             self.den * other.den))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self._scaled(other.numerator, other.denominator)
-
-    def _same(self, other) -> bool:
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
 
     def __str__(self):
         coeffs = self.coeffs
@@ -1155,34 +1168,36 @@ class EisensteinPoly(RationalPoly):
     __hash__ = RationalPoly.__hash__
 
     def qd(self) -> "EisensteinPoly":
-        """q d/dq by qd E2 = 5E4 - E2^2, qd E4 = -4E2E4 + 14E6 and
-        qd E6 = -6E2E6 + (60/7)E4^2 (this module's normalization of E_k)."""
-        # Over 7 * den when an E6 is present, so that 60/7 is an integer.
-        seven = 7 if any(c for _, _, c in self.nums) else 1
-        out = {}
-        for (a, b, c), v in self.nums.items():
-            terms = [((a + 1, b, c), -(a + 4 * b + 6 * c) * seven * v)]
-            if a:
-                terms.append(((a - 1, b + 1, c), 5 * a * seven * v))
-            if b:
-                terms.append(((a, b - 1, c + 1), 14 * b * seven * v))
-            if c:
-                terms.append(((a, b + 2, c - 1), 60 * c * v))
-            for key, t in terms:
-                out[key] = out.get(key, 0) + t
-        return self._reduced({k: v for k, v in out.items() if v}, self.den * seven)
+        """q d/dq by Ramanujan's derivatives (see ``_ramanujan``)."""
+        return self._made(*_sum_terms([(7 * self.den, 1, (
+            (m, v * w) for (a, b, c), v in self.nums.items() for m, w in _ramanujan(a, b, c)))]))
 
     def to_qseries(self, trunc: int, var: str = "q") -> QSeries:
-        """The q-expansion through q^trunc, summed from the shared table of
-        monomial expansions."""
-        out = QSeries.zero("q", trunc)
-        for mono, v in self.coeffs.items():
-            out = out + _monomial_qseries(mono, trunc) * v
-        return out.renamed(var)
+        """The q-expansion through q^trunc, summed in ints from the shared
+        table of monomial expansions."""
+        one = _monomial_qseries((0, 0, 0), trunc)
+        terms = [(_monomial_qseries(m, trunc), v) for m, v in self.nums.items()]
+        return QSeries._made(one.vars, *_sum_terms(
+            (s.den * self.den, v, s.nums.items()) for s, v in terms),
+            one.truncs, one.offsets).renamed(var)
 
     @staticmethod
     def _monomial_str(k) -> str:
         return monomial_str(*zip(("E2", "E4", "E6"), k))
+
+
+def _ramanujan(a: int, b: int, c: int) -> list:
+    """7 qd(E2^a E4^b E6^c) as (monomial, int) pairs, by qd E2 = 5E4 - E2^2,
+    qd E4 = -4E2E4 + 14E6 and qd E6 = -6E2E6 + (60/7)E4^2 (this module's
+    normalization of E_k)."""
+    out = [((a + 1, b, c), -7 * (a + 4 * b + 6 * c))]
+    if a:
+        out.append(((a - 1, b + 1, c), 35 * a))
+    if b:
+        out.append(((a, b - 1, c + 1), 98 * b))
+    if c:
+        out.append(((a, b + 2, c - 1), 60 * c))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from types import MappingProxyType
 
-from .series import QSeries, RationalPoly, monomial_str, rat
+from .series import (
+    QSeries,
+    RationalPoly,
+    _Canonical,
+    _lowest_terms,
+    _new,
+    _setattr,
+    _sum_nums,
+    _sum_terms,
+    monomial_str,
+    rat,
+)
 
 
 def check_partition(parts) -> tuple:
@@ -61,10 +73,6 @@ class CPoly(RationalPoly):
         if any(j < 0 for j in coeffs or ()):
             raise ValueError("negative C-degree")
         super().__init__({int(j): c for j, c in (coeffs or {}).items()})
-
-    @classmethod
-    def c_power(cls, j: int, coefficient=1) -> "CPoly":
-        return cls({j: coefficient})
 
     def degree(self) -> int:
         return max(self.nums) if self.nums else -1
@@ -109,182 +117,154 @@ class CPoly(RationalPoly):
     def _monomial_str(j) -> str:
         return monomial_str(("C", j))
 
-    @classmethod
-    def from_string(cls, text: str) -> "CPoly":
-        """Parse the canonical rendering produced by __str__."""
-        text = text.replace(" - ", " + -").strip()
-        coeffs = {}
-        for chunk in text.split(" + "):
-            chunk = chunk.strip()
-            if not chunk or chunk == "0":
-                continue
-            if "C" in chunk:
-                coeff_part, _, power_part = chunk.partition("C")
-                coeff_part = coeff_part.rstrip("*")
-                if coeff_part in ("", "+"):
-                    v = Fraction(1)
-                elif coeff_part == "-":
-                    v = Fraction(-1)
-                else:
-                    v = Fraction(coeff_part)
-                j = int(power_part[1:]) if power_part.startswith("^") else 1
-            else:
-                v, j = Fraction(chunk), 0
-            coeffs[j] = coeffs.get(j, Fraction(0)) + v
-        return cls(coeffs)
 
+class VirState(_Canonical):
+    """A finite C-polynomial combination of PBW vacuum monomials.
 
-_ONE = CPoly._made({0: 1}, 1)
+    Stored flat (see ``_Canonical``): ``nums`` maps (partition, j) to the
+    integer numerator of the coefficient of C^j times the PBW monomial, over
+    one denominator ``den``; ``coeff(partition)`` reads one coefficient back
+    as a ``CPoly``.  ``nums`` is read-only, since the normal-ordering and
+    word caches share one instance between callers.
+    """
 
-
-class VirState:
-    """A finite C-polynomial combination of PBW vacuum monomials."""
-
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
+        pieces = []
         for parts, coeff in (terms or {}).items():
             if not isinstance(coeff, CPoly):
                 coeff = CPoly(coeff)
-            if coeff.is_zero():
-                continue
-            clean[check_partition(parts)] = coeff
-        object.__setattr__(self, "terms", clean)
+            if not coeff.is_zero():
+                parts = check_partition(parts)
+                pieces.append((coeff.den, 1, [((parts, j), v) for j, v in coeff.nums.items()]))
+        self._init(*_sum_terms(pieces))
+
+    def _init(self, nums, den):
+        _setattr(self, "nums", MappingProxyType(nums))
+        _setattr(self, "den", den)
 
     @classmethod
-    def _made(cls, terms) -> "VirState":
-        # PBW partitions to nonzero CPolys, so the checks of __init__ are skipped.
-        v = object.__new__(cls)
-        object.__setattr__(v, "terms", terms)
+    def _made(cls, nums, den) -> "VirState":
+        # Canonical numerators keyed by PBW partitions, so the checks of
+        # __init__ are skipped.
+        v = _new(cls)
+        v._init(nums, den)
         return v
-
-    def __setattr__(self, *a):
-        raise AttributeError("VirState is immutable")
 
     @classmethod
     def vacuum(cls) -> "VirState":
-        return cls._made({(): _ONE})
+        return cls._made({((), 0): 1}, 1)
 
     @classmethod
     def monomial(cls, parts, coeff=1) -> "VirState":
         return cls({tuple(parts): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, parts) -> CPoly:
-        return self.terms.get(tuple(parts), CPoly())
+        parts = tuple(parts)
+        return CPoly._made(*_lowest_terms(
+            {j: v for (p, j), v in self.nums.items() if p == parts}, self.den))
+
+    def _where(self, keep) -> "VirState":
+        # The terms whose partition passes keep.
+        return VirState._made(*_lowest_terms(
+            {k: v for k, v in self.nums.items() if keep(k[0])}, self.den))
 
     def weight_component(self, n: int) -> "VirState":
-        return VirState._made({p: c for p, c in self.terms.items()
-                               if partition_weight(p) == n})
-
-    def max_weight(self) -> int:
-        return max((partition_weight(p) for p in self.terms), default=0)
+        return self._where(lambda p: partition_weight(p) == n)
 
     def truncate_weight(self, max_weight: int) -> "VirState":
-        return VirState._made({p: c for p, c in self.terms.items()
-                               if partition_weight(p) <= max_weight})
+        return self._where(lambda p: partition_weight(p) <= max_weight)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        _merge_into(out, other.terms.items())
-        return VirState._made(out)
+        return VirState._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
 
     def __neg__(self):
-        return VirState._made({p: -c for p, c in self.terms.items()})
+        return VirState._made({k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return VirState._made({p: t for p, c in self.terms.items()
-                               if not (t := c * scalar).is_zero()})
+        p = scalar if isinstance(scalar, CPoly) else CPoly(scalar)
+        return VirState._made(*_sum_terms((self.den * p.den, c, _c_times(self.nums, j))
+                                          for j, c in p.nums.items()))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, VirState):
             return NotImplemented
-        return self.terms == other.terms
+        return self._same(other)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+    __hash__ = _Canonical.__hash__
+
+    def _coeffs_in_order(self):
+        # (partition, CPoly) by weight, then partition, from one pass over nums.
+        slices = {}
+        for (p, j), v in self.nums.items():
+            slices.setdefault(p, {})[j] = v
+        for p in sorted(slices, key=lambda p: (partition_weight(p), p)):
+            yield p, CPoly._made(*_lowest_terms(slices[p], self.den))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for p in sorted(self.terms, key=lambda p: (partition_weight(p), p)):
-            mono = "vacuum" if not p else "*".join(f"L[-{k}]" for k in p)
-            parts.append(f"({self.terms[p]}) * {mono}")
-        return "  +  ".join(parts)
+        parts = [f"({c}) * {'*'.join(f'L[-{k}]' for k in p) or 'vacuum'}"
+                 for p, c in self._coeffs_in_order()]
+        return "  +  ".join(parts) or "0"
 
     def __repr__(self):
         return f"VirState({self})"
 
     def to_json(self) -> list:
-        return [{"partition": list(p), "coeff": str(self.terms[p])}
-                for p in sorted(self.terms, key=lambda p: (partition_weight(p), p))]
-
-    @classmethod
-    def from_json(cls, entries) -> "VirState":
-        return cls({tuple(e["partition"]): CPoly.from_string(e["coeff"])
-                    for e in entries})
+        return [{"partition": list(p), "coeff": str(c)} for p, c in self._coeffs_in_order()]
 
 
 # -- normal ordering -----------------------------------------------------------
 
 
-def _merge_into(acc: dict, items) -> None:
-    # Add (key, ring element) pairs into acc, dropping keys whose sum vanishes.
-    for key, c in items:
-        if key in acc:
-            c = acc[key] + c
-        if c.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = c
+def _c_times(nums, dj: int):
+    # The items of a state's numerators times C^dj.
+    return (((parts, j + dj), v) for (parts, j), v in nums.items())
 
 
 @lru_cache(maxsize=None)
-def _normal_order_word(word: tuple) -> tuple:
+def _normal_order_word(word: tuple) -> VirState:
     """PBW-order a word of Virasoro modes applied to the vacuum.
 
     ``word`` lists mode indices left to right, the rightmost acting first.
-    Returns ((partition, CPoly), ...).  The vacuum is killed by every L_r
-    with r >= -1, and inversions are bubbled with the bracket, so the
-    recursion strictly shrinks (shorter words or fewer inversions).
+    The vacuum is killed by every L_r with r >= -1, and inversions are
+    bubbled with the bracket, so the recursion strictly shrinks (shorter
+    words or fewer inversions).  Each bubbling step is one sum over integer
+    numerators.
     """
     if not word:
-        return (((), _ONE),)
+        return VirState.vacuum()
     if word[-1] >= -1:
-        return ()
+        return VirState()
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if a > b:
-            acc = {}
-            _merge_into(acc, _normal_order_word(word[:i] + (b, a) + word[i + 2:]))
-            _merge_into(acc, ((p, c._scaled(a - b)) for p, c in
-                              _normal_order_word(word[:i] + (a + b,) + word[i + 2:])))
+            swapped = _normal_order_word(word[:i] + (b, a) + word[i + 2:])
+            merged = _normal_order_word(word[:i] + (a + b,) + word[i + 2:])
+            pieces = [(swapped.den, 1, swapped.nums.items()),
+                      (merged.den, a - b, merged.nums.items())]
             if a + b == 0 and a > 1:
                 g = gcd(a ** 3 - a, 12)
-                central = CPoly._made({1: (a ** 3 - a) // g}, 12 // g)
-                _merge_into(acc, ((p, c * central) for p, c in
-                                  _normal_order_word(word[:i] + word[i + 2:])))
-            return tuple(sorted(acc.items()))
+                short = _normal_order_word(word[:i] + word[i + 2:])
+                pieces.append((short.den * (12 // g), (a ** 3 - a) // g, _c_times(short.nums, 1)))
+            return VirState._made(*_sum_terms(pieces))
     # non-decreasing and ending <= -2 means every mode is <= -2: PBW form
-    return ((tuple(-m for m in word), _ONE),)
+    return VirState._made({(tuple(-m for m in word), 0): 1}, 1)
 
 
 def apply_mode(n: int, v: VirState) -> VirState:
-    """Normal-order L_n acting on a PBW state."""
-    acc = {}
-    for parts, coeff in v.terms.items():
-        word = (n,) + tuple(-k for k in parts)
-        _merge_into(acc, ((parts2, coeff * c2) for parts2, c2 in _normal_order_word(word)))
-    return VirState._made(acc)
+    """Normal-order L_n acting on a PBW state, in one sum over integer
+    numerators."""
+    pieces = []
+    for (parts, j), s in v.nums.items():
+        w = _normal_order_word((n,) + tuple(-k for k in parts))
+        pieces.append((w.den * v.den, s, _c_times(w.nums, j)))
+    return VirState._made(*_sum_terms(pieces))
 
 
 # -- the exponential conformal map ----------------------------------------------

@@ -15,7 +15,9 @@ Each coefficient c_ij is an exact polynomial in E2, E4 and E6, so the
 recursion runs in the quasi-modular ring and no q-order enters it.  Two ring
 facts close it: E_k for k >= 8 is a polynomial in E4 and E6 (a quadratic
 recurrence, ``series.eisenstein_poly``), and qd acts on E2, E4 and E6 by
-Ramanujan's derivatives (``EisensteinPoly.qd``).  An operator is read as
+Ramanujan's derivatives (``series._ramanujan``).  An operator is one flat
+polynomial in qd, C, E2, E4, E6 with integer numerators over one
+denominator, and each recursion step is one sum over them.  It is read as
 q-series only at its consumers (specialization, rendering, JSON), through
 one cached table of the monomials E2^a E4^b E6^c.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
@@ -33,155 +35,129 @@ from .series import (
     EisensteinPoly,
     QSeries,
     SeriesError,
+    _Canonical,
+    _lowest_terms,
+    _new,
+    _ramanujan,
+    _setattr,
+    _sum_terms,
     eisenstein_poly,
     monomial_str,
     parenthesize,
     quasimodular_monomials,
     rat,
 )
-from .virasoro import (
-    _ONE,
-    CPoly,
-    VirState,
-    _merge_into,
-    apply_mode,
-    check_partition,
-    partition_weight,
-)
+from .virasoro import VirState, apply_mode, check_partition, partition_weight
 
 Z_BASIS = "Z"
 THETA_BASIS = "Theta"
 _UNIT = EisensteinPoly.const(1)
 
 
-class DiffOp:
+class DiffOp(_Canonical):
     """sum_{i,j} c_ij C^j qd^i applied to an abstract base function.
 
-    Each coefficient c_ij is an exact ``EisensteinPoly`` in E2, E4, E6.
-    ``q_trunc`` is the q-order at which consumers read the coefficients as
-    q-series (``series``, ``specialize``, rendering and JSON); it is None
-    for an operator not yet read at any order, as the recursion's cache
-    holds them.  In the Theta basis an overall eta(q)^(-C) prefactor is
-    implicit and the base is the normalized partition function.  ``terms``
-    is read-only, since the recursion's cache shares one instance between
-    callers.
+    Each coefficient c_ij is an exact polynomial in E2, E4, E6, and the
+    operator is stored flat (see ``_Canonical``): ``nums`` maps
+    (i, j, a, b, c) to the integer numerator of C^j E2^a E4^b E6^c qd^i over
+    one denominator ``den``, and ``coeff(i, j)`` reads c_ij back as an
+    ``EisensteinPoly``.  ``q_trunc`` is the q-order at which consumers read
+    the coefficients as q-series (``series``, ``specialize``, rendering and
+    JSON); it is None for an operator not yet read at any order, as the
+    recursion's cache holds them.  In the Theta basis an overall eta(q)^(-C)
+    prefactor is implicit and the base is the normalized partition function.
+    ``nums`` is read-only, since the recursion's cache shares one instance
+    between callers.
     """
 
-    __slots__ = ("basis", "terms", "q_trunc", "_series")
+    __slots__ = ("basis", "q_trunc", "_series")
 
     def __init__(self, basis: str, terms=None, q_trunc: int | None = None):
+        # terms: (i, j) -> c_ij, an EisensteinPoly or a rational.
         if basis not in (Z_BASIS, THETA_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
-        clean = {}
+        pieces = []
         for (i, j), s in (terms or {}).items():
             if not isinstance(s, EisensteinPoly):
                 s = EisensteinPoly.const(s)
-            if s.is_zero():
-                continue
-            clean[(int(i), int(j))] = s
-        self._init(basis, clean, None if q_trunc is None else int(q_trunc))
+            pieces.append((s.den, 1, [((int(i), int(j), *m), v) for m, v in s.nums.items()]))
+        self._init(basis, *_sum_terms(pieces), None if q_trunc is None else int(q_trunc))
 
-    def _init(self, basis, terms, q_trunc):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", terms if type(terms) is MappingProxyType
-                           else MappingProxyType(terms))
-        object.__setattr__(self, "q_trunc", q_trunc)
+    def _init(self, basis, nums, den, q_trunc):
+        _setattr(self, "basis", basis)
+        _setattr(self, "nums", MappingProxyType(nums))
+        _setattr(self, "den", den)
+        _setattr(self, "q_trunc", q_trunc)
 
     @classmethod
-    def _made(cls, basis, terms, q_trunc) -> "DiffOp":
-        # (i, j) -> nonzero EisensteinPoly, so the checks of __init__ are skipped.
-        op = object.__new__(cls)
-        op._init(basis, terms, q_trunc)
+    def _made(cls, basis, nums, den, q_trunc) -> "DiffOp":
+        # Canonical numerators, so the checks of __init__ are skipped.
+        op = _new(cls)
+        op._init(basis, nums, den, q_trunc)
         return op
-
-    def __setattr__(self, *a):
-        raise AttributeError("DiffOp is immutable")
 
     @classmethod
     def identity(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls._made(basis, {(0, 0): _UNIT}, q_trunc)
+        return cls._made(basis, {(0, 0, 0, 0, 0): 1}, 1, q_trunc)
 
     @classmethod
     def zero(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls._made(basis, {}, q_trunc)
+        return cls._made(basis, {}, 1, q_trunc)
 
     def read_at(self, q_trunc: int) -> "DiffOp":
         """The same operator, read as q-series through q^q_trunc."""
-        return DiffOp._made(self.basis, self.terms, int(q_trunc))
+        return DiffOp._made(self.basis, self.nums, self.den, int(q_trunc))
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _slices(self) -> dict:
+        # (i, j) -> {(a, b, c): numerator over den}, in one pass.
+        out = {}
+        for (i, j, a, b, c), v in self.nums.items():
+            out.setdefault((i, j), {})[a, b, c] = v
+        return out
+
+    def _poly(self, nums) -> EisensteinPoly:
+        return EisensteinPoly._made(*_lowest_terms(nums, self.den))
 
     def coeff(self, i: int, j: int) -> EisensteinPoly:
-        return self.terms.get((i, j), EisensteinPoly())
+        return self._poly({k[2:]: v for k, v in self.nums.items() if k[:2] == (i, j)})
 
     def max_derivative(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
+        return max((k[0] for k in self.nums), default=0)
 
     def c_degree(self, i: int) -> int:
         """Highest C power among the qd^i coefficients (-1 if absent)."""
-        return max((j for (a, j) in self.terms if a == i), default=-1)
+        return max((k[1] for k in self.nums if k[0] == i), default=-1)
 
     def series(self) -> MappingProxyType:
         """(i, j) -> q-expansion of c_ij through q^q_trunc, for the
-        coefficients that do not vanish to that order.  Expanded once per
-        operator and read-only, as the memoized degeneration sum shares it."""
+        coefficients that do not vanish to that order, each summed from the
+        integer numerators.  Expanded once per operator and read-only, as the
+        memoized degeneration sum shares it."""
         if self.q_trunc is None:
             raise SeriesError("operator has no q-order to read its coefficients at")
         if not hasattr(self, "_series"):
-            expanded = {key: poly.to_qseries(self.q_trunc) for key, poly in self.terms.items()}
-            object.__setattr__(self, "_series", MappingProxyType(
+            expanded = {key: self._poly(nums).to_qseries(self.q_trunc)
+                        for key, nums in self._slices().items()}
+            _setattr(self, "_series", MappingProxyType(
                 {key: s for key, s in expanded.items() if not s.is_zero()}))
         return self._series
-
-    def _check_compat(self, other: "DiffOp"):
-        if self.basis != other.basis:
-            raise SeriesError("cannot combine operators in different bases")
-
-    def __add__(self, other):
-        self._check_compat(other)
-        out = dict(self.terms)
-        _merge_into(out, other.terms.items())
-        orders = [t for t in (self.q_trunc, other.q_trunc) if t is not None]
-        return DiffOp._made(self.basis, out, min(orders, default=None))
-
-    def scale(self, factor) -> "DiffOp":
-        """Multiply by a rational or an E2/E4/E6 polynomial (no C, no derivative)."""
-        return DiffOp._made(self.basis, {k: t for k, s in self.terms.items()
-                                         if not (t := s * factor).is_zero()}, self.q_trunc)
-
-    def scale_cpoly(self, p: CPoly) -> "DiffOp":
-        # Integer numerators of p first, its one denominator last.
-        out = {}
-        for (i, j), s in self.terms.items():
-            _merge_into(out, (((i, j + dj), s._scaled(c)) for dj, c in p.nums.items()))
-        if p.den != 1:
-            out = {k: s._scaled(1, p.den) for k, s in out.items()}
-        return DiffOp._made(self.basis, out, self.q_trunc)
-
-    def qd_compose(self) -> "DiffOp":
-        """qd o self, by the Leibniz rule on the coefficients."""
-        out = {}
-        for (i, j), s in self.terms.items():
-            _merge_into(out, (((i, j), s.qd()), ((i + 1, j), s)))
-        return DiffOp._made(self.basis, out, self.q_trunc)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
+        return self.basis == other.basis and self._same(other)
 
     def __hash__(self):
-        return hash((self.basis, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.basis, _Canonical.__hash__(self)))
 
     def _render(self, coeff_text) -> str:
         # Terms by falling derivative order, each as coeff_text(i, poly, s)*C^j*D^i
         # with s the q-expansion; a coefficient that renders as "1" is left
         # out before C or D.
         parts = []
-        expanded = self.series()
+        expanded, slices = self.series(), self._slices()
         for (i, j) in sorted(expanded, key=lambda k: (-k[0], k[1])):
-            sym = coeff_text(i, self.terms[(i, j)], expanded[(i, j)])
+            sym = coeff_text(i, self._poly(slices[i, j]), expanded[(i, j)])
             mono = monomial_str(("C", j), ("D", i))
             parts.append(mono if sym == "1" and mono else "*".join(filter(None, (sym, mono))))
         return " + ".join(parts) or "0"
@@ -210,6 +186,24 @@ class DiffOp:
         return self._render(text)
 
 
+# -- operator numerators as pieces of one sum (series._sum_terms) -----------------
+
+
+def _times(nums, factor, dj: int):
+    # The items of an operator's numerators times C^dj and the E2/E4/E6
+    # numerators factor.
+    for (x, y, z), f in factor.items():
+        for (i, j, a, b, c), v in nums.items():
+            yield (i, j + dj, a + x, b + y, c + z), v * f
+
+
+def _qd(nums, den: int) -> list:
+    # qd o (the operator nums/den) by the Leibniz rule, as two pieces.
+    return [(den, 1, (((i + 1, j, a, b, c), v) for (i, j, a, b, c), v in nums.items())),
+            (7 * den, 1, (((i, j, *m), v * w) for (i, j, a, b, c), v in nums.items()
+                          for m, w in _ramanujan(a, b, c)))]
+
+
 @dataclass(frozen=True)
 class BasePartition:
     """An abstract normalized base: Theta series in one variable plus a
@@ -231,35 +225,26 @@ def _op_for_word(word: tuple) -> DiffOp:
 
     The word need not be PBW-ordered; the reduction handles any k_i >= 1,
     which is what makes the recursion-order invariance testable.  No q-order
-    enters, so one cache entry serves every order it is read at.
+    enters, so one cache entry serves every order it is read at.  Every
+    term of the reduction is one piece of a single sum over integer
+    numerators.
     """
     if not word:
         return DiffOp.identity(Z_BASIS)
     k, tail = word[0], word[1:]
-    tail_weight = sum(tail)
-    out = DiffOp.zero(Z_BASIS)
+    pieces = []
     if k == 2:
-        out = out + _op_for_word(tail).qd_compose()
-    for r in range(tail_weight + 1):
+        op = _op_for_word(tail)
+        pieces += _qd(op.nums, op.den)
+    for r in range(sum(tail) + 1 if tail else 0):
         if (k + r) % 2:
             continue  # odd Eisenstein series vanish
         weight = comb(k + r - 1, r + 1)
-        if weight == 0:
-            continue
-        reduced = _reduced_state(tail, r)
-        if reduced.is_zero():
-            continue
-        factor = eisenstein_poly(k + r)._scaled((-1) ** r * weight)
-        out = out + _op_for_state(reduced).scale(factor)
-    return out
-
-
-def _reduced_state(tail: tuple, r: int) -> VirState:
-    # L[r] applied to the (possibly unordered) word state
-    if not tail:
-        return VirState()
-    state = _state_for_word(tail)
-    return apply_mode(r, state)
+        if weight:
+            # L[r] applied to the (possibly unordered) word state
+            reduced = apply_mode(r, _state_for_word(tail))
+            pieces += _reduction(reduced, eisenstein_poly(k + r), (-1) ** r * weight)
+    return DiffOp._made(Z_BASIS, *_sum_terms(pieces), None)
 
 
 @lru_cache(maxsize=None)
@@ -271,17 +256,21 @@ def _state_for_word(word: tuple) -> VirState:
     return state
 
 
+def _reduction(v: VirState, factor: EisensteinPoly, p: int):
+    # Pieces of p * factor * (the operator of v), one per term of v.
+    for (parts, j), s in v.nums.items():
+        op = _op_for_word(parts)
+        yield op.den * factor.den * v.den, p * s, _times(op.nums, factor.nums, j)
+
+
 def _op_for_state(v: VirState) -> DiffOp:
-    # A PBW monomial with coefficient 1 is its cached operator itself.
-    ops = [_op_for_word(parts) if coeff == _ONE else _op_for_word(parts).scale_cpoly(coeff)
-           for parts, coeff in v.terms.items()]
-    return reduce(DiffOp.__add__, ops) if ops else DiffOp.zero(Z_BASIS)
+    return DiffOp._made(Z_BASIS, *_sum_terms(_reduction(v, _UNIT, 1)), None)
 
 
 def one_point(v: VirState, q_trunc: int) -> DiffOp:
     """Z-basis 1-point operator of a square-bracket vacuum descendant, read
     at q-order q_trunc."""
-    for parts in v.terms:
+    for parts, _ in v.nums:
         check_partition(parts)
     return _op_for_state(v).read_at(q_trunc)
 
@@ -298,18 +287,18 @@ def one_point_word(word, q_trunc: int) -> DiffOp:
 
 
 def _eta_rewrite(op: DiffOp, sign: int) -> DiffOp:
-    # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative.
-    e2_half = eisenstein_poly(2)._scaled(sign, 2)
-    target = THETA_BASIS if sign > 0 else Z_BASIS
-    powers = [DiffOp.identity(target, op.q_trunc)]
+    # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative:
+    # P_0 = 1, P_{i+1} = qd o P_i + sign (C/2) E2 P_i, and the rewrite of
+    # sum c_ij C^j qd^i is sum c_ij C^j P_i.  P_i is (nums, den).
+    e2 = eisenstein_poly(2)
+    powers = [({(0, 0, 0, 0, 0): 1}, 1)]
     for _ in range(op.max_derivative()):
-        prev = powers[-1]
-        nxt = prev.qd_compose() + prev.scale(e2_half).scale_cpoly(CPoly.c_power(1))
-        powers.append(nxt)
-    out = DiffOp.zero(target, op.q_trunc)
-    for (i, j), s in op.terms.items():
-        out = out + powers[i].scale(s).scale_cpoly(CPoly.c_power(j))
-    return out
+        nums, den = powers[-1]
+        powers.append(_sum_terms(_qd(nums, den) +
+                                 [(2 * den * e2.den, sign, _times(nums, e2.nums, 1))]))
+    return DiffOp._made(THETA_BASIS if sign > 0 else Z_BASIS, *_sum_terms(
+        (powers[i][1] * op.den, 1, _times(powers[i][0], c, j))
+        for (i, j), c in op._slices().items()), op.q_trunc)
 
 
 def to_theta_basis(op: DiffOp) -> DiffOp:
@@ -379,13 +368,14 @@ def structure_check(parts, q_trunc: int = 8, op: DiffOp | None = None) -> Report
         report.add(f"C-degree of qd^{i} coefficient <= {bound(i)} ({op.basis} basis)",
                    deg <= bound(i), order=order,
                    expected=f"<= {bound(i)}", computed=str(deg))
-    for (i, j), poly in sorted(op.terms.items()):
+    for (i, j), monos in sorted(op._slices().items()):
         w = n - 2 * i
         name = f"coefficient of C^{j} qd^{i} is quasi-modular of weight {w}"
-        stray = sorted(poly.weights() - {w})
+        stray = sorted({2 * a + 4 * b + 6 * c for a, b, c in monos} - {w})
         if not stray:
             report.add(name, True, order=order)
         else:
             report.add(name, False, order=order, expected=f"only monomials of weight {w}",
-                       computed=f"{poly} (monomials of weight {', '.join(map(str, stray))})")
+                       computed=f"{op.coeff(i, j)} (monomials of weight "
+                                f"{', '.join(map(str, stray))})")
     return report

@@ -184,6 +184,28 @@ class TestVerify:
         finally:
             _quasimodular_solver.cache_clear()
 
+    @pytest.mark.parametrize("fault", [series.SeriesError("internal"), ValueError("internal")])
+    def test_fault_inside_a_suite_is_not_usage_error(self, capsys, monkeypatch, fault):
+        # Only bad user input exits 2; a SeriesError or ValueError raised
+        # while a suite runs is a program fault and is not caught.
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli, "verify_detHi", broken)
+        with pytest.raises(type(fault), match="internal"):
+            main(["verify", "detHi", "--eps-order", "4", "--q-order", "4"])
+
+    @pytest.mark.parametrize("flag", ["--beta-sq", "--alpha-dot-beta"])
+    def test_theta_degen_needs_beta_zero(self, capsys, monkeypatch, flag):
+        # A nonzero beta is refused as bad input before the suite runs.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the suite ran before the beta check")
+
+        monkeypatch.setattr(cli, "verify_theta_degeneration", must_not_run)
+        code, out, err = run(capsys, "verify", "theta-degen", flag, "1")
+        assert code == 2 and out == ""
+        assert "needs beta = 0" in err
+
     @pytest.mark.parametrize("suite", ["detHi", "heisenberg-degen", "theta-degen"])
     def test_degeneration_suites_need_q_order_1(self, capsys, monkeypatch, suite):
         # At q-order 0 these suites would compare the q^0 coefficient alone

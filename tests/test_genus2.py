@@ -281,10 +281,12 @@ class TestDegenerationSum:
         # to every caller, so no caller may change it.
         op = degeneration_sum(4, 4).op(2)
         with pytest.raises(AttributeError):
-            op.terms.clear()
+            op.nums.clear()
         with pytest.raises(TypeError):
-            op.terms[(0, 0)] = QSeries.one("q", 4)
-        assert degeneration_sum(4, 4).op(2).terms == op.terms and not op.is_zero()
+            op.nums[(0, 0, 0, 0, 0)] = 1
+        with pytest.raises(AttributeError):
+            op.nums = {}
+        assert degeneration_sum(4, 4).op(2).nums == op.nums and not op.is_zero()
 
     def test_specialized_to_heisenberg(self):
         ds = degeneration_sum(2, 8)

@@ -22,6 +22,30 @@ from twotori.virasoro import (
     partitions_of_weight,
 )
 
+def cpoly_from_string(text: str) -> CPoly:
+    """Parse the canonical rendering of a CPoly (its __str__)."""
+    text = text.replace(" - ", " + -").strip()
+    coeffs = {}
+    for chunk in text.split(" + "):
+        chunk = chunk.strip()
+        if not chunk or chunk == "0":
+            continue
+        if "C" in chunk:
+            coeff_part, _, power_part = chunk.partition("C")
+            coeff_part = coeff_part.rstrip("*")
+            v = {"": F(1), "+": F(1), "-": F(-1)}.get(coeff_part) or F(coeff_part)
+            j = int(power_part[1:]) if power_part.startswith("^") else 1
+        else:
+            v, j = F(chunk), 0
+        coeffs[j] = coeffs.get(j, F(0)) + v
+    return CPoly(coeffs)
+
+
+def state_from_json(entries) -> VirState:
+    """Read back the JSON form of a VirState (its to_json)."""
+    return VirState({tuple(e["partition"]): cpoly_from_string(e["coeff"]) for e in entries})
+
+
 def intermediate_odd_map(trunc: int) -> QSeries:
     """g_1 = w_1^{-1} o phi, the odd map whose coefficients seed the peeling."""
     return _w_map(1, F(1, 2), trunc).compose(exp_minus_one(trunc))
@@ -63,7 +87,7 @@ class TestCPoly:
     def test_string_roundtrip(self):
         for p in (CPoly({2: F(1, 4), 1: -3, 0: F(9, 7)}), CPoly(), CPoly({1: -1}),
                   CPoly({3: 1, 0: F(-2, 5)})):
-            assert CPoly.from_string(str(p)) == p
+            assert cpoly_from_string(str(p)) == p
 
 
 class TestApplyMode:
@@ -95,7 +119,7 @@ class TestApplyMode:
             v = VirState.monomial(parts)
             for n in (-2, -1, 1, 2, 3):
                 out = apply_mode(n, v)
-                for p in out.terms:
+                for p, _ in out.nums:
                     assert partition_weight(p) == partition_weight(parts) - n
 
     small_states = st.sampled_from(
@@ -183,7 +207,7 @@ class TestLambdaVector:
 class TestVirStateJson:
     def test_roundtrip(self):
         v = VirState({(4, 2): CPoly({1: F(1, 2), 0: -3}), (2, 2, 2): F(5, 7)})
-        assert VirState.from_json(v.to_json()) == v
+        assert state_from_json(v.to_json()) == v
 
 
 class TestSingleGeneratorMap:

@@ -1,6 +1,7 @@
 """1-point operator tests, cross-checked by a scalar recursion at numeric C
 and by the operator recursion run on q-series."""
 
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import permutations
@@ -8,7 +9,7 @@ from math import comb
 
 import pytest
 
-from twotori import zhu
+from twotori import series, zhu
 from twotori.series import (
     QSeries,
     QuasiModularPoly,
@@ -17,6 +18,7 @@ from twotori.series import (
     eisenstein_poly,
     eta_normalized,
     qd,
+    quasimodular_monomials,
     rat,
 )
 from twotori.virasoro import VirState, apply_mode, partitions_of_weight
@@ -59,7 +61,8 @@ def scalar_one_point(word, base: QSeries, c_val: F, q_trunc: int) -> QSeries:
         if (k + r) % 2 or comb(k + r - 1, r + 1) == 0:
             continue
         reduced = apply_mode(r, state)
-        for parts, coeff in reduced.terms.items():
+        for parts in {p for p, _ in reduced.nums}:
+            coeff = reduced.coeff(parts)
             contrib = scalar_one_point(parts, base, c_val, q_trunc)
             factor = F((-1) ** r * comb(k + r - 1, r + 1)) * coeff.eval_at(c_val)
             out = out + eisenstein(k + r, q_trunc) * contrib * factor
@@ -95,7 +98,9 @@ def series_op_for_word(word: tuple, q_trunc: int) -> dict:
         if (k + r) % 2 or comb(k + r - 1, r + 1) == 0:
             continue
         factor = eisenstein(k + r, q_trunc) * F((-1) ** r * comb(k + r - 1, r + 1))
-        for parts, cpoly in apply_mode(r, state).terms.items():
+        reduced = apply_mode(r, state)
+        for parts in {p for p, _ in reduced.nums}:
+            cpoly = reduced.coeff(parts)
             for (i, j), s in series_op_for_word(parts, q_trunc).items():
                 term = s * factor
                 for dj, c in cpoly.coeffs.items():
@@ -137,10 +142,12 @@ class TestRecursionOrderInvariance:
         # L[-2]L[-4]|0> = L[-4]L[-2]|0> + 2 L[-6]|0>
         lhs = one_point_word((2, 4), 8)
         state = apply_mode(-2, VirState.monomial((4,)))
-        rhs = sum((one_point(VirState.monomial(p), 8).scale_cpoly(c)
-                   for p, c in state.terms.items()),
-                  DiffOp.zero("Z", 8))
-        assert lhs == rhs
+        assert state == VirState({(4, 2): 1, (6,): 2})
+        rhs = {}
+        for p, c in (((4, 2), 1), ((6,), 2)):
+            for key, v in one_point(VirState.monomial(p), 8).coeffs.items():
+                rhs[key] = rhs.get(key, 0) + c * v
+        assert lhs.coeffs == {key: v for key, v in rhs.items() if v}
 
     @pytest.mark.parametrize("modes", [(2, 2, 3), (3, 2, 2), (4, 3, 2), (2, 4, 3),
                                        (5, 2, 3), (2, 2, 2, 2), (3, 2, 2, 3)])
@@ -185,6 +192,31 @@ class TestSeriesOracle:
             for parts in partitions_of_weight(w):
                 op = one_point(VirState.monomial(parts), q_trunc)
                 assert op.series() == series_op_for_word(parts, q_trunc), parts
+
+    def test_expansion_reads_integer_numerators(self):
+        # With the table of monomial expansions warm, reading the Theta
+        # operators of weight <= 12 as q-series builds no Fraction: each
+        # (i, j) slice is summed from the operator's integer numerators.
+        for w in range(0, 13, 2):
+            for mono in quasimodular_monomials(w):
+                series._monomial_qseries(mono, 12)
+        ops = [to_theta_basis(one_point(VirState.monomial(p), 12))
+               for w in range(2, 13) for p in partitions_of_weight(w)]
+        assert len(ops) == 76
+        new = F.__new__.__code__
+        made = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is new:
+                made.append(frame.f_back.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            expanded = [op.series() for op in ops]
+        finally:
+            sys.setprofile(None)
+        assert made == []
+        assert sum(map(len, expanded)) > 76
 
     def test_operators_do_not_depend_on_the_q_order(self):
         # One exact operator serves every order; only its reading differs.
