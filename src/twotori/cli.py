@@ -1,11 +1,23 @@
 """Command-line front end: exact computations and verification suites.
 
 Exit codes form the CI contract: 0 all checks pass, 1 a verification check
-failed, 2 usage error.  Output is deterministic: identical flags produce
-byte-identical bytes, rationals always render as p/q (never floats).
+failed, 2 usage error, 3 internal fault (see ``run``).  Output is
+deterministic: identical flags produce byte-identical bytes, rationals
+always render as p/q (never floats).
 """
 
 from __future__ import annotations
+
+# series first: a run without bytecode caches then compiles the largest
+# module before argparse, json and dataclasses load (about 1 MB less peak RSS).
+from .series import (
+    eisenstein,
+    eta_normalized,
+    qd,
+    quasimodular_factor,
+    quasimodular_monomials,
+    rat_str,
+)
 
 import argparse
 import json
@@ -22,25 +34,10 @@ from .genus2 import (
     z2_module_pair,
 )
 from .reports import Report
-from .series import (
-    eisenstein,
-    eta_normalized,
-    qd,
-    quasimodular_factor,
-    quasimodular_monomials,
-    rat_str,
-)
 from .sewing import degenerate_tau, period_matrix
-from .virasoro import (
-    VirState,
-    beta_coefficients,
-    lambda_vector,
-    lambda_vector_direct,
-    partitions_of_weight,
-)
-from .zhu import one_point, structure_check, to_theta_basis
 
-USAGE_ERROR, VERIFY_ERROR = 2, 1
+# virasoro and zhu are imported by the commands that run them, and only there.
+VERIFY_ERROR, USAGE_ERROR, INTERNAL_ERROR = 1, 2, 3
 
 THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
 
@@ -245,6 +242,7 @@ def _module_pair(args) -> ModulePair:
 
 
 def cmd_beta(args, cfg: RunConfig) -> int:
+    from .virasoro import beta_coefficients
     if args.max_k < 2 or args.max_k % 2:
         raise UsageError("--max must be an even integer >= 2")
     betas = beta_coefficients(args.max_k)
@@ -255,6 +253,7 @@ def cmd_beta(args, cfg: RunConfig) -> int:
 
 
 def cmd_lambda(args, cfg: RunConfig) -> int:
+    from .virasoro import lambda_vector, lambda_vector_direct
     w = cfg.max_weight
     if w < 0 or w % 2:
         raise UsageError("--max-weight must be an even integer >= 0")
@@ -272,48 +271,41 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
 
 
 def cmd_compute(args, cfg: RunConfig) -> int:
-    obj = args.object
+    obj, text = args.object, None
     if obj == "eisenstein":
         if args.k is None:
             raise UsageError("compute eisenstein needs --k")
         if args.k < 2:
             raise UsageError("Eisenstein weight must be >= 2")
         s = eisenstein(args.k, cfg.q_order)
-        _emit(s.to_json(), cfg, str(s))
-        return 0
-    if obj == "eta":
+    elif obj == "eta":
         s = eta_normalized(cfg.q_order)
-        _emit(s.to_json(), cfg, str(s))
-        return 0
-    if obj == "tau-degen":
-        d = degenerate_tau(cfg.q_order, cfg.eps_order, cfg.matrix_size)
-        _emit(d.to_json(), cfg, _render_eps_quasimodular(d, lambda n: n - 2))
-        return 0
-    if obj == "period":
-        pd = period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
-        table = "\n".join(f"{name} = {series}" for name, series in
-                          (("d11", pd.d11), ("d22", pd.d22), ("d12", pd.d12)))
-        _emit(pd.to_json(), cfg, table)
-        return 0
-    if obj == "z2-heisenberg":
-        z = z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
-        _emit(z.to_json(), cfg, str(z))
-        return 0
-    if obj == "z2-module":
-        z = z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order,
+    elif obj == "tau-degen":
+        s = degenerate_tau(cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        text = _render_eps_quasimodular(s, lambda n: n - 2)
+    elif obj == "period":
+        s = period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        text = "\n".join(f"{name} = {series}" for name, series in
+                         (("d11", s.d11), ("d22", s.d22), ("d12", s.d12)))
+    elif obj == "z2-heisenberg":
+        s = z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+    elif obj == "z2-module":
+        s = z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order,
                            cfg.eps_order, cfg.matrix_size)
-        _emit(z.to_json(), cfg, str(z))
-        return 0
-    if obj == "onepoint":
+    elif obj == "onepoint":
         if not args.partition:
             raise UsageError("compute onepoint needs --partition")
         parts = _parse_partition(args.partition)
-        op = one_point(VirState.monomial(parts), cfg.q_order)
+        from .virasoro import VirState
+        from .zhu import one_point, to_theta_basis
+        s = one_point(VirState.monomial(parts), cfg.q_order)
         if args.basis == "theta":
-            op = to_theta_basis(op)
-        _emit(op.to_json(), cfg, op.render_symbolic(sum(parts)))
-        return 0
-    raise UsageError(f"unknown object {obj!r}")
+            s = to_theta_basis(s)
+        text = s.render_symbolic(sum(parts))
+    else:
+        raise UsageError(f"unknown object {obj!r}")
+    _emit(s.to_json(), cfg, str(s) if text is None else text)
+    return 0
 
 
 def _render_eps_quasimodular(series, weight_of) -> str:
@@ -341,6 +333,8 @@ def _modular_identities_report(q_order: int) -> Report:
 
 
 def _structure_report(max_weight: int, q_order: int) -> Report:
+    from .virasoro import partitions_of_weight
+    from .zhu import structure_check
     report = Report(title=f"1-point operator structure for weights <= {max_weight}")
     for n in range(2, max_weight + 1):
         for parts in partitions_of_weight(n):
@@ -412,5 +406,16 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    """``main`` as a process entry point: an internal fault prints its
+    traceback to stderr and returns INTERNAL_ERROR, not a check's 1."""
+    try:
+        return main()
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return INTERNAL_ERROR
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -21,8 +21,8 @@ from types import MappingProxyType
 from .reports import Report
 from .series import QSeries, eisenstein, eta_normalized, rat, rat_str
 from .sewing import degenerate_logdet, degenerate_tau, sewing_data
-from .virasoro import lambda_vector
-from .zhu import THETA_BASIS, BasePartition, DiffOp, one_point, specialize, to_theta_basis
+# virasoro and zhu are imported where the operator route runs, so the closed
+# forms (``compute z2-module`` and the like) never load them.
 
 # Header note for every degeneration report: the closed-form limit is taken
 # with the q2^(r/24) normalization forced by eta(q2)^(-r) ~ q2^(-r/24) (and by
@@ -171,6 +171,13 @@ def _degenerate_det(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
     return (degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
 
 
+@lru_cache(maxsize=None)
+def _heisenberg_inverse(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
+    """(lim q2^(1/24) Z^(2) of the free boson)^(-r), the normalizer of the
+    theta pairs of rank r; memoized like ``_degenerate_det``."""
+    return (z2_heisenberg_degenerate(q1_trunc, eps_trunc, N) ** r).inv()
+
+
 # -- the operator-valued degeneration sum -------------------------------------------
 
 # Variables of the eps coefficients of H_l: the base modulus and the central charge.
@@ -190,9 +197,11 @@ class OperatorEpsSeries:
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     def op(self, n: int) -> DiffOp:
+        from .zhu import THETA_BASIS, DiffOp
         return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc))
 
     def specialize(self, base: BasePartition) -> QSeries:
+        from .zhu import specialize
         return QSeries.from_blocks("eps", {n: specialize(op, base)
                                            for n, op in self.terms.items()}, self.eps_trunc)
 
@@ -238,6 +247,8 @@ def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
 
     Memoized: the result is read-only and a pure function of the orders.
     """
+    from .virasoro import lambda_vector
+    from .zhu import one_point, to_theta_basis
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     lam = lambda_vector(max_weight)
@@ -372,10 +383,10 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
 
     zm_deg = z2_module_degenerate(p, q_trunc, eps_trunc, N)
-    zh_deg = z2_heisenberg_degenerate(q_trunc, eps_trunc, N)
-    theta_lim = zm_deg * (zh_deg ** r).inv()          # (a)
+    theta_lim = zm_deg * _heisenberg_inverse(q_trunc, eps_trunc, N, r)  # (a)
     theta_taylor = taylor_shift(theta1, delta)        # (b)
     ds = degeneration_sum(eps_trunc, q_trunc)
+    from .zhu import BasePartition
     zhu_side = ds.specialize(BasePartition(theta1, Fraction(r)))  # (c)
 
     through = (eps_trunc, q_trunc)

@@ -784,9 +784,7 @@ class QSeries(_Canonical):
         v the first variable: g = log(u) solves
         n g_n = n u_n - sum_{k=1}^{n-1} k g_k u_(n-k) over the v-blocks (see
         ``block``)."""
-        first = {e: v for e, v in self.nums.items() if e[0] == 0}
-        if any(self.offsets) or first != {(0,) * len(self.vars): self.den}:
-            raise SeriesError("non-unit constant term: log requires constant term 1")
+        self._check_unit_block("log")
         u = self.blocks()
         zero = self.block_zero()
         g, kg = {0: zero}, {}
@@ -799,6 +797,31 @@ class QSeries(_Canonical):
             if g_n != zero:
                 g[n], kg[n] = g_n, g_n * n
         return QSeries.from_blocks(self.vars[0], g, self.truncs[0])
+
+    def _check_unit_block(self, what: str) -> None:
+        first = {e: v for e, v in self.nums.items() if e[0] == 0}
+        if any(self.offsets) or first != {(0,) * len(self.vars): self.den}:
+            raise SeriesError(f"non-unit constant term: {what} requires constant term 1")
+
+    def divided_by(self, u: "QSeries") -> "QSeries":
+        """self / u for u with zero offsets whose v^0 coefficient is exactly 1,
+        v the first variable: h = self / u solves
+        h_n = self_n - sum_{k=1}^n u_k h_(n-k) over the v-blocks (see
+        ``block``), cut at the smaller v order of the two."""
+        self._check_var(u)
+        u._check_unit_block("division")
+        trunc = min(self.truncs[0], u.truncs[0])
+        tail = {k: f for k, f in u.blocks().items() if k}
+        zero = self.block_zero()
+        h = {}
+        for n in range(trunc + 1):
+            acc = self.block(n)
+            for k, f in tail.items():
+                if n - k in h:
+                    acc = acc - f * h[n - k]
+            if acc != zero:
+                h[n] = acc
+        return QSeries.from_blocks(self.vars[0], h or {0: zero}, trunc)
 
     def pow_rational(self, r) -> "QSeries":
         """Rational power of a one-variable series whose mantissa has constant

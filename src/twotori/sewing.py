@@ -20,9 +20,10 @@ sum S + sum U <= eps order are all that enter.  Cauchy-Binet gives
     det(I - A1 A2) = sum_{|S|=|U|} (-1)^|S| det A1[S,U] det A2[U,S],
 
 and the matrix determinant lemma gives the (1,1) data of (I - A1 A2)^(-1)
-from the same minors; the log-det is the log of that sum.  The only
-bivariate products are one q1-series times one q2-series per (S, U).  The
-matrix-vector resolvent chains (``resolvent_11``,
+as N/det from the same minors.  Each sum is one pass over the integer
+numerators of q1-minors times q2-minors (or rational minors of A2(0)); the
+log-det is the log of the det sum, and N/det one recurrence over the eps
+blocks.  The matrix-vector resolvent chains (``resolvent_11``,
 ``weighted_resolvent_11``) compute the (1,1) data another way.
 """
 
@@ -31,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import factorial, lcm
 
 from .series import (
     QSeries,
     SeriesError,
+    _lowest_terms,
     bernoulli,
     eisenstein,
 )
@@ -89,24 +92,19 @@ def a2_degenerate(N: int, eps_trunc: int) -> AMatrix:
     return _moment_matrix(N, eps_trunc, coeff, QSeries.zero("eps", eps_trunc))
 
 
-def _q_layout(*mats: AMatrix):
-    """The q-variables of the matrices' entries, sorted, and their orders."""
-    orders = {}
-    for m in mats:
-        orders.update(zip(m.entries[0][0].vars[1:], m.entries[0][0].truncs[1:]))
-    qvars = tuple(sorted(orders))
-    return qvars, tuple(orders[v] for v in qvars)
-
-
 def _embed(*mats: AMatrix):
     """Entry tuples of the matrices as series in one tuple of variables, eps
-    followed by every q-variable of any of them, and the zero of that tuple
-    at the smallest eps order among them.
+    followed by every q-variable of any of them, sorted, and the zero of
+    that tuple at the smallest eps order among them.
 
     Each entry keeps its own orders; a q-variable it lacks enters with the
     order the other matrices give it.
     """
-    qvars, qtruncs = _q_layout(*mats)
+    orders = {}
+    for m in mats:
+        orders.update(zip(m.entries[0][0].vars[1:], m.entries[0][0].truncs[1:]))
+    qvars = tuple(sorted(orders))
+    qtruncs = tuple(orders[v] for v in qvars)
     vars = ("eps", *qvars)
 
     def lift(e):
@@ -153,21 +151,23 @@ class _Minors(dict):
     expansion along the first row, so each minor is computed once.
 
     c(k, l) is a series in the matrix's own q-variable (a rational for
-    the pinched matrix), and so is every minor; ``lifted`` gives a minor in
-    the variables ``qvars`` of the product it enters.
+    the pinched matrix), and so is every minor; ``numerators`` gives a
+    minor as its denominator and its integer numerators at the exponents
+    ``keys`` of that variable, zeros included.
     """
 
-    def __init__(self, A: AMatrix, qvars, qtruncs):
+    def __init__(self, A: AMatrix):
         for k, row in enumerate(A.entries, 1):
             for l, entry in enumerate(row, 1):
                 if any(2 * e[0] != k + l for e in entry.nums):
                     raise SeriesError(f"moment-matrix entry ({k}, {l}) is not one eps block "
                                       f"at eps^({k + l}/2)")
-        super().__init__({((), ()): 1})
         self.entry = A.entry
         self.zero = A.entries[0][0].block_zero()
-        self.qvars, self.qtruncs = qvars, qtruncs
-        self._lifted = {}
+        super().__init__({((), ()): self.zero + 1})
+        self.keys = (list(product(*(range(t + 1) for t in self.zero.truncs)))
+                     if isinstance(self.zero, QSeries) else [()])
+        self._nums = {}
 
     def __missing__(self, key):
         S, U = key
@@ -184,14 +184,33 @@ class _Minors(dict):
         self[key] = acc
         return acc
 
-    def lifted(self, S, U):
-        x = self._lifted.get((S, U))
+    def numerators(self, S, U):
+        x = self._nums.get((S, U))
         if x is None:
-            x = self[S, U]
-            if isinstance(x, QSeries):
-                x = x.embed(self.qvars, self.qtruncs)
-            self._lifted[S, U] = x
+            m = self[S, U]
+            x = self._nums[S, U] = ((m.den, [m.nums.get(e, 0) for e in self.keys])
+                                    if isinstance(m, QSeries) else (m.denominator, [m.numerator]))
         return x
+
+
+def _outer_sum(terms, keys_a, keys_b, vars, truncs) -> QSeries:
+    """sum sign eps^n x y over ``terms`` (n, sign, x, y), x and y minors of A
+    and B as (den, numerators at ``keys_a`` resp. ``keys_b``), a series in
+    ``vars``: over the lcm of the terms' denominators, one row of integer
+    numerators per (n, exponents of x) adds m x_e times the numerators of y.
+    """
+    den = lcm(*(dx * dy for _, _, (dx, _), (dy, _) in terms))
+    rows = {}
+    for n, sign, (dx, xs), (dy, ys) in terms:
+        m = sign * (den // (dx * dy))
+        for e, v in zip(keys_a, xs):
+            if v:
+                k, mv = (n, *e), m * v
+                row = rows.get(k)
+                rows[k] = ([mv * w for w in ys] if row is None
+                           else [r + mv * w for r, w in zip(row, ys)])
+    nums = {(*k, *f): v for k, row in rows.items() for f, v in zip(keys_b, row) if v}
+    return QSeries._made(vars, *_lowest_terms(nums, den), truncs, (Fraction(0),) * len(vars))
 
 
 def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
@@ -206,40 +225,36 @@ def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
     d/dt det(I - A B) at A + t E11 and at B + t E11 (matrix determinant
     lemma), with terms det A[S-1,U-1] det B[U,S] and det A[S,U]
     det B[U-1,S-1] for 1 in S and U, of order eps^(sum S + sum U - 1).
+    A and B are in distinct q-variables, so each sum is one pass of outer
+    products (``_outer_sum``), and N/det(I - A B) is ``N.divided_by(det)``.
     """
     _check_sizes(A, B, eps_trunc)
     T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
-    qvars, qtruncs = _q_layout(A, B)
-    zero = QSeries.zero(("eps", *qvars), (T, *qtruncs))
-    block_zero = zero.block_zero()
-    a, b = _Minors(A, qvars, qtruncs), _Minors(B, qvars, qtruncs)
-    sums = {name: {} for name in ("det", *wanted)}
+    (va, ta), (vb, tb) = ((m.entries[0][0].vars[1:], m.entries[0][0].truncs[1:])
+                          for m in (A, B))
+    if set(va) & set(vb):
+        raise SeriesError(f"the minors of A and B share a q-variable: {va}, {vb}")
+    a, b = _Minors(A), _Minors(B)
+    terms = {name: [] for name in ("det", *wanted)}
 
-    def product(x, y):
-        return None if _is_zero(x) or _is_zero(y) else x * y
-
-    def add(name, n, sign, term):
-        if term is not None and name in sums:
-            acc = sums[name].get(n, block_zero)
-            sums[name][n] = acc + term if sign > 0 else acc - term
+    def add(name, n, sign, x, y):
+        # sign det A[x] det B[y] at eps^n.
+        if name in terms:
+            terms[name].append((n, sign, a.numerators(*x), b.numerators(*y)))
 
     for S, U, n in _index_pairs(T + 1, A.size):
         sign = -1 if len(S) % 2 else 1
         if n <= T:
-            term = product(a.lifted(S, U), b.lifted(U, S))
-            add("det", n, sign, term)
+            add("det", n, sign, (S, U), (U, S))
             if 1 not in S:
-                add("d12", n, sign, term)
+                add("d12", n, sign, (S, U), (U, S))
         if S[:1] == U[:1] == (1,):
-            if "d11" in sums:
-                add("d11", n - 1, sign, product(a.lifted(S[1:], U[1:]), b.lifted(U, S)))
-            if "d22" in sums:
-                add("d22", n - 1, sign, product(a.lifted(S, U), b.lifted(U[1:], S[1:])))
-    series = {name: QSeries.from_blocks("eps", blocks, T) if blocks else zero
-              for name, blocks in sums.items()}
-    logdet = series.pop("det").log()
-    inv_det = (-logdet).exp() if wanted else None
-    return logdet, {name: -(N * inv_det).times_eps() for name, N in series.items()}
+            add("d11", n - 1, sign, (S[1:], U[1:]), (U, S))
+            add("d22", n - 1, sign, (S, U), (U[1:], S[1:]))
+    vars, truncs = ("eps", *va, *vb), (T, *ta, *tb)
+    sums = {name: _outer_sum(t, a.keys, b.keys, vars, truncs) for name, t in terms.items()}
+    det = sums.pop("det")
+    return det.log(), {name: -N.divided_by(det).times_eps() for name, N in sums.items()}
 
 
 def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:

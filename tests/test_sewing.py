@@ -11,7 +11,10 @@ from twotori.sewing import (
     _check_sizes,
     _dot,
     _embed,
+    _index_pairs,
+    _is_zero,
     _minor_sums,
+    _Minors,
     a2_degenerate,
     a_matrix,
     degenerate_logdet,
@@ -113,6 +116,114 @@ class TestMinorsAgainstPowers:
         A1, A20 = a_matrix(1, T + 2, T, q), a2_degenerate(T + 2, T)
         logdet, d = _minor_sums(A1, A20, T, ("d11", "d22", "d12"))
         assert (logdet, d["d11"], d["d22"], d["d12"]) == _power_sums(A1, A20, T)
+
+
+# -- the per-product pass, kept as the oracle of the outer-product pass -------------
+
+
+def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
+    """``_minor_sums`` as one QSeries product per Cauchy-Binet term: both
+    minors embedded in the variables of the product, the products added one
+    by one per eps block, and each period entry N * exp(-log det)."""
+    _check_sizes(A, B, eps_trunc)
+    T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
+    _, full = _embed(A, B)
+    qvars, qtruncs = full.vars[1:], full.truncs[1:]
+    zero = QSeries.zero(full.vars, (T, *qtruncs))
+    block_zero = zero.block_zero()
+    a, b = _Minors(A), _Minors(B)
+    sums = {name: {} for name in ("det", *wanted)}
+
+    def lifted(minors, S, U):
+        x = minors[S, U]
+        return x.embed(qvars, qtruncs) if isinstance(x, QSeries) else x
+
+    def product(x, y):
+        return None if _is_zero(x) or _is_zero(y) else x * y
+
+    def add(name, n, sign, term):
+        if term is not None and name in sums:
+            acc = sums[name].get(n, block_zero)
+            sums[name][n] = acc + term if sign > 0 else acc - term
+
+    for S, U, n in _index_pairs(T + 1, A.size):
+        sign = -1 if len(S) % 2 else 1
+        if n <= T:
+            term = product(lifted(a, S, U), lifted(b, U, S))
+            add("det", n, sign, term)
+            if 1 not in S:
+                add("d12", n, sign, term)
+        if S[:1] == U[:1] == (1,):
+            if "d11" in sums:
+                add("d11", n - 1, sign, product(lifted(a, S[1:], U[1:]), lifted(b, U, S)))
+            if "d22" in sums:
+                add("d22", n - 1, sign, product(lifted(a, S, U), lifted(b, U[1:], S[1:])))
+    series = {name: QSeries.from_blocks("eps", blocks, T) if blocks else zero
+              for name, blocks in sums.items()}
+    logdet = series.pop("det").log()
+    inv_det = (-logdet).exp() if wanted else None
+    return logdet, {name: -(N * inv_det).times_eps() for name, N in series.items()}
+
+
+ENTRIES = ("d11", "d22", "d12")
+
+
+class TestOuterProductPass:
+    # The outer-product pass equals the per-product pass as QSeries objects,
+    # truncation orders included.
+    @pytest.mark.parametrize("eps, q1, q2", [(6, 6, 6), (8, 5, 7), (10, 10, 10), (12, 12, 12)])
+    def test_bivariate(self, eps, q1, q2):
+        A1, A2 = a_matrix(1, eps, eps, q1), a_matrix(2, eps, eps, q2)
+        assert _minor_sums(A1, A2, eps, ENTRIES) == per_product_minor_sums(A1, A2, eps, ENTRIES)
+
+    @pytest.mark.parametrize("eps, N", [(8, 8), (12, 12), (16, 16), (8, 11)])
+    def test_pinched(self, eps, N):
+        A1, A20 = a_matrix(1, N, eps, eps), a2_degenerate(N, eps)
+        assert _minor_sums(A1, A20, eps, ENTRIES) == per_product_minor_sums(A1, A20, eps, ENTRIES)
+
+    def test_matrices_in_one_variable_are_refused(self):
+        # Two minors in one q-variable multiply as series, not as an outer
+        # product; the pass refuses them rather than summing the wrong thing.
+        A1 = a_matrix(1, 4, 4, 2)
+        with pytest.raises(SeriesError, match="share a q-variable"):
+            log_det_I_minus(A1, A1, 4)
+
+
+class TestBlockDivision:
+    # N.divided_by(det) is N / det by the eps-block recurrence; it must
+    # equal the product with exp(-log det) that it replaced.
+    @pytest.mark.parametrize("A, B, eps", [
+        (a_matrix(1, 8, 8, 6), a_matrix(2, 8, 8, 6), 8),
+        (a_matrix(1, 10, 10, 7), a2_degenerate(10, 10), 10)])
+    def test_against_exp_of_minus_log_det(self, A, B, eps):
+        logdet, _ = _minor_sums(A, B, eps)
+        det = logdet.exp()
+        numerators = [det.truncate((eps - 1, *det.truncs[1:])).times_eps(),
+                      QSeries(det.vars, {(1, *(1,) * (len(det.vars) - 1)): F(3, 7),
+                                         (4, *(0,) * (len(det.vars) - 1)): -2}, det.truncs),
+                      QSeries.zero(det.vars, det.truncs)]
+        for N in numerators:
+            assert N.divided_by(det) == N * (-logdet).exp()
+
+    def test_one_variable(self):
+        det = QSeries("eps", {0: 1, 2: F(-1, 3), 3: 5}, 7)
+        N = QSeries("eps", {1: 2, 4: F(1, 9)}, 7)
+        assert N.divided_by(det) == N * (-det.log()).exp() == N * det.inv()
+
+    def test_cut_at_the_smaller_eps_order(self):
+        det = QSeries("eps", {0: 1, 2: F(1, 2)}, 5)
+        N = QSeries("eps", {0: 1, 1: 1}, 9)
+        assert N.divided_by(det) == N.truncate(5) * det.inv()
+
+    @pytest.mark.parametrize("det", [
+        QSeries("eps", {0: 2, 2: 1}, 4),
+        QSeries("eps", {2: 1}, 4),
+        QSeries(("eps", "q1"), {(0, 0): 1, (0, 1): 1}, (4, 3)),
+        QSeries(("eps", "q1"), {(0, 0): 1}, (4, 3), (0, F(1, 2)))])
+    def test_needs_a_unit_eps0_block(self, det):
+        N = QSeries(det.vars, {(1,) * len(det.vars): 1}, det.truncs)
+        with pytest.raises(SeriesError, match="division"):
+            N.divided_by(det)
 
 
 class TestEpsTruncation:

@@ -1,0 +1,106 @@
+"""Start-up and process exit: what a fresh interpreter loads, and how a crash exits.
+
+Each check runs in a new interpreter, since the modules that other tests
+import would hide what ``import twotori`` or one CLI command loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The public names of the package and the submodule each one lives in.
+EXPORTS = {
+    "series": ["EisensteinPoly", "NotQuasiModular", "QSeries", "QuasiModularPoly",
+               "SeriesError", "bernoulli", "eisenstein", "eisenstein_poly",
+               "eta_normalized", "qd", "to_quasimodular"],
+    "virasoro": ["CPoly", "VirState", "alpha_coefficients", "apply_mode",
+                 "beta_coefficients", "lambda_vector", "lambda_vector_direct",
+                 "partitions_of_weight"],
+    "zhu": ["BasePartition", "DiffOp", "one_point", "specialize", "structure_check",
+            "to_theta_basis", "to_z_basis"],
+    "sewing": ["AMatrix", "PeriodData", "a2_degenerate", "a_matrix", "degenerate_tau",
+               "log_det_I_minus", "period_matrix", "resolvent_11", "weighted_resolvent_11"],
+    "genus2": ["ModulePair", "OperatorEpsSeries", "degeneration_sum", "taylor_shift",
+               "verify_detHi", "verify_heisenberg_degeneration", "verify_theta_degeneration",
+               "z2_heisenberg", "z2_heisenberg_degenerate", "z2_module_degenerate",
+               "z2_module_pair"],
+    "reports": ["Check", "Report"],
+}
+
+
+def python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
+def loaded_after(code: str) -> list:
+    # The twotori submodules in sys.modules after running ``code``.
+    done = python(code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+                         " if m.startswith('twotori.'))))")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import twotori") == []
+
+
+def test_z2_module_loads_neither_virasoro_nor_zhu():
+    loaded = loaded_after(
+        "from twotori import cli\n"
+        "cli.main(['compute', 'z2-module', '--alpha-sq', '2', '--rank', '2',"
+        " '--eps-order', '2', '--q-order', '2'])")
+    assert "twotori.sewing" in loaded
+    assert "twotori.zhu" not in loaded and "twotori.virasoro" not in loaded
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    assert sum(map(len, EXPORTS.values())) == 48
+    done = python(
+        "import importlib, json, sys\n"
+        f"exports = {EXPORTS!r}\n"
+        "wrong = []\n"
+        "for home, names in exports.items():\n"
+        "    for name in names:\n"
+        "        obj = getattr(importlib.import_module('twotori'), name)\n"
+        "        exec(f'from twotori import {name} as got')\n"
+        "        want = getattr(importlib.import_module('twotori.' + home), name)\n"
+        "        if not (obj is got is want):\n"
+        "            wrong.append(name)\n"
+        "star = {}\n"
+        "exec('from twotori import *', star)\n"
+        "print(json.dumps([wrong, sorted(star)]))")
+    assert done.returncode == 0, done.stderr
+    wrong, star = json.loads(done.stdout)
+    assert wrong == []
+    assert {n for names in EXPORTS.values() for n in names} <= set(star)
+
+
+def test_unknown_name_is_an_attribute_error():
+    done = python("import twotori\ntwotori.no_such_name")
+    assert done.returncode == 1
+    assert "AttributeError: module 'twotori' has no attribute 'no_such_name'" in done.stderr
+
+
+def test_internal_fault_exits_3_with_its_traceback():
+    # A fault inside a suite is not a failed check (1) or bad input (2):
+    # ``python -m twotori`` prints the traceback and exits 3, with nothing
+    # on stdout.
+    done = python(
+        "import runpy, sys\n"
+        "from twotori import cli\n"
+        "from twotori.series import SeriesError\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise SeriesError('injected fault')\n"
+        "cli.verify_detHi = broken\n"
+        "sys.argv = ['twotori', 'verify', 'detHi', '--eps-order', '4', '--q-order', '4']\n"
+        "runpy.run_module('twotori', run_name='__main__')")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert "SeriesError: injected fault" in done.stderr

@@ -61,6 +61,24 @@ def test_module_pair_expands_each_minor_once(monkeypatch):
     assert len({m for m, _ in keys}) == 2
 
 
+def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch):
+    # The Cauchy-Binet sums run over the minors' integer numerators, and
+    # each period entry is a block division: at eps order 10 the pass makes
+    # no exp and no (q1, q2) product per (S, U).  Its 45 (q1, q2) products
+    # are block products of the log (10) and of the three divisions (10 each
+    # for d11 and d22, whose even blocks vanish, and 15 for d12); the
+    # per-product pass made 99, one per nonzero Cauchy-Binet term among them.
+    exps = counting(monkeypatch, QSeries, "exp")
+    mul = QSeries.__mul__
+    bivariate = []
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: (
+        bivariate.append(b.vars) if isinstance(b, QSeries) and len(a.vars) > 1 else None)
+        or mul(a, b))
+    sewing.sewing_data(10, 10, 10, 10, ("d11", "d22", "d12"))
+    assert exps == []
+    assert bivariate == [("q1", "q2")] * 45
+
+
 def test_sewing_pass_sums_only_paired_entries(monkeypatch):
     # A period entry enters the module form only through its pairing, so
     # the pass sums d11 alone for alpha^2 != 0 = beta^2 = alpha.beta, and no
@@ -84,7 +102,8 @@ def test_power_squares_only_below_the_top_bit(monkeypatch, n):
 def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     # detHi and the four theta pairs share one degeneration sum, and every
     # suite shares one degenerate sewing pass (log-det and delta together).
-    sums = counting(monkeypatch, genus2, "lambda_vector")
+    # The degeneration sum is the only caller of lambda_vector in verify all.
+    sums = counting(monkeypatch, virasoro, "lambda_vector")
     passes = counting(monkeypatch, sewing, "_minor_sums")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
@@ -97,15 +116,18 @@ def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, col
     # det(I - A1 A2(0))^(-r/2), eta(q1)^-1 and the pinched closed forms are
     # memoized per orders, and the Taylor weights delta^l/l! per delta: the
     # free-boson suite and the four theta pairs evaluate each pinched form
-    # once per distinct module pair and share one table of delta powers.
-    # Without these memos the run made 19 exps and 16 inverses.
+    # once per distinct module pair and share one table of delta powers;
+    # the free-boson normalizer of the theta pairs is inverted once per
+    # rank, and the sewing pass divides by the determinant instead of
+    # taking exp(-log det).  Without these memos the run made 19 exps and
+    # 16 inverses.
     exps = counting(monkeypatch, QSeries, "exp")
     invs = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert len(exps) <= 7 and len(invs) <= 8
+    assert len(exps) <= 6 and len(invs) <= 5
     pairs = {ModulePair()} | {ModulePair(rank, Fraction(a)) for a, rank in cli.THETA_SUITE_PAIRS}
     forms = genus2._z2_module_degenerate.cache_info()
     assert forms.misses == forms.currsize == len(pairs) == 4
@@ -163,7 +185,7 @@ def test_verify_all_shares_the_structure_suite_operators(capsys, cold_caches):
 def test_verify_all_sums_descendants_once(monkeypatch, capsys, cold_caches):
     # A --max-weight above the eps order changes no degeneration check, so
     # detHi and the theta pairs still share one degeneration sum.
-    sums = counting(monkeypatch, genus2, "lambda_vector")
+    sums = counting(monkeypatch, virasoro, "lambda_vector")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "10"])
     capsys.readouterr()
