@@ -9,8 +9,9 @@ always render as p/q (never floats).
 from __future__ import annotations
 
 # series first: a run without bytecode caches then compiles the largest
-# module before argparse, json and dataclasses load (about 1 MB less peak RSS).
+# module before argparse and json load (about 1 MB less peak RSS).
 from .series import (
+    _Record,
     eisenstein,
     eta_normalized,
     qd,
@@ -22,21 +23,11 @@ from .series import (
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .genus2 import (
-    ModulePair,
-    verify_detHi,
-    verify_heisenberg_degeneration,
-    verify_theta_degeneration,
-    z2_heisenberg,
-    z2_module_pair,
-)
 from .reports import Report
-from .sewing import degenerate_tau, period_matrix
 
-# virasoro and zhu are imported by the commands that run them, and only there.
+# sewing, genus2, virasoro and zhu are imported by the commands that run them.
 VERIFY_ERROR, USAGE_ERROR, INTERNAL_ERROR = 1, 2, 3
 
 THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
@@ -74,14 +65,13 @@ MIN_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Resolved global options; fully deterministic (no seeds, no env)."""
-    eps_order: int = 8
-    q_order: int = 8
-    max_weight: int = 8
-    matrix_size: int = 8
-    fmt: str = "table"
+    _fields = ("eps_order", "q_order", "max_weight", "matrix_size", "fmt")
+
+    def __init__(self, eps_order: int = 8, q_order: int = 8, max_weight: int = 8,
+                 matrix_size: int = 8, fmt: str = "table"):
+        super().__init__(eps_order, q_order, max_weight, matrix_size, fmt)
 
 
 class UsageError(Exception):
@@ -232,7 +222,8 @@ def _emit(obj, cfg: RunConfig, table_text: str) -> None:
         print(table_text)
 
 
-def _module_pair(args) -> ModulePair:
+def _module_pair(args):
+    from .genus2 import ModulePair
     try:
         return ModulePair(args.rank, _parse_fraction(args.alpha_sq),
                           _parse_fraction(args.beta_sq),
@@ -281,17 +272,21 @@ def cmd_compute(args, cfg: RunConfig) -> int:
     elif obj == "eta":
         s = eta_normalized(cfg.q_order)
     elif obj == "tau-degen":
-        s = degenerate_tau(cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        from . import sewing
+        s = sewing.degenerate_tau(cfg.q_order, cfg.eps_order, cfg.matrix_size)
         text = _render_eps_quasimodular(s, lambda n: n - 2)
     elif obj == "period":
-        s = period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        from . import sewing
+        s = sewing.period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
         text = "\n".join(f"{name} = {series}" for name, series in
                          (("d11", s.d11), ("d22", s.d22), ("d12", s.d12)))
     elif obj == "z2-heisenberg":
-        s = z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        from . import genus2
+        s = genus2.z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
     elif obj == "z2-module":
-        s = z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order,
-                           cfg.eps_order, cfg.matrix_size)
+        from . import genus2
+        s = genus2.z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order,
+                                  cfg.eps_order, cfg.matrix_size)
     elif obj == "onepoint":
         if not args.partition:
             raise UsageError("compute onepoint needs --partition")
@@ -357,18 +352,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if suite in ("modular-identities", "all"):
         reports.append(_modular_identities_report(max(cfg.q_order, 20)
                                                   if suite == "all" else cfg.q_order))
+    if suite in ("detHi", "heisenberg-degen", "theta-degen", "all"):
+        from . import genus2
     if suite in ("detHi", "all"):
-        reports.append(verify_detHi(cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
+        reports.append(genus2.verify_detHi(cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
     if suite in ("heisenberg-degen", "all"):
-        reports.append(verify_heisenberg_degeneration(cfg.eps_order, cfg.q_order,
-                                                      N=cfg.matrix_size))
+        reports.append(genus2.verify_heisenberg_degeneration(cfg.eps_order, cfg.q_order,
+                                                             N=cfg.matrix_size))
     if suite == "theta-degen":
-        reports.append(verify_theta_degeneration(
+        reports.append(genus2.verify_theta_degeneration(
             pair, cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
     if suite == "all":
         for alpha_sq, rank in THETA_SUITE_PAIRS:
-            reports.append(verify_theta_degeneration(
-                ModulePair(rank, Fraction(alpha_sq)), cfg.eps_order, cfg.q_order,
+            reports.append(genus2.verify_theta_degeneration(
+                genus2.ModulePair(rank, Fraction(alpha_sq)), cfg.eps_order, cfg.q_order,
                 N=cfg.matrix_size))
     if suite in ("structure", "all"):
         reports.append(_structure_report(cfg.max_weight, cfg.q_order))

@@ -3,23 +3,23 @@
 The pinched-torus limit q2 -> 0 is always taken algebraically: the second
 moment matrix becomes its Bernoulli form, every q2-series collapses to its
 constant term, and the q2^(C/24) prefactor cancels the eta(q2)^(-C) offset
-by construction.  The limit of the normalized partition function is then
-compared, order by order in the sewing parameter, against two independent
-routes: an exact Taylor shift of the genus-one data to the degenerate
-modulus, and the sum of 1-point operators of the conformal-map vacuum
-descendants (the Zhu-recursion route).
+by construction; the pinched log-det and modulus are exact polynomials in
+E2, E4, E6 per power of eps, expanded in q1 once.  The limit of the
+normalized partition function is then compared, order by order in the
+sewing parameter, against two independent routes: an exact Taylor shift of
+the genus-one data to the degenerate modulus, and the sum of 1-point
+operators of the conformal-map vacuum descendants (the Zhu-recursion route).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 from types import MappingProxyType
 
 from .reports import Report
-from .series import QSeries, eisenstein, eta_normalized, rat, rat_str
+from .series import QSeries, _Record, eisenstein, eta_normalized, rat, rat_str
 from .sewing import degenerate_logdet, degenerate_tau, sewing_data
 # virasoro and zhu are imported where the operator route runs, so the closed
 # forms (``compute z2-module`` and the like) never load them.
@@ -32,21 +32,15 @@ PREFACTOR_NOTE = ("q2 -> 0 limit normalized by q2^(C/24) (eta asymptotics); "
                   "the displayed q2^(r/2) prefactor is read as q2^(r/24)")
 
 
-@dataclass(frozen=True)
-class ModulePair:
+class ModulePair(_Record):
     """Pairing data of the two modules glued at the sewing: rank plus the
     three inner products alpha.alpha, beta.beta, alpha.beta."""
-    rank: int = 1
-    alpha_sq: Fraction = Fraction(0)
-    beta_sq: Fraction = Fraction(0)
-    alpha_dot_beta: Fraction = Fraction(0)
+    _fields = ("rank", "alpha_sq", "beta_sq", "alpha_dot_beta")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int = 1, alpha_sq=0, beta_sq=0, alpha_dot_beta=0):
+        if rank < 1:
             raise ValueError("rank must be a positive integer")
-        object.__setattr__(self, "alpha_sq", rat(self.alpha_sq))
-        object.__setattr__(self, "beta_sq", rat(self.beta_sq))
-        object.__setattr__(self, "alpha_dot_beta", rat(self.alpha_dot_beta))
+        super().__init__(rank, rat(alpha_sq), rat(beta_sq), rat(alpha_dot_beta))
 
 
 def _times_q(s: QSeries, f: QSeries) -> QSeries:
@@ -184,17 +178,15 @@ def _heisenberg_inverse(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSerie
 H_VARS = ("q1", "C")
 
 
-@dataclass(frozen=True)
-class OperatorEpsSeries:
+class OperatorEpsSeries(_Record):
     """sum_n eps^n (Theta-basis 1-point operator of the weight-n descendant):
     the q2 -> 0 limit of q2^(C/24) Z^(2) as an operator on the base."""
-    terms: MappingProxyType     # eps power -> DiffOp (Theta basis), read-only
-    eps_trunc: int
-    q_trunc: int
+    _fields = ("terms", "eps_trunc", "q_trunc")
 
-    def __post_init__(self):
+    def __init__(self, terms, eps_trunc: int, q_trunc: int):
+        # terms: eps power -> DiffOp (Theta basis), held read-only, since
         # degeneration_sum shares one instance between callers.
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        super().__init__(MappingProxyType(dict(terms)), eps_trunc, q_trunc)
 
     def op(self, n: int) -> DiffOp:
         from .zhu import THETA_BASIS, DiffOp

@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .series import _Fields, _Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One exact comparison: pass means coefficient-for-coefficient equality."""
-    name: str
-    passed: bool
-    order: str = ""
-    expected: str = ""
-    computed: str = ""
+    _fields = ("name", "passed", "order", "expected", "computed")
+
+    def __init__(self, name: str, passed: bool, order: str = "", expected: str = "",
+                 computed: str = ""):
+        super().__init__(name, passed, order, expected, computed)
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.passed, "order": self.order,
                 "expected": self.expected, "computed": self.computed}
 
 
-@dataclass
-class Report:
+class Report(_Fields):
     """A named batch of exact checks with free-form header notes."""
-    title: str
-    notes: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
+    _fields = ("title", "notes", "checks")
+
+    def __init__(self, title: str, notes: list | None = None, checks: list | None = None):
+        super().__init__(title, [] if notes is None else notes, [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

@@ -379,6 +379,37 @@ class _Canonical:
         return hash((self.den, frozenset(self.nums.items())))
 
 
+class _Fields:
+    """The fields named in ``_fields``, set by ``__init__`` in that order;
+    equal by value, with a field-by-field repr."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Record(_Fields):
+    """Immutable ``_Fields``, hashed by value."""
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def _origin(vars):
     # Exponent of the constant term, in the form the constructor takes.
     return 0 if isinstance(vars, str) else (0,) * len(vars)
@@ -781,22 +812,11 @@ class QSeries(_Canonical):
 
     def log(self) -> "QSeries":
         """log of a series with zero offsets whose v^0 coefficient is exactly 1,
-        v the first variable: g = log(u) solves
-        n g_n = n u_n - sum_{k=1}^{n-1} k g_k u_(n-k) over the v-blocks (see
-        ``block``)."""
+        v the first variable: ``_log_blocks`` over the v-blocks (see ``block``)."""
         self._check_unit_block("log")
-        u = self.blocks()
         zero = self.block_zero()
-        g, kg = {0: zero}, {}
-        for n in range(1, self.truncs[0] + 1):
-            acc = zero
-            for k, f in kg.items():
-                if n - k in u:
-                    acc = acc + f * u[n - k]
-            g_n = u.get(n, zero) - acc * Fraction(1, n)
-            if g_n != zero:
-                g[n], kg[n] = g_n, g_n * n
-        return QSeries.from_blocks(self.vars[0], g, self.truncs[0])
+        return QSeries.from_blocks(self.vars[0], {0: zero, **_log_blocks(
+            self.blocks(), self.truncs[0], zero)}, self.truncs[0])
 
     def _check_unit_block(self, what: str) -> None:
         first = {e: v for e, v in self.nums.items() if e[0] == 0}
@@ -805,22 +825,13 @@ class QSeries(_Canonical):
 
     def divided_by(self, u: "QSeries") -> "QSeries":
         """self / u for u with zero offsets whose v^0 coefficient is exactly 1,
-        v the first variable: h = self / u solves
-        h_n = self_n - sum_{k=1}^n u_k h_(n-k) over the v-blocks (see
+        v the first variable: ``_quotient_blocks`` over the v-blocks (see
         ``block``), cut at the smaller v order of the two."""
         self._check_var(u)
         u._check_unit_block("division")
         trunc = min(self.truncs[0], u.truncs[0])
-        tail = {k: f for k, f in u.blocks().items() if k}
         zero = self.block_zero()
-        h = {}
-        for n in range(trunc + 1):
-            acc = self.block(n)
-            for k, f in tail.items():
-                if n - k in h:
-                    acc = acc - f * h[n - k]
-            if acc != zero:
-                h[n] = acc
+        h = _quotient_blocks(self.blocks(), u.blocks(), trunc, zero)
         return QSeries.from_blocks(self.vars[0], h or {0: zero}, trunc)
 
     def pow_rational(self, r) -> "QSeries":
@@ -1004,6 +1015,36 @@ class QSeries(_Canonical):
         return cls((obj["variable"],), coeffs, (obj["trunc"],), (Fraction(obj["offset"]),))
 
 
+def _log_blocks(u: dict, trunc: int, zero) -> dict:
+    """The nonzero blocks g_n, 0 < n <= trunc, of g = log(u), u = {n: nonzero u_n}
+    with u_0 = 1 in any ring: n g_n = n u_n - sum_{0<k<n} k g_k u_(n-k)."""
+    g, kg = {}, {}
+    for n in range(1, trunc + 1):
+        acc = zero
+        for k, f in kg.items():
+            if n - k in u:
+                acc = acc + f * u[n - k]
+        g_n = u.get(n, zero) - acc * Fraction(1, n)
+        if g_n != zero:
+            g[n], kg[n] = g_n, g_n * n
+    return g
+
+
+def _quotient_blocks(num: dict, u: dict, trunc: int, zero) -> dict:
+    """The nonzero blocks h_n, n <= trunc, of h = num / u, as in
+    ``_log_blocks``: h_n = num_n - sum_{k=1}^n u_k h_(n-k)."""
+    tail = {k: f for k, f in u.items() if k}
+    h = {}
+    for n in range(trunc + 1):
+        acc = num.get(n, zero)
+        for k, f in tail.items():
+            if n - k in h:
+                acc = acc - f * h[n - k]
+        if acc != zero:
+            h[n] = acc
+    return h
+
+
 # ``perfbench/tracer.py`` resolves ``series.BiSeries.<method>`` and
 # ``series.EpsSeries.<method>`` by name when it instruments the package; the
 # two-variable series and the eps-series are QSeries now.
@@ -1133,6 +1174,12 @@ class RationalPoly(_Canonical):
         if not isinstance(other, self._ring):
             return NotImplemented
         return self._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def _scaled(self, p: int, r: int = 1):
         # Times p/r for coprime ints with r > 0.

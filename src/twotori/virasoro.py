@@ -89,13 +89,6 @@ class CPoly(RationalPoly):
         return super().__add__(other if isinstance(other, CPoly) else CPoly(other))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self._made({j: -v for j, v in self.nums.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     __rmul__ = RationalPoly.__mul__
 
     def __eq__(self, other):

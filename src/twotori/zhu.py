@@ -24,7 +24,6 @@ one cached table of the monomials E2^a E4^b E6^c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -36,6 +35,7 @@ from .series import (
     QSeries,
     SeriesError,
     _Canonical,
+    _Record,
     _lowest_terms,
     _new,
     _ramanujan,
@@ -204,12 +204,13 @@ def _qd(nums, den: int) -> list:
                           for m, w in _ramanujan(a, b, c)))]
 
 
-@dataclass(frozen=True)
-class BasePartition:
+class BasePartition(_Record):
     """An abstract normalized base: Theta series in one variable plus a
     rational central charge."""
-    theta: QSeries
-    c_value: Fraction
+    _fields = ("theta", "c_value")
+
+    def __init__(self, theta: QSeries, c_value: Fraction):
+        super().__init__(theta, c_value)
 
     @classmethod
     def heisenberg(cls, rank: int, q_trunc: int, var: str = "q") -> "BasePartition":

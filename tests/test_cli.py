@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, series, zhu
+from twotori import cli, genus2, series, sewing, zhu
 from twotori.cli import main
 from twotori.series import QSeries, _quasimodular_solver
 from twotori.zhu import structure_check
+
+# The module each function that a command runs lives in: cli calls the
+# sewing and genus2 functions through their modules, so a test patches them
+# there.
+HOME = {"_structure_report": cli, "_modular_identities_report": cli,
+        "verify_detHi": genus2, "verify_heisenberg_degeneration": genus2,
+        "verify_theta_degeneration": genus2, "z2_heisenberg": genus2,
+        "z2_module_pair": genus2, "degenerate_tau": sewing, "period_matrix": sewing}
 
 
 def run(capsys, *argv):
@@ -159,7 +167,7 @@ class TestVerify:
             raise AssertionError("a suite ran before the order check")
 
         for name in ("_structure_report", "verify_detHi", "_modular_identities_report"):
-            monkeypatch.setattr(cli, name, must_not_run)
+            monkeypatch.setattr(HOME[name], name, must_not_run)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert f"--q-order >= {need}" in err
@@ -191,7 +199,7 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise fault
 
-        monkeypatch.setattr(cli, "verify_detHi", broken)
+        monkeypatch.setattr(genus2, "verify_detHi", broken)
         with pytest.raises(type(fault), match="internal"):
             main(["verify", "detHi", "--eps-order", "4", "--q-order", "4"])
 
@@ -201,7 +209,7 @@ class TestVerify:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the suite ran before the beta check")
 
-        monkeypatch.setattr(cli, "verify_theta_degeneration", must_not_run)
+        monkeypatch.setattr(genus2, "verify_theta_degeneration", must_not_run)
         code, out, err = run(capsys, "verify", "theta-degen", flag, "1")
         assert code == 2 and out == ""
         assert "needs beta = 0" in err
@@ -215,7 +223,7 @@ class TestVerify:
 
         for name in ("verify_detHi", "verify_heisenberg_degeneration",
                      "verify_theta_degeneration"):
-            monkeypatch.setattr(cli, name, must_not_run)
+            monkeypatch.setattr(HOME[name], name, must_not_run)
         code, out, err = run(capsys, "verify", suite, "--eps-order", "4", "--q-order", "0")
         assert code == 2 and out == ""
         assert "--q-order >= 1" in err
@@ -242,7 +250,7 @@ class TestVerify:
             raise AssertionError("a suite ran before the order check")
 
         for name in ("verify_detHi", "verify_heisenberg_degeneration", "_modular_identities_report"):
-            monkeypatch.setattr(cli, name, must_not_run)
+            monkeypatch.setattr(HOME[name], name, must_not_run)
         code, out, err = run(capsys, "verify", suite, "--eps-order", eps)
         assert code == 2 and out == ""
         assert "--eps-order" in err and "4" in err
@@ -258,7 +266,7 @@ class TestVerify:
 
         for name in ("verify_detHi", "verify_theta_degeneration", "degenerate_tau",
                      "period_matrix", "z2_heisenberg", "z2_module_pair"):
-            monkeypatch.setattr(cli, name, must_not_run)
+            monkeypatch.setattr(HOME[name], name, must_not_run)
         code, out, err = run(capsys, *argv, "--eps-order", "0")
         assert code == 2 and out == ""
         assert "--eps-order >= 1" in err and "matrix size" not in err
@@ -272,7 +280,7 @@ class TestVerify:
             raise AssertionError("a suite ran before the order check")
 
         for name in ("_structure_report", "verify_detHi", "_modular_identities_report"):
-            monkeypatch.setattr(cli, name, must_not_run)
+            monkeypatch.setattr(HOME[name], name, must_not_run)
         code, out, err = run(capsys, "verify", suite, "--max-weight", weight)
         assert code == 2 and out == ""
         assert "--max-weight >= 2" in err

@@ -31,6 +31,7 @@ from twotori.sewing import (
     resolvent_11,
     weighted_resolvent_11,
 )
+from twotori.reports import Check, Report
 from twotori.virasoro import VirState
 from twotori.zhu import BasePartition, DiffOp, one_point
 
@@ -162,6 +163,13 @@ class TestPinchedMemos:
         for d in (delta, delta.times_eps(), QSeries.zero(("eps", "q1"), (6, 4))):
             assert taylor_shift(f, d) == oracle_taylor_shift(f, d)
 
+    @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_degenerate_det_is_exp_of_the_logdet(self, r, q1, e, N):
+        # det(I - A1 A2(0))^(-r/2) stays a q1-series exp of the pinched log-det.
+        logdet = degenerate_logdet(q1, e, N)
+        assert genus2._degenerate_det(q1, e, N, r) == (logdet * F(-r, 2)).exp()
+
     @pytest.mark.parametrize("e, q", [(2, 3), (4, 4), (6, 5), (8, 8)])
     def test_extract_H_equals_oracle(self, e, q):
         ds = degeneration_sum(e, q)
@@ -196,6 +204,42 @@ class TestModulePair:
             ModulePair(0)
         p = ModulePair(2, F(1, 4), F(1), F(1, 3))
         assert (p.alpha_sq, p.beta_sq, p.alpha_dot_beta) == (F(1, 4), F(1), F(1, 3))
+
+    def test_value_semantics(self):
+        # A memo key: equal pairs are equal and hash alike, and a pair is
+        # immutable.
+        p = ModulePair(1, alpha_sq=F(2))
+        assert p == ModulePair(1, 2) and hash(p) == hash(ModulePair(1, "2"))
+        assert ModulePair() == ModulePair(1, F(0)) != p
+        with pytest.raises(AttributeError):
+            p.rank = 2
+
+
+class TestReportValues:
+    # Report and Check compare and print field by field, and a Report keeps
+    # the lists it is given.
+    def test_equal_reports_compare_equal(self):
+        a, b = Report("t", ["n"]), Report("t", ["n"])
+        a.add("x", True)
+        b.add("x", True)
+        assert a == b and a != Report("t", ["n"]) and a != Report("u", ["n"], b.checks)
+        assert a.checks == [Check("x", True)] and hash(Check("x", True)) == hash(Check("x", 1))
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(AttributeError):
+            a.checks[0].passed = False
+
+    def test_repr_names_the_fields(self):
+        assert repr(Check("x", True)) == \
+            "Check(name='x', passed=True, order='', expected='', computed='')"
+        assert repr(Report("t")) == "Report(title='t', notes=[], checks=[])"
+
+    def test_report_holds_the_lists_it_is_given(self):
+        notes, checks = ["n"], []
+        report = Report("t", notes, checks)
+        report.add("x", False)
+        assert report.notes is notes and checks == [Check("x", False)]
+        assert Report("t").notes is not Report("t").notes
 
 
 class TestTaylorShift:

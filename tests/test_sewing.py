@@ -1,13 +1,13 @@
 """Sewing-matrix tests: entries, determinant/resolvent expansions, period data."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from twotori.series import QSeries, SeriesError, bernoulli, eisenstein
 from twotori.sewing import (
+    AMatrix,
     _check_sizes,
     _dot,
     _embed,
@@ -58,7 +58,7 @@ def _power_sums(A, B, eps_trunc: int):
     One pass over P^n, 2n <= eps_trunc: every entry of P^n is O(eps^(2n)),
     so the n-sums are exact at eps^eps_trunc.
     """
-    _check_sizes(A, B, eps_trunc)
+    _check_sizes(eps_trunc, A.size, B.size)
     (a, b), zero = _embed(A, B)
     P = _mat_mul(a, b, zero)
     row = [zero + 1] + [zero] * (A.size - 1)
@@ -125,18 +125,19 @@ def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
     """``_minor_sums`` as one QSeries product per Cauchy-Binet term: both
     minors embedded in the variables of the product, the products added one
     by one per eps block, and each period entry N * exp(-log det)."""
-    _check_sizes(A, B, eps_trunc)
+    _check_sizes(eps_trunc, A.size, B.size)
     T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
     _, full = _embed(A, B)
     qvars, qtruncs = full.vars[1:], full.truncs[1:]
     zero = QSeries.zero(full.vars, (T, *qtruncs))
     block_zero = zero.block_zero()
-    a, b = _Minors(A), _Minors(B)
+    a, b = (_Minors(m.coeff, m.size, T + 1, m.entries[0][0].block_zero() + 1) for m in (A, B))
     sums = {name: {} for name in ("det", *wanted)}
 
     def lifted(minors, S, U):
+        # A rational minor is held as an int over den^|S|.
         x = minors[S, U]
-        return x.embed(qvars, qtruncs) if isinstance(x, QSeries) else x
+        return x.embed(qvars, qtruncs) if isinstance(x, QSeries) else F(x, minors.den ** len(S))
 
     def product(x, y):
         return None if _is_zero(x) or _is_zero(y) else x * y
@@ -187,6 +188,27 @@ class TestOuterProductPass:
         A1 = a_matrix(1, 4, 4, 2)
         with pytest.raises(SeriesError, match="share a q-variable"):
             log_det_I_minus(A1, A1, 4)
+
+
+# (q1, eps, N)
+RING_ORDERS = [(12, 12, 12), (16, 16, 16), (20, 20, 20), (24, 24, 24), (7, 10, 12), (6, 8, 8),
+               (12, 12, 14), (3, 9, 9), (0, 6, 6), (20, 8, 11)]
+
+
+class TestPinchedRingPass:
+    # The pinched pass in Q[E2, E4, E6] equals the q1-series pass over A1
+    # and A2(0), its oracle, as QSeries objects, truncation orders included.
+    @pytest.mark.parametrize("q, T, N", RING_ORDERS)
+    def test_against_the_q1_series_pass(self, q, T, N):
+        logdet, d = _minor_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T, ("d11",))
+        assert degenerate_logdet(q, T, N) == logdet
+        assert degenerate_tau(q, T, N) == d["d11"]
+
+    def test_refuses_what_the_matrices_refuse(self):
+        with pytest.raises(SeriesError, match="matrix size too small"):
+            degenerate_tau(4, 6, 5)
+        with pytest.raises(ValueError, match="matrix size must be >= 1"):
+            degenerate_logdet(4, 0, 0)
 
 
 class TestBlockDivision:
@@ -255,9 +277,9 @@ class TestEntryShape:
         rows = [list(r) for r in A.entries]
         rows[k - 1][l - 1] = rows[k - 1][l - 1] + QSeries.from_blocks(
             "eps", {power: QSeries.one("q1", 2)}, 4)
-        bad = replace(A, entries=tuple(map(tuple, rows)))
         with pytest.raises(SeriesError):
-            log_det_I_minus(bad, a2_degenerate(4, 4), 4)
+            log_det_I_minus(AMatrix(A.size, tuple(map(tuple, rows)), A.eps_trunc),
+                            a2_degenerate(4, 4), 4)
 
 
 def const_q1(c, q_trunc):
@@ -462,7 +484,6 @@ class TestPeriodMatrix:
 class TestZeroMatrixResolvent:
     def test_identity_resolvent(self):
         # (I - 0*B)^(-1)(1,1) = 1
-        from twotori.sewing import AMatrix
         tt = 4
         zero = AMatrix(4, tuple(tuple(QSeries.zero("eps", tt) for _ in range(4))
                                 for _ in range(4)), tt)

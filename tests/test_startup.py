@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The public names of the package and the submodule each one lives in.
@@ -59,6 +61,36 @@ def test_z2_module_loads_neither_virasoro_nor_zhu():
     assert "twotori.zhu" not in loaded and "twotori.virasoro" not in loaded
 
 
+def added_by(argv: list) -> list:
+    # The modules a CLI run adds to sys.modules, from a snapshot taken before
+    # twotori is imported, so modules that site hooks load do not count.
+    done = python("import json, sys\nbefore = set(sys.modules)\nfrom twotori import cli\n"
+                  f"cli.main({argv!r})\n"
+                  "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "structure", "--max-weight", "6", "--q-order", "6"],
+    ["verify", "modular-identities", "--q-order", "4"], ["beta"], ["lambda"],
+    ["compute", "eisenstein", "--k", "4"], ["compute", "eta"],
+    ["compute", "onepoint", "--partition", "2,2"]])
+def test_commands_without_sewing_load_neither_sewing_nor_genus2(argv):
+    added = added_by(argv)
+    assert "twotori.cli" in added
+    assert "twotori.sewing" not in added and "twotori.genus2" not in added
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    for argv in (["compute", "z2-module", "--alpha-sq", "2", "--rank", "2",
+                  "--eps-order", "4", "--q-order", "4"],
+                 ["verify", "all", "--eps-order", "4", "--q-order", "4", "--max-weight", "4"]):
+        added = added_by(argv)
+        assert "twotori.sewing" in added
+        assert "dataclasses" not in added and "inspect" not in added
+
+
 def test_every_public_name_resolves_to_its_home_object():
     assert sum(map(len, EXPORTS.values())) == 48
     done = python(
@@ -93,11 +125,11 @@ def test_internal_fault_exits_3_with_its_traceback():
     # on stdout.
     done = python(
         "import runpy, sys\n"
-        "from twotori import cli\n"
+        "from twotori import genus2\n"
         "from twotori.series import SeriesError\n"
         "def broken(*args, **kwargs):\n"
         "    raise SeriesError('injected fault')\n"
-        "cli.verify_detHi = broken\n"
+        "genus2.verify_detHi = broken\n"
         "sys.argv = ['twotori', 'verify', 'detHi', '--eps-order', '4', '--q-order', '4']\n"
         "runpy.run_module('twotori', run_name='__main__')")
     assert done.returncode == 3

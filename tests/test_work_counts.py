@@ -101,15 +101,30 @@ def test_power_squares_only_below_the_top_bit(monkeypatch, n):
 
 def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
     # detHi and the four theta pairs share one degeneration sum, and every
-    # suite shares one degenerate sewing pass (log-det and delta together).
-    # The degeneration sum is the only caller of lambda_vector in verify all.
+    # suite shares one degenerate sewing pass (log-det and delta together),
+    # which sums its Cauchy-Binet terms once.  The degeneration sum is the
+    # only caller of lambda_vector in verify all.
     sums = counting(monkeypatch, virasoro, "lambda_vector")
-    passes = counting(monkeypatch, sewing, "_minor_sums")
+    passes = counting(monkeypatch, sewing, "_cauchy_binet")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
     assert (len(sums), len(passes)) == (1, 1)
+
+
+def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_caches):
+    # The pinched log-det and delta come from minors in Q[E2, E4, E6]:
+    # verify all builds no q1-series moment matrix, runs no q1-series pass
+    # and makes one pinched pass.
+    matrices = counting(monkeypatch, sewing, "a_matrix")
+    series_passes = counting(monkeypatch, sewing, "_minor_sums")
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert (len(matrices), len(series_passes)) == (0, 0)
+    assert sewing._degenerate_sewing.cache_info().misses == 1
 
 
 def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, cold_caches):
