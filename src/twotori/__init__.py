@@ -13,8 +13,8 @@ that never touches, say, the Zhu recursion never compiles it.
 from importlib import import_module
 
 _EXPORTS = {
-    "series": ("EisensteinPoly", "NotQuasiModular", "QSeries", "QuasiModularPoly",
-               "SeriesError", "bernoulli", "eisenstein", "eisenstein_poly",
+    "ring": ("EisensteinPoly", "SeriesError", "bernoulli", "eisenstein_poly"),
+    "series": ("NotQuasiModular", "QSeries", "QuasiModularPoly", "eisenstein",
                "eta_normalized", "qd", "to_quasimodular"),
     "virasoro": ("CPoly", "VirState", "alpha_coefficients", "apply_mode",
                  "beta_coefficients", "lambda_vector", "lambda_vector_direct",

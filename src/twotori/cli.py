@@ -8,26 +8,18 @@ always render as p/q (never floats).
 
 from __future__ import annotations
 
-# series first: a run without bytecode caches then compiles the largest
-# module before argparse and json load (about 1 MB less peak RSS).
-from .series import (
-    _Record,
-    eisenstein,
-    eta_normalized,
-    qd,
-    quasimodular_factor,
-    quasimodular_monomials,
-    rat_str,
-)
+# ring first: a run without bytecode caches then compiles it before argparse
+# loads, which lowers the child's peak RSS; json loads only for --format json.
+from .ring import _Record, quasimodular_monomials, rat_str
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .reports import Report
 
-# sewing, genus2, virasoro and zhu are imported by the commands that run them.
+# series, sewing, genus2, virasoro and zhu are imported by the commands that
+# run them, so `verify structure` never compiles the q-series engine.
 VERIFY_ERROR, USAGE_ERROR, INTERNAL_ERROR = 1, 2, 3
 
 THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
@@ -63,6 +55,11 @@ MIN_ORDERS = {
     ("verify", "structure"): (_STRUCTURE, _RECOGNITION),
     ("verify", "all"): (_FREE_BOSON, _STRUCTURE, _RECOGNITION),
 }
+# Largest value of each order flag, for every command: the work grows about
+# threefold per +4 of order (on a 2-vCPU VM, `verify all` at 32/32/32 takes
+# 9 s and 196 MB; a matrix larger than the eps order adds little), so a
+# larger request exits 2 before any work starts.
+MAX_ORDERS = {"eps_order": 32, "q_order": 32, "max_weight": 32, "matrix_size": 64}
 
 
 class RunConfig(_Record):
@@ -203,6 +200,10 @@ def resolve_config(args) -> RunConfig:
                     fmt=base["format"])
     if cfg.eps_order < 0 or cfg.q_order < 0 or cfg.max_weight < 0:
         raise UsageError("orders must be non-negative")
+    for key, cap in MAX_ORDERS.items():
+        if getattr(cfg, key) > cap:
+            raise UsageError(f"--{key.replace('_', '-')} must be <= {cap} "
+                             "(the work grows about threefold per +4 of order)")
     if cfg.matrix_size < cfg.eps_order:
         raise UsageError("matrix size must be at least the eps order")
     target = getattr(args, "object", None) or getattr(args, "suite", None)
@@ -217,6 +218,7 @@ def resolve_config(args) -> RunConfig:
 
 def _emit(obj, cfg: RunConfig, table_text: str) -> None:
     if cfg.fmt == "json":
+        import json
         print(json.dumps(obj, indent=2))
     else:
         print(table_text)
@@ -262,6 +264,7 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
 
 
 def cmd_compute(args, cfg: RunConfig) -> int:
+    from .series import eisenstein, eta_normalized
     obj, text = args.object, None
     if obj == "eisenstein":
         if args.k is None:
@@ -305,10 +308,12 @@ def cmd_compute(args, cfg: RunConfig) -> int:
 
 def _render_eps_quasimodular(series, weight_of) -> str:
     """eps-series display with quasi-modular symbols where recognition works."""
+    from .series import quasimodular_factor
     return series.render(lambda n, c: quasimodular_factor(c, weight_of(n)))
 
 
 def _modular_identities_report(q_order: int) -> Report:
+    from .series import eisenstein, eta_normalized, qd
     report = Report(title="modular identities")
     e2 = eisenstein(2, q_order)
     lhs = qd(e2)
@@ -374,6 +379,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
     all_pass = all(r.passed for r in reports)
     if cfg.fmt == "json":
+        import json
         print(json.dumps({"pass": all_pass,
                           "reports": [r.to_json() for r in reports]}, indent=2))
     else:

@@ -19,7 +19,8 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from .reports import Report
-from .series import QSeries, _Record, eisenstein, eta_normalized, rat, rat_str
+from .ring import _Record, rat, rat_str
+from .series import QSeries, eisenstein, eta_normalized
 from .sewing import degenerate_logdet, degenerate_tau, sewing_data
 # virasoro and zhu are imported where the operator route runs, so the closed
 # forms (``compute z2-module`` and the like) never load them.
@@ -188,10 +189,6 @@ class OperatorEpsSeries(_Record):
         # degeneration_sum shares one instance between callers.
         super().__init__(MappingProxyType(dict(terms)), eps_trunc, q_trunc)
 
-    def op(self, n: int) -> DiffOp:
-        from .zhu import THETA_BASIS, DiffOp
-        return self.terms.get(n, DiffOp.zero(THETA_BASIS, self.q_trunc))
-
     def specialize(self, base: BasePartition) -> QSeries:
         from .zhu import specialize
         return QSeries.from_blocks("eps", {n: specialize(op, base)
@@ -227,10 +224,6 @@ class OperatorEpsSeries(_Record):
                     for n, j, s in group for (m,), v in s.nums.items()}
             H[l] = QSeries._reduced(("eps", *H_VARS), nums, den, truncs, (Fraction(0),) * 3)
         return H
-
-    def to_json(self) -> dict:
-        return {"variable": "eps", "trunc": self.eps_trunc,
-                "coeffs": {str(n): self.terms[n].to_json() for n in sorted(self.terms)}}
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .series import _Fields, _Record
+from .ring import _Fields, _Record
 
 
 class Check(_Record):

@@ -38,19 +38,16 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from .series import (
+from .ring import (
     EisensteinPoly,
-    QSeries,
     SeriesError,
-    _log_blocks,
     _lowest_terms,
-    _quotient_blocks,
     _Record,
     _sum_terms,
     bernoulli,
-    eisenstein,
     eisenstein_poly,
 )
+from .series import QSeries, _log_blocks, _quotient_blocks, eisenstein
 
 
 class AMatrix(_Record):

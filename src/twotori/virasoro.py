@@ -20,8 +20,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from types import MappingProxyType
 
-from .series import (
-    QSeries,
+from .ring import (
     RationalPoly,
     _Canonical,
     _lowest_terms,
@@ -205,9 +204,6 @@ class VirState(_Canonical):
                  for p, c in self._coeffs_in_order()]
         return "  +  ".join(parts) or "0"
 
-    def __repr__(self):
-        return f"VirState({self})"
-
     def to_json(self) -> list:
         return [{"partition": list(p), "coeff": str(c)} for p, c in self._coeffs_in_order()]
 
@@ -265,6 +261,7 @@ def apply_mode(n: int, v: VirState) -> VirState:
 
 def _exp_derivation(coeffs: dict, trunc: int) -> QSeries:
     """exp(sum_i a_i z^(i+1) d/dz) applied to z, truncated at z^trunc."""
+    from .series import QSeries
     z = QSeries.gen("z", trunc)
 
     def derive(f: QSeries) -> QSeries:
@@ -288,6 +285,7 @@ def _exp_derivation(coeffs: dict, trunc: int) -> QSeries:
 
 def exp_minus_one(trunc: int) -> QSeries:
     """The exponential map e^z - 1 as a z-series."""
+    from .series import QSeries
     return QSeries("z", {n: Fraction(1, factorial(n)) for n in range(1, trunc + 1)},
                    trunc)
 
@@ -305,7 +303,7 @@ def alpha_coefficients(max_i: int) -> tuple:
     target = exp_minus_one(trunc)
     known = {}
     for i in range(1, max_i + 1):
-        got = _exp_derivation(known, trunc) if known else QSeries.gen("z", trunc)
+        got = _exp_derivation(known, trunc)
         known[i] = target.coeff(i + 1) - got.coeff(i + 1)
     if _exp_derivation(known, trunc) != target:
         raise ArithmeticError("generator coefficients do not reproduce e^z - 1")
@@ -315,6 +313,7 @@ def alpha_coefficients(max_i: int) -> tuple:
 def _w_map(k: int, beta, trunc: int) -> QSeries:
     """z (1 + k b z^k)^(-1/k), the inverse of the single-generator conformal
     map exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k)."""
+    from .series import QSeries
     body = QSeries("z", {0: 1, k: k * rat(beta)}, trunc)
     return QSeries.gen("z", trunc) * body.pow_rational(Fraction(-1, k))
 

@@ -14,12 +14,13 @@ eta^C-normalized base (Theta basis).
 Each coefficient c_ij is an exact polynomial in E2, E4 and E6, so the
 recursion runs in the quasi-modular ring and no q-order enters it.  Two ring
 facts close it: E_k for k >= 8 is a polynomial in E4 and E6 (a quadratic
-recurrence, ``series.eisenstein_poly``), and qd acts on E2, E4 and E6 by
-Ramanujan's derivatives (``series._ramanujan``).  An operator is one flat
+recurrence, ``ring.eisenstein_poly``), and qd acts on E2, E4 and E6 by
+Ramanujan's derivatives (``ring._ramanujan``).  An operator is one flat
 polynomial in qd, C, E2, E4, E6 with integer numerators over one
 denominator, and each recursion step is one sum over them.  It is read as
 q-series only at its consumers (specialization, rendering, JSON), through
-one cached table of the monomials E2^a E4^b E6^c.
+one cached table of the monomials E2^a E4^b E6^c; the structure check reads
+the polynomials alone, so it never loads the q-series engine (``series``).
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from math import comb
 from types import MappingProxyType
 
 from .reports import Report
-from .series import (
+from .ring import (
     EisensteinPoly,
-    QSeries,
     SeriesError,
     _Canonical,
     _Record,
@@ -100,10 +100,6 @@ class DiffOp(_Canonical):
     def identity(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
         return cls._made(basis, {(0, 0, 0, 0, 0): 1}, 1, q_trunc)
 
-    @classmethod
-    def zero(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls._made(basis, {}, 1, q_trunc)
-
     def read_at(self, q_trunc: int) -> "DiffOp":
         """The same operator, read as q-series through q^q_trunc."""
         return DiffOp._made(self.basis, self.nums, self.den, int(q_trunc))
@@ -147,9 +143,6 @@ class DiffOp(_Canonical):
             return NotImplemented
         return self.basis == other.basis and self._same(other)
 
-    def __hash__(self):
-        return hash((self.basis, _Canonical.__hash__(self)))
-
     def _render(self, coeff_text) -> str:
         # Terms by falling derivative order, each as coeff_text(i, poly, s)*C^j*D^i
         # with s the q-expansion; a coefficient that renders as "1" is left
@@ -164,9 +157,6 @@ class DiffOp(_Canonical):
 
     def __str__(self):
         return self._render(lambda i, poly, s: f"({s})")
-
-    def __repr__(self):
-        return f"DiffOp[{self.basis}]({self})"
 
     def to_json(self) -> dict:
         expanded = self.series()
@@ -186,7 +176,7 @@ class DiffOp(_Canonical):
         return self._render(text)
 
 
-# -- operator numerators as pieces of one sum (series._sum_terms) -----------------
+# -- operator numerators as pieces of one sum (ring._sum_terms) -------------------
 
 
 def _times(nums, factor, dj: int):
@@ -214,6 +204,7 @@ class BasePartition(_Record):
 
     @classmethod
     def heisenberg(cls, rank: int, q_trunc: int, var: str = "q") -> "BasePartition":
+        from .series import QSeries
         return cls(QSeries.one(var, q_trunc), rat(rank))
 
 
@@ -327,6 +318,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     eta^(-C) prefactor is reattached by callers that need the raw partition
     function.
     """
+    from .series import QSeries
     if op.basis != THETA_BASIS:
         raise SeriesError("specialize needs a Theta-basis operator")
     expanded = op.series()

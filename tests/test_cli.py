@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, series, sewing, zhu
+from twotori import cli, genus2, ring, series, sewing, zhu
 from twotori.cli import main
-from twotori.series import QSeries, _quasimodular_solver
+from twotori.series import _quasimodular_solver
 from twotori.zhu import structure_check
+
+from test_series import qseries_from_json
 
 # The module each function that a command runs lives in: cli calls the
 # sewing and genus2 functions through their modules, so a test patches them
@@ -102,7 +104,7 @@ class TestCompute:
                            "--q-order", "2", "compute", "z2-module",
                            "--alpha-sq", "1/4", "--rank", "2")
         assert code == 0
-        series = QSeries.from_json(json.loads(out))
+        series = qseries_from_json(json.loads(out))
         lead = series.block(0)
         # q1 offset: alpha^2/2 - rank/24 = 1/8 - 1/12
         assert lead.offsets[0] == Fraction(1, 8) - Fraction(1, 12)
@@ -192,7 +194,7 @@ class TestVerify:
         finally:
             _quasimodular_solver.cache_clear()
 
-    @pytest.mark.parametrize("fault", [series.SeriesError("internal"), ValueError("internal")])
+    @pytest.mark.parametrize("fault", [ring.SeriesError("internal"), ValueError("internal")])
     def test_fault_inside_a_suite_is_not_usage_error(self, capsys, monkeypatch, fault):
         # Only bad user input exits 2; a SeriesError or ValueError raised
         # while a suite runs is a program fault and is not caught.
@@ -232,7 +234,7 @@ class TestVerify:
         # A recursion that reads E_{k+r+2} where E_{k+r} belongs mixes
         # weights: the structure suite must report FAIL lines and exit 1,
         # not crash or exit as a usage error.
-        monkeypatch.setattr(zhu, "eisenstein_poly", lambda k: series.eisenstein_poly(k + 2))
+        monkeypatch.setattr(zhu, "eisenstein_poly", lambda k: ring.eisenstein_poly(k + 2))
         zhu._op_for_word.cache_clear()
         try:
             code, out, _ = run(capsys, "verify", "structure", "--max-weight", "6",
@@ -284,6 +286,26 @@ class TestVerify:
         code, out, err = run(capsys, "verify", suite, "--max-weight", weight)
         assert code == 2 and out == ""
         assert "--max-weight >= 2" in err
+
+    @pytest.mark.parametrize("flag", sorted(cli.MAX_ORDERS))
+    @pytest.mark.parametrize("argv", [("verify", "all"), ("compute", "z2-module")])
+    def test_an_order_above_its_cap_is_refused_up_front(self, capsys, monkeypatch, flag, argv):
+        # One past the cap exits 2 with a message naming the flag, and no
+        # suite or sewing pass starts.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        for name in ("_structure_report", "_modular_identities_report", "verify_detHi",
+                     "verify_heisenberg_degeneration", "verify_theta_degeneration",
+                     "z2_module_pair"):
+            monkeypatch.setattr(HOME[name], name, must_not_run)
+        cap = cli.MAX_ORDERS[flag]
+        orders = {"eps_order": 4, "q_order": 4, "max_weight": 4, "matrix_size": 4, flag: cap + 1}
+        options = [x for key, value in orders.items()
+                   for x in (f"--{key.replace('_', '-')}", str(value))]
+        code, out, err = run(capsys, *argv, *options)
+        assert code == 2 and out == ""
+        assert f"--{flag.replace('_', '-')} must be <= {cap}" in err
 
     def test_unknown_suite_usage(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from twotori import zhu
-from twotori.series import EisensteinPoly, eisenstein_poly
+from twotori.ring import EisensteinPoly, eisenstein_poly
 from twotori.virasoro import CPoly, VirState, apply_mode, partitions_of_weight
 
 from test_zhu import TestRecursionOrderInvariance as Invariance

@@ -15,7 +15,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotori.series import EisensteinPoly, QSeries, QuasiModularPoly, join_terms, monomial_str
+from twotori.ring import EisensteinPoly, join_terms, monomial_str
+from twotori.series import QSeries, QuasiModularPoly
 from twotori.virasoro import CPoly
 
 from test_virasoro import cpoly_from_string

@@ -8,23 +8,27 @@ from operator import le
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotori import series
-from twotori.series import (
+from twotori import ring, series
+from twotori.ring import (
     EisensteinPoly,
+    SeriesError,
+    bernoulli,
+    eisenstein_poly,
+    quasimodular_monomials,
+)
+from twotori.genus2 import taylor_shift
+from twotori.series import (
     NotQuasiModular,
     QSeries,
     QuasiModularPoly,
-    SeriesError,
     _kronecker_mul,
     _quasimodular_solver,
-    bernoulli,
     eisenstein,
-    eisenstein_poly,
     eta_normalized,
     qd,
-    quasimodular_monomials,
     to_quasimodular,
 )
+from twotori.sewing import degenerate_tau
 
 
 # -- independent oracles -------------------------------------------------------
@@ -58,6 +62,19 @@ def qseries_strategy(trunc=5, var="q", offset=0):
     return st.dictionaries(st.integers(min_value=0, max_value=trunc), small_fracs,
                            max_size=4).map(
         lambda d: QSeries(var, d, trunc, offset))
+
+
+def qseries_from_json(obj: dict) -> QSeries:
+    """Read the README JSON of a series (``QSeries.to_json``) back: the
+    nested eps form, one variable, or several.  The round-trip oracle."""
+    if obj.get("variable") == "eps":
+        return QSeries.from_blocks("eps", {int(n): F(c) if isinstance(c, str)
+                                           else qseries_from_json(c)
+                                           for n, c in obj["coeffs"].items()}, int(obj["trunc"]))
+    coeffs = {tuple(map(int, k.split(","))): F(c) for k, c in obj["coeffs"].items()}
+    if "variables" in obj:
+        return QSeries(obj["variables"], coeffs, obj["truncs"], map(F, obj["offsets"]))
+    return QSeries((obj["variable"],), coeffs, (obj["trunc"],), (F(obj["offset"]),))
 
 
 class TestBernoulli:
@@ -450,7 +467,7 @@ class TestRendering:
     def test_json_roundtrip_exact(self):
         for s in (eta_normalized(9), eisenstein(2, 7),
                   QSeries("q", {0: F(3, 7), 5: F(-22, 9)}, 6, F(-5, 8))):
-            assert QSeries.from_json(s.to_json()) == s
+            assert qseries_from_json(s.to_json()) == s
 
 
 def set_second_to_zero(s: QSeries) -> QSeries:
@@ -488,7 +505,7 @@ class TestBiSeries:
     def test_json_roundtrip(self):
         s = QSeries(("q1", "q2"), {(0, 1): F(2, 3), (2, 2): -5}, (3, 2),
                     offsets=(F(-1, 24), F(1, 8)))
-        assert QSeries.from_json(s.to_json()) == s
+        assert qseries_from_json(s.to_json()) == s
 
     def test_negative_trunc_rejected(self):
         for truncs in ((-1, 0), (0, -1), (-2, -2)):
@@ -783,7 +800,7 @@ class TestEpsSeries:
 
     def test_json_roundtrip(self):
         s = eps_series({0: 1, 1: eisenstein(2, 4, "q1"), 2: F(-1, 12)}, 4)
-        assert QSeries.from_json(s.to_json()) == s
+        assert qseries_from_json(s.to_json()) == s
 
     def test_mixed_scalar_and_series_coefficients(self):
         s = eps_series({0: F(1), 1: eisenstein(2, 4, "q1")}, 4)
@@ -824,6 +841,31 @@ class TestComposeAssociativity:
         g = QSeries("z", g_tail, 6)
         h = QSeries("z", h_tail, 6)
         assert f.compose(g).compose(h).agrees_with(f.compose(g.compose(h)))
+
+
+# -- exp along the pinched modulus shift ---------------------------------------
+#
+# The theta suite's closed-form and Taylor-shift routes meet through two
+# identities of exp alone, checked here on x = alpha^2 delta / 2, delta the
+# pinched 2 pi i (tau - tau1) as an eps-series over q1, at (eps, q) orders.
+
+MODULUS_SHIFTS = [(eps, q, a) for eps, q in ((8, 6), (12, 12))
+                  for a in (F(0), F(1, 4), F(1), F(2))]
+
+
+class TestExpAlongTheModulusShift:
+    @pytest.mark.parametrize("eps, q, alpha_sq", MODULUS_SHIFTS)
+    def test_power_of_exp_is_exp_of_the_multiple(self, eps, q, alpha_sq):
+        x = degenerate_tau(q, eps, eps) * (alpha_sq / 2)
+        for r in (2, 3):
+            assert x.exp() ** r == (x * r).exp()
+
+    @pytest.mark.parametrize("eps, q, alpha_sq", MODULUS_SHIFTS)
+    def test_taylor_shift_of_a_monomial_is_exp(self, eps, q, alpha_sq):
+        delta = degenerate_tau(q, eps, eps)
+        theta = QSeries.monomial("q1", alpha_sq / 2, q)
+        shifted = (delta * (alpha_sq / 2)).exp() * theta.embed(delta.vars, delta.truncs)
+        assert taylor_shift(theta, delta) == shifted
 
 
 # -- the Fraction kernels that integer numerators replaced, as oracles ----------
@@ -1303,7 +1345,7 @@ class EpsOracle:
         """The series as text, with ``coeff_text(n, c)`` as the factor that
         renders the eps^n coefficient c."""
         parts = ["*".join(filter(None, (coeff_text(n, self.coeffs[n]),
-                                        series.monomial_str(("eps", n)))))
+                                        ring.monomial_str(("eps", n)))))
                  for n in sorted(self.coeffs)]
         return " + ".join((parts or ["0"]) + [f"O(eps^{self.trunc + 1})"])
 
@@ -1318,12 +1360,12 @@ class EpsOracle:
         coeffs = {}
         for n in sorted(self.coeffs):
             c = self.coeffs[n]
-            coeffs[str(n)] = series.rat_str(c) if isinstance(c, (int, F)) else c.to_json()
+            coeffs[str(n)] = ring.rat_str(c) if isinstance(c, (int, F)) else c.to_json()
         return {"variable": "eps", "trunc": self.trunc, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EpsOracle":
-        return cls({int(n): F(c) if isinstance(c, str) else QSeries.from_json(c)
+        return cls({int(n): F(c) if isinstance(c, str) else qseries_from_json(c)
                     for n, c in obj["coeffs"].items()}, int(obj["trunc"]))
 
 
@@ -1493,7 +1535,7 @@ class TestEpsSeriesAgainstOracle:
         assert str(a) == str(to_oracle(a))
         assert a.to_json() == to_oracle(a).to_json()
         if a.nums or len(a.vars) == 1:
-            assert QSeries.from_json(a.to_json()) == a
+            assert qseries_from_json(a.to_json()) == a
 
 
 

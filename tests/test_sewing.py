@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.series import QSeries, SeriesError, bernoulli, eisenstein
+from twotori.ring import SeriesError, bernoulli
+from twotori.series import QSeries, eisenstein
 from twotori.sewing import (
     AMatrix,
     _check_sizes,

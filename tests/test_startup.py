@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The public names of the package and the submodule each one lives in.
 EXPORTS = {
-    "series": ["EisensteinPoly", "NotQuasiModular", "QSeries", "QuasiModularPoly",
-               "SeriesError", "bernoulli", "eisenstein", "eisenstein_poly",
+    "ring": ["EisensteinPoly", "SeriesError", "bernoulli", "eisenstein_poly"],
+    "series": ["NotQuasiModular", "QSeries", "QuasiModularPoly", "eisenstein",
                "eta_normalized", "qd", "to_quasimodular"],
     "virasoro": ["CPoly", "VirState", "alpha_coefficients", "apply_mode",
                  "beta_coefficients", "lambda_vector", "lambda_vector_direct",
@@ -82,6 +82,14 @@ def test_commands_without_sewing_load_neither_sewing_nor_genus2(argv):
     assert "twotori.sewing" not in added and "twotori.genus2" not in added
 
 
+def test_structure_loads_the_ring_but_not_the_series_engine():
+    # The structure suite reads Zhu operators as exact polynomials only, and
+    # table output needs no json.
+    added = added_by(["verify", "structure", "--max-weight", "6", "--q-order", "6"])
+    assert "twotori.ring" in added
+    assert not {"twotori.series", "twotori.sewing", "twotori.genus2", "json"} & set(added)
+
+
 def test_no_command_loads_dataclasses_or_inspect():
     for argv in (["compute", "z2-module", "--alpha-sq", "2", "--rank", "2",
                   "--eps-order", "4", "--q-order", "4"],
@@ -126,7 +134,7 @@ def test_internal_fault_exits_3_with_its_traceback():
     done = python(
         "import runpy, sys\n"
         "from twotori import genus2\n"
-        "from twotori.series import SeriesError\n"
+        "from twotori.ring import SeriesError\n"
         "def broken(*args, **kwargs):\n"
         "    raise SeriesError('injected fault')\n"
         "genus2.verify_detHi = broken\n"

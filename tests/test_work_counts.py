@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, series, sewing, virasoro, zhu
+from twotori import cli, genus2, ring, series, sewing, virasoro, zhu
 from twotori.genus2 import ModulePair, z2_module_pair
 from twotori.series import QSeries
 from twotori.virasoro import VirState, partitions_of_weight
@@ -213,11 +213,11 @@ def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_
     # matrices and the free-boson checks over "q1"; one table per (k,
     # q-order) serves every variable.  A table of even weight calls
     # series.bernoulli once.
-    for cached in vars(series).values():
+    for cached in (*vars(ring).values(), *vars(series).values()):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     builds = counting(monkeypatch, series, "bernoulli")
-    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, genus2, cli)]
+    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, genus2)]
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
@@ -242,7 +242,7 @@ def test_recursion_constructs_no_fraction(cold_caches):
     # The Zhu recursion and the normal ordering run on integer numerators: a
     # cold pass over every PBW monomial of weight <= 12 builds no Fraction,
     # and the same operators and states as before fill the word caches.
-    for cached in (virasoro._normal_order_word, series.eisenstein_poly):
+    for cached in (virasoro._normal_order_word, ring.eisenstein_poly):
         cached.cache_clear()
     new = Fraction.__new__.__code__
     made = []
@@ -269,7 +269,7 @@ def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches)
     # One table serves every k and grows only when a larger k is asked for:
     # a verify all run inverts no z-series for it, where a table per k
     # inverted (e^z - 1)/z once for each distinct k.
-    for cached in vars(series).values():
+    for cached in (*vars(ring).values(), *vars(series).values()):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     inverted = []
@@ -280,10 +280,10 @@ def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches)
     capsys.readouterr()
     assert code == 0
     assert ("z",) not in inverted
-    table = series._bernoulli_coefficient.cache_info
+    table = ring._bernoulli_coefficient.cache_info
     top = table().currsize
-    series.bernoulli(top - 1)
-    series.bernoulli(2)
+    ring.bernoulli(top - 1)
+    ring.bernoulli(2)
     assert (table().currsize, table().misses) == (top, top)
-    series.bernoulli(top + 3)
+    ring.bernoulli(top + 3)
     assert (table().currsize, table().misses) == (top + 4, top + 4)

@@ -10,16 +10,18 @@ from math import comb
 import pytest
 
 from twotori import series, zhu
+from twotori.ring import (
+    SeriesError,
+    eisenstein_poly,
+    quasimodular_monomials,
+    rat,
+)
 from twotori.series import (
     QSeries,
     QuasiModularPoly,
-    SeriesError,
     eisenstein,
-    eisenstein_poly,
     eta_normalized,
     qd,
-    quasimodular_monomials,
-    rat,
 )
 from twotori.virasoro import VirState, apply_mode, partitions_of_weight
 from twotori.zhu import (
