@@ -167,10 +167,12 @@ def _degenerate_det(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _heisenberg_inverse(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
-    """(lim q2^(1/24) Z^(2) of the free boson)^(-r), the normalizer of the
-    theta pairs of rank r; memoized like ``_degenerate_det``."""
-    return (z2_heisenberg_degenerate(q1_trunc, eps_trunc, N) ** r).inv()
+def _heisenberg_normalizer(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
+    """(lim q2^(1/24) Z^(2) of the free boson)^r eta(q1)^r, the normalizer of
+    the theta pairs of rank r: its eps^0 block is exactly 1, so it divides
+    block by block (``QSeries.divided_by``); memoized like ``_degenerate_det``."""
+    lim = z2_heisenberg_degenerate(q1_trunc, eps_trunc, N)
+    return _times_q(lim, eta_normalized(q1_trunc, "q1")) ** r
 
 
 # -- the operator-valued degeneration sum -------------------------------------------
@@ -307,7 +309,6 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
     e4 = eisenstein(4, q_trunc, "q1")
     delta = degenerate_tau(q_trunc, eps_trunc, N)
     eta1 = eta_normalized(q_trunc, "q1")
-    eta1_inv = _eta_inverse(q_trunc)
 
     def check_coeff(name, series, n, expected):
         got = series.block(n)
@@ -317,13 +318,13 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                    computed=str(got) if not ok else "")
 
     # eta(q) = eta(q1) [1 + E2/24 eps^2 - (E2^2/1152 + 5 E4/576) eps^4 + ...]
-    eta_ratio = _times_q(taylor_shift(eta1, delta), eta1_inv)
+    eta_ratio = _times_q(taylor_shift(eta1, delta), _eta_inverse(q_trunc))
     check_coeff("eta(q)/eta(q1) at eps^2", eta_ratio, 2, e2 * Fraction(1, 24))
     check_coeff("eta(q)/eta(q1) at eps^4", eta_ratio, 4,
                 -(e2 * e2 * Fraction(1, 1152) + e4 * Fraction(5, 576)))
 
     # 1/eta(q) = (1/eta(q1)) [1 - E2/24 eps^2 + (E2^2/384 + 5 E4/576) eps^4 + ...]
-    z1 = taylor_shift(eta1_inv, delta)
+    z1 = taylor_shift(_eta_inverse(q_trunc), delta)
     z1_ratio = _times_q(z1, eta1)
     check_coeff("eta(q)^-1 ratio at eps^2", z1_ratio, 2, e2 * Fraction(-1, 24))
     check_coeff("eta(q)^-1 ratio at eps^4", z1_ratio, 4,
@@ -336,8 +337,8 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))
 
     # lim q2^(1/24) Z^(2) / Z^(1)(q) = 1 + 0 eps^2 + E4/576 eps^4 + O(eps^6)
-    lim = z2_heisenberg_degenerate(q_trunc, eps_trunc, N)
-    ratio = lim * z1.inv()
+    lim = _heisenberg_normalizer(q_trunc, eps_trunc, N, 1)  # the limit times eta(q1)
+    ratio = lim.divided_by(z1_ratio)
     check_coeff("degeneration ratio at eps^0", ratio, 0, QSeries.one("q1", q_trunc))
     check_coeff("degeneration ratio at eps^2", ratio, 2, QSeries.zero("q1", q_trunc))
     check_coeff("degeneration ratio at eps^4", ratio, 4, e4 * Fraction(1, 576))
@@ -350,9 +351,11 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                               N: int | None = None) -> Report:
     """Main degeneration statement for a beta = 0 module pair at C = rank.
 
-    Three routes to lim_{q2->0}: (a) the closed forms, (b) the Taylor-shifted
-    genus-one normalized function, (c) the Zhu-recursion operator sum; the
-    report records (a) == (b) and (c) against both.
+    Three routes to lim_{q2->0}: (a) the closed forms, the pair's limit over
+    the free boson's to the r-th, both times eta(q1)^r so that the divisor's
+    eps^0 block is 1; (b) the Taylor-shifted genus-one normalized function;
+    (c) the Zhu-recursion operator sum.  The report records (a) == (b) and
+    (c) against both.
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("theta degeneration check needs beta = 0")
@@ -367,8 +370,8 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     eta1 = eta_normalized(q_trunc, "q1")
     theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
 
-    zm_deg = z2_module_degenerate(p, q_trunc, eps_trunc, N)
-    theta_lim = zm_deg * _heisenberg_inverse(q_trunc, eps_trunc, N, r)  # (a)
+    unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc, N), eta1 ** r)
+    theta_lim = unnormalized.divided_by(_heisenberg_normalizer(q_trunc, eps_trunc, N, r))  # (a)
     theta_taylor = taylor_shift(theta1, delta)        # (b)
     ds = degeneration_sum(eps_trunc, q_trunc)
     from .zhu import BasePartition
@@ -381,7 +384,6 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                expected="" if ok_ab else _fmt_eps(theta_taylor, eps_trunc),
                computed="" if ok_ab else _fmt_eps(theta_lim, eps_trunc))
 
-    unnormalized = _times_q(zm_deg, eta1 ** r)
     ok_c = zhu_side.agrees_with(unnormalized, through)
     report.add("Zhu-recursion degeneration sum == closed-form limit "
                "(eta^r reattached)", ok_c,

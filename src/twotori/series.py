@@ -168,31 +168,33 @@ def _kronecker_mul(na, nb, truncs):
     return _kronecker(list(na), list(na.values()), list(nb), list(nb.values()), truncs)
 
 
-def _schoolbook_mul(na, nb, truncs):
-    # One variable: the double loop over int exponents, which beats packing
-    # at the q-orders the univariate paths run at.
-    (trunc,) = truncs
-    terms_b = [(n, y) for (n,), y in nb.items()]
+def _schoolbook(ka, va, kb, vb, truncs):
+    # The double loop over the last exponent, for exponents ``ka``/``kb`` that
+    # agree elsewhere within each list (one variable, or a block of an
+    # eps-series over one): it beats packing at the orders these run at.
+    trunc, terms_b = truncs[-1], [(f[-1], y) for f, y in zip(kb, vb)]
     acc = {}
-    for (m,), x in na.items():
+    for e, x in zip(ka, va):
+        m = e[-1]
         for n, y in terms_b:
             k = m + n
             if k <= trunc:
                 acc[k] = acc.get(k, 0) + x * y
-    return {(k,): v for k, v in acc.items() if v}
+    head = tuple(map(add, ka[0][:-1], kb[0][:-1]))
+    return {(*head, k): v for k, v in acc.items() if v}
 
 
 def _blockwise_mul(a: "QSeries", b: "QSeries", truncs):
-    # An outer loop over the first exponent, and Kronecker substitution on
-    # each pair of blocks (``QSeries._split``), each taken without its
-    # content.  A block keeps its full exponents; its one first exponent
-    # packs as a single row.
+    # An outer loop over the first exponent; each pair of blocks (``_split``,
+    # full exponents, no content) runs on the kernel of a series in the
+    # blocks' own variables: the double loop for one, Kronecker for more.
     t0, blocks_b = truncs[0], b._split().items()
+    kernel = _schoolbook if len(truncs) == 2 else _kronecker
     parts = {}
     for i, (ga, ka, va) in a._split().items():
         for j, (gb, kb, vb) in blocks_b:
             if i + j <= t0:
-                parts.setdefault(i + j, []).append((ga * gb, _kronecker(ka, va, kb, vb, truncs)))
+                parts.setdefault(i + j, []).append((ga * gb, kernel(ka, va, kb, vb, truncs)))
     acc = {}
     for terms in parts.values():
         if len(terms) == 1:
@@ -537,18 +539,19 @@ class QSeries(_Canonical):
         if any(x + y > t for x, y, t in zip(oa, ob, truncs)):
             # Every term of the product lies outside the box.
             return QSeries._made(self.vars, {}, 1, truncs, offsets)
-        # The kernel: a one-term factor shifts and scales the other; else the
-        # double loop for one variable, Kronecker substitution for two.  For
-        # three or more, and for an eps-series over further variables, an
-        # outer loop over the first variable's exponent: the eps axis holds
-        # few, sparse blocks and is cut at the smaller order of the factors,
-        # so as a Kronecker slot it would pack and multiply rows that are
-        # then thrown away.
-        one_term = len(self.nums) == 1 or len(other.nums) == 1
-        if one_term or (len(self.vars) == 2 and self.vars[0] != "eps"):
+        # The kernel: the double loop for one variable; for more, a one-term
+        # factor shifts and scales the other, else Kronecker substitution for
+        # two.  For three or more, and for an eps-series over further
+        # variables, an outer loop over the first exponent (the eps axis holds
+        # few, sparse blocks cut at the smaller order of the factors: as a
+        # Kronecker slot it would pack rows then thrown away) runs each pair
+        # of blocks on the kernel of a series in the blocks' own variables.
+        if len(self.vars) == 1:
+            nums = _schoolbook(list(self.nums), list(self.nums.values()),
+                               list(other.nums), list(other.nums.values()), truncs)
+        elif (len(self.nums) == 1 or len(other.nums) == 1
+              or (len(self.vars) == 2 and self.vars[0] != "eps")):
             nums = _kronecker_mul(self.nums, other.nums, truncs)
-        elif len(self.vars) == 1:
-            nums = _schoolbook_mul(self.nums, other.nums, truncs)
         else:
             nums = _blockwise_mul(self, other, truncs)
         return QSeries._reduced(self.vars, nums, self.den * other.den, truncs, offsets)
@@ -894,12 +897,18 @@ def _eisenstein_table(k: int, trunc: int) -> QSeries:
 
 
 def eta_normalized(trunc: int, var: str = "q") -> QSeries:
-    """Dedekind eta: the Euler product with the q^(1/24) prefactor as offset."""
+    """Dedekind eta: the Euler product with the q^(1/24) prefactor as offset,
+    built once per q-order and read per variable as ``eisenstein`` is."""
     if trunc < 0:
         raise SeriesError("truncation order must be >= 0")
-    prod = QSeries.one(var, trunc)
+    return _eta_product(trunc).renamed(var)
+
+
+@lru_cache(maxsize=None)
+def _eta_product(trunc: int) -> QSeries:
+    prod = QSeries.one("q", trunc)
     for n in range(1, trunc + 1):
-        prod = prod * QSeries(var, {0: 1, n: -1}, trunc)
+        prod = prod * QSeries("q", {0: 1, n: -1}, trunc)
     return QSeries._made(prod.vars, prod.nums, prod.den, prod.truncs, (Fraction(1, 24),))
 
 

@@ -316,23 +316,32 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
 
     Returns the Theta-level series in the variable of the base; the implicit
     eta^(-C) prefactor is reattached by callers that need the raw partition
-    function.
+    function.  The sum runs in Q[E2, E4, E6], C^j read as c^j: one polynomial
+    per derivative order i, expanded once and times qd^i Theta; a one-term
+    base has qd^i Theta = a^i Theta, so its whole operator is one polynomial.
     """
     from .series import QSeries
     if op.basis != THETA_BASIS:
         raise SeriesError("specialize needs a Theta-basis operator")
-    expanded = op.series()
+    if op.q_trunc is None:
+        raise SeriesError("operator has no q-order to read its coefficients at")
     if base.theta.trunc < op.q_trunc:
         raise SeriesError(
             f"truncation mismatch: base known to q^{base.theta.trunc}, "
             f"operator needs q^{op.q_trunc}")
     theta = base.theta.truncate(op.q_trunc)
+    a = theta.offset + next(iter(theta.nums))[0] if len(theta.nums) == 1 else None
+    pieces = {}
+    for (i, j), nums in op._slices().items():
+        key, w = (i, base.c_value ** j) if a is None else (0, base.c_value ** j * a ** i)
+        pieces.setdefault(key, []).append((op.den * w.denominator, w.numerator, nums.items()))
     derivs = [theta]
-    for _ in range(op.max_derivative()):
+    for _ in range(max(pieces, default=0)):
         derivs.append(derivs[-1].qd())
     out = QSeries.zero(theta.var, op.q_trunc, theta.offset)
-    for (i, j), s in expanded.items():
-        out = out + s.renamed(theta.var) * derivs[i] * base.c_value ** j
+    for i, terms in pieces.items():
+        poly = EisensteinPoly._made(*_sum_terms(terms))
+        out = out + poly.to_qseries(op.q_trunc, theta.var) * derivs[i]
     return out
 
 

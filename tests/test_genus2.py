@@ -34,7 +34,7 @@ from twotori.sewing import (
 )
 from twotori.reports import Check, Report
 from twotori.virasoro import VirState
-from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point
+from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, to_theta_basis
 
 from test_series import set_second_to_zero
 
@@ -176,6 +176,61 @@ class TestPinchedMemos:
         ds = degeneration_sum(e, q)
         for l in range(e // 2 + 2):
             assert ds.extract_H(l) == oracle_extract_H(ds, l)
+
+
+def suite_objects(monkeypatch, run) -> list:
+    """The series whose ``is_even`` a suite asks for, in order: the objects
+    its last check reads, lim and the ratio in the free-boson suite, the
+    closed form (a) and the Zhu side in a theta pair."""
+    seen, is_even = [], QSeries.is_even
+    monkeypatch.setattr(QSeries, "is_even", lambda s: seen.append(s) or is_even(s))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def oracle_theta_closed_form(p, q1, e, N):
+    # Line 1's side (a) as it was taken: the pair's limit times the
+    # eps-series inverse of the free boson's to the r-th.
+    return z2_module_degenerate(p, q1, e, N) * (z2_heisenberg_degenerate(q1, e, N) ** p.rank).inv()
+
+
+def oracle_free_boson_ratio(q1, e, N):
+    # The free-boson degeneration ratio as it was taken: lim times the
+    # eps-series inverse of the shifted eta(q1)^-1.
+    z1 = taylor_shift(eta_normalized(q1, "q1").inv(), degenerate_tau(q1, e, N))
+    return z2_heisenberg_degenerate(q1, e, N) * z1.inv()
+
+
+# (eps, q, N)
+SUITE_ORDERS = [(4, 4, 4), (6, 5, 6), (8, 6, 8), (4, 3, 7), (12, 12, 12)]
+
+
+class TestQuotientsAgainstInverses:
+    # The suites divide by the free-boson forms block by block; the objects
+    # they compare must equal the ones the eps-series inverses gave.
+    @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
+    @pytest.mark.parametrize("p", PINCHED_PAIRS)
+    def test_theta_closed_form(self, monkeypatch, p, e, q, N):
+        theta_lim, zhu_side = suite_objects(
+            monkeypatch, lambda: verify_theta_degeneration(p, e, q, N))
+        want = oracle_theta_closed_form(p, q, e, N)
+        assert theta_lim == want and str(theta_lim) == str(want)
+        unnormalized = _times_q(z2_module_degenerate(p, q, e, N), eta_normalized(q, "q1") ** p.rank)
+        assert zhu_side.agrees_with(unnormalized, (e, q))
+
+    @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
+    def test_free_boson_ratio(self, monkeypatch, e, q, N):
+        lim, ratio = suite_objects(
+            monkeypatch, lambda: verify_heisenberg_degeneration(e, q, N))
+        assert ratio == oracle_free_boson_ratio(q, e, N)
+        assert lim == _times_q(z2_heisenberg_degenerate(q, e, N), eta_normalized(q, "q1"))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_normalizer_is_a_unit_block_divisor(self, r):
+        # The normalizer's eps^0 block is exactly 1, as divided_by needs.
+        u = genus2._heisenberg_normalizer(6, 8, 8, r)
+        assert u.block(0) == QSeries.one("q1", 6) and not any(u.offsets)
 
 
 # (q1, q2, eps, N)
@@ -534,3 +589,59 @@ class TestTruncationMetamorphic:
         assert low.truncs[0] >= e
         assert low.vars == ("eps", *H_VARS) and low.truncs[1:] == (q, e)
         assert low.agrees_with(high, (e, q, e))
+
+
+# -- truncation soundness: every claimed coefficient survives two more orders -----
+
+SOUND_PAIR = ModulePair(2, alpha_sq=F(1), beta_sq=F(2), alpha_dot_beta=F(-1))
+
+
+def _compute_objects(e, q):
+    # The eps-series ``twotori compute`` prints, at matrix size N = eps.
+    pd = period_matrix(q, q, e, e)
+    return {"tau-degen": degenerate_tau(q, e, e), "period d11": pd.d11,
+            "period d22": pd.d22, "period d12": pd.d12, "z2-heisenberg": z2_heisenberg(q, q, e),
+            "z2-module": z2_module_pair(SOUND_PAIR, q, q, e)}
+
+
+def _suite_objects(monkeypatch, e, q):
+    # The three theta-suite objects this rewrite computes: line 1's closed
+    # form and the Zhu side for one pair, and the free-boson ratio.
+    p = ModulePair(2, F(1, 4))
+    theta_lim, zhu_side = suite_objects(
+        monkeypatch, lambda: verify_theta_degeneration(p, e, q))
+    _, ratio = suite_objects(monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
+    return {"closed form (a)": theta_lim, "Zhu side": zhu_side, "free-boson ratio": ratio}
+
+
+def assert_cut_back(low, high, e, q):
+    # low claims (at least) eps^e and q^q; high, cut back to what low
+    # claims, must equal it.
+    assert low.vars == high.vars and low.truncs[0] >= e
+    assert all(t >= q for t in low.truncs[1:])
+    assert high.truncate(low.truncs) == low
+
+
+class TestTruncationSoundness:
+    @pytest.mark.parametrize("e, q", [(2, 2), (4, 3), (6, 6), (3, 5)])
+    def test_compute_objects(self, e, q):
+        low, high = _compute_objects(e, q), _compute_objects(e + 2, q + 2)
+        for name in low:
+            assert_cut_back(low[name], high[name], e, q)
+
+    @pytest.mark.parametrize("q", [2, 4, 6])
+    @pytest.mark.parametrize("parts", [(2,), (2, 2), (3, 3), (4, 2, 2), (6,)])
+    def test_onepoint(self, parts, q):
+        for basis in (lambda op: op, to_theta_basis):
+            low = basis(one_point(VirState.monomial(parts), q)).series()
+            high = basis(one_point(VirState.monomial(parts), q + 2)).series()
+            for key, s in high.items():
+                cut = s.truncate(q)
+                assert cut == low[key] if key in low else cut.is_zero()
+            assert set(low) <= set(high)
+
+    @pytest.mark.parametrize("e, q", [(4, 3), (6, 6), (4, 5)])
+    def test_theta_suite_objects(self, monkeypatch, e, q):
+        low, high = _suite_objects(monkeypatch, e, q), _suite_objects(monkeypatch, e + 2, q + 2)
+        for name in low:
+            assert_cut_back(low[name], high[name], e, q)

@@ -873,8 +873,8 @@ class TestExpAlongTheModulusShift:
 # Each takes and returns QSeries but reads only the Fraction view ``coeffs``
 # and builds its result through the validating constructor, so none of the
 # integer paths of QSeries runs inside an oracle except the kernels
-# ``_schoolbook_mul``/``_kronecker_mul``, which are checked against plain
-# loops above.
+# ``_schoolbook``/``_kronecker_mul``, which are checked against plain loops
+# above.
 
 
 def _int_parts(coeffs):
@@ -915,9 +915,16 @@ def oracle_mul(a, b):
     truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in zip(a.truncs, b.truncs, oa, ob))
     na, da = _int_parts(a.coeffs)
     nb, db = _int_parts(b.coeffs)
-    kernel = series._schoolbook_mul if len(a.vars) == 1 else _kronecker_mul
+    kernel = schoolbook_mul if len(a.vars) == 1 else _kronecker_mul
     return QSeries(a.vars, {e: F(v, da * db) for e, v in kernel(na, nb, truncs).items()},
                    truncs, tuple(x + y for x, y in zip(a.offsets, b.offsets)))
+
+
+def schoolbook_mul(na, nb, truncs):
+    # The double-loop kernel on two numerator dicts, as __mul__ calls it.
+    if not na or not nb:
+        return {}
+    return series._schoolbook(list(na), list(na.values()), list(nb), list(nb.values()), truncs)
 
 
 def oracle_inv(s):
@@ -1537,6 +1544,59 @@ class TestEpsSeriesAgainstOracle:
         if a.nums or len(a.vars) == 1:
             assert qseries_from_json(a.to_json()) == a
 
+
+
+def kronecker_blockwise_mul(a: QSeries, b: QSeries) -> QSeries:
+    """a * b for eps-series over further variables with Kronecker substitution
+    on every pair of blocks, whatever the blocks' variables: the product as
+    it was taken before one-variable blocks ran on the double loop."""
+    oa, ob = a._ord_bounds(), b._ord_bounds()
+    truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in zip(a.truncs, b.truncs, oa, ob))
+    truncs = (min(a.truncs[0], b.truncs[0]), *truncs[1:])
+    offsets = tuple(x + y for x, y in zip(a.offsets, b.offsets))
+    if any(x + y > t for x, y, t in zip(oa, ob, truncs)):
+        return QSeries(a.vars, {}, truncs, offsets)
+    parts = {}
+    for i, (ga, ka, va) in a._split().items():
+        for j, (gb, kb, vb) in b._split().items():
+            if i + j <= truncs[0]:
+                for e, v in series._kronecker(ka, va, kb, vb, truncs).items():
+                    parts[e] = parts.get(e, 0) + v * ga * gb
+    return QSeries(a.vars, {e: F(v, a.den * b.den) for e, v in parts.items()}, truncs, offsets)
+
+
+class TestBlockKernels:
+    # On an eps-series over one variable each pair of blocks runs on the
+    # double loop, over more on Kronecker substitution; the product must be
+    # the Kronecker-per-block one either way.
+    @given(eps_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_any_layout_matches_kronecker_per_block(self, pair):
+        a, b = pair
+        if len(a.vars) > 1 and a.vars == b.vars:
+            assert a * b == kronecker_blockwise_mul(a, b)
+
+    @pytest.mark.parametrize("eps, q", [(4, 4), (8, 8), (12, 12)])
+    def test_pinched_series_match_kronecker_per_block(self, eps, q):
+        delta = degenerate_tau(q, eps, eps)
+        det = (delta * F(-3, 7)).exp()
+        eta = eta_normalized(q, "q1").embed(delta.vars, delta.truncs)
+        for a, b in ((delta, delta), (det, delta), (det, det), (det * eta, delta),
+                     (delta.times_eps().truncate(delta.truncs), det)):
+            assert a * b == kronecker_blockwise_mul(a, b)
+
+    def test_blocks_over_two_variables_keep_kronecker(self, monkeypatch):
+        # Two blocks each: four block products, all on Kronecker over (q1,
+        # q2) and none over q1 alone.
+        calls = []
+        kernel = series._kronecker
+        monkeypatch.setattr(series, "_kronecker", lambda *a: calls.append(a) or kernel(*a))
+        a = QSeries(("eps", "q1", "q2"), {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 1): 3,
+                                          (1, 2, 1): -1}, (2, 3, 3))
+        b = QSeries(("eps", "q1"), {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 2): -1}, (2, 3))
+        products = [a * a, b * b]
+        assert len(calls) == 4
+        assert products == [kronecker_blockwise_mul(a, a), kronecker_blockwise_mul(b, b)]
 
 
 class TestEpsSeriesLog:

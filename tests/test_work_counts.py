@@ -227,6 +227,75 @@ def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_
     assert len(builds) == len(tables)
 
 
+def test_eta_is_one_euler_product_per_q_order(monkeypatch, capsys, cold_caches):
+    # verify all reads eta at q-order 8 (the degeneration suites, in q1)
+    # and 20 (the modular identities, in q): each Euler product is built
+    # once, one factor (1 - q^n) per n, whatever variable reads it.
+    series._eta_product.cache_clear()
+    factors = []
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        if isinstance(b, QSeries) and b.den == 1 and len(b.nums) == 2 and b.nums.get((0,)) == 1:
+            (n,), v = max(b.nums.items())
+            if v == -1:
+                factors.append((b.trunc, n))
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(factors) == [(t, n) for t in (8, 20) for n in range(1, t + 1)]
+
+
+def test_verify_all_inverts_no_eps_series_and_specializes_in_the_ring(
+        monkeypatch, capsys, cold_caches):
+    # The degeneration suites divide by the free-boson forms block by block,
+    # so no eps-series is inverted (the inverses made 3); and specialization
+    # sums each operator in Q[E2, E4, E6] at a one-term base, so it makes one
+    # q-series product per operator (the monomial shift), not one per
+    # C^j qd^i slot.  Products that build the shared table of monomial
+    # expansions are not specialization's own.
+    inverted = []
+    inv = QSeries.inv
+    monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append(s.vars) or inv(s))
+    depth, products, calls = [0], [], []
+    mul, specialize, table = QSeries.__mul__, zhu.specialize, series._monomial_qseries
+
+    def in_specialize(op, base):
+        calls.append(op)
+        depth[0] += 1
+        try:
+            return specialize(op, base)
+        finally:
+            depth[0] -= 1
+
+    def building_table(*args):
+        depth[0] -= 1
+        try:
+            return table(*args)
+        finally:
+            depth[0] += 1
+
+    def counted(a, b):
+        if depth[0] > 0 and isinstance(b, QSeries):
+            products.append(b.vars)
+        return mul(a, b)
+
+    monkeypatch.setattr(zhu, "specialize", in_specialize)
+    monkeypatch.setattr(series, "_monomial_qseries", building_table)
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert inverted and not [v for v in inverted if v[0] == "eps"]
+    assert len(calls) == 4 * 5
+    assert len(products) == len(calls)
+
+
 def test_one_point_reads_one_operator_at_every_q_order(cold_caches):
     # The word cache is keyed by the word alone: reading the same state at
     # a higher q-order runs no recursion step again.

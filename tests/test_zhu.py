@@ -298,6 +298,61 @@ class TestSpecialize:
         with pytest.raises(SeriesError):
             specialize(DiffOp.identity("Z", 4), BasePartition.heisenberg(1, 4))
 
+    def test_needs_a_q_order(self):
+        op = to_theta_basis(zhu._op_for_word((2, 2)))
+        with pytest.raises(SeriesError):
+            specialize(op, BasePartition.heisenberg(1, 4))
+
+
+def per_slot_specialize(op: DiffOp, base: BasePartition) -> QSeries:
+    """Oracle: one q-series product and one sum per C^j qd^i slot, from the
+    operator's expanded coefficients, as specialization ran before the sum
+    moved into Q[E2, E4, E6]."""
+    theta = base.theta.truncate(op.q_trunc)
+    derivs = [theta]
+    for _ in range(op.max_derivative()):
+        derivs.append(derivs[-1].qd())
+    out = QSeries.zero(theta.var, op.q_trunc, theta.offset)
+    for (i, j), s in op.series().items():
+        out = out + s.renamed(theta.var) * derivs[i] * base.c_value ** j
+    return out
+
+
+def specialize_bases(q: int) -> list:
+    # One-term bases q1^(alpha^2/2) at C in {1, 2, 1/2}, one-term bases with
+    # their term at q1^e, e != 0, and bases of many terms (the path that
+    # takes qd^i of the base).
+    bases = [BasePartition(QSeries.monomial("q1", F(a) / 2, q), c)
+             for a in (0, F(1, 4), 1, 2, -1) for c in (F(1), F(2), F(1, 2))]
+    bases += [BasePartition(QSeries("q1", {3: F(5, 7)}, q, F(1, 3)), F(3)),
+              BasePartition(QSeries("q1", {2: -2}, q + 1, F(-1, 2)), F(2)),
+              BasePartition(QSeries("q1", {0: 1}, q, 1), F(1)),
+              BasePartition(eta_normalized(q, "q1"), F(1)),
+              BasePartition(eta_normalized(q + 2, "q1").inv(), F(-2, 3)),
+              BasePartition(QSeries("q1", {1: 1, 4: F(-1, 3)}, q, F(1, 8)), F(2)),
+              BasePartition(QSeries.zero("q1", q, F(1, 5)), F(2))]
+    return bases
+
+
+class TestSpecializeAgainstPerSlotOracle:
+    @pytest.mark.parametrize("eps, q", [(8, 6), (12, 12), (16, 16)])
+    def test_degeneration_operators(self, eps, q):
+        from twotori.genus2 import degeneration_sum
+        ops = degeneration_sum(eps, q).terms.values()
+        assert len(ops) > 1
+        for base in specialize_bases(q):
+            for op in ops:
+                assert specialize(op, base) == per_slot_specialize(op, base)
+
+    def test_single_operators(self):
+        # Operators of one slot, of a zero slot and of mixed weights.
+        ops = [DiffOp.identity("Theta", 6), DiffOp("Theta", {}, 6),
+               DiffOp("Theta", {(1, 0): 1, (0, 1): E2 * F(1, 2), (3, 2): E4 - E2 * E2}, 6),
+               to_theta_basis(one_point(VirState.monomial((3, 3)), 6))]
+        for base in specialize_bases(6):
+            for op in ops:
+                assert specialize(op, base) == per_slot_specialize(op, base)
+
 
 class TestStructure:
     def test_small_monomials_pass(self):
