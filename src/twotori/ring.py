@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import add
 from types import MappingProxyType
 
 
@@ -264,8 +265,8 @@ class RationalPoly(_Canonical):
     Sums, products and rational scalars run in int arithmetic with one
     content gcd per result, made by ``_made`` without the checks of the
     public constructor (which rejects floats).  Each direct subclass is a
-    ring of its own: it multiplies and renders monomials (``_mul_nums``,
-    ``_monomial_str``), and its elements mix with no other ring's.
+    ring of its own, keyed by exponent tuples: it renders its monomials
+    (``_monomial_str``), and its elements mix with no other ring's.
     """
 
     __slots__ = ()
@@ -288,6 +289,22 @@ class RationalPoly(_Canonical):
         _setattr(p, "nums", nums)
         _setattr(p, "den", den)
         return p
+
+    @staticmethod
+    def _mul_nums(na, nb) -> dict:
+        out = {}
+        for k, v in na.items():
+            for x, w in nb.items():
+                key = tuple(map(add, k, x))
+                out[key] = out.get(key, 0) + v * w
+        return {k: v for k, v in out.items() if v}
+
+    def __eq__(self, other):
+        if not isinstance(other, self._ring):
+            return NotImplemented
+        return self._same(other)
+
+    __hash__ = _Canonical.__hash__
 
     def __add__(self, other):
         if not isinstance(other, self._ring):
@@ -339,22 +356,6 @@ class EisensteinPoly(RationalPoly):
     def weights(self) -> set:
         """The weights 2a + 4b + 6c of the monomials present."""
         return {2 * a + 4 * b + 6 * c for a, b, c in self.nums}
-
-    @staticmethod
-    def _mul_nums(na, nb) -> dict:
-        out = {}
-        for (a, b, c), v in na.items():
-            for (x, y, z), w in nb.items():
-                key = (a + x, b + y, c + z)
-                out[key] = out.get(key, 0) + v * w
-        return {k: v for k, v in out.items() if v}
-
-    def __eq__(self, other):
-        if not isinstance(other, EisensteinPoly):
-            return NotImplemented
-        return self._same(other)
-
-    __hash__ = RationalPoly.__hash__
 
     def qd(self) -> "EisensteinPoly":
         """q d/dq by Ramanujan's derivatives (see ``_ramanujan``)."""

@@ -12,42 +12,32 @@ series and odd Bernoulli numbers), so every surviving power of eps is an
 integer and the matrices are built from the even k+l entries only.
 
 Every sewing quantity is read off the minors of A1 and A2 (A2(0) on the
-pinched surface) taken separately.  A minor det A_a[S, U] is
-eps^((sum S + sum U)/2) times the minor of the coefficients c_a(k, l), and
-nonzero only when S and U hold equally many odd indices, so the few (S, U)
-with sum S + sum U <= eps order are all that enter.  Cauchy-Binet gives
-
-    det(I - A1 A2) = sum_{|S|=|U|} (-1)^|S| det A1[S,U] det A2[U,S],
-
-and the matrix determinant lemma gives the (1,1) data of (I - A1 A2)^(-1)
-as N/det from the same minors, each computed once by Laplace expansion
-(``_Minors``) over any coefficient ring.  Between two tori each sum is one
-pass over the integer numerators of q1-minors times q2-minors; the log-det
-is the log of the det sum, and N/det one recurrence over the eps blocks.
-On the pinched surface c_1(k, l) is a rational times E_{k+l}, a polynomial
-in E2, E4, E6, so the same sums and recurrences run in that ring and each
-eps block is expanded in q1 once.  The matrix-vector resolvent chains
-(``resolvent_11``, ``weighted_resolvent_11``) compute the (1,1) data
-another way.
+pinched surface) taken separately (``_sewing_pass``).  c_a(k, l) is a
+rational times E_{k+l}(q_a), a polynomial in E2, E4, E6 of q_a, and c(k, l)
+of A2(0) is a rational, so every sewing quantity is exact in
+Q[E(q1)] (x) Q[E(q2)] (Q[E(q1)] when pinched) until it is expanded in q.
+``log_det_I_minus`` takes the minors of any two moment matrices' q-series
+entries instead, and the matrix-vector resolvent chains (``resolvent_11``,
+``weighted_resolvent_11``) compute the (1,1) data another way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, lcm
+from math import factorial
 
 from .ring import (
     EisensteinPoly,
+    RationalPoly,
     SeriesError,
-    _lowest_terms,
     _Record,
     _sum_terms,
     bernoulli,
     eisenstein_poly,
+    monomial_str,
 )
-from .series import QSeries, _log_blocks, _quotient_blocks, eisenstein
+from .series import QSeries, _log_blocks, _monomial_qseries, _quotient_blocks, eisenstein
 
 
 class AMatrix(_Record):
@@ -144,16 +134,13 @@ def _check_sizes(eps_trunc: int, *sizes: int):
         raise SeriesError("matrix size too small for requested eps order")
 
 
-def _is_zero(x) -> bool:
-    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero()
-
-
 @lru_cache(maxsize=None)
 def _index_pairs(limit: int, size: int) -> tuple:
     """(S, U, sum(S) + sum(U)) for the increasing index tuples S, U in
     1..size with |S| = |U|, equally many odd indices and sum(S) + sum(U) <=
     limit: the (S, U) whose products det A[S, U] det B[U, S], of order
-    eps^(sum(S) + sum(U)), can be nonzero through eps^limit."""
+    eps^(sum(S) + sum(U)), can be nonzero through eps^limit: c(k, l) = 0 for
+    odd k + l, so det c[S, U] = 0 unless S and U hold equally many odd indices."""
     subsets = [()]
     for S in subsets:                       # grows while it is read
         subsets.extend(S + (x,) for x in range(S[-1] + 1 if S else 1,
@@ -170,26 +157,16 @@ class _Minors(dict):
     eps^((k+l)/2), keyed on (S, U) and computed on first use by Laplace
     expansion along the first row, so each minor is computed once.
 
-    c(k, l) (k + l even, at most ``limit``) is read once: a series, a
-    polynomial or a rational, with ``one`` the unit of its ring.  Rationals
-    are held as ints over their common denominator ``den``.  ``numerators``
-    gives a minor as its denominator and its integer numerators at the
-    exponents ``keys`` of its q-variable, zeros included.
+    c(k, l) (k + l even, at most ``limit``) is read once, an element of any
+    ring whose unit is ``one``: a polynomial in ``_sewing_pass``, a series
+    or a rational in ``log_det_I_minus``.
     """
 
     def __init__(self, coeff, size: int, limit: int, one):
-        c = {(k, l): coeff(k, l) for k in range(1, size + 1) for l in range(1, size + 1)
-             if (k + l) % 2 == 0 and k + l <= limit}
-        self.den = 1
-        if isinstance(one, Fraction):
-            self.den = lcm(*(v.denominator for v in c.values()))
-            c = {key: v.numerator * (self.den // v.denominator) for key, v in c.items()}
-            one = 1
         super().__init__({((), ()): one})
-        self.c, self.zero = c, one * 0
-        self.keys = (list(product(*(range(t + 1) for t in one.truncs)))
-                     if isinstance(one, QSeries) else [()])
-        self._nums = {}
+        self.c = {(k, l): coeff(k, l) for k in range(1, size + 1) for l in range(1, size + 1)
+                  if (k + l) % 2 == 0 and k + l <= limit}
+        self.zero = one * 0
 
     def __missing__(self, key):
         S, U = key
@@ -199,26 +176,18 @@ class _Minors(dict):
             if (s + u) % 2:
                 continue
             sub = self[rows, U[:j] + U[j + 1:]]
-            if _is_zero(sub):
+            if sub == self.zero:
                 continue
             term = self.c[s, u] * sub
             acc = acc - term if j % 2 else acc + term
         self[key] = acc
         return acc
 
-    def numerators(self, S, U):
-        x = self._nums.get((S, U))
-        if x is None:
-            m = self[S, U]
-            x = self._nums[S, U] = ((m.den, [m.nums.get(e, 0) for e in self.keys])
-                                    if isinstance(m, QSeries) else (self.den ** len(S), [m]))
-        return x
-
 
 def _cauchy_binet(limit: int, size: int):
     """(name, n, sign, (S, U), (U', S')) for each term sign det A[S, U]
     det B[U', S'] at eps^n <= eps^limit of det(I - A B) ("det") and of the
-    numerators N of "d11", "d22" and "d12" (see ``_minor_sums``)."""
+    numerators N of "d11", "d22" and "d12" (see ``_sewing_pass``)."""
     for S, U, n in _index_pairs(limit + 1, size):
         sign = -1 if len(S) % 2 else 1
         if n <= limit:
@@ -230,62 +199,106 @@ def _cauchy_binet(limit: int, size: int):
             yield "d22", n - 1, sign, (S, U), (U[1:], S[1:])
 
 
-def _outer_sum(terms, keys_a, keys_b, vars, truncs) -> QSeries:
-    """sum sign eps^n x y over ``terms`` (n, sign, x, y), x and y minors of A
-    and B as (den, numerators at ``keys_a`` resp. ``keys_b``), a series in
-    ``vars``: over the lcm of the terms' denominators, one row of integer
-    numerators per (n, exponents of x) adds m x_e times the numerators of y.
-    """
-    den = lcm(*(dx * dy for _, _, (dx, _), (dy, _) in terms))
-    rows = {}
-    for n, sign, (dx, xs), (dy, ys) in terms:
-        m = sign * (den // (dx * dy))
-        for e, v in zip(keys_a, xs):
-            if v:
-                k, mv = (n, *e), m * v
-                row = rows.get(k)
-                rows[k] = ([mv * w for w in ys] if row is None
-                           else [r + mv * w for r, w in zip(row, ys)])
-    nums = {(*k, *f): v for k, row in rows.items() for f, v in zip(keys_b, row) if v}
-    return QSeries._made(vars, *_lowest_terms(nums, den), truncs, (Fraction(0),) * len(vars))
+def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
+    """log det(I - A B), truncated at eps^eps_trunc (and at the matrices' own
+    eps order), by Cauchy-Binet with one series product of minors per term
+    in the q-variables of both matrices: the reference for ``_sewing_pass``."""
+    _check_sizes(eps_trunc, A.size, B.size)
+    T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
+    mats, zero = _embed(A, B)
+    block_zero = zero.block_zero()
+    a, b = [_Minors(lambda k, l: m[k - 1][l - 1].block((k + l) // 2), A.size, T + 1,
+                    block_zero + 1) for m in mats]
+    blocks = {}
+    for S, U, n in _index_pairs(T, A.size):
+        term = a[S, U] * b[U, S]
+        blocks[n] = blocks.get(n, block_zero) + (-term if len(S) % 2 else term)
+    return QSeries.from_blocks("eps", blocks, T).log()
 
 
-def _minor_sums(A: AMatrix, B: AMatrix, eps_trunc: int, wanted=()):
-    """log det(I - A B) and {name: value} for each name in ``wanted``, with
-    R = (I - A B)^(-1): "d11" = eps (B R)(1,1), "d22" = eps (R A)(1,1) and
-    "d12" = -eps R(1,1), each -eps N/det(I - A B) for its numerator N.
+# -- the sewing pass in the rings of quasimodular forms ------------------------------
+
+
+class _Rationals(RationalPoly):
+    """Q as a ring with no generators: its one monomial is ()."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _monomial_str(k) -> str:
+        return ""
+
+
+class _EisensteinPair(RationalPoly):
+    """An exact polynomial in E2, E4, E6 of q1 and of q2, keyed by
+    (a, b, c, a', b', c') for E2^a E4^b E6^c(q1) E2^a' E4^b' E6^c'(q2)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _monomial_str(k) -> str:
+        return monomial_str(*zip(("E2(q1)", "E4(q1)", "E6(q1)", "E2(q2)", "E4(q2)", "E6(q2)"), k))
+
+    def to_qseries(self, q1_trunc: int, q2_trunc: int) -> QSeries:
+        """The (q1, q2)-expansion: per q1 monomial, the outer product of its
+        expansion with that of its polynomial in E(q2), summed in ints."""
+        rows = {}
+        for k, v in self.nums.items():
+            rows.setdefault(k[:3], {})[k[3:]] = v
+        pieces = []
+        for m, row in rows.items():
+            x, y = _monomial_qseries(m, q1_trunc), EisensteinPoly(row).to_qseries(q2_trunc)
+            pieces.append((x.den * y.den * self.den, 1, _outer(x.nums, y.nums)))
+        return QSeries._made(("q1", "q2"), *_sum_terms(pieces), (q1_trunc, q2_trunc),
+                             (Fraction(0),) * 2)
+
+
+def _outer(x: dict, y: dict):
+    # The items of the product of numerators in distinct variables.
+    return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
+
+
+def _eisenstein_minors(N: int, eps_trunc: int) -> _Minors:
+    # The minors of A1 or A2 in E2, E4, E6 of its q-variable.
+    return _Minors(lambda k, l: eisenstein_poly(k + l) * _moment_coeff(k, l), N, eps_trunc + 1,
+                   EisensteinPoly.const(1))
+
+
+def _sewing_pass(b: _Minors, ring, expand, eps_trunc: int, size: int, wanted):
+    """log det(I - A B) and {name: -eps N/det(I - A B)} for the numerator N
+    of each name in ``wanted``, from the minors of A = A1 in E2, E4, E6 of q1
+    and ``b`` of B in other generators: exact in ``ring``, one polynomial
+    per power of eps, each expanded in q once by ``expand``.
 
     Cauchy-Binet on the principal minors of A B gives
         det(I - A B) = sum_{|S|=|U|} (-1)^|S| det A[S,U] det B[U,S],
-    a term of order eps^(sum S + sum U); N of "d12" (the (1,1) cofactor) is
-    the same sum over S without 1.  The N of "d11" and "d22" are
+    a term of order eps^(sum S + sum U); N of "d12" = -eps R(1,1), R =
+    (I - A B)^(-1), is the same sum over S without 1 (the (1,1) cofactor).
+    The N of "d11" = eps (B R)(1,1) and "d22" = eps (R A)(1,1) are
     d/dt det(I - A B) at A + t E11 and at B + t E11 (matrix determinant
     lemma), with terms det A[S-1,U-1] det B[U,S] and det A[S,U]
     det B[U-1,S-1] for 1 in S and U, of order eps^(sum S + sum U - 1).
-    A and B are in distinct q-variables, so each sum is one pass of outer
-    products (``_outer_sum``), and N/det(I - A B) is ``N.divided_by(det)``.
+    Each term is the outer product of two minors' numerators, and each eps
+    block of a sum is one ``_sum_terms``.
     """
-    _check_sizes(eps_trunc, A.size, B.size)
-    T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
-    (va, ta), (vb, tb) = ((m.entries[0][0].vars[1:], m.entries[0][0].truncs[1:])
-                          for m in (A, B))
-    if set(va) & set(vb):
-        raise SeriesError(f"the minors of A and B share a q-variable: {va}, {vb}")
-    a, b = (_Minors(m.coeff, m.size, T + 1, m.entries[0][0].block_zero() + 1) for m in (A, B))
-    terms = {name: [] for name in ("det", *wanted)}
-    for name, n, sign, x, y in _cauchy_binet(T, A.size):
-        if name in terms:
-            terms[name].append((n, sign, a.numerators(*x), b.numerators(*y)))
-    vars, truncs = ("eps", *va, *vb), (T, *ta, *tb)
-    sums = {name: _outer_sum(t, a.keys, b.keys, vars, truncs) for name, t in terms.items()}
-    det = sums.pop("det")
-    return det.log(), {name: -N.divided_by(det).times_eps() for name, N in sums.items()}
+    _check_sizes(eps_trunc, size)
+    a = _eisenstein_minors(size, eps_trunc)
+    pieces = {name: {} for name in ("det", *wanted)}
+    for name, n, sign, x, y in _cauchy_binet(eps_trunc, size):
+        if name in pieces and not (mx := a[x]).is_zero() and not (my := b[y]).is_zero():
+            pieces[name].setdefault(n, []).append((mx.den * my.den, sign,
+                                                   _outer(mx.nums, my.nums)))
+    det, *nums = ({n: p for n, terms in pieces[name].items()
+                   if not (p := ring._made(*_sum_terms(terms))).is_zero()} for name in pieces)
+    zero = ring()
 
+    def series(blocks, trunc):
+        return QSeries.from_blocks("eps", {0: expand(zero), **{
+            n: expand(p) for n, p in blocks.items()}}, trunc)
 
-def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
-    """log det(I - A B), truncated at eps^eps_trunc (and at the matrices' own
-    eps order), from the minors of A and B (Cauchy-Binet)."""
-    return _minor_sums(A, B, eps_trunc)[0]
+    return series(_log_blocks(det, eps_trunc, zero), eps_trunc), {
+        name: series({n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, zero).items()},
+                     eps_trunc + 1) for name, N in zip(wanted, nums)}
 
 
 # -- resolvent chains (matrix-vector products) ---------------------------------------
@@ -359,8 +372,8 @@ def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int,
     and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
     push-through identity.  An entry not asked for costs nothing.
     """
-    return _minor_sums(a_matrix(1, N, eps_trunc, q1_trunc),
-                       a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc, wanted)
+    return _sewing_pass(_eisenstein_minors(N, eps_trunc), _EisensteinPair,
+                        lambda p: p.to_qseries(q1_trunc, q2_trunc), eps_trunc, N, wanted)
 
 
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> PeriodData:
@@ -370,29 +383,14 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> Perio
 
 @lru_cache(maxsize=None)
 def _degenerate_sewing(q1_trunc: int, eps_trunc: int, N: int) -> tuple[QSeries, QSeries]:
-    """log det(I - A1 A2(0)) and -eps N/det(I - A1 A2(0)) (N of "d11" in
-    ``_minor_sums``) as polynomials in E2, E4, E6, each eps block expanded in
-    q1 once.  Memoized: both results are immutable."""
-    _check_sizes(eps_trunc, N)
-    a = _Minors(lambda k, l: eisenstein_poly(k + l) * _moment_coeff(k, l), N, eps_trunc + 1,
-                EisensteinPoly.const(1))
-    b = _Minors(_pinched_coeff, N, eps_trunc + 1, Fraction(1))
-    pieces = {"det": {}, "d11": {}}
-    for name, n, sign, x, y in _cauchy_binet(eps_trunc, N):
-        if name in pieces and b[y] and not a[x].is_zero():
-            pieces[name].setdefault(n, []).append(
-                (a[x].den * b.den ** len(y[0]), sign * b[y], a[x].nums.items()))
-    det, num = ({n: p for n, terms in pieces[name].items()
-                 if not (p := EisensteinPoly._made(*_sum_terms(terms))).is_zero()} for name in pieces)
-    zero, q1_zero = EisensteinPoly(), QSeries.zero("q1", q1_trunc)
-
-    def expanded(blocks, trunc):
-        return QSeries.from_blocks("eps", {0: q1_zero, **{
-            n: p.to_qseries(q1_trunc, "q1") for n, p in blocks.items()}}, trunc)
-
-    delta = _quotient_blocks(num, det, eps_trunc, zero)
-    return (expanded(_log_blocks(det, eps_trunc, zero), eps_trunc),
-            expanded({n + 1: -p for n, p in delta.items()}, eps_trunc + 1))
+    """log det(I - A1 A2(0)) and -eps N/det(I - A1 A2(0)) (the "d11" of
+    ``_sewing_pass``) from minors of A1 in Q[E2, E4, E6] and of A2(0) in Q.
+    Memoized: both results are immutable."""
+    b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), N, eps_trunc + 1,
+                _Rationals({(): 1}))
+    logdet, d = _sewing_pass(b, EisensteinPoly, lambda p: p.to_qseries(q1_trunc, "q1"),
+                             eps_trunc, N, ("d11",))
+    return logdet, d["d11"]
 
 
 def degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:

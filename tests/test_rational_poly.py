@@ -5,18 +5,24 @@ integer numerators over one denominator.  The oracles below are the earlier
 Fraction-based ring code of both classes: a dict of ``Fraction``
 coefficients, one Fraction operation per coefficient per step.  Each test
 feeds both the same coefficients and compares values, canonical form,
-hashes and rendering.
+hashes and rendering.  The generic exponent-tuple multiply of
+``RationalPoly`` is checked against the unrolled product of exponent triples
+it replaced, and the sewing pass's ring in E2, E4, E6 of q1 and of q2
+against outer products of one-variable expansions.
 """
 
 from fractions import Fraction as F
+from functools import reduce
 from itertools import chain
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotori.ring import EisensteinPoly, join_terms, monomial_str
+from twotori.ring import EisensteinPoly, RationalPoly, join_terms, monomial_str
 from twotori.series import QSeries, QuasiModularPoly
+from twotori.sewing import _EisensteinPair, _Rationals
 from twotori.virasoro import CPoly
 
 from test_virasoro import cpoly_from_string
@@ -59,6 +65,17 @@ class OracleEisensteinPoly:
     def __str__(self):
         return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
                           for k in sorted(self.coeffs, reverse=True))
+
+
+def oracle_mul_nums(na, nb) -> dict:
+    # The unrolled product of E2^a E4^b E6^c numerators that the generic
+    # exponent-tuple multiply replaced.
+    out = {}
+    for (a, b, c), v in na.items():
+        for (x, y, z), w in nb.items():
+            key = (a + x, b + y, c + z)
+            out[key] = out.get(key, 0) + v * w
+    return {k: v for k, v in out.items() if v}
 
 
 class OracleCPoly:
@@ -256,3 +273,77 @@ class TestCPolyAgainstOracle:
             CPoly({-1: 1})
         with pytest.raises(TypeError):
             CPoly(1) * 0.5
+
+
+int_nums = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                           st.integers(-2 ** 70, 2 ** 70).filter(bool), max_size=6)
+
+
+class TestGenericMultiply:
+    @given(int_nums, int_nums)
+    @settings(max_examples=200, deadline=None)
+    def test_against_the_unrolled_triple_product(self, x, y):
+        assert RationalPoly._mul_nums(x, y) == oracle_mul_nums(x, y)
+        assert EisensteinPoly._mul_nums is RationalPoly._mul_nums
+
+    def test_cancelling_terms_leave_no_zero_numerator(self):
+        x = {(1, 0, 0): 1, (0, 1, 0): 1}
+        y = {(0, 1, 0): 1, (1, 0, 0): -1}
+        assert RationalPoly._mul_nums(x, y) == oracle_mul_nums(x, y) == {(0, 2, 0): 1,
+                                                                        (2, 0, 0): -1}
+
+    def test_rationals_have_no_generators(self):
+        third, six = _Rationals({(): F(1, 3)}), _Rationals({(): 6})
+        assert third * six == _Rationals({(): 2}) and str(third * six) == "2"
+        assert (third - third).is_zero() and third != _Rationals({(): F(1, 2)})
+
+
+def outer_pair(x: EisensteinPoly, y: EisensteinPoly) -> _EisensteinPair:
+    # x(q1) y(q2) in the ring of the sewing pass.
+    return _EisensteinPair({(*m, *n): v * w for m, v in x.coeffs.items()
+                            for n, w in y.coeffs.items()})
+
+
+def outer_expansion(x: EisensteinPoly, y: EisensteinPoly, t1: int, t2: int) -> QSeries:
+    # The product of the q1-expansion of x and the q2-expansion of y.
+    box = (("q1", "q2"), (t1, t2))
+    product = x.to_qseries(t1, "q1").embed(*box) * y.to_qseries(t2, "q2").embed(*box)
+    return product.truncate((t1, t2))
+
+
+pair_terms = st.lists(st.tuples(eis_coeffs, eis_coeffs), min_size=1, max_size=3)
+
+
+def pair_sum(terms) -> _EisensteinPair:
+    return reduce(add, (outer_pair(EisensteinPoly(x), EisensteinPoly(y)) for x, y in terms),
+                  _EisensteinPair())
+
+
+class TestEisensteinPair:
+    # Q[E(q1)] (x) Q[E(q2)]: keys (a, b, c, a', b', c'), expanded per q1
+    # monomial in ints.
+    @pytest.mark.parametrize("t1, t2", [(0, 0), (0, 3), (3, 8), (8, 0), (8, 8)])
+    @given(terms=pair_terms)
+    @settings(max_examples=25, deadline=None)
+    def test_expansion_is_the_outer_product(self, t1, t2, terms):
+        want = reduce(add, (outer_expansion(EisensteinPoly(x), EisensteinPoly(y), t1, t2)
+                            for x, y in terms), QSeries.zero(("q1", "q2"), (t1, t2)))
+        assert pair_sum(terms).to_qseries(t1, t2) == want
+
+    @given(pair_terms, pair_terms)
+    @settings(max_examples=50, deadline=None)
+    def test_product(self, xs, ys):
+        p, q = pair_sum(xs), pair_sum(ys)
+        want = reduce(add, (outer_pair(EisensteinPoly(a) * EisensteinPoly(c),
+                                       EisensteinPoly(b) * EisensteinPoly(d))
+                            for a, b in xs for c, d in ys), _EisensteinPair())
+        assert p * q == want and hash(p * q) == hash(want)
+        assert (p * q).to_qseries(3, 3) == (p.to_qseries(3, 3) * q.to_qseries(3, 3)).truncate(3)
+
+    def test_rendering_and_rings(self):
+        e2, e4 = EisensteinPoly({(1, 0, 0): 1}), EisensteinPoly({(0, 1, 0): F(1, 2)})
+        p = outer_pair(e2, e4) + outer_pair(e4 * e4, EisensteinPoly.const(3))
+        assert str(p) == "1/2*E2(q1)*E4(q2) + 3/4*E4(q1)^2"
+        with pytest.raises(TypeError):
+            p + e2
+        assert p != e2 and outer_pair(EisensteinPoly.const(1), EisensteinPoly.const(1)) != 1

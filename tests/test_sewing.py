@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twotori.ring import SeriesError, bernoulli
+from twotori.ring import EisensteinPoly, SeriesError, bernoulli
 from twotori.series import QSeries, eisenstein
 from twotori.sewing import (
     AMatrix,
@@ -13,9 +13,10 @@ from twotori.sewing import (
     _dot,
     _embed,
     _index_pairs,
-    _is_zero,
-    _minor_sums,
     _Minors,
+    _pinched_coeff,
+    _Rationals,
+    _sewing_pass,
     a2_degenerate,
     a_matrix,
     degenerate_logdet,
@@ -113,19 +114,29 @@ class TestMinorsAgainstPowers:
         assert degenerate_tau(q, T, T) == d11
 
     def test_all_numerators_of_the_degenerate_pass(self):
-        T, q = 9, 3
-        A1, A20 = a_matrix(1, T + 2, T, q), a2_degenerate(T + 2, T)
-        logdet, d = _minor_sums(A1, A20, T, ("d11", "d22", "d12"))
-        assert (logdet, d["d11"], d["d22"], d["d12"]) == _power_sums(A1, A20, T)
+        # The pinched pass asks for d11 only; the pass sums d22 and d12 of
+        # A1 and A2(0) just as well.
+        T, q, N = 9, 3, 11
+        b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), N, T + 1,
+                    _Rationals({(): 1}))
+        logdet, d = _sewing_pass(b, EisensteinPoly, lambda p: p.to_qseries(q, "q1"), T, N,
+                                 ("d11", "d22", "d12"))
+        want = _power_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T)
+        assert (logdet, d["d11"], d["d22"], d["d12"]) == want
 
 
-# -- the per-product pass, kept as the oracle of the outer-product pass -------------
+# -- the per-product pass, kept as the oracle of the pass in the rings --------------
+
+
+def is_zero(x) -> bool:
+    return x == 0 if isinstance(x, F) else x.is_zero()
 
 
 def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
-    """``_minor_sums`` as one QSeries product per Cauchy-Binet term: both
-    minors embedded in the variables of the product, the products added one
-    by one per eps block, and each period entry N * exp(-log det)."""
+    """The sewing pass over the q-series entries of A and B, as one QSeries
+    product per Cauchy-Binet term: both minors embedded in the variables of
+    the product, the products added one by one per eps block, and each
+    period entry N * exp(-log det)."""
     _check_sizes(eps_trunc, A.size, B.size)
     T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
     _, full = _embed(A, B)
@@ -136,12 +147,11 @@ def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
     sums = {name: {} for name in ("det", *wanted)}
 
     def lifted(minors, S, U):
-        # A rational minor is held as an int over den^|S|.
         x = minors[S, U]
-        return x.embed(qvars, qtruncs) if isinstance(x, QSeries) else F(x, minors.den ** len(S))
+        return x.embed(qvars, qtruncs) if isinstance(x, QSeries) else x
 
     def product(x, y):
-        return None if _is_zero(x) or _is_zero(y) else x * y
+        return None if is_zero(x) or is_zero(y) else x * y
 
     def add(name, n, sign, term):
         if term is not None and name in sums:
@@ -171,24 +181,27 @@ ENTRIES = ("d11", "d22", "d12")
 
 
 class TestOuterProductPass:
-    # The outer-product pass equals the per-product pass as QSeries objects,
+    # The pass in Q[E(q1)] (x) Q[E(q2)] and in Q[E(q1)] equals the
+    # per-product pass over the q-series entries as QSeries objects,
     # truncation orders included.
     @pytest.mark.parametrize("eps, q1, q2", [(6, 6, 6), (8, 5, 7), (10, 10, 10), (12, 12, 12)])
     def test_bivariate(self, eps, q1, q2):
         A1, A2 = a_matrix(1, eps, eps, q1), a_matrix(2, eps, eps, q2)
-        assert _minor_sums(A1, A2, eps, ENTRIES) == per_product_minor_sums(A1, A2, eps, ENTRIES)
+        assert sewing_data(q1, q2, eps, eps, ENTRIES) == per_product_minor_sums(A1, A2, eps,
+                                                                                 ENTRIES)
 
     @pytest.mark.parametrize("eps, N", [(8, 8), (12, 12), (16, 16), (8, 11)])
     def test_pinched(self, eps, N):
         A1, A20 = a_matrix(1, N, eps, eps), a2_degenerate(N, eps)
-        assert _minor_sums(A1, A20, eps, ENTRIES) == per_product_minor_sums(A1, A20, eps, ENTRIES)
+        logdet, d = per_product_minor_sums(A1, A20, eps, ("d11",))
+        assert degenerate_logdet(eps, eps, N) == logdet
+        assert degenerate_tau(eps, eps, N) == d["d11"]
 
-    def test_matrices_in_one_variable_are_refused(self):
-        # Two minors in one q-variable multiply as series, not as an outer
-        # product; the pass refuses them rather than summing the wrong thing.
+    def test_matrices_in_one_variable_are_summed(self):
+        # log_det_I_minus multiplies minors as series, so two matrices in
+        # one q-variable are summed like any other pair.
         A1 = a_matrix(1, 4, 4, 2)
-        with pytest.raises(SeriesError, match="share a q-variable"):
-            log_det_I_minus(A1, A1, 4)
+        assert log_det_I_minus(A1, A1, 4) == _power_sums(A1, A1, 4)[0]
 
 
 # (q1, eps, N)
@@ -197,11 +210,13 @@ RING_ORDERS = [(12, 12, 12), (16, 16, 16), (20, 20, 20), (24, 24, 24), (7, 10, 1
 
 
 class TestPinchedRingPass:
-    # The pinched pass in Q[E2, E4, E6] equals the q1-series pass over A1
-    # and A2(0), its oracle, as QSeries objects, truncation orders included.
+    # The pinched pass in Q[E2, E4, E6] equals the per-product pass over the
+    # q1-series entries of A1 and A2(0), its oracle, as QSeries objects,
+    # truncation orders included.
     @pytest.mark.parametrize("q, T, N", RING_ORDERS)
     def test_against_the_q1_series_pass(self, q, T, N):
-        logdet, d = _minor_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T, ("d11",))
+        logdet, d = per_product_minor_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T,
+                                           ("d11",))
         assert degenerate_logdet(q, T, N) == logdet
         assert degenerate_tau(q, T, N) == d["d11"]
 
@@ -219,7 +234,7 @@ class TestBlockDivision:
         (a_matrix(1, 8, 8, 6), a_matrix(2, 8, 8, 6), 8),
         (a_matrix(1, 10, 10, 7), a2_degenerate(10, 10), 10)])
     def test_against_exp_of_minus_log_det(self, A, B, eps):
-        logdet, _ = _minor_sums(A, B, eps)
+        logdet = log_det_I_minus(A, B, eps)
         det = logdet.exp()
         numerators = [det.truncate((eps - 1, *det.truncs[1:])).times_eps(),
                       QSeries(det.vars, {(1, *(1,) * (len(det.vars) - 1)): F(3, 7),

@@ -29,9 +29,10 @@ def counting(monkeypatch, module, name) -> list:
 
 
 def clear_caches() -> None:
-    """Empty every lru_cache of genus2, sewing and zhu, as a new CLI run
-    finds them; a memo added later is found without naming it here."""
-    for module in (genus2, sewing, zhu):
+    """Empty every lru_cache of ring, series, virasoro, genus2, sewing and
+    zhu, as a new CLI run finds them; a memo added later is found without
+    naming it here."""
+    for module in (ring, series, virasoro, genus2, sewing, zhu):
         for cached in vars(module).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
@@ -45,29 +46,30 @@ def cold_caches():
     clear_caches()
 
 
-def test_module_pair_expands_each_minor_once(monkeypatch):
-    # One pass over the minors of A1 and A2 at eps order 10, and no
-    # matrix-vector chain: the log-det and the period data come from the
-    # same minors.  Each matrix has 43 nonempty index pairs (S, U) with
-    # sum S + sum U <= 10 and equally many odd indices, and each minor is
-    # expanded once.
-    passes = counting(monkeypatch, sewing, "_minor_sums")
+def test_module_pair_expands_each_minor_once(monkeypatch, cold_caches):
+    # One pass in Q[E(q1)] (x) Q[E(q2)] over the minors of A1 and A2 at eps
+    # order 10, with no q-series moment matrix and no matrix-vector chain:
+    # the log-det and the period data come from the same minors.  Each
+    # matrix has 43 nonempty index pairs (S, U) with sum S + sum U <= 10 and
+    # equally many odd indices, and each minor is built once.
+    matrices = counting(monkeypatch, sewing, "a_matrix")
+    passes = counting(monkeypatch, sewing, "_sewing_pass")
     chains = counting(monkeypatch, sewing, "_resolvent_vector_sum")
     minors = counting(monkeypatch, sewing._Minors, "__missing__")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 10)
-    assert (len(passes), len(chains)) == (1, 0)
+    assert (len(matrices), len(passes), len(chains)) == (0, 1, 0)
+    assert passes[0][1] is sewing._EisensteinPair
     keys = [(id(m), key) for m, key in minors]
     assert len(set(keys)) == len(keys) == 2 * 43
     assert len({m for m, _ in keys}) == 2
 
 
-def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch):
-    # The Cauchy-Binet sums run over the minors' integer numerators, and
-    # each period entry is a block division: at eps order 10 the pass makes
-    # no exp and no (q1, q2) product per (S, U).  Its 45 (q1, q2) products
-    # are block products of the log (10) and of the three divisions (10 each
-    # for d11 and d22, whose even blocks vanish, and 15 for d12); the
-    # per-product pass made 99, one per nonzero Cauchy-Binet term among them.
+def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch, cold_caches):
+    # The Cauchy-Binet sums, the log and the divisions run in the ring, and
+    # each eps block is expanded in (q1, q2) once, as integer outer products
+    # of one-variable expansions: at eps order 10 the pass makes no exp and
+    # no product of (q1, q2) series at all, where the q-series pass made 45
+    # and the per-product pass 99, one per nonzero Cauchy-Binet term.
     exps = counting(monkeypatch, QSeries, "exp")
     mul = QSeries.__mul__
     bivariate = []
@@ -76,17 +78,17 @@ def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch):
         or mul(a, b))
     sewing.sewing_data(10, 10, 10, 10, ("d11", "d22", "d12"))
     assert exps == []
-    assert bivariate == [("q1", "q2")] * 45
+    assert bivariate == []
 
 
 def test_sewing_pass_sums_only_paired_entries(monkeypatch):
     # A period entry enters the module form only through its pairing, so
     # the pass sums d11 alone for alpha^2 != 0 = beta^2 = alpha.beta, and no
     # entry at all for the free boson.
-    passes = counting(monkeypatch, sewing, "_minor_sums")
+    passes = counting(monkeypatch, sewing, "_sewing_pass")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 4)
     genus2.z2_heisenberg(1, 1, 4)
-    assert [tuple(args[3]) for args in passes] == [("d11",), ()]
+    assert [tuple(args[5]) for args in passes] == [("d11",), ()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -114,16 +116,17 @@ def test_verify_all_builds_shared_data_once(monkeypatch, capsys, cold_caches):
 
 
 def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_caches):
-    # The pinched log-det and delta come from minors in Q[E2, E4, E6]:
-    # verify all builds no q1-series moment matrix, runs no q1-series pass
-    # and makes one pinched pass.
+    # The pinched log-det and delta come from minors in Q[E2, E4, E6] and
+    # Q: verify all builds no q1-series moment matrix and makes one pinched
+    # pass, in Q[E2, E4, E6].
     matrices = counting(monkeypatch, sewing, "a_matrix")
-    series_passes = counting(monkeypatch, sewing, "_minor_sums")
+    passes = counting(monkeypatch, sewing, "_sewing_pass")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert (len(matrices), len(series_passes)) == (0, 0)
+    assert len(matrices) == 0
+    assert [args[1] for args in passes] == [ring.EisensteinPoly]
     assert sewing._degenerate_sewing.cache_info().misses == 1
 
 
@@ -132,17 +135,19 @@ def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, col
     # memoized per orders, and the Taylor weights delta^l/l! per delta: the
     # free-boson suite and the four theta pairs evaluate each pinched form
     # once per distinct module pair and share one table of delta powers;
-    # the free-boson normalizer of the theta pairs is inverted once per
-    # rank, and the sewing pass divides by the determinant instead of
-    # taking exp(-log det).  Without these memos the run made 19 exps and
-    # 16 inverses.
+    # the theta pairs divide by the free-boson normalizer block by block,
+    # and the sewing pass divides by the determinant instead of taking
+    # exp(-log det).  A cold run inverts two series: eta(q1), once, and the
+    # conformal map's z-series in virasoro._w_map.  Without these memos the
+    # run made 19 exps and 16 inverses.
     exps = counting(monkeypatch, QSeries, "exp")
     invs = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert len(exps) <= 6 and len(invs) <= 5
+    assert len(exps) <= 6
+    assert sorted(s.vars for s, in invs) == [("q1",), ("z",)]
     pairs = {ModulePair()} | {ModulePair(rank, Fraction(a)) for a, rank in cli.THETA_SUITE_PAIRS}
     forms = genus2._z2_module_degenerate.cache_info()
     assert forms.misses == forms.currsize == len(pairs) == 4
@@ -337,18 +342,26 @@ def test_recursion_constructs_no_fraction(cold_caches):
 def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches):
     # One table serves every k and grows only when a larger k is asked for:
     # a verify all run inverts no z-series for it, where a table per k
-    # inverted (e^z - 1)/z once for each distinct k.
-    for cached in (*vars(ring).values(), *vars(series).values()):
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()
-    inverted = []
-    inv = QSeries.inv
-    monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append(s.vars) or inv(s))
+    # inverted (e^z - 1)/z once for each distinct k.  The one z-series a
+    # cold run does invert is the conformal map's, in virasoro._w_map.
+    depth, inverted = [0], []
+    inv, w_map = QSeries.inv, virasoro._w_map
+
+    def in_w_map(*args):
+        depth[0] += 1
+        try:
+            return w_map(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(virasoro, "_w_map", in_w_map)
+    monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append((s.vars, depth[0])) or inv(s))
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert ("z",) not in inverted
+    assert (("z",), 1) in inverted
+    assert (("z",), 0) not in inverted
     table = ring._bernoulli_coefficient.cache_info
     top = table().currsize
     ring.bernoulli(top - 1)
