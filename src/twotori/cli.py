@@ -49,6 +49,7 @@ MIN_ORDERS = {
     ("compute", "period"): (_MATRICES,),
     ("compute", "z2-heisenberg"): (_MATRICES,),
     ("compute", "z2-module"): (_MATRICES,),
+    ("verify", "modular-identities"): (_Q_SERIES,),
     ("verify", "detHi"): (_MATRICES, _Q_SERIES),
     ("verify", "theta-degen"): (_MATRICES, _Q_SERIES),
     ("verify", "heisenberg-degen"): (_FREE_BOSON, _Q_SERIES),
@@ -57,9 +58,12 @@ MIN_ORDERS = {
 }
 # Largest value of each order flag, for every command: the work grows about
 # threefold per +4 of order (on a 2-vCPU VM, `verify all` at 32/32/32 takes
-# 9 s and 196 MB; a matrix larger than the eps order adds little), so a
-# larger request exits 2 before any work starts.
+# 9 s and 196 MB; the matrix size changes no output, since an expansion
+# through eps^T reads matrix indices <= T only), so a larger request exits 2
+# before any work starts.  `beta --max` is capped likewise, above the largest
+# weight `lambda` reads betas for (--max 80 takes 1 s, 160 takes 26 s).
 MAX_ORDERS = {"eps_order": 32, "q_order": 32, "max_weight": 32, "matrix_size": 64}
+MAX_BETA = 64
 
 
 class RunConfig(_Record):
@@ -238,6 +242,8 @@ def cmd_beta(args, cfg: RunConfig) -> int:
     from .virasoro import beta_coefficients
     if args.max_k < 2 or args.max_k % 2:
         raise UsageError("--max must be an even integer >= 2")
+    if args.max_k > MAX_BETA:
+        raise UsageError(f"--max must be <= {MAX_BETA}")
     betas = beta_coefficients(args.max_k)
     rows = [f"{k:>4}  {rat_str(b)}" for k, b in betas]
     _emit({"betas": {str(k): rat_str(b) for k, b in betas}}, cfg,
@@ -276,20 +282,19 @@ def cmd_compute(args, cfg: RunConfig) -> int:
         s = eta_normalized(cfg.q_order)
     elif obj == "tau-degen":
         from . import sewing
-        s = sewing.degenerate_tau(cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        s = sewing.degenerate_tau(cfg.q_order, cfg.eps_order)
         text = _render_eps_quasimodular(s, lambda n: n - 2)
     elif obj == "period":
         from . import sewing
-        s = sewing.period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        s = sewing.period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order)
         text = "\n".join(f"{name} = {series}" for name, series in
                          (("d11", s.d11), ("d22", s.d22), ("d12", s.d12)))
     elif obj == "z2-heisenberg":
         from . import genus2
-        s = genus2.z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order, cfg.matrix_size)
+        s = genus2.z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order)
     elif obj == "z2-module":
         from . import genus2
-        s = genus2.z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order,
-                                  cfg.eps_order, cfg.matrix_size)
+        s = genus2.z2_module_pair(_module_pair(args), cfg.q_order, cfg.q_order, cfg.eps_order)
     elif obj == "onepoint":
         if not args.partition:
             raise UsageError("compute onepoint needs --partition")
@@ -360,18 +365,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if suite in ("detHi", "heisenberg-degen", "theta-degen", "all"):
         from . import genus2
     if suite in ("detHi", "all"):
-        reports.append(genus2.verify_detHi(cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
+        reports.append(genus2.verify_detHi(cfg.eps_order, cfg.q_order))
     if suite in ("heisenberg-degen", "all"):
-        reports.append(genus2.verify_heisenberg_degeneration(cfg.eps_order, cfg.q_order,
-                                                             N=cfg.matrix_size))
+        reports.append(genus2.verify_heisenberg_degeneration(cfg.eps_order, cfg.q_order))
     if suite == "theta-degen":
-        reports.append(genus2.verify_theta_degeneration(
-            pair, cfg.eps_order, cfg.q_order, N=cfg.matrix_size))
+        reports.append(genus2.verify_theta_degeneration(pair, cfg.eps_order, cfg.q_order))
     if suite == "all":
         for alpha_sq, rank in THETA_SUITE_PAIRS:
             reports.append(genus2.verify_theta_degeneration(
-                genus2.ModulePair(rank, Fraction(alpha_sq)), cfg.eps_order, cfg.q_order,
-                N=cfg.matrix_size))
+                genus2.ModulePair(rank, Fraction(alpha_sq)), cfg.eps_order, cfg.q_order))
     if suite in ("structure", "all"):
         reports.append(_structure_report(cfg.max_weight, cfg.q_order))
     if not reports:

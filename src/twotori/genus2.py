@@ -90,15 +90,13 @@ def _eta_prefactor(q1_trunc: int, q2_trunc: int) -> QSeries:
             * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
 
 
-def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int,
-                  N: int | None = None) -> QSeries:
+def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> QSeries:
     """Rank-1 free-boson genus-two partition function,
     (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2): the module pair of zero pairing."""
-    return z2_module_pair(ModulePair(), q1_trunc, q2_trunc, eps_trunc, N)
+    return z2_module_pair(ModulePair(), q1_trunc, q2_trunc, eps_trunc)
 
 
-def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
-                   N: int | None = None) -> QSeries:
+def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int) -> QSeries:
     """Module-pair partition function over the rank-r free boson,
     exp(-(r/2) log det(I - A1 A2) + arg) (eta(q1) eta(q2))^-r q1^(a.a/2) q2^(b.b/2).
 
@@ -107,10 +105,9 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
     transcendental constants enter.  The sewing pass sums only the period
     entries of nonzero pairing.
     """
-    N = eps_trunc if N is None else N
     pairing = {"d11": p.alpha_sq / 2, "d22": p.beta_sq / 2, "d12": p.alpha_dot_beta}
     pairing = {name: c for name, c in pairing.items() if c}
-    logdet, d = sewing_data(q1_trunc, q2_trunc, eps_trunc, N, tuple(pairing))
+    logdet, d = sewing_data(q1_trunc, q2_trunc, eps_trunc, tuple(pairing))
     arg = logdet * Fraction(-p.rank, 2)
     for name, c in pairing.items():
         arg = arg + d[name] * c
@@ -119,30 +116,28 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int,
     return _times_q(arg.exp(), _eta_prefactor(q1_trunc, q2_trunc) ** p.rank * mono)
 
 
-def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int,
-                             N: int | None = None) -> QSeries:
+def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int) -> QSeries:
     """lim q2^(1/24) Z^(2) for the rank-1 free boson:
     eta(q1)^-1 det(I - A1 A2(0))^(-1/2), the module limit of zero pairing."""
-    return z2_module_degenerate(ModulePair(), q1_trunc, eps_trunc, N)
+    return z2_module_degenerate(ModulePair(), q1_trunc, eps_trunc)
 
 
-def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int,
-                         N: int | None = None) -> QSeries:
+def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int) -> QSeries:
     """lim q2^(r/24) Z^(2)_{alpha,0}: the pinched closed form (beta must be 0).
 
-    Memoized per pair and orders, with N resolved first, so the free boson
-    and the pair of zero pairing share one result.
+    Memoized per pair and orders, so the free boson and the pair of zero
+    pairing share one result.
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("degenerate module limit needs beta = 0")
-    return _z2_module_degenerate(p, q1_trunc, eps_trunc, eps_trunc if N is None else N)
+    return _z2_module_degenerate(p, q1_trunc, eps_trunc)
 
 
 @lru_cache(maxsize=None)
-def _z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
-    det = _degenerate_det(q1_trunc, eps_trunc, N, p.rank)
+def _z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int) -> QSeries:
+    det = _degenerate_det(q1_trunc, eps_trunc, p.rank)
     if p.alpha_sq:
-        det = det * (degenerate_tau(q1_trunc, eps_trunc, N) * (p.alpha_sq / 2)).exp()
+        det = det * (degenerate_tau(q1_trunc, eps_trunc) * (p.alpha_sq / 2)).exp()
     pre = QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc) * _eta_inverse(q1_trunc) ** p.rank
     return _times_q(det, pre)
 
@@ -155,7 +150,7 @@ def _eta_inverse(q1_trunc: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _degenerate_det(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
+def _degenerate_det(q1_trunc: int, eps_trunc: int, r: int) -> QSeries:
     """det(I - A1 A2(0))^(-r/2) = exp(-(r/2) log det(I - A1 A2(0))), as an
     eps-series over q1.
 
@@ -163,15 +158,15 @@ def _degenerate_det(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
     r.  It reads ``degenerate_logdet`` through this module's namespace, so a
     patched log-det reaches it once the caches are cleared.
     """
-    return (degenerate_logdet(q1_trunc, eps_trunc, N) * Fraction(-r, 2)).exp()
+    return (degenerate_logdet(q1_trunc, eps_trunc) * Fraction(-r, 2)).exp()
 
 
 @lru_cache(maxsize=None)
-def _heisenberg_normalizer(q1_trunc: int, eps_trunc: int, N: int, r: int) -> QSeries:
+def _heisenberg_normalizer(q1_trunc: int, eps_trunc: int, r: int) -> QSeries:
     """(lim q2^(1/24) Z^(2) of the free boson)^r eta(q1)^r, the normalizer of
     the theta pairs of rank r: its eps^0 block is exactly 1, so it divides
     block by block (``QSeries.divided_by``); memoized like ``_degenerate_det``."""
-    lim = z2_heisenberg_degenerate(q1_trunc, eps_trunc, N)
+    lim = z2_heisenberg_degenerate(q1_trunc, eps_trunc)
     return _times_q(lim, eta_normalized(q1_trunc, "q1")) ** r
 
 
@@ -256,7 +251,7 @@ def _fmt_eps(series: QSeries, eps_trunc: int) -> str:
     return str(series.truncate((min(eps_trunc, series.truncs[0]), *series.truncs[1:])))
 
 
-def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> Report:
+def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
     """Check H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! identically in C.
 
     Both sides are eps-series over (q1, C)-series.  The left side comes from
@@ -265,7 +260,6 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> 
     (H_l = O(eps^(2l)) vanishes beyond), plus the structural bounds n >= 2l
     and j <= n/2 - l.
     """
-    N = eps_trunc if N is None else N
     report = Report(title="determinant form of the degeneration coefficients",
                     notes=[PREFACTOR_NOTE])
     ds = degeneration_sum(eps_trunc, q_trunc)
@@ -275,8 +269,8 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> 
         # An eps-series over q1 as a series in (eps, q1, C), constant in C.
         return s.embed(vars, (*s.truncs, eps_trunc))
 
-    delta = lift(degenerate_tau(q_trunc, eps_trunc, N))
-    logdet = lift(degenerate_logdet(q_trunc, eps_trunc, N))
+    delta = lift(degenerate_tau(q_trunc, eps_trunc))
+    logdet = lift(degenerate_logdet(q_trunc, eps_trunc))
     det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
     det_delta_l = det
     for l in range(eps_trunc // 2 + 1):
@@ -297,17 +291,15 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6, N: int | None = None) -> 
     return report
 
 
-def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
-                                   N: int | None = None) -> Report:
+def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Report:
     """Free-boson pinching: lim q2^(1/24) Z^(2) against the shifted genus-one
     function, including the intermediate expansions from the proof."""
     if eps_trunc < 4:
         raise ValueError("the free-boson degeneration checks need eps_trunc >= 4")
-    N = eps_trunc if N is None else N
     report = Report(title="free-boson torus degeneration", notes=[PREFACTOR_NOTE])
     e2 = eisenstein(2, q_trunc, "q1")
     e4 = eisenstein(4, q_trunc, "q1")
-    delta = degenerate_tau(q_trunc, eps_trunc, N)
+    delta = degenerate_tau(q_trunc, eps_trunc)
     eta1 = eta_normalized(q_trunc, "q1")
 
     def check_coeff(name, series, n, expected):
@@ -331,13 +323,13 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
 
     # det(I - A1 A2(0))^(-1/2) = 1 - E2/24 eps^2 + (E2^2/384 + E4/96) eps^4 + ...
-    det = _degenerate_det(q_trunc, eps_trunc, N, 1)
+    det = _degenerate_det(q_trunc, eps_trunc, 1)
     check_coeff("det^(-1/2) at eps^2", det, 2, e2 * Fraction(-1, 24))
     check_coeff("det^(-1/2) at eps^4", det, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))
 
     # lim q2^(1/24) Z^(2) / Z^(1)(q) = 1 + 0 eps^2 + E4/576 eps^4 + O(eps^6)
-    lim = _heisenberg_normalizer(q_trunc, eps_trunc, N, 1)  # the limit times eta(q1)
+    lim = _heisenberg_normalizer(q_trunc, eps_trunc, 1)  # the limit times eta(q1)
     ratio = lim.divided_by(z1_ratio)
     check_coeff("degeneration ratio at eps^0", ratio, 0, QSeries.one("q1", q_trunc))
     check_coeff("degeneration ratio at eps^2", ratio, 2, QSeries.zero("q1", q_trunc))
@@ -347,8 +339,7 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10,
     return report
 
 
-def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 6,
-                              N: int | None = None) -> Report:
+def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 6) -> Report:
     """Main degeneration statement for a beta = 0 module pair at C = rank.
 
     Three routes to lim_{q2->0}: (a) the closed forms, the pair's limit over
@@ -359,19 +350,18 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("theta degeneration check needs beta = 0")
-    N = eps_trunc if N is None else N
     r = p.rank
     report = Report(
         title=f"torus degeneration of the normalized partition function "
               f"(alpha^2={rat_str(p.alpha_sq)}, r={r})",
         notes=[PREFACTOR_NOTE])
 
-    delta = degenerate_tau(q_trunc, eps_trunc, N)
+    delta = degenerate_tau(q_trunc, eps_trunc)
     eta1 = eta_normalized(q_trunc, "q1")
     theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
 
-    unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc, N), eta1 ** r)
-    theta_lim = unnormalized.divided_by(_heisenberg_normalizer(q_trunc, eps_trunc, N, r))  # (a)
+    unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc), eta1 ** r)
+    theta_lim = unnormalized.divided_by(_heisenberg_normalizer(q_trunc, eps_trunc, r))  # (a)
     theta_taylor = taylor_shift(theta1, delta)        # (b)
     ds = degeneration_sum(eps_trunc, q_trunc)
     from .zhu import BasePartition
@@ -391,7 +381,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
 
-    det_r = _degenerate_det(q_trunc, eps_trunc, N, r)
+    det_r = _degenerate_det(q_trunc, eps_trunc, r)
     ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)", ok_cross,
                order=f"eps<={eps_trunc}, q<={q_trunc}")

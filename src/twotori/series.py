@@ -438,12 +438,6 @@ class QSeries(_Canonical):
                                   b.den, (trunc, *b.truncs), (Fraction(0), *b.offsets))
         return out
 
-    def times_eps(self) -> "QSeries":
-        """The series times its first variable (eps for an eps-series): exact,
-        so that order rises by one."""
-        return QSeries._made(self.vars, {(e[0] + 1, *e[1:]): v for e, v in self.nums.items()},
-                             self.den, (self.truncs[0] + 1, *self.truncs[1:]), self.offsets)
-
     def is_even(self) -> bool:
         """True when every nonzero coefficient sits at an even power of the
         first variable."""

@@ -135,16 +135,16 @@ def _check_sizes(eps_trunc: int, *sizes: int):
 
 
 @lru_cache(maxsize=None)
-def _index_pairs(limit: int, size: int) -> tuple:
-    """(S, U, sum(S) + sum(U)) for the increasing index tuples S, U in
-    1..size with |S| = |U|, equally many odd indices and sum(S) + sum(U) <=
-    limit: the (S, U) whose products det A[S, U] det B[U, S], of order
-    eps^(sum(S) + sum(U)), can be nonzero through eps^limit: c(k, l) = 0 for
-    odd k + l, so det c[S, U] = 0 unless S and U hold equally many odd indices."""
+def _index_pairs(limit: int) -> tuple:
+    """(S, U, sum(S) + sum(U)) for the increasing index tuples S, U with |S|
+    = |U|, equally many odd indices and sum(S) + sum(U) <= limit: the (S, U)
+    whose products det A[S, U] det B[U, S], of order eps^(sum(S) + sum(U)),
+    can be nonzero through eps^limit: c(k, l) = 0 for odd k + l, so det
+    c[S, U] = 0 unless S and U hold equally many odd indices.  Every index
+    is below ``limit``, so the moment matrices' size never enters."""
     subsets = [()]
     for S in subsets:                       # grows while it is read
-        subsets.extend(S + (x,) for x in range(S[-1] + 1 if S else 1,
-                                                min(size, limit - sum(S)) + 1))
+        subsets.extend(S + (x,) for x in range(S[-1] + 1 if S else 1, limit - sum(S) + 1))
     groups = {}
     for S in subsets:
         groups.setdefault((len(S), sum(x % 2 for x in S)), []).append((S, sum(S)))
@@ -162,10 +162,10 @@ class _Minors(dict):
     or a rational in ``log_det_I_minus``.
     """
 
-    def __init__(self, coeff, size: int, limit: int, one):
+    def __init__(self, coeff, limit: int, one):
         super().__init__({((), ()): one})
-        self.c = {(k, l): coeff(k, l) for k in range(1, size + 1) for l in range(1, size + 1)
-                  if (k + l) % 2 == 0 and k + l <= limit}
+        self.c = {(k, l): coeff(k, l) for k in range(1, limit) for l in range(1, limit + 1 - k)
+                  if (k + l) % 2 == 0}
         self.zero = one * 0
 
     def __missing__(self, key):
@@ -184,11 +184,11 @@ class _Minors(dict):
         return acc
 
 
-def _cauchy_binet(limit: int, size: int):
+def _cauchy_binet(limit: int):
     """(name, n, sign, (S, U), (U', S')) for each term sign det A[S, U]
     det B[U', S'] at eps^n <= eps^limit of det(I - A B) ("det") and of the
     numerators N of "d11", "d22" and "d12" (see ``_sewing_pass``)."""
-    for S, U, n in _index_pairs(limit + 1, size):
+    for S, U, n in _index_pairs(limit + 1):
         sign = -1 if len(S) % 2 else 1
         if n <= limit:
             yield "det", n, sign, (S, U), (U, S)
@@ -207,10 +207,10 @@ def log_det_I_minus(A: AMatrix, B: AMatrix, eps_trunc: int) -> QSeries:
     T = min(eps_trunc, A.eps_trunc, B.eps_trunc)
     mats, zero = _embed(A, B)
     block_zero = zero.block_zero()
-    a, b = [_Minors(lambda k, l: m[k - 1][l - 1].block((k + l) // 2), A.size, T + 1,
-                    block_zero + 1) for m in mats]
+    a, b = [_Minors(lambda k, l: m[k - 1][l - 1].block((k + l) // 2), T + 1, block_zero + 1)
+            for m in mats]
     blocks = {}
-    for S, U, n in _index_pairs(T, A.size):
+    for S, U, n in _index_pairs(T):
         term = a[S, U] * b[U, S]
         blocks[n] = blocks.get(n, block_zero) + (-term if len(S) % 2 else term)
     return QSeries.from_blocks("eps", blocks, T).log()
@@ -258,17 +258,14 @@ def _outer(x: dict, y: dict):
     return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
 
 
-def _eisenstein_minors(N: int, eps_trunc: int) -> _Minors:
-    # The minors of A1 or A2 in E2, E4, E6 of its q-variable.
-    return _Minors(lambda k, l: eisenstein_poly(k + l) * _moment_coeff(k, l), N, eps_trunc + 1,
-                   EisensteinPoly.const(1))
-
-
-def _sewing_pass(b: _Minors, ring, expand, eps_trunc: int, size: int, wanted):
+def _sewing_pass(ring, expand, eps_trunc: int, wanted, b: _Minors | None = None):
     """log det(I - A B) and {name: -eps N/det(I - A B)} for the numerator N
     of each name in ``wanted``, from the minors of A = A1 in E2, E4, E6 of q1
-    and ``b`` of B in other generators: exact in ``ring``, one polynomial
-    per power of eps, each expanded in q once by ``expand``.
+    and of B: ``b`` in other generators (A2(0) in Q on the pinched surface),
+    or else A2 read from A1's own table, since c(k, l) E_{k+l} is the same
+    polynomial in E(q2) as in E(q1) and only its key position in ``_outer``
+    puts a minor in q2.  Exact in ``ring``, one polynomial per power of eps,
+    each expanded in q once by ``expand``.
 
     Cauchy-Binet on the principal minors of A B gives
         det(I - A B) = sum_{|S|=|U|} (-1)^|S| det A[S,U] det B[U,S],
@@ -281,10 +278,13 @@ def _sewing_pass(b: _Minors, ring, expand, eps_trunc: int, size: int, wanted):
     Each term is the outer product of two minors' numerators, and each eps
     block of a sum is one ``_sum_terms``.
     """
-    _check_sizes(eps_trunc, size)
-    a = _eisenstein_minors(size, eps_trunc)
+    if eps_trunc < 1:
+        raise ValueError("eps order must be >= 1")
+    a = _Minors(lambda k, l: eisenstein_poly(k + l) * _moment_coeff(k, l), eps_trunc + 1,
+                EisensteinPoly.const(1))
+    b = a if b is None else b
     pieces = {name: {} for name in ("det", *wanted)}
-    for name, n, sign, x, y in _cauchy_binet(eps_trunc, size):
+    for name, n, sign, x, y in _cauchy_binet(eps_trunc):
         if name in pieces and not (mx := a[x]).is_zero() and not (my := b[y]).is_zero():
             pieces[name].setdefault(n, []).append((mx.den * my.den, sign,
                                                    _outer(mx.nums, my.nums)))
@@ -363,42 +363,41 @@ class PeriodData(_Record):
                 "d12": self.d12.to_json()}
 
 
-def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int,
-                wanted=()) -> tuple[QSeries, dict]:
+def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, wanted=()) -> tuple[QSeries, dict]:
     """log det(I - A1 A2) and {name: entry} for each period entry named in
-    ``wanted`` ("d11", "d22", "d12"), from one set of minors of A1 and A2.
+    ``wanted`` ("d11", "d22", "d12"), from one table of minors of A1 and A2.
 
     With R = (I - A1 A2)^(-1): d12 is -eps R(1,1), d11 is eps (A2 R)(1,1),
     and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
     push-through identity.  An entry not asked for costs nothing.
     """
-    return _sewing_pass(_eisenstein_minors(N, eps_trunc), _EisensteinPair,
-                        lambda p: p.to_qseries(q1_trunc, q2_trunc), eps_trunc, N, wanted)
+    return _sewing_pass(_EisensteinPair, lambda p: p.to_qseries(q1_trunc, q2_trunc), eps_trunc,
+                        wanted)
 
 
-def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int, N: int) -> PeriodData:
+def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> PeriodData:
     """Genus-two period matrix from the sewing expansion, in normalized form."""
-    return PeriodData(**sewing_data(q1_trunc, q2_trunc, eps_trunc, N, ("d11", "d22", "d12"))[1])
+    return PeriodData(**sewing_data(q1_trunc, q2_trunc, eps_trunc, ("d11", "d22", "d12"))[1])
 
 
 @lru_cache(maxsize=None)
-def _degenerate_sewing(q1_trunc: int, eps_trunc: int, N: int) -> tuple[QSeries, QSeries]:
+def _degenerate_sewing(q1_trunc: int, eps_trunc: int) -> tuple[QSeries, QSeries]:
     """log det(I - A1 A2(0)) and -eps N/det(I - A1 A2(0)) (the "d11" of
     ``_sewing_pass``) from minors of A1 in Q[E2, E4, E6] and of A2(0) in Q.
     Memoized: both results are immutable."""
-    b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), N, eps_trunc + 1,
+    b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), eps_trunc + 1,
                 _Rationals({(): 1}))
-    logdet, d = _sewing_pass(b, EisensteinPoly, lambda p: p.to_qseries(q1_trunc, "q1"),
-                             eps_trunc, N, ("d11",))
+    logdet, d = _sewing_pass(EisensteinPoly, lambda p: p.to_qseries(q1_trunc, "q1"), eps_trunc,
+                             ("d11",), b)
     return logdet, d["d11"]
 
 
-def degenerate_logdet(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+def degenerate_logdet(q1_trunc: int, eps_trunc: int) -> QSeries:
     """log det(I - A1 A2(0)) on the pinched surface, as an eps-series over q1."""
-    return _degenerate_sewing(q1_trunc, eps_trunc, N)[0]
+    return _degenerate_sewing(q1_trunc, eps_trunc)[0]
 
 
-def degenerate_tau(q1_trunc: int, eps_trunc: int, N: int) -> QSeries:
+def degenerate_tau(q1_trunc: int, eps_trunc: int) -> QSeries:
     """2pi i (tau - tau1) on the pinched surface, as an eps-series over q1:
     eps (A2(0) (I - A1 A2(0))^(-1))(1,1), memoized with the log-det."""
-    return _degenerate_sewing(q1_trunc, eps_trunc, N)[1]
+    return _degenerate_sewing(q1_trunc, eps_trunc)[1]

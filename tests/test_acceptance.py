@@ -21,7 +21,14 @@ from twotori.genus2 import (
     z2_module_degenerate,
 )
 from twotori.series import QSeries, eisenstein, eta_normalized, qd
-from twotori.sewing import a2_degenerate, a_matrix, degenerate_tau, log_det_I_minus
+from twotori.sewing import (
+    a2_degenerate,
+    a_matrix,
+    degenerate_logdet,
+    degenerate_tau,
+    log_det_I_minus,
+    weighted_resolvent_11,
+)
 from twotori.virasoro import (
     VirState,
     lambda_vector,
@@ -29,6 +36,8 @@ from twotori.virasoro import (
     partitions_of_weight,
 )
 from twotori.zhu import BasePartition, one_point, structure_check, to_theta_basis
+
+from test_series import times_eps
 
 
 class Stopwatch:
@@ -92,14 +101,20 @@ def test_criterion_3_modular_identities():
     sw.report(3, "modular identities hold exactly to q-order 20")
 
 
-def _tau_series(N):
-    return degenerate_tau(8, 8, N)
+def _tau_series():
+    return degenerate_tau(8, 8)
+
+
+def _reference_tau(N):
+    # The same series from the matrix-vector chain over matrices of size N.
+    A20 = a2_degenerate(N, 8)
+    return times_eps(weighted_resolvent_11(A20, a_matrix(1, N, 8, 8), A20, 8))
 
 
 def test_criterion_4_degenerate_modulus():
     """2 pi i (tau - tau1) = -eps^2/12 + E2 eps^4/144 + O(eps^6), q-order 8."""
     with Stopwatch(5.0) as sw:
-        d = _tau_series(8)
+        d = _tau_series()
         assert d.block(2) == QSeries.const("q1", F(-1, 12), 8)
         assert d.block(4) == eisenstein(2, 8, "q1") * F(1, 144)
         assert d.block(0).is_zero()
@@ -111,10 +126,10 @@ def test_criterion_4_degenerate_modulus():
 
 def _heisenberg_series(N):
     q, eps = 10, 6
-    delta = degenerate_tau(q, eps, N)
+    delta = degenerate_tau(q, eps)
     eta1 = eta_normalized(q, "q1")
     z1 = taylor_shift(eta1.inv(), delta)
-    lim = z2_heisenberg_degenerate(q, eps, N)
+    lim = z2_heisenberg_degenerate(q, eps)
     return {
         "z1_ratio": z1 * eta1.embed(z1.vars, (z1.truncs[0], q)),
         "det": (log_det_I_minus(a_matrix(1, N, eps, q), a2_degenerate(N, eps), eps)
@@ -148,7 +163,7 @@ def test_criterion_5_heisenberg_degeneration():
 def test_criterion_6_central_identity():
     """H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! in symbolic C, l <= 4."""
     with Stopwatch(300.0) as sw:
-        report = verify_detHi(eps_trunc=8, q_trunc=6, N=8)
+        report = verify_detHi(eps_trunc=8, q_trunc=6)
         for check in report.checks:
             assert check.passed, check.name
     sw.report(6, "determinant identity holds identically in C for l <= 4, "
@@ -163,7 +178,7 @@ def test_criterion_7_main_theorem():
     with Stopwatch(600.0) as sw:
         for alpha_sq, rank in ACCEPTANCE_PAIRS:
             report = verify_theta_degeneration(ModulePair(rank, alpha_sq),
-                                               eps_trunc=8, q_trunc=6, N=8)
+                                               eps_trunc=8, q_trunc=6)
             for check in report.checks:
                 assert check.passed, (alpha_sq, rank, check.name)
     sw.report(7, "normalized partition function degenerates to the genus-one "
@@ -183,13 +198,13 @@ def test_criterion_8_structural_properties():
                  "all monomials of weight <= 10")
 
 
-def _theta_series(N):
+def _theta_series():
     out = {}
     for alpha_sq, rank in ACCEPTANCE_PAIRS:
         p = ModulePair(rank, alpha_sq)
         ds = degeneration_sum(8, 6)
-        zm = z2_module_degenerate(p, 6, 8, N)
-        zh = z2_heisenberg_degenerate(6, 8, N)
+        zm = z2_module_degenerate(p, 6, 8)
+        zh = z2_heisenberg_degenerate(6, 8)
         key = f"a{alpha_sq}_r{rank}"
         out[f"{key}_lim"] = zm * (zh ** rank).inv()
         out[f"{key}_zhu"] = ds.specialize(
@@ -198,14 +213,18 @@ def _theta_series(N):
 
 
 def test_criterion_9_truncation_soundness():
-    """Criteria 4-7 series are byte-identical at matrix sizes N and N + 3."""
+    """Criteria 4-7 series are byte-identical at matrix sizes N and N + 3.
+
+    The engine's matrices are fixed by the eps order, so the sizes enter
+    through the reference matrices, whose series must equal the engine's.
+    """
     with Stopwatch(600.0) as sw:
         def snapshot(N):
-            series = {"tau": _tau_series(N)}
+            series = {"tau": _reference_tau(N)}
             series.update(_heisenberg_series(N))
             series["logdet"] = log_det_I_minus(a_matrix(1, N, 8, 6),
                                                a2_degenerate(N, 8), 8)
-            series.update(_theta_series(N))
+            series.update(_theta_series())
             return {name: s.to_json() for name, s in series.items()}
 
         small = snapshot(8)
@@ -213,4 +232,7 @@ def test_criterion_9_truncation_soundness():
         assert set(small) == set(large)
         for name in small:
             assert small[name] == large[name], name
-    sw.report(9, "all degeneration series byte-identical at matrix sizes 8 and 11")
+        assert small["tau"] == _tau_series().to_json()
+        assert small["logdet"] == degenerate_logdet(6, 8).to_json()
+    sw.report(9, "all degeneration series byte-identical at matrix sizes 8 and 11, "
+                 "and equal to the engine's")

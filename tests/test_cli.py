@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotori import cli, genus2, ring, series, sewing, zhu
+from twotori import cli, genus2, ring, series, sewing, virasoro, zhu
 from twotori.cli import main
 from twotori.series import _quasimodular_solver
 from twotori.zhu import structure_check
@@ -48,6 +48,20 @@ class TestBeta:
     def test_odd_max_is_usage_error(self, capsys):
         code, _, err = run(capsys, "beta", "--max", "13")
         assert code == 2 and "even" in err
+
+    def test_max_above_its_cap_is_refused_up_front(self, capsys, monkeypatch):
+        # The table grows fast with --max (80 takes about 1 s, 160 about
+        # 26 s), so past the cap the command exits 2 before any work; the
+        # cap itself is accepted.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(virasoro, "beta_coefficients", must_not_run)
+        code, out, err = run(capsys, "beta", "--max", "66")
+        assert code == 2 and out == ""
+        assert "--max must be <= 64" in err
+        monkeypatch.setattr(virasoro, "beta_coefficients", lambda max_k: ())
+        assert run(capsys, "beta", "--max", "64")[0] == 0
 
 
 class TestLambda:
@@ -230,6 +244,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--q-order >= 1" in err
 
+    def test_modular_identities_need_q_order_1(self, capsys, monkeypatch):
+        # At q-order 0 the identities would compare q^0 alone and print
+        # three PASS lines; the order is refused before the suite runs.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the suite ran before the order check")
+
+        monkeypatch.setattr(cli, "_modular_identities_report", must_not_run)
+        code, out, err = run(capsys, "verify", "modular-identities", "--q-order", "0")
+        assert code == 2 and out == ""
+        assert "verify modular-identities needs --q-order >= 1" in err
+
     def test_structure_fails_on_a_weight_breaking_recursion(self, capsys, monkeypatch):
         # A recursion that reads E_{k+r+2} where E_{k+r} belongs mixes
         # weights: the structure suite must report FAIL lines and exit 1,
@@ -345,12 +370,28 @@ class TestConfigAndDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_matrix_size_invariance(self, capsys):
-        base = ("--format", "json", "compute", "tau-degen",
-                "--eps-order", "6", "--q-order", "4")
-        _, small, _ = run(capsys, *base, "--matrix-size", "6")
-        _, large, _ = run(capsys, *base, "--matrix-size", "9")
-        assert small == large
+    def test_matrix_size_invariance(self, capsys, tmp_path):
+        # --matrix-size is checked and capped but changes no output: an
+        # expansion through eps^T reads matrix indices <= T only.  Each
+        # input runs at sizes eps, eps + 1, eps + 3 and the cap, and once
+        # with the size from a config file.
+        cfg = tmp_path / "run.cfg"
+        for argv, eps in [
+                (("--format", "json", "compute", "tau-degen", "--q-order", "4"), 6),
+                (("compute", "period", "--q-order", "3"), 4),
+                (("compute", "z2-heisenberg", "--q-order", "3"), 4),
+                (("compute", "z2-module", "--alpha-sq", "1", "--beta-sq", "2", "--rank", "2",
+                  "--q-order", "3"), 4),
+                (("verify", "detHi", "--q-order", "3"), 4),
+                (("verify", "theta-degen", "--alpha-sq", "1", "--q-order", "3"), 4),
+                (("verify", "heisenberg-degen", "--q-order", "3"), 4)]:
+            base = (*argv, "--eps-order", str(eps))
+            code, plain, _ = run(capsys, *base)
+            assert code == 0 and plain
+            for size in (eps, eps + 1, eps + 3, cli.MAX_ORDERS["matrix_size"]):
+                assert run(capsys, *base, "--matrix-size", str(size)) == (0, plain, ""), size
+            cfg.write_text(f"matrix-size={eps + 1}\n")
+            assert run(capsys, "--config", str(cfg), *base) == (0, plain, "")
 
     def test_theta_degen_ignores_max_weight(self, capsys):
         # The degeneration sum runs to the eps order, whatever --max-weight

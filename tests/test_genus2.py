@@ -24,8 +24,8 @@ from twotori.genus2 import (
 )
 from twotori import genus2
 from twotori.sewing import (
+    a2_degenerate,
     a_matrix,
-    degenerate_logdet,
     degenerate_tau,
     log_det_I_minus,
     period_matrix,
@@ -36,7 +36,7 @@ from twotori.reports import Check, Report
 from twotori.virasoro import VirState
 from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, to_theta_basis
 
-from test_series import set_second_to_zero
+from test_series import set_second_to_zero, times_eps
 
 
 def partition_numbers(trunc):
@@ -62,30 +62,39 @@ def partition_numbers(trunc):
 # -- the free-boson closed forms as they were computed on their own ----------------
 
 
-def oracle_z2_heisenberg(q1_trunc, q2_trunc, eps_trunc, N=None):
-    # (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), from the log-det alone.
-    N = eps_trunc if N is None else N
+def oracle_z2_heisenberg(q1_trunc, q2_trunc, eps_trunc, N):
+    # (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), from the log-det of the
+    # moment matrices of size N alone.
     logdet = log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
                              a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
     return _times_q((logdet * F(-1, 2)).exp(), _eta_prefactor(q1_trunc, q2_trunc))
 
 
-def oracle_z2_heisenberg_degenerate(q1_trunc, eps_trunc, N=None):
+def reference_pinched(q1_trunc, eps_trunc, N):
+    # log det(I - A1 A2(0)) and delta = eps (A2(0) (I - A1 A2(0))^(-1))(1,1)
+    # from the moment matrices of size N >= eps order: the log-det
+    # reference and the matrix-vector chain.
+    A1, A20 = a_matrix(1, N, eps_trunc, q1_trunc), a2_degenerate(N, eps_trunc)
+    return (log_det_I_minus(A1, A20, eps_trunc),
+            times_eps(weighted_resolvent_11(A20, A1, A20, eps_trunc)))
+
+
+def oracle_z2_heisenberg_degenerate(q1_trunc, eps_trunc, N):
     # eta(q1)^-1 det(I - A1 A2(0))^(-1/2), with no delta factor.
-    N = eps_trunc if N is None else N
-    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * F(-1, 2)).exp()
+    det = (reference_pinched(q1_trunc, eps_trunc, N)[0] * F(-1, 2)).exp()
     return _times_q(det, eta_normalized(q1_trunc, "q1").inv())
 
 
 # -- the pinched-surface quantities as they were computed before memoization -------
 
 
-def oracle_z2_module_degenerate(p, q1_trunc, eps_trunc, N=None):
-    # lim q2^(r/24) Z^(2)_{alpha,0}, every factor built afresh on each call.
-    N = eps_trunc if N is None else N
-    det = (degenerate_logdet(q1_trunc, eps_trunc, N) * F(-p.rank, 2)).exp()
+def oracle_z2_module_degenerate(p, q1_trunc, eps_trunc, N):
+    # lim q2^(r/24) Z^(2)_{alpha,0}, every factor but the reference log-det
+    # and delta built afresh on each call.
+    logdet, delta = reference_pinched(q1_trunc, eps_trunc, N)
+    det = (logdet * F(-p.rank, 2)).exp()
     if p.alpha_sq:
-        det = det * (degenerate_tau(q1_trunc, eps_trunc, N) * (p.alpha_sq / 2)).exp()
+        det = det * (delta * (p.alpha_sq / 2)).exp()
     pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
            * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
     return _times_q(det, pre)
@@ -115,7 +124,7 @@ def oracle_extract_H(ds, l):
                    (ds.eps_trunc, ds.q_trunc, ds.eps_trunc))
 
 
-# (q1, eps, N)
+# (q1, eps, N): N is the size of the oracles' matrices
 PINCHED_ORDERS = [(0, 1, 1), (3, 4, 4), (4, 4, 7), (5, 6, 6), (6, 8, 8), (2, 8, 11)]
 PINCHED_PAIRS = [ModulePair(), ModulePair(1, F(1)), ModulePair(2, F(1, 4)), ModulePair(1, F(2)),
                  ModulePair(3, F(-2, 3))]
@@ -126,31 +135,29 @@ class TestPinchedMemos:
     @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
     @pytest.mark.parametrize("p", PINCHED_PAIRS)
     def test_module_degenerate_equals_oracle(self, p, q1, e, N):
-        assert z2_module_degenerate(p, q1, e, N) == oracle_z2_module_degenerate(p, q1, e, N)
+        assert z2_module_degenerate(p, q1, e) == oracle_z2_module_degenerate(p, q1, e, N)
 
     @pytest.mark.parametrize("q1, e", [(3, 4), (5, 6), (6, 8)])
-    def test_default_N_shares_one_entry(self, q1, e):
-        # N=None resolves to the eps order before the key is built: one
-        # cache entry, one result object, equal to the oracle.
+    def test_one_entry_per_orders(self, q1, e):
+        # One cache entry and one result object per pair and orders, equal
+        # to the oracle over matrices of size e and of size e + 3.
         genus2._z2_module_degenerate.cache_clear()
         p = ModulePair(1, F(1))
         got = z2_module_degenerate(p, q1, e)
-        assert z2_module_degenerate(p, q1, e, e) is got
+        assert z2_module_degenerate(p, q1, e) is got
         assert genus2._z2_module_degenerate.cache_info().currsize == 1
-        assert got == oracle_z2_module_degenerate(p, q1, e)
-        # N above the eps order is its own entry, with the same known part.
-        above = z2_module_degenerate(p, q1, e, e + 3)
-        assert above == oracle_z2_module_degenerate(p, q1, e, e + 3)
-        assert genus2._z2_module_degenerate.cache_info().currsize == 2
+        assert got == oracle_z2_module_degenerate(p, q1, e, e)
+        assert got == oracle_z2_module_degenerate(p, q1, e, e + 3)
 
     def test_free_boson_is_the_zero_pair_entry(self):
         genus2._z2_module_degenerate.cache_clear()
-        assert z2_heisenberg_degenerate(4, 6) is z2_module_degenerate(ModulePair(1, F(0)), 4, 6, 6)
+        assert z2_heisenberg_degenerate(4, 6) is z2_module_degenerate(ModulePair(1, F(0)), 4, 6)
         assert genus2._z2_module_degenerate.cache_info().currsize == 1
 
     @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
     def test_taylor_shift_equals_oracle(self, q1, e, N):
-        delta = degenerate_tau(q1, e, N)
+        delta = degenerate_tau(q1, e)
+        assert delta == reference_pinched(q1, e, N)[1]
         eta = eta_normalized(q1, "q1")
         for f in (eta, eta.inv(), QSeries.monomial("q1", F(3, 2), q1),
                   eisenstein(2, q1, "q1") * eisenstein(4, q1, "q1") + QSeries.one("q1", q1)):
@@ -161,15 +168,15 @@ class TestPinchedMemos:
         # at the first zero power, as the loop did.
         delta = QSeries(("eps", "q1"), {(1, 0): F(1, 3), (2, 1): -2, (5, 2): F(7, 5)}, (6, 4))
         f = QSeries("q1", {0: 2, 1: F(-1, 2), 3: 5}, 4, offsets=F(1, 24))
-        for d in (delta, delta.times_eps(), QSeries.zero(("eps", "q1"), (6, 4))):
+        for d in (delta, times_eps(delta), QSeries.zero(("eps", "q1"), (6, 4))):
             assert taylor_shift(f, d) == oracle_taylor_shift(f, d)
 
     @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
     @pytest.mark.parametrize("r", [1, 2])
     def test_degenerate_det_is_exp_of_the_logdet(self, r, q1, e, N):
         # det(I - A1 A2(0))^(-r/2) stays a q1-series exp of the pinched log-det.
-        logdet = degenerate_logdet(q1, e, N)
-        assert genus2._degenerate_det(q1, e, N, r) == (logdet * F(-r, 2)).exp()
+        logdet = reference_pinched(q1, e, N)[0]
+        assert genus2._degenerate_det(q1, e, r) == (logdet * F(-r, 2)).exp()
 
     @pytest.mark.parametrize("e, q", [(2, 3), (4, 4), (6, 5), (8, 8)])
     def test_extract_H_equals_oracle(self, e, q):
@@ -192,17 +199,18 @@ def suite_objects(monkeypatch, run) -> list:
 def oracle_theta_closed_form(p, q1, e, N):
     # Line 1's side (a) as it was taken: the pair's limit times the
     # eps-series inverse of the free boson's to the r-th.
-    return z2_module_degenerate(p, q1, e, N) * (z2_heisenberg_degenerate(q1, e, N) ** p.rank).inv()
+    return (oracle_z2_module_degenerate(p, q1, e, N)
+            * (oracle_z2_heisenberg_degenerate(q1, e, N) ** p.rank).inv())
 
 
 def oracle_free_boson_ratio(q1, e, N):
     # The free-boson degeneration ratio as it was taken: lim times the
     # eps-series inverse of the shifted eta(q1)^-1.
-    z1 = taylor_shift(eta_normalized(q1, "q1").inv(), degenerate_tau(q1, e, N))
-    return z2_heisenberg_degenerate(q1, e, N) * z1.inv()
+    z1 = taylor_shift(eta_normalized(q1, "q1").inv(), reference_pinched(q1, e, N)[1])
+    return oracle_z2_heisenberg_degenerate(q1, e, N) * z1.inv()
 
 
-# (eps, q, N)
+# (eps, q, N): N is the size of the oracles' matrices
 SUITE_ORDERS = [(4, 4, 4), (6, 5, 6), (8, 6, 8), (4, 3, 7), (12, 12, 12)]
 
 
@@ -213,27 +221,27 @@ class TestQuotientsAgainstInverses:
     @pytest.mark.parametrize("p", PINCHED_PAIRS)
     def test_theta_closed_form(self, monkeypatch, p, e, q, N):
         theta_lim, zhu_side = suite_objects(
-            monkeypatch, lambda: verify_theta_degeneration(p, e, q, N))
+            monkeypatch, lambda: verify_theta_degeneration(p, e, q))
         want = oracle_theta_closed_form(p, q, e, N)
         assert theta_lim == want and str(theta_lim) == str(want)
-        unnormalized = _times_q(z2_module_degenerate(p, q, e, N), eta_normalized(q, "q1") ** p.rank)
+        unnormalized = _times_q(z2_module_degenerate(p, q, e), eta_normalized(q, "q1") ** p.rank)
         assert zhu_side.agrees_with(unnormalized, (e, q))
 
     @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
     def test_free_boson_ratio(self, monkeypatch, e, q, N):
         lim, ratio = suite_objects(
-            monkeypatch, lambda: verify_heisenberg_degeneration(e, q, N))
+            monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
         assert ratio == oracle_free_boson_ratio(q, e, N)
-        assert lim == _times_q(z2_heisenberg_degenerate(q, e, N), eta_normalized(q, "q1"))
+        assert lim == _times_q(z2_heisenberg_degenerate(q, e), eta_normalized(q, "q1"))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_normalizer_is_a_unit_block_divisor(self, r):
         # The normalizer's eps^0 block is exactly 1, as divided_by needs.
-        u = genus2._heisenberg_normalizer(6, 8, 8, r)
+        u = genus2._heisenberg_normalizer(6, 8, r)
         assert u.block(0) == QSeries.one("q1", 6) and not any(u.offsets)
 
 
-# (q1, q2, eps, N)
+# (q1, q2, eps, N): N is the size of the oracles' matrices
 FREE_BOSON_ORDERS = [(0, 0, 1, 1), (3, 2, 4, 4), (2, 3, 4, 6), (4, 4, 6, 6), (6, 5, 8, 9),
                      (1, 0, 2, 2)]
 
@@ -243,13 +251,13 @@ class TestFreeBosonIsZeroPairing:
     # equal the standalone closed forms as objects, as text and as JSON.
     @pytest.mark.parametrize("q1, q2, e, N", FREE_BOSON_ORDERS)
     def test_full(self, q1, q2, e, N):
-        got, want = z2_heisenberg(q1, q2, e, N), oracle_z2_heisenberg(q1, q2, e, N)
+        got, want = z2_heisenberg(q1, q2, e), oracle_z2_heisenberg(q1, q2, e, N)
         assert got == want
         assert str(got) == str(want) and got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("q1, q2, e, N", FREE_BOSON_ORDERS)
     def test_degenerate(self, q1, q2, e, N):
-        got, want = z2_heisenberg_degenerate(q1, e, N), oracle_z2_heisenberg_degenerate(q1, e, N)
+        got, want = z2_heisenberg_degenerate(q1, e), oracle_z2_heisenberg_degenerate(q1, e, N)
         assert got == want
         assert str(got) == str(want) and got.to_json() == want.to_json()
 
@@ -300,13 +308,13 @@ class TestReportValues:
 
 class TestTaylorShift:
     def test_constant_is_fixed(self):
-        delta = degenerate_tau(4, 4, 4)
+        delta = degenerate_tau(4, 4)
         s = taylor_shift(QSeries.one("q1", 4), delta)
         assert s.blocks() == {0: QSeries.one("q1", 4)}
 
     def test_monomial_exponentiates(self):
         # sum_l (d^l/l!) a^l q^a = e^(a d) q^a
-        delta = degenerate_tau(5, 6, 6)
+        delta = degenerate_tau(5, 6)
         a = F(3, 2)
         mono = QSeries.monomial("q1", a, 5)
         lhs = taylor_shift(mono, delta)
@@ -326,10 +334,10 @@ class TestClosedForms:
                 assert lead.coeff(m, n) == p[m] * p[n]
 
     def test_heisenberg_even_and_stable(self):
-        a = z2_heisenberg(3, 3, 4, N=4)
-        b = z2_heisenberg(3, 3, 4, N=7)
+        a = z2_heisenberg(3, 3, 4)
         assert a.is_even()
-        assert a.to_json() == b.to_json()
+        for N in (4, 7):
+            assert a.to_json() == oracle_z2_heisenberg(3, 3, 4, N).to_json()
 
     def test_module_pair_reduces_to_heisenberg(self):
         p = ModulePair(1)
@@ -512,7 +520,7 @@ PINCHED = ModulePair(1, alpha_sq=F(1, 4))
 
 
 def _period_parts(e, q):
-    pd = period_matrix(q, q, e, e)
+    pd = period_matrix(q, q, e)
     return [pd.d11, pd.d22, pd.d12]
 
 
@@ -531,7 +539,7 @@ def _weighted_resolvents(e, q):
 
 
 TRUNCATED = {
-    "degenerate_tau": lambda e, q: [degenerate_tau(q, e, e)],
+    "degenerate_tau": lambda e, q: [degenerate_tau(q, e)],
     "period_matrix": _period_parts,
     "z2_module_pair": lambda e, q: [z2_module_pair(PAIR, q, q, e)],
     "z2_module_degenerate": lambda e, q: [z2_module_degenerate(PINCHED, q, e)],
@@ -597,9 +605,9 @@ SOUND_PAIR = ModulePair(2, alpha_sq=F(1), beta_sq=F(2), alpha_dot_beta=F(-1))
 
 
 def _compute_objects(e, q):
-    # The eps-series ``twotori compute`` prints, at matrix size N = eps.
-    pd = period_matrix(q, q, e, e)
-    return {"tau-degen": degenerate_tau(q, e, e), "period d11": pd.d11,
+    # The eps-series ``twotori compute`` prints.
+    pd = period_matrix(q, q, e)
+    return {"tau-degen": degenerate_tau(q, e), "period d11": pd.d11,
             "period d22": pd.d22, "period d12": pd.d12, "z2-heisenberg": z2_heisenberg(q, q, e),
             "z2-module": z2_module_pair(SOUND_PAIR, q, q, e)}
 

@@ -28,7 +28,7 @@ from twotori.sewing import (
     weighted_resolvent_11,
 )
 
-from test_series import set_second_to_zero
+from test_series import set_second_to_zero, times_eps
 
 
 # -- the powers route, kept as the oracle of the minors route -----------------------
@@ -78,15 +78,16 @@ def _power_sums(A, B, eps_trunc: int):
         row = [r + x for r, x in zip(row, power[0])]
         col = [c + p[0] for c, p in zip(col, power)]
         n += 1
-    d11 = _dot(b[0], col, zero).times_eps()
-    d22 = _dot(row, [r[0] for r in a], zero).times_eps()
-    d12 = -col[0].times_eps()
+    d11 = times_eps(_dot(b[0], col, zero))
+    d22 = times_eps(_dot(row, [r[0] for r in a], zero))
+    d12 = -times_eps(col[0])
     return logdet, d11, d22, d12
 
 
 class TestMinorsAgainstPowers:
     # The minors route must equal the powers route as QSeries objects,
-    # truncation orders included.
+    # truncation orders included; the powers route multiplies matrices of
+    # size N >= eps order, and the size changes nothing.
     @pytest.mark.parametrize("T", range(2, 13))
     @pytest.mark.parametrize("extra", [0, 3])
     def test_bivariate(self, T, extra):
@@ -94,15 +95,15 @@ class TestMinorsAgainstPowers:
         N = T + extra
         A1, A2 = a_matrix(1, N, T, q1), a_matrix(2, N, T, q2)
         logdet, d11, d22, d12 = _power_sums(A1, A2, T)
-        got_logdet, d = sewing_data(q1, q2, T, N, ("d11", "d22", "d12"))
+        got_logdet, d = sewing_data(q1, q2, T, ("d11", "d22", "d12"))
         assert got_logdet == logdet
         assert (d["d11"], d["d22"], d["d12"]) == (d11, d22, d12)
 
     def test_only_the_entries_asked_for(self):
         # Each entry is the same whatever else the pass sums alongside it.
-        full = sewing_data(2, 3, 6, 6, ("d11", "d22", "d12"))
+        full = sewing_data(2, 3, 6, ("d11", "d22", "d12"))
         for wanted in [(), ("d11",), ("d22",), ("d12", "d11")]:
-            logdet, d = sewing_data(2, 3, 6, 6, wanted)
+            logdet, d = sewing_data(2, 3, 6, wanted)
             assert logdet == full[0]
             assert d == {name: full[1][name] for name in wanted}
 
@@ -110,19 +111,26 @@ class TestMinorsAgainstPowers:
     def test_degenerate(self, T):
         q = min(T, 8)
         logdet, d11, _, _ = _power_sums(a_matrix(1, T, T, q), a2_degenerate(T, T), T)
-        assert degenerate_logdet(q, T, T) == logdet
-        assert degenerate_tau(q, T, T) == d11
+        assert degenerate_logdet(q, T) == logdet
+        assert degenerate_tau(q, T) == d11
 
     def test_all_numerators_of_the_degenerate_pass(self):
         # The pinched pass asks for d11 only; the pass sums d22 and d12 of
         # A1 and A2(0) just as well.
         T, q, N = 9, 3, 11
-        b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), N, T + 1,
+        b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), T + 1,
                     _Rationals({(): 1}))
-        logdet, d = _sewing_pass(b, EisensteinPoly, lambda p: p.to_qseries(q, "q1"), T, N,
-                                 ("d11", "d22", "d12"))
+        logdet, d = _sewing_pass(EisensteinPoly, lambda p: p.to_qseries(q, "q1"), T,
+                                 ("d11", "d22", "d12"), b)
         want = _power_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T)
         assert (logdet, d["d11"], d["d22"], d["d12"]) == want
+
+
+@pytest.mark.parametrize("limit", range(14))
+def test_index_pairs_stay_below_the_limit(limit):
+    # A sum through eps^limit reads no matrix index >= limit, so no pass
+    # needs the size of the matrices.
+    assert all(x < limit for S, U, _ in _index_pairs(limit) for x in S + U)
 
 
 # -- the per-product pass, kept as the oracle of the pass in the rings --------------
@@ -143,7 +151,7 @@ def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
     qvars, qtruncs = full.vars[1:], full.truncs[1:]
     zero = QSeries.zero(full.vars, (T, *qtruncs))
     block_zero = zero.block_zero()
-    a, b = (_Minors(m.coeff, m.size, T + 1, m.entries[0][0].block_zero() + 1) for m in (A, B))
+    a, b = (_Minors(m.coeff, T + 1, m.entries[0][0].block_zero() + 1) for m in (A, B))
     sums = {name: {} for name in ("det", *wanted)}
 
     def lifted(minors, S, U):
@@ -158,7 +166,7 @@ def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
             acc = sums[name].get(n, block_zero)
             sums[name][n] = acc + term if sign > 0 else acc - term
 
-    for S, U, n in _index_pairs(T + 1, A.size):
+    for S, U, n in _index_pairs(T + 1):
         sign = -1 if len(S) % 2 else 1
         if n <= T:
             term = product(lifted(a, S, U), lifted(b, U, S))
@@ -174,7 +182,7 @@ def per_product_minor_sums(A, B, eps_trunc: int, wanted=()):
               for name, blocks in sums.items()}
     logdet = series.pop("det").log()
     inv_det = (-logdet).exp() if wanted else None
-    return logdet, {name: -(N * inv_det).times_eps() for name, N in series.items()}
+    return logdet, {name: -times_eps(N * inv_det) for name, N in series.items()}
 
 
 ENTRIES = ("d11", "d22", "d12")
@@ -187,15 +195,14 @@ class TestOuterProductPass:
     @pytest.mark.parametrize("eps, q1, q2", [(6, 6, 6), (8, 5, 7), (10, 10, 10), (12, 12, 12)])
     def test_bivariate(self, eps, q1, q2):
         A1, A2 = a_matrix(1, eps, eps, q1), a_matrix(2, eps, eps, q2)
-        assert sewing_data(q1, q2, eps, eps, ENTRIES) == per_product_minor_sums(A1, A2, eps,
-                                                                                 ENTRIES)
+        assert sewing_data(q1, q2, eps, ENTRIES) == per_product_minor_sums(A1, A2, eps, ENTRIES)
 
     @pytest.mark.parametrize("eps, N", [(8, 8), (12, 12), (16, 16), (8, 11)])
     def test_pinched(self, eps, N):
         A1, A20 = a_matrix(1, N, eps, eps), a2_degenerate(N, eps)
         logdet, d = per_product_minor_sums(A1, A20, eps, ("d11",))
-        assert degenerate_logdet(eps, eps, N) == logdet
-        assert degenerate_tau(eps, eps, N) == d["d11"]
+        assert degenerate_logdet(eps, eps) == logdet
+        assert degenerate_tau(eps, eps) == d["d11"]
 
     def test_matrices_in_one_variable_are_summed(self):
         # log_det_I_minus multiplies minors as series, so two matrices in
@@ -204,7 +211,7 @@ class TestOuterProductPass:
         assert log_det_I_minus(A1, A1, 4) == _power_sums(A1, A1, 4)[0]
 
 
-# (q1, eps, N)
+# (q1, eps, N): N is the size of the oracle's matrices
 RING_ORDERS = [(12, 12, 12), (16, 16, 16), (20, 20, 20), (24, 24, 24), (7, 10, 12), (6, 8, 8),
                (12, 12, 14), (3, 9, 9), (0, 6, 6), (20, 8, 11)]
 
@@ -217,14 +224,13 @@ class TestPinchedRingPass:
     def test_against_the_q1_series_pass(self, q, T, N):
         logdet, d = per_product_minor_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T,
                                            ("d11",))
-        assert degenerate_logdet(q, T, N) == logdet
-        assert degenerate_tau(q, T, N) == d["d11"]
+        assert degenerate_logdet(q, T) == logdet
+        assert degenerate_tau(q, T) == d["d11"]
 
     def test_refuses_what_the_matrices_refuse(self):
-        with pytest.raises(SeriesError, match="matrix size too small"):
-            degenerate_tau(4, 6, 5)
-        with pytest.raises(ValueError, match="matrix size must be >= 1"):
-            degenerate_logdet(4, 0, 0)
+        # The moment matrices start at eps^1, so eps order 0 has no pass.
+        with pytest.raises(ValueError, match="eps order must be >= 1"):
+            degenerate_logdet(4, 0)
 
 
 class TestBlockDivision:
@@ -236,7 +242,7 @@ class TestBlockDivision:
     def test_against_exp_of_minus_log_det(self, A, B, eps):
         logdet = log_det_I_minus(A, B, eps)
         det = logdet.exp()
-        numerators = [det.truncate((eps - 1, *det.truncs[1:])).times_eps(),
+        numerators = [times_eps(det.truncate((eps - 1, *det.truncs[1:]))),
                       QSeries(det.vars, {(1, *(1,) * (len(det.vars) - 1)): F(3, 7),
                                          (4, *(0,) * (len(det.vars) - 1)): -2}, det.truncs),
                       QSeries.zero(det.vars, det.truncs)]
@@ -439,43 +445,47 @@ class TestResolvent:
 
 class TestDegenerateTau:
     def test_printed_coefficients(self):
-        d = degenerate_tau(8, 6, 6)
+        d = degenerate_tau(8, 6)
         assert d.block(2) == const_q1(F(-1, 12), 8)
         assert d.block(4) == eisenstein(2, 8, "q1") * F(1, 144)
 
     def test_low_and_odd_orders_vanish(self):
-        d = degenerate_tau(8, 6, 6)
+        d = degenerate_tau(8, 6)
         assert d.block(0).is_zero() and d.block(1).is_zero() and d.block(3).is_zero()
         assert d.is_even()
 
     @pytest.mark.parametrize("q, e, N", [(3, 4, 4), (2, 6, 7), (1, 2, 2)])
     def test_fused_pass_equals_weighted_resolvent(self, q, e, N):
         # delta is read off the first column of sum_n (A1 A2(0))^n formed for
-        # the log-det; the matrix-vector chain is the oracle.
+        # the log-det; the matrix-vector chain over matrices of size N is
+        # the oracle.
         A20 = a2_degenerate(N, e)
-        want = weighted_resolvent_11(A20, a_matrix(1, N, e, q), A20, e).times_eps()
-        assert degenerate_tau(q, e, N) == want
+        want = times_eps(weighted_resolvent_11(A20, a_matrix(1, N, e, q), A20, e))
+        assert degenerate_tau(q, e) == want
 
     def test_matrix_size_stability(self):
-        a = degenerate_tau(6, 6, 6)
-        b = degenerate_tau(6, 6, 9)
-        assert a.to_json() == b.to_json()
+        # The chains over matrices of sizes 6 and 9 give the same JSON.
+        got = degenerate_tau(6, 6).to_json()
+        for N in (6, 9):
+            A20 = a2_degenerate(N, 6)
+            want = times_eps(weighted_resolvent_11(A20, a_matrix(1, N, 6, 6), A20, 6))
+            assert got == want.to_json()
 
 
 class TestPeriodMatrix:
     def test_leading_orders(self):
-        pd = period_matrix(3, 3, 4, 4)
+        pd = period_matrix(3, 3, 4)
         assert pd.d11.block(0).is_zero() and pd.d22.block(0).is_zero()
         assert pd.d12.block(1) == -QSeries.one(("q1", "q2"), (3, 3))
 
     def test_d11_leading_is_e2_of_q2(self):
-        pd = period_matrix(3, 3, 4, 4)
+        pd = period_matrix(3, 3, 4)
         e2 = eisenstein(2, 3, "q2").embed(("q1", "q2"), (3, 3))
         assert pd.d11.block(2) == e2
 
     def test_swap_symmetry(self):
         # d22 is d11 with the torus labels exchanged
-        pd = period_matrix(3, 3, 4, 4)
+        pd = period_matrix(3, 3, 4)
         swapped = {(n, m): c for (m, n), c in pd.d11.block(2).coeffs.items()}
         assert swapped == pd.d22.block(2).coeffs
 
@@ -483,18 +493,20 @@ class TestPeriodMatrix:
     def test_shared_chain_equals_separate_resolvents(self, q1, q2, e, N):
         # d11, d22 and d12 are read off the powers of A1 A2 formed for the
         # log-det (d22 by push-through); each must equal its own
-        # matrix-vector resolvent chain, the oracle.
+        # matrix-vector resolvent chain over matrices of size N, the oracle.
         A1, A2 = a_matrix(1, N, e, q1), a_matrix(2, N, e, q2)
-        pd = period_matrix(q1, q2, e, N)
-        assert pd.d11 == weighted_resolvent_11(A2, A1, A2, e).times_eps()
-        assert pd.d22 == weighted_resolvent_11(A1, A2, A1, e).times_eps()
-        assert pd.d12 == -resolvent_11(A1, A2, e).times_eps()
+        pd = period_matrix(q1, q2, e)
+        assert pd.d11 == times_eps(weighted_resolvent_11(A2, A1, A2, e))
+        assert pd.d22 == times_eps(weighted_resolvent_11(A1, A2, A1, e))
+        assert pd.d12 == -times_eps(resolvent_11(A1, A2, e))
 
     def test_even_and_size_stable(self):
-        a = period_matrix(2, 2, 4, 4)
-        b = period_matrix(2, 2, 4, 7)
-        assert a.d11.to_json() == b.d11.to_json()
-        assert a.d12.to_json() == b.d12.to_json()
+        # The chains over matrices of sizes 4 and 7 give the same JSON.
+        pd = period_matrix(2, 2, 4)
+        for N in (4, 7):
+            A1, A2 = a_matrix(1, N, 4, 2), a_matrix(2, N, 4, 2)
+            assert pd.d11.to_json() == times_eps(weighted_resolvent_11(A2, A1, A2, 4)).to_json()
+            assert pd.d12.to_json() == (-times_eps(resolvent_11(A1, A2, 4))).to_json()
 
 
 class TestZeroMatrixResolvent:
@@ -514,15 +526,15 @@ class TestDegenerateTauHigherOrder:
         #   A20(1,1) A1(1,3) A20(3,1) and A20(1,3) A1(3,1) A20(1,1),
         #   each contributing -E4/2880, and the all-ones five-matrix chain
         #   A20(1,1) (A1(1,1) A20(1,1))^2 contributing -E2^2/1728.
-        d = degenerate_tau(8, 8, 8)
+        d = degenerate_tau(8, 8)
         e2 = eisenstein(2, 8, "q1")
         e4 = eisenstein(4, 8, "q1")
         assert d.block(6) == -e2 * e2 * F(1, 1728) - e4 * F(1, 1440)
 
     def test_period_matrix_degenerates_to_tau(self):
         # q2 -> 0 slice of the full d11 reproduces the Bernoulli-route modulus
-        pd = period_matrix(6, 0, 6, 6)
-        d = degenerate_tau(6, 6, 6)
+        pd = period_matrix(6, 0, 6)
+        d = degenerate_tau(6, 6)
         for n in range(7):
             assert set_second_to_zero(pd.d11.block(n)).agrees_with(d.block(n))
 

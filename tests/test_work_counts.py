@@ -49,19 +49,20 @@ def cold_caches():
 def test_module_pair_expands_each_minor_once(monkeypatch, cold_caches):
     # One pass in Q[E(q1)] (x) Q[E(q2)] over the minors of A1 and A2 at eps
     # order 10, with no q-series moment matrix and no matrix-vector chain:
-    # the log-det and the period data come from the same minors.  Each
-    # matrix has 43 nonempty index pairs (S, U) with sum S + sum U <= 10 and
-    # equally many odd indices, and each minor is built once.
+    # the log-det and the period data come from the same minors.  A matrix
+    # has 43 nonempty index pairs (S, U) with sum S + sum U <= 10 and
+    # equally many odd indices; A1 and A2 share one table of polynomial
+    # minors, and each minor is built once.
     matrices = counting(monkeypatch, sewing, "a_matrix")
     passes = counting(monkeypatch, sewing, "_sewing_pass")
     chains = counting(monkeypatch, sewing, "_resolvent_vector_sum")
     minors = counting(monkeypatch, sewing._Minors, "__missing__")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 10)
     assert (len(matrices), len(passes), len(chains)) == (0, 1, 0)
-    assert passes[0][1] is sewing._EisensteinPair
+    assert passes[0][0] is sewing._EisensteinPair
     keys = [(id(m), key) for m, key in minors]
-    assert len(set(keys)) == len(keys) == 2 * 43
-    assert len({m for m, _ in keys}) == 2
+    assert len(set(keys)) == len(keys) == 43
+    assert len({m for m, _ in keys}) == 1
 
 
 def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch, cold_caches):
@@ -76,7 +77,7 @@ def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch, cold_caches):
     monkeypatch.setattr(QSeries, "__mul__", lambda a, b: (
         bivariate.append(b.vars) if isinstance(b, QSeries) and len(a.vars) > 1 else None)
         or mul(a, b))
-    sewing.sewing_data(10, 10, 10, 10, ("d11", "d22", "d12"))
+    sewing.sewing_data(10, 10, 10, ("d11", "d22", "d12"))
     assert exps == []
     assert bivariate == []
 
@@ -88,7 +89,7 @@ def test_sewing_pass_sums_only_paired_entries(monkeypatch):
     passes = counting(monkeypatch, sewing, "_sewing_pass")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 4)
     genus2.z2_heisenberg(1, 1, 4)
-    assert [tuple(args[5]) for args in passes] == [("d11",), ()]
+    assert [tuple(args[3]) for args in passes] == [("d11",), ()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -126,7 +127,7 @@ def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_
     capsys.readouterr()
     assert code == 0
     assert len(matrices) == 0
-    assert [args[1] for args in passes] == [ring.EisensteinPoly]
+    assert [args[0] for args in passes] == [ring.EisensteinPoly]
     assert sewing._degenerate_sewing.cache_info().misses == 1
 
 
@@ -174,8 +175,8 @@ def test_perturbed_logdet_fails_after_the_caches_are_cleared(monkeypatch, capsys
     capsys.readouterr()
     logdet = genus2.degenerate_logdet
 
-    def perturbed(q1_trunc, eps_trunc, N):
-        s = logdet(q1_trunc, eps_trunc, N)
+    def perturbed(q1_trunc, eps_trunc):
+        s = logdet(q1_trunc, eps_trunc)
         return s + QSeries(s.vars, {(6, 1): Fraction(1, 7)}, s.truncs)
 
     clear_caches()
