@@ -1,9 +1,9 @@
 """Command-line front end: exact computations and verification suites.
 
 Exit codes form the CI contract: 0 all checks pass, 1 a verification check
-failed, 2 usage error, 3 internal fault (see ``run``).  Output is
-deterministic: identical flags produce byte-identical bytes, rationals
-always render as p/q (never floats).
+failed, 2 usage error, 3 internal fault, 141 stdout closed early (see
+``run``).  Output is deterministic: identical flags produce byte-identical
+bytes, rationals always render as p/q (never floats).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from .ring import _Record, quasimodular_monomials, rat_str
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .reports import Report
 
 # series, sewing, genus2, virasoro and zhu are imported by the commands that
 # run them, so `verify structure` never compiles the q-series engine.
-VERIFY_ERROR, USAGE_ERROR, INTERNAL_ERROR = 1, 2, 3
+VERIFY_ERROR, USAGE_ERROR, INTERNAL_ERROR, BROKEN_PIPE = 1, 2, 3, 141
 
 THETA_SUITE_PAIRS = (("0", 1), ("1", 1), ("1/4", 2), ("2", 1))
 
@@ -138,7 +139,7 @@ def _add_global_options(p, in_subparser: bool) -> None:
     p.add_argument("--max-weight", type=int, default=d,
                    help="maximum descendant weight (default 8)")
     p.add_argument("--matrix-size", type=int, default=d,
-                   help="moment-matrix truncation size (default: eps order)")
+                   help="at least the eps order, at most 64; changes no output")
     p.add_argument("--format", choices=FORMATS, default=d,
                    help="output format (default table)")
     p.add_argument("--config", default=d,
@@ -413,9 +414,15 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """``main`` as a process entry point: an internal fault prints its
-    traceback to stderr and returns INTERNAL_ERROR, not a check's 1."""
+    traceback to stderr and returns INTERNAL_ERROR, not a check's 1; stdout
+    closed by its reader (``| head``) returns BROKEN_PIPE, as SIGPIPE would."""
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet last flush
+        return BROKEN_PIPE
     except Exception:
         import traceback
         traceback.print_exc()

@@ -4,24 +4,27 @@ The pinched-torus limit q2 -> 0 is always taken algebraically: the second
 moment matrix becomes its Bernoulli form, every q2-series collapses to its
 constant term, and the q2^(C/24) prefactor cancels the eta(q2)^(-C) offset
 by construction; the pinched log-det and modulus are exact polynomials in
-E2, E4, E6 per power of eps, expanded in q1 once.  The limit of the
+E2, E4, E6 per power of eps, memoized per eps order.  The limit of the
 normalized partition function is then compared, order by order in the
 sewing parameter, against two independent routes: an exact Taylor shift of
 the genus-one data to the degenerate modulus, and the sum of 1-point
 operators of the conformal-map vacuum descendants (the Zhu-recursion route).
+``verify_detHi`` and the theta pairs compare exact polynomials, so their
+identities hold at every q-order; the free-boson suite compares q-series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial, lcm
+from functools import lru_cache
 from types import MappingProxyType
 
 from .reports import Report
-from .ring import _Record, rat, rat_str
-from .series import QSeries, eisenstein, eta_normalized
-from .sewing import degenerate_logdet, degenerate_tau, sewing_data
+from .ring import (EisensteinPoly, RationalPoly, _lowest_terms, _Record, _sum_terms, monomial_str,
+                   rat, rat_str)
+from .series import (QSeries, _exp_blocks, _monomial_qseries, _quotient_blocks, eisenstein,
+                     eta_normalized)
+from .sewing import _degenerate_sewing, _eps_series, degenerate_logdet, degenerate_tau, sewing_data
 # virasoro and zhu are imported where the operator route runs, so the closed
 # forms (``compute z2-module`` and the like) never load them.
 
@@ -161,19 +164,40 @@ def _degenerate_det(q1_trunc: int, eps_trunc: int, r: int) -> QSeries:
     return (degenerate_logdet(q1_trunc, eps_trunc) * Fraction(-r, 2)).exp()
 
 
-@lru_cache(maxsize=None)
-def _heisenberg_normalizer(q1_trunc: int, eps_trunc: int, r: int) -> QSeries:
-    """(lim q2^(1/24) Z^(2) of the free boson)^r eta(q1)^r, the normalizer of
-    the theta pairs of rank r: its eps^0 block is exactly 1, so it divides
-    block by block (``QSeries.divided_by``); memoized like ``_degenerate_det``."""
-    lim = z2_heisenberg_degenerate(q1_trunc, eps_trunc)
-    return _times_q(lim, eta_normalized(q1_trunc, "q1")) ** r
-
-
 # -- the operator-valued degeneration sum -------------------------------------------
 
 # Variables of the eps coefficients of H_l: the base modulus and the central charge.
 H_VARS = ("q1", "C")
+
+
+class _DPoly(RationalPoly):
+    """Q[D, C, E2, E4, E6], keyed (i, j, a, b, c) for D^i C^j E2^a E4^b E6^c
+    as ``DiffOp.nums`` is, D standing for qd."""
+
+    __slots__ = ()
+    _monomial_str = staticmethod(lambda k: monomial_str(*zip(("D", "C", "E2", "E4", "E6"), k)))
+
+
+def _slice(ops: dict, l: int) -> dict:
+    # The qd^l part of each eps^n operator, in Q[D, C, E2, E4, E6].
+    return {n: x for n, op in ops.items() if (x := _DPoly._made(*_lowest_terms(
+        {k: v for k, v in op.nums.items() if k[0] == l}, op.den))).nums}
+
+
+def _at(ops: dict, r: int, a: Fraction) -> dict:
+    # {n: op} at C = r on the base q1^a, over it (qd q1^a = a q1^a), in Q[E2, E4, E6].
+    return {n: x for n, op in ops.items() if (x := EisensteinPoly._made(*_sum_terms(
+        (op.den * w.denominator, w.numerator, nums.items())
+        for (i, j), nums in op._slices().items() if (w := a ** i * r ** j)))).nums}
+
+
+def _H_series(blocks: dict, eps_trunc: int, q_trunc: int) -> QSeries:
+    # qd^l blocks as a series in ("eps",) + H_VARS, expanded through q1^q_trunc.
+    pieces = [(s.den * p.den, v, [((n, m, j), w) for (m,), w in s.nums.items()])
+              for n, p in blocks.items() for (_, j, *k), v in p.nums.items()
+              for s in (_monomial_qseries(tuple(k), q_trunc),)]
+    return QSeries._made(("eps", *H_VARS), *_sum_terms(pieces),
+                         (eps_trunc, q_trunc, eps_trunc), (Fraction(0),) * 3)
 
 
 class OperatorEpsSeries(_Record):
@@ -201,26 +225,7 @@ class OperatorEpsSeries(_Record):
         """
         if l < 0:
             raise ValueError("derivative order must be >= 0")
-        if l not in self._H:
-            return QSeries.zero(("eps", *H_VARS), (self.eps_trunc, self.q_trunc, self.eps_trunc))
-        return self._H[l]
-
-    @cached_property
-    def _H(self) -> dict:
-        # l -> H_l for every l that occurs, from one pass over the integer
-        # numerators of every operator's q-expansions.
-        parts = {}
-        for n, op in self.terms.items():
-            for (l, j), s in op.series().items():
-                parts.setdefault(l, []).append((n, j, s))
-        truncs = (self.eps_trunc, self.q_trunc, self.eps_trunc)
-        H = {}
-        for l, group in parts.items():
-            den = lcm(*(s.den for _, _, s in group))
-            nums = {(n, m, j): v * (den // s.den)
-                    for n, j, s in group for (m,), v in s.nums.items()}
-            H[l] = QSeries._reduced(("eps", *H_VARS), nums, den, truncs, (Fraction(0),) * 3)
-        return H
+        return _H_series(_slice(self.terms, l), self.eps_trunc, self.q_trunc)
 
 
 @lru_cache(maxsize=None)
@@ -247,45 +252,45 @@ def degeneration_sum(max_weight: int, q_trunc: int) -> OperatorEpsSeries:
 # -- verification suites -------------------------------------------------------------
 
 
-def _fmt_eps(series: QSeries, eps_trunc: int) -> str:
-    return str(series.truncate((min(eps_trunc, series.truncs[0]), *series.truncs[1:])))
+@lru_cache(maxsize=None)
+def _pinched_operator(eps_trunc: int) -> MappingProxyType:
+    """det(I - A1 A2(0))^(-C/2) exp(delta qd) as {n: eps^n operator}, whose
+    qd^l part is det^(-C/2) delta^l / l!: the exp runs in Q[D, C, E2, E4, E6],
+    D = qd.  Memoized per eps order, like the pinched blocks it is made of."""
+    from .zhu import THETA_BASIS, DiffOp
+    f = {}  # the exponent: the log-det times -C/2 plus delta times D
+    for (i, j, x), blocks in zip(((0, 1, Fraction(-1, 2)), (1, 0, 1)),
+                                 _degenerate_sewing(eps_trunc)):
+        for n, p in blocks.items():
+            term = _DPoly._made({(i, j, *k): v for k, v in p.nums.items()}, p.den) * x
+            f[n] = f[n] + term if n in f else term
+    return MappingProxyType({n: DiffOp._made(THETA_BASIS, p.nums, p.den, None) for n, p in
+                             _exp_blocks(f, eps_trunc, _DPoly({(0, 0, 0, 0, 0): 1})).items()})
 
 
 def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
     """Check H_l = det(I - A1 A2(0))^(-C/2) delta^l / l! identically in C.
 
-    Both sides are eps-series over (q1, C)-series.  The left side comes from
-    the Zhu-recursion operators of the vacuum descendants; the right side
-    from the Bernoulli moment matrix.  One equality per l <= eps_trunc/2
-    (H_l = O(eps^(2l)) vanishes beyond), plus the structural bounds n >= 2l
-    and j <= n/2 - l.
+    Both sides are qd^l parts of exact polynomials per power of eps, so each
+    equality holds at every q-order; a failed one prints them as eps-series
+    over (q1, C)-series.  The left side comes from the Zhu-recursion
+    operators of the vacuum descendants; the right side from the Bernoulli
+    moment matrix.  One equality per l <= eps_trunc/2 (H_l = O(eps^(2l))
+    vanishes beyond), plus the structural bounds n >= 2l and j <= n/2 - l.
     """
     report = Report(title="determinant form of the degeneration coefficients",
                     notes=[PREFACTOR_NOTE])
     ds = degeneration_sum(eps_trunc, q_trunc)
-    vars, truncs = ("eps", *H_VARS), (eps_trunc, q_trunc, eps_trunc)
-
-    def lift(s):
-        # An eps-series over q1 as a series in (eps, q1, C), constant in C.
-        return s.embed(vars, (*s.truncs, eps_trunc))
-
-    delta = lift(degenerate_tau(q_trunc, eps_trunc))
-    logdet = lift(degenerate_logdet(q_trunc, eps_trunc))
-    det = (logdet * QSeries(vars, {(0, 0, 1): Fraction(-1, 2)}, truncs)).exp()
-    det_delta_l = det
     for l in range(eps_trunc // 2 + 1):
-        if l:
-            det_delta_l = det_delta_l * delta
-        lhs = ds.extract_H(l)
-        rhs = det_delta_l * Fraction(1, factorial(l))
-        ok = lhs.agrees_with(rhs, truncs)
+        lhs, rhs = _slice(ds.terms, l), _slice(_pinched_operator(eps_trunc), l)
+        ok = lhs == rhs
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
-                   expected=str(rhs) if not ok else "",
-                   computed=str(lhs) if not ok else "")
-        report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bounds()[0] >= 2 * l,
+                   expected="" if ok else str(_H_series(rhs, eps_trunc, q_trunc)),
+                   computed="" if ok else str(_H_series(lhs, eps_trunc, q_trunc)))
+        report.add(f"H_{l} = O(eps^{2 * l})", min(lhs, default=eps_trunc + 1) >= 2 * l,
                    order=f"eps<={eps_trunc}")
-        bound_ok = all(2 * j <= n - 2 * l for n, _, j in lhs.nums)
+        bound_ok = all(2 * k[1] <= n - 2 * l for n, p in lhs.items() for k in p.nums)
         report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
                    order=f"eps<={eps_trunc}")
     return report
@@ -329,7 +334,7 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))
 
     # lim q2^(1/24) Z^(2) / Z^(1)(q) = 1 + 0 eps^2 + E4/576 eps^4 + O(eps^6)
-    lim = _heisenberg_normalizer(q_trunc, eps_trunc, 1)  # the limit times eta(q1)
+    lim = _times_q(z2_heisenberg_degenerate(q_trunc, eps_trunc), eta1)  # times eta(q1)
     ratio = lim.divided_by(z1_ratio)
     check_coeff("degeneration ratio at eps^0", ratio, 0, QSeries.one("q1", q_trunc))
     check_coeff("degeneration ratio at eps^2", ratio, 2, QSeries.zero("q1", q_trunc))
@@ -342,51 +347,47 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
 def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 6) -> Report:
     """Main degeneration statement for a beta = 0 module pair at C = rank.
 
-    Three routes to lim_{q2->0}: (a) the closed forms, the pair's limit over
-    the free boson's to the r-th, both times eta(q1)^r so that the divisor's
-    eps^0 block is 1; (b) the Taylor-shifted genus-one normalized function;
+    Three routes to lim_{q2->0}, each q1^a (a = alpha^2/2) times one
+    polynomial in E2, E4, E6 per power of eps: (a) the closed forms, the
+    pair's limit over the free boson's to the r-th; (b) the Taylor-shifted
+    genus-one normalized function, exp(a delta) q1^a since qd q1^a = a q1^a;
     (c) the Zhu-recursion operator sum.  The report records (a) == (b) and
-    (c) against both.
+    (c) against both, as polynomial identities at C = r and D = qd = a; a
+    failed one prints its sides as eps-series over q1.
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("theta degeneration check needs beta = 0")
-    r = p.rank
+    r, a, zero = p.rank, p.alpha_sq / 2, EisensteinPoly()
     report = Report(
         title=f"torus degeneration of the normalized partition function "
               f"(alpha^2={rat_str(p.alpha_sq)}, r={r})",
         notes=[PREFACTOR_NOTE])
 
-    delta = degenerate_tau(q_trunc, eps_trunc)
-    eta1 = eta_normalized(q_trunc, "q1")
-    theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
+    def expanded(blocks):
+        mono = QSeries.monomial("q1", a, q_trunc)
+        return str(_eps_series(blocks, eps_trunc, lambda x: x.to_qseries(q_trunc, "q1") * mono,
+                               zero))
 
-    unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc), eta1 ** r)
-    theta_lim = unnormalized.divided_by(_heisenberg_normalizer(q_trunc, eps_trunc, r))  # (a)
-    theta_taylor = taylor_shift(theta1, delta)        # (b)
-    ds = degeneration_sum(eps_trunc, q_trunc)
-    from .zhu import BasePartition
-    zhu_side = ds.specialize(BasePartition(theta1, Fraction(r)))  # (c)
+    zhu_side = _at(degeneration_sum(eps_trunc, q_trunc).terms, r, a)            # (c)
+    closed = _pinched_operator(eps_trunc)
+    pair, det_r, theta_taylor = _at(closed, r, a), _at(closed, r, 0), _at(closed, 0, a)  # (b)
+    theta_lim = _quotient_blocks(pair, det_r, eps_trunc, zero)                   # (a)
 
-    through = (eps_trunc, q_trunc)
-    ok_ab = theta_lim.agrees_with(theta_taylor, through)
-    report.add("lim Theta^(2) == Theta^(1)(q) (closed form vs Taylor shift)",
-               ok_ab, order=f"eps<={eps_trunc}, q<={q_trunc}",
-               expected="" if ok_ab else _fmt_eps(theta_taylor, eps_trunc),
-               computed="" if ok_ab else _fmt_eps(theta_lim, eps_trunc))
+    order = f"eps<={eps_trunc}, q<={q_trunc}"
+    ok_ab = theta_lim == theta_taylor
+    report.add("lim Theta^(2) == Theta^(1)(q) (closed form vs Taylor shift)", ok_ab,
+               order=order, expected="" if ok_ab else expanded(theta_taylor),
+               computed="" if ok_ab else expanded(theta_lim))
 
-    ok_c = zhu_side.agrees_with(unnormalized, through)
+    ok_c = zhu_side == pair
     report.add("Zhu-recursion degeneration sum == closed-form limit "
-               "(eta^r reattached)", ok_c,
-               order=f"eps<={eps_trunc}, q<={q_trunc}",
-               expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
-               computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
+               "(eta^r reattached)", ok_c, order=order,
+               expected="" if ok_c else expanded(pair),
+               computed="" if ok_c else expanded(zhu_side))
 
-    det_r = _degenerate_det(q_trunc, eps_trunc, r)
-    ok_cross = zhu_side.agrees_with(det_r * theta_taylor, through)
-    report.add("operator route == det^(-r/2) * shifted Theta^(1)", ok_cross,
-               order=f"eps<={eps_trunc}, q<={q_trunc}")
+    report.add("operator route == det^(-r/2) * shifted Theta^(1)",
+               _quotient_blocks(zhu_side, det_r, eps_trunc, zero) == theta_taylor, order=order)
 
     report.add("only even eps powers appear",
-               theta_lim.is_even() and zhu_side.is_even(),
-               order=f"eps<={eps_trunc}")
+               all(n % 2 == 0 for n in (*theta_lim, *zhu_side)), order=f"eps<={eps_trunc}")
     return report

@@ -616,16 +616,8 @@ class QSeries(_Canonical):
             raise SeriesError("exp requires zero offset")
         if any(e[0] == 0 for e in self.nums):
             raise SeriesError("exp requires zero constant term")
-        kf = {k: f * k for k, f in self.blocks().items()}
-        zero = self.block_zero()
-        g = [zero + 1]
-        for n in range(1, self.truncs[0] + 1):
-            acc = zero
-            for k, f in kf.items():
-                if k <= n:
-                    acc = acc + f * g[n - k]
-            g.append(acc * Fraction(1, n))
-        return QSeries.from_blocks(self.vars[0], dict(enumerate(g)), self.truncs[0])
+        return QSeries.from_blocks(self.vars[0], _exp_blocks(
+            self.blocks(), self.truncs[0], self.block_zero() + 1), self.truncs[0])
 
     def log(self) -> "QSeries":
         """log of a series with zero offsets whose v^0 coefficient is exactly 1,
@@ -833,6 +825,16 @@ def _log_blocks(u: dict, trunc: int, zero) -> dict:
         g_n = u.get(n, zero) - acc * Fraction(1, n)
         if g_n != zero:
             g[n], kg[n] = g_n, g_n * n
+    return g
+
+
+def _exp_blocks(f: dict, trunc: int, one) -> dict:
+    """The nonzero blocks g_n, n <= trunc, of g = exp(f), f = {n > 0: f_n} in
+    any ring with unit ``one``: n g_n = sum_{0<k<=n} k f_k g_(n-k)."""
+    kf, zero, g = {k: v * k for k, v in f.items()}, one * 0, {0: one}
+    for n in range(1, trunc + 1):
+        if (acc := sum((v * g[n - k] for k, v in kf.items() if n - k in g), zero)) != zero:
+            g[n] = acc * Fraction(1, n)
     return g
 
 

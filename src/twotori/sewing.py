@@ -25,13 +25,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from types import MappingProxyType
 
 from .ring import (
     EisensteinPoly,
     RationalPoly,
     SeriesError,
     _Record,
+    _lowest_terms,
     _sum_terms,
     bernoulli,
     eisenstein_poly,
@@ -158,8 +160,8 @@ class _Minors(dict):
     expansion along the first row, so each minor is computed once.
 
     c(k, l) (k + l even, at most ``limit``) is read once, an element of any
-    ring whose unit is ``one``: a polynomial in ``_sewing_pass``, a series
-    or a rational in ``log_det_I_minus``.
+    ring whose unit is ``one``: a polynomial in ``_sewing_pass``, an int in
+    ``_degenerate_sewing``, a series or a rational in ``log_det_I_minus``.
     """
 
     def __init__(self, coeff, limit: int, one):
@@ -258,14 +260,15 @@ def _outer(x: dict, y: dict):
     return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
 
 
-def _sewing_pass(ring, expand, eps_trunc: int, wanted, b: _Minors | None = None):
+def _sewing_pass(ring, expand, eps_trunc: int, wanted, b=None):
     """log det(I - A B) and {name: -eps N/det(I - A B)} for the numerator N
     of each name in ``wanted``, from the minors of A = A1 in E2, E4, E6 of q1
     and of B: ``b`` in other generators (A2(0) in Q on the pinched surface),
     or else A2 read from A1's own table, since c(k, l) E_{k+l} is the same
     polynomial in E(q2) as in E(q1) and only its key position in ``_outer``
     puts a minor in q2.  Exact in ``ring``, one polynomial per power of eps,
-    each expanded in q once by ``expand``.
+    each expanded in q once by ``expand``, or kept as {n: block} if
+    ``expand`` is None.
 
     Cauchy-Binet on the principal minors of A B gives
         det(I - A B) = sum_{|S|=|U|} (-1)^|S| det A[S,U] det B[U,S],
@@ -291,14 +294,19 @@ def _sewing_pass(ring, expand, eps_trunc: int, wanted, b: _Minors | None = None)
     det, *nums = ({n: p for n, terms in pieces[name].items()
                    if not (p := ring._made(*_sum_terms(terms))).is_zero()} for name in pieces)
     zero = ring()
+    logdet, d = _log_blocks(det, eps_trunc, zero), {name: {
+        n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, zero).items()}
+        for name, N in zip(wanted, nums)}
+    if expand is None:
+        return logdet, d
+    return _eps_series(logdet, eps_trunc, expand, zero), {
+        name: _eps_series(blocks, eps_trunc + 1, expand, zero) for name, blocks in d.items()}
 
-    def series(blocks, trunc):
-        return QSeries.from_blocks("eps", {0: expand(zero), **{
-            n: expand(p) for n, p in blocks.items()}}, trunc)
 
-    return series(_log_blocks(det, eps_trunc, zero), eps_trunc), {
-        name: series({n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, zero).items()},
-                     eps_trunc + 1) for name, N in zip(wanted, nums)}
+def _eps_series(blocks: dict, trunc: int, expand, zero) -> QSeries:
+    # The eps-series of ring blocks {n: p}, each block expanded in q once.
+    return QSeries.from_blocks("eps", {0: expand(zero), **{
+        n: expand(p) for n, p in blocks.items()}}, trunc)
 
 
 # -- resolvent chains (matrix-vector products) ---------------------------------------
@@ -381,23 +389,30 @@ def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> PeriodData:
 
 
 @lru_cache(maxsize=None)
-def _degenerate_sewing(q1_trunc: int, eps_trunc: int) -> tuple[QSeries, QSeries]:
-    """log det(I - A1 A2(0)) and -eps N/det(I - A1 A2(0)) (the "d11" of
-    ``_sewing_pass``) from minors of A1 in Q[E2, E4, E6] and of A2(0) in Q.
-    Memoized: both results are immutable."""
-    b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), eps_trunc + 1,
-                _Rationals({(): 1}))
-    logdet, d = _sewing_pass(EisensteinPoly, lambda p: p.to_qseries(q1_trunc, "q1"), eps_trunc,
-                             ("d11",), b)
-    return logdet, d["d11"]
+def _degenerate_sewing(eps_trunc: int) -> tuple[dict, dict]:
+    """The blocks {n: p} in Q[E2, E4, E6] of log det(I - A1 A2(0)) and delta
+    (the "d11" of ``_sewing_pass``), read-only and memoized per eps order.
+    A2(0)'s minors are those of the integers D c(k, l), D the lcm of the
+    denominators, over D^|S|: one content gcd per minor."""
+    D = lcm(*(_pinched_coeff(k, n - k).denominator
+              for n in range(2, eps_trunc + 2, 2) for k in range(1, n)))
+    ints = _Minors(lambda k, l: (_pinched_coeff(k, l) * D).numerator, eps_trunc + 1, 1)
+    b = {(U, S): _Rationals._made(*_lowest_terms({(): m} if (m := ints[U, S]) else {},
+                                                 D ** len(S)))
+         for S, U, n in _index_pairs(eps_trunc + 1)
+         if n <= eps_trunc or S[:1] == U[:1] == (1,)}      # the minors the pass reads
+    logdet, d = _sewing_pass(EisensteinPoly, None, eps_trunc, ("d11",), b)
+    return MappingProxyType(logdet), MappingProxyType(d["d11"])
 
 
 def degenerate_logdet(q1_trunc: int, eps_trunc: int) -> QSeries:
     """log det(I - A1 A2(0)) on the pinched surface, as an eps-series over q1."""
-    return _degenerate_sewing(q1_trunc, eps_trunc)[0]
+    return _eps_series(_degenerate_sewing(eps_trunc)[0], eps_trunc,
+                       lambda p: p.to_qseries(q1_trunc, "q1"), EisensteinPoly())
 
 
 def degenerate_tau(q1_trunc: int, eps_trunc: int) -> QSeries:
     """2pi i (tau - tau1) on the pinched surface, as an eps-series over q1:
-    eps (A2(0) (I - A1 A2(0))^(-1))(1,1), memoized with the log-det."""
-    return _degenerate_sewing(q1_trunc, eps_trunc)[1]
+    eps (A2(0) (I - A1 A2(0))^(-1))(1,1), read from the log-det's memo."""
+    return _eps_series(_degenerate_sewing(eps_trunc)[1], eps_trunc + 1,
+                       lambda p: p.to_qseries(q1_trunc, "q1"), EisensteinPoly())

@@ -317,8 +317,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
     Returns the Theta-level series in the variable of the base; the implicit
     eta^(-C) prefactor is reattached by callers that need the raw partition
     function.  The sum runs in Q[E2, E4, E6], C^j read as c^j: one polynomial
-    per derivative order i, expanded once and times qd^i Theta; a one-term
-    base has qd^i Theta = a^i Theta, so its whole operator is one polynomial.
+    per derivative order i, expanded once and times qd^i Theta.
     """
     from .series import QSeries
     if op.basis != THETA_BASIS:
@@ -330,11 +329,10 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
             f"truncation mismatch: base known to q^{base.theta.trunc}, "
             f"operator needs q^{op.q_trunc}")
     theta = base.theta.truncate(op.q_trunc)
-    a = theta.offset + next(iter(theta.nums))[0] if len(theta.nums) == 1 else None
     pieces = {}
     for (i, j), nums in op._slices().items():
-        key, w = (i, base.c_value ** j) if a is None else (0, base.c_value ** j * a ** i)
-        pieces.setdefault(key, []).append((op.den * w.denominator, w.numerator, nums.items()))
+        w = base.c_value ** j
+        pieces.setdefault(i, []).append((op.den * w.denominator, w.numerator, nums.items()))
     derivs = [theta]
     for _ in range(max(pieces, default=0)):
         derivs.append(derivs[-1].qd())

@@ -393,6 +393,16 @@ class TestConfigAndDeterminism:
             cfg.write_text(f"matrix-size={eps + 1}\n")
             assert run(capsys, "--config", str(cfg), *base) == (0, plain, "")
 
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_matrix_size_help_says_what_the_flag_does(self, capsys, argv):
+        # The size truncates nothing, so the help names its bounds and that
+        # it changes no output, on the main parser and on each command.
+        code, out, _ = run(capsys, *argv)
+        text = " ".join(out.split())
+        assert code == 0 and "truncation size" not in text
+        assert "--matrix-size MATRIX_SIZE at least the eps order, at most 64; changes no " \
+               "output" in text
+
     def test_theta_degen_ignores_max_weight(self, capsys):
         # The degeneration sum runs to the eps order, whatever --max-weight
         # says; only lambda and the structure suite read that flag.

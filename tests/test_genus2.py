@@ -1,15 +1,18 @@
 """Genus-two closed forms, the operator degeneration sum, and the verifiers."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
-from twotori.ring import eisenstein_poly
+from twotori.ring import EisensteinPoly, eisenstein_poly
 from twotori.series import QSeries, eisenstein, eta_normalized
 from twotori.genus2 import (
     H_VARS,
+    PREFACTOR_NOTE,
     ModulePair,
     OperatorEpsSeries,
+    _DPoly,
     _eta_prefactor,
     _times_q,
     degeneration_sum,
@@ -22,8 +25,9 @@ from twotori.genus2 import (
     z2_module_degenerate,
     z2_module_pair,
 )
-from twotori import genus2
+from twotori import genus2, sewing
 from twotori.sewing import (
+    _eps_series,
     a2_degenerate,
     a_matrix,
     degenerate_tau,
@@ -37,6 +41,7 @@ from twotori.virasoro import VirState
 from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, to_theta_basis
 
 from test_series import set_second_to_zero, times_eps
+from test_work_counts import clear_caches
 
 
 def partition_numbers(trunc):
@@ -122,6 +127,105 @@ def oracle_extract_H(ds, l):
                     for (i, j), s in op.series().items() if i == l
                     for (m,), c in s.coeffs.items()},
                    (ds.eps_trunc, ds.q_trunc, ds.eps_trunc))
+
+
+# -- the q-series suites, kept as the oracles of the suites in the rings ----------
+
+
+def _fmt_eps(series, eps_trunc):
+    return str(series.truncate((min(eps_trunc, series.truncs[0]), *series.truncs[1:])))
+
+
+def oracle_verify_detHi(eps_trunc, q_trunc) -> Report:
+    # H_l and det(I - A1 A2(0))^(-C/2) delta^l / l! as eps-series over (q1,
+    # C)-series, compared to (eps_trunc, q_trunc, eps_trunc).
+    report = Report(title="determinant form of the degeneration coefficients",
+                    notes=[PREFACTOR_NOTE])
+    ds = genus2.degeneration_sum(eps_trunc, q_trunc)
+    vars, truncs = ("eps", *H_VARS), (eps_trunc, q_trunc, eps_trunc)
+
+    def lift(s):
+        return s.embed(vars, (*s.truncs, eps_trunc))
+
+    delta = lift(sewing.degenerate_tau(q_trunc, eps_trunc))
+    logdet = lift(sewing.degenerate_logdet(q_trunc, eps_trunc))
+    det = (logdet * QSeries(vars, {(0, 0, 1): F(-1, 2)}, truncs)).exp()
+    det_delta_l = det
+    for l in range(eps_trunc // 2 + 1):
+        if l:
+            det_delta_l = det_delta_l * delta
+        lhs = ds.extract_H(l)
+        rhs = det_delta_l * F(1, factorial(l))
+        ok = lhs.agrees_with(rhs, truncs)
+        report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
+                   order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
+                   expected=str(rhs) if not ok else "",
+                   computed=str(lhs) if not ok else "")
+        report.add(f"H_{l} = O(eps^{2 * l})", lhs._ord_bounds()[0] >= 2 * l,
+                   order=f"eps<={eps_trunc}")
+        bound_ok = all(2 * j <= n - 2 * l for n, _, j in lhs.nums)
+        report.add(f"C-degree of H_{l} bounded by n/2 - {l}", bound_ok,
+                   order=f"eps<={eps_trunc}")
+    return report
+
+
+def oracle_verify_theta_degeneration(p, eps_trunc, q_trunc) -> Report:
+    # The three routes (a), (b), (c) as eps-series over q1, compared to
+    # (eps_trunc, q_trunc).
+    r = p.rank
+    report = Report(
+        title=f"torus degeneration of the normalized partition function "
+              f"(alpha^2={genus2.rat_str(p.alpha_sq)}, r={r})",
+        notes=[PREFACTOR_NOTE])
+    delta = sewing.degenerate_tau(q_trunc, eps_trunc)
+    eta1 = eta_normalized(q_trunc, "q1")
+    theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
+    unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc), eta1 ** r)
+    normalizer = _times_q(z2_heisenberg_degenerate(q_trunc, eps_trunc), eta1) ** r
+    theta_lim = unnormalized.divided_by(normalizer)
+    theta_taylor = taylor_shift(theta1, delta)
+    ds = genus2.degeneration_sum(eps_trunc, q_trunc)
+    zhu_side = ds.specialize(BasePartition(theta1, F(r)))
+
+    through = (eps_trunc, q_trunc)
+    ok_ab = theta_lim.agrees_with(theta_taylor, through)
+    report.add("lim Theta^(2) == Theta^(1)(q) (closed form vs Taylor shift)",
+               ok_ab, order=f"eps<={eps_trunc}, q<={q_trunc}",
+               expected="" if ok_ab else _fmt_eps(theta_taylor, eps_trunc),
+               computed="" if ok_ab else _fmt_eps(theta_lim, eps_trunc))
+    ok_c = zhu_side.agrees_with(unnormalized, through)
+    report.add("Zhu-recursion degeneration sum == closed-form limit "
+               "(eta^r reattached)", ok_c,
+               order=f"eps<={eps_trunc}, q<={q_trunc}",
+               expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
+               computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
+    det_r = genus2._degenerate_det(q_trunc, eps_trunc, r)
+    report.add("operator route == det^(-r/2) * shifted Theta^(1)",
+               zhu_side.agrees_with(det_r * theta_taylor, through),
+               order=f"eps<={eps_trunc}, q<={q_trunc}")
+    report.add("only even eps powers appear", theta_lim.is_even() and zhu_side.is_even(),
+               order=f"eps<={eps_trunc}")
+    return report
+
+
+def theta_series(blocks, p, eps_trunc, q_trunc):
+    # Blocks in Q[E2, E4, E6] times q1^(alpha^2/2), as an eps-series over q1.
+    mono = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
+    return _eps_series(blocks, eps_trunc, lambda x: x.to_qseries(q_trunc, "q1") * mono,
+                       EisensteinPoly())
+
+
+def ring_theta_objects(monkeypatch, p, e, q):
+    # The closed form (a) and the Zhu side (c) the ring suite compares: the
+    # first quotient it takes and the first polynomials it evaluates.
+    quotients, evaluated = [], []
+    quotient, at = genus2._quotient_blocks, genus2._at
+    monkeypatch.setattr(genus2, "_quotient_blocks", lambda *a: quotients.append(quotient(*a))
+                        or quotients[-1])
+    monkeypatch.setattr(genus2, "_at", lambda *a: evaluated.append(at(*a)) or evaluated[-1])
+    verify_theta_degeneration(p, e, q)
+    monkeypatch.undo()
+    return quotients[0], evaluated[0]
 
 
 # (q1, eps, N): N is the size of the oracles' matrices
@@ -220,12 +324,14 @@ class TestQuotientsAgainstInverses:
     @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
     @pytest.mark.parametrize("p", PINCHED_PAIRS)
     def test_theta_closed_form(self, monkeypatch, p, e, q, N):
-        theta_lim, zhu_side = suite_objects(
-            monkeypatch, lambda: verify_theta_degeneration(p, e, q))
-        want = oracle_theta_closed_form(p, q, e, N)
-        assert theta_lim == want and str(theta_lim) == str(want)
+        # The suite compares the closed form (a) and the Zhu side (c) as
+        # polynomial blocks; times q1^(alpha^2/2) they are the series the
+        # eps-series inverse and the q-series closed form gave.
+        theta_lim, zhu_side = ring_theta_objects(monkeypatch, p, e, q)
+        got, want = theta_series(theta_lim, p, e, q), oracle_theta_closed_form(p, q, e, N)
+        assert got == want and str(got) == str(want)
         unnormalized = _times_q(z2_module_degenerate(p, q, e), eta_normalized(q, "q1") ** p.rank)
-        assert zhu_side.agrees_with(unnormalized, (e, q))
+        assert theta_series(zhu_side, p, e, q) == unnormalized
 
     @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
     def test_free_boson_ratio(self, monkeypatch, e, q, N):
@@ -233,12 +339,6 @@ class TestQuotientsAgainstInverses:
             monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
         assert ratio == oracle_free_boson_ratio(q, e, N)
         assert lim == _times_q(z2_heisenberg_degenerate(q, e), eta_normalized(q, "q1"))
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_normalizer_is_a_unit_block_divisor(self, r):
-        # The normalizer's eps^0 block is exactly 1, as divided_by needs.
-        u = genus2._heisenberg_normalizer(6, 8, r)
-        assert u.block(0) == QSeries.one("q1", 6) and not any(u.offsets)
 
 
 # (q1, q2, eps, N): N is the size of the oracles' matrices
@@ -441,16 +541,10 @@ class TestVerifiers:
     @pytest.mark.parametrize("n, l_over", [(2, 1), (4, 2)])
     def test_detHi_identity_fails_on_a_perturbed_H(self, monkeypatch, n, l_over):
         # The identity and the C-degree bound must be able to FAIL: add
-        # C*q1^3*eps^n (q1^3 is the top known q-order, eps^4 the top eps
-        # order) to every H_l; both checks have to notice it, and the
-        # C-degree bound must fail for H_l_over, where 1 > n/2 - l_over.
-        extract_H = OperatorEpsSeries.extract_H
-
-        def perturbed(self, l):
-            bump = QSeries(H_VARS, {(self.q_trunc, 1): 1}, (self.q_trunc, self.eps_trunc))
-            return extract_H(self, l) + QSeries.from_blocks("eps", {n: bump}, self.eps_trunc)
-
-        monkeypatch.setattr(OperatorEpsSeries, "extract_H", perturbed)
+        # C*E4*eps^n (eps^4 the top eps order) to every H_l; both checks
+        # have to notice it, and the C-degree bound must fail for H_l_over,
+        # where 1 > n/2 - l_over.  A failed identity prints both sides.
+        perturb_H(monkeypatch, {l: n for l in range(3)})
         rep = verify_detHi(eps_trunc=4, q_trunc=3)
         identity = [c for c in rep.checks if " == det(I-A1*A2(0))" in c.name]
         assert len(identity) == 3
@@ -612,12 +706,14 @@ def _compute_objects(e, q):
             "z2-module": z2_module_pair(SOUND_PAIR, q, q, e)}
 
 
+SOUND_THETA = ModulePair(2, F(1, 4))
+
+
 def _suite_objects(monkeypatch, e, q):
-    # The three theta-suite objects this rewrite computes: line 1's closed
-    # form and the Zhu side for one pair, and the free-boson ratio.
-    p = ModulePair(2, F(1, 4))
-    theta_lim, zhu_side = suite_objects(
-        monkeypatch, lambda: verify_theta_degeneration(p, e, q))
+    # The objects the degeneration suites compare: line 1's closed form and
+    # the Zhu side for one pair, as polynomial blocks, and the free-boson
+    # ratio.
+    theta_lim, zhu_side = ring_theta_objects(monkeypatch, SOUND_THETA, e, q)
     _, ratio = suite_objects(monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
     return {"closed form (a)": theta_lim, "Zhu side": zhu_side, "free-boson ratio": ratio}
 
@@ -650,6 +746,134 @@ class TestTruncationSoundness:
 
     @pytest.mark.parametrize("e, q", [(4, 3), (6, 6), (4, 5)])
     def test_theta_suite_objects(self, monkeypatch, e, q):
+        # A polynomial block claimed at eps^n <= e is the same at e + 2, and
+        # so is its q-expansion cut back to q.
         low, high = _suite_objects(monkeypatch, e, q), _suite_objects(monkeypatch, e + 2, q + 2)
         for name in low:
-            assert_cut_back(low[name], high[name], e, q)
+            lo, hi = low[name], high[name]
+            if isinstance(lo, dict):
+                assert lo == {n: x for n, x in hi.items() if n <= e} and 0 in lo
+                lo, hi = (theta_series(lo, SOUND_THETA, e, q),
+                          theta_series(hi, SOUND_THETA, e + 2, q + 2))
+            assert_cut_back(lo, hi, e, q)
+
+
+# -- the suites in the rings against the q-series suites ----------------------------
+
+E4 = EisensteinPoly({(0, 1, 0): 1})
+THETA_PAIRS = [ModulePair(1), ModulePair(1, F(1)), ModulePair(2, F(1, 4)), ModulePair(1, F(2)),
+               ModulePair(3, F(3, 5))]
+# (eps, q): unequal orders, odd eps and q-order 1 included.
+RING_SUITE_ORDERS = [(4, 4), (6, 1), (8, 6), (5, 3), (9, 1), (10, 2), (12, 12)]
+
+
+def perturb_H(monkeypatch, where: dict) -> None:
+    """Add C*E4 at eps^where[l] to H_l, the qd^l part of the operators of
+    the degeneration sum, for each l in ``where``."""
+    degeneration = genus2.degeneration_sum
+
+    def perturbed(e, q):
+        ds = degeneration(e, q)
+        terms = dict(ds.terms)
+        for l, n in where.items():
+            op = terms.get(n, DiffOp(THETA_BASIS, {}, q))
+            p = _DPoly._made(op.nums, op.den) + _DPoly({(l, 1, 0, 1, 0): 1})
+            terms[n] = DiffOp._made(THETA_BASIS, p.nums, p.den, q)
+        return OperatorEpsSeries(terms, e, q)
+
+    monkeypatch.setattr(genus2, "degeneration_sum", perturbed)
+
+
+def perturb_pinched(monkeypatch, which: int, n: int) -> None:
+    """Add E4/7 to block n of the pinched log-det (which = 0) or delta (1),
+    wherever the memo of the pinched pass is read: the sewing route only.
+    Run it with the ``cleared`` fixture, so no memo keeps the perturbation."""
+    blocks = sewing._degenerate_sewing
+
+    def perturbed(eps_trunc):
+        out = list(blocks(eps_trunc))
+        out[which] = {**out[which], n: out[which].get(n, EisensteinPoly()) + E4 * F(1, 7)}
+        return tuple(out)
+
+    for module in (sewing, genus2):
+        monkeypatch.setattr(module, "_degenerate_sewing", perturbed)
+
+
+@pytest.fixture
+def cleared():
+    # Memos filled under a perturbation must not outlive the test.
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def failed(report) -> list:
+    return [c.name for c in report.checks if not c.passed]
+
+
+class TestRingSuitesAgainstQSeriesSuites:
+    # The q-series suites are the oracles: the suites in the rings give the
+    # same reports, check by check, and a failed check prints the same
+    # expected and computed series.
+    @pytest.mark.parametrize("e, q", RING_SUITE_ORDERS)
+    def test_detHi(self, e, q):
+        got, want = verify_detHi(e, q), oracle_verify_detHi(e, q)
+        assert got == want and got.passed and len(got.checks) == 3 * (e // 2 + 1)
+
+    @pytest.mark.parametrize("e, q", RING_SUITE_ORDERS)
+    @pytest.mark.parametrize("p", THETA_PAIRS)
+    def test_theta(self, p, e, q):
+        got, want = verify_theta_degeneration(p, e, q), oracle_verify_theta_degeneration(p, e, q)
+        assert got == want and got.passed and len(got.checks) == 4
+
+    @pytest.mark.parametrize("which, n", [(0, 4), (1, 6)])
+    def test_failed_checks_print_the_q_series(self, monkeypatch, cleared, which, n):
+        perturb_pinched(monkeypatch, which, n)
+        reports = [(verify_detHi(8, 6), oracle_verify_detHi(8, 6))]
+        reports += [(verify_theta_degeneration(p, 8, 6), oracle_verify_theta_degeneration(p, 8, 6))
+                    for p in THETA_PAIRS]
+        assert any(c.expected and c.computed for got, _ in reports for c in got.checks)
+        for got, want in reports:
+            assert got == want
+
+    def test_a_failed_H_identity_prints_the_q_series(self, monkeypatch, cleared):
+        # The computed side is H_l as extract_H expands it.
+        perturb_H(monkeypatch, {1: 4})
+        got, want = verify_detHi(6, 5), oracle_verify_detHi(6, 5)
+        assert failed(got) == ["H_1 == det(I-A1*A2(0))^(-C/2) * delta^1/1!"] and got == want
+        check = next(c for c in got.checks if not c.passed)
+        assert check.computed == str(genus2.degeneration_sum(6, 5).extract_H(1))
+
+
+class TestPerturbations:
+    # Each perturbation enters one route only, at eps order 8 after the
+    # caches are cleared, and fails the checks it reaches.  Line 1 of a
+    # theta pair compares two sewing-route objects, so neither pinched
+    # perturbation fails it (the open finding of ROADMAP item 1).
+    PAIRS = [ModulePair(1), ModulePair(1, F(1)), ModulePair(2, F(1, 4)), ModulePair(1, F(2))]
+    LINES_2_3 = ["Zhu-recursion degeneration sum == closed-form limit (eta^r reattached)",
+                 "operator route == det^(-r/2) * shifted Theta^(1)"]
+
+    @staticmethod
+    def identities(ls):
+        return [f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!" for l in ls]
+
+    def test_logdet_block_4(self, monkeypatch, cleared):
+        perturb_pinched(monkeypatch, 0, 4)
+        assert failed(verify_detHi(8, 6)) == self.identities([0, 1, 2])
+        for p in self.PAIRS:
+            assert failed(verify_theta_degeneration(p, 8, 6)) == self.LINES_2_3
+
+    def test_delta_block_6(self, monkeypatch, cleared):
+        perturb_pinched(monkeypatch, 1, 6)
+        assert failed(verify_detHi(8, 6)) == self.identities([1, 2])
+        for p in self.PAIRS:
+            assert failed(verify_theta_degeneration(p, 8, 6)) == (
+                self.LINES_2_3 if p.alpha_sq else [])
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_C_E4_in_H(self, monkeypatch, cleared, l):
+        # C*E4 at eps^(2l) in H_l: C-degree 1 > n/2 - l = 0.
+        perturb_H(monkeypatch, {l: 2 * l})
+        assert failed(verify_detHi(8, 6)) == [
+            *self.identities([l]), f"C-degree of H_{l} bounded by n/2 - {l}"]

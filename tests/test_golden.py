@@ -92,6 +92,14 @@ CASES = {
     "verify_all_table": (["verify", "all"], 0),
     "verify_all_json": (["verify", "all", "--eps-order", "4", "--q-order", "4",
                          "--max-weight", "4", "--format", "json"], 0),
+    # Orders the benchmark does not run: odd eps, q-order 1, rank 3, non-dyadic alpha^2.
+    "verify_detHi_eps14_q2": (["verify", "detHi", "--eps-order", "14", "--q-order", "2"], 0),
+    "verify_theta_rank3": (["verify", "theta-degen", "--alpha-sq", "3/5", "--rank", "3",
+                            "--eps-order", "12", "--q-order", "5"], 0),
+    "verify_theta_q_order_one": (["verify", "theta-degen", "--alpha-sq", "2", "--rank", "2",
+                                  "--eps-order", "9", "--q-order", "1"], 0),
+    "verify_all_json_10_6_8": (["verify", "all", "--eps-order", "10", "--q-order", "6",
+                                "--max-weight", "8", "--format", "json"], 0),
     "usage_missing_k": (["compute", "eisenstein"], 2),
     "usage_bad_partition": (["compute", "onepoint", "--partition", "2,3"], 2),
     "usage_theta_beta": (["verify", "theta-degen", "--beta-sq", "1"], 2),

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from twotori.ring import EisensteinPoly, SeriesError, bernoulli
+from twotori import sewing
 from twotori.series import QSeries, eisenstein
 from twotori.sewing import (
     AMatrix,
@@ -226,6 +227,25 @@ class TestPinchedRingPass:
                                            ("d11",))
         assert degenerate_logdet(q, T) == logdet
         assert degenerate_tau(q, T) == d["d11"]
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 8, 13, 16])
+    def test_integer_minors_are_the_rational_minors(self, monkeypatch, T):
+        # A2(0)'s minors come from the integer matrix D c over D^|S|; each
+        # one the pass reads equals the minor taken in _Rationals, and the
+        # blocks are the pass's over the _Rationals table.
+        passes = []
+        monkeypatch.setattr(sewing, "_sewing_pass",
+                            lambda *a: passes.append(a) or _sewing_pass(*a))
+        sewing._degenerate_sewing.cache_clear()
+        got = sewing._degenerate_sewing(T)
+        sewing._degenerate_sewing.cache_clear()
+        (ring, expand, eps, wanted, b), = passes
+        rational = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), T + 1,
+                           _Rationals({(): 1}))
+        assert (ring, expand, eps, wanted) == (EisensteinPoly, None, T, ("d11",))
+        assert b and all(type(m) is _Rationals and m == rational[key] for key, m in b.items())
+        logdet, d = _sewing_pass(EisensteinPoly, None, T, ("d11",), rational)
+        assert got == (logdet, d["d11"])
 
     def test_refuses_what_the_matrices_refuse(self):
         # The moment matrices start at eps^1, so eps order 0 has no pass.

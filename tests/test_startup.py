@@ -144,3 +144,22 @@ def test_internal_fault_exits_3_with_its_traceback():
     assert done.stdout == ""
     assert done.stderr.startswith("Traceback (most recent call last):")
     assert "SeriesError: injected fault" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "modular-identities"],
+                                  ["verify", "detHi", "--eps-order", "4", "--q-order", "4"]])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # A reader that closes the pipe early (``twotori ... | head -1``) is no
+    # internal fault: the run prints nothing to stderr and exits 141, the
+    # code of a process killed by SIGPIPE.  The read end is closed before
+    # the child starts, so its first write meets the closed pipe.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "twotori", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")

@@ -132,55 +132,60 @@ def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_
 
 
 def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, cold_caches):
-    # det(I - A1 A2(0))^(-r/2), eta(q1)^-1 and the pinched closed forms are
-    # memoized per orders, and the Taylor weights delta^l/l! per delta: the
-    # free-boson suite and the four theta pairs evaluate each pinched form
-    # once per distinct module pair and share one table of delta powers;
-    # the theta pairs divide by the free-boson normalizer block by block,
-    # and the sewing pass divides by the determinant instead of taking
-    # exp(-log det).  A cold run inverts two series: eta(q1), once, and the
-    # conformal map's z-series in virasoro._w_map.  Without these memos the
-    # run made 19 exps and 16 inverses.
+    # The pinched log-det and delta are computed once, as polynomial blocks
+    # per eps order, and read by every suite.  detHi and the four theta
+    # pairs compare polynomials, so only the free-boson suite builds
+    # q-series from them: one closed form (the free boson's), one exp (its
+    # det(I - A1 A2(0))^(-1/2)) and one table of Taylor weights delta^l/l!
+    # for its two shifts.  A cold run inverts two series: eta(q1), once, and
+    # the conformal map's z-series in virasoro._w_map.  Without the memos
+    # the q-series suites made 19 exps and 16 inverses, and with them 4
+    # closed forms and 6 exps.
     exps = counting(monkeypatch, QSeries, "exp")
     invs = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert len(exps) <= 6
+    assert [s.vars for s, in exps] == [("eps", "q1")]
     assert sorted(s.vars for s, in invs) == [("q1",), ("z",)]
-    pairs = {ModulePair()} | {ModulePair(rank, Fraction(a)) for a, rank in cli.THETA_SUITE_PAIRS}
+    blocks = sewing._degenerate_sewing.cache_info()
+    assert blocks.misses == blocks.currsize == 1
     forms = genus2._z2_module_degenerate.cache_info()
-    assert forms.misses == forms.currsize == len(pairs) == 4
+    assert forms.misses == forms.currsize == 1
     assert genus2._taylor_weights.cache_info().misses == 1
 
 
 def test_degeneration_coefficients_come_from_one_pass(monkeypatch):
-    # Every H_l reads the operators' q-expansions in one pass: asking for
-    # H_0 .. H_5 reads each operator once, not once per l.
+    # Every H_l is read off the operators' numerators, the qd^l part of each
+    # as a polynomial: asking for H_0 .. H_5 expands no operator's
+    # coefficients as q-series, where the q-series route expanded each
+    # operator once for all l.
     ds = genus2.degeneration_sum(8, 8)
     fresh = genus2.OperatorEpsSeries(ds.terms, ds.eps_trunc, ds.q_trunc)
     reads = counting(monkeypatch, zhu.DiffOp, "series")
     Hs = [fresh.extract_H(l) for l in range(6)]
-    assert len(reads) == len(ds.terms) > 1
+    assert reads == [] and len(ds.terms) > 1
     assert Hs == [ds.extract_H(l) for l in range(6)] and Hs[5].is_zero()
 
 
 def test_perturbed_logdet_fails_after_the_caches_are_cleared(monkeypatch, capsys, cold_caches):
     # A warm run fills the pinched-surface memos.  Once they are cleared, a
-    # log-det perturbed at eps^6 q1 (a perturbation of the closed-form side
-    # only) must reach the closed form: the Zhu-recursion line turns FAIL.
+    # log-det perturbed at eps^6 (E4/7 added to its polynomial block, a
+    # perturbation of the closed-form side only) must reach the closed
+    # form: the Zhu-recursion line turns FAIL.
     argv = ["verify", "theta-degen", "--alpha-sq", "1", "--eps-order", "8", "--q-order", "6"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    logdet = genus2.degenerate_logdet
+    blocks = genus2._degenerate_sewing
 
-    def perturbed(q1_trunc, eps_trunc):
-        s = logdet(q1_trunc, eps_trunc)
-        return s + QSeries(s.vars, {(6, 1): Fraction(1, 7)}, s.truncs)
+    def perturbed(eps_trunc):
+        logdet, delta = blocks(eps_trunc)
+        bump = ring.EisensteinPoly({(0, 1, 0): Fraction(1, 7)})
+        return {**logdet, 6: logdet[6] + bump}, delta
 
     clear_caches()
-    monkeypatch.setattr(genus2, "degenerate_logdet", perturbed)
+    monkeypatch.setattr(genus2, "_degenerate_sewing", perturbed)
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 1
@@ -256,50 +261,71 @@ def test_eta_is_one_euler_product_per_q_order(monkeypatch, capsys, cold_caches):
     assert sorted(factors) == [(t, n) for t in (8, 20) for n in range(1, t + 1)]
 
 
+def in_suites(monkeypatch, record):
+    """Wrap detHi and the theta suite so that ``record()`` is true while
+    either runs."""
+    depth = [0]
+    for name in ("verify_detHi", "verify_theta_degeneration"):
+        suite = getattr(genus2, name)
+
+        def wrapped(*args, suite=suite):
+            depth[0] += 1
+            try:
+                return suite(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(genus2, name, wrapped)
+    return lambda: depth[0] > 0
+
+
 def test_verify_all_inverts_no_eps_series_and_specializes_in_the_ring(
         monkeypatch, capsys, cold_caches):
-    # The degeneration suites divide by the free-boson forms block by block,
-    # so no eps-series is inverted (the inverses made 3); and specialization
-    # sums each operator in Q[E2, E4, E6] at a one-term base, so it makes one
-    # q-series product per operator (the monomial shift), not one per
-    # C^j qd^i slot.  Products that build the shared table of monomial
-    # expansions are not specialization's own.
+    # The free-boson suite divides block by block, so no eps-series is
+    # inverted (the inverses made 3); and the theta pairs specialize the
+    # operators in Q[E2, E4, E6] at a one-term base, so specialization
+    # makes no q-series product at all (it made one per operator), and
+    # neither does detHi (the z-series products of the conformal map, which
+    # builds the descendants, are not theirs).
     inverted = []
     inv = QSeries.inv
     monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append(s.vars) or inv(s))
-    depth, products, calls = [0], [], []
-    mul, specialize, table = QSeries.__mul__, zhu.specialize, series._monomial_qseries
-
-    def in_specialize(op, base):
-        calls.append(op)
-        depth[0] += 1
-        try:
-            return specialize(op, base)
-        finally:
-            depth[0] -= 1
-
-    def building_table(*args):
-        depth[0] -= 1
-        try:
-            return table(*args)
-        finally:
-            depth[0] += 1
-
-    def counted(a, b):
-        if depth[0] > 0 and isinstance(b, QSeries):
-            products.append(b.vars)
-        return mul(a, b)
-
-    monkeypatch.setattr(zhu, "specialize", in_specialize)
-    monkeypatch.setattr(series, "_monomial_qseries", building_table)
-    monkeypatch.setattr(QSeries, "__mul__", counted)
+    inside = in_suites(monkeypatch, None)
+    calls = counting(monkeypatch, zhu, "specialize")
+    products, mul = [], QSeries.__mul__
+    monkeypatch.setattr(QSeries, "__mul__",
+                        lambda a, b: (inside() and a.vars != ("z",) and products.append(a.vars))
+                        or mul(a, b))
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
     assert inverted and not [v for v in inverted if v[0] == "eps"]
-    assert len(calls) == 4 * 5
-    assert len(products) == len(calls)
+    assert calls == [] and products == []
+
+
+def test_verify_all_checks_detHi_and_the_theta_pairs_in_the_rings(
+        monkeypatch, capsys, cold_caches):
+    # detHi and the four theta pairs compare polynomials per eps block: the
+    # run builds no series in (eps, q1, C) and takes no QSeries.exp inside
+    # them, and the pinched blocks and the closed-form operator they make
+    # are built once, for the one eps order.
+    inside = in_suites(monkeypatch, None)
+    built, init = [], QSeries._init
+    monkeypatch.setattr(QSeries, "_init", lambda s, vars, *a: built.append(vars) or init(
+        s, vars, *a))
+    exps, exp = [], QSeries.exp
+    monkeypatch.setattr(QSeries, "exp", lambda s: (inside() and exps.append(s.vars)) or exp(s))
+    passes = counting(monkeypatch, sewing, "_sewing_pass")
+    code = cli.main(["verify", "all", "--eps-order", "12", "--q-order", "10",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert ("eps", "q1", "C") not in built and ("eps", "q1") in built
+    assert exps == []
+    assert [(args[0], args[2]) for args in passes] == [(ring.EisensteinPoly, 12)]
+    for memo in (sewing._degenerate_sewing, genus2._pinched_operator):
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
 
 
 def test_one_point_reads_one_operator_at_every_q_order(cold_caches):
