@@ -11,6 +11,10 @@ the genus-one data to the degenerate modulus, and the sum of 1-point
 operators of the conformal-map vacuum descendants (the Zhu-recursion route).
 ``verify_detHi`` and the theta pairs compare exact polynomials, so their
 identities hold at every q-order; the free-boson suite compares q-series.
+
+Each closed form is one exp in its ring, Q[E(q1)] (x) Q[E(q2)] on two tori
+and Q[qd, C, E2, E4, E6] when pinched, and is expanded in q once per power
+of eps, times the one-variable eta and monomial factors.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .ring import (EisensteinPoly, RationalPoly, _lowest_terms, _Record, _sum_te
                    rat, rat_str)
 from .series import (QSeries, _exp_blocks, _monomial_qseries, _quotient_blocks, eisenstein,
                      eta_normalized)
-from .sewing import _degenerate_sewing, _eps_series, degenerate_logdet, degenerate_tau, sewing_data
+from .sewing import _degenerate_sewing, _EisensteinPair, _eps_series, _sewing_pass, degenerate_tau
 # virasoro and zhu are imported where the operator route runs, so the closed
 # forms (``compute z2-module`` and the like) never load them.
 
@@ -86,13 +90,6 @@ def _taylor_weights(delta: QSeries) -> tuple:
 # -- closed forms -----------------------------------------------------------------
 
 
-def _eta_prefactor(q1_trunc: int, q2_trunc: int) -> QSeries:
-    # (eta(q1) eta(q2))^-1, the eta factor of the rank-1 free boson.
-    vars, truncs = ("q1", "q2"), (q1_trunc, q2_trunc)
-    return (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
-            * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
-
-
 def z2_heisenberg(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> QSeries:
     """Rank-1 free-boson genus-two partition function,
     (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2): the module pair of zero pairing."""
@@ -106,17 +103,23 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int) 
     The exponential period factor is exact here: e^{i pi a.a O11} equals
     q1^(a.a/2) e^{a.a d11/2} in the normalized period data, so no
     transcendental constants enter.  The sewing pass sums only the period
-    entries of nonzero pairing.
+    entries of nonzero pairing, and the exponent and its exp run in
+    Q[E(q1)] (x) Q[E(q2)]: each eps block is expanded once, times the
+    one-variable factors eta(q_a)^-r q_a^(pairing/2).
     """
     pairing = {"d11": p.alpha_sq / 2, "d22": p.beta_sq / 2, "d12": p.alpha_dot_beta}
     pairing = {name: c for name, c in pairing.items() if c}
-    logdet, d = sewing_data(q1_trunc, q2_trunc, eps_trunc, tuple(pairing))
-    arg = logdet * Fraction(-p.rank, 2)
+    logdet, d = _sewing_pass(_EisensteinPair, eps_trunc, tuple(pairing))
+    arg = {n: x * Fraction(-p.rank, 2) for n, x in logdet.items()}
     for name, c in pairing.items():
-        arg = arg + d[name] * c
-    mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
-                   offsets=(p.alpha_sq / 2, p.beta_sq / 2))
-    return _times_q(arg.exp(), _eta_prefactor(q1_trunc, q2_trunc) ** p.rank * mono)
+        for n, x in d[name].items():
+            if n <= eps_trunc:
+                arg[n] = arg[n] + x * c if n in arg else x * c
+    x1, x2 = (QSeries.monomial(v, e, t) * _eta_inverse(t).renamed(v) ** p.rank
+              for v, e, t in (("q1", p.alpha_sq / 2, q1_trunc), ("q2", p.beta_sq / 2, q2_trunc)))
+    blocks = _exp_blocks(arg, eps_trunc, _EisensteinPair({(0,) * 6: 1}))
+    return QSeries.from_blocks("eps", {n: x.to_qseries(x1, x2) for n, x in blocks.items()},
+                               eps_trunc)
 
 
 def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int) -> QSeries:
@@ -138,30 +141,18 @@ def z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int) -> QSerie
 
 @lru_cache(maxsize=None)
 def _z2_module_degenerate(p: ModulePair, q1_trunc: int, eps_trunc: int) -> QSeries:
-    det = _degenerate_det(q1_trunc, eps_trunc, p.rank)
-    if p.alpha_sq:
-        det = det * (degenerate_tau(q1_trunc, eps_trunc) * (p.alpha_sq / 2)).exp()
+    # det(I - A1 A2(0))^(-r/2) exp(a delta) at a = alpha^2/2, read off the
+    # closed-form operator, times q1^a eta(q1)^-r.
     pre = QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc) * _eta_inverse(q1_trunc) ** p.rank
-    return _times_q(det, pre)
+    return _eps_series(_at(_pinched_operator(eps_trunc), p.rank, p.alpha_sq / 2), eps_trunc,
+                       lambda x: x.to_qseries(q1_trunc, "q1") * pre, EisensteinPoly())
 
 
 @lru_cache(maxsize=None)
 def _eta_inverse(q1_trunc: int) -> QSeries:
-    # eta(q1)^-1, the genus-one factor of every pinched closed form; memoized
-    # and immutable like the forms themselves.
+    # eta(q1)^-1, the genus-one factor of every closed form; memoized and
+    # immutable like the forms themselves.
     return eta_normalized(q1_trunc, "q1").inv()
-
-
-@lru_cache(maxsize=None)
-def _degenerate_det(q1_trunc: int, eps_trunc: int, r: int) -> QSeries:
-    """det(I - A1 A2(0))^(-r/2) = exp(-(r/2) log det(I - A1 A2(0))), as an
-    eps-series over q1.
-
-    Memoized: the result is immutable and a pure function of the orders and
-    r.  It reads ``degenerate_logdet`` through this module's namespace, so a
-    patched log-det reaches it once the caches are cleared.
-    """
-    return (degenerate_logdet(q1_trunc, eps_trunc) * Fraction(-r, 2)).exp()
 
 
 # -- the operator-valued degeneration sum -------------------------------------------
@@ -185,10 +176,18 @@ def _slice(ops: dict, l: int) -> dict:
 
 
 def _at(ops: dict, r: int, a: Fraction) -> dict:
-    # {n: op} at C = r on the base q1^a, over it (qd q1^a = a q1^a), in Q[E2, E4, E6].
-    return {n: x for n, op in ops.items() if (x := EisensteinPoly._made(*_sum_terms(
-        (op.den * w.denominator, w.numerator, nums.items())
-        for (i, j), nums in op._slices().items() if (w := a ** i * r ** j)))).nums}
+    # {n: op} at C = r on the base q1^a, over it (qd q1^a = a q1^a), in Q[E2, E4, E6],
+    # for ops keyed (i, j, a, b, c) as ``DiffOp`` and ``_DPoly`` are: with
+    # a = p/s, qd^i C^j is p^i s^(top - i) r^j over s^top.
+    p, s = a.numerator, a.denominator
+    out = {}
+    for n, op in ops.items():
+        top = max((k[0] for k in op.nums), default=0)
+        x = EisensteinPoly._made(*_sum_terms([(op.den * s ** top, 1, (
+            (k[2:], v * p ** k[0] * s ** (top - k[0]) * r ** k[1]) for k, v in op.nums.items()))]))
+        if x.nums:
+            out[n] = x
+    return out
 
 
 def _H_series(blocks: dict, eps_trunc: int, q_trunc: int) -> QSeries:
@@ -257,15 +256,13 @@ def _pinched_operator(eps_trunc: int) -> MappingProxyType:
     """det(I - A1 A2(0))^(-C/2) exp(delta qd) as {n: eps^n operator}, whose
     qd^l part is det^(-C/2) delta^l / l!: the exp runs in Q[D, C, E2, E4, E6],
     D = qd.  Memoized per eps order, like the pinched blocks it is made of."""
-    from .zhu import THETA_BASIS, DiffOp
     f = {}  # the exponent: the log-det times -C/2 plus delta times D
     for (i, j, x), blocks in zip(((0, 1, Fraction(-1, 2)), (1, 0, 1)),
                                  _degenerate_sewing(eps_trunc)):
         for n, p in blocks.items():
             term = _DPoly._made({(i, j, *k): v for k, v in p.nums.items()}, p.den) * x
             f[n] = f[n] + term if n in f else term
-    return MappingProxyType({n: DiffOp._made(THETA_BASIS, p.nums, p.den, None) for n, p in
-                             _exp_blocks(f, eps_trunc, _DPoly({(0, 0, 0, 0, 0): 1})).items()})
+    return MappingProxyType(_exp_blocks(f, eps_trunc, _DPoly({(0, 0, 0, 0, 0): 1})))
 
 
 def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
@@ -328,7 +325,8 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
 
     # det(I - A1 A2(0))^(-1/2) = 1 - E2/24 eps^2 + (E2^2/384 + E4/96) eps^4 + ...
-    det = _degenerate_det(q_trunc, eps_trunc, 1)
+    det = _eps_series(_at(_pinched_operator(eps_trunc), 1, 0), eps_trunc,
+                      lambda x: x.to_qseries(q_trunc, "q1"), EisensteinPoly())
     check_coeff("det^(-1/2) at eps^2", det, 2, e2 * Fraction(-1, 24))
     check_coeff("det^(-1/2) at eps^4", det, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(1, 96))

@@ -63,138 +63,47 @@ def _power(base, n: int, one):
     return result
 
 
-def _kronecker_layout(cols_a, cols_b, bound: int, truncs):
-    """Slots for a product by Kronecker substitution, cut to the box ``truncs``.
-
-    ``cols_a`` and ``cols_b`` are the exponent columns of the two factors'
-    supports, and ``bound`` exceeds every product coefficient in absolute
-    value.  Returns (low_a, low_b, lo, strides, nbytes, lims), or None when
-    the whole product lies outside the box.  Exponents are packed relative
-    to each factor's lowest ones (lo = low_a + low_b), so an empty margin
-    below the supports costs no slots.  The stride of each variable is the
-    product of the sizes S_j of the variables after it, where S_j exceeds
-    the largest relative e_j of the product, so no exponent wraps into the
-    variable before it.  Slots are W = 8 * nbytes bits wide with
-    2^(W-1) > bound, and ``lims`` are the relative orders to read back.
-    """
-    la, lb = tuple(map(min, cols_a)), tuple(map(min, cols_b))
-    lo = tuple(map(add, la, lb))
-    if any(map(gt, lo, truncs)):
-        return None
-    sizes = [max(x) - y + max(u) - w + 1 for x, y, u, w in zip(cols_a, la, cols_b, lb)]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    lims = [min(t - x, s - 1) for t, x, s in zip(truncs, lo, sizes)]
-    return la, lb, lo, strides, bound.bit_length() // 8 + 1, lims
+def _schoolbook(rows_a, rows_b, truncs):
+    # The product of two numerator lists in rows (``_rows``), cut to the box
+    # ``truncs``: the double loop over the last exponent, per pair of rows
+    # whose other exponents add up inside the box.
+    head_box, trunc = truncs[:-1], truncs[-1]
+    out = {}
+    for ha, row_a in rows_a.items():
+        for hb, row_b in rows_b.items():
+            head = tuple(map(add, ha, hb))
+            if not all(map(le, head, head_box)):
+                continue
+            acc = out.setdefault(head, {})
+            for m, x in row_a:
+                for n, y in row_b:
+                    k = m + n
+                    if k <= trunc:
+                        acc[k] = acc.get(k, 0) + x * y
+    return {(*head, k): v for head, acc in out.items() for k, v in acc.items() if v}
 
 
-def _kronecker_pack(keys, values, low, strides, nbytes: int) -> int:
-    # One signed int holding the numerator of exponent e in the nbytes-wide
-    # slot sum_i (e_i - low_i)*strides_i.
-    base = sum(map(mul, low, strides))
-    slots = [sum(map(mul, e, strides)) - base for e in keys]
-    zero = bytes(nbytes)
-    pos = [zero] * (max(slots) + 1)
-    neg = pos.copy()
-    for j, v in zip(slots, values):
-        if v > 0:
-            pos[j] = v.to_bytes(nbytes, "little")
-        else:
-            neg[j] = (-v).to_bytes(nbytes, "little")
-    return (int.from_bytes(b"".join(pos), "little")
-            - int.from_bytes(b"".join(neg), "little"))
-
-
-@lru_cache(maxsize=1024)
-def _unpack_order(lo, lims, strides):
-    # The exponents lo + k, 0 <= k <= lims, in lexicographic order, and the
-    # slot of each; products in one layout share them.
-    slots = [0]
-    for t, stride in zip(lims, strides):
-        slots = [j + i * stride for j in slots for i in range(t + 1)]
-    return tuple(product(*(range(x, x + t + 1) for x, t in zip(lo, lims)))), tuple(slots)
-
-
-def _kronecker_unpack(packed: int, lo, strides, nbytes: int, lims) -> dict:
-    # The nonzero slots of ``packed`` up to ``lims``, keyed by exponent.
-    # Adding 2^(W-1) to every slot makes all slots non-negative, so they read
-    # back without borrows.
-    nslots = sum(map(mul, lims, strides)) + 1
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
-    buf = ((packed + bias) & ((1 << (8 * nbytes * nslots)) - 1)).to_bytes(
-        nbytes * nslots, "little")
-    acc = {}
-    for e, j in zip(*_unpack_order(lo, tuple(lims), tuple(strides))):
-        j *= nbytes
-        v = int.from_bytes(buf[j:j + nbytes], "little") - half
-        if v:
-            acc[e] = v
-    return acc
-
-
-def _kronecker(ka, va, kb, vb, truncs) -> dict:
-    # The product of two numerator lists, exponents ``ka``/``kb`` and values
-    # ``va``/``vb``, cut to the box ``truncs``; see ``_kronecker_mul``.
-    if len(ka) == 1 or len(kb) == 1:
-        # A one-term factor shifts and scales the other: no packing.
-        if len(ka) != 1:
-            ka, va, kb, vb = kb, vb, ka, va
-        f, x = ka[0], va[0]
-        return {g: x * y for e, y in zip(kb, vb)
-                if x and y and all(map(le, g := tuple(map(add, e, f)), truncs))}
-    # Every coefficient of the product is a sum of at most min(#a, #b) terms.
-    bound = max(map(abs, va)) * max(map(abs, vb)) * min(len(va), len(vb))
-    layout = _kronecker_layout(list(zip(*ka)), list(zip(*kb)), bound, truncs)
-    if layout is None:
-        return {}
-    la, lb, lo, strides, nbytes, lims = layout
-    packed = (_kronecker_pack(ka, va, la, strides, nbytes)
-              * _kronecker_pack(kb, vb, lb, strides, nbytes))
-    return _kronecker_unpack(packed, lo, strides, nbytes, lims)
-
-
-def _kronecker_mul(na, nb, truncs):
-    """Product of two exponent-tuple -> int numerator dicts, cut to the box ``truncs``.
-
-    Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009): each factor
-    becomes one bigint with numerator e in a W-bit slot at sum_i e_i*stride_i
-    (see ``_kronecker_layout``), so a single bigint product does the
-    convolution.  A one-term factor just shifts and scales the other.
-    """
-    if not na or not nb:
-        return {}
-    return _kronecker(list(na), list(na.values()), list(nb), list(nb.values()), truncs)
-
-
-def _schoolbook(ka, va, kb, vb, truncs):
-    # The double loop over the last exponent, for exponents ``ka``/``kb`` that
-    # agree elsewhere within each list (one variable, or a block of an
-    # eps-series over one): it beats packing at the orders these run at.
-    trunc, terms_b = truncs[-1], [(f[-1], y) for f, y in zip(kb, vb)]
-    acc = {}
-    for e, x in zip(ka, va):
-        m = e[-1]
-        for n, y in terms_b:
-            k = m + n
-            if k <= trunc:
-                acc[k] = acc.get(k, 0) + x * y
-    head = tuple(map(add, ka[0][:-1], kb[0][:-1]))
-    return {(*head, k): v for k, v in acc.items() if v}
+def _rows(keys, values) -> dict:
+    # {other exponents: [(last exponent, value)]}: the terms that share all
+    # but their last exponent.
+    rows = {}
+    for e, v in zip(keys, values):
+        rows.setdefault(e[:-1], []).append((e[-1], v))
+    return rows
 
 
 def _blockwise_mul(a: "QSeries", b: "QSeries", truncs):
     # An outer loop over the first exponent; each pair of blocks (``_split``,
-    # full exponents, no content) runs on the kernel of a series in the
-    # blocks' own variables: the double loop for one, Kronecker for more.
-    t0, blocks_b = truncs[0], b._split().items()
-    kernel = _schoolbook if len(truncs) == 2 else _kronecker
+    # full exponents) runs on ``_schoolbook`` without its content, which
+    # multiplies the block product once.
+    t0 = truncs[0]
+    blocks_b = [(j, gb, _rows(kb, vb)) for j, (gb, kb, vb) in b._split().items()]
     parts = {}
     for i, (ga, ka, va) in a._split().items():
-        for j, (gb, kb, vb) in blocks_b:
+        rows_a = _rows(ka, va)
+        for j, gb, rows_b in blocks_b:
             if i + j <= t0:
-                parts.setdefault(i + j, []).append((ga * gb, kernel(ka, va, kb, vb, truncs)))
+                parts.setdefault(i + j, []).append((ga * gb, _schoolbook(rows_a, rows_b, truncs)))
     acc = {}
     for terms in parts.values():
         if len(terms) == 1:
@@ -533,21 +442,15 @@ class QSeries(_Canonical):
         if any(x + y > t for x, y, t in zip(oa, ob, truncs)):
             # Every term of the product lies outside the box.
             return QSeries._made(self.vars, {}, 1, truncs, offsets)
-        # The kernel: the double loop for one variable; for more, a one-term
-        # factor shifts and scales the other, else Kronecker substitution for
-        # two.  For three or more, and for an eps-series over further
-        # variables, an outer loop over the first exponent (the eps axis holds
-        # few, sparse blocks cut at the smaller order of the factors: as a
-        # Kronecker slot it would pack rows then thrown away) runs each pair
-        # of blocks on the kernel of a series in the blocks' own variables.
-        if len(self.vars) == 1:
-            nums = _schoolbook(list(self.nums), list(self.nums.values()),
-                               list(other.nums), list(other.nums.values()), truncs)
-        elif (len(self.nums) == 1 or len(other.nums) == 1
-              or (len(self.vars) == 2 and self.vars[0] != "eps")):
-            nums = _kronecker_mul(self.nums, other.nums, truncs)
-        else:
+        # The kernel is the double loop over the last exponent, per pair of
+        # rows inside the box.  An eps-series over further variables runs it
+        # per pair of eps blocks, each without its content (the low blocks
+        # carry a large factor over the series' one denominator).
+        if self.vars[0] == "eps" and len(self.vars) > 1:
             nums = _blockwise_mul(self, other, truncs)
+        else:
+            nums = _schoolbook(_rows(self.nums, self.nums.values()),
+                               _rows(other.nums, other.nums.values()), truncs)
         return QSeries._reduced(self.vars, nums, self.den * other.den, truncs, offsets)
 
     __rmul__ = __mul__

@@ -15,7 +15,9 @@ Every sewing quantity is read off the minors of A1 and A2 (A2(0) on the
 pinched surface) taken separately (``_sewing_pass``).  c_a(k, l) is a
 rational times E_{k+l}(q_a), a polynomial in E2, E4, E6 of q_a, and c(k, l)
 of A2(0) is a rational, so every sewing quantity is exact in
-Q[E(q1)] (x) Q[E(q2)] (Q[E(q1)] when pinched) until it is expanded in q.
+Q[E(q1)] (x) Q[E(q2)] (Q[E(q1)] when pinched) until it is expanded in q:
+the pass returns these blocks, ``sewing_data`` and the pinched readers
+expand them, and the closed forms of ``genus2`` exponentiate them first.
 ``log_det_I_minus`` takes the minors of any two moment matrices' q-series
 entries instead, and the matrix-vector resolvent chains (``resolvent_11``,
 ``weighted_resolvent_11``) compute the (1,1) data another way.
@@ -241,18 +243,21 @@ class _EisensteinPair(RationalPoly):
     def _monomial_str(k) -> str:
         return monomial_str(*zip(("E2(q1)", "E4(q1)", "E6(q1)", "E2(q2)", "E4(q2)", "E6(q2)"), k))
 
-    def to_qseries(self, q1_trunc: int, q2_trunc: int) -> QSeries:
-        """The (q1, q2)-expansion: per q1 monomial, the outer product of its
-        expansion with that of its polynomial in E(q2), summed in ints."""
+    def to_qseries(self, x1: QSeries, x2: QSeries) -> QSeries:
+        """The (q1, q2)-expansion times x1(q1) x2(q2), for one-variable series
+        whose mantissas have a nonzero constant term, at their orders and
+        offsets: per q1 monomial, the outer product of its expansion times x1
+        with that of its polynomial in E(q2) times x2, summed in ints."""
         rows = {}
         for k, v in self.nums.items():
             rows.setdefault(k[:3], {})[k[3:]] = v
         pieces = []
         for m, row in rows.items():
-            x, y = _monomial_qseries(m, q1_trunc), EisensteinPoly(row).to_qseries(q2_trunc)
+            x = _monomial_qseries(m, x1.trunc).renamed("q1") * x1
+            y = EisensteinPoly(row).to_qseries(x2.trunc, "q2") * x2
             pieces.append((x.den * y.den * self.den, 1, _outer(x.nums, y.nums)))
-        return QSeries._made(("q1", "q2"), *_sum_terms(pieces), (q1_trunc, q2_trunc),
-                             (Fraction(0),) * 2)
+        return QSeries._made(("q1", "q2"), *_sum_terms(pieces), (x1.trunc, x2.trunc),
+                             (x1.offset, x2.offset))
 
 
 def _outer(x: dict, y: dict):
@@ -260,15 +265,14 @@ def _outer(x: dict, y: dict):
     return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
 
 
-def _sewing_pass(ring, expand, eps_trunc: int, wanted, b=None):
+def _sewing_pass(ring, eps_trunc: int, wanted, b=None):
     """log det(I - A B) and {name: -eps N/det(I - A B)} for the numerator N
     of each name in ``wanted``, from the minors of A = A1 in E2, E4, E6 of q1
     and of B: ``b`` in other generators (A2(0) in Q on the pinched surface),
     or else A2 read from A1's own table, since c(k, l) E_{k+l} is the same
     polynomial in E(q2) as in E(q1) and only its key position in ``_outer``
-    puts a minor in q2.  Exact in ``ring``, one polynomial per power of eps,
-    each expanded in q once by ``expand``, or kept as {n: block} if
-    ``expand`` is None.
+    puts a minor in q2.  Exact in ``ring``: {n: block}, one polynomial per
+    power of eps, for the log-det and for each entry.
 
     Cauchy-Binet on the principal minors of A B gives
         det(I - A B) = sum_{|S|=|U|} (-1)^|S| det A[S,U] det B[U,S],
@@ -294,13 +298,9 @@ def _sewing_pass(ring, expand, eps_trunc: int, wanted, b=None):
     det, *nums = ({n: p for n, terms in pieces[name].items()
                    if not (p := ring._made(*_sum_terms(terms))).is_zero()} for name in pieces)
     zero = ring()
-    logdet, d = _log_blocks(det, eps_trunc, zero), {name: {
+    return _log_blocks(det, eps_trunc, zero), {name: {
         n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, zero).items()}
         for name, N in zip(wanted, nums)}
-    if expand is None:
-        return logdet, d
-    return _eps_series(logdet, eps_trunc, expand, zero), {
-        name: _eps_series(blocks, eps_trunc + 1, expand, zero) for name, blocks in d.items()}
 
 
 def _eps_series(blocks: dict, trunc: int, expand, zero) -> QSeries:
@@ -379,8 +379,11 @@ def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, wanted=()) -> tupl
     and d22 is eps (A1 (I - A2 A1)^(-1))(1,1) = eps (R A1)(1,1) by the
     push-through identity.  An entry not asked for costs nothing.
     """
-    return _sewing_pass(_EisensteinPair, lambda p: p.to_qseries(q1_trunc, q2_trunc), eps_trunc,
-                        wanted)
+    logdet, d = _sewing_pass(_EisensteinPair, eps_trunc, wanted)
+    ones, zero = (QSeries.one("q1", q1_trunc), QSeries.one("q2", q2_trunc)), _EisensteinPair()
+    return _eps_series(logdet, eps_trunc, lambda p: p.to_qseries(*ones), zero), {
+        name: _eps_series(blocks, eps_trunc + 1, lambda p: p.to_qseries(*ones), zero)
+        for name, blocks in d.items()}
 
 
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> PeriodData:
@@ -401,7 +404,7 @@ def _degenerate_sewing(eps_trunc: int) -> tuple[dict, dict]:
                                                  D ** len(S)))
          for S, U, n in _index_pairs(eps_trunc + 1)
          if n <= eps_trunc or S[:1] == U[:1] == (1,)}      # the minors the pass reads
-    logdet, d = _sewing_pass(EisensteinPoly, None, eps_trunc, ("d11",), b)
+    logdet, d = _sewing_pass(EisensteinPoly, eps_trunc, ("d11",), b)
     return MappingProxyType(logdet), MappingProxyType(d["d11"])
 
 

@@ -13,7 +13,6 @@ from twotori.genus2 import (
     ModulePair,
     OperatorEpsSeries,
     _DPoly,
-    _eta_prefactor,
     _times_q,
     degeneration_sum,
     taylor_shift,
@@ -67,12 +66,52 @@ def partition_numbers(trunc):
 # -- the free-boson closed forms as they were computed on their own ----------------
 
 
+def eta_prefactor(q1_trunc: int, q2_trunc: int) -> QSeries:
+    # (eta(q1) eta(q2))^-1, the eta factor of the rank-1 free boson.
+    vars, truncs = ("q1", "q2"), (q1_trunc, q2_trunc)
+    return (eta_normalized(q1_trunc, "q1").inv().embed(vars, truncs)
+            * eta_normalized(q2_trunc, "q2").inv().embed(vars, truncs))
+
+
 def oracle_z2_heisenberg(q1_trunc, q2_trunc, eps_trunc, N):
     # (eta(q1) eta(q2))^-1 det(I - A1 A2)^(-1/2), from the log-det of the
     # moment matrices of size N alone.
     logdet = log_det_I_minus(a_matrix(1, N, eps_trunc, q1_trunc),
                              a_matrix(2, N, eps_trunc, q2_trunc), eps_trunc)
-    return _times_q((logdet * F(-1, 2)).exp(), _eta_prefactor(q1_trunc, q2_trunc))
+    return _times_q((logdet * F(-1, 2)).exp(), eta_prefactor(q1_trunc, q2_trunc))
+
+
+# -- the closed forms as q-series exps, kept as the oracles of the exps in the rings --
+
+
+def oracle_z2_module_pair(p, q1_trunc, q2_trunc, eps_trunc):
+    # exp(-(r/2) log det(I - A1 A2) + sum c d) on (eps, q1, q2) series, times
+    # the (q1, q2) prefactor (eta(q1) eta(q2))^-r q1^(a.a/2) q2^(b.b/2).
+    pairing = {"d11": p.alpha_sq / 2, "d22": p.beta_sq / 2, "d12": p.alpha_dot_beta}
+    pairing = {name: c for name, c in pairing.items() if c}
+    logdet, d = sewing.sewing_data(q1_trunc, q2_trunc, eps_trunc, tuple(pairing))
+    arg = logdet * F(-p.rank, 2)
+    for name, c in pairing.items():
+        arg = arg + d[name] * c
+    mono = QSeries(("q1", "q2"), {(0, 0): 1}, (q1_trunc, q2_trunc),
+                   offsets=(p.alpha_sq / 2, p.beta_sq / 2))
+    return _times_q(arg.exp(), eta_prefactor(q1_trunc, q2_trunc) ** p.rank * mono)
+
+
+def oracle_degenerate_det(q1_trunc, eps_trunc, r):
+    # det(I - A1 A2(0))^(-r/2), the q1-series exp of the pinched log-det.
+    return (sewing.degenerate_logdet(q1_trunc, eps_trunc) * F(-r, 2)).exp()
+
+
+def qseries_z2_module_degenerate(p, q1_trunc, eps_trunc):
+    # The pinched closed form from q1-series exps of the pinched log-det and
+    # delta, times q1^(alpha^2/2) eta(q1)^-r.
+    det = oracle_degenerate_det(q1_trunc, eps_trunc, p.rank)
+    if p.alpha_sq:
+        det = det * (degenerate_tau(q1_trunc, eps_trunc) * (p.alpha_sq / 2)).exp()
+    pre = (QSeries.monomial("q1", p.alpha_sq / 2, q1_trunc)
+           * eta_normalized(q1_trunc, "q1").inv() ** p.rank)
+    return _times_q(det, pre)
 
 
 def reference_pinched(q1_trunc, eps_trunc, N):
@@ -199,7 +238,7 @@ def oracle_verify_theta_degeneration(p, eps_trunc, q_trunc) -> Report:
                order=f"eps<={eps_trunc}, q<={q_trunc}",
                expected="" if ok_c else _fmt_eps(unnormalized, eps_trunc),
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
-    det_r = genus2._degenerate_det(q_trunc, eps_trunc, r)
+    det_r = oracle_degenerate_det(q_trunc, eps_trunc, r)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)",
                zhu_side.agrees_with(det_r * theta_taylor, through),
                order=f"eps<={eps_trunc}, q<={q_trunc}")
@@ -278,9 +317,12 @@ class TestPinchedMemos:
     @pytest.mark.parametrize("q1, e, N", PINCHED_ORDERS)
     @pytest.mark.parametrize("r", [1, 2])
     def test_degenerate_det_is_exp_of_the_logdet(self, r, q1, e, N):
-        # det(I - A1 A2(0))^(-r/2) stays a q1-series exp of the pinched log-det.
+        # det(I - A1 A2(0))^(-r/2), read off the closed-form operator at C = r
+        # and qd = 0, is the q1-series exp of the pinched log-det.
         logdet = reference_pinched(q1, e, N)[0]
-        assert genus2._degenerate_det(q1, e, r) == (logdet * F(-r, 2)).exp()
+        det = _eps_series(genus2._at(genus2._pinched_operator(e), r, 0), e,
+                          lambda x: x.to_qseries(q1, "q1"), EisensteinPoly())
+        assert det == (logdet * F(-r, 2)).exp() == oracle_degenerate_det(q1, e, r)
 
     @pytest.mark.parametrize("e, q", [(2, 3), (4, 4), (6, 5), (8, 8)])
     def test_extract_H_equals_oracle(self, e, q):
@@ -344,6 +386,31 @@ class TestQuotientsAgainstInverses:
 # (q1, q2, eps, N): N is the size of the oracles' matrices
 FREE_BOSON_ORDERS = [(0, 0, 1, 1), (3, 2, 4, 4), (2, 3, 4, 6), (4, 4, 6, 6), (6, 5, 8, 9),
                      (1, 0, 2, 2)]
+
+
+# (q1, q2, eps): unequal orders and q-order 0 included
+PAIR_ORDERS = [(10, 10, 10), (12, 7, 15), (2, 2, 2), (0, 0, 3), (5, 0, 4), (0, 6, 6), (3, 9, 8)]
+PAIRS_TO_RANK_4 = [ModulePair(), ModulePair(1, F(1)), ModulePair(2, F(2)),
+                   ModulePair(3, F(1, 4), F(2), F(-1, 3)), ModulePair(1, 0, F(3, 5)),
+                   ModulePair(2, 0, 0, F(1, 2)), ModulePair(4, F(2), F(1), F(1, 2)), ModulePair(4)]
+
+
+class TestClosedFormsAgainstQSeriesExps:
+    # Each closed form is one exp in its ring, expanded once per eps block;
+    # it must equal the exp of the expanded exponent, truncation orders and
+    # offsets included.
+    @pytest.mark.parametrize("q1, q2, e", PAIR_ORDERS)
+    @pytest.mark.parametrize("p", PAIRS_TO_RANK_4)
+    def test_module_pair(self, p, q1, q2, e):
+        got, want = z2_module_pair(p, q1, q2, e), oracle_z2_module_pair(p, q1, q2, e)
+        assert got == want and str(got) == str(want)
+
+    @pytest.mark.parametrize("q1, e", [(0, 1), (3, 4), (4, 7), (8, 8), (12, 12), (1, 9), (0, 6)])
+    @pytest.mark.parametrize("p", [ModulePair(), ModulePair(1, F(1)), ModulePair(2, F(1, 4)),
+                                   ModulePair(3, F(-2, 3)), ModulePair(4, F(3, 5))])
+    def test_module_degenerate(self, p, q1, e):
+        got, want = z2_module_degenerate(p, q1, e), qseries_z2_module_degenerate(p, q1, e)
+        assert got == want and str(got) == str(want)
 
 
 class TestFreeBosonIsZeroPairing:

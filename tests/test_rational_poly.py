@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotori.ring import EisensteinPoly, RationalPoly, join_terms, monomial_str
-from twotori.series import QSeries, QuasiModularPoly
+from twotori.series import QSeries, QuasiModularPoly, eta_normalized
 from twotori.sewing import _EisensteinPair, _Rationals
 from twotori.virasoro import CPoly
 
@@ -319,16 +319,26 @@ def pair_sum(terms) -> _EisensteinPair:
                   _EisensteinPair())
 
 
+def ones(t1: int, t2: int):
+    return QSeries.one("q1", t1), QSeries.one("q2", t2)
+
+
 class TestEisensteinPair:
     # Q[E(q1)] (x) Q[E(q2)]: keys (a, b, c, a', b', c'), expanded per q1
-    # monomial in ints.
+    # monomial in ints, times one-variable factors x1(q1) and x2(q2).
     @pytest.mark.parametrize("t1, t2", [(0, 0), (0, 3), (3, 8), (8, 0), (8, 8)])
     @given(terms=pair_terms)
     @settings(max_examples=25, deadline=None)
     def test_expansion_is_the_outer_product(self, t1, t2, terms):
         want = reduce(add, (outer_expansion(EisensteinPoly(x), EisensteinPoly(y), t1, t2)
                             for x, y in terms), QSeries.zero(("q1", "q2"), (t1, t2)))
-        assert pair_sum(terms).to_qseries(t1, t2) == want
+        p = pair_sum(terms)
+        assert p.to_qseries(*ones(t1, t2)) == want
+        # eta(q1)^-2 q1^(1/2) and eta(q2)^3, as the module form passes them.
+        x1 = QSeries.monomial("q1", F(1, 2), t1) * eta_normalized(t1, "q1").inv() ** 2
+        x2 = eta_normalized(t2, "q2") ** 3
+        box = (("q1", "q2"), (t1, t2))
+        assert p.to_qseries(x1, x2) == want * (x1.embed(*box) * x2.embed(*box))
 
     @given(pair_terms, pair_terms)
     @settings(max_examples=50, deadline=None)
@@ -338,7 +348,8 @@ class TestEisensteinPair:
                                        EisensteinPoly(b) * EisensteinPoly(d))
                             for a, b in xs for c, d in ys), _EisensteinPair())
         assert p * q == want and hash(p * q) == hash(want)
-        assert (p * q).to_qseries(3, 3) == (p.to_qseries(3, 3) * q.to_qseries(3, 3)).truncate(3)
+        assert (p * q).to_qseries(*ones(3, 3)) == (
+            p.to_qseries(*ones(3, 3)) * q.to_qseries(*ones(3, 3))).truncate(3)
 
     def test_rendering_and_rings(self):
         e2, e4 = EisensteinPoly({(1, 0, 0): 1}), EisensteinPoly({(0, 1, 0): F(1, 2)})

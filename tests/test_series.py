@@ -2,11 +2,11 @@
 
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twotori import ring, series
 from twotori.ring import (
@@ -21,7 +21,6 @@ from twotori.series import (
     NotQuasiModular,
     QSeries,
     QuasiModularPoly,
-    _kronecker_mul,
     _quasimodular_solver,
     eisenstein,
     eta_normalized,
@@ -533,10 +532,10 @@ class TestBiSeries:
 def schoolbook_conv(xa, xb, truncs):
     """Every pair of terms multiplied in a double loop, kept if in the box."""
     acc = {}
-    for (m1, n1), x in xa.items():
-        for (m2, n2), y in xb.items():
-            k = (m1 + m2, n1 + n2)
-            if k[0] <= truncs[0] and k[1] <= truncs[1]:
+    for e, x in xa.items():
+        for f, y in xb.items():
+            k = tuple(i + j for i, j in zip(e, f))
+            if all(map(le, k, truncs)):
                 acc[k] = acc.get(k, 0) + x * y
     return {k: v for k, v in acc.items() if v}
 
@@ -620,18 +619,19 @@ class TestBiSeriesProduct:
     @pytest.mark.parametrize("k", [0, 1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65])
     @pytest.mark.parametrize("minus_one", [0, 1])
     def test_slot_width_at_the_bound(self, k, minus_one):
-        # Every term equal and of one sign: the middle coefficient of the
-        # product reaches the slot-width bound max|a|*max|b|*min(#a, #b).
+        # Every term equal and of one sign, at and just below a power of two:
+        # the middle coefficient of the product reaches max|a|*max|b|*min(#a, #b).
         for sign in (1, -1):
             c = sign * (2 ** k - minus_one)
             for rows, cols in ((1, 1), (1, 4), (2, 2), (4, 4)):
                 na = {(m, n): c for m in range(rows) for n in range(cols)}
                 nb = {(m, n): -c for m in range(rows) for n in range(cols)}
                 truncs = (2 * rows - 2, 2 * cols - 2)
-                got = _kronecker_mul(na, nb, truncs)
-                assert got == schoolbook_conv(na, nb, truncs)
+                got = QSeries(("q1", "q2"), na, truncs) * QSeries(("q1", "q2"), nb, truncs)
+                assert got.coeffs == {e: F(v) for e, v in schoolbook_conv(na, nb, truncs).items()}
                 if c:
-                    assert got[(rows - 1, cols - 1)] == -c * c * rows * cols
+                    assert got.truncs == truncs
+                    assert got.coeffs[(rows - 1, cols - 1)] == -c * c * rows * cols
 
 
 @st.composite
@@ -647,8 +647,8 @@ class TestKernelChoice:
     @given(q1_series(), q1_series(), st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
     def test_one_variable_kernel_matches_embedded_product(self, a, b, t2):
-        # The schoolbook kernel (one variable) and the Kronecker kernel (two
-        # variables) must give the same product once it is embedded.
+        # A product in one variable and the same product embedded in two
+        # (rows of one term each in q2) must agree.
         V = ("q1", "q2")
         p = a * b
         want = p.embed(V, (p.trunc, t2))
@@ -662,15 +662,10 @@ class TestKernelChoice:
            st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
     @settings(max_examples=100, deadline=None)
     def test_three_variables_match_the_loop(self, a, b, truncs):
+        # The kernel in a box the supports may overrun, or miss altogether.
         na = {(m, n, k): v for m, n, k, v in a if v}
         nb = {(m, n, k): v for m, n, k, v in b if v}
-        want = {}
-        for e, x in na.items():
-            for f, y in nb.items():
-                g = tuple(i + j for i, j in zip(e, f))
-                if all(i <= t for i, t in zip(g, truncs)):
-                    want[g] = want.get(g, 0) + x * y
-        assert _kronecker_mul(na, nb, truncs) == {g: v for g, v in want.items() if v}
+        assert schoolbook_mul(na, nb, truncs) == schoolbook_conv(na, nb, truncs)
 
     def test_embed_keeps_own_orders(self):
         s = eisenstein(2, 3, "q2")
@@ -879,17 +874,7 @@ class TestExpAlongTheModulusShift:
 #
 # Each takes and returns QSeries but reads only the Fraction view ``coeffs``
 # and builds its result through the validating constructor, so none of the
-# integer paths of QSeries runs inside an oracle except the kernels
-# ``_schoolbook``/``_kronecker_mul``, which are checked against plain loops
-# above.
-
-
-def _int_parts(coeffs):
-    # Common-denominator integer form of a coefficient dict.
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+# integer paths of QSeries runs inside an oracle.
 
 
 def _shifted(s, d):
@@ -918,20 +903,19 @@ def oracle_scale(a, r):
 
 
 def oracle_mul(a, b):
+    """a * b by the plain loop over every pair of terms, cut as ``__mul__``
+    cuts: each order at its tightest sound bound, eps at the smaller order."""
     oa, ob = a._ord_bounds(), b._ord_bounds()
     truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in zip(a.truncs, b.truncs, oa, ob))
-    na, da = _int_parts(a.coeffs)
-    nb, db = _int_parts(b.coeffs)
-    kernel = schoolbook_mul if len(a.vars) == 1 else _kronecker_mul
-    return QSeries(a.vars, {e: F(v, da * db) for e, v in kernel(na, nb, truncs).items()},
-                   truncs, tuple(x + y for x, y in zip(a.offsets, b.offsets)))
+    if a.vars[0] == "eps":
+        truncs = (min(a.truncs[0], b.truncs[0]), *truncs[1:])
+    return QSeries(a.vars, schoolbook_conv(a.coeffs, b.coeffs, truncs), truncs,
+                   tuple(x + y for x, y in zip(a.offsets, b.offsets)))
 
 
 def schoolbook_mul(na, nb, truncs):
     # The double-loop kernel on two numerator dicts, as __mul__ calls it.
-    if not na or not nb:
-        return {}
-    return series._schoolbook(list(na), list(na.values()), list(nb), list(nb.values()), truncs)
+    return series._schoolbook(series._rows(na, na.values()), series._rows(nb, nb.values()), truncs)
 
 
 def oracle_inv(s):
@@ -1553,35 +1537,29 @@ class TestEpsSeriesAgainstOracle:
 
 
 
-def kronecker_blockwise_mul(a: QSeries, b: QSeries) -> QSeries:
-    """a * b for eps-series over further variables with Kronecker substitution
-    on every pair of blocks, whatever the blocks' variables: the product as
-    it was taken before one-variable blocks ran on the double loop."""
-    oa, ob = a._ord_bounds(), b._ord_bounds()
-    truncs = tuple(min(ta + y, tb + x) for ta, tb, x, y in zip(a.truncs, b.truncs, oa, ob))
-    truncs = (min(a.truncs[0], b.truncs[0]), *truncs[1:])
-    offsets = tuple(x + y for x, y in zip(a.offsets, b.offsets))
-    if any(x + y > t for x, y, t in zip(oa, ob, truncs)):
-        return QSeries(a.vars, {}, truncs, offsets)
-    parts = {}
-    for i, (ga, ka, va) in a._split().items():
-        for j, (gb, kb, vb) in b._split().items():
-            if i + j <= truncs[0]:
-                for e, v in series._kronecker(ka, va, kb, vb, truncs).items():
-                    parts[e] = parts.get(e, 0) + v * ga * gb
-    return QSeries(a.vars, {e: F(v, a.den * b.den) for e, v in parts.items()}, truncs, offsets)
+V3 = ("eps", "q1", "q2")
+DENSE3 = QSeries(V3, {(n, m, k): F(n - m + 1, k + 1) for n in range(3) for m in range(4)
+                      for k in range(3)}, (4, 3, 2), (0, F(1, 24), 0))
+ONE3 = QSeries(V3, {(1, 2, 1): F(-7, 3)}, (4, 3, 2))
 
 
 class TestBlockKernels:
-    # On an eps-series over one variable each pair of blocks runs on the
-    # double loop, over more on Kronecker substitution; the product must be
-    # the Kronecker-per-block one either way.
+    # An eps-series over further variables multiplies block by block, each
+    # pair of blocks on the row-wise double loop; the product must be the
+    # plain loop over every pair of terms (``oracle_mul``) in any layout,
+    # with one-term factors, and where eps^3 times eps^2 at eps order 4 (or
+    # a zero factor) puts the whole product outside the box.
     @given(eps_pairs())
+    @example((ONE3, DENSE3))
+    @example((DENSE3, QSeries(V3, {(0, 0, 0): 5}, (4, 3, 2), (0, F(-1, 24), F(1, 2)))))
+    @example((QSeries(V3, {(3, 1, 1): 2}, (4, 3, 2)), QSeries(V3, {(2, 0, 0): 3}, (4, 3, 2))))
+    @example((QSeries(V3, {(4, 0, 0): 1, (3, 2, 2): F(1, 5)}, (4, 3, 2)), times_eps(DENSE3)))
+    @example((QSeries(V3, {}, (4, 3, 2)), DENSE3))
     @settings(max_examples=150, deadline=None)
     def test_any_layout_matches_kronecker_per_block(self, pair):
         a, b = pair
         if len(a.vars) > 1 and a.vars == b.vars:
-            assert a * b == kronecker_blockwise_mul(a, b)
+            assert a * b == oracle_mul(a, b) and b * a == oracle_mul(b, a)
 
     @pytest.mark.parametrize("eps, q", [(4, 4), (8, 8), (12, 12)])
     def test_pinched_series_match_kronecker_per_block(self, eps, q):
@@ -1590,20 +1568,7 @@ class TestBlockKernels:
         eta = eta_normalized(q, "q1").embed(delta.vars, delta.truncs)
         for a, b in ((delta, delta), (det, delta), (det, det), (det * eta, delta),
                      (times_eps(delta).truncate(delta.truncs), det)):
-            assert a * b == kronecker_blockwise_mul(a, b)
-
-    def test_blocks_over_two_variables_keep_kronecker(self, monkeypatch):
-        # Two blocks each: four block products, all on Kronecker over (q1,
-        # q2) and none over q1 alone.
-        calls = []
-        kernel = series._kronecker
-        monkeypatch.setattr(series, "_kronecker", lambda *a: calls.append(a) or kernel(*a))
-        a = QSeries(("eps", "q1", "q2"), {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 1): 3,
-                                          (1, 2, 1): -1}, (2, 3, 3))
-        b = QSeries(("eps", "q1"), {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 2): -1}, (2, 3))
-        products = [a * a, b * b]
-        assert len(calls) == 4
-        assert products == [kronecker_blockwise_mul(a, a), kronecker_blockwise_mul(b, b)]
+            assert a * b == oracle_mul(a, b)
 
 
 class TestEpsSeriesLog:

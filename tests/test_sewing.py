@@ -13,6 +13,7 @@ from twotori.sewing import (
     _check_sizes,
     _dot,
     _embed,
+    _eps_series,
     _index_pairs,
     _Minors,
     _pinched_coeff,
@@ -121,10 +122,13 @@ class TestMinorsAgainstPowers:
         T, q, N = 9, 3, 11
         b = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), T + 1,
                     _Rationals({(): 1}))
-        logdet, d = _sewing_pass(EisensteinPoly, lambda p: p.to_qseries(q, "q1"), T,
-                                 ("d11", "d22", "d12"), b)
+        logdet, d = _sewing_pass(EisensteinPoly, T, ("d11", "d22", "d12"), b)
+
+        def expanded(blocks, trunc):
+            return _eps_series(blocks, trunc, lambda p: p.to_qseries(q, "q1"), EisensteinPoly())
+
         want = _power_sums(a_matrix(1, N, T, q), a2_degenerate(N, T), T)
-        assert (logdet, d["d11"], d["d22"], d["d12"]) == want
+        assert (expanded(logdet, T), *(expanded(d[name], T + 1) for name in ENTRIES)) == want
 
 
 @pytest.mark.parametrize("limit", range(14))
@@ -239,12 +243,12 @@ class TestPinchedRingPass:
         sewing._degenerate_sewing.cache_clear()
         got = sewing._degenerate_sewing(T)
         sewing._degenerate_sewing.cache_clear()
-        (ring, expand, eps, wanted, b), = passes
+        (ring, eps, wanted, b), = passes
         rational = _Minors(lambda k, l: _Rationals({(): _pinched_coeff(k, l)}), T + 1,
                            _Rationals({(): 1}))
-        assert (ring, expand, eps, wanted) == (EisensteinPoly, None, T, ("d11",))
+        assert (ring, eps, wanted) == (EisensteinPoly, T, ("d11",))
         assert b and all(type(m) is _Rationals and m == rational[key] for key, m in b.items())
-        logdet, d = _sewing_pass(EisensteinPoly, None, T, ("d11",), rational)
+        logdet, d = _sewing_pass(EisensteinPoly, T, ("d11",), rational)
         assert got == (logdet, d["d11"])
 
     def test_refuses_what_the_matrices_refuse(self):

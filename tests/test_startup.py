@@ -52,12 +52,16 @@ def test_import_loads_no_submodule():
     assert loaded_after("import twotori") == []
 
 
-def test_z2_module_loads_neither_virasoro_nor_zhu():
-    loaded = loaded_after(
-        "from twotori import cli\n"
-        "cli.main(['compute', 'z2-module', '--alpha-sq', '2', '--rank', '2',"
-        " '--eps-order', '2', '--q-order', '2'])")
-    assert "twotori.sewing" in loaded
+@pytest.mark.parametrize("argv", [
+    ["compute", "z2-module", "--alpha-sq", "2", "--rank", "2", "--eps-order", "2",
+     "--q-order", "2"],
+    ["verify", "heisenberg-degen", "--eps-order", "4", "--q-order", "2"],
+    ["compute", "z2-heisenberg", "--eps-order", "2", "--q-order", "2"]])
+def test_z2_module_loads_neither_virasoro_nor_zhu(argv):
+    # The closed forms read the pinched operator and the sewing pass only,
+    # never the Zhu-recursion route.
+    loaded = loaded_after(f"from twotori import cli\ncli.main({argv!r})")
+    assert "twotori.sewing" in loaded and "twotori.genus2" in loaded
     assert "twotori.zhu" not in loaded and "twotori.virasoro" not in loaded
 
 

@@ -54,7 +54,7 @@ def test_module_pair_expands_each_minor_once(monkeypatch, cold_caches):
     # equally many odd indices; A1 and A2 share one table of polynomial
     # minors, and each minor is built once.
     matrices = counting(monkeypatch, sewing, "a_matrix")
-    passes = counting(monkeypatch, sewing, "_sewing_pass")
+    passes = counting(monkeypatch, genus2, "_sewing_pass")
     chains = counting(monkeypatch, sewing, "_resolvent_vector_sum")
     minors = counting(monkeypatch, sewing._Minors, "__missing__")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 10)
@@ -86,10 +86,29 @@ def test_sewing_pass_sums_only_paired_entries(monkeypatch):
     # A period entry enters the module form only through its pairing, so
     # the pass sums d11 alone for alpha^2 != 0 = beta^2 = alpha.beta, and no
     # entry at all for the free boson.
-    passes = counting(monkeypatch, sewing, "_sewing_pass")
+    passes = counting(monkeypatch, genus2, "_sewing_pass")
     z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 1, 1, 4)
     genus2.z2_heisenberg(1, 1, 4)
-    assert [tuple(args[3]) for args in passes] == [("d11",), ()]
+    assert [tuple(args[2]) for args in passes] == [("d11",), ()]
+
+
+def test_closed_forms_take_no_series_exp(monkeypatch, capsys, cold_caches):
+    # Each closed form is one exp in its ring, expanded once per eps block
+    # times one-variable factors: compute z2-module at 10 and verify all at
+    # 8 call no QSeries.exp and multiply no series in two or more
+    # q-variables, where the q-series exps took one over (eps, q1, q2) and
+    # one over (eps, q1), and the prefactor was a (q1, q2) product.
+    exps = counting(monkeypatch, QSeries, "exp")
+    products, mul = [], QSeries.__mul__
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: (
+        isinstance(b, QSeries) and sum(v.startswith("q") for v in a.vars) > 1
+        and products.append(a.vars)) or mul(a, b))
+    for argv in (["compute", "z2-module", "--alpha-sq", "2", "--rank", "2", "--eps-order", "10",
+                  "--q-order", "10"],
+                 ["verify", "all", "--eps-order", "8", "--q-order", "8", "--max-weight", "8"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert exps == [] and products == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -133,26 +152,26 @@ def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_
 
 def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, cold_caches):
     # The pinched log-det and delta are computed once, as polynomial blocks
-    # per eps order, and read by every suite.  detHi and the four theta
-    # pairs compare polynomials, so only the free-boson suite builds
-    # q-series from them: one closed form (the free boson's), one exp (its
-    # det(I - A1 A2(0))^(-1/2)) and one table of Taylor weights delta^l/l!
-    # for its two shifts.  A cold run inverts two series: eta(q1), once, and
-    # the conformal map's z-series in virasoro._w_map.  Without the memos
-    # the q-series suites made 19 exps and 16 inverses, and with them 4
-    # closed forms and 6 exps.
+    # per eps order, and so is the closed-form operator made from them; every
+    # suite reads them.  detHi and the four theta pairs compare polynomials,
+    # so only the free-boson suite builds q-series from them: one closed form
+    # (the free boson's) and its det(I - A1 A2(0))^(-1/2), both read off the
+    # operator with no exp, and one table of Taylor weights delta^l/l! for
+    # its two shifts.  A cold run inverts two series: eta(q1), once, and the
+    # conformal map's z-series in virasoro._w_map.  Without the memos the
+    # q-series suites made 19 exps and 16 inverses, and with them 4 closed
+    # forms and 6 exps; the q-series det^(-1/2) made one.
     exps = counting(monkeypatch, QSeries, "exp")
     invs = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert [s.vars for s, in exps] == [("eps", "q1")]
+    assert exps == []
     assert sorted(s.vars for s, in invs) == [("q1",), ("z",)]
-    blocks = sewing._degenerate_sewing.cache_info()
-    assert blocks.misses == blocks.currsize == 1
-    forms = genus2._z2_module_degenerate.cache_info()
-    assert forms.misses == forms.currsize == 1
+    for memo in (sewing._degenerate_sewing, genus2._pinched_operator,
+                 genus2._z2_module_degenerate):
+        assert memo.cache_info().misses == memo.cache_info().currsize == 1
     assert genus2._taylor_weights.cache_info().misses == 1
 
 
@@ -323,7 +342,7 @@ def test_verify_all_checks_detHi_and_the_theta_pairs_in_the_rings(
     assert code == 0
     assert ("eps", "q1", "C") not in built and ("eps", "q1") in built
     assert exps == []
-    assert [(args[0], args[2]) for args in passes] == [(ring.EisensteinPoly, 12)]
+    assert [(args[0], args[1]) for args in passes] == [(ring.EisensteinPoly, 12)]
     for memo in (sewing._degenerate_sewing, genus2._pinched_operator):
         assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
 
