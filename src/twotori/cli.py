@@ -10,7 +10,7 @@ from __future__ import annotations
 
 # ring first: a run without bytecode caches then compiles it before argparse
 # loads, which lowers the child's peak RSS; json loads only for --format json.
-from .ring import _Record, quasimodular_monomials, rat_str
+from .ring import _Record, quasimodular_monomials, rat_str, symbolic_factor
 
 import argparse
 import os
@@ -62,9 +62,11 @@ MIN_ORDERS = {
 # 9 s and 196 MB; the matrix size changes no output, since an expansion
 # through eps^T reads matrix indices <= T only), so a larger request exits 2
 # before any work starts.  `beta --max` is capped likewise, above the largest
-# weight `lambda` reads betas for (--max 80 takes 1 s, 160 takes 26 s).
+# weight `lambda` reads betas for (--max 80 takes 1 s, 160 takes 26 s), and
+# so is `compute eisenstein --k`, at twice the largest weight any command
+# reads an E_k of (--k 400 takes 1 s, 1200 takes 50 s).
 MAX_ORDERS = {"eps_order": 32, "q_order": 32, "max_weight": 32, "matrix_size": 64}
-MAX_BETA = 64
+MAX_BETA = MAX_EISENSTEIN_K = 64
 
 
 class RunConfig(_Record):
@@ -278,13 +280,15 @@ def cmd_compute(args, cfg: RunConfig) -> int:
             raise UsageError("compute eisenstein needs --k")
         if args.k < 2:
             raise UsageError("Eisenstein weight must be >= 2")
+        if args.k > MAX_EISENSTEIN_K:
+            raise UsageError(f"--k must be <= {MAX_EISENSTEIN_K}")
         s = eisenstein(args.k, cfg.q_order)
     elif obj == "eta":
         s = eta_normalized(cfg.q_order)
     elif obj == "tau-degen":
         from . import sewing
         s = sewing.degenerate_tau(cfg.q_order, cfg.eps_order)
-        text = _render_eps_quasimodular(s, lambda n: n - 2)
+        text = _render_eps_quasimodular(s, sewing._degenerate_sewing(cfg.eps_order)[1])
     elif obj == "period":
         from . import sewing
         s = sewing.period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order)
@@ -312,10 +316,11 @@ def cmd_compute(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _render_eps_quasimodular(series, weight_of) -> str:
-    """eps-series display with quasi-modular symbols where recognition works."""
-    from .series import quasimodular_factor
-    return series.render(lambda n, c: quasimodular_factor(c, weight_of(n)))
+def _render_eps_quasimodular(series, blocks) -> str:
+    """The tau-degen eps-series with its eps^n block, of weight n - 2, as the
+    polynomial ``blocks[n]`` in E2, E4, E6 where ``symbolic_factor`` finds
+    it legible."""
+    return series.render(lambda n, c: symbolic_factor(blocks[n], n - 2, c))
 
 
 def _modular_identities_report(q_order: int) -> Report:

@@ -258,6 +258,15 @@ def quasimodular_monomials(weight: int):
     return out
 
 
+def symbolic_factor(poly, weight: int, s) -> str:
+    """A weight-``weight`` coefficient as a factor in rendered output: its
+    polynomial ``poly`` in E2, E4, E6 when the q-expansion ``s`` has a
+    coefficient to spare over the weight's monomials (as recognition would
+    need), the raw series otherwise; parenthesized."""
+    legible = poly.weights() == {weight} and s.trunc >= len(quasimodular_monomials(weight))
+    return parenthesize(str(poly) if legible else str(s))
+
+
 class RationalPoly(_Canonical):
     """A sparse polynomial over the rationals, stored like ``QSeries``
     (see ``_Canonical``).

@@ -12,19 +12,21 @@ is "eps": ("eps",) for rational coefficients, ("eps", "q1") or
 ``block(n)``, and it renders and serializes in the nested eps form.
 
 No floating point anywhere: a ``QSeries`` holds integer numerators over one
-denominator (``ring._Canonical``), and reads them back as ``Fraction``.  The
-module also expands Eisenstein series, eta and the monomials E2^a E4^b E6^c
-of the exact ring (``ring``), and recognizes a q-series as a polynomial in
-them (``to_quasimodular``).
+denominator (``ring._Canonical``), and reads them back as ``Fraction``.
+Every product runs on one kernel (``_schoolbook``); inverse, exp, log,
+division and rational power run on one family of recurrences over the
+blocks of the first variable (``_quotient_blocks``, ``_log_blocks``,
+``_exp_blocks``).  The module also expands Eisenstein series, eta and the
+monomials E2^a E4^b E6^c of the exact ring (``ring``), and recognizes a
+q-series as a polynomial in them (``to_quasimodular``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, floor, gcd
-from operator import add, gt, le, lt, mul, sub
+from math import factorial, floor
+from operator import add, gt, le, lt, sub
 
 from .ring import (
     EisensteinPoly,
@@ -39,7 +41,6 @@ from .ring import (
     bernoulli,
     join_terms,
     monomial_str,
-    parenthesize,
     quasimodular_monomials,
     rat,
     rat_str,
@@ -83,62 +84,13 @@ def _schoolbook(rows_a, rows_b, truncs):
     return {(*head, k): v for head, acc in out.items() for k, v in acc.items() if v}
 
 
-def _rows(keys, values) -> dict:
+def _rows(nums) -> dict:
     # {other exponents: [(last exponent, value)]}: the terms that share all
     # but their last exponent.
     rows = {}
-    for e, v in zip(keys, values):
+    for e, v in nums.items():
         rows.setdefault(e[:-1], []).append((e[-1], v))
     return rows
-
-
-def _blockwise_mul(a: "QSeries", b: "QSeries", truncs):
-    # An outer loop over the first exponent; each pair of blocks (``_split``,
-    # full exponents) runs on ``_schoolbook`` without its content, which
-    # multiplies the block product once.
-    t0 = truncs[0]
-    blocks_b = [(j, gb, _rows(kb, vb)) for j, (gb, kb, vb) in b._split().items()]
-    parts = {}
-    for i, (ga, ka, va) in a._split().items():
-        rows_a = _rows(ka, va)
-        for j, gb, rows_b in blocks_b:
-            if i + j <= t0:
-                parts.setdefault(i + j, []).append((ga * gb, _schoolbook(rows_a, rows_b, truncs)))
-    acc = {}
-    for terms in parts.values():
-        if len(terms) == 1:
-            (g, x), = terms
-            acc.update({e: v * g for e, v in x.items()} if g != 1 else x)
-            continue
-        block = {}
-        for g, x in terms:
-            for e, v in x.items():
-                block[e] = block.get(e, 0) + v * g
-        acc.update({e: v for e, v in block.items() if v})
-    return acc
-
-
-class _Numerators:
-    """Rationals computed one at a time by a recurrence, held as integer
-    numerators ``nums`` over one denominator ``den``, the lcm of the reduced
-    denominators stored so far: a new value with a new factor in its
-    denominator rescales the numerators stored before it."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, size: int):
-        self.nums, self.den = [0] * size, 1
-
-    def put(self, i: int, num: int, den: int) -> None:
-        g = gcd(num, den)
-        if den < 0:
-            g = -g
-        num, den = num // g, den // g
-        m = den // gcd(self.den, den)
-        if m != 1:
-            self.nums = [v * m for v in self.nums]
-            self.den *= m
-        self.nums[i] = num * (self.den // den)
 
 
 def _origin(vars):
@@ -284,21 +236,13 @@ class QSeries(_Canonical):
     # -- blocks: coefficients of the powers of the first variable -------------
 
     def _split(self) -> dict:
-        # {first exponent n: (g, exponents, numerators / g)} over the terms of
-        # the v^n block, g its content; built on first use, since a matrix
-        # entry enters many products.  Over the one denominator of the series
-        # the low blocks carry a large factor that only the high blocks need,
-        # and products of blocks go without it.
+        # {first exponent n: the exponents of the terms of the v^n block},
+        # built on first use.
         if self._parts is None:
             keys = {}
             for e in self.nums:
                 keys.setdefault(e[0], []).append(e)
-            parts = {}
-            for n, ks in keys.items():
-                vals = [self.nums[e] for e in ks]
-                g = gcd(*vals)
-                parts[n] = (g, ks, [v // g for v in vals] if g != 1 else vals)
-            object.__setattr__(self, "_parts", parts)
+            object.__setattr__(self, "_parts", keys)
         return self._parts
 
     def _block(self, keys):
@@ -313,7 +257,7 @@ class QSeries(_Canonical):
         the other variables."""
         if not 0 <= n <= self.truncs[0]:
             raise SeriesError(f"{self.vars[0]}^{n} not known (trunc {self.truncs[0]})")
-        return self._block(self._split().get(n, (1, [], []))[1])
+        return self._block(self._split().get(n, ()))
 
     def block_zero(self):
         """The zero of the ring ``block`` maps to: Fraction 0 for a
@@ -323,7 +267,7 @@ class QSeries(_Canonical):
     def blocks(self) -> dict:
         """{n: block(n)} for every nonzero block, in increasing n."""
         split = self._split()
-        return {n: self._block(split[n][1]) for n in sorted(split)}
+        return {n: self._block(split[n]) for n in sorted(split)}
 
     @classmethod
     def from_blocks(cls, var: str, blocks, trunc: int) -> "QSeries":
@@ -443,14 +387,8 @@ class QSeries(_Canonical):
             # Every term of the product lies outside the box.
             return QSeries._made(self.vars, {}, 1, truncs, offsets)
         # The kernel is the double loop over the last exponent, per pair of
-        # rows inside the box.  An eps-series over further variables runs it
-        # per pair of eps blocks, each without its content (the low blocks
-        # carry a large factor over the series' one denominator).
-        if self.vars[0] == "eps" and len(self.vars) > 1:
-            nums = _blockwise_mul(self, other, truncs)
-        else:
-            nums = _schoolbook(_rows(self.nums, self.nums.values()),
-                               _rows(other.nums, other.nums.values()), truncs)
+        # rows inside the box.
+        nums = _schoolbook(_rows(self.nums), _rows(other.nums), truncs)
         return QSeries._reduced(self.vars, nums, self.den * other.den, truncs, offsets)
 
     __rmul__ = __mul__
@@ -479,37 +417,22 @@ class QSeries(_Canonical):
         """Multiplicative inverse; the lowest power of each variable moves into
         the offsets, and what is left needs a nonzero constant term.
 
-        With numerators A over den the inverse is den * B, B = 1/A:
-        B_e = -(1/A_0) sum_{0 != f <= e} A_f B_(e-f), over the box in
-        lexicographic order.  The box is laid out flat with every variable
-        after the first padded to 2 t_i + 1 slots, so e - f lands on a slot
-        outside the box (holding 0) unless f <= e, and each sum is one dot
-        product over the flat index.
+        With u that mantissa and u_0 its v^0 block, v the first variable,
+        1/u = (1/u_0) / (u/u_0) by ``_quotient_blocks`` over the v-blocks
+        (see ``block``); u_0 is a rational, or a series in the other
+        variables inverted the same way.
         """
-        u = self._unit_mantissa()
-        origin = (0,) * len(u.vars)
-        a0 = u.nums.get(origin)
-        if a0 is None:
+        m = self._unit_mantissa()
+        if (0,) * len(m.vars) not in m.nums:
             raise SeriesError("non-unit constant term in inverse")
-        strides = [1] * len(u.truncs)
-        for i in range(len(u.truncs) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (2 * u.truncs[i + 1] + 1)
-        a = [0] * (sum(map(mul, u.truncs, strides)) + 1)
-        for f, v in u.nums.items():
-            a[sum(map(mul, f, strides))] = v
-        b = _Numerators(len(a))
-        b.put(0, 1, a0)
-        slots = [(origin, 0)]
-        box = product(*(range(t + 1) for t in u.truncs))
-        next(box)                               # the origin, done above
-        for e in box:
-            i = sum(map(mul, e, strides))
-            s = sum(map(mul, a[1:i + 1], b.nums[i - 1::-1]))
-            if s:
-                b.put(i, -s, a0 * b.den)
-                slots.append((e, i))
-        return QSeries._reduced(u.vars, {e: b.nums[i] * u.den for e, i in slots}, b.den,
-                                u.truncs, tuple(-o for o in u.offsets))
+        u = QSeries._made(m.vars, m.nums, m.den, m.truncs, (Fraction(0),) * len(m.vars))
+        blocks = u.blocks()
+        inv0 = 1 / blocks[0] if len(u.vars) == 1 else blocks[0].inv()
+        h = _quotient_blocks({0: inv0}, {n: b * inv0 for n, b in blocks.items() if n},
+                             u.truncs[0], u.block_zero())
+        s = QSeries.from_blocks(u.vars[0], h, u.truncs[0])
+        return QSeries._made(s.vars, s.nums, s.den, s.truncs,
+                             tuple(-o for o in m.offsets))
 
     def exp(self) -> "QSeries":
         """exp of a series with zero offsets and no term at v^0, v the first
@@ -548,10 +471,8 @@ class QSeries(_Canonical):
 
     def pow_rational(self, r) -> "QSeries":
         """Rational power of a one-variable series whose mantissa has constant
-        term 1; the offset is multiplied by r.
-
-        g = u^r solves n g_n = sum_{k=1}^n (k (r+1) - n) u_k g_(n-k), the
-        power recurrence of J. C. P. Miller (Knuth, TAOCP vol. 2, 4.7).
+        term 1; the offset is multiplied by r.  The mantissa's power is
+        exp(r log m) over its coefficients (``_log_blocks``, ``_exp_blocks``).
         """
         r = rat(r)
         if r.denominator == 1:
@@ -560,17 +481,9 @@ class QSeries(_Canonical):
         offset = m.offset
         if m.constant_term() != 1:
             raise SeriesError("non-unit constant term: rational power needs constant term 1")
-        p, q = r.numerator, r.denominator
-        u = [m.nums.get((n,), 0) for n in range(m.trunc + 1)]
-        ku = [k * v for k, v in enumerate(u)]
-        g = _Numerators(len(u))
-        g.put(0, 1, 1)
-        for n in range(1, len(u)):
-            rev = g.nums[n - 1::-1]
-            g.put(n, (p + q) * sum(map(mul, ku[1:n + 1], rev))
-                  - n * q * sum(map(mul, u[1:n + 1], rev)), n * q * m.den * g.den)
-        return QSeries._reduced(m.vars, {(n,): v for n, v in enumerate(g.nums) if v}, g.den,
-                                m.truncs, (offset * r,))
+        log = _log_blocks(m.blocks(), m.trunc, Fraction(0))
+        return QSeries(m.var, _exp_blocks({n: g * r for n, g in log.items()}, m.trunc,
+                                          Fraction(1)), m.trunc, offset * r)
 
     def qd(self) -> "QSeries":
         """q d/dq of a one-variable series, acting on the offset too:
@@ -929,13 +842,3 @@ def to_quasimodular(s: QSeries, weight: int) -> QuasiModularPoly:
             f"not quasi-modular of weight {weight} within truncation")
     return QuasiModularPoly(weight, {mono: Fraction(dot(row), row[1] * s.den)
                                      for mono, row in zip(monos, solution)})
-
-
-def quasimodular_factor(s: QSeries, weight: int) -> str:
-    """s as a factor in rendered output: its quasi-modular symbol of the given
-    weight where recognition works, the raw series otherwise, parenthesized."""
-    try:
-        text = str(to_quasimodular(s, weight))
-    except (NotQuasiModular, SeriesError):
-        text = str(s)
-    return parenthesize(text)

@@ -43,9 +43,8 @@ from .ring import (
     _sum_terms,
     eisenstein_poly,
     monomial_str,
-    parenthesize,
-    quasimodular_monomials,
     rat,
+    symbolic_factor,
 )
 from .virasoro import VirState, apply_mode, check_partition, partition_weight
 
@@ -165,15 +164,9 @@ class DiffOp(_Canonical):
         return {"basis": self.basis, "terms": entries}
 
     def render_symbolic(self, weight: int) -> str:
-        """Operator string with E2/E4/E6 symbols for each weight-(n-2i)
-        coefficient whose q-expansion has a coefficient to spare over the
-        weight's monomials (as recognition would need); raw series otherwise."""
-        def text(i, poly, s):
-            w = weight - 2 * i
-            legible = poly.weights() == {w} and s.trunc >= len(quasimodular_monomials(w))
-            return parenthesize(str(poly) if legible else str(s))
-
-        return self._render(text)
+        """Operator string with each weight-(n-2i) coefficient as
+        ``symbolic_factor`` renders it: E2/E4/E6 symbols, or the raw series."""
+        return self._render(lambda i, poly, s: symbolic_factor(poly, weight - 2 * i, s))
 
 
 # -- operator numerators as pieces of one sum (ring._sum_terms) -------------------

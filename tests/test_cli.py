@@ -7,7 +7,6 @@ import pytest
 
 from twotori import cli, genus2, ring, series, sewing, virasoro, zhu
 from twotori.cli import main
-from twotori.series import _quasimodular_solver
 from twotori.zhu import structure_check
 
 from test_series import qseries_from_json
@@ -92,6 +91,20 @@ class TestCompute:
     def test_eisenstein_requires_k(self, capsys):
         code, _, _ = run(capsys, "compute", "eisenstein")
         assert code == 2
+
+    def test_eisenstein_weight_above_its_cap_is_refused_up_front(self, capsys, monkeypatch):
+        # The table's cost grows with --k (400 takes about 1 s, 1200 about
+        # 50 s) and no command reads a weight above 32, so past the cap the
+        # command exits 2 before any work; the cap itself is accepted.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(series, "eisenstein", must_not_run)
+        code, out, err = run(capsys, "compute", "eisenstein", "--k", "65")
+        assert code == 2 and out == ""
+        assert "--k must be <= 64" in err
+        monkeypatch.undo()
+        assert run(capsys, "compute", "eisenstein", "--k", "64", "--q-order", "2")[0] == 0
 
     def test_eta(self, capsys):
         code, out, _ = run(capsys, "compute", "eta", "--q-order", "3")
@@ -196,17 +209,15 @@ class TestVerify:
         assert code == 0 and "FAIL" not in out
 
     def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch):
-        # A singular quasi-modular basis is a program fault: it must escape
-        # the usage-error mapping (exit 2) and the raw-series fallback of
-        # the eps-series display.
-        monkeypatch.setattr(series, "quasimodular_monomials",
-                            lambda weight: [(weight // 2, 0, 0)] * 2)
-        _quasimodular_solver.cache_clear()
-        try:
-            with pytest.raises(ArithmeticError, match="rank-deficient"):
-                main(["compute", "tau-degen", "--eps-order", "4", "--q-order", "4"])
-        finally:
-            _quasimodular_solver.cache_clear()
+        # A fault while the eps-series display reads a block's polynomial is
+        # a program fault: it must escape the usage-error mapping (exit 2)
+        # and the raw-series fallback of the display.
+        def broken(poly):
+            raise ArithmeticError("rank-deficient (internal error)")
+
+        monkeypatch.setattr(ring.EisensteinPoly, "weights", broken)
+        with pytest.raises(ArithmeticError, match="rank-deficient"):
+            main(["compute", "tau-degen", "--eps-order", "4", "--q-order", "4"])
 
     @pytest.mark.parametrize("fault", [ring.SeriesError("internal"), ValueError("internal")])
     def test_fault_inside_a_suite_is_not_usage_error(self, capsys, monkeypatch, fault):

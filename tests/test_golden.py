@@ -35,6 +35,8 @@ CASES = {
     "tau_degen_json": (["compute", "tau-degen", "--eps-order", "4", "--q-order", "4",
                         "--format", "json"], 0),
     "tau_degen_raw_coeffs": (["compute", "tau-degen", "--eps-order", "8", "--q-order", "1"], 0),
+    # Polynomials through eps^8, raw series where q^3 cannot tell the monomials apart.
+    "tau_degen_mixed": (["compute", "tau-degen", "--eps-order", "12", "--q-order", "3"], 0),
     "period_table": (["compute", "period", "--eps-order", "4", "--q-order", "3"], 0),
     "period_json": (["compute", "period", "--eps-order", "4", "--q-order", "2",
                      "--format", "json"], 0),

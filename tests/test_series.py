@@ -717,6 +717,18 @@ def geometric_inv(s: QSeries) -> QSeries:
                    tuple(-o for o in u.offsets))
 
 
+# A non-unit whose lowest powers sit in different terms: no monomial moves
+# into the offsets, and the origin coefficient is missing.
+EPS_PLUS_Q2 = QSeries(("eps", "q2"), {(1, 0): 1, (0, 1): 1}, (3, 3))
+# A unit times q1 q2 q3 with an offset in every variable, whose first block
+# is a multi-term series in (q2, q3): the inverse of that block recurses.
+THREE_VARIABLE_UNIT = QSeries(
+    ("q1", "q2", "q3"),
+    {(1, 1, 1): 2, (1, 2, 1): -1, (1, 1, 2): F(1, 3), (1, 3, 3): F(5, 7), (2, 1, 1): 5,
+     (2, 2, 3): F(-2, 5), (3, 1, 2): 7, (4, 3, 1): F(1, 2 ** 40 - 87)},
+    (4, 3, 3), (F(1, 24), F(-5, 8), 2))
+
+
 @st.composite
 def units(draw):
     """A one- or two-variable unit times a leading monomial, with offsets."""
@@ -735,6 +747,7 @@ def units(draw):
 
 class TestInverse:
     @given(units())
+    @example(THREE_VARIABLE_UNIT)
     @settings(max_examples=100, deadline=None)
     def test_recurrence_matches_geometric_series(self, u):
         got, want = u.inv(), geometric_inv(u)
@@ -748,7 +761,7 @@ class TestInverse:
         assert got == geometric_inv(s)
 
     def test_non_units_rejected(self):
-        for s in (QSeries(("q1", "q2"), {(1, 0): 1, (0, 1): 1}, (3, 3)),
+        for s in (QSeries(("q1", "q2"), {(1, 0): 1, (0, 1): 1}, (3, 3)), EPS_PLUS_Q2,
                   QSeries.zero(("q1", "q2"), (2, 2)), QSeries.zero("q", 2)):
             for inv in (QSeries.inv, geometric_inv):
                 with pytest.raises(SeriesError):
@@ -915,7 +928,7 @@ def oracle_mul(a, b):
 
 def schoolbook_mul(na, nb, truncs):
     # The double-loop kernel on two numerator dicts, as __mul__ calls it.
-    return series._schoolbook(series._rows(na, na.values()), series._rows(nb, nb.values()), truncs)
+    return series._schoolbook(series._rows(na), series._rows(nb), truncs)
 
 
 def oracle_inv(s):
@@ -964,6 +977,21 @@ def oracle_log(s):
             break
         result = oracle_add(result, oracle_scale(term, F((-1) ** (j + 1), j)))
     return result
+
+
+def miller_pow_rational(s, r):
+    """s^r by J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7),
+    after pulling the lowest power into the offset: the mantissa u, with
+    u_0 = 1, gives g = u^r by n g_n = sum_{k=1}^n (k (r+1) - n) u_k g_(n-k)."""
+    d = s._ord_bounds()
+    u = _shifted(s, [-x for x in d])
+    if u.constant_term() != 1:
+        raise SeriesError("rational power needs constant term 1")
+    us = [u.coeff(n) for n in range(u.trunc + 1)]
+    g = [F(1)]
+    for n in range(1, len(us)):
+        g.append(sum((k * (r + 1) - n) * us[k] * g[n - k] for k in range(1, n + 1)) / n)
+    return QSeries(u.vars, {(n,): c for n, c in enumerate(g)}, u.truncs, (u.offset * r,))
 
 
 def oracle_pow_rational(s, r):
@@ -1070,6 +1098,8 @@ class TestIntegerKernelsAgainstFractionOracles:
         assert_same(a * b, oracle_mul(a, b))
 
     @given(shifted_units())
+    @example(EPS_PLUS_Q2)
+    @example(THREE_VARIABLE_UNIT)
     @settings(max_examples=100, deadline=None)
     def test_inverse(self, a):
         try:
@@ -1087,13 +1117,20 @@ class TestIntegerKernelsAgainstFractionOracles:
         assert_same(f.exp(), oracle_exp(f))
         u = f + 1
         assert_same(u.log(), oracle_log(u))
-        for r in (F(1, 2), F(-1, 3), F(7, 5)):
-            assert_same(u.pow_rational(r), oracle_pow_rational(u, r))
+        for r in (F(1, 2), F(-1, 3), F(7, 5), F(-1), F(-1, 12)):
+            got = u.pow_rational(r)
+            assert_same(got, oracle_pow_rational(u, r))
+            assert_same(got, miller_pow_rational(u, r))
 
     @given(shifted_units(nvars=1, constant=1), st.sampled_from([F(1, 2), F(-2, 3)]))
+    # (1 + k b z^k)^(-1/k) at z-order 13, as the conformal map takes it.
+    @example(QSeries("z", {0: 1, 1: F(-1, 12)}, 13), F(-1))
+    @example(QSeries("z", {0: 1, 12: F(-691, 2730)}, 13), F(-1, 12))
     @settings(max_examples=60, deadline=None)
     def test_pow_rational_moves_the_leading_power(self, u, r):
-        assert_same(u.pow_rational(r), oracle_pow_rational(u, r))
+        got = u.pow_rational(r)
+        assert_same(got, oracle_pow_rational(u, r))
+        assert_same(got, miller_pow_rational(u, r))
 
     @given(multi_series(), any_fracs.filter(bool), st.data())
     @settings(max_examples=80, deadline=None)

@@ -257,6 +257,16 @@ def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_
     assert len(builds) == len(tables)
 
 
+def test_tau_degen_prints_its_ring_blocks_without_recognition(monkeypatch, capsys, cold_caches):
+    # The eps^n block of tau-degen is an exact polynomial in Q[E2, E4, E6]
+    # before it is expanded, so the table prints that polynomial and solves
+    # no q-series back into the ring, where recognition ran once per block.
+    solves = counting(monkeypatch, series, "to_quasimodular")
+    assert cli.main(["compute", "tau-degen", "--eps-order", "8", "--q-order", "8"]) == 0
+    assert "E2*eps^4" in capsys.readouterr().out
+    assert solves == []
+
+
 def test_eta_is_one_euler_product_per_q_order(monkeypatch, capsys, cold_caches):
     # verify all reads eta at q-order 8 (the degeneration suites, in q1)
     # and 20 (the modular identities, in q): each Euler product is built
