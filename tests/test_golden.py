@@ -102,6 +102,15 @@ CASES = {
                                   "--eps-order", "9", "--q-order", "1"], 0),
     "verify_all_json_10_6_8": (["verify", "all", "--eps-order", "10", "--q-order", "6",
                                 "--max-weight", "8", "--format", "json"], 0),
+    # Free-boson suite at an odd eps order and q-order 1, and at a wide eps order.
+    "verify_heisenberg_eps5_q1": (["verify", "heisenberg-degen", "--eps-order", "5",
+                                   "--q-order", "1"], 0),
+    "verify_heisenberg_eps16_q3_json": (["verify", "heisenberg-degen", "--eps-order", "16",
+                                         "--q-order", "3", "--format", "json"], 0),
+    # The conformal map's coefficients at the cap of --max.
+    "beta_max64": (["beta", "--max", "64"], 0),
+    "z2_module_rank2_json": (["compute", "z2-module", "--alpha-sq", "2", "--rank", "2",
+                              "--eps-order", "6", "--q-order", "4", "--format", "json"], 0),
     "usage_missing_k": (["compute", "eisenstein"], 2),
     "usage_bad_partition": (["compute", "onepoint", "--partition", "2,3"], 2),
     "usage_theta_beta": (["verify", "theta-degen", "--beta-sq", "1"], 2),
