@@ -223,12 +223,14 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _emit(obj, cfg: RunConfig, table_text: str) -> None:
+def _emit(cfg: RunConfig, json_obj, table_text) -> None:
+    # The JSON form or the table, each a zero-argument callable: only the
+    # format asked for is rendered.
     if cfg.fmt == "json":
         import json
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(json_obj(), indent=2))
     else:
-        print(table_text)
+        print(table_text())
 
 
 def _module_pair(args):
@@ -248,9 +250,8 @@ def cmd_beta(args, cfg: RunConfig) -> int:
     if args.max_k > MAX_BETA:
         raise UsageError(f"--max must be <= {MAX_BETA}")
     betas = beta_coefficients(args.max_k)
-    rows = [f"{k:>4}  {rat_str(b)}" for k, b in betas]
-    _emit({"betas": {str(k): rat_str(b) for k, b in betas}}, cfg,
-          "   k  beta_k\n" + "\n".join(rows))
+    _emit(cfg, lambda: {"betas": {str(k): rat_str(b) for k, b in betas}},
+          lambda: "   k  beta_k\n" + "\n".join(f"{k:>4}  {rat_str(b)}" for k, b in betas))
     return 0
 
 
@@ -262,19 +263,17 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
     lam = lambda_vector(w)
     lam_direct = lambda_vector_direct(w)
     agree = all(a == b for a, b in zip(lam, lam_direct))
-    if cfg.fmt == "json":
-        _emit({"weights": {str(n): lam[n].to_json() for n in range(0, w + 1, 2)},
-               "dual_oracle_agrees": agree}, cfg, "")
-    else:
-        lines = [f"weight {n}:  {lam[n]}" for n in range(0, w + 1, 2)]
-        lines.append(f"dual construction (factored map vs exponential sum) agrees: {agree}")
-        print("\n".join(lines))
+    _emit(cfg, lambda: {"weights": {str(n): lam[n].to_json() for n in range(0, w + 1, 2)},
+                        "dual_oracle_agrees": agree},
+          lambda: "\n".join([*(f"weight {n}:  {lam[n]}" for n in range(0, w + 1, 2)),
+                             f"dual construction (factored map vs exponential sum) agrees: "
+                             f"{agree}"]))
     return 0 if agree else VERIFY_ERROR
 
 
 def cmd_compute(args, cfg: RunConfig) -> int:
     from .series import eisenstein, eta_normalized
-    obj, text = args.object, None
+    obj, text = args.object, None  # text: the table's renderer, when not str(s)
     if obj == "eisenstein":
         if args.k is None:
             raise UsageError("compute eisenstein needs --k")
@@ -288,12 +287,12 @@ def cmd_compute(args, cfg: RunConfig) -> int:
     elif obj == "tau-degen":
         from . import sewing
         s = sewing.degenerate_tau(cfg.q_order, cfg.eps_order)
-        text = _render_eps_quasimodular(s, sewing._degenerate_sewing(cfg.eps_order)[1])
+        text = lambda: _render_eps_quasimodular(s, sewing._degenerate_sewing(cfg.eps_order)[1])
     elif obj == "period":
         from . import sewing
         s = sewing.period_matrix(cfg.q_order, cfg.q_order, cfg.eps_order)
-        text = "\n".join(f"{name} = {series}" for name, series in
-                         (("d11", s.d11), ("d22", s.d22), ("d12", s.d12)))
+        text = lambda: "\n".join(f"{name} = {series}" for name, series in
+                                 (("d11", s.d11), ("d22", s.d22), ("d12", s.d12)))
     elif obj == "z2-heisenberg":
         from . import genus2
         s = genus2.z2_heisenberg(cfg.q_order, cfg.q_order, cfg.eps_order)
@@ -309,10 +308,10 @@ def cmd_compute(args, cfg: RunConfig) -> int:
         s = one_point(VirState.monomial(parts), cfg.q_order)
         if args.basis == "theta":
             s = to_theta_basis(s)
-        text = s.render_symbolic(sum(parts))
+        text = lambda: s.render_symbolic(sum(parts))
     else:
         raise UsageError(f"unknown object {obj!r}")
-    _emit(s.to_json(), cfg, str(s) if text is None else text)
+    _emit(cfg, s.to_json, text or s.__str__)
     return 0
 
 

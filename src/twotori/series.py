@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor
-from operator import add, gt, le, lt, sub
+from math import factorial
+from operator import add, gt, le, sub
 
 from .ring import (
     EisensteinPoly,
@@ -291,11 +291,6 @@ class QSeries(_Canonical):
                                   b.den, (trunc, *b.truncs), (Fraction(0), *b.offsets))
         return out
 
-    def is_even(self) -> bool:
-        """True when every nonzero coefficient sits at an even power of the
-        first variable."""
-        return all(e[0] % 2 == 0 for e in self.nums)
-
     # -- representation hygiene --------------------------------------------
 
     def truncate(self, new_truncs) -> "QSeries":
@@ -458,17 +453,6 @@ class QSeries(_Canonical):
         if any(self.offsets) or first != {(0,) * len(self.vars): self.den}:
             raise SeriesError(f"non-unit constant term: {what} requires constant term 1")
 
-    def divided_by(self, u: "QSeries") -> "QSeries":
-        """self / u for u with zero offsets whose v^0 coefficient is exactly 1,
-        v the first variable: ``_quotient_blocks`` over the v-blocks (see
-        ``block``), cut at the smaller v order of the two."""
-        self._check_var(u)
-        u._check_unit_block("division")
-        trunc = min(self.truncs[0], u.truncs[0])
-        zero = self.block_zero()
-        h = _quotient_blocks(self.blocks(), u.blocks(), trunc, zero)
-        return QSeries.from_blocks(self.vars[0], h or {0: zero}, trunc)
-
     def pow_rational(self, r) -> "QSeries":
         """Rational power of a one-variable series whose mantissa has constant
         term 1; the offset is multiplied by r.  The mantissa's power is
@@ -493,25 +477,6 @@ class QSeries(_Canonical):
         return QSeries._reduced(self.vars, {e: w for e, v in self.nums.items()
                                             if (w := (e[0] * s + p) * v)},
                                 self.den * s, self.truncs, self.offsets)
-
-    # -- composition ---------------------------------------------------------
-
-    def compose(self, g: "QSeries") -> "QSeries":
-        """f(g) for one-variable g with zero constant term and zero offset."""
-        self._check_var(g)
-        if self.offset != 0:
-            raise SeriesError("composition requires zero offset on the outer series")
-        if g.offset != 0 or g.constant_term() != 0:
-            raise SeriesError("composition requires g(0)=0")
-        trunc = min(self.trunc, g.trunc)
-        # Horner on the numerators, then one division by den.
-        result = QSeries.zero(self.var, trunc)
-        for n in range(self.trunc, -1, -1):
-            result = result * g
-            c = self.nums.get((n,))
-            if c is not None:
-                result = result + c
-        return result.truncate(trunc) * Fraction(1, self.den)
 
     # -- changing the variables ------------------------------------------------
 
@@ -560,37 +525,6 @@ class QSeries(_Canonical):
     def __hash__(self):
         return hash((self.vars, self.offsets, self.truncs, self.den,
                      tuple(sorted(self.nums.items()))))
-
-    def agrees_with(self, other: "QSeries", through=None) -> bool:
-        """Exact agreement of the known parts (offset-aligned).
-
-        ``through`` (an int for every variable, or one order per variable)
-        demands agreement through those mantissa orders and raises if either
-        side is not known that far.
-        """
-        self._check_var(other)
-        # Orders count from the lower offset of each variable, as after
-        # _aligned; the box is what both sides know.
-        base = tuple(map(min, self.offsets, other.offsets))
-        box = tuple(floor(min(oa + ta, ob + tb) - m) for oa, ta, ob, tb, m in zip(
-            self.offsets, self.truncs, other.offsets, other.truncs, base))
-        if through is not None:
-            need = self._box(through)
-            if any(map(lt, box, need)):
-                raise SeriesError(f"series only known to order {box}, need {need}")
-            box = need
-        try:
-            a, b = self._aligned(other)
-        except SeriesError:
-            # Offsets a non-integer apart: no exponent lies in both supports,
-            # so the sides agree when neither has a term inside the box.
-            for s in (self, other):
-                upto = tuple(floor(t + m - o) for t, m, o in zip(box, base, s.offsets))
-                if any(all(map(le, e, upto)) for e in s.nums):
-                    return False
-            return True
-        return all(a.nums.get(e, 0) * b.den == b.nums.get(e, 0) * a.den
-                   for e in a.nums.keys() | b.nums.keys() if all(map(le, e, box)))
 
     def render(self, coeff_text) -> str:
         """The series as "(block)*v^n + ... + O(v^(trunc+1))" in its first

@@ -310,12 +310,21 @@ def alpha_coefficients(max_i: int) -> tuple:
     return tuple(known[i] for i in range(1, max_i + 1))
 
 
-def _w_map(k: int, beta, trunc: int) -> QSeries:
-    """z (1 + k b z^k)^(-1/k), the inverse of the single-generator conformal
-    map exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k)."""
+def _after_w_map(k: int, beta, g: QSeries) -> QSeries:
+    """w_k o g for the inverse w_k(z) = z (1 + k b z^k)^(-1/k) of the
+    single-generator conformal map exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k),
+    and a z-series g = z + ...: the binomial series g sum_m c_m g^(km) with
+    c_0 = 1 and c_m = c_(m-1) (-1/k - m + 1)/m (k b), summed by Horner in
+    g^k through the last m with 1 + km <= the order of g."""
     from .series import QSeries
-    body = QSeries("z", {0: 1, k: k * rat(beta)}, trunc)
-    return QSeries.gen("z", trunc) * body.pow_rational(Fraction(-1, k))
+    cs = [Fraction(1)]
+    for m in range(1, (g.trunc - 1) // k + 1):
+        cs.append(cs[-1] * (Fraction(-1, k) - m + 1) / m * (k * beta))
+    h = g ** k
+    acc = QSeries.const("z", cs.pop(), g.trunc)
+    for c in reversed(cs):
+        acc = acc * h + c
+    return g * acc
 
 
 @lru_cache(maxsize=None)
@@ -323,8 +332,9 @@ def beta_coefficients(max_k: int) -> tuple:
     """Peel the exponential map into single-generator maps; returns items (k, beta_k)
     for even k = 2..max_k.
 
-    g_1 = w_1^{-1} o phi, then repeatedly beta_k = [z^(k+1)] g_{k-1} and
-    g_k = w_k^{-1} o g_{k-1}.  Odd beta_k (k >= 3) must vanish; a nonzero one
+    g_1 = w_1 o phi, then repeatedly beta_k = [z^(k+1)] g_{k-1} and
+    g_k = w_k o g_{k-1}, with w_k the inverse of the map of beta_k
+    (``_after_w_map``).  Odd beta_k (k >= 3) must vanish; a nonzero one
     is an internal consistency failure and raises.
     """
     if max_k < 2:
@@ -334,7 +344,7 @@ def beta_coefficients(max_k: int) -> tuple:
     beta1 = phi.coeff(2)
     if beta1 != Fraction(1, 2):
         raise ArithmeticError(f"map coefficient beta_1 = {beta1} != 1/2")
-    g = _w_map(1, beta1, trunc).compose(phi)
+    g = _after_w_map(1, beta1, phi)
     out = []
     for k in range(2, max_k + 1):
         bk = g.coeff(k + 1)
@@ -343,7 +353,7 @@ def beta_coefficients(max_k: int) -> tuple:
                 raise ArithmeticError(f"odd map coefficient beta_{k} = {bk} != 0")
             continue
         out.append((k, bk))
-        g = _w_map(k, bk, trunc).compose(g)
+        g = _after_w_map(k, bk, g)
     return tuple(out)
 
 

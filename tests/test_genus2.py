@@ -39,7 +39,7 @@ from twotori.reports import Check, Report
 from twotori.virasoro import VirState
 from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, to_theta_basis
 
-from test_series import set_second_to_zero, times_eps
+from test_series import agrees_with, divided_by, is_even, set_second_to_zero, times_eps
 from test_work_counts import clear_caches
 
 
@@ -195,7 +195,7 @@ def oracle_verify_detHi(eps_trunc, q_trunc) -> Report:
             det_delta_l = det_delta_l * delta
         lhs = ds.extract_H(l)
         rhs = det_delta_l * F(1, factorial(l))
-        ok = lhs.agrees_with(rhs, truncs)
+        ok = agrees_with(lhs, rhs, truncs)
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
                    expected=str(rhs) if not ok else "",
@@ -221,18 +221,18 @@ def oracle_verify_theta_degeneration(p, eps_trunc, q_trunc) -> Report:
     theta1 = QSeries.monomial("q1", p.alpha_sq / 2, q_trunc)
     unnormalized = _times_q(z2_module_degenerate(p, q_trunc, eps_trunc), eta1 ** r)
     normalizer = _times_q(z2_heisenberg_degenerate(q_trunc, eps_trunc), eta1) ** r
-    theta_lim = unnormalized.divided_by(normalizer)
+    theta_lim = divided_by(unnormalized, normalizer)
     theta_taylor = taylor_shift(theta1, delta)
     ds = genus2.degeneration_sum(eps_trunc, q_trunc)
     zhu_side = ds.specialize(BasePartition(theta1, F(r)))
 
     through = (eps_trunc, q_trunc)
-    ok_ab = theta_lim.agrees_with(theta_taylor, through)
+    ok_ab = agrees_with(theta_lim, theta_taylor, through)
     report.add("lim Theta^(2) == Theta^(1)(q) (closed form vs Taylor shift)",
                ok_ab, order=f"eps<={eps_trunc}, q<={q_trunc}",
                expected="" if ok_ab else _fmt_eps(theta_taylor, eps_trunc),
                computed="" if ok_ab else _fmt_eps(theta_lim, eps_trunc))
-    ok_c = zhu_side.agrees_with(unnormalized, through)
+    ok_c = agrees_with(zhu_side, unnormalized, through)
     report.add("Zhu-recursion degeneration sum == closed-form limit "
                "(eta^r reattached)", ok_c,
                order=f"eps<={eps_trunc}, q<={q_trunc}",
@@ -240,9 +240,48 @@ def oracle_verify_theta_degeneration(p, eps_trunc, q_trunc) -> Report:
                computed="" if ok_c else _fmt_eps(zhu_side, eps_trunc))
     det_r = oracle_degenerate_det(q_trunc, eps_trunc, r)
     report.add("operator route == det^(-r/2) * shifted Theta^(1)",
-               zhu_side.agrees_with(det_r * theta_taylor, through),
+               agrees_with(zhu_side, det_r * theta_taylor, through),
                order=f"eps<={eps_trunc}, q<={q_trunc}")
-    report.add("only even eps powers appear", theta_lim.is_even() and zhu_side.is_even(),
+    report.add("only even eps powers appear", is_even(theta_lim) and is_even(zhu_side),
+               order=f"eps<={eps_trunc}")
+    return report
+
+
+def oracle_verify_heisenberg_degeneration(eps_trunc, q_trunc) -> Report:
+    # The free-boson lines as eps-series over q1: eta(q1)^(+-1) Taylor-shifted
+    # to the pinched modulus, the closed form divided block by block, and
+    # each eps block compared with the expected series through q1^q_trunc.
+    report = Report(title="free-boson torus degeneration", notes=[PREFACTOR_NOTE])
+    e2 = eisenstein(2, q_trunc, "q1")
+    e4 = eisenstein(4, q_trunc, "q1")
+    delta = sewing.degenerate_tau(q_trunc, eps_trunc)
+    eta1 = eta_normalized(q_trunc, "q1")
+
+    def check_coeff(name, series, n, expected):
+        got = series.block(n)
+        ok = agrees_with(got, expected, through=min(q_trunc, got.trunc, expected.trunc))
+        report.add(name, ok, order=f"q<={q_trunc}",
+                   expected=str(expected) if not ok else "",
+                   computed=str(got) if not ok else "")
+
+    eta_ratio = _times_q(taylor_shift(eta1, delta), eta1.inv())
+    check_coeff("eta(q)/eta(q1) at eps^2", eta_ratio, 2, e2 * F(1, 24))
+    check_coeff("eta(q)/eta(q1) at eps^4", eta_ratio, 4,
+                -(e2 * e2 * F(1, 1152) + e4 * F(5, 576)))
+    z1_ratio = _times_q(taylor_shift(eta1.inv(), delta), eta1)
+    check_coeff("eta(q)^-1 ratio at eps^2", z1_ratio, 2, e2 * F(-1, 24))
+    check_coeff("eta(q)^-1 ratio at eps^4", z1_ratio, 4,
+                e2 * e2 * F(1, 384) + e4 * F(5, 576))
+    det = _eps_series(genus2._at(genus2._pinched_operator(eps_trunc), 1, 0), eps_trunc,
+                      lambda x: x.to_qseries(q_trunc, "q1"), EisensteinPoly())
+    check_coeff("det^(-1/2) at eps^2", det, 2, e2 * F(-1, 24))
+    check_coeff("det^(-1/2) at eps^4", det, 4, e2 * e2 * F(1, 384) + e4 * F(1, 96))
+    lim = _times_q(z2_heisenberg_degenerate(q_trunc, eps_trunc), eta1)
+    ratio = divided_by(lim, z1_ratio)
+    check_coeff("degeneration ratio at eps^0", ratio, 0, QSeries.one("q1", q_trunc))
+    check_coeff("degeneration ratio at eps^2", ratio, 2, QSeries.zero("q1", q_trunc))
+    check_coeff("degeneration ratio at eps^4", ratio, 4, e4 * F(1, 576))
+    report.add("only even eps powers appear", is_even(lim) and is_even(ratio),
                order=f"eps<={eps_trunc}")
     return report
 
@@ -331,15 +370,23 @@ class TestPinchedMemos:
             assert ds.extract_H(l) == oracle_extract_H(ds, l)
 
 
-def suite_objects(monkeypatch, run) -> list:
-    """The series whose ``is_even`` a suite asks for, in order: the objects
-    its last check reads, lim and the ratio in the free-boson suite, the
-    closed form (a) and the Zhu side in a theta pair."""
-    seen, is_even = [], QSeries.is_even
-    monkeypatch.setattr(QSeries, "is_even", lambda s: seen.append(s) or is_even(s))
-    run()
+def free_boson_objects(monkeypatch, e, q):
+    """The blocks the free-boson suite divides: det^(-1/2) (lim times
+    eta(q1)) and the shifted eta(q1)^-1 ratio, and their quotient, the
+    degeneration ratio, all in Q[E2, E4, E6]."""
+    quotients = []
+    quotient = genus2._quotient_blocks
+    monkeypatch.setattr(genus2, "_quotient_blocks",
+                        lambda *a: quotients.append((*a[:2], quotient(*a))) or quotients[-1][2])
+    verify_heisenberg_degeneration(e, q)
     monkeypatch.undo()
-    return seen
+    (det, z1_ratio, ratio), = quotients
+    return det, z1_ratio, ratio
+
+
+def q1_series(blocks, e, q):
+    # Blocks in Q[E2, E4, E6] as an eps-series over q1.
+    return _eps_series(blocks, e, lambda x: x.to_qseries(q, "q1"), EisensteinPoly())
 
 
 def oracle_theta_closed_form(p, q1, e, N):
@@ -377,10 +424,16 @@ class TestQuotientsAgainstInverses:
 
     @pytest.mark.parametrize("e, q, N", SUITE_ORDERS)
     def test_free_boson_ratio(self, monkeypatch, e, q, N):
-        lim, ratio = suite_objects(
-            monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
-        assert ratio == oracle_free_boson_ratio(q, e, N)
-        assert lim == _times_q(z2_heisenberg_degenerate(q, e), eta_normalized(q, "q1"))
+        # The suite divides polynomial blocks; expanded in q1 they are the
+        # series the eps-series inverse, the Taylor shift and the q-series
+        # closed form gave.
+        det, z1_ratio, ratio = free_boson_objects(monkeypatch, e, q)
+        got, want = q1_series(ratio, e, q), oracle_free_boson_ratio(q, e, N)
+        assert got == want and str(got) == str(want)
+        eta1 = eta_normalized(q, "q1")
+        assert q1_series(det, e, q) == _times_q(z2_heisenberg_degenerate(q, e), eta1)
+        z1 = taylor_shift(eta1.inv(), reference_pinched(q, e, N)[1])
+        assert q1_series(z1_ratio, e, q) == _times_q(z1, eta1).truncate((e, q))
 
 
 # (q1, q2, eps, N): N is the size of the oracles' matrices
@@ -487,7 +540,7 @@ class TestTaylorShift:
         lhs = taylor_shift(mono, delta)
         shift = (delta * a).exp()
         rhs = shift * mono.embed(shift.vars, (shift.truncs[0], 5))
-        assert lhs.agrees_with(rhs, (6, 5))
+        assert agrees_with(lhs, rhs, (6, 5))
 
 
 class TestClosedForms:
@@ -502,7 +555,7 @@ class TestClosedForms:
 
     def test_heisenberg_even_and_stable(self):
         a = z2_heisenberg(3, 3, 4)
-        assert a.is_even()
+        assert is_even(a)
         for N in (4, 7):
             assert a.to_json() == oracle_z2_heisenberg(3, 3, 4, N).to_json()
 
@@ -524,7 +577,7 @@ class TestClosedForms:
         for n in range(7):
             sliced = set_second_to_zero(full.block(n) * QSeries(("q1", "q2"), {(0, 0): 1},
                                                                 (6, 0), offsets=(0, F(1, 24))))
-            assert sliced.agrees_with(deg.block(n))
+            assert agrees_with(sliced, deg.block(n))
 
     def test_module_degenerate_pinches_consistently(self):
         p = ModulePair(1, alpha_sq=F(1))
@@ -533,7 +586,7 @@ class TestClosedForms:
         for n in range(5):
             sliced = set_second_to_zero(full.block(n) * QSeries(("q1", "q2"), {(0, 0): 1},
                                                                 (5, 0), offsets=(0, F(1, 24))))
-            assert sliced.agrees_with(deg.block(n))
+            assert agrees_with(sliced, deg.block(n))
 
     def test_degenerate_module_requires_beta_zero(self):
         with pytest.raises(ValueError):
@@ -738,7 +791,7 @@ class TestTruncationMetamorphic:
         low, high = TRUNCATED[name](e, q), TRUNCATED[name](e + 2, q + 3)
         for a, b in zip(low, high):
             assert a.truncs[0] >= e
-            assert a.agrees_with(b, (e,) + (q,) * (len(a.vars) - 1))
+            assert agrees_with(a, b, (e,) + (q,) * (len(a.vars) - 1))
 
     @pytest.mark.parametrize("e, q", [(2, 1), (4, 2), (4, 3)])
     @pytest.mark.parametrize("name", sorted(Q_TRUNCATED))
@@ -748,7 +801,7 @@ class TestTruncationMetamorphic:
         low, high = Q_TRUNCATED[name](q), Q_TRUNCATED[name](q + 3)
         for a, b in zip(low, high, strict=True):
             assert a.trunc >= q
-            assert a.agrees_with(b, a.trunc)
+            assert agrees_with(a, b, a.trunc)
 
     @pytest.mark.parametrize("e, q", [(4, 2), (4, 3)])
     @pytest.mark.parametrize("l", [0, 1, 2])
@@ -757,7 +810,7 @@ class TestTruncationMetamorphic:
         high = degeneration_sum(e + 2, q + 3).extract_H(l)
         assert low.truncs[0] >= e
         assert low.vars == ("eps", *H_VARS) and low.truncs[1:] == (q, e)
-        assert low.agrees_with(high, (e, q, e))
+        assert agrees_with(low, high, (e, q, e))
 
 
 # -- truncation soundness: every claimed coefficient survives two more orders -----
@@ -777,12 +830,13 @@ SOUND_THETA = ModulePair(2, F(1, 4))
 
 
 def _suite_objects(monkeypatch, e, q):
-    # The objects the degeneration suites compare: line 1's closed form and
-    # the Zhu side for one pair, as polynomial blocks, and the free-boson
-    # ratio.
+    # The objects the degeneration suites compare, as polynomial blocks, and
+    # the pair whose q1^(alpha^2/2) they stand over: line 1's closed form and
+    # the Zhu side for one pair, and the free-boson ratio.
     theta_lim, zhu_side = ring_theta_objects(monkeypatch, SOUND_THETA, e, q)
-    _, ratio = suite_objects(monkeypatch, lambda: verify_heisenberg_degeneration(e, q))
-    return {"closed form (a)": theta_lim, "Zhu side": zhu_side, "free-boson ratio": ratio}
+    ratio = free_boson_objects(monkeypatch, e, q)[2]
+    return {"closed form (a)": (theta_lim, SOUND_THETA), "Zhu side": (zhu_side, SOUND_THETA),
+            "free-boson ratio": (ratio, ModulePair())}
 
 
 def assert_cut_back(low, high, e, q):
@@ -817,12 +871,9 @@ class TestTruncationSoundness:
         # so is its q-expansion cut back to q.
         low, high = _suite_objects(monkeypatch, e, q), _suite_objects(monkeypatch, e + 2, q + 2)
         for name in low:
-            lo, hi = low[name], high[name]
-            if isinstance(lo, dict):
-                assert lo == {n: x for n, x in hi.items() if n <= e} and 0 in lo
-                lo, hi = (theta_series(lo, SOUND_THETA, e, q),
-                          theta_series(hi, SOUND_THETA, e + 2, q + 2))
-            assert_cut_back(lo, hi, e, q)
+            (lo, p), (hi, _) = low[name], high[name]
+            assert lo == {n: x for n, x in hi.items() if n <= e} and 0 in lo
+            assert_cut_back(theta_series(lo, p, e, q), theta_series(hi, p, e + 2, q + 2), e, q)
 
 
 # -- the suites in the rings against the q-series suites ----------------------------
@@ -866,6 +917,21 @@ def perturb_pinched(monkeypatch, which: int, n: int) -> None:
         monkeypatch.setattr(module, "_degenerate_sewing", perturbed)
 
 
+def perturb_det_constant(monkeypatch) -> None:
+    """Add C*E4/7 to the eps^0 operator of the closed form: a constant term
+    of det(I - A1 A2(0))^(-C/2) other than 1, where the exp of the pinched
+    log-det cannot put one.  The qd^l C^0 parts, delta^l/l!, stay as they
+    are.  Run it with the ``cleared`` fixture."""
+    operator = genus2._pinched_operator
+
+    def perturbed(eps_trunc):
+        ops = dict(operator(eps_trunc))
+        ops[0] = ops[0] + _DPoly({(0, 1, 0, 1, 0): F(1, 7)})
+        return ops
+
+    monkeypatch.setattr(genus2, "_pinched_operator", perturbed)
+
+
 @pytest.fixture
 def cleared():
     # Memos filled under a perturbation must not outlive the test.
@@ -903,6 +969,25 @@ class TestRingSuitesAgainstQSeriesSuites:
         for got, want in reports:
             assert got == want
 
+    @pytest.mark.parametrize("e, q", [(4, 1), (5, 3), (8, 6), (12, 12), (16, 2)])
+    def test_heisenberg(self, e, q):
+        got = verify_heisenberg_degeneration(e, q)
+        want = oracle_verify_heisenberg_degeneration(e, q)
+        assert got == want and got.passed and len(got.checks) == 10
+
+    @pytest.mark.parametrize("which, n", [(0, 2), (0, 4), (1, 2), (1, 4), (0, 3), (1, 3),
+                                          (None, 0)])
+    def test_failed_free_boson_lines_print_the_q_series(self, monkeypatch, cleared, which, n):
+        # Under each perturbation of TestPerturbations both suites fail the
+        # same lines and print the same expanded sides.
+        if which is None:
+            perturb_det_constant(monkeypatch)
+        else:
+            perturb_pinched(monkeypatch, which, n)
+        got = verify_heisenberg_degeneration(8, 6)
+        want = oracle_verify_heisenberg_degeneration(8, 6)
+        assert not got.passed and got == want
+
     def test_a_failed_H_identity_prints_the_q_series(self, monkeypatch, cleared):
         # The computed side is H_l as extract_H expands it.
         perturb_H(monkeypatch, {1: 4})
@@ -937,6 +1022,48 @@ class TestPerturbations:
         for p in self.PAIRS:
             assert failed(verify_theta_degeneration(p, 8, 6)) == (
                 self.LINES_2_3 if p.alpha_sq else [])
+
+    # The free-boson lines, in report order.
+    ETA = ["eta(q)/eta(q1) at eps^2", "eta(q)/eta(q1) at eps^4"]
+    ETA_INV = ["eta(q)^-1 ratio at eps^2", "eta(q)^-1 ratio at eps^4"]
+    DET = ["det^(-1/2) at eps^2", "det^(-1/2) at eps^4"]
+    RATIO = [f"degeneration ratio at eps^{n}" for n in (0, 2, 4)]
+    EVEN = ["only even eps powers appear"]
+
+    def test_logdet_block_2_fails_det_and_ratio(self, monkeypatch, cleared):
+        # The eta ratios read the C^0 parts of the closed form, which the
+        # log-det (a coefficient of C) never reaches.
+        perturb_pinched(monkeypatch, 0, 2)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == self.DET + self.RATIO[1:]
+
+    def test_logdet_block_4_fails_det_and_ratio_at_eps4(self, monkeypatch, cleared):
+        perturb_pinched(monkeypatch, 0, 4)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == [self.DET[1], self.RATIO[2]]
+
+    def test_delta_block_2_fails_the_eta_ratios_and_ratio(self, monkeypatch, cleared):
+        # det^(-1/2) is read at qd = 0, which delta never reaches.
+        perturb_pinched(monkeypatch, 1, 2)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == (
+            self.ETA + self.ETA_INV + self.RATIO[1:])
+
+    def test_delta_block_4_fails_the_eps4_lines_it_reaches(self, monkeypatch, cleared):
+        perturb_pinched(monkeypatch, 1, 4)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == [
+            self.ETA[1], self.ETA_INV[1], self.RATIO[2]]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_an_odd_block_fails_the_evenness_line_only(self, monkeypatch, cleared, which):
+        # eps^3 enters eps^4 only times an eps^1 block, and there is none.
+        perturb_pinched(monkeypatch, which, 3)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == self.EVEN
+
+    def test_det_constant_term_fails_the_ratio(self, monkeypatch, cleared):
+        # The only perturbation that reaches the eps^0 line: the ratio is
+        # det^(-1/2) over a unit, so a wrong eps^0 block of det carries into
+        # every block of the ratio, while det^(-1/2) at eps^2 and eps^4 and
+        # the eta ratios stay right.
+        perturb_det_constant(monkeypatch)
+        assert failed(verify_heisenberg_degeneration(8, 6)) == self.RATIO
 
     @pytest.mark.parametrize("l", range(5))
     def test_C_E4_in_H(self, monkeypatch, cleared, l):

@@ -10,7 +10,7 @@ from twotori.series import QSeries
 from twotori.virasoro import (
     CPoly,
     VirState,
-    _w_map,
+    _after_w_map,
     alpha_coefficients,
     apply_mode,
     beta_coefficients,
@@ -21,6 +21,8 @@ from twotori.virasoro import (
     partition_weight,
     partitions_of_weight,
 )
+
+from test_series import compose
 
 def cpoly_from_string(text: str) -> CPoly:
     """Parse the canonical rendering of a CPoly (its __str__)."""
@@ -46,9 +48,29 @@ def state_from_json(entries) -> VirState:
     return VirState({tuple(e["partition"]): cpoly_from_string(e["coeff"]) for e in entries})
 
 
+def _w_map(k: int, beta, trunc: int) -> QSeries:
+    """Oracle: z (1 + k b z^k)^(-1/k) as a z-series, by the rational power of
+    its body, the inverse of the single-generator conformal map
+    exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k)."""
+    body = QSeries("z", {0: 1, k: k * beta}, trunc)
+    return QSeries.gen("z", trunc) * body.pow_rational(F(-1, k))
+
+
+def oracle_beta_coefficients(max_k: int) -> tuple:
+    """The peeling with each step as the composition w_k o g, the map w_k
+    expanded on its own by ``_w_map``."""
+    trunc = max_k + 1
+    g = compose(_w_map(1, F(1, 2), trunc), exp_minus_one(trunc))
+    out = []
+    for k in range(2, max_k + 1, 2):
+        out.append((k, g.coeff(k + 1)))
+        g = compose(_w_map(k, out[-1][1], trunc), g)
+    return tuple(out)
+
+
 def intermediate_odd_map(trunc: int) -> QSeries:
     """g_1 = w_1^{-1} o phi, the odd map whose coefficients seed the peeling."""
-    return _w_map(1, F(1, 2), trunc).compose(exp_minus_one(trunc))
+    return compose(_w_map(1, F(1, 2), trunc), exp_minus_one(trunc))
 
 
 # All seven table values for the factored-map coefficients.
@@ -215,7 +237,23 @@ class TestSingleGeneratorMap:
         # exp(b z^(k+1) d/dz) z = z (1 - k b z^k)^(-1/k), the identity the
         # peeling uses, checked by the generic derivation-exponential; the
         # inverse map at -b is the map at b
-        from twotori.virasoro import _exp_derivation, _w_map
+        from twotori.virasoro import _exp_derivation
         for k, b in ((1, F(1, 2)), (2, F(-1, 12)), (3, F(2, 7)), (4, F(-1, 480))):
             got = _exp_derivation({k: b}, 12)
             assert got == _w_map(k, -b, 12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 13])
+    @pytest.mark.parametrize("b", [F(1, 2), F(-1, 12), F(2, 7), F(0)])
+    def test_peel_step_is_the_composition_with_the_inverse_map(self, k, b):
+        # w_k o g by the binomial series in g^k equals the composition with
+        # w_k expanded by the rational power: for g = e^z - 1 (the map the
+        # peeling starts from) at order 13 and at order k + 1, where only
+        # the first binomial term is known, for g = z, and for a sparse g.
+        for g in (exp_minus_one(13), QSeries.gen("z", 13), exp_minus_one(k + 1),
+                  QSeries("z", {1: 1, 2: F(-3, 5), 5: 4}, 14)):
+            assert _after_w_map(k, b, g) == compose(_w_map(k, b, g.trunc), g)
+
+    @pytest.mark.parametrize("max_k", [2, 4, 12, 24, 40])
+    def test_betas_equal_the_composition_route(self, max_k):
+        beta_coefficients.cache_clear()
+        assert beta_coefficients(max_k) == oracle_beta_coefficients(max_k)

@@ -28,6 +28,17 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def counting_everywhere(monkeypatch, module, name) -> list:
+    """``counting`` in every twotori module that holds module.name, so that
+    a module that imported the function by name is counted too."""
+    fn = getattr(module, name)
+    calls = counting(monkeypatch, module, name)
+    for m in (ring, series, virasoro, zhu, sewing, genus2, cli):
+        if getattr(m, name, None) is fn:
+            monkeypatch.setattr(m, name, getattr(module, name))
+    return calls
+
+
 def clear_caches() -> None:
     """Empty every lru_cache of ring, series, virasoro, genus2, sewing and
     zhu, as a new CLI run finds them; a memo added later is found without
@@ -153,26 +164,49 @@ def test_verify_all_runs_the_pinched_pass_in_the_ring(monkeypatch, capsys, cold_
 def test_verify_all_computes_each_pinched_quantity_once(monkeypatch, capsys, cold_caches):
     # The pinched log-det and delta are computed once, as polynomial blocks
     # per eps order, and so is the closed-form operator made from them; every
-    # suite reads them.  detHi and the four theta pairs compare polynomials,
-    # so only the free-boson suite builds q-series from them: one closed form
-    # (the free boson's) and its det(I - A1 A2(0))^(-1/2), both read off the
-    # operator with no exp, and one table of Taylor weights delta^l/l! for
-    # its two shifts.  A cold run inverts two series: eta(q1), once, and the
-    # conformal map's z-series in virasoro._w_map.  Without the memos the
-    # q-series suites made 19 exps and 16 inverses, and with them 4 closed
-    # forms and 6 exps; the q-series det^(-1/2) made one.
+    # suite reads them.  Every degeneration suite compares polynomials read
+    # off that operator, so none builds a pinched closed form, an eta(q1)
+    # inverse or a table of Taylor weights delta^l/l!, and a cold run takes
+    # no exp and inverts no series (the conformal map is peeled without
+    # one).  Without the memos the q-series suites made 19 exps and 16
+    # inverses; with them and the q-series free-boson suite, one closed
+    # form, one Taylor table and two inverses (eta(q1) and the map's).
     exps = counting(monkeypatch, QSeries, "exp")
     invs = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert exps == []
-    assert sorted(s.vars for s, in invs) == [("q1",), ("z",)]
-    for memo in (sewing._degenerate_sewing, genus2._pinched_operator,
-                 genus2._z2_module_degenerate):
+    assert exps == [] and invs == []
+    for memo in (sewing._degenerate_sewing, genus2._pinched_operator):
         assert memo.cache_info().misses == memo.cache_info().currsize == 1
-    assert genus2._taylor_weights.cache_info().misses == 1
+    for memo in (genus2._z2_module_degenerate, genus2._eta_inverse, genus2._taylor_weights):
+        assert memo.cache_info().currsize == 0
+
+
+def test_verify_all_expands_no_eps_series_and_peels_without_powers(
+        monkeypatch, capsys, cold_caches):
+    # Every degeneration line is a polynomial identity per eps block, so a
+    # cold verify all multiplies no series in two or more variables (the
+    # q-series free-boson suite multiplied (eps, q1)-series), shifts no
+    # series to the pinched modulus and expands no delta (taylor_shift and
+    # degenerate_tau), and inverts no series; and the conformal map's peel
+    # sums binomial series in g^k, so beta_coefficients, which runs once,
+    # takes no rational power (each step took one, an exp of a log).
+    products, mul = [], QSeries.__mul__
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: (
+        isinstance(b, QSeries) and len(a.vars) > 1 and products.append(a.vars)) or mul(a, b))
+    shifts = counting_everywhere(monkeypatch, genus2, "taylor_shift")
+    taus = counting_everywhere(monkeypatch, sewing, "degenerate_tau")
+    inverted = counting(monkeypatch, QSeries, "inv")
+    betas = counting(monkeypatch, virasoro, "beta_coefficients")
+    powers = counting(monkeypatch, QSeries, "pow_rational")
+    code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
+                     "--max-weight", "8"])
+    capsys.readouterr()
+    assert code == 0
+    assert products == [] and shifts == [] and taus == [] and inverted == []
+    assert len(betas) == 1 and powers == []
 
 
 def test_degeneration_coefficients_come_from_one_pass(monkeypatch):
@@ -239,19 +273,24 @@ def test_verify_all_sums_descendants_once(monkeypatch, capsys, cold_caches):
 
 
 def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_caches):
-    # The Zhu operators' monomial table reads E_k over "q", the moment
-    # matrices and the free-boson checks over "q1"; one table per (k,
-    # q-order) serves every variable.  A table of even weight calls
-    # series.bernoulli once.
+    # The modular identities read E_k over "q" at q-order 20, and a closed
+    # form's monomial expansions read E_k over "q1" and "q2" at its q-order;
+    # one table per (k, q-order) serves every variable.  A table of even
+    # weight calls series.bernoulli once.  The degeneration suites compare
+    # polynomials, so verify all expands no E_k at its own q-order 8.
     for cached in (*vars(ring).values(), *vars(series).values()):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     builds = counting(monkeypatch, series, "bernoulli")
-    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing, genus2)]
+    requests = [counting(monkeypatch, m, "eisenstein") for m in (series, sewing)]
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
+    tables = {args[:2] for calls in requests for args in calls if args[0] % 2 == 0}
+    assert tables == {(2, 20), (4, 20)} and len(builds) == len(tables)
+    assert cli.main(["compute", "z2-heisenberg", "--eps-order", "8", "--q-order", "8"]) == 0
+    capsys.readouterr()
     tables = {args[:2] for calls in requests for args in calls if args[0] % 2 == 0}
     assert {(k, 8) for k in (2, 4, 6)} <= tables
     assert len(builds) == len(tables)
@@ -268,9 +307,10 @@ def test_tau_degen_prints_its_ring_blocks_without_recognition(monkeypatch, capsy
 
 
 def test_eta_is_one_euler_product_per_q_order(monkeypatch, capsys, cold_caches):
-    # verify all reads eta at q-order 8 (the degeneration suites, in q1)
-    # and 20 (the modular identities, in q): each Euler product is built
-    # once, one factor (1 - q^n) per n, whatever variable reads it.
+    # verify all reads eta at q-order 20 (the modular identities, in q),
+    # and compute z2-heisenberg at 8 (in q1 and in q2): each Euler product
+    # is built once, one factor (1 - q^n) per n, whatever variable reads it.
+    # The degeneration suites compare polynomials and read no eta.
     series._eta_product.cache_clear()
     factors = []
     mul = QSeries.__mul__
@@ -285,8 +325,10 @@ def test_eta_is_one_euler_product_per_q_order(monkeypatch, capsys, cold_caches):
     monkeypatch.setattr(QSeries, "__mul__", counted)
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
-    capsys.readouterr()
     assert code == 0
+    assert sorted(factors) == [(20, n) for n in range(1, 21)]
+    assert cli.main(["compute", "z2-heisenberg", "--eps-order", "8", "--q-order", "8"]) == 0
+    capsys.readouterr()
     assert sorted(factors) == [(t, n) for t in (8, 20) for n in range(1, t + 1)]
 
 
@@ -310,8 +352,9 @@ def in_suites(monkeypatch, record):
 
 def test_verify_all_inverts_no_eps_series_and_specializes_in_the_ring(
         monkeypatch, capsys, cold_caches):
-    # The free-boson suite divides block by block, so no eps-series is
-    # inverted (the inverses made 3); and the theta pairs specialize the
+    # The free-boson suite divides polynomial blocks, so no series is
+    # inverted at all (the eps-series inverses made 3, and the q-series
+    # suite still inverted eta(q1)); and the theta pairs specialize the
     # operators in Q[E2, E4, E6] at a one-term base, so specialization
     # makes no q-series product at all (it made one per operator), and
     # neither does detHi (the z-series products of the conformal map, which
@@ -329,16 +372,17 @@ def test_verify_all_inverts_no_eps_series_and_specializes_in_the_ring(
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert inverted and not [v for v in inverted if v[0] == "eps"]
+    assert inverted == []
     assert calls == [] and products == []
 
 
 def test_verify_all_checks_detHi_and_the_theta_pairs_in_the_rings(
         monkeypatch, capsys, cold_caches):
-    # detHi and the four theta pairs compare polynomials per eps block: the
-    # run builds no series in (eps, q1, C) and takes no QSeries.exp inside
-    # them, and the pinched blocks and the closed-form operator they make
-    # are built once, for the one eps order.
+    # detHi, the free boson and the four theta pairs compare polynomials per
+    # eps block: the run builds no eps-series at all, over (q1, C) or over
+    # q1, and takes no QSeries.exp inside them, and the pinched blocks and
+    # the closed-form operator they make are built once, for the one eps
+    # order.
     inside = in_suites(monkeypatch, None)
     built, init = [], QSeries._init
     monkeypatch.setattr(QSeries, "_init", lambda s, vars, *a: built.append(vars) or init(
@@ -350,7 +394,7 @@ def test_verify_all_checks_detHi_and_the_theta_pairs_in_the_rings(
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert ("eps", "q1", "C") not in built and ("eps", "q1") in built
+    assert built and not [v for v in built if v[0] == "eps"]
     assert exps == []
     assert [(args[0], args[1]) for args in passes] == [(ring.EisensteinPoly, 12)]
     for memo in (sewing._degenerate_sewing, genus2._pinched_operator):
@@ -398,26 +442,15 @@ def test_recursion_constructs_no_fraction(cold_caches):
 def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches):
     # One table serves every k and grows only when a larger k is asked for:
     # a verify all run inverts no z-series for it, where a table per k
-    # inverted (e^z - 1)/z once for each distinct k.  The one z-series a
-    # cold run does invert is the conformal map's, in virasoro._w_map.
-    depth, inverted = [0], []
-    inv, w_map = QSeries.inv, virasoro._w_map
-
-    def in_w_map(*args):
-        depth[0] += 1
-        try:
-            return w_map(*args)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(virasoro, "_w_map", in_w_map)
-    monkeypatch.setattr(QSeries, "inv", lambda s: inverted.append((s.vars, depth[0])) or inv(s))
+    # inverted (e^z - 1)/z once for each distinct k.  Nor does the conformal
+    # map, which inverted one z-series while it was a rational power: a cold
+    # run inverts nothing.
+    inverted = counting(monkeypatch, QSeries, "inv")
     code = cli.main(["verify", "all", "--eps-order", "8", "--q-order", "8",
                      "--max-weight", "8"])
     capsys.readouterr()
     assert code == 0
-    assert (("z",), 1) in inverted
-    assert (("z",), 0) not in inverted
+    assert inverted == []
     table = ring._bernoulli_coefficient.cache_info
     top = table().currsize
     ring.bernoulli(top - 1)
