@@ -24,6 +24,7 @@ from twotori.virasoro import (
 
 from test_series import compose
 
+
 def cpoly_from_string(text: str) -> CPoly:
     """Parse the canonical rendering of a CPoly (its __str__)."""
     text = text.replace(" - ", " + -").strip()
@@ -247,8 +248,9 @@ class TestSingleGeneratorMap:
     def test_peel_step_is_the_composition_with_the_inverse_map(self, k, b):
         # w_k o g by the binomial series in g^k equals the composition with
         # w_k expanded by the rational power: for g = e^z - 1 (the map the
-        # peeling starts from) at order 13 and at order k + 1, where only
-        # the first binomial term is known, for g = z, and for a sparse g.
+        # peeling starts from) at order 13 and at order k + 1, where the
+        # binomial series stops at its g^(k+1) term, for g = z, and for a
+        # sparse g.
         for g in (exp_minus_one(13), QSeries.gen("z", 13), exp_minus_one(k + 1),
                   QSeries("z", {1: 1, 2: F(-3, 5), 5: 4}, 14)):
             assert _after_w_map(k, b, g) == compose(_w_map(k, b, g.trunc), g)

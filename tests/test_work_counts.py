@@ -296,6 +296,23 @@ def test_verify_all_builds_each_eisenstein_table_once(monkeypatch, capsys, cold_
     assert len(builds) == len(tables)
 
 
+@pytest.mark.parametrize("obj", [["z2-module", "--alpha-sq", "2", "--rank", "2"], ["period"],
+                                 ["tau-degen"]])
+def test_compute_renders_only_the_format_asked_for(monkeypatch, capsys, obj):
+    # compute prints its table or its JSON form and builds only that one:
+    # a table run serializes no series, and a JSON run renders none as text,
+    # where every run built both forms.
+    texts = counting(monkeypatch, QSeries, "__str__")
+    serialized = counting(monkeypatch, QSeries, "to_json")
+    argv = ["compute", *obj, "--eps-order", "4", "--q-order", "3", "--format"]
+    assert cli.main([*argv, "table"]) == 0
+    assert serialized == []
+    texts.clear()
+    assert cli.main([*argv, "json"]) == 0
+    capsys.readouterr()
+    assert serialized and texts == []
+
+
 def test_tau_degen_prints_its_ring_blocks_without_recognition(monkeypatch, capsys, cold_caches):
     # The eps^n block of tau-degen is an exact polynomial in Q[E2, E4, E6]
     # before it is expanded, so the table prints that polynomial and solves
