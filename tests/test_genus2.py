@@ -384,11 +384,6 @@ def free_boson_objects(monkeypatch, e, q):
     return det, z1_ratio, ratio
 
 
-def q1_series(blocks, e, q):
-    # Blocks in Q[E2, E4, E6] as an eps-series over q1.
-    return _eps_series(blocks, e, lambda x: x.to_qseries(q, "q1"), EisensteinPoly())
-
-
 def oracle_theta_closed_form(p, q1, e, N):
     # Line 1's side (a) as it was taken: the pair's limit times the
     # eps-series inverse of the free boson's to the r-th.
@@ -427,13 +422,14 @@ class TestQuotientsAgainstInverses:
         # The suite divides polynomial blocks; expanded in q1 they are the
         # series the eps-series inverse, the Taylor shift and the q-series
         # closed form gave.
-        det, z1_ratio, ratio = free_boson_objects(monkeypatch, e, q)
-        got, want = q1_series(ratio, e, q), oracle_free_boson_ratio(q, e, N)
-        assert got == want and str(got) == str(want)
+        det, z1_ratio, ratio = (theta_series(blocks, ModulePair(), e, q)
+                                for blocks in free_boson_objects(monkeypatch, e, q))
+        want = oracle_free_boson_ratio(q, e, N)
+        assert ratio == want and str(ratio) == str(want)
         eta1 = eta_normalized(q, "q1")
-        assert q1_series(det, e, q) == _times_q(z2_heisenberg_degenerate(q, e), eta1)
+        assert det == _times_q(z2_heisenberg_degenerate(q, e), eta1)
         z1 = taylor_shift(eta1.inv(), reference_pinched(q, e, N)[1])
-        assert q1_series(z1_ratio, e, q) == _times_q(z1, eta1).truncate((e, q))
+        assert z1_ratio == _times_q(z1, eta1).truncate((e, q))
 
 
 # (q1, q2, eps, N): N is the size of the oracles' matrices
