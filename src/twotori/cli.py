@@ -67,6 +67,11 @@ MIN_ORDERS = {
 # reads an E_k of (--k 400 takes 1 s, 1200 takes 50 s).
 MAX_ORDERS = {"eps_order": 32, "q_order": 32, "max_weight": 32, "matrix_size": 64}
 MAX_BETA = MAX_EISENSTEIN_K = 64
+# `lambda` also runs its dual oracle, about 2.3x per +2 of weight (two fresh
+# runs each on a 2-vCPU VM: 1.4-1.5 s at 20, 3.0-3.6 s at 22, 7.3-9.5 s at 24;
+# one took 18.7 s at 26, and 32 did not finish in 120 s), so it stops at the
+# largest weight inside a 10 s budget.
+MAX_LAMBDA_WEIGHT = 24
 
 
 class RunConfig(_Record):
@@ -256,10 +261,12 @@ def cmd_beta(args, cfg: RunConfig) -> int:
 
 
 def cmd_lambda(args, cfg: RunConfig) -> int:
-    from .virasoro import lambda_vector, lambda_vector_direct
     w = cfg.max_weight
     if w < 0 or w % 2:
         raise UsageError("--max-weight must be an even integer >= 0")
+    if w > MAX_LAMBDA_WEIGHT:
+        raise UsageError(f"lambda --max-weight must be <= {MAX_LAMBDA_WEIGHT}")
+    from .virasoro import lambda_vector, lambda_vector_direct
     lam = lambda_vector(w)
     lam_direct = lambda_vector_direct(w)
     agree = all(a == b for a, b in zip(lam, lam_direct))

@@ -13,8 +13,9 @@ Every suite compares exact polynomials per power of eps, so its identities
 hold at every q-order; only a failed check is expanded in q, to print it.
 
 Each closed form is one exp in its ring, Q[E(q1)] (x) Q[E(q2)] on two tori
-and Q[qd, C, E2, E4, E6] when pinched, and is expanded in q once per power
-of eps, times the one-variable eta and monomial factors.
+and the operator ring Q[qd, C, E2, E4, E6] (``ring.OperatorPoly``) of the
+Zhu operators when pinched, and is expanded in q once per power of eps,
+times the one-variable eta and monomial factors.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .reports import Report
-from .ring import (EisensteinPoly, RationalPoly, _lowest_terms, _Record, _sum_terms, monomial_str,
-                   rat, rat_str)
+from .ring import EisensteinPoly, OperatorPoly, _eta_power, _Record, _sum_terms, rat, rat_str
 from .series import QSeries, _exp_blocks, _monomial_qseries, _quotient_blocks, eta_normalized
 from .sewing import _degenerate_sewing, _EisensteinPair, _eps_series, _sewing_pass
 # virasoro and zhu are imported where the operator route runs, so the closed
@@ -160,33 +160,14 @@ def _eta_inverse(q1_trunc: int) -> QSeries:
 H_VARS = ("q1", "C")
 
 
-class _DPoly(RationalPoly):
-    """Q[D, C, E2, E4, E6], keyed (i, j, a, b, c) for D^i C^j E2^a E4^b E6^c
-    as ``DiffOp.nums`` is, D standing for qd."""
-
-    __slots__ = ()
-    _monomial_str = staticmethod(lambda k: monomial_str(*zip(("D", "C", "E2", "E4", "E6"), k)))
-
-
-def _slice(ops: dict, l: int) -> dict:
-    # The qd^l part of each eps^n operator, in Q[D, C, E2, E4, E6].
-    return {n: x for n, op in ops.items() if (x := _DPoly._made(*_lowest_terms(
-        {k: v for k, v in op.nums.items() if k[0] == l}, op.den))).nums}
+def _blocks(ops: dict, f) -> dict:
+    # {n: f(op)} over the eps^n operators, without the zero blocks.
+    return {n: x for n, op in ops.items() if (x := f(op)).nums}
 
 
 def _at(ops: dict, r: int, a: Fraction) -> dict:
-    # {n: op} at C = r on the base q1^a, over it (qd q1^a = a q1^a), in Q[E2, E4, E6],
-    # for ops keyed (i, j, a, b, c) as ``DiffOp`` and ``_DPoly`` are: with
-    # a = p/s, qd^i C^j is p^i s^(top - i) r^j over s^top.
-    p, s = a.numerator, a.denominator
-    out = {}
-    for n, op in ops.items():
-        top = max((k[0] for k in op.nums), default=0)
-        x = EisensteinPoly._made(*_sum_terms([(op.den * s ** top, 1, (
-            (k[2:], v * p ** k[0] * s ** (top - k[0]) * r ** k[1]) for k, v in op.nums.items()))]))
-        if x.nums:
-            out[n] = x
-    return out
+    # {n: op} at C = r on the base q1^a, over it, in Q[E2, E4, E6].
+    return _blocks(ops, lambda op: op.at(r, a))
 
 
 def _H_series(blocks: dict, eps_trunc: int, q_trunc: int) -> QSeries:
@@ -208,11 +189,6 @@ class OperatorEpsSeries(_Record):
         # degeneration_sum shares one instance between callers.
         super().__init__(MappingProxyType(dict(terms)), eps_trunc, q_trunc)
 
-    def specialize(self, base: BasePartition) -> QSeries:
-        from .zhu import specialize
-        return QSeries.from_blocks("eps", {n: specialize(op, base)
-                                           for n, op in self.terms.items()}, self.eps_trunc)
-
     def extract_H(self, l: int) -> QSeries:
         """Coefficient of qd^l Theta in the degeneration sum: H_l(q1, C, eps).
 
@@ -223,7 +199,7 @@ class OperatorEpsSeries(_Record):
         """
         if l < 0:
             raise ValueError("derivative order must be >= 0")
-        return _H_series(_slice(self.terms, l), self.eps_trunc, self.q_trunc)
+        return _H_series(_blocks(self.terms, lambda op: op.part(l)), self.eps_trunc, self.q_trunc)
 
 
 @lru_cache(maxsize=None)
@@ -259,9 +235,9 @@ def _pinched_operator(eps_trunc: int) -> MappingProxyType:
     for (i, j, x), blocks in zip(((0, 1, Fraction(-1, 2)), (1, 0, 1)),
                                  _degenerate_sewing(eps_trunc)):
         for n, p in blocks.items():
-            term = _DPoly._made({(i, j, *k): v for k, v in p.nums.items()}, p.den) * x
+            term = OperatorPoly._made({(i, j, *k): v for k, v in p.nums.items()}, p.den) * x
             f[n] = f[n] + term if n in f else term
-    return MappingProxyType(_exp_blocks(f, eps_trunc, _DPoly({(0, 0, 0, 0, 0): 1})))
+    return MappingProxyType(_exp_blocks(f, eps_trunc, OperatorPoly({(0, 0, 0, 0, 0): 1})))
 
 
 def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
@@ -278,7 +254,8 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
                     notes=[PREFACTOR_NOTE])
     ds = degeneration_sum(eps_trunc, q_trunc)
     for l in range(eps_trunc // 2 + 1):
-        lhs, rhs = _slice(ds.terms, l), _slice(_pinched_operator(eps_trunc), l)
+        lhs, rhs = (_blocks(ops, lambda op: op.part(l))
+                    for ops in (ds.terms, _pinched_operator(eps_trunc)))
         ok = lhs == rhs
         report.add(f"H_{l} == det(I-A1*A2(0))^(-C/2) * delta^{l}/{l}!", ok,
                    order=f"eps<={eps_trunc}, q<={q_trunc}, symbolic C",
@@ -292,25 +269,15 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
     return report
 
 
-def _eta_ratio(ops: dict, s: int) -> dict:
-    """{n: block} of eta(q)^s / eta(q1)^s in Q[E2, E4, E6] for s = +-1: the
-    shift sum_l (delta^l / l!) qd^l eta^s, over eta^s, with delta^l / l! the
-    qd^l C^0 part of the eps^n operator.  qd^l eta^s = P_l eta^s for P_0 = 1
-    and P_(l+1) = qd P_l - (s E2/2) P_l, since qd eta = -(E2/2) eta."""
-    step = EisensteinPoly({(1, 0, 0): Fraction(-s, 2)})
-    P, out = [EisensteinPoly.const(1)], {}
-    for n, op in ops.items():
-        pieces = []
-        for (l, j, *k), v in op.nums.items():
-            if not j:
-                while len(P) <= l:
-                    P.append(P[-1].qd() + step * P[-1])
-                pieces.append((op.den * P[l].den, v, [
-                    ((k[0] + a, k[1] + b, k[2] + c), w) for (a, b, c), w in P[l].nums.items()]))
-        x = EisensteinPoly._made(*_sum_terms(pieces))
-        if x.nums:
-            out[n] = x
-    return out
+def _eta_shift(ops: dict, s: int) -> dict:
+    """{n: block} of eta(q)^s / eta(q1)^s for s = +-1: sum_l (delta^l / l!) P_l,
+    delta^l / l! the qd^l C^0 part of the closed form and P_l the qd^0 part of
+    the Theta basis change's qd^l (``ring._eta_power``) at C = -s, since
+    qd^l (eta^(-C) X) = eta^(-C) P_l X."""
+    shift = {n: op.part(j=0).coefficients() for n, op in ops.items()}  # (l, 0) -> delta^l/l!
+    p = [_eta_power(1, l).at(-s, 0) for l in range(1 + max(
+        (l for c in shift.values() for l, _ in c), default=0))]
+    return _blocks(shift, lambda c: sum((x * p[l] for (l, _), x in c.items()), EisensteinPoly()))
 
 
 def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Report:
@@ -318,15 +285,14 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
     function, including the intermediate expansions from the proof.
 
     Every line is an exact identity in Q[E2, E4, E6] per power of eps, read
-    off the closed-form operator: the eta ratios from its C^0 parts
-    (``_eta_ratio``), det^(-1/2) at C = 1 and qd = 0, and the degeneration
-    ratio as their block quotient.  A failed line prints both sides
-    expanded through q1^q_trunc.
+    off the closed-form operator: the eta ratios (``_eta_shift``),
+    det^(-1/2) at C = 1 and qd = 0, and the degeneration ratio as their
+    block quotient.  A failed line prints both sides expanded through q1^q_trunc.
     """
     if eps_trunc < 4:
         raise ValueError("the free-boson degeneration checks need eps_trunc >= 4")
     report = Report(title="free-boson torus degeneration", notes=[PREFACTOR_NOTE])
-    zero = EisensteinPoly()
+    zero, one = EisensteinPoly(), EisensteinPoly.const(1)
     e2, e4 = EisensteinPoly({(1, 0, 0): 1}), EisensteinPoly({(0, 1, 0): 1})
 
     def check_coeff(name, blocks, n, expected):
@@ -338,13 +304,13 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
 
     closed = _pinched_operator(eps_trunc)
     # eta(q) = eta(q1) [1 + E2/24 eps^2 - (E2^2/1152 + 5 E4/576) eps^4 + ...]
-    eta_ratio = _eta_ratio(closed, 1)
+    eta_ratio = _eta_shift(closed, 1)
     check_coeff("eta(q)/eta(q1) at eps^2", eta_ratio, 2, e2 * Fraction(1, 24))
     check_coeff("eta(q)/eta(q1) at eps^4", eta_ratio, 4,
                 -(e2 * e2 * Fraction(1, 1152) + e4 * Fraction(5, 576)))
 
     # 1/eta(q) = (1/eta(q1)) [1 - E2/24 eps^2 + (E2^2/384 + 5 E4/576) eps^4 + ...]
-    z1_ratio = _eta_ratio(closed, -1)
+    z1_ratio = _eta_shift(closed, -1)
     check_coeff("eta(q)^-1 ratio at eps^2", z1_ratio, 2, e2 * Fraction(-1, 24))
     check_coeff("eta(q)^-1 ratio at eps^4", z1_ratio, 4,
                 e2 * e2 * Fraction(1, 384) + e4 * Fraction(5, 576))
@@ -357,8 +323,8 @@ def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Rep
 
     # lim q2^(1/24) Z^(2) / Z^(1)(q) = 1 + 0 eps^2 + E4/576 eps^4 + O(eps^6), where
     # lim eta(q1) q2^(1/24) Z^(2) is det^(-1/2)
-    ratio = _quotient_blocks(det, z1_ratio, eps_trunc, zero)
-    check_coeff("degeneration ratio at eps^0", ratio, 0, EisensteinPoly.const(1))
+    ratio = _quotient_blocks(det, z1_ratio, eps_trunc, one)
+    check_coeff("degeneration ratio at eps^0", ratio, 0, one)
     check_coeff("degeneration ratio at eps^2", ratio, 2, zero)
     check_coeff("degeneration ratio at eps^4", ratio, 4, e4 * Fraction(1, 576))
     report.add("only even eps powers appear", all(n % 2 == 0 for n in (*det, *ratio)),
@@ -379,7 +345,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     """
     if p.beta_sq != 0 or p.alpha_dot_beta != 0:
         raise ValueError("theta degeneration check needs beta = 0")
-    r, a, zero = p.rank, p.alpha_sq / 2, EisensteinPoly()
+    r, a, zero, one = p.rank, p.alpha_sq / 2, EisensteinPoly(), EisensteinPoly.const(1)
     report = Report(
         title=f"torus degeneration of the normalized partition function "
               f"(alpha^2={rat_str(p.alpha_sq)}, r={r})",
@@ -393,7 +359,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
     zhu_side = _at(degeneration_sum(eps_trunc, q_trunc).terms, r, a)            # (c)
     closed = _pinched_operator(eps_trunc)
     pair, det_r, theta_taylor = _at(closed, r, a), _at(closed, r, 0), _at(closed, 0, a)  # (b)
-    theta_lim = _quotient_blocks(pair, det_r, eps_trunc, zero)                   # (a)
+    theta_lim = _quotient_blocks(pair, det_r, eps_trunc, one)                    # (a)
 
     order = f"eps<={eps_trunc}, q<={q_trunc}"
     ok_ab = theta_lim == theta_taylor
@@ -408,7 +374,7 @@ def verify_theta_degeneration(p: ModulePair, eps_trunc: int = 8, q_trunc: int = 
                computed="" if ok_c else expanded(zhu_side))
 
     report.add("operator route == det^(-r/2) * shifted Theta^(1)",
-               _quotient_blocks(zhu_side, det_r, eps_trunc, zero) == theta_taylor, order=order)
+               _quotient_blocks(zhu_side, det_r, eps_trunc, one) == theta_taylor, order=order)
 
     report.add("only even eps powers appear",
                all(n % 2 == 0 for n in (*theta_lim, *zhu_side)), order=f"eps<={eps_trunc}")

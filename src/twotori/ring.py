@@ -1,10 +1,13 @@
-"""Exact rationals as integer numerators, and the ring Q[E2, E4, E6].
+"""Exact rationals as integer numerators, and the rings Q[E2, E4, E6] and
+Q[D, C, E2, E4, E6].
 
 The canonical form of every exact object (``_Canonical``) and its helpers,
-the record bases, rendering helpers, Bernoulli numbers, and ``EisensteinPoly``
-with ``eisenstein_poly``.  Nothing here builds a q-series: a command that
-reads polynomials only, such as ``verify structure``, never compiles the
-q-series engine (``series``), which ``EisensteinPoly.to_qseries`` loads.
+the record bases, rendering helpers, Bernoulli numbers, ``EisensteinPoly``
+with ``eisenstein_poly``, and the operator ring ``OperatorPoly`` of the Zhu
+operators and the pinched closed form.  Nothing here builds a q-series: a
+command that reads polynomials only, such as ``verify structure``, never
+compiles the q-series engine (``series``), which ``EisensteinPoly.to_qseries``
+loads.
 """
 
 from __future__ import annotations
@@ -274,8 +277,9 @@ class RationalPoly(_Canonical):
     Sums, products and rational scalars run in int arithmetic with one
     content gcd per result, made by ``_made`` without the checks of the
     public constructor (which rejects floats).  Each direct subclass is a
-    ring of its own, keyed by exponent tuples: it renders its monomials
-    (``_monomial_str``), and its elements mix with no other ring's.
+    ring of its own (``_ring``, also for its subclasses), keyed by exponent
+    tuples: it renders its monomials (``_monomial_str``), and its elements
+    mix with no other ring's.
     """
 
     __slots__ = ()
@@ -318,7 +322,7 @@ class RationalPoly(_Canonical):
     def __add__(self, other):
         if not isinstance(other, self._ring):
             return NotImplemented
-        return self._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
+        return self._ring._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
 
     def __neg__(self):
         return self._scaled(-1)
@@ -328,12 +332,12 @@ class RationalPoly(_Canonical):
 
     def _scaled(self, p: int, r: int = 1):
         # Times p/r for coprime ints with r > 0.
-        return self._made(*_scaled_nums(self.nums, self.den, p, r))
+        return self._ring._made(*_scaled_nums(self.nums, self.den, p, r))
 
     def __mul__(self, other):
         if isinstance(other, self._ring):
-            return self._made(*_lowest_terms(self._mul_nums(self.nums, other.nums),
-                                             self.den * other.den))
+            return self._ring._made(*_lowest_terms(self._mul_nums(self.nums, other.nums),
+                                                   self.den * other.den))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self._scaled(other.numerator, other.denominator)
@@ -368,8 +372,7 @@ class EisensteinPoly(RationalPoly):
 
     def qd(self) -> "EisensteinPoly":
         """q d/dq by Ramanujan's derivatives (see ``_ramanujan``)."""
-        return self._made(*_sum_terms([(7 * self.den, 1, (
-            (m, v * w) for (a, b, c), v in self.nums.items() for m, w in _ramanujan(a, b, c)))]))
+        return self._made(*_sum_terms([(7 * self.den, 1, _ramanujan_items(self.nums))]))
 
     def to_qseries(self, trunc: int, var: str = "q") -> QSeries:
         """The q-expansion through q^trunc, summed in ints from the shared
@@ -401,6 +404,12 @@ def _ramanujan(a: int, b: int, c: int) -> list:
     return out
 
 
+def _ramanujan_items(nums: dict):
+    # 7 qd of the E2^a E4^b E6^c that ends each key (``_ramanujan``), as
+    # (key, int numerator) items.
+    return ((k[:-3] + m, v * w) for k, v in nums.items() for m, w in _ramanujan(*k[-3:]))
+
+
 @lru_cache(maxsize=None)
 def eisenstein_poly(k: int) -> EisensteinPoly:
     """E_k as a polynomial in E4 and E6 (E2 itself for k = 2; zero for odd k).
@@ -423,3 +432,82 @@ def eisenstein_poly(k: int) -> EisensteinPoly:
     d = (2 * n + 1) * (n - 3) * (2 * n - 1)
     return total._scaled(3 // gcd(3, d), d // gcd(3, d))
 
+
+# -- the operator ring ---------------------------------------------------------
+
+
+class OperatorPoly(RationalPoly):
+    """Q[D, C, E2, E4, E6], keyed (i, j, a, b, c) for D^i C^j E2^a E4^b E6^c:
+    the operator sum c_ij C^j qd^i, coefficients to the left of D = qd.
+
+    Sums and products are those of the polynomials (the pinched closed
+    form's exp is taken so); qd o op is ``_qd_pieces``, and ``part``, ``at``
+    and ``eta_rewrite`` filter the keys, evaluate, and move through eta^(-C).
+    """
+
+    __slots__ = ()
+    _monomial_str = staticmethod(lambda k: monomial_str(*zip(("D", "C", "E2", "E4", "E6"), k)))
+
+    def _qd_pieces(self) -> list:
+        # qd o self as two pieces of one ``_sum_terms``, by the Leibniz rule:
+        # D times self, and Ramanujan's qd of its coefficients.
+        nums, den = self.nums, self.den
+        return [(den, 1, (((i + 1, j, a, b, c), v) for (i, j, a, b, c), v in nums.items())),
+                (7 * den, 1, _ramanujan_items(nums))]
+
+    def part(self, i: int | None = None, j: int | None = None) -> "OperatorPoly":
+        """The terms of D^i and of C^j (either may be left open), by their keys."""
+        return OperatorPoly._made(*_lowest_terms(
+            {k: v for k, v in self.nums.items() if i in (None, k[0]) and j in (None, k[1])},
+            self.den))
+
+    def at(self, r, a) -> EisensteinPoly:
+        """The polynomial in E2, E4, E6 at C = r and D = a, for rationals r
+        and a: the operator applied to q^a (qd q^a = a q^a), over q^a."""
+        (u, t), (p, s) = (rat(x).as_integer_ratio() for x in (r, a))
+        top_i, top_j = (max((k[x] for k in self.nums), default=0) for x in (0, 1))
+        d = [p ** i * s ** (top_i - i) for i in range(top_i + 1)]  # D^i over s^top_i
+        c = [u ** j * t ** (top_j - j) for j in range(top_j + 1)]  # C^j over t^top_j
+        return EisensteinPoly._made(*_sum_terms([(self.den * s ** top_i * t ** top_j, 1, (
+            (k[2:], v * f) for k, v in self.nums.items() if (f := d[k[0]] * c[k[1]])))]))
+
+    def coefficients(self) -> dict:
+        """(i, j) -> c_ij as an ``EisensteinPoly``, for every nonzero c_ij."""
+        out = {}
+        for (i, j, a, b, c), v in self.nums.items():
+            out.setdefault((i, j), {})[a, b, c] = v
+        return {key: EisensteinPoly._made(*_lowest_terms(nums, self.den))
+                for key, nums in out.items()}
+
+    def max_derivative(self) -> int:
+        return max((k[0] for k in self.nums), default=0)
+
+    def c_degree(self, i: int) -> int:
+        """Highest C power among the D^i coefficients (-1 if absent)."""
+        return max((k[1] for k in self.nums if k[0] == i), default=-1)
+
+    def eta_rewrite(self, sign: int) -> "OperatorPoly":
+        """sum c_ij C^j P_i for self = sum c_ij C^j D^i, where
+        qd^i (eta^(-sign C) X) = eta^(-sign C) P_i X (``_eta_power``): sign +1
+        moves an operator on Z onto the eta^C-normalized base, -1 back."""
+        return OperatorPoly._made(*_sum_terms(
+            (p.den * c.den, 1, _times(p.nums, c.nums, j))
+            for (i, j), c in self.coefficients().items() for p in (_eta_power(sign, i),)))
+
+
+def _times(nums: dict, factor: dict, dj: int):
+    # The items of operator numerators nums times C^dj and E2/E4/E6 numerators factor.
+    for (x, y, z), f in factor.items():
+        for (i, j, a, b, c), v in nums.items():
+            yield (i, j + dj, a + x, b + y, c + z), v * f
+
+
+@lru_cache(maxsize=None)
+def _eta_power(sign: int, i: int) -> OperatorPoly:
+    """P_0 = 1, P_(i+1) = qd o P_i + sign (C/2) E2 P_i, as qd eta = -(E2/2) eta:
+    memoized, so every eta rewrite reads one table per sign."""
+    if not i:
+        return OperatorPoly._made({(0, 0, 0, 0, 0): 1}, 1)
+    p = _eta_power(sign, i - 1)
+    return OperatorPoly._made(*_sum_terms(
+        p._qd_pieces() + [(2 * p.den, sign, _times(p.nums, {(1, 0, 0): 1}, 1))]))

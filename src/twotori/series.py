@@ -424,7 +424,7 @@ class QSeries(_Canonical):
         blocks = u.blocks()
         inv0 = 1 / blocks[0] if len(u.vars) == 1 else blocks[0].inv()
         h = _quotient_blocks({0: inv0}, {n: b * inv0 for n, b in blocks.items() if n},
-                             u.truncs[0], u.block_zero())
+                             u.truncs[0], u.block_zero() + 1)
         s = QSeries.from_blocks(u.vars[0], h, u.truncs[0])
         return QSeries._made(s.vars, s.nums, s.den, s.truncs,
                              tuple(-o for o in m.offsets))
@@ -446,7 +446,7 @@ class QSeries(_Canonical):
         self._check_unit_block("log")
         zero = self.block_zero()
         return QSeries.from_blocks(self.vars[0], {0: zero, **_log_blocks(
-            self.blocks(), self.truncs[0], zero)}, self.truncs[0])
+            self.blocks(), self.truncs[0], zero + 1)}, self.truncs[0])
 
     def _check_unit_block(self, what: str) -> None:
         first = {e: v for e, v in self.nums.items() if e[0] == 0}
@@ -465,7 +465,7 @@ class QSeries(_Canonical):
         offset = m.offset
         if m.constant_term() != 1:
             raise SeriesError("non-unit constant term: rational power needs constant term 1")
-        log = _log_blocks(m.blocks(), m.trunc, Fraction(0))
+        log = _log_blocks(m.blocks(), m.trunc, Fraction(1))
         return QSeries(m.var, _exp_blocks({n: g * r for n, g in log.items()}, m.trunc,
                                           Fraction(1)), m.trunc, offset * r)
 
@@ -563,9 +563,10 @@ class QSeries(_Canonical):
                 "truncs": list(self.truncs), "coeffs": coeffs}
 
 
-def _log_blocks(u: dict, trunc: int, zero) -> dict:
+def _log_blocks(u: dict, trunc: int, one) -> dict:
     """The nonzero blocks g_n, 0 < n <= trunc, of g = log(u), u = {n: nonzero u_n}
-    with u_0 = 1 in any ring: n g_n = n u_n - sum_{0<k<n} k g_k u_(n-k)."""
+    with u_0 = ``one``, the unit of any ring: n g_n = n u_n - sum_{0<k<n} k g_k u_(n-k)."""
+    zero = _unit_block(u, one)
     g, kg = {}, {}
     for n in range(1, trunc + 1):
         acc = zero
@@ -588,9 +589,10 @@ def _exp_blocks(f: dict, trunc: int, one) -> dict:
     return g
 
 
-def _quotient_blocks(num: dict, u: dict, trunc: int, zero) -> dict:
-    """The nonzero blocks h_n, n <= trunc, of h = num / u, as in
-    ``_log_blocks``: h_n = num_n - sum_{k=1}^n u_k h_(n-k)."""
+def _quotient_blocks(num: dict, u: dict, trunc: int, one) -> dict:
+    """The nonzero blocks h_n, n <= trunc, of h = num / u, as in ``_log_blocks``
+    (u_0 may be left out): h_n = num_n - sum_{k=1}^n u_k h_(n-k)."""
+    zero = _unit_block(u, one)
     tail = {k: f for k, f in u.items() if k}
     h = {}
     for n in range(trunc + 1):
@@ -601,6 +603,13 @@ def _quotient_blocks(num: dict, u: dict, trunc: int, zero) -> dict:
         if acc != zero:
             h[n] = acc
     return h
+
+
+def _unit_block(u: dict, one):
+    # The ring's zero, after checking u_0: the recurrences never read it.
+    if 0 in u and u[0] != one:
+        raise ArithmeticError("block recurrence needs block 0 to be the unit")
+    return one * 0
 
 
 # ``perfbench/tracer.py`` resolves ``series.BiSeries.<method>`` and

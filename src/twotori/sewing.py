@@ -297,9 +297,9 @@ def _sewing_pass(ring, eps_trunc: int, wanted, b=None):
                                                    _outer(mx.nums, my.nums)))
     det, *nums = ({n: p for n, terms in pieces[name].items()
                    if not (p := ring._made(*_sum_terms(terms))).is_zero()} for name in pieces)
-    zero = ring()
-    return _log_blocks(det, eps_trunc, zero), {name: {
-        n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, zero).items()}
+    one = ring._made(dict(_outer(a[(), ()].nums, b[(), ()].nums)), 1)  # the empty minors
+    return _log_blocks(det, eps_trunc, one), {name: {
+        n + 1: -p for n, p in _quotient_blocks(N, det, eps_trunc, one).items()}
         for name, N in zip(wanted, nums)}
 
 

@@ -12,15 +12,15 @@ base partition function, either in the raw Z basis or rewritten onto the
 eta^C-normalized base (Theta basis).
 
 Each coefficient c_ij is an exact polynomial in E2, E4 and E6, so the
-recursion runs in the quasi-modular ring and no q-order enters it.  Two ring
+recursion runs in the operator ring Q[qd, C, E2, E4, E6] (``ring.OperatorPoly``,
+one sum over integer numerators per step) and no q-order enters it.  Two ring
 facts close it: E_k for k >= 8 is a polynomial in E4 and E6 (a quadratic
 recurrence, ``ring.eisenstein_poly``), and qd acts on E2, E4 and E6 by
-Ramanujan's derivatives (``ring._ramanujan``).  An operator is one flat
-polynomial in qd, C, E2, E4, E6 with integer numerators over one
-denominator, and each recursion step is one sum over them.  It is read as
-q-series only at its consumers (specialization, rendering, JSON), through
-one cached table of the monomials E2^a E4^b E6^c; the structure check reads
-the polynomials alone, so it never loads the q-series engine (``series``).
+Ramanujan's derivatives (``ring._ramanujan``).  The change of basis is the
+ring's eta rewrite.  A ``DiffOp`` is read as q-series only at its consumers
+(specialization, rendering, JSON), through one cached table of the monomials
+E2^a E4^b E6^c; the structure check reads the polynomials alone, so it never
+loads the q-series engine (``series``).
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from types import MappingProxyType
 from .reports import Report
 from .ring import (
     EisensteinPoly,
+    OperatorPoly,
     SeriesError,
-    _Canonical,
     _Record,
-    _lowest_terms,
-    _new,
-    _ramanujan,
     _setattr,
     _sum_terms,
+    _times,
     eisenstein_poly,
     monomial_str,
     rat,
@@ -53,75 +51,42 @@ THETA_BASIS = "Theta"
 _UNIT = EisensteinPoly.const(1)
 
 
-class DiffOp(_Canonical):
+class DiffOp(OperatorPoly):
     """sum_{i,j} c_ij C^j qd^i applied to an abstract base function.
 
-    Each coefficient c_ij is an exact polynomial in E2, E4, E6, and the
-    operator is stored flat (see ``_Canonical``): ``nums`` maps
-    (i, j, a, b, c) to the integer numerator of C^j E2^a E4^b E6^c qd^i over
-    one denominator ``den``, and ``coeff(i, j)`` reads c_ij back as an
-    ``EisensteinPoly``.  ``q_trunc`` is the q-order at which consumers read
-    the coefficients as q-series (``series``, ``specialize``, rendering and
-    JSON); it is None for an operator not yet read at any order, as the
-    recursion's cache holds them.  In the Theta basis an overall eta(q)^(-C)
-    prefactor is implicit and the base is the normalized partition function.
-    ``nums`` is read-only, since the recursion's cache shares one instance
-    between callers.
+    An element of the operator ring ``ring.OperatorPoly``, keyed (i, j, a, b, c)
+    (``coeff(i, j)`` reads c_ij back as an ``EisensteinPoly``), with its basis
+    and ``q_trunc``, the q-order at which consumers read the coefficients as
+    q-series (``series``, ``specialize``, rendering and JSON); it is None for
+    an operator not yet read at any order, as the recursion's cache holds
+    them.  In the Theta basis an overall eta(q)^(-C) prefactor is implicit
+    and the base is the normalized partition function.  ``nums`` is
+    read-only, since the recursion's cache shares one instance between
+    callers; ring arithmetic on operators gives ``OperatorPoly`` elements.
     """
 
     __slots__ = ("basis", "q_trunc", "_series")
+    __repr__ = object.__repr__  # the ring's repr prints str, which needs a q-order
 
     def __init__(self, basis: str, terms=None, q_trunc: int | None = None):
-        # terms: (i, j) -> c_ij, an EisensteinPoly or a rational.
+        # terms: an OperatorPoly, whose numerators the operator shares, or
+        # (i, j) -> c_ij, an EisensteinPoly or a rational.
         if basis not in (Z_BASIS, THETA_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
-        pieces = []
-        for (i, j), s in (terms or {}).items():
-            if not isinstance(s, EisensteinPoly):
-                s = EisensteinPoly.const(s)
-            pieces.append((s.den, 1, [((int(i), int(j), *m), v) for m, v in s.nums.items()]))
-        self._init(basis, *_sum_terms(pieces), None if q_trunc is None else int(q_trunc))
-
-    def _init(self, basis, nums, den, q_trunc):
+        if not isinstance(terms, OperatorPoly):
+            terms = OperatorPoly({(int(i), int(j), *m): v for (i, j), c in (terms or {}).items()
+                                  for m, v in (_UNIT * c).coeffs.items()})
         _setattr(self, "basis", basis)
-        _setattr(self, "nums", MappingProxyType(nums))
-        _setattr(self, "den", den)
-        _setattr(self, "q_trunc", q_trunc)
-
-    @classmethod
-    def _made(cls, basis, nums, den, q_trunc) -> "DiffOp":
-        # Canonical numerators, so the checks of __init__ are skipped.
-        op = _new(cls)
-        op._init(basis, nums, den, q_trunc)
-        return op
+        _setattr(self, "nums", MappingProxyType(terms.nums))
+        _setattr(self, "den", terms.den)
+        _setattr(self, "q_trunc", None if q_trunc is None else int(q_trunc))
 
     @classmethod
     def identity(cls, basis: str, q_trunc: int | None = None) -> "DiffOp":
-        return cls._made(basis, {(0, 0, 0, 0, 0): 1}, 1, q_trunc)
-
-    def read_at(self, q_trunc: int) -> "DiffOp":
-        """The same operator, read as q-series through q^q_trunc."""
-        return DiffOp._made(self.basis, self.nums, self.den, int(q_trunc))
-
-    def _slices(self) -> dict:
-        # (i, j) -> {(a, b, c): numerator over den}, in one pass.
-        out = {}
-        for (i, j, a, b, c), v in self.nums.items():
-            out.setdefault((i, j), {})[a, b, c] = v
-        return out
-
-    def _poly(self, nums) -> EisensteinPoly:
-        return EisensteinPoly._made(*_lowest_terms(nums, self.den))
+        return cls(basis, OperatorPoly._made({(0, 0, 0, 0, 0): 1}, 1), q_trunc)
 
     def coeff(self, i: int, j: int) -> EisensteinPoly:
-        return self._poly({k[2:]: v for k, v in self.nums.items() if k[:2] == (i, j)})
-
-    def max_derivative(self) -> int:
-        return max((k[0] for k in self.nums), default=0)
-
-    def c_degree(self, i: int) -> int:
-        """Highest C power among the qd^i coefficients (-1 if absent)."""
-        return max((k[1] for k in self.nums if k[0] == i), default=-1)
+        return self.coefficients().get((i, j), EisensteinPoly())
 
     def series(self) -> MappingProxyType:
         """(i, j) -> q-expansion of c_ij through q^q_trunc, for the
@@ -131,25 +96,24 @@ class DiffOp(_Canonical):
         if self.q_trunc is None:
             raise SeriesError("operator has no q-order to read its coefficients at")
         if not hasattr(self, "_series"):
-            expanded = {key: self._poly(nums).to_qseries(self.q_trunc)
-                        for key, nums in self._slices().items()}
-            _setattr(self, "_series", MappingProxyType(
-                {key: s for key, s in expanded.items() if not s.is_zero()}))
+            _setattr(self, "_series", MappingProxyType({
+                key: s for key, c in self.coefficients().items()
+                if not (s := c.to_qseries(self.q_trunc)).is_zero()}))
         return self._series
 
     def __eq__(self, other):
-        if not isinstance(other, DiffOp):
+        if not isinstance(other, OperatorPoly):
             return NotImplemented
-        return self.basis == other.basis and self._same(other)
+        return isinstance(other, DiffOp) and self.basis == other.basis and self._same(other)
 
     def _render(self, coeff_text) -> str:
         # Terms by falling derivative order, each as coeff_text(i, poly, s)*C^j*D^i
         # with s the q-expansion; a coefficient that renders as "1" is left
         # out before C or D.
         parts = []
-        expanded, slices = self.series(), self._slices()
+        expanded, coefficients = self.series(), self.coefficients()
         for (i, j) in sorted(expanded, key=lambda k: (-k[0], k[1])):
-            sym = coeff_text(i, self._poly(slices[i, j]), expanded[(i, j)])
+            sym = coeff_text(i, coefficients[i, j], expanded[(i, j)])
             mono = monomial_str(("C", j), ("D", i))
             parts.append(mono if sym == "1" and mono else "*".join(filter(None, (sym, mono))))
         return " + ".join(parts) or "0"
@@ -167,24 +131,6 @@ class DiffOp(_Canonical):
         """Operator string with each weight-(n-2i) coefficient as
         ``symbolic_factor`` renders it: E2/E4/E6 symbols, or the raw series."""
         return self._render(lambda i, poly, s: symbolic_factor(poly, weight - 2 * i, s))
-
-
-# -- operator numerators as pieces of one sum (ring._sum_terms) -------------------
-
-
-def _times(nums, factor, dj: int):
-    # The items of an operator's numerators times C^dj and the E2/E4/E6
-    # numerators factor.
-    for (x, y, z), f in factor.items():
-        for (i, j, a, b, c), v in nums.items():
-            yield (i, j + dj, a + x, b + y, c + z), v * f
-
-
-def _qd(nums, den: int) -> list:
-    # qd o (the operator nums/den) by the Leibniz rule, as two pieces.
-    return [(den, 1, (((i + 1, j, a, b, c), v) for (i, j, a, b, c), v in nums.items())),
-            (7 * den, 1, (((i, j, *m), v * w) for (i, j, a, b, c), v in nums.items()
-                          for m, w in _ramanujan(a, b, c)))]
 
 
 class BasePartition(_Record):
@@ -219,8 +165,7 @@ def _op_for_word(word: tuple) -> DiffOp:
     k, tail = word[0], word[1:]
     pieces = []
     if k == 2:
-        op = _op_for_word(tail)
-        pieces += _qd(op.nums, op.den)
+        pieces += _op_for_word(tail)._qd_pieces()
     for r in range(sum(tail) + 1 if tail else 0):
         if (k + r) % 2:
             continue  # odd Eisenstein series vanish
@@ -229,7 +174,7 @@ def _op_for_word(word: tuple) -> DiffOp:
             # L[r] applied to the (possibly unordered) word state
             reduced = apply_mode(r, _state_for_word(tail))
             pieces += _reduction(reduced, eisenstein_poly(k + r), (-1) ** r * weight)
-    return DiffOp._made(Z_BASIS, *_sum_terms(pieces), None)
+    return DiffOp(Z_BASIS, OperatorPoly._made(*_sum_terms(pieces)))
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +194,7 @@ def _reduction(v: VirState, factor: EisensteinPoly, p: int):
 
 
 def _op_for_state(v: VirState) -> DiffOp:
-    return DiffOp._made(Z_BASIS, *_sum_terms(_reduction(v, _UNIT, 1)), None)
+    return DiffOp(Z_BASIS, OperatorPoly._made(*_sum_terms(_reduction(v, _UNIT, 1))))
 
 
 def one_point(v: VirState, q_trunc: int) -> DiffOp:
@@ -257,7 +202,7 @@ def one_point(v: VirState, q_trunc: int) -> DiffOp:
     at q-order q_trunc."""
     for parts, _ in v.nums:
         check_partition(parts)
-    return _op_for_state(v).read_at(q_trunc)
+    return DiffOp(Z_BASIS, _op_for_state(v), q_trunc)
 
 
 def one_point_word(word, q_trunc: int) -> DiffOp:
@@ -265,43 +210,29 @@ def one_point_word(word, q_trunc: int) -> DiffOp:
     word = tuple(int(k) for k in word)
     if any(k < 1 for k in word):
         raise ValueError("mode word entries must be >= 1")
-    return _op_for_word(word).read_at(q_trunc)
+    return DiffOp(Z_BASIS, _op_for_word(word), q_trunc)
 
 
 # -- basis change ----------------------------------------------------------------
-
-
-def _eta_rewrite(op: DiffOp, sign: int) -> DiffOp:
-    # qd^i acting through eta^(-C) picks up sign * (C/2) E2 per derivative:
-    # P_0 = 1, P_{i+1} = qd o P_i + sign (C/2) E2 P_i, and the rewrite of
-    # sum c_ij C^j qd^i is sum c_ij C^j P_i.  P_i is (nums, den).
-    e2 = eisenstein_poly(2)
-    powers = [({(0, 0, 0, 0, 0): 1}, 1)]
-    for _ in range(op.max_derivative()):
-        nums, den = powers[-1]
-        powers.append(_sum_terms(_qd(nums, den) +
-                                 [(2 * den * e2.den, sign, _times(nums, e2.nums, 1))]))
-    return DiffOp._made(THETA_BASIS if sign > 0 else Z_BASIS, *_sum_terms(
-        (powers[i][1] * op.den, 1, _times(powers[i][0], c, j))
-        for (i, j), c in op._slices().items()), op.q_trunc)
 
 
 def to_theta_basis(op: DiffOp) -> DiffOp:
     """Rewrite a Z-basis operator onto the eta^C-normalized base.
 
     Uses qd(eta^(-C) X) = eta^(-C) (qd X + (C/2) E2 X), iterated per
-    derivative order; the overall eta^(-C) becomes implicit.
+    derivative order (``OperatorPoly.eta_rewrite``); the overall eta^(-C)
+    becomes implicit.
     """
     if op.basis != Z_BASIS:
         raise SeriesError("operator is not in the Z basis")
-    return _eta_rewrite(op, +1)
+    return DiffOp(THETA_BASIS, op.eta_rewrite(+1), op.q_trunc)
 
 
 def to_z_basis(op: DiffOp) -> DiffOp:
     """Inverse rewrite (Theta -> Z), for round-trip checks."""
     if op.basis != THETA_BASIS:
         raise SeriesError("operator is not in the Theta basis")
-    return _eta_rewrite(op, -1)
+    return DiffOp(Z_BASIS, op.eta_rewrite(-1), op.q_trunc)
 
 
 def specialize(op: DiffOp, base: BasePartition) -> QSeries:
@@ -309,7 +240,7 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
 
     Returns the Theta-level series in the variable of the base; the implicit
     eta^(-C) prefactor is reattached by callers that need the raw partition
-    function.  The sum runs in Q[E2, E4, E6], C^j read as c^j: one polynomial
+    function.  The sum runs in Q[E2, E4, E6], C read as c: one polynomial
     per derivative order i, expanded once and times qd^i Theta.
     """
     from .series import QSeries
@@ -322,17 +253,11 @@ def specialize(op: DiffOp, base: BasePartition) -> QSeries:
             f"truncation mismatch: base known to q^{base.theta.trunc}, "
             f"operator needs q^{op.q_trunc}")
     theta = base.theta.truncate(op.q_trunc)
-    pieces = {}
-    for (i, j), nums in op._slices().items():
-        w = base.c_value ** j
-        pieces.setdefault(i, []).append((op.den * w.denominator, w.numerator, nums.items()))
-    derivs = [theta]
-    for _ in range(max(pieces, default=0)):
-        derivs.append(derivs[-1].qd())
-    out = QSeries.zero(theta.var, op.q_trunc, theta.offset)
-    for i, terms in pieces.items():
-        poly = EisensteinPoly._made(*_sum_terms(terms))
-        out = out + poly.to_qseries(op.q_trunc, theta.var) * derivs[i]
+    out, deriv = QSeries.zero(theta.var, op.q_trunc, theta.offset), theta
+    for i in range(op.max_derivative() + 1):
+        # The qd^i part at C = c and D = 1 is its coefficient polynomial.
+        out = out + op.part(i).at(base.c_value, 1).to_qseries(op.q_trunc, theta.var) * deriv
+        deriv = deriv.qd()
     return out
 
 
@@ -361,10 +286,13 @@ def structure_check(parts, q_trunc: int = 8, op: DiffOp | None = None) -> Report
         report.add(f"C-degree of qd^{i} coefficient <= {bound(i)} ({op.basis} basis)",
                    deg <= bound(i), order=order,
                    expected=f"<= {bound(i)}", computed=str(deg))
-    for (i, j), monos in sorted(op._slices().items()):
+    weights = {}
+    for i, j, a, b, c in op.nums:
+        weights.setdefault((i, j), set()).add(2 * a + 4 * b + 6 * c)
+    for (i, j), found in sorted(weights.items()):
         w = n - 2 * i
         name = f"coefficient of C^{j} qd^{i} is quasi-modular of weight {w}"
-        stray = sorted({2 * a + 4 * b + 6 * c for a, b, c in monos} - {w})
+        stray = sorted(found - {w})
         if not stray:
             report.add(name, True, order=order)
         else:

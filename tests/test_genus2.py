@@ -5,14 +5,13 @@ from math import factorial
 
 import pytest
 
-from twotori.ring import EisensteinPoly, eisenstein_poly
+from twotori.ring import EisensteinPoly, OperatorPoly, eisenstein_poly
 from twotori.series import QSeries, eisenstein, eta_normalized
 from twotori.genus2 import (
     H_VARS,
     PREFACTOR_NOTE,
     ModulePair,
     OperatorEpsSeries,
-    _DPoly,
     _times_q,
     degeneration_sum,
     taylor_shift,
@@ -25,6 +24,7 @@ from twotori.genus2 import (
     z2_module_pair,
 )
 from twotori import genus2, sewing
+from twotori.cli import main
 from twotori.sewing import (
     _eps_series,
     a2_degenerate,
@@ -37,7 +37,7 @@ from twotori.sewing import (
 )
 from twotori.reports import Check, Report
 from twotori.virasoro import VirState
-from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, to_theta_basis
+from twotori.zhu import THETA_BASIS, BasePartition, DiffOp, one_point, specialize, to_theta_basis
 
 from test_series import agrees_with, divided_by, is_even, set_second_to_zero, times_eps
 from test_work_counts import clear_caches
@@ -159,6 +159,34 @@ def oracle_taylor_shift(f, delta):
     return out
 
 
+def specialize_sum(ds, base) -> QSeries:
+    """The degeneration sum at a concrete base: each eps^n operator
+    specialized (``zhu.specialize``), as an eps-series over the base's
+    variable."""
+    return QSeries.from_blocks("eps", {n: specialize(op, base) for n, op in ds.terms.items()},
+                               ds.eps_trunc)
+
+
+def oracle_eta_ratio(ops: dict, s: int) -> dict:
+    """{n: block} of eta(q)^s / eta(q1)^s in Q[E2, E4, E6] for s = +-1 by a
+    scalar recurrence: the shift sum_l (delta^l / l!) qd^l eta^s, over eta^s,
+    with delta^l / l! the qd^l C^0 part of the eps^n operator.
+    qd^l eta^s = P_l eta^s for P_0 = 1 and P_(l+1) = qd P_l - (s E2/2) P_l,
+    since qd eta = -(E2/2) eta."""
+    step = EisensteinPoly({(1, 0, 0): F(-s, 2)})
+    P, out = [EisensteinPoly.const(1)], {}
+    for n, op in ops.items():
+        x = EisensteinPoly()
+        for (l, j, *k), v in op.coeffs.items():
+            if not j:
+                while len(P) <= l:
+                    P.append(P[-1].qd() + step * P[-1])
+                x = x + P[l] * EisensteinPoly({tuple(k): v})
+        if not x.is_zero():
+            out[n] = x
+    return out
+
+
 def oracle_extract_H(ds, l):
     # H_l by a scan over every operator's Fraction coefficients, per l.
     return QSeries(("eps", *H_VARS),
@@ -224,7 +252,7 @@ def oracle_verify_theta_degeneration(p, eps_trunc, q_trunc) -> Report:
     theta_lim = divided_by(unnormalized, normalizer)
     theta_taylor = taylor_shift(theta1, delta)
     ds = genus2.degeneration_sum(eps_trunc, q_trunc)
-    zhu_side = ds.specialize(BasePartition(theta1, F(r)))
+    zhu_side = specialize_sum(ds, BasePartition(theta1, F(r)))
 
     through = (eps_trunc, q_trunc)
     ok_ab = agrees_with(theta_lim, theta_taylor, through)
@@ -362,6 +390,15 @@ class TestPinchedMemos:
         det = _eps_series(genus2._at(genus2._pinched_operator(e), r, 0), e,
                           lambda x: x.to_qseries(q1, "q1"), EisensteinPoly())
         assert det == (logdet * F(-r, 2)).exp() == oracle_degenerate_det(q1, e, r)
+
+    @pytest.mark.parametrize("e", range(4, 17))
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_eta_ratios_equal_the_scalar_recurrence(self, s, e):
+        # The free-boson eta ratios by the ring's eta rewrite, whose P table
+        # the Theta basis change shares, against the recurrence they replaced.
+        closed = genus2._pinched_operator(e)
+        got = genus2._eta_shift(closed, s)
+        assert got == oracle_eta_ratio(closed, s) and set(got) == set(range(0, e + 1, 2))
 
     @pytest.mark.parametrize("e, q", [(2, 3), (4, 4), (6, 5), (8, 8)])
     def test_extract_H_equals_oracle(self, e, q):
@@ -625,7 +662,7 @@ class TestDegenerationSum:
 
     def test_specialized_to_heisenberg(self):
         ds = degeneration_sum(2, 8)
-        sp = ds.specialize(BasePartition.heisenberg(1, 8, "q1"))
+        sp = specialize_sum(ds, BasePartition.heisenberg(1, 8, "q1"))
         assert sp.block(0) == QSeries.one("q1", 8)
         assert sp.block(2) == eisenstein(2, 8, "q1") * F(-1, 24)
 
@@ -891,8 +928,7 @@ def perturb_H(monkeypatch, where: dict) -> None:
         terms = dict(ds.terms)
         for l, n in where.items():
             op = terms.get(n, DiffOp(THETA_BASIS, {}, q))
-            p = _DPoly._made(op.nums, op.den) + _DPoly({(l, 1, 0, 1, 0): 1})
-            terms[n] = DiffOp._made(THETA_BASIS, p.nums, p.den, q)
+            terms[n] = DiffOp(THETA_BASIS, op + OperatorPoly({(l, 1, 0, 1, 0): 1}), q)
         return OperatorEpsSeries(terms, e, q)
 
     monkeypatch.setattr(genus2, "degeneration_sum", perturbed)
@@ -922,10 +958,22 @@ def perturb_det_constant(monkeypatch) -> None:
 
     def perturbed(eps_trunc):
         ops = dict(operator(eps_trunc))
-        ops[0] = ops[0] + _DPoly({(0, 1, 0, 1, 0): F(1, 7)})
+        ops[0] = ops[0] + OperatorPoly({(0, 1, 0, 1, 0): F(1, 7)})
         return ops
 
     monkeypatch.setattr(genus2, "_pinched_operator", perturbed)
+
+
+# (which, n) of ``perturb_pinched``, or (None, 0) for ``perturb_det_constant``:
+# each perturbation of the free-boson lines in TestPerturbations.
+FREE_BOSON_PERTURBATIONS = [(0, 2), (0, 4), (1, 2), (1, 4), (0, 3), (1, 3), (None, 0)]
+
+
+def perturb_free_boson(monkeypatch, which, n) -> None:
+    if which is None:
+        perturb_det_constant(monkeypatch)
+    else:
+        perturb_pinched(monkeypatch, which, n)
 
 
 @pytest.fixture
@@ -971,15 +1019,11 @@ class TestRingSuitesAgainstQSeriesSuites:
         want = oracle_verify_heisenberg_degeneration(e, q)
         assert got == want and got.passed and len(got.checks) == 10
 
-    @pytest.mark.parametrize("which, n", [(0, 2), (0, 4), (1, 2), (1, 4), (0, 3), (1, 3),
-                                          (None, 0)])
+    @pytest.mark.parametrize("which, n", FREE_BOSON_PERTURBATIONS)
     def test_failed_free_boson_lines_print_the_q_series(self, monkeypatch, cleared, which, n):
         # Under each perturbation of TestPerturbations both suites fail the
         # same lines and print the same expanded sides.
-        if which is None:
-            perturb_det_constant(monkeypatch)
-        else:
-            perturb_pinched(monkeypatch, which, n)
+        perturb_free_boson(monkeypatch, which, n)
         got = verify_heisenberg_degeneration(8, 6)
         want = oracle_verify_heisenberg_degeneration(8, 6)
         assert not got.passed and got == want
@@ -1060,6 +1104,31 @@ class TestPerturbations:
         # the eta ratios stay right.
         perturb_det_constant(monkeypatch)
         assert failed(verify_heisenberg_degeneration(8, 6)) == self.RATIO
+
+    @pytest.mark.parametrize("which, n", FREE_BOSON_PERTURBATIONS)
+    def test_eta_ratios_equal_the_scalar_recurrence(self, monkeypatch, cleared, which, n):
+        # Under each perturbation, the eta ratios the suite reads off the
+        # closed form by the ring's eta rewrite are those of the scalar
+        # recurrence it replaced.
+        perturb_free_boson(monkeypatch, which, n)
+        calls, shift = [], genus2._eta_shift
+        monkeypatch.setattr(genus2, "_eta_shift",
+                            lambda ops, s: calls.append((ops, s, shift(ops, s))) or calls[-1][2])
+        verify_heisenberg_degeneration(8, 6)
+        assert [s for _, s, _ in calls] == [1, -1]
+        for ops, s, got in calls:
+            assert got == oracle_eta_ratio(ops, s)
+
+    def test_det_constant_term_stops_the_theta_quotients(self, monkeypatch, cleared):
+        # The theta lines divide by det^(-r/2), whose eps^0 block the
+        # quotient reads as 1: a wrong one is an internal fault, raised and
+        # never a usage error, not a quotient taken as if it were 1.
+        perturb_det_constant(monkeypatch)
+        for p in self.PAIRS:
+            with pytest.raises(ArithmeticError):
+                verify_theta_degeneration(p, 8, 6)
+        with pytest.raises(ArithmeticError):
+            main(["verify", "theta-degen", "--eps-order", "4", "--q-order", "4"])
 
     @pytest.mark.parametrize("l", range(5))
     def test_C_E4_in_H(self, monkeypatch, cleared, l):

@@ -170,12 +170,14 @@ def test_z_and_theta_operators_agree():
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_eta_rewrite_agrees_on_the_other_basis(sign):
-    # to_z_basis runs the same rewrite with the opposite sign.
+    # to_z_basis runs the same ring rewrite with the opposite sign.
     for parts in WORDS[:40]:
         nested = dict(nested_op_for_word(parts))
         op = zhu._op_for_word(parts)
-        rewritten = zhu._eta_rewrite(op, sign)
+        rewritten = (zhu.to_theta_basis(op) if sign > 0
+                     else zhu.to_z_basis(zhu.DiffOp("Theta", op)))
         assert rewritten.basis == ("Theta" if sign > 0 else "Z")
+        assert rewritten.coeffs == op.eta_rewrite(sign).coeffs
         assert rewritten.coeffs == flat_op(nested_eta_rewrite(nested, sign)), parts
 
 

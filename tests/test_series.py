@@ -97,7 +97,7 @@ def divided_by(s: QSeries, u: QSeries) -> QSeries:
     u._check_unit_block("division")
     trunc = min(s.truncs[0], u.truncs[0])
     zero = s.block_zero()
-    h = series._quotient_blocks(s.blocks(), u.blocks(), trunc, zero)
+    h = series._quotient_blocks(s.blocks(), u.blocks(), trunc, u.block_zero() + 1)
     return QSeries.from_blocks(s.vars[0], h or {0: zero}, trunc)
 
 
@@ -1722,3 +1722,37 @@ class TestEpsSeriesLog:
     def test_needs_eps0_block_exactly_one(self, blocks):
         with pytest.raises(SeriesError):
             QSeries.from_blocks("eps", blocks, 4).log()
+
+
+class TestBlockRecurrenceUnits:
+    # The block recurrences read u_0 as the ring's unit without reading it:
+    # a present block 0 other than the unit is an internal fault, never a
+    # quotient or log computed as if it were 1.
+    E2, E4 = EisensteinPoly({(1, 0, 0): 1}), EisensteinPoly({(0, 1, 0): 1})
+    ONE = EisensteinPoly.const(1)
+
+    def test_quotient_by_a_non_unit_block_zero_raises(self):
+        with pytest.raises(ArithmeticError):
+            series._quotient_blocks({0: self.E2}, {0: EisensteinPoly.const(2)}, 4, self.ONE)
+        with pytest.raises(ArithmeticError):
+            series._quotient_blocks({0: F(1)}, {0: F(2), 1: F(1)}, 3, F(1))
+
+    def test_log_of_a_non_unit_block_zero_raises(self):
+        with pytest.raises(ArithmeticError):
+            series._log_blocks({0: self.ONE + self.E4, 2: self.E2}, 4, self.ONE)
+
+    def test_unit_or_absent_block_zero(self):
+        # 1 / (1 + E4 eps^2) and E2 over it, with u_0 given or left out.
+        inverse = {0: self.ONE, 2: -self.E4, 4: self.E4 * self.E4}
+        for u in ({0: self.ONE, 2: self.E4}, {2: self.E4}):
+            assert series._quotient_blocks({0: self.ONE}, u, 4, self.ONE) == inverse
+            assert series._quotient_blocks({0: self.E2}, u, 4, self.ONE) == {
+                n: self.E2 * x for n, x in inverse.items()}
+        assert series._log_blocks({0: self.ONE, 2: self.E4}, 4, self.ONE) == {
+            2: self.E4, 4: self.E4 * self.E4 * F(-1, 2)}
+
+    def test_inverse_passes_no_block_zero(self):
+        # QSeries.inv divides by u/u_0 with its block 0 left out.
+        u = QSeries(("eps", "q1"), {(0, 0): 3, (0, 1): 1, (2, 0): F(1, 2)}, (4, 3))
+        assert u * u.inv() == QSeries.one(("eps", "q1"), (4, 3))
+        assert eta_normalized(6).inv() * eta_normalized(6) == QSeries.one("q", 6)
