@@ -59,7 +59,7 @@ MIN_ORDERS = {
 }
 # Largest value of each order flag, for every command: the work grows about
 # threefold per +4 of order (on a 2-vCPU VM, `verify all` at 32/32/32 takes
-# 9 s and 196 MB; the matrix size changes no output, since an expansion
+# 6.5-7.2 s and 98 MB; the matrix size changes no output, since an expansion
 # through eps^T reads matrix indices <= T only), so a larger request exits 2
 # before any work starts.  `beta --max` is capped likewise, above the largest
 # weight `lambda` reads betas for (--max 80 takes 1 s, 160 takes 26 s), and
@@ -67,11 +67,11 @@ MIN_ORDERS = {
 # reads an E_k of (--k 400 takes 1 s, 1200 takes 50 s).
 MAX_ORDERS = {"eps_order": 32, "q_order": 32, "max_weight": 32, "matrix_size": 64}
 MAX_BETA = MAX_EISENSTEIN_K = 64
-# `lambda` also runs its dual oracle, about 2.3x per +2 of weight (two fresh
-# runs each on a 2-vCPU VM: 1.4-1.5 s at 20, 3.0-3.6 s at 22, 7.3-9.5 s at 24;
-# one took 18.7 s at 26, and 32 did not finish in 120 s), so it stops at the
-# largest weight inside a 10 s budget.
-MAX_LAMBDA_WEIGHT = 24
+# `lambda` also runs its dual oracle (fresh runs on a 2-vCPU VM: 0.9-1.1 s
+# at 24, 1.5-1.9 s at 26, 2.5-2.7 s at 28, 4.6-5.6 s at 30, 8.9-10.2 s at
+# 32), so it stops at the largest weight that meets a 10 s budget with at
+# least 1.8x to spare for a slower or loaded host.
+MAX_LAMBDA_WEIGHT = 30
 
 
 class RunConfig(_Record):

@@ -2,12 +2,13 @@
 
 States are finite sums of PBW monomials L_{-k1}...L_{-km}|0> with k1 >= ...
 >= km >= 2 (the vacuum kills L_{-1} and L_0), and coefficients polynomial in
-the central charge.  Normal ordering is the bracket
+the central charge.  Normal ordering moves L_n past the first mode of one
+PBW monomial at a time, memoized on (n, partition), by the bracket
 
     [L_m, L_n] = (m - n) L_{m+n} + C (m^3 - m)/12 delta_{m,-n}
 
-applied until every word is a PBW representative.  The module also builds
-the conformal-map data: the generator coefficients of exp-map form
+until it stands in PBW position or reaches the vacuum.  The module also
+builds the conformal-map data: the generator coefficients of exp-map form
 (``alpha_coefficients``), its factorization into single-generator maps
 (``beta_coefficients``), and the vacuum vector they generate
 (``lambda_vector`` and its independent cross-check ``lambda_vector_direct``).
@@ -157,16 +158,9 @@ class VirState(_Canonical):
         return CPoly._made(*_lowest_terms(
             {j: v for (p, j), v in self.nums.items() if p == parts}, self.den))
 
-    def _where(self, keep) -> "VirState":
-        # The terms whose partition passes keep.
-        return VirState._made(*_lowest_terms(
-            {k: v for k, v in self.nums.items() if keep(k[0])}, self.den))
-
     def weight_component(self, n: int) -> "VirState":
-        return self._where(lambda p: partition_weight(p) == n)
-
-    def truncate_weight(self, max_weight: int) -> "VirState":
-        return self._where(lambda p: partition_weight(p) <= max_weight)
+        return VirState._made(*_lowest_terms(
+            {k: v for k, v in self.nums.items() if partition_weight(k[0]) == n}, self.den))
 
     def __add__(self, other):
         return VirState._made(*_sum_nums(self.nums, self.den, other.nums, other.den))
@@ -217,43 +211,49 @@ def _c_times(nums, dj: int):
 
 
 @lru_cache(maxsize=None)
-def _normal_order_word(word: tuple) -> VirState:
-    """PBW-order a word of Virasoro modes applied to the vacuum.
+def _normal_order_word(n: int, parts: tuple) -> VirState:
+    """L_n on the PBW monomial L_{-p1} L_{-p2}...|0>, normal ordered and
+    memoized on (n, partition).  For n <= -p1 the mode is the new first
+    part; otherwise the bracket moves L_n past L_{-p1},
 
-    ``word`` lists mode indices left to right, the rightmost acting first.
-    The vacuum is killed by every L_r with r >= -1, and inversions are
-    bubbled with the bracket, so the recursion strictly shrinks (shorter
-    words or fewer inversions).  Each bubbling step is one sum over integer
-    numerators.
+        L_n L_{-p1} rest = L_{-p1} (L_n rest) + (n + p1) L_{n-p1} rest
+                           + delta_{n,p1} C (n^3 - n)/12 rest,
+
+    down to the vacuum, which every L_n with n >= -1 kills.  Each term of
+    L_n rest has fewer modes, or parts <= p1 only, so the recursion ends;
+    each step is one sum over integer numerators.
     """
-    if not word:
-        return VirState.vacuum()
-    if word[-1] >= -1:
+    if n <= -(parts[0] if parts else 2):
+        return VirState._made({((-n,) + parts, 0): 1}, 1)
+    if not parts:
         return VirState()
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a > b:
-            swapped = _normal_order_word(word[:i] + (b, a) + word[i + 2:])
-            merged = _normal_order_word(word[:i] + (a + b,) + word[i + 2:])
-            pieces = [(swapped.den, 1, swapped.nums.items()),
-                      (merged.den, a - b, merged.nums.items())]
-            if a + b == 0 and a > 1:
-                g = gcd(a ** 3 - a, 12)
-                short = _normal_order_word(word[:i] + word[i + 2:])
-                pieces.append((short.den * (12 // g), (a ** 3 - a) // g, _c_times(short.nums, 1)))
-            return VirState._made(*_sum_terms(pieces))
-    # non-decreasing and ending <= -2 means every mode is <= -2: PBW form
-    return VirState._made({(tuple(-m for m in word), 0): 1}, 1)
+    p, rest = parts[0], parts[1:]
+    pieces = list(_mode_pieces(-p, _normal_order_word(n, rest)))
+    if n + p:
+        merged = _normal_order_word(n - p, rest)
+        pieces.append((merged.den, n + p, merged.nums.items()))
+    if n == p:
+        g = gcd(n ** 3 - n, 12)
+        pieces.append((12 // g, (n ** 3 - n) // g, (((rest, 1), 1),)))
+    return VirState._made(*_sum_terms(pieces))
+
+
+def _mode_pieces(n: int, v: VirState):
+    # L_n on v as pieces of one ``_sum_terms``, one per term of v.
+    for (parts, j), s in v.nums.items():
+        w = _normal_order_word(n, parts)
+        yield w.den * v.den, s, _c_times(w.nums, j)
 
 
 def apply_mode(n: int, v: VirState) -> VirState:
-    """Normal-order L_n acting on a PBW state, in one sum over integer
-    numerators."""
-    pieces = []
-    for (parts, j), s in v.nums.items():
-        w = _normal_order_word((n,) + tuple(-k for k in parts))
-        pieces.append((w.den * v.den, s, _c_times(w.nums, j)))
-    return VirState._made(*_sum_terms(pieces))
+    """Normal-order L_n acting on a PBW state: L_n on each PBW monomial of
+    v (``_normal_order_word``), in one sum over integer numerators.  On a
+    single monomial with unit coefficient it is the memoized state itself."""
+    if v.den == 1 and len(v.nums) == 1:
+        ((parts, j), s), = v.nums.items()
+        if (j, s) == (0, 1):
+            return _normal_order_word(n, parts)
+    return VirState._made(*_sum_terms(_mode_pieces(n, v)))
 
 
 # -- the exponential conformal map ----------------------------------------------
@@ -397,17 +397,16 @@ def lambda_vector_direct(max_weight: int) -> list:
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     alphas = alpha_coefficients(max_weight) if max_weight >= 1 else ()
-
-    def apply_x(v: VirState) -> VirState:
-        out = VirState()
-        for i, a in enumerate(alphas, start=1):
-            out = out + apply_mode(-i, v) * a
-        return out.truncate_weight(max_weight)
-
-    total = VirState.vacuum()
-    term = VirState.vacuum()
+    ratios = [a.as_integer_ratio() for a in alphas]
+    total = term = VirState.vacuum()
     for j in range(1, max_weight + 1):
-        term = apply_x(term) * Fraction(1, j)
+        # (1/j) sum_i a_i L_{-i} term in one sum, building no weight past max_weight.
+        pieces = []
+        for (parts, c), s in term.nums.items():
+            for i, (p, r) in enumerate(ratios[:max_weight - partition_weight(parts)], start=1):
+                w = _normal_order_word(-i, parts)
+                pieces.append((w.den * term.den * r * j, s * p, _c_times(w.nums, c)))
+        term = VirState._made(*_sum_terms(pieces))
         if term.is_zero():
             break
         total = total + term

@@ -277,7 +277,7 @@ def structure_check(parts, q_trunc: int = 8, op: DiffOp | None = None) -> Report
     parts = check_partition(parts)
     m, n = len(parts), partition_weight(parts)
     if op is None:
-        op = one_point(VirState.monomial(parts), q_trunc)
+        op = one_point_word(parts, q_trunc)
     report = Report(title=f"structure of 1-point operator for {list(parts)}")
     order = f"q<={op.q_trunc}"
     bound = (lambda i: (m - i) // 2) if op.basis == Z_BASIS else (lambda i: m - i)

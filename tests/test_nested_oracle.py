@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from twotori import zhu
+from twotori import virasoro, zhu
 from twotori.ring import EisensteinPoly, eisenstein_poly
 from twotori.virasoro import CPoly, VirState, apply_mode, partitions_of_weight
 
@@ -189,6 +189,16 @@ def test_every_mode_image_agrees():
             got = apply_mode(r, VirState.monomial(parts))
             if got.coeffs != flat_state(nested_apply_mode(r, {parts: ONE})):
                 disagree.append((r, parts))
+    assert disagree == []
+
+
+def test_mode_on_partition_agrees_with_the_bubbled_word():
+    # L_n on a PBW monomial, memoized on (n, partition), against the word
+    # bubbling it replaced, for every partition of weight <= 10.
+    disagree = [(n, parts) for w in range(11) for parts in partitions_of_weight(w)
+                for n in range(-12, 13)
+                if virasoro._normal_order_word(n, parts).coeffs
+                != flat_state(dict(nested_normal_order_word((n,) + tuple(-k for k in parts))))]
     assert disagree == []
 
 

@@ -432,7 +432,9 @@ def test_one_point_reads_one_operator_at_every_q_order(cold_caches):
 def test_recursion_constructs_no_fraction(cold_caches):
     # The Zhu recursion and the normal ordering run on integer numerators: a
     # cold pass over every PBW monomial of weight <= 12 builds no Fraction,
-    # and the same operators and states as before fill the word caches.
+    # and the same operators and states as before fill the word caches.  The
+    # normal ordering memoizes 195 (mode, partition) pairs, where the
+    # word-keyed kernel held 466 raw words.
     for cached in (virasoro._normal_order_word, ring.eisenstein_poly):
         cached.cache_clear()
     new = Fraction.__new__.__code__
@@ -453,7 +455,37 @@ def test_recursion_constructs_no_fraction(cold_caches):
     assert len(parts) == 76
     assert (zhu._op_for_word.cache_info().currsize,
             zhu._state_for_word.cache_info().currsize,
-            virasoro._normal_order_word.cache_info().currsize) == (77, 20, 466)
+            virasoro._normal_order_word.cache_info().currsize) == (77, 20, 195)
+
+
+def test_normal_ordering_memoizes_modes_on_partitions(cold_caches, monkeypatch):
+    # The kernel is keyed by (mode, PBW partition), never by a raw mode word:
+    # the structure suite through weight 20 fills it with 2,164 entries,
+    # where the word-keyed kernel held 8,137 words.
+    kernel = virasoro._normal_order_word
+    calls = counting(monkeypatch, virasoro, "_normal_order_word")
+    cli._structure_report(20, 8)
+    keys = set(calls)
+    assert len(keys) == kernel.cache_info().currsize <= 2164
+    assert all(type(n) is int and virasoro.check_partition(parts) == parts
+               for n, parts in keys)
+
+
+def test_mode_on_a_unit_monomial_is_the_memoized_state(cold_caches):
+    # L_n on one PBW monomial with unit coefficient is the kernel's cached
+    # state itself, not a copy summed from it.
+    for n in (-4, -1, 0, 2, 5):
+        assert (virasoro.apply_mode(n, VirState.monomial((3, 2)))
+                is virasoro._normal_order_word(n, (3, 2)))
+
+
+def test_structure_check_reads_the_cached_operator(monkeypatch, cold_caches):
+    # The check reads the word cache's operator itself: once the operator of
+    # a partition is built, checking it sums nothing again.
+    zhu.one_point_word((4, 3, 2), 8)
+    sums = counting(monkeypatch, zhu, "_sum_terms")
+    assert zhu.structure_check((4, 3, 2), 8).passed
+    assert sums == []
 
 
 def test_bernoulli_numbers_come_from_one_table(monkeypatch, capsys, cold_caches):
