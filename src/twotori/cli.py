@@ -310,9 +310,8 @@ def cmd_compute(args, cfg: RunConfig) -> int:
         if not args.partition:
             raise UsageError("compute onepoint needs --partition")
         parts = _parse_partition(args.partition)
-        from .virasoro import VirState
-        from .zhu import one_point, to_theta_basis
-        s = one_point(VirState.monomial(parts), cfg.q_order)
+        from .zhu import one_point_word, to_theta_basis
+        s = one_point_word(parts, cfg.q_order)
         if args.basis == "theta":
             s = to_theta_basis(s)
         text = lambda: s.render_symbolic(sum(parts))

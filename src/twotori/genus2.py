@@ -14,8 +14,9 @@ hold at every q-order; only a failed check is expanded in q, to print it.
 
 Each closed form is one exp in its ring, Q[E(q1)] (x) Q[E(q2)] on two tori
 and the operator ring Q[qd, C, E2, E4, E6] (``ring.OperatorPoly``) of the
-Zhu operators when pinched, and is expanded in q once per power of eps,
-times the one-variable eta and monomial factors.
+Zhu operators when pinched, and is expanded in q once per power of eps: on
+two tori from one table of E2^a E4^b E6^c times eta^(-r), shared by both
+tori at one q-order, with q_a^(pairing/2 - r/24) attached at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from types import MappingProxyType
 from .reports import Report
 from .ring import EisensteinPoly, OperatorPoly, _eta_power, _Record, _sum_terms, rat, rat_str
 from .series import QSeries, _exp_blocks, _monomial_qseries, _quotient_blocks, eta_normalized
-from .sewing import _degenerate_sewing, _EisensteinPair, _eps_series, _sewing_pass
+from .sewing import (_degenerate_sewing, _EisensteinPair, _eps_series, _pair_expander,
+                     _sewing_pass)
 # virasoro and zhu are imported where the operator route runs, so the closed
 # forms (``compute z2-module`` and the like) never load them.
 
@@ -104,7 +106,7 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int) 
     transcendental constants enter.  The sewing pass sums only the period
     entries of nonzero pairing, and the exponent and its exp run in
     Q[E(q1)] (x) Q[E(q2)]: each eps block is expanded once, times the
-    one-variable factors eta(q_a)^-r q_a^(pairing/2).
+    one-variable factors eta(q_a)^-r q_a^(pairing/2), from one shared table.
     """
     pairing = {"d11": p.alpha_sq / 2, "d22": p.beta_sq / 2, "d12": p.alpha_dot_beta}
     pairing = {name: c for name, c in pairing.items() if c}
@@ -114,11 +116,11 @@ def z2_module_pair(p: ModulePair, q1_trunc: int, q2_trunc: int, eps_trunc: int) 
         for n, x in d[name].items():
             if n <= eps_trunc:
                 arg[n] = arg[n] + x * c if n in arg else x * c
-    x1, x2 = (QSeries.monomial(v, e, t) * _eta_inverse(t).renamed(v) ** p.rank
+    eta_r = {t: _eta_inverse(t) ** p.rank for t in {q1_trunc, q2_trunc}}
+    x1, x2 = (QSeries.monomial(v, e, t) * eta_r[t].renamed(v)
               for v, e, t in (("q1", p.alpha_sq / 2, q1_trunc), ("q2", p.beta_sq / 2, q2_trunc)))
     blocks = _exp_blocks(arg, eps_trunc, _EisensteinPair({(0,) * 6: 1}))
-    return QSeries.from_blocks("eps", {n: x.to_qseries(x1, x2) for n, x in blocks.items()},
-                               eps_trunc)
+    return _eps_series(blocks, eps_trunc, _pair_expander(x1, x2), _EisensteinPair())
 
 
 def z2_heisenberg_degenerate(q1_trunc: int, eps_trunc: int) -> QSeries:
@@ -271,13 +273,25 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
 
 def _eta_shift(ops: dict, s: int) -> dict:
     """{n: block} of eta(q)^s / eta(q1)^s for s = +-1: sum_l (delta^l / l!) P_l,
-    delta^l / l! the qd^l C^0 part of the closed form and P_l the qd^0 part of
-    the Theta basis change's qd^l (``ring._eta_power``) at C = -s, since
-    qd^l (eta^(-C) X) = eta^(-C) P_l X."""
-    shift = {n: op.part(j=0).coefficients() for n, op in ops.items()}  # (l, 0) -> delta^l/l!
-    p = [_eta_power(1, l).at(-s, 0) for l in range(1 + max(
-        (l for c in shift.values() for l, _ in c), default=0))]
-    return _blocks(shift, lambda c: sum((x * p[l] for (l, _), x in c.items()), EisensteinPoly()))
+    delta^l / l! the qd^l C^0 part of the closed form (its numerators x_l)
+    and P_l the qd^0 part of the Theta basis change's qd^l at C = -s
+    (``_eta_factor``), since qd^l (eta^(-C) X) = eta^(-C) P_l X."""
+    def block(op):
+        x = {}
+        for k, v in op.nums.items():
+            if not k[1]:
+                x.setdefault(k[0], {})[k[2:]] = v
+        return EisensteinPoly._made(*_sum_terms(
+            (op.den * p.den, 1, EisensteinPoly._mul_nums(x_l, p.nums).items())
+            for l, x_l in x.items() for p in (_eta_factor(s, l),)))
+
+    return _blocks(ops, block)
+
+
+@lru_cache(maxsize=None)
+def _eta_factor(s: int, l: int) -> EisensteinPoly:
+    """P_l at C = -s, from the qd^0 part of ``ring._eta_power(1, l)`` alone."""
+    return _eta_power(1, l).part(0).at(-s, 0)
 
 
 def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Report:

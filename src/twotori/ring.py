@@ -39,36 +39,25 @@ def rat(x) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q'."""
-    x = rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return ratio_str(*rat(x).as_integer_ratio())
 
 
-def join_terms(terms) -> str:
-    """Render (coefficient, monomial) pairs as one signed sum.
+def ratio_str(v: int, den: int) -> str:
+    """Render the int v over den > 0 in lowest terms, as ``rat_str`` renders
+    Fraction(v, den), without building the Fraction."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
-    A bare monomial stands for coefficient 1 and "-monomial" for -1; an
-    empty monomial renders the bare coefficient.  Negative terms after the
-    first fold into " - ".  No terms renders "0".
-    """
-    out = ""
-    for c, body in terms:
-        if not body:
-            term = rat_str(c)
-        elif c == 1:
-            term = body
-        elif c == -1:
-            term = f"-{body}"
-        else:
-            term = f"{rat_str(c)}*{body}"
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out or "0"
+
+def join_terms(terms, den: int) -> str:
+    """Render (int numerator, monomial) pairs over one denominator den > 0
+    as one signed sum, with no ``Fraction``: a bare monomial stands for
+    coefficient 1 and "-monomial" for -1, an empty monomial renders the bare
+    coefficient (``ratio_str``), and negative terms after the first fold
+    into " - ".  No terms renders "0"."""
+    return " + ".join(
+        (body if v == den else f"-{body}" if v == -den else f"{ratio_str(v, den)}*{body}")
+        if body else ratio_str(v, den) for v, body in terms).replace(" + -", " - ") or "0"
 
 
 def monomial_str(*powers) -> str:
@@ -138,6 +127,12 @@ def _sum_terms(pieces):
         for k, v in items:
             out[k] = get(k, 0) + v * m
     return _lowest_terms({k: v for k, v in out.items() if v}, den)
+
+
+def _outer(x: dict, y: dict):
+    # The items of the product of numerators in distinct variables: the
+    # keys of x and y concatenated.
+    return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
 
 
 def _scaled_nums(nums: dict, den: int, p: int, r: int):
@@ -343,8 +338,8 @@ class RationalPoly(_Canonical):
         return self._scaled(other.numerator, other.denominator)
 
     def __str__(self):
-        coeffs = self.coeffs
-        return join_terms((coeffs[k], self._monomial_str(k)) for k in sorted(coeffs, reverse=True))
+        return join_terms(((v, self._monomial_str(k))
+                           for k, v in sorted(self.nums.items(), reverse=True)), self.den)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -34,16 +34,19 @@ from .ring import (
     _Canonical,
     _lowest_terms,
     _new,
+    _outer,
     _over_lcm,
     _scaled_nums,
     _setattr,
     _sum_nums,
+    _sum_terms,
     bernoulli,
     join_terms,
     monomial_str,
     quasimodular_monomials,
     rat,
     rat_str,
+    ratio_str,
 )
 
 
@@ -274,22 +277,22 @@ class QSeries(_Canonical):
         """sum_n blocks[n] var^n + O(var^(trunc+1)), the inverse of ``block``.
 
         All-rational blocks give a series in ``var`` alone.  Otherwise the
-        blocks are series in one tuple of variables, which follow ``var``,
-        and a rational block stands for a constant.
+        blocks are series in one tuple of variables and offsets, which follow
+        ``var``, known to the smallest order among them, and a rational block
+        stands for a constant; one ``_sum_terms`` sums them.
         """
         first = next((b for b in blocks.values() if isinstance(b, QSeries)), None)
         if first is None:
             return cls(var, blocks, trunc)
-        vars, truncs = (var, *first.vars), (trunc, *first.truncs)
-        out = cls.zero(vars, truncs, (0, *first.offsets))
-        for n, b in blocks.items():
-            if not isinstance(n, int) or not 0 <= n <= trunc:
-                raise SeriesError(f"{var}^{n} outside [0, {trunc}]")
-            if not isinstance(b, QSeries):
-                b = cls.const(first.vars, b, first.truncs)
-            out = out + cls._made((var, *b.vars), {(n, *e): v for e, v in b.nums.items()},
-                                  b.den, (trunc, *b.truncs), (Fraction(0), *b.offsets))
-        return out
+        blocks = {n: b if isinstance(b, QSeries) else cls.const(first.vars, b, first.truncs)
+                  for n, b in blocks.items()}
+        if any(not isinstance(n, int) or not 0 <= n <= trunc
+               or (b.vars, b.offsets) != (first.vars, first.offsets) for n, b in blocks.items()):
+            raise SeriesError(f"blocks need {var}^0..{var}^{trunc} and one variables/offsets")
+        truncs = tuple(map(min, zip(*(b.truncs for b in blocks.values()))))
+        return cls._made((var, *first.vars), *_sum_terms(
+            (b.den, 1, _outer({(n,): 1}, b._within(truncs))) for n, b in blocks.items()),
+            (trunc, *truncs), (Fraction(0), *first.offsets))
 
     # -- representation hygiene --------------------------------------------
 
@@ -538,8 +541,8 @@ class QSeries(_Canonical):
     def __str__(self):
         if self.vars[0] == "eps":
             return self.render(lambda n, c: f"({c})")
-        coeffs = self.coeffs
-        out = join_terms((coeffs[e], monomial_str(*zip(self.vars, e))) for e in sorted(coeffs))
+        out = join_terms(((v, monomial_str(*zip(self.vars, e)))
+                          for e, v in sorted(self.nums.items())), self.den)
         out += "".join(f" + O({v}^{t + 1})" for v, t in zip(self.vars, self.truncs))
         pre = "*".join(f"{v}^({rat_str(o)})" for v, o in zip(self.vars, self.offsets) if o)
         return f"{pre}*({out})" if pre else out
@@ -555,7 +558,8 @@ class QSeries(_Canonical):
             return {"variable": "eps", "trunc": self.truncs[0],
                     "coeffs": {str(n): rat_str(c) if isinstance(c, Fraction) else c.to_json()
                                for n, c in self.blocks().items()}}
-        coeffs = {",".join(map(str, e)): rat_str(c) for e, c in sorted(self.coeffs.items())}
+        coeffs = {",".join(map(str, e)): ratio_str(v, self.den)
+                  for e, v in sorted(self.nums.items())}
         if len(self.vars) == 1:
             return {"variable": self.var, "offset": rat_str(self.offset),
                     "trunc": self.trunc, "coeffs": coeffs}

@@ -12,15 +12,14 @@ series and odd Bernoulli numbers), so every surviving power of eps is an
 integer and the matrices are built from the even k+l entries only.
 
 Every sewing quantity is read off the minors of A1 and A2 (A2(0) on the
-pinched surface) taken separately (``_sewing_pass``).  c_a(k, l) is a
-rational times E_{k+l}(q_a), a polynomial in E2, E4, E6 of q_a, and c(k, l)
-of A2(0) is a rational, so every sewing quantity is exact in
-Q[E(q1)] (x) Q[E(q2)] (Q[E(q1)] when pinched) until it is expanded in q:
-the pass returns these blocks, ``sewing_data`` and the pinched readers
-expand them, and the closed forms of ``genus2`` exponentiate them first.
-``log_det_I_minus`` takes the minors of any two moment matrices' q-series
-entries instead, and the matrix-vector resolvent chains (``resolvent_11``,
-``weighted_resolvent_11``) compute the (1,1) data another way.
+pinched surface) taken separately (``_sewing_pass``), exactly in
+Q[E(q1)] (x) Q[E(q2)] (Q[E(q1)] when pinched), since c_a(k, l) is a
+rational times E_{k+l}(q_a) and c(k, l) of A2(0) a rational.  The two-tori
+blocks, and the closed forms that ``genus2`` exponentiates from them, are
+expanded in q from one table per call of the monomials E2^a E4^b E6^c times
+a mantissa (``_Expansions``), which both tori share when their mantissas
+agree.  ``log_det_I_minus`` and the resolvent chains (``resolvent_11``,
+``weighted_resolvent_11``) compute the same data from q-series entries.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .ring import (
     SeriesError,
     _Record,
     _lowest_terms,
+    _outer,
     _sum_terms,
     bernoulli,
     eisenstein_poly,
@@ -117,12 +117,9 @@ def _embed(*mats: AMatrix):
     qvars = tuple(sorted(orders))
     qtruncs = tuple(orders[v] for v in qvars)
     vars = ("eps", *qvars)
-
-    def lift(e):
-        return e.embed(vars, (e.truncs[0], *qtruncs))
-
     zero = QSeries.zero(vars, (min(m.eps_trunc for m in mats), *qtruncs))
-    return [tuple(tuple(map(lift, row)) for row in m.entries) for m in mats], zero
+    return [tuple(tuple(e.embed(vars, (e.truncs[0], *qtruncs)) for e in row)
+                  for row in m.entries) for m in mats], zero
 
 
 # -- minors of the moment matrices ------------------------------------------------
@@ -243,26 +240,46 @@ class _EisensteinPair(RationalPoly):
     def _monomial_str(k) -> str:
         return monomial_str(*zip(("E2(q1)", "E4(q1)", "E6(q1)", "E2(q2)", "E4(q2)", "E6(q2)"), k))
 
-    def to_qseries(self, x1: QSeries, x2: QSeries) -> QSeries:
-        """The (q1, q2)-expansion times x1(q1) x2(q2), for one-variable series
-        whose mantissas have a nonzero constant term, at their orders and
-        offsets: per q1 monomial, the outer product of its expansion times x1
-        with that of its polynomial in E(q2) times x2, summed in ints."""
+    def to_qseries(self, t1: "_Expansions", t2: "_Expansions", offsets: tuple) -> QSeries:
+        """The (q1, q2)-expansion times the tables' mantissas and q1^o1 q2^o2,
+        (o1, o2) = ``offsets``: sum_m X_m(q1) (x) sum_m' c_{m,m'} X_m'(q2), X
+        the table entries, summed row by row in ints over one denominator."""
         rows = {}
         for k, v in self.nums.items():
-            rows.setdefault(k[:3], {})[k[3:]] = v
-        pieces = []
-        for m, row in rows.items():
-            x = _monomial_qseries(m, x1.trunc).renamed("q1") * x1
-            y = EisensteinPoly(row).to_qseries(x2.trunc, "q2") * x2
-            pieces.append((x.den * y.den * self.den, 1, _outer(x.nums, y.nums)))
-        return QSeries._made(("q1", "q2"), *_sum_terms(pieces), (x1.trunc, x2.trunc),
-                             (x1.offset, x2.offset))
+            rows.setdefault(k[:3], []).append((t2[k[3:]], v))
+        pieces = [(t1[m], *_sum_terms((x.den, v, x.nums.items()) for x, v in row))
+                  for m, row in rows.items()]
+        den, acc = lcm(*(x.den * d for x, _, d in pieces)), {}
+        for x, y, d in pieces:
+            s, y = den // (x.den * d), list(y.items())
+            for i, a in x.nums.items():
+                row, a = acc.setdefault(i, {}), a * s
+                for j, b in y:
+                    row[j] = row.get(j, 0) + a * b
+        return QSeries._reduced(("q1", "q2"), {i + j: v for i, row in acc.items()
+                                               for j, v in row.items() if v},
+                                den * self.den, (t1.trunc, t2.trunc), offsets)
 
 
-def _outer(x: dict, y: dict):
-    # The items of the product of numerators in distinct variables.
-    return ((k + l, v * w) for k, v in x.items() for l, w in y.items())
+class _Expansions(dict):
+    """E2^a E4^b E6^c, keyed (a, b, c), expanded times the mantissa of a
+    one-variable x (not its offset): one product per entry, on first use."""
+
+    def __init__(self, x: QSeries):
+        self.trunc, self.u = x.trunc, x.renamed("q")
+
+    def __missing__(self, m):
+        u, x = self.u, _monomial_qseries(m, self.trunc)
+        self[m] = x = x if (u.nums, u.den) == ({(0,): 1}, 1) else x * u if any(m) else u
+        return x
+
+
+def _pair_expander(x1: QSeries, x2: QSeries):
+    """p -> ``p.to_qseries`` times x1(q1) x2(q2), one-variable series whose
+    mantissas have a nonzero constant term and share one table when equal."""
+    t1 = _Expansions(x1)
+    t2 = t1 if (x1.nums, x1.den, x1.trunc) == (x2.nums, x2.den, x2.trunc) else _Expansions(x2)
+    return lambda p: p.to_qseries(t1, t2, (x1.offset, x2.offset))
 
 
 def _sewing_pass(ring, eps_trunc: int, wanted, b=None):
@@ -313,12 +330,7 @@ def _eps_series(blocks: dict, trunc: int, expand, zero) -> QSeries:
 
 
 def _dot(u, v, zero: QSeries) -> QSeries:
-    acc = zero
-    for x, y in zip(u, v):
-        if x.is_zero() or y.is_zero():
-            continue
-        acc = acc + x * y
-    return acc
+    return sum((x * y for x, y in zip(u, v) if not (x.is_zero() or y.is_zero())), zero)
 
 
 def _mat_vec(A, v, zero: QSeries):
@@ -332,14 +344,10 @@ def _cut(s: QSeries, eps_trunc: int) -> QSeries:
 
 def _resolvent_vector_sum(a, b, eps_trunc: int, zero: QSeries):
     # sum_{n>=0} (a b)^n e_1, computed by matrix-vector chains
-    e1 = [zero + 1] + [zero] * (len(a) - 1)
-    total = list(e1)
-    v = e1
-    n = 1
-    while 2 * n <= eps_trunc:
+    total = v = [zero + 1] + [zero] * (len(a) - 1)
+    for _ in range(eps_trunc // 2):
         v = _mat_vec(a, _mat_vec(b, v, zero), zero)
         total = [t + x for t, x in zip(total, v)]
-        n += 1
     return total
 
 
@@ -380,10 +388,9 @@ def sewing_data(q1_trunc: int, q2_trunc: int, eps_trunc: int, wanted=()) -> tupl
     push-through identity.  An entry not asked for costs nothing.
     """
     logdet, d = _sewing_pass(_EisensteinPair, eps_trunc, wanted)
-    ones, zero = (QSeries.one("q1", q1_trunc), QSeries.one("q2", q2_trunc)), _EisensteinPair()
-    return _eps_series(logdet, eps_trunc, lambda p: p.to_qseries(*ones), zero), {
-        name: _eps_series(blocks, eps_trunc + 1, lambda p: p.to_qseries(*ones), zero)
-        for name, blocks in d.items()}
+    expand = _pair_expander(QSeries.one("q1", q1_trunc), QSeries.one("q2", q2_trunc))
+    return _eps_series(logdet, eps_trunc, expand, _EisensteinPair()), {name: _eps_series(
+        blocks, eps_trunc + 1, expand, _EisensteinPair()) for name, blocks in d.items()}
 
 
 def period_matrix(q1_trunc: int, q2_trunc: int, eps_trunc: int) -> PeriodData:

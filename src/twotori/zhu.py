@@ -193,16 +193,12 @@ def _reduction(v: VirState, factor: EisensteinPoly, p: int):
         yield op.den * factor.den * v.den, p * s, _times(op.nums, factor.nums, j)
 
 
-def _op_for_state(v: VirState) -> DiffOp:
-    return DiffOp(Z_BASIS, OperatorPoly._made(*_sum_terms(_reduction(v, _UNIT, 1))))
-
-
 def one_point(v: VirState, q_trunc: int) -> DiffOp:
     """Z-basis 1-point operator of a square-bracket vacuum descendant, read
     at q-order q_trunc."""
     for parts, _ in v.nums:
         check_partition(parts)
-    return DiffOp(Z_BASIS, _op_for_state(v), q_trunc)
+    return DiffOp(Z_BASIS, OperatorPoly._made(*_sum_terms(_reduction(v, _UNIT, 1))), q_trunc)
 
 
 def one_point_word(word, q_trunc: int) -> DiffOp:

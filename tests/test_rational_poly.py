@@ -8,7 +8,10 @@ feeds both the same coefficients and compares values, canonical form,
 hashes and rendering.  The generic exponent-tuple multiply of
 ``RationalPoly`` is checked against the unrolled product of exponent triples
 it replaced, and the sewing pass's ring in E2, E4, E6 of q1 and of q2
-against outer products of one-variable expansions.
+against outer products of one-variable expansions and against the
+per-block expansion that the shared table of monomial expansions replaced.
+Rendering reads integer numerators over one denominator; the Fraction-view
+``join_terms`` it replaced is the oracle of every text and JSON form.
 """
 
 from fractions import Fraction as F
@@ -20,12 +23,34 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotori.ring import EisensteinPoly, RationalPoly, join_terms, monomial_str
-from twotori.series import QSeries, QuasiModularPoly, eta_normalized
-from twotori.sewing import _EisensteinPair, _Rationals
+from twotori.ring import EisensteinPoly, RationalPoly, _outer, _sum_terms, monomial_str, rat_str
+from twotori.series import QSeries, QuasiModularPoly, _monomial_qseries, eta_normalized
+from twotori.sewing import _EisensteinPair, _pair_expander, _Rationals
 from twotori.virasoro import CPoly
 
 from test_virasoro import cpoly_from_string
+
+
+def oracle_join_terms(terms) -> str:
+    """The Fraction-view renderer that ``ring.join_terms`` replaced:
+    (Fraction coefficient, monomial) pairs as one signed sum."""
+    out = ""
+    for c, body in terms:
+        if not body:
+            term = rat_str(c)
+        elif c == 1:
+            term = body
+        elif c == -1:
+            term = f"-{body}"
+        else:
+            term = f"{rat_str(c)}*{body}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
 
 
 class OracleEisensteinPoly:
@@ -63,8 +88,8 @@ class OracleEisensteinPoly:
         return self._collect(terms)
 
     def __str__(self):
-        return join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
-                          for k in sorted(self.coeffs, reverse=True))
+        return oracle_join_terms((self.coeffs[k], monomial_str(*zip(("E2", "E4", "E6"), k)))
+                                 for k in sorted(self.coeffs, reverse=True))
 
 
 def oracle_mul_nums(na, nb) -> dict:
@@ -113,8 +138,8 @@ class OracleCPoly:
         return sum((v * F(c_value) ** j for j, v in self.coeffs.items()), F(0))
 
     def __str__(self):
-        return join_terms((self.coeffs[j], monomial_str(("C", j)))
-                          for j in sorted(self.coeffs, reverse=True))
+        return oracle_join_terms((self.coeffs[j], monomial_str(("C", j)))
+                                 for j in sorted(self.coeffs, reverse=True))
 
 
 def assert_same(got, want):
@@ -323,9 +348,44 @@ def ones(t1: int, t2: int):
     return QSeries.one("q1", t1), QSeries.one("q2", t2)
 
 
+def oracle_pair_expansion(p: _EisensteinPair, x1: QSeries, x2: QSeries) -> QSeries:
+    """The per-block expansion that the shared table replaced: per q1
+    monomial, its expansion times x1 and its polynomial in E(q2) expanded
+    times x2, each multiplied afresh, and their outer product summed in
+    ints."""
+    rows = {}
+    for k, v in p.nums.items():
+        rows.setdefault(k[:3], {})[k[3:]] = v
+    pieces = []
+    for m, row in rows.items():
+        x = _monomial_qseries(m, x1.trunc).renamed("q1") * x1
+        y = EisensteinPoly(row).to_qseries(x2.trunc, "q2") * x2
+        pieces.append((x.den * y.den * p.den, 1, _outer(x.nums, y.nums)))
+    return QSeries._made(("q1", "q2"), *_sum_terms(pieces), (x1.trunc, x2.trunc),
+                         (x1.offset, x2.offset))
+
+
+def expand(p: _EisensteinPair, x1: QSeries, x2: QSeries) -> QSeries:
+    return _pair_expander(x1, x2)(p)
+
+
+def factor(var: str, trunc: int, offset, rank: int) -> QSeries:
+    """q_a^offset times eta(q_a)^-rank (rank 0: QSeries.one), as the closed
+    forms and the sewing data pass their one-variable factors."""
+    x = QSeries.monomial(var, offset, trunc)
+    return x * eta_normalized(trunc, var).inv() ** rank if rank else x
+
+
+q2_only = eis_coeffs.map(lambda y: outer_pair(EisensteinPoly.const(1), EisensteinPoly(y)))
+pair_blocks = st.lists(st.one_of(pair_terms.map(pair_sum), q2_only, st.just(_EisensteinPair())),
+                       min_size=1, max_size=4)
+half_ints = st.fractions(min_value=0, max_value=4, max_denominator=2)
+
+
 class TestEisensteinPair:
-    # Q[E(q1)] (x) Q[E(q2)]: keys (a, b, c, a', b', c'), expanded per q1
-    # monomial in ints, times one-variable factors x1(q1) and x2(q2).
+    # Q[E(q1)] (x) Q[E(q2)]: keys (a, b, c, a', b', c'), expanded from one
+    # table of monomial expansions per mantissa, times one-variable factors
+    # x1(q1) and x2(q2).
     @pytest.mark.parametrize("t1, t2", [(0, 0), (0, 3), (3, 8), (8, 0), (8, 8)])
     @given(terms=pair_terms)
     @settings(max_examples=25, deadline=None)
@@ -333,12 +393,58 @@ class TestEisensteinPair:
         want = reduce(add, (outer_expansion(EisensteinPoly(x), EisensteinPoly(y), t1, t2)
                             for x, y in terms), QSeries.zero(("q1", "q2"), (t1, t2)))
         p = pair_sum(terms)
-        assert p.to_qseries(*ones(t1, t2)) == want
+        assert expand(p, *ones(t1, t2)) == want
         # eta(q1)^-2 q1^(1/2) and eta(q2)^3, as the module form passes them.
         x1 = QSeries.monomial("q1", F(1, 2), t1) * eta_normalized(t1, "q1").inv() ** 2
         x2 = eta_normalized(t2, "q2") ** 3
         box = (("q1", "q2"), (t1, t2))
-        assert p.to_qseries(x1, x2) == want * (x1.embed(*box) * x2.embed(*box))
+        assert expand(p, x1, x2) == want * (x1.embed(*box) * x2.embed(*box))
+
+    @given(blocks=pair_blocks, t1=st.integers(0, 6), t2=st.integers(0, 6),
+           ranks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           offsets=st.tuples(half_ints, half_ints), same=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_table_equals_the_per_block_expansion(self, blocks, t1, t2, ranks, offsets,
+                                                         same):
+        # Unequal and equal q-orders, different alpha^2 and beta^2 offsets,
+        # eta^-r mantissas of rank 1-3 and QSeries.one (rank 0, the sewing
+        # data's case), zero blocks and q2-only monomials: every block read
+        # through one expander equals its expansion from scratch.
+        if same:
+            t2, ranks = t1, (ranks[0], ranks[0])
+        x1 = factor("q1", t1, offsets[0] / 2 - F(ranks[0], 24), ranks[0])
+        x2 = factor("q2", t2, offsets[1] / 2 - F(ranks[1], 24), ranks[1])
+        expander = _pair_expander(x1, x2)
+        for p in blocks:
+            got = expander(p)
+            assert got == oracle_pair_expansion(p, x1, x2)
+            assert got.truncs == (t1, t2) and got.offsets == (x1.offset, x2.offset)
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_each_monomial_is_multiplied_once_per_table(self, monkeypatch, rank):
+        # Both tori at one order with one mantissa read one table: a monomial
+        # of q1 or q2, in any block, costs one product with the mantissa, and
+        # the mantissa QSeries.one costs none.
+        x1, x2 = factor("q1", 5, F(1), rank), factor("q2", 5, F(3, 2), rank)
+        blocks = [pair_sum([({(1, 0, 0): 1, (0, 1, 0): 2}, {(0, 0, 1): 3})]),
+                  pair_sum([({(0, 0, 1): 1}, {(1, 0, 0): F(1, 5), (2, 0, 0): 1})]),
+                  outer_pair(EisensteinPoly.const(1), EisensteinPoly({(0, 1, 0): 7}))]
+        for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)):
+            _monomial_qseries(m, 5)
+        products, mul = [], QSeries.__mul__
+        monkeypatch.setattr(QSeries, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+        expander = _pair_expander(x1, x2)
+        got = [expander(p) for p in blocks]
+        assert len(products) == (4 if rank else 0)
+        monkeypatch.undo()
+        assert got == [oracle_pair_expansion(p, x1, x2) for p in blocks]
+
+    def test_only_the_mantissa_one_skips_its_products(self):
+        # A constant mantissa other than 1 has the numerators of 1 over
+        # another denominator; it is still multiplied in.
+        x1, x2 = QSeries("q1", {0: F(1, 2)}, 4), QSeries("q2", {0: 3}, 4, F(1, 3))
+        p = pair_sum([({(1, 0, 0): 1, (0, 0, 0): 2}, {(0, 1, 0): 1})])
+        assert expand(p, x1, x2) == oracle_pair_expansion(p, x1, x2)
 
     @given(pair_terms, pair_terms)
     @settings(max_examples=50, deadline=None)
@@ -348,8 +454,8 @@ class TestEisensteinPair:
                                        EisensteinPoly(b) * EisensteinPoly(d))
                             for a, b in xs for c, d in ys), _EisensteinPair())
         assert p * q == want and hash(p * q) == hash(want)
-        assert (p * q).to_qseries(*ones(3, 3)) == (
-            p.to_qseries(*ones(3, 3)) * q.to_qseries(*ones(3, 3))).truncate(3)
+        assert expand(p * q, *ones(3, 3)) == (
+            expand(p, *ones(3, 3)) * expand(q, *ones(3, 3))).truncate(3)
 
     def test_rendering_and_rings(self):
         e2, e4 = EisensteinPoly({(1, 0, 0): 1}), EisensteinPoly({(0, 1, 0): F(1, 2)})
@@ -358,3 +464,97 @@ class TestEisensteinPair:
         with pytest.raises(TypeError):
             p + e2
         assert p != e2 and outer_pair(EisensteinPoly.const(1), EisensteinPoly.const(1)) != 1
+
+
+# -- rendering against the Fraction view ---------------------------------------
+
+
+def oracle_str(s) -> str:
+    """The text of a QSeries or a RationalPoly, rendered from its Fraction
+    view as before the renderer read numerators."""
+    if isinstance(s, RationalPoly):
+        c = s.coeffs
+        return oracle_join_terms((c[k], s._monomial_str(k)) for k in sorted(c, reverse=True))
+    if s.vars[0] == "eps":
+        return s.render(lambda n, c: f"({oracle_str(c) if isinstance(c, QSeries) else c})")
+    c = s.coeffs
+    out = oracle_join_terms((c[e], monomial_str(*zip(s.vars, e))) for e in sorted(c))
+    out += "".join(f" + O({v}^{t + 1})" for v, t in zip(s.vars, s.truncs))
+    pre = "*".join(f"{v}^({rat_str(o)})" for v, o in zip(s.vars, s.offsets) if o)
+    return f"{pre}*({out})" if pre else out
+
+
+def oracle_json(s: QSeries) -> dict:
+    """``QSeries.to_json`` from the Fraction view."""
+    if s.vars[0] == "eps":
+        return {"variable": "eps", "trunc": s.truncs[0],
+                "coeffs": {str(n): rat_str(c) if isinstance(c, F) else oracle_json(c)
+                           for n, c in s.blocks().items()}}
+    coeffs = {",".join(map(str, e)): rat_str(c) for e, c in sorted(s.coeffs.items())}
+    if len(s.vars) == 1:
+        return {"variable": s.var, "offset": rat_str(s.offset), "trunc": s.trunc,
+                "coeffs": coeffs}
+    return {"variables": list(s.vars), "offsets": [rat_str(o) for o in s.offsets],
+            "truncs": list(s.truncs), "coeffs": coeffs}
+
+
+# +-1 (bare and negated monomials), small, large and huge-denominator values.
+render_coeffs = st.one_of(st.sampled_from([1, -1, F(1, 2), F(-1, 3), 2, -7]), fracs)
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+
+
+@st.composite
+def rendered_series(draw):
+    """A one-variable, two-variable or eps-series QSeries, with offsets."""
+    kind = draw(st.sampled_from(["q", "q1q2", "eps", "eps-q1"]))
+    if kind == "q":
+        t = draw(st.integers(0, 6))
+        return QSeries("q", draw(st.dictionaries(st.integers(0, t), render_coeffs, max_size=5)),
+                       t, draw(offsets))
+    if kind == "eps":
+        t = draw(st.integers(0, 6))
+        return QSeries("eps", draw(st.dictionaries(st.integers(0, t), render_coeffs,
+                                                   max_size=5)), t)
+    vars = ("q1", "q2") if kind == "q1q2" else ("eps", "q1")
+    truncs = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    keys = st.tuples(st.integers(0, truncs[0]), st.integers(0, truncs[1]))
+    offs = (draw(offsets), draw(offsets)) if kind == "q1q2" else (0, draw(offsets))
+    return QSeries(vars, draw(st.dictionaries(keys, render_coeffs, max_size=8)), truncs, offs)
+
+
+class TestRenderingReadsNumerators:
+    # str and to_json read the integer numerators over one denominator,
+    # equal to the Fraction-view rendering, and build no Fraction view.
+    @given(rendered_series())
+    @settings(max_examples=200, deadline=None)
+    def test_qseries(self, s):
+        text, obj = str(s), s.to_json()
+        assert not hasattr(s, "_view")
+        assert text == oracle_str(s) and obj == oracle_json(s)
+
+    @given(eis_coeffs.map(lambda x: {k: v for k, v in x.items() if k != (0, 0, 0)}),
+           st.dictionaries(st.integers(0, 5), render_coeffs, max_size=5), render_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_polynomials(self, x, c, lead):
+        for p in (EisensteinPoly({**x, (3, 3, 3): lead}), CPoly(c),
+                  outer_pair(EisensteinPoly(x), EisensteinPoly({(0, 0, 1): lead}))):
+            text = str(p)
+            assert not hasattr(p, "_view")
+            assert text == oracle_str(p)
+
+    @pytest.mark.parametrize("s, text", [
+        (QSeries.zero("q", 3), "0 + O(q^4)"),
+        (QSeries.zero(("q1", "q2"), (1, 2), (F(1, 2), 0)), "q1^(1/2)*(0 + O(q1^2) + O(q2^3))"),
+        (QSeries("q", {0: -1, 2: F(-1, 3)}, 2), "-1 - 1/3*q^2 + O(q^3)"),
+        (QSeries("q", {1: -1, 2: 1}, 2, F(-1, 24)), "q^(-1/24)*(-q + q^2 + O(q^3))"),
+        (QSeries("q", {0: F(2 ** 80 + 1, 10 ** 20)}, 0),
+         f"{2 ** 80 + 1}/{10 ** 20} + O(q^1)"),
+        (QSeries("eps", {}, 2), "0 + O(eps^3)"),
+        (EisensteinPoly(), "0"),
+        (EisensteinPoly({(1, 0, 0): -1, (0, 0, 0): F(-6, 4)}), "-E2 - 3/2"),
+        (CPoly({1: -1, 0: 1}), "-C + 1"),
+    ])
+    def test_edge_cases(self, s, text):
+        assert str(s) == oracle_str(s) == text
+        if isinstance(s, QSeries):
+            assert s.to_json() == oracle_json(s)

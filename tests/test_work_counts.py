@@ -76,6 +76,23 @@ def test_module_pair_expands_each_minor_once(monkeypatch, cold_caches):
     assert len({m for m, _ in keys}) == 1
 
 
+def test_module_pair_multiplies_each_table_entry_once(monkeypatch, cold_caches):
+    # Every eps block reads one table of monomial expansions times the
+    # mantissa eta^-2, which both tori share at one q-order, so no
+    # one-variable product (monomial, q-order, mantissa) is made twice; the
+    # per-block expansion made 278 such products of 168 distinct pairs.
+    products, mul = [], QSeries.__mul__
+
+    def counted(a, b):
+        if isinstance(b, QSeries) and len(a.vars) == len(b.vars) == 1:
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    z2_module_pair(ModulePair(2, alpha_sq=Fraction(2)), 16, 16, 16)
+    assert products and len(set(products)) == len(products)
+
+
 def test_sewing_pass_builds_no_series_per_minor_pair(monkeypatch, cold_caches):
     # The Cauchy-Binet sums, the log and the divisions run in the ring, and
     # each eps block is expanded in (q1, q2) once, as integer outer products
@@ -485,6 +502,18 @@ def test_structure_check_reads_the_cached_operator(monkeypatch, cold_caches):
     zhu.one_point_word((4, 3, 2), 8)
     sums = counting(monkeypatch, zhu, "_sum_terms")
     assert zhu.structure_check((4, 3, 2), 8).passed
+    assert sums == []
+
+
+def test_onepoint_reads_the_cached_operator(monkeypatch, capsys, cold_caches):
+    # compute onepoint --partition reads the word cache's operator itself,
+    # as the structure check does: a warm run sums nothing, where copying
+    # it through the state's reduction made one sum.
+    argv = ["compute", "onepoint", "--partition", "4,3,2", "--q-order", "8"]
+    assert cli.main(argv) == 0
+    sums = counting(monkeypatch, zhu, "_sum_terms")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     assert sums == []
 
 
