@@ -273,25 +273,15 @@ def verify_detHi(eps_trunc: int = 8, q_trunc: int = 6) -> Report:
 
 def _eta_shift(ops: dict, s: int) -> dict:
     """{n: block} of eta(q)^s / eta(q1)^s for s = +-1: sum_l (delta^l / l!) P_l,
-    delta^l / l! the qd^l C^0 part of the closed form (its numerators x_l)
-    and P_l the qd^0 part of the Theta basis change's qd^l at C = -s
-    (``_eta_factor``), since qd^l (eta^(-C) X) = eta^(-C) P_l X."""
-    def block(op):
-        x = {}
-        for k, v in op.nums.items():
-            if not k[1]:
-                x.setdefault(k[0], {})[k[2:]] = v
-        return EisensteinPoly._made(*_sum_terms(
-            (op.den * p.den, 1, EisensteinPoly._mul_nums(x_l, p.nums).items())
-            for l, x_l in x.items() for p in (_eta_factor(s, l),)))
-
-    return _blocks(ops, block)
-
-
-@lru_cache(maxsize=None)
-def _eta_factor(s: int, l: int) -> EisensteinPoly:
-    """P_l at C = -s, from the qd^0 part of ``ring._eta_power(1, l)`` alone."""
-    return _eta_power(1, l).part(0).at(-s, 0)
+    delta^l / l! the qd^l C^0 part of the closed form and P_l the qd^0 part of
+    the Theta basis change's qd^l (``ring._eta_power``) at C = -s, since
+    qd^l (eta^(-C) X) = eta^(-C) P_l X.  Each block is one ``_sum_terms``."""
+    shift = {n: op.part(j=0).coefficients() for n, op in ops.items()}  # (l, 0) -> delta^l/l!
+    p = [_eta_power(1, l).at(-s, 0) for l in range(1 + max(
+        (l for c in shift.values() for l, _ in c), default=0))]
+    return _blocks(shift, lambda c: EisensteinPoly._made(*_sum_terms(
+        (x.den * p[l].den, 1, EisensteinPoly._mul_nums(x.nums, p[l].nums).items())
+        for (l, _), x in c.items())))
 
 
 def verify_heisenberg_degeneration(eps_trunc: int = 6, q_trunc: int = 10) -> Report:

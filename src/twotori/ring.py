@@ -54,10 +54,25 @@ def join_terms(terms, den: int) -> str:
     as one signed sum, with no ``Fraction``: a bare monomial stands for
     coefficient 1 and "-monomial" for -1, an empty monomial renders the bare
     coefficient (``ratio_str``), and negative terms after the first fold
-    into " - ".  No terms renders "0"."""
-    return " + ".join(
-        (body if v == den else f"-{body}" if v == -den else f"{ratio_str(v, den)}*{body}")
-        if body else ratio_str(v, den) for v, body in terms).replace(" + -", " - ") or "0"
+    into " - ".  No terms renders "0".
+    """
+    out = ""
+    for v, body in terms:
+        if not body:
+            term = ratio_str(v, den)
+        elif v == den:
+            term = body
+        elif v == -den:
+            term = f"-{body}"
+        else:
+            term = f"{ratio_str(v, den)}*{body}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
 
 
 def monomial_str(*powers) -> str:

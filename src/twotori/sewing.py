@@ -117,9 +117,12 @@ def _embed(*mats: AMatrix):
     qvars = tuple(sorted(orders))
     qtruncs = tuple(orders[v] for v in qvars)
     vars = ("eps", *qvars)
+
+    def lift(e):
+        return e.embed(vars, (e.truncs[0], *qtruncs))
+
     zero = QSeries.zero(vars, (min(m.eps_trunc for m in mats), *qtruncs))
-    return [tuple(tuple(e.embed(vars, (e.truncs[0], *qtruncs)) for e in row)
-                  for row in m.entries) for m in mats], zero
+    return [tuple(tuple(map(lift, row)) for row in m.entries) for m in mats], zero
 
 
 # -- minors of the moment matrices ------------------------------------------------
@@ -269,8 +272,10 @@ class _Expansions(dict):
         self.trunc, self.u = x.trunc, x.renamed("q")
 
     def __missing__(self, m):
-        u, x = self.u, _monomial_qseries(m, self.trunc)
-        self[m] = x = x if (u.nums, u.den) == ({(0,): 1}, 1) else x * u if any(m) else u
+        x = _monomial_qseries(m, self.trunc)
+        if (self.u.nums, self.u.den) != ({(0,): 1}, 1):  # the mantissa 1 costs no product
+            x = x * self.u if any(m) else self.u
+        self[m] = x
         return x
 
 
@@ -330,7 +335,12 @@ def _eps_series(blocks: dict, trunc: int, expand, zero) -> QSeries:
 
 
 def _dot(u, v, zero: QSeries) -> QSeries:
-    return sum((x * y for x, y in zip(u, v) if not (x.is_zero() or y.is_zero())), zero)
+    acc = zero
+    for x, y in zip(u, v):
+        if x.is_zero() or y.is_zero():
+            continue
+        acc = acc + x * y
+    return acc
 
 
 def _mat_vec(A, v, zero: QSeries):
@@ -344,10 +354,14 @@ def _cut(s: QSeries, eps_trunc: int) -> QSeries:
 
 def _resolvent_vector_sum(a, b, eps_trunc: int, zero: QSeries):
     # sum_{n>=0} (a b)^n e_1, computed by matrix-vector chains
-    total = v = [zero + 1] + [zero] * (len(a) - 1)
-    for _ in range(eps_trunc // 2):
+    e1 = [zero + 1] + [zero] * (len(a) - 1)
+    total = list(e1)
+    v = e1
+    n = 1
+    while 2 * n <= eps_trunc:
         v = _mat_vec(a, _mat_vec(b, v, zero), zero)
         total = [t + x for t, x in zip(total, v)]
+        n += 1
     return total
 
 
